@@ -282,22 +282,19 @@ def threshold_step(entry: int, pair: BivariatePair) -> BivariatePair:
     a fixed combination of the old pair evaluated at shifted arguments.
     """
     even, odd = pair
+    e2 = threshold_even_step(entry, even)
     X, Y = BiPoly.x(), BiPoly.y()
     if entry == 0:
-        return BivariatePair(X * even, X * odd)
-    if entry == 1:
-        e2 = Y * even.shifted(-1, -1) + (X - Y) * even.shifted(-1, 1)
+        o2 = X * odd
+    elif entry == 1:
         o2 = (
             Y * odd.shifted(-1, -1)
             + (X - Y - 1) * odd.shifted(-1, 1)
             + even.shifted(-1, 0)
         )
-        return BivariatePair(e2, o2)
-    if entry == -1:
-        e2 = Y * even + (X - Y) * even.shifted(-1, 1)
+    else:
         o2 = Y * odd + (X - Y - 1) * odd.shifted(-1, 1) + even.shifted(-1, 0)
-        return BivariatePair(e2, o2)
-    raise BadCodeError(f"code entry {entry!r} not in {{-1, 0, 1}}")
+    return BivariatePair(e2, o2)
 
 
 def threshold_even_step(entry: int, even: BiPoly) -> BiPoly:

@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import chromatic, closedform, equivalence, verify
-from .errors import BudgetExceededError, ParseError, SignedChromError, UsageError
+from .errors import ParseError, SignedChromError, UsageError
 from .graphs import (
     SignedGraph,
     all_positive,
@@ -351,9 +351,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError, BudgetExceededError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except SignedChromError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import BadIndexError, NegativeParameterError
+from .errors import BadIndexError, BadRangeError, NegativeParameterError
 from .graphs import SignedGraph, complete_graph, join
 from .poly import (
     ChromaticPair,
@@ -268,6 +268,8 @@ class IdentitySuiteReport:
 
 def identity_suite(max_param: int) -> IdentitySuiteReport:
     """Check the nine family identities for all parameters up to max_param."""
+    if max_param < 0:
+        raise BadRangeError(f"max_param must be >= 0, got {max_param}")
     rng = range(max_param + 1)
     results = []
 

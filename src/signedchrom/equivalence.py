@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .graphs import SignedGraph, all_positive, component_stats, switch
+from .graphs import SignedGraph, all_positive
 
 DEFAULT_VERTEX_BUDGET = 12
 DEFAULT_ORBIT_EDGE_BUDGET = 21
@@ -132,141 +132,77 @@ def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     return gens
 
 
-def negative_cycle_count(g: SignedGraph) -> int | None:
-    """Number of negative cycles, via the cycle space; None if too large.
-
-    Both switching and isomorphism preserve this count, so it serves as a
-    cheap rejection test before the switching search.
-    """
-    stats = component_stats(g)
-    dim = g.m - g.n + stats.c
-    if dim > 16:
-        return None
-    # spanning forest via union-find; non-tree edges index the cycle space
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    non_tree: list[int] = []
-    for i, (u, v, _) in enumerate(g.edges):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            non_tree.append(i)
-        else:
-            parent[ru] = rv
-            tree_adj[u].append((v, i))
-            tree_adj[v].append((u, i))
-
-    def tree_path_mask(u: int, v: int) -> int:
-        # BFS in the forest from u to v, returning the edge-index bitmask
-        prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        queue = [u]
-        while queue:
-            x = queue.pop()
-            if x == v:
-                break
-            for y, ei in tree_adj[x]:
-                if y not in prev:
-                    prev[y] = (x, ei)
-                    queue.append(y)
-        mask = 0
-        x = v
-        while x != u:
-            x, ei = prev[x]
-            mask |= 1 << ei
-        return mask
-
-    fundamental = []
-    for i in non_tree:
-        u, v, _ = g.edges[i]
-        fundamental.append(tree_path_mask(u, v) | (1 << i))
-    neg_mask = 0
-    for i, (_, _, s) in enumerate(g.edges):
-        if s < 0:
-            neg_mask |= 1 << i
-    deg = [0] * g.n
-    count = 0
-    for combo in range(1, 1 << dim):
-        mask = 0
-        mm = combo
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            mask ^= fundamental[low.bit_length() - 1]
-        # a cycle-space element is a cycle iff it is connected and 2-regular
-        touched: list[int] = []
-        ok = True
-        em = mask
-        while em:
-            low = em & -em
-            em ^= low
-            u, v, _ = g.edges[low.bit_length() - 1]
-            for x in (u, v):
-                if deg[x] == 0:
-                    touched.append(x)
-                deg[x] += 1
-                if deg[x] > 2:
-                    ok = False
-        if ok and touched:
-            # connectivity check restricted to the chosen edges
-            seen = {touched[0]}
-            stack = [touched[0]]
-            inc: dict[int, list[int]] = {x: [] for x in touched}
-            em = mask
-            while em:
-                low = em & -em
-                em ^= low
-                u, v, _ = g.edges[low.bit_length() - 1]
-                inc[u].append(v)
-                inc[v].append(u)
-            while stack:
-                x = stack.pop()
-                for y in inc[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) == len(touched) and all(deg[x] == 2 for x in touched):
-                if (mask & neg_mask).bit_count() & 1:
-                    count += 1
-        for x in touched:
-            deg[x] = 0
-    return count
-
-
 def find_switching_isomorphism(
-    g1: SignedGraph, g2: SignedGraph, *, max_vertices: int = 10
+    g1: SignedGraph, g2: SignedGraph
 ) -> tuple[frozenset[int], tuple[int, ...]] | None:
     """A pair (X, perm) with relabel(g1, perm) == switch(g2, X), or None.
 
-    Switchings of g2 are enumerated over 2^(n-c) class representatives (one
-    vertex per component is pinned, since switching a full component changes
-    nothing).
+    One backtracking search over vertex maps.  g1's vertices are placed in
+    BFS order per component.  A component's first vertex gets switch bit 0
+    (switching a whole component changes nothing); every later vertex has a
+    placed BFS parent, so the sign of the edge to it forces the bit.
     """
-    if max(g1.n, g2.n) > max_vertices:
+    if max(g1.n, g2.n) > DEFAULT_VERTEX_BUDGET:
         raise BudgetExceededError(
-            f"switching-isomorphism search limited to {max_vertices} vertices"
+            f"switching-isomorphism search limited to {DEFAULT_VERTEX_BUDGET} vertices"
         )
-    if g1.n != g2.n or g1.m != g2.m:
+    n = g1.n
+    if n != g2.n or g1.m != g2.m:
         return None
-    s1, s2 = component_stats(g1), component_stats(g2)
-    if (s1.c, s1.b) != (s2.c, s2.b):
+    adj1 = _adjacency(g1)
+    adj2 = _adjacency(g2)
+    deg1 = [sum(map(abs, row)) for row in adj1]
+    deg2 = [sum(map(abs, row)) for row in adj2]
+    if sorted(deg1) != sorted(deg2):
         return None
-    n1, n2 = negative_cycle_count(g1), negative_cycle_count(g2)
-    if n1 is not None and n2 is not None and n1 != n2:
+    order: list[int] = []
+    parent = [-1] * n
+    for root in range(n):
+        if root in order:
+            continue
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for u in range(n):
+                if adj1[v][u] and u not in order:
+                    parent[u] = v
+                    order.append(u)
+    image = [-1] * n
+    used = [False] * n
+    flip = [1] * n  # -1 where a vertex of g2 is switched
+
+    def extend(step: int) -> bool:
+        if step == n:
+            return True
+        v = order[step]
+        row1 = adj1[v]
+        a = parent[v]
+        for w in range(n):
+            if used[w] or deg1[v] != deg2[w]:
+                continue
+            row2 = adj2[w]
+            s = 1
+            if a >= 0:
+                if not row2[image[a]]:
+                    continue
+                s = row1[a] * row2[image[a]] * flip[image[a]]
+            for p in order[:step]:
+                if row1[p] != s * row2[image[p]] * flip[image[p]]:
+                    break
+            else:
+                image[v] = w
+                used[w] = True
+                flip[w] = s
+                if extend(step + 1):
+                    return True
+                used[w] = False
+        return False
+
+    if not extend(0):
         return None
-    free = free_switching_vertices(g2)
-    for bits in range(1 << len(free)):
-        X = frozenset(free[i] for i in range(len(free)) if bits >> i & 1)
-        candidate = switch(g2, X)
-        perm = find_isomorphism(g1, candidate, max_vertices=max_vertices)
-        if perm is not None:
-            return X, perm
-    return None
+    return frozenset(w for w in range(n) if flip[w] < 0), tuple(image)
 
 
 def free_switching_vertices(g: SignedGraph) -> list[int]:
@@ -287,8 +223,8 @@ def free_switching_vertices(g: SignedGraph) -> list[int]:
     return [v for v in range(g.n) if v not in roots]
 
 
-def are_switching_isomorphic(g1: SignedGraph, g2: SignedGraph, **kw) -> bool:
-    return find_switching_isomorphism(g1, g2, **kw) is not None
+def are_switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
+    return find_switching_isomorphism(g1, g2) is not None
 
 
 # -- signature orbits over a fixed underlying graph -----------------------------
@@ -419,34 +355,3 @@ def enumerate_classes(
         mask_to_class=tuple(mask_to_class),
     )
 
-
-def switching_equivalence_class_count(underlying: SignedGraph) -> int:
-    """Orbit count under switchings alone (no automorphisms)."""
-    base = all_positive(underlying)
-    seen: set[int] = set()
-    count = 0
-    free = free_switching_vertices(base)
-    incident = []
-    edge_index = {(u, v): i for i, (u, v, _) in enumerate(base.edges)}
-    for v in free:
-        sm = 0
-        for (a, b), i in edge_index.items():
-            if v in (a, b):
-                sm |= 1 << i
-        incident.append(sm)
-    for mask in range(1 << base.m):
-        if mask in seen:
-            continue
-        count += 1
-        # orbit of mask under the free switchings
-        orbit = {mask}
-        stack = [mask]
-        while stack:
-            cur = stack.pop()
-            for sm in incident:
-                nxt = cur ^ sm
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    stack.append(nxt)
-        seen |= orbit
-    return count

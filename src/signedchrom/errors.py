@@ -50,7 +50,7 @@ class NegativeIndexError(SignedChromError):
 
 
 class BadRangeError(SignedChromError):
-    """Colour-set parameters violate lambda >= mu >= 0."""
+    """A numeric parameter is out of range (lambda >= mu >= 0, or a negative bound)."""
 
 
 class BadIndexError(SignedChromError):

@@ -26,7 +26,7 @@ from .equivalence import (
     find_isomorphism,
     free_switching_vertices,
 )
-from .errors import BudgetExceededError
+from .errors import BadRangeError, BudgetExceededError
 from .graphs import (
     SignedGraph,
     complete_graph,
@@ -171,8 +171,14 @@ def _complete_pairs(n: int, inventory: ClassInventory):
     return [complete_chromatic_pair(rep) for rep in inventory.representatives]
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max < 0:
+        raise BadRangeError(f"n_max must be >= 0, got {n_max}")
+
+
 def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
     """No two switching-isomorphism classes of signed K_n share a chromatic pair."""
+    _check_n_max(n_max)
     start = time.perf_counter()
     if n_max > MAX_COCHROMATIC_N:
         raise BudgetExceededError(
@@ -320,6 +326,7 @@ def _fingerprint_threshold_scan(n_max: int, check_from: int) -> dict | None:
 def verify_conj_threshold(n_max: int = 8) -> VerificationReport:
     """Distinct threshold codes of one length give distinct even bivariate
     polynomials."""
+    _check_n_max(n_max)
     start = time.perf_counter()
     if n_max > MAX_THRESHOLD_N:
         raise BudgetExceededError(
@@ -349,6 +356,7 @@ def verify_conj_threshold(n_max: int = 8) -> VerificationReport:
 def verify_conj_complete_bivariate(n_max: int = 6) -> VerificationReport:
     """Isomorphism classes of signed K_n are separated by the even bivariate
     polynomial."""
+    _check_n_max(n_max)
     start = time.perf_counter()
     if n_max > MAX_BIVARIATE_N:
         raise BudgetExceededError(

@@ -147,6 +147,22 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--conjecture", "threshold", "--max", "-3"),
+        ("verify", "--conjecture", "cochromatic-complete", "--max", "-1"),
+        ("verify", "--conjecture", "bivariate-complete", "--max", "-1"),
+        ("identities", "--max", "-1"),
+    ],
+)
+def test_negative_max_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["chrom"])  # missing file argument

@@ -13,8 +13,6 @@ from signedchrom.equivalence import (
     find_isomorphism,
     find_switching_isomorphism,
     graph_from_mask,
-    negative_cycle_count,
-    switching_equivalence_class_count,
 )
 from signedchrom.errors import BudgetExceededError
 from signedchrom.graphs import (
@@ -25,6 +23,7 @@ from signedchrom.graphs import (
     relabel,
     switch,
 )
+from signedchrom.verify import non_switching_isomorphism_certificate
 
 
 def random_graph(rng, n):
@@ -56,6 +55,8 @@ def test_isomorphism_budget():
     big = SignedGraph(15, ())
     with pytest.raises(BudgetExceededError):
         find_isomorphism(big, big)
+    with pytest.raises(BudgetExceededError):
+        find_switching_isomorphism(big, big)
 
 
 def test_switching_isomorphism_examples():
@@ -100,51 +101,44 @@ def test_switching_isomorphism_is_equivalence_sampled():
     assert are_switching_isomorphic(g, b)
 
 
-def _negative_cycles_brute(g):
-    """Count negative cycles by checking every edge subset directly."""
-    count = 0
-    for mask in range(1, 1 << g.m):
-        chosen = [g.edges[i] for i in range(g.m) if mask >> i & 1]
-        deg = {}
-        for u, v, _ in chosen:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            continue
-        verts = sorted(deg)
-        adj = {v: [] for v in verts}
-        for u, v, _ in chosen:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(verts):
-            continue
-        if sum(1 for _, _, s in chosen if s < 0) % 2 == 1:
-            count += 1
-    return count
+def test_switching_search_matches_class_partition():
+    # union-find classes of signed K_n: same class iff switching isomorphic
+    inv = enumerate_classes(complete_graph(4, 1), "switching_iso")
+    members = [graph_from_mask(inv.underlying, k) for k in range(2 ** inv.underlying.m)]
+    for a, ga in enumerate(members):
+        for b, gb in enumerate(members):
+            same = inv.mask_to_class[a] == inv.mask_to_class[b]
+            assert are_switching_isomorphic(ga, gb) == same, (a, b)
+    inv = enumerate_classes(complete_graph(5, 1), "switching_iso")
+    for mask in range(2 ** inv.underlying.m):
+        g = graph_from_mask(inv.underlying, mask)
+        for cls, rep in enumerate(inv.representatives):
+            assert are_switching_isomorphic(g, rep) == (inv.mask_to_class[mask] == cls)
 
 
-def test_negative_cycle_count():
-    assert negative_cycle_count(complete_graph(3, -1)) == 1
-    assert negative_cycle_count(complete_graph(3, 1)) == 0
-    # cross-check against direct edge-subset enumeration
-    rng = random.Random(4)
-    for _ in range(15):
-        g = random_graph(rng, rng.randrange(1, 6))
-        assert negative_cycle_count(g) == _negative_cycles_brute(g), g
-    assert negative_cycle_count(fixture("G1")) == _negative_cycles_brute(fixture("G1"))
-    # switching invariance
-    for _ in range(10):
-        g = random_graph(rng, 5)
-        X = {v for v in range(5) if rng.random() < 0.5}
-        assert negative_cycle_count(g) == negative_cycle_count(switch(g, X))
+def test_switching_search_matches_certificate():
+    # the certificate tries every switching of g2 with a plain isomorphism search
+    rng = random.Random(41)
+    for i in range(60):
+        n = rng.randrange(5, 9)
+        g = random_graph(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = relabel(switch(g, {v for v in range(n) if rng.random() < 0.5}), perm)
+        if i % 2 and h.m:
+            # flip one edge sign: usually leaves the switching class
+            k = rng.randrange(h.m)
+            edges = list(h.edges)
+            u, v, sgn = edges[k]
+            edges[k] = (u, v, -sgn)
+            h = SignedGraph(n, tuple(edges))
+        res = find_switching_isomorphism(g, h)
+        assert (res is not None) == non_switching_isomorphism_certificate(g, h)[
+            "isomorphism_found"
+        ]
+        if res is not None:
+            X, pw = res
+            assert relabel(g, pw) == switch(h, X)
 
 
 def test_automorphism_groups():
@@ -209,13 +203,6 @@ def test_isomorphic_graphs_share_bivariate_pair():
         assert bivariate_pair(relabel(g, perm)) == bivariate_pair(g)
     # while switching need not preserve it
     assert bivariate_pair(complete_graph(2, 1)) != bivariate_pair(complete_graph(2, -1))
-
-
-def test_switching_equivalence_count_connected():
-    # 2^(m - n + 1) switching classes over a connected underlying graph
-    for g in (complete_graph(3, 1), complete_graph(4, 1), fixture("G1")):
-        expected = 2 ** (g.m - g.n + 1)
-        assert switching_equivalence_class_count(g) == expected
 
 
 def test_join_associative_commutative_up_to_isomorphism():
