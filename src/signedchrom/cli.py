@@ -175,7 +175,7 @@ def cmd_enumerate(args) -> int:
         mismatches = 0
         for _ in range(args.spot_check):
             mask = rng.randrange(size)
-            cls = inventory.mask_to_class[mask]
+            cls = inventory.classify(mask)
             member = equivalence.graph_from_mask(inventory.underlying, mask)
             pair = chromatic.chromatic_pair(member, max_edges=args.subset_budget)
             rep_pair = {"even": classes[cls]["even"], "odd": classes[cls]["odd"]}

@@ -3,13 +3,15 @@
 Decision procedures return explicit witnesses (a vertex permutation, plus a
 switching set where applicable) so a result of "equivalent" can be re-checked
 independently.  Signature classes over a fixed underlying graph are
-enumerated by a union-find over all 2^|E| sign patterns, united under
-single-vertex switchings and underlying-graph automorphisms.
+enumerated on switching normal forms: each sign pattern is reduced to the
+smallest pattern of its switching coset, which leaves 2^(|E|-n+c) patterns
+for c components, and those are grouped into orbits of the underlying
+graph's automorphism group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
 from .graphs import SignedGraph, all_positive
@@ -41,8 +43,17 @@ def _profiles(g: SignedGraph) -> list[tuple[int, int, int]]:
     return [(pos[v] + neg[v], pos[v], neg[v]) for v in range(g.n)]
 
 
-def _search_isomorphisms(g1: SignedGraph, g2: SignedGraph, find_all: bool):
-    """Backtracking over vertex maps pruned by sign-degree profiles."""
+def _search_isomorphisms(
+    g1: SignedGraph,
+    g2: SignedGraph,
+    find_all: bool,
+    fixed: tuple[tuple[int, int], ...] = (),
+):
+    """Backtracking over vertex maps pruned by sign-degree profiles.
+
+    `fixed` is a sequence of pairs (v, w) that force image[v] = w; those
+    vertices are placed first.
+    """
     n = g1.n
     if n != g2.n or g1.m != g2.m:
         return []
@@ -52,8 +63,12 @@ def _search_isomorphisms(g1: SignedGraph, g2: SignedGraph, find_all: bool):
         return []
     adj1 = _adjacency(g1)
     adj2 = _adjacency(g2)
+    forced = dict(fixed)
     # place high-degree vertices first; ties broken by index for determinism
-    order = sorted(range(n), key=lambda v: (-prof1[v][0], v))
+    order = [v for v, _ in fixed] + sorted(
+        (v for v in range(n) if v not in forced), key=lambda v: (-prof1[v][0], v)
+    )
+    choices = [(forced[v],) if v in forced else range(n) for v in order]
     found: list[tuple[int, ...]] = []
     image = [-1] * n
     used = [False] * n
@@ -65,7 +80,7 @@ def _search_isomorphisms(g1: SignedGraph, g2: SignedGraph, find_all: bool):
             return not find_all
         v = order[step]
         row1 = adj1[v]
-        for w in range(n):
+        for w in choices[step]:
             if used[w] or prof1[v] != prof2[w]:
                 continue
             row2 = adj2[w]
@@ -108,27 +123,42 @@ def automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     return _search_isomorphisms(g, g, find_all=True)
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[v]] for v in range(len(p)))
+def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
+    orbit = {point}
+    stack = [point]
+    while stack:
+        x = stack.pop()
+        for perm in gens:
+            if perm[x] not in orbit:
+                orbit.add(perm[x])
+                stack.append(perm[x])
+    return orbit
 
 
 def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
-    """A small generating set for the automorphism group of g."""
-    identity = tuple(range(g.n))
-    group = {identity}
+    """A strong generating set for the automorphism group of g.
+
+    Base points run from the last vertex down.  At point i every generator
+    found so far fixes 0..i-1; for each vertex not yet in i's orbit under
+    them, one first-hit search looks for an automorphism fixing 0..i-1 and
+    mapping i there.  i's orbit then equals its orbit under the stabiliser
+    of 0..i-1 in the whole group, so by induction from the last vertex the
+    generators found at points >= i generate that stabiliser, and at i = 0
+    the whole group.  That takes at most n^2 searches, not a walk over
+    every element.
+    """
+    prof = _profiles(g)
     gens: list[tuple[int, ...]] = []
-    for perm in automorphisms(g):
-        if perm in group:
-            continue
-        gens.append(perm)
-        frontier = list(group)
-        while frontier:
-            a = frontier.pop()
-            for b in gens:
-                for c in (_compose(a, b), _compose(b, a)):
-                    if c not in group:
-                        group.add(c)
-                        frontier.append(c)
+    for i in reversed(range(g.n)):
+        orbit = {i}
+        for target in range(i + 1, g.n):
+            if target in orbit or prof[target] != prof[i]:
+                continue
+            fixed = tuple((v, v) for v in range(i)) + ((i, target),)
+            found = _search_isomorphisms(g, g, find_all=False, fixed=fixed)
+            if found:
+                gens.append(found[0])
+                orbit = _orbit(i, gens)
     return gens
 
 
@@ -237,6 +267,11 @@ class ClassInventory:
     Masks encode signatures: bit i set means edge i (in the graph's canonical
     lexicographic edge order) is negative.  Representatives are the minimal
     mask of each orbit, listed in increasing order.
+
+    Each mask reduces to a normal form; `normal_index[i]` is the index of
+    the normal form of the mask with only bit i set, and reduction is
+    linear, so a mask's index is the XOR of its bits' entries.
+    `class_of_index` gives the class of every normal form.
     """
 
     underlying: SignedGraph
@@ -244,11 +279,22 @@ class ClassInventory:
     representative_masks: tuple[int, ...]
     representatives: tuple[SignedGraph, ...]
     orbit_sizes: tuple[int, ...]
-    mask_to_class: tuple[int, ...]
+    normal_index: tuple[int, ...] = field(repr=False)
+    class_of_index: tuple[int, ...] = field(repr=False)
 
     @property
     def class_count(self) -> int:
         return len(self.representatives)
+
+    def classify(self, mask: int) -> int:
+        """The class index of a signature mask."""
+        if not 0 <= mask < 1 << self.underlying.m:
+            raise ValueError(f"mask {mask} out of range for {self.underlying.m} edges")
+        index = 0
+        for i, column in enumerate(self.normal_index):
+            if mask >> i & 1:
+                index ^= column
+        return self.class_of_index[index]
 
 
 def graph_from_mask(underlying: SignedGraph, mask: int) -> SignedGraph:
@@ -263,6 +309,38 @@ MODE_ISO = "iso"
 MODE_SWITCHING_ISO = "switching_iso"
 
 
+def _cut_basis(g: SignedGraph) -> dict[int, int]:
+    """Fully reduced basis of the cut space (edge masks of the switchings).
+
+    One star vector per vertex, keyed by its pivot, the highest set bit; no
+    vector has another's pivot set.  The pivot edges form a spanning forest.
+    """
+    basis: dict[int, int] = {}
+    stars = [0] * g.n
+    for i, (u, v, _) in enumerate(g.edges):
+        stars[u] |= 1 << i
+        stars[v] |= 1 << i
+    for vec in stars:
+        for p, b in basis.items():
+            if vec >> p & 1:
+                vec ^= b
+        if vec:
+            p = vec.bit_length() - 1
+            for q, b in basis.items():
+                if b >> p & 1:
+                    basis[q] = b ^ vec
+            basis[p] = vec
+    return basis
+
+
+def _span_table(columns: list[int]) -> list[int]:
+    """table[x] = XOR of columns[j] over the set bits j of x."""
+    table = [0]
+    for c in columns:
+        table += [x ^ c for x in table]
+    return table
+
+
 def enumerate_classes(
     underlying: SignedGraph,
     mode: str,
@@ -272,7 +350,14 @@ def enumerate_classes(
     """Partition all 2^|E| signatures of the underlying graph into classes.
 
     mode "iso" unites signatures under underlying-graph automorphisms only;
-    "switching_iso" adds single-vertex switchings as generators.
+    "switching_iso" also under switchings.  In switching mode, XOR-ing a
+    mask with the cut-basis vectors whose pivots it has set gives the
+    smallest mask of its switching coset, its normal form: the normal forms
+    are the 2^(m-n+c) masks that are zero on the pivot edges, each standing
+    for 2^(n-c) masks.  Iso mode has an empty basis, so every mask is its
+    own normal form.  Automorphisms act linearly on normal forms; each
+    orbit is walked from its smallest normal form, which is the smallest
+    mask of the class.
     """
     if mode not in (MODE_ISO, MODE_SWITCHING_ISO):
         raise ValueError(f"mode must be 'iso' or 'switching_iso', got {mode!r}")
@@ -282,76 +367,55 @@ def enumerate_classes(
         raise BudgetExceededError(f"{m} edges exceed the orbit budget of {max_edges}")
     edge_index = {(u, v): i for i, (u, v, _) in enumerate(base.edges)}
 
-    switch_masks: list[int] = []
-    if mode == MODE_SWITCHING_ISO:
-        for v in range(base.n):
-            sm = 0
-            for (a, b), i in edge_index.items():
-                if v in (a, b):
-                    sm |= 1 << i
-            if sm:
-                switch_masks.append(sm)
+    basis = _cut_basis(base) if mode == MODE_SWITCHING_ISO else {}
+    # bit j of a normal form's index is its bit free[j]
+    free = [i for i in range(m) if i not in basis]
+    index_bit = {b: 1 << j for j, b in enumerate(free)}
+    # a pivot bit reduces to the rest of its basis vector, which has no other pivot bit
+    normal_index = [
+        sum(bit for b, bit in index_bit.items() if basis.get(i, 1 << i) >> b & 1)
+        for i in range(m)
+    ]
 
-    perm_tables: list[list[int]] = []
+    # each automorphism as a linear map on indices, looked up in two halves
+    k = len(free)
+    half = k // 2
+    maps: list[tuple[list[int], list[int]]] = []
     for perm in generating_automorphisms(base):
-        table = [0] * m
-        for (a, b), i in edge_index.items():
-            x, y = perm[a], perm[b]
-            if x > y:
-                x, y = y, x
-            table[i] = edge_index[(x, y)]
-        if table != list(range(m)):
-            perm_tables.append(table)
+        columns = []
+        for i in free:
+            x, y = sorted((perm[base.edges[i][0]], perm[base.edges[i][1]]))
+            columns.append(normal_index[edge_index[(x, y)]])
+        if columns != [1 << j for j in range(k)]:
+            maps.append((_span_table(columns[:half]), _span_table(columns[half:])))
 
-    size = 1 << m
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-    for mask in range(size):
-        for sm in switch_masks:
-            union(mask, mask ^ sm)
-        for table in perm_tables:
-            img = 0
-            mm = mask
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                img |= 1 << table[low.bit_length() - 1]
-            union(mask, img)
-
-    rep_of_root: dict[int, int] = {}
+    low = (1 << half) - 1
+    class_of = [-1] * (1 << k)
     reps: list[int] = []
     sizes: list[int] = []
-    mask_to_class = [0] * size
-    for mask in range(size):
-        root = find(mask)
-        cls = rep_of_root.get(root)
-        if cls is None:
-            cls = len(reps)
-            rep_of_root[root] = cls
-            reps.append(mask)  # ascending scan makes this the minimal mask
-            sizes.append(0)
-        sizes[cls] += 1
-        mask_to_class[mask] = cls
+    for start in range(1 << k):
+        if class_of[start] >= 0:
+            continue
+        cls = len(reps)
+        class_of[start] = cls
+        stack = [start]
+        count = 0
+        while stack:
+            x = stack.pop()
+            count += 1
+            for lo_table, hi_table in maps:
+                y = lo_table[x & low] ^ hi_table[x >> half]
+                if class_of[y] < 0:
+                    class_of[y] = cls
+                    stack.append(y)
+        reps.append(sum(1 << free[j] for j in range(k) if start >> j & 1))
+        sizes.append(count << len(basis))
     return ClassInventory(
         underlying=base,
         mode=mode,
         representative_masks=tuple(reps),
         representatives=tuple(graph_from_mask(base, r) for r in reps),
         orbit_sizes=tuple(sizes),
-        mask_to_class=tuple(mask_to_class),
+        normal_index=tuple(normal_index),
+        class_of_index=tuple(class_of),
     )
-

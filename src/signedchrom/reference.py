@@ -160,4 +160,10 @@ THRESHOLD_EXAMPLE_PAIR = ChromaticPair(
 
 # Isomorphism classes of signed complete graphs correspond to unlabelled
 # graphs on n vertices (take the positive part): 1, 1, 2, 4, 11, 34, ...
+# (OEIS A000088), indexed by n.
 UNLABELLED_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
+
+# Switching classes of signed complete graphs are switching classes of graphs
+# on n vertices, equal in number to two-graphs and to Euler graphs
+# (Mallows-Sloane 1975, OEIS A002854), indexed by n.
+SWITCHING_CLASS_COUNTS = (1, 1, 1, 2, 3, 7, 16, 54)

@@ -107,6 +107,20 @@ def test_enumerate_spot_check(capsys):
     assert payload["spot_check"]["seed"] == 42
 
 
+@pytest.mark.parametrize(
+    "underlying,mode",
+    [("complete:5", "switch"), ("complete:5", "iso"), ("petersen", "switch")],
+)
+def test_enumerate_spot_check_exit_0(capsys, underlying, mode):
+    code, out, _ = run(
+        capsys,
+        "enumerate", "--underlying", underlying, "--mode", mode,
+        "--spot-check", "5", "--seed", "7",
+    )
+    assert code == 0
+    assert json.loads(out)["spot_check"]["mismatches"] == 0
+
+
 def test_search_cochromatic_cli(capsys):
     code, out, err = run(capsys, "search-cochromatic", "--underlying", "G1")
     assert code == 0

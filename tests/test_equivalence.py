@@ -1,9 +1,11 @@
 """Isomorphism, switching isomorphism, and signature-class enumeration."""
 
 import random
+from math import comb
 
 import pytest
 
+from signedchrom import reference
 from signedchrom.chromatic import bivariate_pair, chromatic_pair
 from signedchrom.equivalence import (
     are_isomorphic,
@@ -12,6 +14,8 @@ from signedchrom.equivalence import (
     enumerate_classes,
     find_isomorphism,
     find_switching_isomorphism,
+    free_switching_vertices,
+    generating_automorphisms,
     graph_from_mask,
 )
 from signedchrom.errors import BudgetExceededError
@@ -36,6 +40,65 @@ def random_graph(rng, n):
             elif r < 0.6:
                 edges.append((u, v, -1))
     return SignedGraph(n, tuple(edges))
+
+
+def star(leaves):
+    return SignedGraph(leaves + 1, tuple((0, v, 1) for v in range(1, leaves + 1)))
+
+
+def union_find_classes(underlying, mode):
+    """Oracle: union-find over all 2^m masks, united under single-vertex
+    switchings (switching mode) and automorphism generators.  Returns the
+    representative masks, the orbit sizes and the class of every mask."""
+    edges = [(u, v) for u, v, _ in underlying.edges]
+    edge_index = {e: i for i, e in enumerate(edges)}
+    m = len(edges)
+    moves = []
+    if mode == "switching_iso":
+        for v in range(underlying.n):
+            star_mask = sum(1 << i for i, e in enumerate(edges) if v in e)
+            moves.append(lambda mask, sm=star_mask: mask ^ sm)
+    for perm in generating_automorphisms(underlying):
+        table = [edge_index[tuple(sorted((perm[a], perm[b])))] for a, b in edges]
+        moves.append(
+            lambda mask, t=table: sum(1 << t[i] for i in range(m) if mask >> i & 1)
+        )
+    parent = list(range(1 << m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for mask in range(1 << m):
+        for move in moves:
+            ra, rb = find(mask), find(move(mask))
+            parent[max(ra, rb)] = min(ra, rb)
+    reps, sizes, class_of = [], [], []
+    rep_of_root = {}
+    for mask in range(1 << m):
+        root = find(mask)
+        if root not in rep_of_root:
+            rep_of_root[root] = len(reps)
+            reps.append(mask)
+            sizes.append(0)
+        sizes[rep_of_root[root]] += 1
+        class_of.append(rep_of_root[root])
+    return tuple(reps), tuple(sizes), class_of
+
+
+def oracle_graphs():
+    """K_1..K_6, Petersen and 30 seeded graphs with at most 12 edges, some
+    of them disconnected or with isolated vertices."""
+    graphs = [complete_graph(n, 1) for n in range(1, 7)] + [fixture("petersen")]
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randrange(1, 9)
+        slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = sorted(rng.sample(slots, rng.randrange(min(12, len(slots)) + 1)))
+        graphs.append(SignedGraph(n, tuple((u, v, 1) for u, v in chosen)))
+    return graphs
 
 
 def test_isomorphism_examples():
@@ -107,13 +170,13 @@ def test_switching_search_matches_class_partition():
     members = [graph_from_mask(inv.underlying, k) for k in range(2 ** inv.underlying.m)]
     for a, ga in enumerate(members):
         for b, gb in enumerate(members):
-            same = inv.mask_to_class[a] == inv.mask_to_class[b]
+            same = inv.classify(a) == inv.classify(b)
             assert are_switching_isomorphic(ga, gb) == same, (a, b)
     inv = enumerate_classes(complete_graph(5, 1), "switching_iso")
     for mask in range(2 ** inv.underlying.m):
         g = graph_from_mask(inv.underlying, mask)
         for cls, rep in enumerate(inv.representatives):
-            assert are_switching_isomorphic(g, rep) == (inv.mask_to_class[mask] == cls)
+            assert are_switching_isomorphic(g, rep) == (inv.classify(mask) == cls)
 
 
 def test_switching_search_matches_certificate():
@@ -149,15 +212,74 @@ def test_automorphism_groups():
     assert len(automorphisms(all_positive(fixture("G1")))) == 2
 
 
+def test_generating_automorphisms_generate_the_group():
+    rng = random.Random(59)
+    graphs = [complete_graph(5, 1), fixture("petersen"), fixture("G1"), star(5)]
+    triangles = ((0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1))
+    graphs.append(SignedGraph(7, triangles))  # two triangles and an isolated vertex
+    graphs += [random_graph(rng, rng.randrange(1, 7)) for _ in range(10)]
+    for g in graphs:
+        gens = generating_automorphisms(g)
+        group = {tuple(range(g.n))}
+        frontier = list(group)
+        while frontier:
+            a = frontier.pop()
+            for b in gens:
+                c = tuple(b[a[v]] for v in range(g.n))
+                if c not in group:
+                    group.add(c)
+                    frontier.append(c)
+        assert group == set(automorphisms(g))
+        assert len(gens) <= g.n * g.n
+
+
 def test_enumerate_classes_counts():
-    assert enumerate_classes(complete_graph(3, 1), "switching_iso").class_count == 2
-    assert enumerate_classes(complete_graph(4, 1), "switching_iso").class_count == 3
-    assert enumerate_classes(complete_graph(5, 1), "switching_iso").class_count == 7
-    assert enumerate_classes(complete_graph(4, 1), "iso").class_count == 11
+    # switching classes of K_0..K_7: OEIS A002854; iso classes of K_0..K_6: A000088
+    for n, count in enumerate(reference.SWITCHING_CLASS_COUNTS):
+        assert enumerate_classes(complete_graph(n, 1), "switching_iso").class_count == count
+    for n in range(7):
+        inv = enumerate_classes(complete_graph(n, 1), "iso")
+        assert inv.class_count == reference.UNLABELLED_GRAPH_COUNTS[n]
     with pytest.raises(ValueError):
         enumerate_classes(complete_graph(3, 1), "nope")
     with pytest.raises(BudgetExceededError):
         enumerate_classes(complete_graph(8, 1), "iso")
+
+
+def test_enumerate_classes_large_automorphism_groups():
+    # K_1,11 has 11! automorphisms; a tree has one switching class
+    assert enumerate_classes(star(11), "switching_iso").orbit_sizes == (2**11,)
+    inv = enumerate_classes(star(11), "iso")
+    assert inv.representative_masks == tuple((1 << k) - 1 for k in range(12))
+    assert inv.orbit_sizes == tuple(comb(11, k) for k in range(12))
+    for mode in ("iso", "switching_iso"):
+        inv = enumerate_classes(SignedGraph(30, ()), mode)
+        assert inv.orbit_sizes == (1,) and inv.classify(0) == 0
+
+
+def test_enumerate_classes_matches_union_find_oracle():
+    graphs = oracle_graphs()
+    assert any(g.n - len(free_switching_vertices(g)) > 1 for g in graphs)
+    assert any(g.n > len({v for e in g.edges for v in e[:2]}) for g in graphs)
+    for g in graphs:
+        for mode in ("iso", "switching_iso"):
+            inv = enumerate_classes(g, mode)
+            reps, sizes, _ = union_find_classes(g, mode)
+            assert (inv.representative_masks, inv.orbit_sizes) == (reps, sizes), (g, mode)
+
+
+def test_classify_matches_union_find_oracle():
+    disconnected = SignedGraph(
+        8, ((0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1), (4, 5, 1), (4, 6, 1), (5, 6, 1))
+    )
+    for g in (complete_graph(5, 1), disconnected):
+        for mode in ("iso", "switching_iso"):
+            inv = enumerate_classes(g, mode)
+            _, _, class_of = union_find_classes(g, mode)
+            assert [inv.classify(mask) for mask in range(2**g.m)] == class_of
+    for mask in (-1, 2**disconnected.m):
+        with pytest.raises(ValueError):
+            enumerate_classes(disconnected, "iso").classify(mask)
 
 
 def test_enumerate_classes_structure():
@@ -165,8 +287,8 @@ def test_enumerate_classes_structure():
     assert sum(inv.orbit_sizes) == 2 ** inv.underlying.m
     assert inv.representative_masks == tuple(sorted(inv.representative_masks))
     # every mask's class representative has a mask no larger than it
-    for mask, cls in enumerate(inv.mask_to_class):
-        assert inv.representative_masks[cls] <= mask
+    for mask in range(2 ** inv.underlying.m):
+        assert inv.representative_masks[inv.classify(mask)] <= mask
     # representatives pairwise not switching isomorphic
     reps = inv.representatives
     for i in range(len(reps)):
@@ -181,7 +303,7 @@ def test_in_orbit_members_share_chromatic_pair():
     for _ in range(30):
         mask = rng.randrange(2 ** inv.underlying.m)
         member = graph_from_mask(inv.underlying, mask)
-        assert chromatic_pair(member) == rep_pairs[inv.mask_to_class[mask]]
+        assert chromatic_pair(member) == rep_pairs[inv.classify(mask)]
 
 
 def test_in_orbit_members_share_bivariate_pair_iso_mode():
@@ -191,7 +313,7 @@ def test_in_orbit_members_share_bivariate_pair_iso_mode():
     for _ in range(20):
         mask = rng.randrange(2 ** inv.underlying.m)
         member = graph_from_mask(inv.underlying, mask)
-        assert bivariate_pair(member) == rep_pairs[inv.mask_to_class[mask]]
+        assert bivariate_pair(member) == rep_pairs[inv.classify(mask)]
 
 
 def test_isomorphic_graphs_share_bivariate_pair():
