@@ -1,11 +1,11 @@
 """Exact even/odd chromatic polynomials of signed graphs.
 
 Data model and operations for signed graphs (switching, balance, joins,
-threshold constructions), exact integer polynomial pairs computed by
-edge-subset expansion with brute-force and interpolation cross-checks,
-closed-form join families with a machine-checked identity suite, switching
-isomorphism and signature-class enumeration, and desk-scale verifiers for
-the known tables and conjectures.
+threshold constructions), exact integer polynomial pairs (negative-clique
+partitions on complete graphs, edge-subset expansion on the rest) with
+brute-force and interpolation cross-checks, closed-form join families with
+a machine-checked identity suite, switching isomorphism and signature-class
+enumeration, and desk-scale verifiers for the known tables and conjectures.
 """
 
 from .errors import (

@@ -1,15 +1,12 @@
 """Colouring counts and chromatic polynomial pairs of signed graphs.
 
-Two independent routes are provided for every polynomial:
+`chromatic_pair` and `bivariate_pair` check the edge budget and then pick
+the route: signed complete graphs take the negative-clique partition route,
+every other graph the edge-subset expansion, which sums a signed term over
+all spanning subgraphs classified by their component statistics.
 
-* a brute-force counting oracle over an explicit colour set, and
-* the edge-subset expansion, which sums a signed term over all spanning
-  subgraphs classified by their component statistics.
-
-The subset expansion is the production path; the oracle (and exact Lagrange
-interpolation through oracle values) exists to cross-check it.  A separate
-partition-based route exists for signed complete graphs, whose subset space
-is out of reach at 7 vertices.
+A brute-force counting oracle over an explicit colour set, and exact
+Lagrange interpolation through oracle values, cross-check both routes.
 """
 
 from __future__ import annotations
@@ -30,21 +27,19 @@ from .errors import (
 from .graphs import SignedGraph, all_positive
 from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly
 
-DEFAULT_SUBSET_BUDGET = 24      # max |E| for 2^|E| subset enumeration
+DEFAULT_SUBSET_BUDGET = 24      # max |E| for any pair
 DEFAULT_ORACLE_BUDGET = 10**8   # max |C|^n for brute-force counting
 
 
 @dataclass(frozen=True)
 class ColourSpec:
-    """A concrete colour set with mu unpaired colours out of lam total.
+    """A concrete colour set: paired colours, unpaired colours and maybe 0.
 
     `paired` is closed under negation, `unpaired` avoids its own negatives,
     and zero is present exactly when lam - mu is odd, so the three parts
-    always add up to lam colours.
+    always add up to lam colours (see `make_colour_spec`).
     """
 
-    lam: int
-    mu: int
     paired: frozenset[int]
     unpaired: frozenset[int]
     includes_zero: bool
@@ -65,7 +60,7 @@ def make_colour_spec(lam: int, mu: int) -> ColourSpec:
         -i for i in range(1, half + 1)
     )
     unpaired = frozenset(range(lam + 1, lam + mu + 1))
-    return ColourSpec(lam, mu, paired, unpaired, (lam - mu) % 2 == 1)
+    return ColourSpec(paired, unpaired, (lam - mu) % 2 == 1)
 
 
 def count_colourings_oracle(
@@ -162,16 +157,13 @@ def _check_subset_budget(g: SignedGraph, max_edges: int) -> None:
         )
 
 
-def chromatic_pair(
-    g: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
-) -> ChromaticPair:
+def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:
     """Even and odd chromatic polynomials via the subset expansion.
 
     Each subset Y contributes (-1)^|Y| x^b delta^(c-b); the even constituent
     keeps only subsets with every component balanced (delta = 0 with 0^0 = 1),
     the odd one keeps all of them (delta = 1).
     """
-    _check_subset_budget(g, max_edges)
     ecoef = [0] * (g.n + 1)
     ocoef = [0] * (g.n + 1)
     for (p, b, c), cnt in _subset_tally(g):
@@ -181,15 +173,12 @@ def chromatic_pair(
     return ChromaticPair(UniPoly(tuple(ecoef)), UniPoly(tuple(ocoef)))
 
 
-def bivariate_pair(
-    g: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
-) -> BivariatePair:
+def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
     """Even and odd bivariate chromatic polynomials via the subset expansion.
 
     Each subset contributes (-1)^|Y| x^p (x-y)^(b-p) delta^(c-b), with delta
-    handled as in chromatic_pair.
+    handled as in _subset_chromatic_pair.
     """
-    _check_subset_budget(g, max_edges)
     even: dict[tuple[int, int], int] = {}
     odd: dict[tuple[int, int], int] = {}
     for (p, b, c), cnt in _subset_tally(g):
@@ -201,6 +190,26 @@ def bivariate_pair(
             if b == c:
                 even[key] = even.get(key, 0) + co
     return BivariatePair(BiPoly(even), BiPoly(odd))
+
+
+def chromatic_pair(
+    g: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
+) -> ChromaticPair:
+    """Even and odd chromatic polynomials of a graph with at most max_edges edges."""
+    _check_subset_budget(g, max_edges)
+    if g.m == g.n * (g.n - 1) // 2:
+        return complete_chromatic_pair(g)
+    return _subset_chromatic_pair(g)
+
+
+def bivariate_pair(
+    g: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
+) -> BivariatePair:
+    """Even and odd bivariate polynomials; routed as in chromatic_pair."""
+    _check_subset_budget(g, max_edges)
+    if g.m == g.n * (g.n - 1) // 2:
+        return complete_bivariate_pair(g)
+    return _subset_bivariate_pair(g)
 
 
 def unsigned_chromatic(
@@ -323,7 +332,7 @@ def threshold_bivariate(code: Sequence[int]) -> BivariatePair:
     return pair
 
 
-# -- signed complete graphs without subset enumeration ----------------------------
+# -- signed complete graphs: the negative-clique partition route ------------------
 #
 # Colour classes of a proper colouring of a signed complete graph are exactly
 # the blocks of a partition of V into all-negative cliques, and a block of

@@ -149,9 +149,7 @@ def cmd_threshold(args) -> int:
 def cmd_enumerate(args) -> int:
     underlying = _resolve_underlying(args.underlying)
     mode = "switching_iso" if args.mode == "switch" else "iso"
-    # the orbit space has its own hard budget; --subset-budget can only shrink it
-    orbit_budget = min(args.subset_budget, equivalence.DEFAULT_ORBIT_EDGE_BUDGET)
-    inventory = equivalence.enumerate_classes(underlying, mode, max_edges=orbit_budget)
+    inventory = equivalence.enumerate_classes(underlying, mode)
     classes = []
     for idx, rep in enumerate(inventory.representatives):
         pair = chromatic.chromatic_pair(rep, max_edges=args.subset_budget)
@@ -201,8 +199,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_search_cochromatic(args) -> int:
     underlying = _resolve_underlying(args.underlying)
-    orbit_budget = min(args.subset_budget, equivalence.DEFAULT_ORBIT_EDGE_BUDGET)
-    report = verify.search_cochromatic(underlying, max_edges=orbit_budget)
+    report = verify.search_cochromatic(underlying, max_edges=args.subset_budget)
     groups = report.details.get("cochromatic_groups", [])
     _emit(args, report.to_dict(), [report.summary(), f"co-chromatic groups: {len(groups)}"])
     if args.output != "text":
@@ -259,7 +256,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, top: bool) -> None:
     )
     parser.add_argument(
         "--subset-budget", type=int, default=d(chromatic.DEFAULT_SUBSET_BUDGET),
-        metavar="E", help="max edge count for 2^E subset enumeration",
+        metavar="E", help="max edge count of any graph whose pair is computed",
     )
     parser.add_argument(
         "--oracle-budget", type=int, default=d(chromatic.DEFAULT_ORACLE_BUDGET),

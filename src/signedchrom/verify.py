@@ -13,10 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .chromatic import (
+    DEFAULT_SUBSET_BUDGET,
     bivariate_pair,
     chromatic_pair,
-    complete_bivariate_pair,
-    complete_chromatic_pair,
     threshold_bivariate,
     threshold_even_step,
 )
@@ -113,17 +112,17 @@ def non_switching_isomorphism_certificate(g1: SignedGraph, g2: SignedGraph) -> d
 
 
 def search_cochromatic(
-    underlying: SignedGraph, *, max_edges: int = 21
+    underlying: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
 ) -> VerificationReport:
     """Group the switching-isomorphism classes of one underlying graph by
     chromatic pair and certify every group of two or more as co-chromatic."""
     start = time.perf_counter()
     try:
-        inventory = enumerate_classes(underlying, "switching_iso", max_edges=max_edges)
+        inventory = enumerate_classes(underlying, "switching_iso")
         by_pair: dict[str, list[int]] = {}
         pairs = []
         for idx, rep in enumerate(inventory.representatives):
-            pair = chromatic_pair(rep)
+            pair = chromatic_pair(rep, max_edges=max_edges)
             pairs.append(pair)
             by_pair.setdefault(_pair_key(pair), []).append(idx)
         groups = []
@@ -165,12 +164,6 @@ def search_cochromatic(
     )
 
 
-def _complete_pairs(n: int, inventory: ClassInventory):
-    if n <= 6:
-        return [chromatic_pair(rep) for rep in inventory.representatives]
-    return [complete_chromatic_pair(rep) for rep in inventory.representatives]
-
-
 def _check_n_max(n_max: int) -> None:
     if n_max < 0:
         raise BadRangeError(f"n_max must be >= 0, got {n_max}")
@@ -188,7 +181,7 @@ def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
     details: dict = {"classes_checked": {}}
     for n in range(n_max + 1):
         inventory = enumerate_classes(complete_graph(n, 1), "switching_iso")
-        pairs = _complete_pairs(n, inventory)
+        pairs = [chromatic_pair(rep) for rep in inventory.representatives]
         details["classes_checked"][str(n)] = inventory.class_count
         seen: dict[str, int] = {}
         for idx, pair in enumerate(pairs):
@@ -373,10 +366,7 @@ def verify_conj_complete_bivariate(n_max: int = 6) -> VerificationReport:
             )
         seen: dict[BiPoly, int] = {}
         for idx, rep in enumerate(inventory.representatives):
-            if n <= 6:
-                even = bivariate_pair(rep).even
-            else:
-                even = complete_bivariate_pair(rep).even
+            even = bivariate_pair(rep).even
             if even in seen:
                 other = seen[even]
                 status = "counterexample"

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from signedchrom import chromatic
 from signedchrom.chromatic import (
+    _subset_bivariate_pair,
+    _subset_chromatic_pair,
     bivariate_pair,
     chromatic_pair,
     complete_bivariate_pair,
@@ -16,6 +19,7 @@ from signedchrom.chromatic import (
     threshold_bivariate,
     unsigned_chromatic,
 )
+from signedchrom.equivalence import enumerate_classes
 from signedchrom.errors import BadCodeError, BadRangeError, BudgetExceededError
 from signedchrom.graphs import (
     SignedGraph,
@@ -140,7 +144,7 @@ def test_threshold_recursion_matches_subset_expansion():
     rng = random.Random(5)
     codes = [tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randrange(5))) for _ in range(12)]
     for code in codes:
-        assert threshold_bivariate(code) == bivariate_pair(threshold_graph(code)), code
+        assert threshold_bivariate(code) == _subset_bivariate_pair(threshold_graph(code)), code
 
 
 def test_oracle_equivalence_small_family():
@@ -171,9 +175,30 @@ def test_fastpath_matches_subset_expansion_all_complete_up_to_5():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for signs in itertools.product((1, -1), repeat=len(pairs)):
             g = SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(pairs, signs)))
-            assert complete_bivariate_pair(g) == bivariate_pair(g), g
-    k3m = complete_graph(3, -1)
-    assert complete_chromatic_pair(k3m) == chromatic_pair(k3m)
+            assert complete_bivariate_pair(g) == _subset_bivariate_pair(g), g
+            assert complete_chromatic_pair(g) == _subset_chromatic_pair(g), g
+
+
+def test_fastpath_matches_subset_expansion_k6_switching_classes():
+    """The two routes agree on one graph of every switching class of signed K_6."""
+    inventory = enumerate_classes(complete_graph(6, 1), "switching_iso")
+    assert inventory.class_count == reference.SWITCHING_CLASS_COUNTS[6]
+    for g in inventory.representatives:
+        assert complete_chromatic_pair(g) == _subset_chromatic_pair(g), g
+
+
+def test_pair_functions_route_complete_graphs_to_partitions():
+    """Signed K_n never reach the subset tally; other graphs do."""
+    k6 = SignedGraph(6, tuple(
+        (u, v, -1 if (u + v) % 3 == 0 else 1) for u in range(6) for v in range(u + 1, 6)
+    ))
+    chromatic._subset_tally.cache_clear()
+    chromatic_pair(k6)
+    bivariate_pair(k6)
+    assert chromatic._subset_tally.cache_info().misses == 0
+    chromatic_pair(fixture("G1"))
+    bivariate_pair(fixture("G1"))
+    assert chromatic._subset_tally.cache_info().misses == 1
 
 
 def test_fastpath_rejects_incomplete():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from signedchrom.cli import main
-from signedchrom.graphs import fixture, format_graph
+from signedchrom.graphs import SignedGraph, fixture, format_graph
 
 
 @pytest.fixture
@@ -212,3 +212,34 @@ def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):
             want = count_colourings_oracle(g, make_colour_spec(lam, 0))
             poly = pair.even if lam % 2 == 0 else pair.odd
             assert poly.evaluate(lam) == want
+
+
+def test_search_cochromatic_subset_budget_refusal(capsys):
+    code, out, _ = run(
+        capsys, "search-cochromatic", "--underlying", "complete:6", "--subset-budget", "10"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "budget_exceeded"
+    assert "subset-expansion budget of 10" in payload["details"]["error"]
+
+
+def test_enumerate_subset_budget_exit_2(capsys):
+    code, out, err = run(
+        capsys,
+        "enumerate", "--underlying", "complete:6", "--mode", "switch", "--subset-budget", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_chrom_complete8_exceeds_budget_exit_2(capsys, tmp_path):
+    """A signed K_8 (28 edges) is still refused by the 24-edge pair budget."""
+    edges = tuple((u, v, -1 if u == 0 else 1) for u in range(8) for v in range(u + 1, 8))
+    path = tmp_path / "k8.sg"
+    path.write_text(format_graph(SignedGraph(8, edges)))
+    code, out, err = run(capsys, "chrom", str(path))
+    assert code == 2
+    assert out == ""
+    assert "28 edges" in err
