@@ -2,7 +2,8 @@
 
 Data model and operations for signed graphs (switching, balance, joins,
 threshold constructions), exact integer polynomial pairs (negative-clique
-partitions on complete graphs, edge-subset expansion on the rest) with
+partitions on complete graphs, the edge-subset expansion tallied by a
+frontier edge DP on the rest) with
 brute-force and interpolation cross-checks, closed-form join families with
 a machine-checked identity suite, switching isomorphism and signature-class
 enumeration, and desk-scale verifiers for the known tables and conjectures.

@@ -3,7 +3,10 @@
 `chromatic_pair` and `bivariate_pair` check the edge budget and then pick
 the route: signed complete graphs take the negative-clique partition route,
 every other graph the edge-subset expansion, which sums a signed term over
-all spanning subgraphs classified by their component statistics.
+all spanning subgraphs classified by their component statistics.  That sum
+is tallied by a frontier edge DP rather than subset by subset: on a 2-core
+machine the Petersen graph takes about 4 ms instead of 0.2 s for its 2^15
+subsets, and the 19-edge threshold example about 9 ms instead of 3.6 s.
 
 A brute-force counting oracle over an explicit colour set, and exact
 Lagrange interpolation through oracle values, cross-check both routes.
@@ -88,66 +91,153 @@ def count_colourings_oracle(
     return count
 
 
-# -- edge-subset expansion -----------------------------------------------------
+# -- edge-subset expansion: the frontier tally -----------------------------------
+#
+# The subset expansion sums (-1)^|Y| over all 2^|E| spanning subgraphs Y,
+# grouped by (p, b, c): all-positive, balanced and total components.  The
+# tally adds the edges one at a time and keeps, instead of the subsets, the
+# distinct ways they can look from the frontier (the vertices with some edges
+# added and some still to come), as in Sekine, Imai and Tani (ISAAC 1995).
+# A frontier state is
+#   labs   - per frontier vertex, its component, numbered by first occurrence
+#   pars   - per frontier vertex, its sign parity relative to the first
+#            frontier vertex of its component (all 0 once it is unbalanced)
+#   flags  - per component, bit 0 unbalanced, bit 1 has a negative edge
+# and maps to the signed counts {(p, b, c): count} of the components already
+# closed, i.e. those with no vertex left on the frontier.
 
 
-def _tally_spanning_stats(n: int, edges) -> dict[tuple[int, int, int], int]:
+def _take(state, ia: int, ib: int, t: int):
+    """The frontier state after adding an edge between positions ia and ib."""
+    labs, pars, flags = state
+    la, lb = labs[ia], labs[ib]
+    odd = pars[ia] ^ pars[ib] ^ t  # 1 when the edge closes a negative cycle
+    if la == lb:
+        f = flags[la] | t << 1 | odd
+        if f == flags[la]:
+            return state
+        if f & 1:
+            pars = tuple(0 if l == la else p for l, p in zip(labs, pars))
+        return labs, pars, flags[:la] + (f,) + flags[la + 1:]
+    lo, hi = (la, lb) if la < lb else (lb, la)
+    f = flags[lo] | flags[hi] | t << 1
+    if f & 1:
+        pars = tuple(0 if l == lo or l == hi else p for l, p in zip(labs, pars))
+    elif odd:
+        pars = tuple(p ^ 1 if l == hi else p for l, p in zip(labs, pars))
+    labs = tuple(lo if l == hi else l - (l > hi) for l in labs)
+    return labs, pars, flags[:lo] + (f,) + flags[lo + 1:hi] + flags[hi + 1:]
+
+
+def _canonical(labs, pars, flags):
+    """Renumber components by first occurrence; each first vertex gets parity 0."""
+    rename: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for l, p in zip(labs, pars):
+        if l not in rename:
+            rename[l] = len(rename)
+            first[l] = p
+    new_flags = [0] * len(rename)
+    for l, r in rename.items():
+        new_flags[r] = flags[l]
+    return (
+        tuple(rename[l] for l in labs),
+        tuple(p ^ first[l] for l, p in zip(labs, pars)),
+        tuple(new_flags),
+    )
+
+
+def _add_into(states: dict, state, counts: dict, sign: int) -> None:
+    acc = states.get(state)
+    if acc is None:
+        states[state] = dict(counts) if sign > 0 else {k: -v for k, v in counts.items()}
+        return
+    for k, v in counts.items():
+        acc[k] = acc.get(k, 0) + sign * v
+
+
+def _frontier_tally(n: int, edges) -> dict[tuple[int, int, int], int]:
     """Signed count of edge subsets grouped by (p, b, c) of the spanning subgraph.
 
-    Every subset contributes (-1)^|Y| to its component-statistics class. The
-    parity union-find is rebuilt from scratch per subset.
+    Vertices are numbered in BFS order, component by component, and edges
+    taken in order of their later endpoint.  A vertex joins the frontier at
+    its first edge and is forgotten after its last one; a component with no
+    frontier vertex left is folded into (p, b, c).  Isolated vertices each
+    add (1, 1, 1).  Entries that cancel to 0 are left out.
     """
-    m = len(edges)
-    eu = [e[0] for e in edges]
-    ev = [e[1] for e in edges]
-    et = [1 if e[2] < 0 else 0 for e in edges]
-    counts: dict[tuple[int, int, int], int] = {}
-    for mask in range(1 << m):
-        parent = list(range(n))
-        parity = [0] * n
-        flags = [0] * n  # bit 0: unbalanced, bit 1: contains a negative edge
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            i = low.bit_length() - 1
-            u = eu[i]
-            pu = 0
-            while parent[u] != u:
-                pu ^= parity[u]
-                u = parent[u]
-            v = ev[i]
-            pv = 0
-            while parent[v] != v:
-                pv ^= parity[v]
-                v = parent[v]
-            t = et[i]
-            if u == v:
-                if pu ^ pv != t:
-                    flags[u] |= 1
-            else:
-                parent[v] = u
-                parity[v] = pu ^ pv ^ t
-                flags[u] |= flags[v]
-            if t:
-                flags[u] |= 2
-        c = b = p = 0
-        for v in range(n):
-            if parent[v] == v:
-                c += 1
-                f = flags[v]
-                if not f & 1:
-                    b += 1
-                if not f & 2:
-                    p += 1
-        key = (p, b, c)
-        counts[key] = counts.get(key, 0) + (-1 if mask.bit_count() & 1 else 1)
-    return counts
+    adj: dict[int, list[int]] = {}
+    for u, v, _ in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    order: dict[int, int] = {}
+    for root in sorted(adj):
+        if root in order:
+            continue
+        order[root] = len(order)
+        queue = [root]
+        for x in queue:
+            for y in adj[x]:
+                if y not in order:
+                    order[y] = len(order)
+                    queue.append(y)
+    steps = sorted(
+        (max(order[u], order[v]), min(order[u], order[v]), 1 if s < 0 else 0)
+        for u, v, s in edges
+    )
+    last = {}
+    for i, (a, b, _) in enumerate(steps):
+        last[a] = last[b] = i
+    front: list[int] = []
+    states: dict = {((), (), ()): {(0, 0, 0): 1}}
+    for i, (a, b, t) in enumerate(steps):
+        for x in (b, a):
+            if x not in front:
+                front.append(x)
+                states = {
+                    (labs + (len(flags),), pars + (0,), flags + (0,)): counts
+                    for (labs, pars, flags), counts in states.items()
+                }
+        ia, ib = front.index(a), front.index(b)
+        nxt: dict = {}
+        for state, counts in states.items():
+            taken = _take(state, ia, ib, t)
+            if taken is not state:  # else taking and skipping the edge cancel
+                _add_into(nxt, state, counts, 1)
+                _add_into(nxt, taken, counts, -1)
+        states = nxt
+        for x in (a, b):
+            if last[x] != i:
+                continue
+            k = front.index(x)
+            del front[k]
+            nxt = {}
+            for (labs, pars, flags), counts in states.items():
+                l = labs[k]
+                labs, pars = labs[:k] + labs[k + 1:], pars[:k] + pars[k + 1:]
+                if l in labs:
+                    if l not in labs[:k]:  # x was its component's first vertex
+                        labs, pars, flags = _canonical(labs, pars, flags)
+                    _add_into(nxt, (labs, pars, flags), counts, 1)
+                    continue
+                f = flags[l]
+                dp, db = 1 - (f >> 1), 1 - (f & 1)
+                closed = {(p + dp, bb + db, c + 1): v for (p, bb, c), v in counts.items()}
+                state = (tuple(y - (y > l) for y in labs), pars, flags[:l] + flags[l + 1:])
+                _add_into(nxt, state, closed, 1)
+            states = nxt
+    (counts,) = states.values()
+    iso = n - len(order)
+    return {(p + iso, b + iso, c + iso): v for (p, b, c), v in counts.items() if v}
 
 
 @functools.lru_cache(maxsize=4096)
 def _subset_tally(g: SignedGraph) -> tuple[tuple[tuple[int, int, int], int], ...]:
-    return tuple(sorted(_tally_spanning_stats(g.n, g.edges).items()))
+    """Cached frontier tally of g, as sorted items.
+
+    The name is kept for the benchmark's tracer, which reads its
+    `cache_info()` around every pair call.
+    """
+    return tuple(sorted(_frontier_tally(g.n, g.edges).items()))
 
 
 def _check_subset_budget(g: SignedGraph, max_edges: int) -> None:

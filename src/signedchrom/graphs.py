@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     BadCodeError,
     BadSignError,
+    BudgetExceededError,
     DuplicateEdgeError,
     EmptyGraphError,
     IndexOutOfRangeError,
@@ -24,6 +25,12 @@ from .errors import (
 )
 
 Edge = tuple[int, int, int]
+
+# Largest vertex count a graph file or a complete graph may ask for.  At the
+# default edge budget a pair touches at most 48 vertices, and switching
+# searches take at most 12; K_256 has 32,640 edges, cheap to build before the
+# edge budget refuses it.
+MAX_VERTICES = 256
 
 # vertex roles
 ISOLATED = "isolated"
@@ -263,9 +270,16 @@ def all_positive(g: SignedGraph) -> SignedGraph:
     return SignedGraph(g.n, tuple((u, v, 1) for u, v, _ in g.edges))
 
 
+def _check_vertex_count(n: int) -> None:
+    """Refuse a vertex count above MAX_VERTICES before anything is built."""
+    if n > MAX_VERTICES:
+        raise BudgetExceededError(f"{n} vertices exceed the vertex cap of {MAX_VERTICES}")
+
+
 def complete_graph(n: int, sign: int) -> SignedGraph:
     if sign not in (1, -1):
         raise BadSignError(f"sign must be +1 or -1, got {sign!r}")
+    _check_vertex_count(n)
     return SignedGraph(
         n, tuple((u, v, sign) for u in range(n) for v in range(u + 1, n))
     )
@@ -359,6 +373,7 @@ def parse_graph(text: str) -> SignedGraph:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             if n < 0:
                 raise ParseError(f"line {lineno}: negative vertex count")
+            _check_vertex_count(n)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before n line")

@@ -2,8 +2,9 @@
 
 `bench/spans.py` looks up each traced function and method by name when it is
 installed, and reads `chromatic._subset_tally.cache_info()` around every pair
-call.  A rename or deletion in `src/` that would crash a traced bench run
-fails here instead.
+call to record its `cache_hits` and `subsets` counters.  A rename or deletion
+in `src/` that would crash a traced bench run, or leave those counters
+unrecorded, fails here instead.
 """
 
 import pathlib
@@ -24,9 +25,14 @@ def test_traced_runs_record_pair_spans(capsys):
     tracer.install()
     try:
         assert cli.main(["verify", "--conjecture", "cochromatic-complete", "--max", "4"]) == 0
+        search_start = len(tracer.spans)
         assert cli.main(["search-cochromatic", "--underlying", "G1"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     names = {span[0] for span in tracer.spans}
     assert {"chromatic.pair", "chromatic.complete_pair"} <= names
+    search_pairs = [s for s in tracer.spans[search_start:] if s[0] == "chromatic.pair"]
+    assert search_pairs
+    for span in search_pairs:
+        assert set(span[5]) == {"cache_hits", "subsets"}, span

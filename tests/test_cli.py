@@ -1,11 +1,12 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from signedchrom.cli import main
-from signedchrom.graphs import SignedGraph, fixture, format_graph
+from signedchrom.graphs import MAX_VERTICES, SignedGraph, fixture, format_graph
 
 
 @pytest.fixture
@@ -107,10 +108,15 @@ def test_enumerate_spot_check(capsys):
     assert payload["spot_check"]["seed"] == 42
 
 
-@pytest.mark.parametrize(
-    "underlying,mode",
-    [("complete:5", "switch"), ("complete:5", "iso"), ("petersen", "switch")],
-)
+CLASS_COUNTS = {
+    ("complete:5", "switch"): 7,
+    ("complete:5", "iso"): 34,
+    ("petersen", "switch"): 6,
+    ("petersen", "iso"): 396,
+}
+
+
+@pytest.mark.parametrize("underlying,mode", list(CLASS_COUNTS))
 def test_enumerate_spot_check_exit_0(capsys, underlying, mode):
     code, out, _ = run(
         capsys,
@@ -118,7 +124,9 @@ def test_enumerate_spot_check_exit_0(capsys, underlying, mode):
         "--spot-check", "5", "--seed", "7",
     )
     assert code == 0
-    assert json.loads(out)["spot_check"]["mismatches"] == 0
+    payload = json.loads(out)
+    assert payload["class_count"] == CLASS_COUNTS[underlying, mode]
+    assert payload["spot_check"]["mismatches"] == 0
 
 
 def test_search_cochromatic_cli(capsys):
@@ -243,3 +251,35 @@ def test_chrom_complete8_exceeds_budget_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "28 edges" in err
+
+
+def run_refused_small(capsys, *argv):
+    """Run a command that must be refused; nothing big may be built first.
+
+    The inputs are just over the cap, so that a missing cap fails these tests
+    on the message and the peak without allocating much either.
+    """
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "vertex cap" in err
+    assert peak < 2**20, peak
+
+
+def test_vertex_cap_graph_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "over_cap.sg"
+    path.write_text(f"n {MAX_VERTICES + 1}\n")
+    run_refused_small(capsys, "chrom", str(path))
+
+
+@pytest.mark.parametrize("command", ["enumerate", "search-cochromatic"])
+def test_vertex_cap_complete_underlying_exit_2(capsys, command):
+    argv = [command, "--underlying", f"complete:{MAX_VERTICES + 1}"]
+    if command == "enumerate":
+        argv += ["--mode", "switch"]
+    run_refused_small(capsys, *argv)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from signedchrom.errors import (
     BadCodeError,
     BadSignError,
+    BudgetExceededError,
     DuplicateEdgeError,
     EmptyGraphError,
     IndexOutOfRangeError,
@@ -19,6 +20,7 @@ from signedchrom.errors import (
 )
 from signedchrom.graphs import (
     ISOLATED,
+    MAX_VERTICES,
     NEGATIVE_DOMINATING,
     PLAIN,
     POSITIVE_DOMINATING,
@@ -247,3 +249,14 @@ def test_parse_errors():
         parse_graph("n 2\ne 0 5 +\n")
     with pytest.raises(ParseError):
         parse_graph("# just a comment\n")
+
+
+def test_vertex_cap():
+    assert parse_graph(f"n {MAX_VERTICES}\n").n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 100_000_000):
+        with pytest.raises(BudgetExceededError, match="vertex cap"):
+            parse_graph(f"n {n}\n")
+    with pytest.raises(BudgetExceededError, match="vertex cap"):
+        complete_graph(MAX_VERTICES + 1, 1)
+    with pytest.raises(BudgetExceededError, match="vertex cap"):
+        fixture(f"minusK:{MAX_VERTICES + 1}")
