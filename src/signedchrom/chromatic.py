@@ -1,12 +1,12 @@
 """Colouring counts and chromatic polynomial pairs of signed graphs.
 
-`chromatic_pair` and `bivariate_pair` check the edge budget and then pick
-the route: signed complete graphs take the negative-clique partition route,
-every other graph the edge-subset expansion, which sums a signed term over
-all spanning subgraphs classified by their component statistics.  That sum
-is tallied by a frontier edge DP rather than subset by subset: on a 2-core
-machine the Petersen graph takes about 4 ms instead of 0.2 s for its 2^15
-subsets, and the 19-edge threshold example about 9 ms instead of 3.6 s.
+`chromatic_pair` and `bivariate_pair` pick the route: signed complete graphs
+take the negative-clique partition route, every other graph the edge-subset
+expansion, which sums a signed term over all spanning subgraphs classified
+by their component statistics.  That sum is tallied by a frontier edge DP
+rather than subset by subset: on a 2-core machine the Petersen graph takes
+about 4 ms instead of 0.2 s for its 2^15 subsets, and the 19-edge threshold
+example about 9 ms instead of 3.6 s.  Each route checks its own budget.
 
 A brute-force counting oracle over an explicit colour set, and exact
 Lagrange interpolation through oracle values, cross-check both routes.
@@ -30,8 +30,9 @@ from .errors import (
 from .graphs import SignedGraph, all_positive
 from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly
 
-DEFAULT_SUBSET_BUDGET = 24      # max |E| for any pair
-DEFAULT_ORACLE_BUDGET = 10**8   # max |C|^n for brute-force counting
+DEFAULT_ORACLE_BUDGET = 10**8   # max lam^n colour functions for brute-force counting
+MAX_FRONTIER_ENTRIES = 1 << 17  # live (state, (p, b, c)) entries of the frontier tally
+MAX_PARTITION_N = 10            # -K_10 has Bell(10) = 115,975 negative-clique partitions
 
 
 @dataclass(frozen=True)
@@ -67,19 +68,19 @@ def make_colour_spec(lam: int, mu: int) -> ColourSpec:
 
 
 def count_colourings_oracle(
-    g: SignedGraph, spec: ColourSpec, *, budget: int = DEFAULT_ORACLE_BUDGET
+    g: SignedGraph, lam: int, mu: int = 0, *, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> int:
     """Count proper colourings by enumerating every function V -> C.
 
-    A function is proper when kappa(u) != sign * kappa(v) on every edge.
-    Deliberately naive; this is the ground truth the polynomials are tested
-    against.
+    C is the (lam, mu)-colour set, checked against the budget before it is
+    built.  A function is proper when kappa(u) != sign * kappa(v) on every
+    edge.  Deliberately naive; this is the ground truth for the polynomials.
     """
-    colours = spec.colours()
-    if len(colours) ** g.n > budget:
+    if lam ** g.n > budget:
         raise BudgetExceededError(
-            f"{len(colours)}^{g.n} colour functions exceed budget {budget}"
+            f"{lam}^{g.n} colour functions exceed budget {budget}"
         )
+    colours = make_colour_spec(lam, mu).colours()
     edges = g.edges
     count = 0
     for kappa in itertools.product(colours, repeat=g.n):
@@ -163,7 +164,9 @@ def _frontier_tally(n: int, edges) -> dict[tuple[int, int, int], int]:
     taken in order of their later endpoint.  A vertex joins the frontier at
     its first edge and is forgotten after its last one; a component with no
     frontier vertex left is folded into (p, b, c).  Isolated vertices each
-    add (1, 1, 1).  Entries that cancel to 0 are left out.
+    add (1, 1, 1).  Entries that cancel to 0 are left out.  Refuses past
+    MAX_FRONTIER_ENTRIES live entries, not states: on a long thin graph a
+    few hundred states carry millions of (p, b, c) counts.
     """
     adj: dict[int, list[int]] = {}
     for u, v, _ in edges:
@@ -204,6 +207,11 @@ def _frontier_tally(n: int, edges) -> dict[tuple[int, int, int], int]:
             if taken is not state:  # else taking and skipping the edge cancel
                 _add_into(nxt, state, counts, 1)
                 _add_into(nxt, taken, counts, -1)
+        live = sum(map(len, nxt.values()))
+        if live > MAX_FRONTIER_ENTRIES:
+            raise BudgetExceededError(
+                f"{live} frontier entries exceed the tally budget of {MAX_FRONTIER_ENTRIES}"
+            )
         states = nxt
         for x in (a, b):
             if last[x] != i:
@@ -238,13 +246,6 @@ def _subset_tally(g: SignedGraph) -> tuple[tuple[tuple[int, int, int], int], ...
     `cache_info()` around every pair call.
     """
     return tuple(sorted(_frontier_tally(g.n, g.edges).items()))
-
-
-def _check_subset_budget(g: SignedGraph, max_edges: int) -> None:
-    if g.m > max_edges:
-        raise BudgetExceededError(
-            f"{g.m} edges exceed the subset-expansion budget of {max_edges}"
-        )
 
 
 def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:
@@ -282,31 +283,23 @@ def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
     return BivariatePair(BiPoly(even), BiPoly(odd))
 
 
-def chromatic_pair(
-    g: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
-) -> ChromaticPair:
-    """Even and odd chromatic polynomials of a graph with at most max_edges edges."""
-    _check_subset_budget(g, max_edges)
+def chromatic_pair(g: SignedGraph) -> ChromaticPair:
+    """Even and odd chromatic polynomials: partitions on signed K_n, else the tally."""
     if g.m == g.n * (g.n - 1) // 2:
         return complete_chromatic_pair(g)
     return _subset_chromatic_pair(g)
 
 
-def bivariate_pair(
-    g: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
-) -> BivariatePair:
+def bivariate_pair(g: SignedGraph) -> BivariatePair:
     """Even and odd bivariate polynomials; routed as in chromatic_pair."""
-    _check_subset_budget(g, max_edges)
     if g.m == g.n * (g.n - 1) // 2:
         return complete_bivariate_pair(g)
     return _subset_bivariate_pair(g)
 
 
-def unsigned_chromatic(
-    g: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
-) -> UniPoly:
+def unsigned_chromatic(g: SignedGraph) -> UniPoly:
     """Chromatic polynomial of the underlying unsigned graph."""
-    return chromatic_pair(all_positive(g), max_edges=max_edges).even
+    return chromatic_pair(all_positive(g)).even
 
 
 # -- interpolation cross-check ---------------------------------------------------
@@ -339,9 +332,7 @@ def _lagrange_integer(xs: Sequence[int], ys: Sequence[int]) -> UniPoly:
     return UniPoly(tuple(coeffs))
 
 
-def interpolated_pair(
-    g: SignedGraph, *, budget: int = DEFAULT_ORACLE_BUDGET
-) -> ChromaticPair:
+def interpolated_pair(g: SignedGraph) -> ChromaticPair:
     """Rebuild the chromatic pair from oracle counts alone.
 
     Interpolates through lam = 0, 2, ..., 2n for the even constituent and
@@ -351,14 +342,8 @@ def interpolated_pair(
     deg = g.n
     even_xs = [2 * i for i in range(deg + 1)]
     odd_xs = [2 * i + 1 for i in range(deg + 1)]
-    even_ys = [
-        count_colourings_oracle(g, make_colour_spec(l, 0), budget=budget)
-        for l in even_xs
-    ]
-    odd_ys = [
-        count_colourings_oracle(g, make_colour_spec(l, 0), budget=budget)
-        for l in odd_xs
-    ]
+    even_ys = [count_colourings_oracle(g, l) for l in even_xs]
+    odd_ys = [count_colourings_oracle(g, l) for l in odd_xs]
     return ChromaticPair(
         _lagrange_integer(even_xs, even_ys), _lagrange_integer(odd_xs, odd_ys)
     )
@@ -537,6 +522,10 @@ def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
     n = g.n
     if g.m != n * (n - 1) // 2:
         raise ValueError("underlying graph is not complete")
+    if n > MAX_PARTITION_N:
+        raise BudgetExceededError(
+            f"signed K_{n} exceeds the partition-route limit n = {MAX_PARTITION_N}"
+        )
     neg = [0] * n
     for u, v, s in g.edges:
         if s < 0:

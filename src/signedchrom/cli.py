@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import chromatic, closedform, equivalence, verify
-from .errors import ParseError, SignedChromError, UsageError
+from .errors import BadRangeError, ParseError, SignedChromError, UsageError
 from .graphs import (
     SignedGraph,
     all_positive,
@@ -67,9 +67,9 @@ def _resolve_underlying(name: str) -> SignedGraph:
 def cmd_chrom(args) -> int:
     g = _load_graph_file(args.file)
     if args.bivariate:
-        pair = chromatic.bivariate_pair(g, max_edges=args.subset_budget)
+        pair = chromatic.bivariate_pair(g)
     else:
-        pair = chromatic.chromatic_pair(g, max_edges=args.subset_budget)
+        pair = chromatic.chromatic_pair(g)
     _emit(
         args,
         {"bivariate": args.bivariate, **pair_to_json(pair)},
@@ -80,8 +80,9 @@ def cmd_chrom(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph_file(args.file)
-    spec = chromatic.make_colour_spec(args.lam, args.mu)
-    count = chromatic.count_colourings_oracle(g, spec, budget=args.oracle_budget)
+    count = chromatic.count_colourings_oracle(
+        g, args.lam, args.mu, budget=args.oracle_budget
+    )
     _emit(args, {"lambda": args.lam, "mu": args.mu, "count": str(count)}, [str(count)])
     return 0
 
@@ -147,12 +148,14 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.spot_check < 0:
+        raise BadRangeError(f"--spot-check must be >= 0, got {args.spot_check}")
     underlying = _resolve_underlying(args.underlying)
     mode = "switching_iso" if args.mode == "switch" else "iso"
     inventory = equivalence.enumerate_classes(underlying, mode)
     classes = []
     for idx, rep in enumerate(inventory.representatives):
-        pair = chromatic.chromatic_pair(rep, max_edges=args.subset_budget)
+        pair = chromatic.chromatic_pair(rep)
         classes.append(
             {
                 "mask": inventory.representative_masks[idx],
@@ -175,7 +178,7 @@ def cmd_enumerate(args) -> int:
             mask = rng.randrange(size)
             cls = inventory.classify(mask)
             member = equivalence.graph_from_mask(inventory.underlying, mask)
-            pair = chromatic.chromatic_pair(member, max_edges=args.subset_budget)
+            pair = chromatic.chromatic_pair(member)
             rep_pair = {"even": classes[cls]["even"], "odd": classes[cls]["odd"]}
             if pair_to_json(pair) != rep_pair:
                 mismatches += 1
@@ -199,7 +202,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_search_cochromatic(args) -> int:
     underlying = _resolve_underlying(args.underlying)
-    report = verify.search_cochromatic(underlying, max_edges=args.subset_budget)
+    report = verify.search_cochromatic(underlying)
     groups = report.details.get("cochromatic_groups", [])
     _emit(args, report.to_dict(), [report.summary(), f"co-chromatic groups: {len(groups)}"])
     if args.output != "text":
@@ -253,10 +256,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, top: bool) -> None:
     parser.add_argument(
         "--output", choices=("json", "text"), default=d("json"),
         help="output format for data commands (default json)",
-    )
-    parser.add_argument(
-        "--subset-budget", type=int, default=d(chromatic.DEFAULT_SUBSET_BUDGET),
-        metavar="E", help="max edge count of any graph whose pair is computed",
     )
     parser.add_argument(
         "--oracle-budget", type=int, default=d(chromatic.DEFAULT_ORACLE_BUDGET),

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceededError
 from .graphs import SignedGraph, all_positive
 
-DEFAULT_VERTEX_BUDGET = 12
-DEFAULT_ORBIT_EDGE_BUDGET = 21
+MAX_SEARCH_VERTICES = 12   # vertices of an isomorphism or switching search
+MAX_NORMAL_FORM_BITS = 21  # log2 of the normal forms a class enumeration walks
+MAX_CLASS_EDGES = 1 << 21  # signed edges held by the class representatives
 
 
 def _adjacency(g: SignedGraph) -> list[list[int]]:
@@ -102,20 +103,20 @@ def _search_isomorphisms(
     return found
 
 
-def find_isomorphism(
-    g1: SignedGraph, g2: SignedGraph, *, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> tuple[int, ...] | None:
+def _check_search_size(g1: SignedGraph, g2: SignedGraph, what: str) -> None:
+    if max(g1.n, g2.n) > MAX_SEARCH_VERTICES:
+        raise BudgetExceededError(f"{what} search limited to {MAX_SEARCH_VERTICES} vertices")
+
+
+def find_isomorphism(g1: SignedGraph, g2: SignedGraph) -> tuple[int, ...] | None:
     """A sign-preserving vertex bijection with relabel(g1, perm) == g2, or None."""
-    if max(g1.n, g2.n) > max_vertices:
-        raise BudgetExceededError(
-            f"isomorphism search limited to {max_vertices} vertices"
-        )
+    _check_search_size(g1, g2, "isomorphism")
     maps = _search_isomorphisms(g1, g2, find_all=False)
     return maps[0] if maps else None
 
 
-def are_isomorphic(g1: SignedGraph, g2: SignedGraph, **kw) -> bool:
-    return find_isomorphism(g1, g2, **kw) is not None
+def are_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
+    return find_isomorphism(g1, g2) is not None
 
 
 def automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
@@ -145,14 +146,18 @@ def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     of 0..i-1 in the whole group, so by induction from the last vertex the
     generators found at points >= i generate that stabiliser, and at i = 0
     the whole group.  That takes at most n^2 searches, not a walk over
-    every element.
+    every element, and a target is searched only if it has i's profile and
+    i's edges to 0..i-1.
     """
     prof = _profiles(g)
+    adj = _adjacency(g)
     gens: list[tuple[int, ...]] = []
     for i in reversed(range(g.n)):
         orbit = {i}
         for target in range(i + 1, g.n):
             if target in orbit or prof[target] != prof[i]:
+                continue
+            if adj[target][:i] != adj[i][:i]:
                 continue
             fixed = tuple((v, v) for v in range(i)) + ((i, target),)
             found = _search_isomorphisms(g, g, find_all=False, fixed=fixed)
@@ -172,10 +177,7 @@ def find_switching_isomorphism(
     (switching a whole component changes nothing); every later vertex has a
     placed BFS parent, so the sign of the edge to it forces the bit.
     """
-    if max(g1.n, g2.n) > DEFAULT_VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"switching-isomorphism search limited to {DEFAULT_VERTEX_BUDGET} vertices"
-        )
+    _check_search_size(g1, g2, "switching-isomorphism")
     n = g1.n
     if n != g2.n or g1.m != g2.m:
         return None
@@ -341,12 +343,7 @@ def _span_table(columns: list[int]) -> list[int]:
     return table
 
 
-def enumerate_classes(
-    underlying: SignedGraph,
-    mode: str,
-    *,
-    max_edges: int = DEFAULT_ORBIT_EDGE_BUDGET,
-) -> ClassInventory:
+def enumerate_classes(underlying: SignedGraph, mode: str) -> ClassInventory:
     """Partition all 2^|E| signatures of the underlying graph into classes.
 
     mode "iso" unites signatures under underlying-graph automorphisms only;
@@ -357,19 +354,24 @@ def enumerate_classes(
     for 2^(n-c) masks.  Iso mode has an empty basis, so every mask is its
     own normal form.  Automorphisms act linearly on normal forms; each
     orbit is walked from its smallest normal form, which is the smallest
-    mask of the class.
+    mask of the class.  Refuses more than MAX_NORMAL_FORM_BITS normal-form
+    bits, m - n + c in switching mode and m in iso mode (K_8: 21 and 28),
+    and classes whose representatives would hold more than MAX_CLASS_EDGES
+    edges.
     """
     if mode not in (MODE_ISO, MODE_SWITCHING_ISO):
         raise ValueError(f"mode must be 'iso' or 'switching_iso', got {mode!r}")
     base = all_positive(underlying)
     m = base.m
-    if m > max_edges:
-        raise BudgetExceededError(f"{m} edges exceed the orbit budget of {max_edges}")
-    edge_index = {(u, v): i for i, (u, v, _) in enumerate(base.edges)}
-
     basis = _cut_basis(base) if mode == MODE_SWITCHING_ISO else {}
     # bit j of a normal form's index is its bit free[j]
     free = [i for i in range(m) if i not in basis]
+    k = len(free)
+    if k > MAX_NORMAL_FORM_BITS:
+        raise BudgetExceededError(
+            f"{k} normal-form bits exceed the enumeration budget of {MAX_NORMAL_FORM_BITS}"
+        )
+    edge_index = {(u, v): i for i, (u, v, _) in enumerate(base.edges)}
     index_bit = {b: 1 << j for j, b in enumerate(free)}
     # a pivot bit reduces to the rest of its basis vector, which has no other pivot bit
     normal_index = [
@@ -378,7 +380,6 @@ def enumerate_classes(
     ]
 
     # each automorphism as a linear map on indices, looked up in two halves
-    k = len(free)
     half = k // 2
     maps: list[tuple[list[int], list[int]]] = []
     for perm in generating_automorphisms(base):
@@ -397,6 +398,11 @@ def enumerate_classes(
         if class_of[start] >= 0:
             continue
         cls = len(reps)
+        if (cls + 1) * m > MAX_CLASS_EDGES:
+            raise BudgetExceededError(
+                f"more than {cls} classes of {m} edges exceed the budget"
+                f" of {MAX_CLASS_EDGES} edges"
+            )
         class_of[start] = cls
         stack = [start]
         count = 0

@@ -26,10 +26,11 @@ from .errors import (
 
 Edge = tuple[int, int, int]
 
-# Largest vertex count a graph file or a complete graph may ask for.  At the
-# default edge budget a pair touches at most 48 vertices, and switching
-# searches take at most 12; K_256 has 32,640 edges, cheap to build before the
-# edge budget refuses it.
+# Largest vertex count a graph file or a complete graph may ask for.  Each
+# route bounds its own work later (frontier-tally entries, K_n up to n = 10
+# on the partition route, normal-form bits and representative edges,
+# 12-vertex searches); this cap only keeps what is built before those checks
+# small: K_256 has 32,640 edges.
 MAX_VERTICES = 256
 
 # vertex roles

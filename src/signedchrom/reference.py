@@ -167,3 +167,15 @@ UNLABELLED_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 # on n vertices, equal in number to two-graphs and to Euler graphs
 # (Mallows-Sloane 1975, OEIS A002854), indexed by n.
 SWITCHING_CLASS_COUNTS = (1, 1, 1, 2, 3, 7, 16, 54)
+
+# The co-chromatic groups of signed K_8: switching classes that share one
+# chromatic pair, by representative mask (bit i set: edge i of K_8 in
+# lexicographic order is negative).  243 classes give 228 distinct pairs, so
+# K_8 is the smallest complete graph whose pair does not separate switching
+# classes; the bivariate pair separates all of these groups.
+K8_COCHROMATIC_GROUPS = (
+    (9110, 9115), (9114, 9770), (9118, 9768), (9759, 25375), (25885, 25896),
+    (25892, 25899), (25897, 26012), (287903, 304799), (287907, 287911, 288154),
+    (288174, 305064), (296864, 297772), (305068, 837546), (305712, 305843),
+    (322353, 846386),
+)

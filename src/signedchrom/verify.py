@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .chromatic import (
-    DEFAULT_SUBSET_BUDGET,
     bivariate_pair,
     chromatic_pair,
     threshold_bivariate,
@@ -111,18 +110,19 @@ def non_switching_isomorphism_certificate(g1: SignedGraph, g2: SignedGraph) -> d
     return {"switchings_tried": tried, "isomorphism_found": False}
 
 
-def search_cochromatic(
-    underlying: SignedGraph, *, max_edges: int = DEFAULT_SUBSET_BUDGET
-) -> VerificationReport:
+def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
     """Group the switching-isomorphism classes of one underlying graph by
-    chromatic pair and certify every group of two or more as co-chromatic."""
+    chromatic pair and certify every group of two or more as co-chromatic.
+
+    A refusal by any layer's budget is reported as status "budget_exceeded".
+    """
     start = time.perf_counter()
     try:
         inventory = enumerate_classes(underlying, "switching_iso")
         by_pair: dict[str, list[int]] = {}
         pairs = []
         for idx, rep in enumerate(inventory.representatives):
-            pair = chromatic_pair(rep, max_edges=max_edges)
+            pair = chromatic_pair(rep)
             pairs.append(pair)
             by_pair.setdefault(_pair_key(pair), []).append(idx)
         groups = []

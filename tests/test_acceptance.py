@@ -17,7 +17,6 @@ from signedchrom.chromatic import (
     chromatic_pair,
     count_colourings_oracle,
     interpolated_pair,
-    make_colour_spec,
     threshold_bivariate,
     unsigned_chromatic,
 )
@@ -111,7 +110,7 @@ def test_c04_oracle_equivalence(family_le4):
     for g in family_le4:
         bp = bivariate_pair(g)
         for lam, mu in lam_mu:
-            want = count_colourings_oracle(g, make_colour_spec(lam, mu))
+            want = count_colourings_oracle(g, lam, mu)
             poly = bp.even if (lam - mu) % 2 == 0 else bp.odd
             assert poly.evaluate(lam, mu) == want, (g, lam, mu)
         assert interpolated_pair(g) == chromatic_pair(g), g

@@ -19,7 +19,7 @@ from signedchrom.chromatic import (
     threshold_bivariate,
     unsigned_chromatic,
 )
-from signedchrom.equivalence import enumerate_classes
+from signedchrom.equivalence import enumerate_classes, graph_from_mask
 from signedchrom.errors import BadCodeError, BadRangeError, BudgetExceededError
 from signedchrom.graphs import (
     SignedGraph,
@@ -72,15 +72,15 @@ def test_colour_spec_invariants():
 
 
 def test_oracle_examples():
-    assert count_colourings_oracle(complete_graph(3, -1), make_colour_spec(4, 0)) == 28
-    assert count_colourings_oracle(SignedGraph(1, ()), make_colour_spec(0, 0)) == 0
-    assert count_colourings_oracle(fixture("G1"), make_colour_spec(3, 0)) == 8
-    assert count_colourings_oracle(SignedGraph(0, ()), make_colour_spec(0, 0)) == 1
+    assert count_colourings_oracle(complete_graph(3, -1), 4) == 28
+    assert count_colourings_oracle(SignedGraph(1, ()), 0) == 0
+    assert count_colourings_oracle(fixture("G1"), 3) == 8
+    assert count_colourings_oracle(SignedGraph(0, ()), 0) == 1
 
 
 def test_oracle_budget():
     with pytest.raises(BudgetExceededError):
-        count_colourings_oracle(SignedGraph(8, ()), make_colour_spec(10, 0), budget=10**6)
+        count_colourings_oracle(SignedGraph(8, ()), 10, budget=10**6)
 
 
 def test_chromatic_pair_examples():
@@ -93,12 +93,34 @@ def test_chromatic_pair_examples():
         assert chromatic_pair(complete_graph(n, 1)) == ChromaticPair(fall, fall)
 
 
-def test_chromatic_pair_budget():
-    g = complete_graph(8, 1)  # 28 edges
-    with pytest.raises(BudgetExceededError):
-        chromatic_pair(g)
-    with pytest.raises(BudgetExceededError):
-        bivariate_pair(g, max_edges=10)
+def test_chromatic_pair_budget(monkeypatch):
+    """Each route refuses by its own budget: K_11 on the partition route, and
+    the frontier tally once its live entries pass the (lowered) limit."""
+    with pytest.raises(BudgetExceededError, match="K_11"):
+        chromatic_pair(complete_graph(11, 1))
+    with pytest.raises(BudgetExceededError, match="K_11"):
+        bivariate_pair(complete_graph(11, -1))
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 50)
+    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+    with pytest.raises(BudgetExceededError, match="frontier entries"):
+        bivariate_pair(fixture("petersen"))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        graph_from_mask(complete_graph(8, 1), 9110),
+        graph_from_mask(complete_graph(8, 1), 9115),
+        complete_graph(8, 1),
+        complete_graph(8, -1),
+    ],
+    ids=["mask9110", "mask9115", "plusK8", "minusK8"],
+)
+def test_partition_route_matches_frontier_tally_k8(g):
+    """K_8, where the univariate pair first fails to separate switching
+    classes (masks 9110 and 9115), on both routes."""
+    assert complete_chromatic_pair(g) == _subset_chromatic_pair(g)
+    assert complete_bivariate_pair(g) == _subset_bivariate_pair(g)
 
 
 def test_bivariate_pair_examples():
@@ -153,7 +175,7 @@ def test_oracle_equivalence_small_family():
         pair = bivariate_pair(g)
         for lam in range(5):
             for mu in range(lam + 1):
-                want = count_colourings_oracle(g, make_colour_spec(lam, mu))
+                want = count_colourings_oracle(g, lam, mu)
                 poly = pair.even if (lam - mu) % 2 == 0 else pair.odd
                 assert poly.evaluate(lam, mu) == want
 
@@ -164,7 +186,7 @@ def test_univariate_oracle_lambda_up_to_six():
     for g in graphs:
         pair = chromatic_pair(g)
         for lam in range(7):
-            want = count_colourings_oracle(g, make_colour_spec(lam, 0))
+            want = count_colourings_oracle(g, lam)
             poly = pair.even if lam % 2 == 0 else pair.odd
             assert poly.evaluate(lam) == want
 

@@ -1,10 +1,13 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import pathlib
+import shlex
 import tracemalloc
 
 import pytest
 
+from signedchrom import chromatic
 from signedchrom.cli import main
 from signedchrom.graphs import MAX_VERTICES, SignedGraph, fixture, format_graph
 
@@ -205,7 +208,7 @@ def test_verification_failure_exit_1(capsys, monkeypatch):
 
 def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):
     """Smoke test: polynomial evaluations match oracle counts at small lambda."""
-    from signedchrom.chromatic import chromatic_pair, count_colourings_oracle, make_colour_spec
+    from signedchrom.chromatic import chromatic_pair, count_colourings_oracle
 
     cases = [
         (name, 6)
@@ -217,43 +220,52 @@ def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):
         g = fixture(name)
         pair = chromatic_pair(g)
         for lam in range(lam_stop):
-            want = count_colourings_oracle(g, make_colour_spec(lam, 0))
+            want = count_colourings_oracle(g, lam)
             poly = pair.even if lam % 2 == 0 else pair.odd
             assert poly.evaluate(lam) == want
 
 
-def test_search_cochromatic_subset_budget_refusal(capsys):
-    code, out, _ = run(
-        capsys, "search-cochromatic", "--underlying", "complete:6", "--subset-budget", "10"
-    )
+def test_search_cochromatic_subset_budget_refusal(capsys, monkeypatch):
+    """A pair refused by the frontier tally's budget inside the search."""
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 8)
+    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+    code, out, _ = run(capsys, "search-cochromatic", "--underlying", "petersen")
     assert code == 1
     payload = json.loads(out)
     assert payload["status"] == "budget_exceeded"
-    assert "subset-expansion budget of 10" in payload["details"]["error"]
+    assert "exceed the tally budget of 8" in payload["details"]["error"]
 
 
 def test_enumerate_subset_budget_exit_2(capsys):
+    for underlying, mode, bits in [("complete:8", "iso", 28), ("complete:200", "switch", 19701)]:
+        code, out, err = run(capsys, "enumerate", "--underlying", underlying, "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bits} normal-form bits exceed"), underlying
+
+
+def test_chrom_complete11_exceeds_budget_exit_2(capsys, tmp_path):
+    """A signed K_11 is past the partition route's limit of 10 vertices."""
+    edges = tuple((u, v, -1 if u == 0 else 1) for u in range(11) for v in range(u + 1, 11))
+    path = tmp_path / "k11.sg"
+    path.write_text(format_graph(SignedGraph(11, edges)))
+    code, out, err = run(capsys, "chrom", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: signed K_11 exceeds the partition-route limit n = 10")
+
+
+def test_enumerate_negative_spot_check_exit_2(capsys):
     code, out, err = run(
-        capsys,
-        "enumerate", "--underlying", "complete:6", "--mode", "switch", "--subset-budget", "10",
+        capsys, "enumerate", "--underlying", "complete:3", "--mode", "switch",
+        "--spot-check", "-3",
     )
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
 
 
-def test_chrom_complete8_exceeds_budget_exit_2(capsys, tmp_path):
-    """A signed K_8 (28 edges) is still refused by the 24-edge pair budget."""
-    edges = tuple((u, v, -1 if u == 0 else 1) for u in range(8) for v in range(u + 1, 8))
-    path = tmp_path / "k8.sg"
-    path.write_text(format_graph(SignedGraph(8, edges)))
-    code, out, err = run(capsys, "chrom", str(path))
-    assert code == 2
-    assert out == ""
-    assert "28 edges" in err
-
-
-def run_refused_small(capsys, *argv):
+def run_refused_small(capsys, message, *argv):
     """Run a command that must be refused; nothing big may be built first.
 
     The inputs are just over the cap, so that a missing cap fails these tests
@@ -267,14 +279,14 @@ def run_refused_small(capsys, *argv):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "vertex cap" in err
+    assert err.startswith("error: ") and message in err
     assert peak < 2**20, peak
 
 
 def test_vertex_cap_graph_file_exit_2(capsys, tmp_path):
     path = tmp_path / "over_cap.sg"
     path.write_text(f"n {MAX_VERTICES + 1}\n")
-    run_refused_small(capsys, "chrom", str(path))
+    run_refused_small(capsys, "vertex cap", "chrom", str(path))
 
 
 @pytest.mark.parametrize("command", ["enumerate", "search-cochromatic"])
@@ -282,4 +294,36 @@ def test_vertex_cap_complete_underlying_exit_2(capsys, command):
     argv = [command, "--underlying", f"complete:{MAX_VERTICES + 1}"]
     if command == "enumerate":
         argv += ["--mode", "switch"]
-    run_refused_small(capsys, *argv)
+    run_refused_small(capsys, "vertex cap", *argv)
+
+
+def test_oracle_refuses_before_building_colours(capsys, tmp_path):
+    """8,000,000^2 colour functions are refused before the 8,000,000 colours
+    of the set are built."""
+    path = tmp_path / "k2.sg"
+    path.write_text("n 2\ne 0 1 +\n")
+    run_refused_small(
+        capsys, "colour functions exceed budget", "oracle", str(path), "--lambda", "8000000"
+    )
+
+
+def readme_cli_examples():
+    """The `signedchrom ...` lines of README's CLI block, without --stretch."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("signedchrom ")]
+    return [line for line in lines if "--stretch" not in line]
+
+
+@pytest.mark.parametrize("line", readme_cli_examples())
+def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g1.sg").write_text(format_graph(fixture("G1")))
+    argv = shlex.split(line, comments=True)[1:]
+    target = None
+    if ">" in argv:
+        argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, line
+    if target is not None:
+        assert (tmp_path / target).read_text() == out

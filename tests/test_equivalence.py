@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from signedchrom import reference
+from signedchrom import equivalence, reference
 from signedchrom.chromatic import bivariate_pair, chromatic_pair
 from signedchrom.equivalence import (
     are_isomorphic,
@@ -255,6 +255,20 @@ def test_enumerate_classes_large_automorphism_groups():
     for mode in ("iso", "switching_iso"):
         inv = enumerate_classes(SignedGraph(30, ()), mode)
         assert inv.orbit_sizes == (1,) and inv.classify(0) == 0
+
+
+def test_enumerate_classes_budgets(monkeypatch):
+    """Bits are m - n + c in switching mode and m in iso mode; a long path
+    has 255 edges but no free bit, so its one switching class is admitted."""
+    with pytest.raises(BudgetExceededError, match="^28 normal-form bits"):
+        enumerate_classes(complete_graph(8, 1), "iso")
+    path = SignedGraph(256, tuple((v, v + 1, 1) for v in range(255)))
+    assert enumerate_classes(path, "switching_iso").orbit_sizes == (2**255,)
+    with pytest.raises(BudgetExceededError, match="^255 normal-form bits"):
+        enumerate_classes(path, "iso")
+    monkeypatch.setattr(equivalence, "MAX_CLASS_EDGES", 1000)  # Petersen iso: 396 x 15
+    with pytest.raises(BudgetExceededError, match="classes of 15 edges exceed"):
+        enumerate_classes(fixture("petersen"), "iso")
 
 
 def test_enumerate_classes_matches_union_find_oracle():

@@ -2,7 +2,9 @@
 
 import pytest
 
-from signedchrom.chromatic import chromatic_pair
+from signedchrom import reference
+from signedchrom.chromatic import bivariate_pair, chromatic_pair, count_colourings_oracle
+from signedchrom.equivalence import graph_from_mask
 from signedchrom.errors import BudgetExceededError
 from signedchrom.graphs import all_positive, complete_graph, fixture
 from signedchrom.poly import pair_to_json
@@ -113,5 +115,27 @@ def test_report_shape():
 
 
 def test_budget_exceeded_status_inside_search():
-    report = search_cochromatic(complete_graph(7, 1), max_edges=5)
+    report = search_cochromatic(complete_graph(9, 1))  # 36 - 9 + 1 = 28 bits
     assert report.status == "budget_exceeded"
+    assert "28 normal-form bits" in report.details["error"]
+
+
+def test_search_cochromatic_k8_groups():
+    """K_8 is the first complete graph with co-chromatic switching classes."""
+    report = search_cochromatic(complete_graph(8, 1))
+    assert report.passed
+    assert report.details["class_count"] == 243  # A002854
+    groups = report.details["cochromatic_groups"]
+    masks = tuple(tuple(c["mask"] for c in group["classes"]) for group in groups)
+    assert masks == reference.K8_COCHROMATIC_GROUPS
+    for group in groups:
+        for cert in group["non_switching_isomorphism"]:
+            assert cert["isomorphism_found"] is False
+            assert cert["switchings_tried"] == 128  # 2^(8-1)
+    k8 = complete_graph(8, 1)
+    for group in reference.K8_COCHROMATIC_GROUPS:
+        evens = {bivariate_pair(graph_from_mask(k8, mask)).even for mask in group}
+        assert len(evens) == len(group)  # the bivariate pair still separates them
+    assert chromatic_pair(graph_from_mask(k8, 9110)).odd.evaluate(5) == 80
+    for mask in (9110, 9115):
+        assert count_colourings_oracle(graph_from_mask(k8, mask), 5) == 80
