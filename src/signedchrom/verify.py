@@ -39,7 +39,7 @@ from . import reference
 MAX_COCHROMATIC_N = 7
 MAX_THRESHOLD_N = 12
 MAX_BIVARIATE_N = 7
-_EXACT_THRESHOLD_LIMIT = 9  # above this, fingerprint first and re-check collisions
+_EXACT_THRESHOLD_LIMIT = 6  # longer codes are compared by fingerprint first
 
 _FP_MOD = (1 << 61) - 1
 _FP_X0 = 1122334455667788990 % _FP_MOD
@@ -215,8 +215,35 @@ def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
     )
 
 
-def _exact_threshold_scan(n_max: int) -> dict | None:
-    """Depth-first scan of all codes, exact polynomial keys; None if all distinct."""
+# -- threshold codes --------------------------------------------------------------
+#
+# Codes of length <= _EXACT_THRESHOLD_LIMIT are compared by their exact even
+# polynomials, longer ones by fingerprint: the even polynomial's value mod the
+# prime _FP_MOD at (_FP_X0, _FP_Y0).  Distinct fingerprints prove distinct
+# polynomials; codes with equal fingerprints are re-checked exactly.
+#
+# A step of the even recursion reads its parent at (x, y), (x - 1, y - 1) and
+# (x - 1, y + 1).  From (x0, y0) the steps therefore read only the points
+# (x0 - u - v, y0 + u - v) with u, v >= 0, and a prefix that `rem` more entries
+# extend is read only where u + v <= rem: (rem + 1)(rem + 2)/2 values, half the
+# square of offsets.  At x = x0 - u - v, y = y0 + u - v the steps are
+#     entry  0:  C(u, v) = x P(u, v)
+#     entry  1:  C(u, v) = y P(u, v + 1) + (x - y) P(u + 1, v)
+#     entry -1:  C(u, v) = y P(u, v) + (x - y) P(u + 1, v)
+# The scan runs level by level.  Each grid point keeps one list, its value for
+# every code of the current length.  A point's list at the next length is its
+# parent lists stepped with entry -1, then 0, then 1, concatenated, so index i
+# at length d spells its code in base 3, least significant digit first, with
+# entry = digit - 1.  No code is stored.
+
+
+def _exact_threshold_scan(
+    n_max: int, checked: dict[str, int] | None = None
+) -> dict | None:
+    """Depth-first scan of all codes, exact polynomial keys; None if all distinct.
+
+    `checked`, if given, receives the number of keys compared at each length.
+    """
     seen: list[dict[BiPoly, tuple[int, ...]]] = [dict() for _ in range(n_max + 1)]
 
     def rec(code: tuple[int, ...], even: BiPoly):
@@ -233,87 +260,88 @@ def _exact_threshold_scan(n_max: int) -> dict | None:
                 return bad
         return None
 
-    return rec((), BiPoly.x())
+    bad = rec((), BiPoly.x())
+    if checked is not None:
+        checked.update((str(d), len(keys)) for d, keys in enumerate(seen))
+    return bad
 
 
-def _fp_base_grid(depth: int) -> dict[tuple[int, int], int]:
-    """Values of E(K_1) = x at every point (x0 - a, y0 + b) reachable in `depth` steps."""
-    return {
-        (a, b): (_FP_X0 - a) % _FP_MOD
-        for a in range(depth + 1)
-        for b in range(-a, a + 1)
-    }
+def _threshold_code(index: int, length: int) -> tuple[int, ...]:
+    """The code at `index` among the codes of `length` (see the layout above)."""
+    code = []
+    for _ in range(length):
+        index, digit = divmod(index, 3)
+        code.append(digit - 1)
+    return tuple(code)
 
 
-def _fp_child_grid(
-    entry: int, vals: dict[tuple[int, int], int], rem: int
-) -> dict[tuple[int, int], int]:
-    """One vertex-addition step of the even recursion on the value grid.
+def _threshold_fingerprints(n_max: int):
+    """Yield (d, fingerprints of every code of length d in index order), d = 0..n_max."""
+    mod = _FP_MOD
+    x0, y0 = _FP_X0 % mod, _FP_Y0 % mod
+    # cols[u][v]: values at (x0 - u - v, y0 + u - v), for u + v <= n_max - d
+    cols = [[[(x0 - u - v) % mod] for v in range(n_max + 1 - u)] for u in range(n_max + 1)]
+    for d in range(n_max + 1):
+        yield d, cols[0][0]
+        child = []
+        for u in range(n_max - d):
+            row = []
+            for v in range(n_max - d - u):
+                x, y = (x0 - u - v) % mod, (y0 + u - v) % mod
+                w = (x - y) % mod
+                here, right, up = cols[u][v], cols[u + 1][v], cols[u][v + 1]
+                # entries -1, 0, 1 of the recursion, in index order
+                vals = [(y * p + w * r) % mod for p, r in zip(here, right)]
+                vals.extend([x * p % mod for p in here])
+                vals.extend([(y * q + w * r) % mod for q, r in zip(up, right)])
+                row.append(vals)
+            child.append(row)
+        cols = child
 
-    `rem` is the number of further steps the child must support; a child
-    value at offset (a, b) only needs parent values at offsets a and a+1,
-    so the grid shrinks by one layer per step.
+
+def _recheck_collisions(length: int, fps: list[int]) -> dict | None:
+    """Compare codes with equal fingerprints by their exact even polynomials."""
+    buckets: dict[int, list[int]] = {}
+    for i, fp in enumerate(fps):
+        buckets.setdefault(fp, []).append(i)
+    for indices in buckets.values():
+        if len(indices) < 2:
+            continue
+        by_even: dict[BiPoly, tuple[int, ...]] = {}
+        for i in indices:
+            code = _threshold_code(i, length)
+            even = BiPoly.x()
+            for a in code:
+                even = threshold_even_step(a, even)
+            other = by_even.setdefault(even, code)
+            if other is not code:
+                return {"codes": [list(other), list(code)], "even": bipoly_to_json(even)}
+    return None
+
+
+def _fingerprint_threshold_scan(
+    n_max: int, check_from: int, checked: dict[str, int] | None = None
+) -> dict | None:
+    """Compare the fingerprints of all codes of each length check_from..n_max.
+
+    Fingerprints come level by level from the half-size value grids described
+    above, one list per grid point; index i of length d is the code
+    `_threshold_code(i, d)`.  A length whose fingerprints are not all distinct
+    has its colliding codes rebuilt from their indices and grouped by exact
+    even polynomial through `threshold_even_step`; only exact equality is
+    reported.  `checked`, if given, receives the number of fingerprints
+    compared at each length.
     """
-    mod, x0, y0 = _FP_MOD, _FP_X0, _FP_Y0
-    child: dict[tuple[int, int], int] = {}
-    for off_a in range(rem + 1):
-        xa = x0 - off_a
-        for off_b in range(-off_a, off_a + 1):
-            yb = y0 + off_b
-            if entry == 0:
-                v = xa * vals[(off_a, off_b)]
-            elif entry == 1:
-                v = (
-                    yb * vals[(off_a + 1, off_b - 1)]
-                    + (xa - yb) * vals[(off_a + 1, off_b + 1)]
-                )
-            else:
-                v = (
-                    yb * vals[(off_a, off_b)]
-                    + (xa - yb) * vals[(off_a + 1, off_b + 1)]
-                )
-            child[(off_a, off_b)] = v % mod
-    return child
-
-
-def _fingerprint_threshold_scan(n_max: int, check_from: int) -> dict | None:
-    """Same scan with the recursion evaluated on a shifted grid mod a prime.
-
-    The even polynomial of a prefix is kept as its values at the points
-    (x0 - a, y0 + b) for all offsets a deeper extensions can still reach.
-    Equal fingerprints for two codes are re-checked symbolically before
-    anything is reported.
-    """
-    seen: list[dict[int, list[tuple[int, ...]]]] = [dict() for _ in range(n_max + 1)]
-
-    def exact_even(code: tuple[int, ...]) -> BiPoly:
-        even = BiPoly.x()
-        for a in code:
-            even = threshold_even_step(a, even)
-        return even
-
-    def rec(code: tuple[int, ...], vals: dict[tuple[int, int], int]):
-        d = len(code)
-        if d >= check_from:
-            fp = vals[(0, 0)]
-            bucket = seen[d].setdefault(fp, [])
-            for other in bucket:
-                e1, e2 = exact_even(other), exact_even(code)
-                if e1 == e2:
-                    return {
-                        "codes": [list(other), list(code)],
-                        "even": bipoly_to_json(e1),
-                    }
-            bucket.append(code)
-        if d == n_max:
-            return None
-        for a in (-1, 0, 1):
-            bad = rec(code + (a,), _fp_child_grid(a, vals, n_max - d - 1))
+    for d, fps in _threshold_fingerprints(n_max):
+        if d < check_from:
+            continue
+        if checked is not None:
+            checked[str(d)] = len(fps)
+        if len(set(fps)) != len(fps):
+            bad = _recheck_collisions(d, fps)
             if bad is not None:
                 return bad
-        return None
-
-    return rec((), _fp_base_grid(n_max))
+    return None
 
 
 def verify_conj_threshold(n_max: int = 8) -> VerificationReport:
@@ -326,15 +354,13 @@ def verify_conj_threshold(n_max: int = 8) -> VerificationReport:
             f"threshold-code check capped at n = {MAX_THRESHOLD_N}"
         )
     exact_to = min(n_max, _EXACT_THRESHOLD_LIMIT)
-    bad = _exact_threshold_scan(exact_to)
+    checked: dict[str, int] = {}
+    bad = _exact_threshold_scan(exact_to, checked)
     method = {"exact_to": exact_to}
     if bad is None and n_max > exact_to:
         method["fingerprint_from"] = exact_to + 1
-        bad = _fingerprint_threshold_scan(n_max, exact_to + 1)
-    details: dict = {
-        "codes_checked": {str(d): 3**d for d in range(n_max + 1)},
-        "method": method,
-    }
+        bad = _fingerprint_threshold_scan(n_max, exact_to + 1, checked)
+    details: dict = {"codes_checked": checked, "method": method}
     if bad is not None:
         details["counterexample"] = bad
     return VerificationReport(

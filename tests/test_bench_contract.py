@@ -1,12 +1,16 @@
-"""The bench tracer still finds every function it wraps.
+"""The bench tracer still finds every function it wraps, and the bench checks
+still accept what the verifiers print.
 
 `bench/spans.py` looks up each traced function and method by name when it is
 installed, and reads `chromatic._subset_tally.cache_info()` around every pair
 call to record its `cache_hits` and `subsets` counters.  A rename or deletion
 in `src/` that would crash a traced bench run, or leave those counters
-unrecorded, fails here instead.
+unrecorded, fails here instead.  So does a threshold scan whose `method` or
+traced step count the bench would reject.
 """
 
+import importlib
+import json
 import pathlib
 import sys
 
@@ -15,12 +19,16 @@ from signedchrom import cli
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_traced_runs_record_pair_spans(capsys):
+def _bench_module(name: str):
     sys.path.insert(0, str(BENCH))
     try:
-        import spans
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+def test_traced_runs_record_pair_spans(capsys):
+    spans = _bench_module("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -36,3 +44,24 @@ def test_traced_runs_record_pair_spans(capsys):
     assert search_pairs
     for span in search_pairs:
         assert set(span[5]) == {"cache_hits", "subsets"}, span
+
+
+def test_traced_threshold_run_meets_bench_checks(capsys):
+    """The exact prefix to length 6 runs through `threshold_even_step`."""
+    spans, checks = _bench_module("spans"), _bench_module("checks")
+    argv = ["verify", "--conjecture", "threshold", "--max", "8"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["method"] == {"exact_to": 6, "fingerprint_from": 7}
+    assert details["codes_checked"] == {str(d): 3**d for d in range(9)}
+    steps = sum(1 for span in tracer.spans if span[0] == "chromatic.threshold_step")
+    assert steps >= sum(3**d for d in range(1, 7))
+    assert checks.check_cli_output(argv, code, out) == []
+    assert checks.check_threshold_steps(out, steps) == []

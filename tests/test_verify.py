@@ -1,5 +1,7 @@
 """Verifier reports at small scale; acceptance runs the full scales."""
 
+import itertools
+
 import pytest
 
 from signedchrom import reference
@@ -7,7 +9,7 @@ from signedchrom.chromatic import bivariate_pair, chromatic_pair, count_colourin
 from signedchrom.equivalence import graph_from_mask
 from signedchrom.errors import BudgetExceededError
 from signedchrom.graphs import all_positive, complete_graph, fixture
-from signedchrom.poly import pair_to_json
+from signedchrom.poly import bipoly_to_json, pair_to_json
 from signedchrom.verify import (
     non_switching_isomorphism_certificate,
     search_cochromatic,
@@ -77,23 +79,53 @@ def test_threshold_fingerprint_agrees_with_exact():
 
 
 def test_fingerprint_fold_matches_exact_evaluation():
-    """The numeric grid recursion is the even recursion, point for point."""
-    import random
+    """Every fingerprint of every code of length <= 6 is its even polynomial mod
+    the prime, and index i spells its code in base 3, least significant first."""
+    from signedchrom.chromatic import threshold_bivariate
+    from signedchrom.verify import (
+        _FP_MOD,
+        _FP_X0,
+        _FP_Y0,
+        _threshold_code,
+        _threshold_fingerprints,
+    )
 
-    from signedchrom.chromatic import threshold_even_step
+    count = 0
+    for length, fps in _threshold_fingerprints(6):
+        codes = [tuple(reversed(p)) for p in itertools.product((-1, 0, 1), repeat=length)]
+        assert len(fps) == len(codes)
+        assert [_threshold_code(i, length) for i in range(len(codes))] == codes
+        for fp, code in zip(fps, codes):
+            assert fp == threshold_bivariate(code).even.evaluate(_FP_X0, _FP_Y0) % _FP_MOD, code
+            count += 1
+    assert count == 1093  # 1 + 3 + ... + 729
+
+
+def test_fingerprint_collisions_are_rechecked_exactly(monkeypatch):
+    """With modulus 1 every fingerprint collides, so only the exact re-check
+    tells codes apart."""
+    from signedchrom import verify
     from signedchrom.poly import BiPoly
-    from signedchrom.verify import _FP_MOD, _FP_X0, _FP_Y0, _fp_base_grid, _fp_child_grid
 
-    rng = random.Random(77)
-    for _ in range(20):
-        length = rng.randrange(7)
-        code = tuple(rng.choice((-1, 0, 1)) for _ in range(length))
-        vals = _fp_base_grid(length)
-        exact = BiPoly.x()
-        for i, entry in enumerate(code):
-            vals = _fp_child_grid(entry, vals, length - i - 1)
-            exact = threshold_even_step(entry, exact)
-        assert vals[(0, 0)] == exact.evaluate(_FP_X0, _FP_Y0) % _FP_MOD, code
+    monkeypatch.setattr(verify, "_FP_MOD", 1)
+    assert _fingerprint_threshold_scan(5, 1) is None
+
+    # with -1 read as 1, codes differing only at +-1 entries become equal
+    step = verify.threshold_even_step
+
+    def merged(entry, even):
+        return step(1 if entry == -1 else entry, even)
+
+    monkeypatch.setattr(verify, "threshold_even_step", merged)
+    bad = _fingerprint_threshold_scan(3, 1)
+    assert bad is not None
+    first, second = bad["codes"]
+    assert first != second and len(first) == len(second)
+    assert all(a == b or {a, b} == {-1, 1} for a, b in zip(first, second))
+    even = BiPoly.x()
+    for entry in first:
+        even = merged(entry, even)
+    assert bad["even"] == bipoly_to_json(even)
 
 
 def test_conjecture_bivariate_small():
