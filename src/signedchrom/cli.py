@@ -9,6 +9,7 @@ stderr.  Exit status: 0 success or verification pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -154,8 +155,8 @@ def cmd_enumerate(args) -> int:
     mode = "switching_iso" if args.mode == "switch" else "iso"
     inventory = equivalence.enumerate_classes(underlying, mode)
     classes = []
-    for idx, rep in enumerate(inventory.representatives):
-        pair = chromatic.chromatic_pair(rep)
+    pairs = chromatic.chromatic_pairs(inventory.representatives)
+    for idx, (rep, pair) in enumerate(zip(inventory.representatives, pairs)):
         classes.append(
             {
                 "mask": inventory.representative_masks[idx],
@@ -266,7 +267,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, top: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="signedchrom",
         description="Exact even/odd chromatic polynomials of signed graphs.",

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .chromatic import (
     bivariate_pair,
     chromatic_pair,
+    chromatic_pairs,
     threshold_bivariate,
     threshold_even_step,
 )
@@ -120,10 +121,8 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
     try:
         inventory = enumerate_classes(underlying, "switching_iso")
         by_pair: dict[str, list[int]] = {}
-        pairs = []
-        for idx, rep in enumerate(inventory.representatives):
-            pair = chromatic_pair(rep)
-            pairs.append(pair)
+        pairs = chromatic_pairs(inventory.representatives)
+        for idx, pair in enumerate(pairs):
             by_pair.setdefault(_pair_key(pair), []).append(idx)
         groups = []
         for key, members in sorted(by_pair.items(), key=lambda kv: kv[1][0]):
@@ -181,7 +180,7 @@ def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
     details: dict = {"classes_checked": {}}
     for n in range(n_max + 1):
         inventory = enumerate_classes(complete_graph(n, 1), "switching_iso")
-        pairs = [chromatic_pair(rep) for rep in inventory.representatives]
+        pairs = chromatic_pairs(inventory.representatives)
         details["classes_checked"][str(n)] = inventory.class_count
         seen: dict[str, int] = {}
         for idx, pair in enumerate(pairs):
@@ -452,13 +451,13 @@ def reproduce_tables() -> VerificationReport:
 
     for n, expected in sorted(reference.COMPLETE_TABLE.items()):
         inventory = enumerate_classes(complete_graph(n, 1), "switching_iso")
-        computed = [chromatic_pair(rep) for rep in inventory.representatives]
+        computed = chromatic_pairs(inventory.representatives)
         entry = _multiset_check(f"complete_table_K{n}", computed, expected)
         entry["classes"] = inventory.class_count
         checks.append(entry)
 
     petersen_inv = enumerate_classes(fixture("petersen"), "switching_iso")
-    computed = [chromatic_pair(rep) for rep in petersen_inv.representatives]
+    computed = chromatic_pairs(petersen_inv.representatives)
     entry = _multiset_check("petersen_table", computed, reference.PETERSEN_TABLE)
     entry["classes"] = petersen_inv.class_count
     checks.append(entry)

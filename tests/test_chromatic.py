@@ -210,7 +210,9 @@ def test_fastpath_matches_subset_expansion_k6_switching_classes():
 
 
 def test_pair_functions_route_complete_graphs_to_partitions():
-    """Signed K_n never reach the subset tally; other graphs do."""
+    """Signed K_n never reach the subset tally; other graphs do, once per
+    pair function: the univariate tally runs switched and without the
+    has-negative bit, so it is cached apart from the bivariate one."""
     k6 = SignedGraph(6, tuple(
         (u, v, -1 if (u + v) % 3 == 0 else 1) for u in range(6) for v in range(u + 1, 6)
     ))
@@ -220,7 +222,7 @@ def test_pair_functions_route_complete_graphs_to_partitions():
     assert chromatic._subset_tally.cache_info().misses == 0
     chromatic_pair(fixture("G1"))
     bivariate_pair(fixture("G1"))
-    assert chromatic._subset_tally.cache_info().misses == 1
+    assert chromatic._subset_tally.cache_info().misses == 2
 
 
 def test_fastpath_rejects_incomplete():

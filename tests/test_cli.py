@@ -158,6 +158,18 @@ def test_fixtures_json_and_text(capsys):
     assert out == "n 2\ne 0 1 -\n"
 
 
+def test_output_flag_does_not_outlive_its_call(capsys):
+    """The parser is built once per process, so a flag must not stick to it."""
+    for text_argv in (
+        ("fixtures", "--name", "minusK:2", "--output", "text"),
+        ("--output", "text", "fixtures", "--name", "minusK:2"),
+    ):
+        assert run(capsys, *text_argv) == (0, "n 2\ne 0 1 -\n", "")
+        code, out, _ = run(capsys, "fixtures", "--name", "minusK:2")
+        assert code == 0
+        assert json.loads(out)["edges"] == [[0, 1, "-"]]
+
+
 def test_unknown_fixture_exit_2(capsys):
     code, _, err = run(capsys, "fixtures", "--name", "bogus")
     assert code == 2 and "error" in err

@@ -1,19 +1,39 @@
 """The frontier tally against the 2^|E| subset loop it replaced.
 
 `_tally_spanning_stats` below is that loop, kept as the oracle: it rebuilds
-a parity union-find for every edge subset.  The frontier tally leaves out
-entries that cancel to 0, so the oracle's table is compared without them.
+a parity union-find for every edge subset and keys its table by (p, b, c).
+The frontier tally keys by (p, b, u), u = 1 when b != c, and leaves out
+entries that cancel to 0, so the oracle's table is projected onto those keys
+and compared without zeros.  The univariate tally is compared on (b, u).
 """
 
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedchrom.chromatic import _frontier_tally, chromatic_pair
-from signedchrom.graphs import SignedGraph, fixture, relabel, switch, threshold_graph
-from signedchrom import reference
+from signedchrom import chromatic, reference
+from signedchrom.chromatic import (
+    _frontier_tally,
+    _steps,
+    _subset_bivariate_pair,
+    _subset_chromatic_pair,
+    chromatic_pair,
+    chromatic_pairs,
+)
+from signedchrom.equivalence import enumerate_classes
+from signedchrom.errors import BudgetExceededError
+from signedchrom.poly import ChromaticPair
+from signedchrom.graphs import (
+    SignedGraph,
+    complete_graph,
+    fixture,
+    relabel,
+    switch,
+    threshold_graph,
+)
 
 
 def _tally_spanning_stats(n: int, edges) -> dict[tuple[int, int, int], int]:
@@ -70,12 +90,29 @@ def _tally_spanning_stats(n: int, edges) -> dict[tuple[int, int, int], int]:
     return counts
 
 
+def _nonzero_sums(items) -> dict:
+    out: dict = {}
+    for key, v in items:
+        out[key] = out.get(key, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
 def oracle_tally(g: SignedGraph) -> dict[tuple[int, int, int], int]:
-    return {k: v for k, v in _tally_spanning_stats(g.n, g.edges).items() if v}
+    """The oracle's table on (p, b, u) keys."""
+    return _nonzero_sums(
+        ((p, b, int(b != c)), v) for (p, b, c), v in _tally_spanning_stats(g.n, g.edges).items()
+    )
+
+
+def balance_counts(tally: dict) -> dict[tuple[int, int], int]:
+    """A (p, b, u) table on (b, u), all the univariate pair reads."""
+    return _nonzero_sums(((b, u), v) for (_, b, u), v in tally.items())
 
 
 def assert_matches_oracle(g: SignedGraph) -> None:
-    assert _frontier_tally(g.n, g.edges) == oracle_tally(g), g
+    oracle = oracle_tally(g)
+    assert _frontier_tally(g.n, g.edges) == oracle, g
+    assert balance_counts(_frontier_tally(g.n, g.edges, True)) == balance_counts(oracle), g
 
 
 def random_signed_graph(rng: random.Random, n: int, m: int) -> SignedGraph:
@@ -98,7 +135,8 @@ def test_every_signed_graph_up_to_4_vertices():
 
 def test_isolated_vertices_components_and_empty_graph():
     assert _frontier_tally(0, ()) == {(0, 0, 0): 1}
-    assert _frontier_tally(5, ()) == {(5, 5, 5): 1}
+    assert _frontier_tally(5, ()) == {(5, 5, 0): 1}
+    assert _frontier_tally(5, (), True) == {(5, 5, 0): 1}
     graphs = [
         SignedGraph(7, ((1, 4, -1),)),  # isolated vertices around one edge
         SignedGraph(9, ((0, 1, 1), (1, 2, -1), (0, 2, 1),      # negative triangle
@@ -143,3 +181,126 @@ def test_tally_matches_oracle_and_invariants(g, data):
     bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
     switched = switch(g, [v for v, bit in enumerate(bits) if bit])
     assert chromatic_pair(switched) == chromatic_pair(g)
+    # the univariate tally runs on one signing per switching class, the one
+    # whose first step at each vertex (to its BFS parent) is positive
+    covered, skeleton, signs = _steps(g.n, g.edges, True)
+    assert _steps(switched.n, switched.edges, True) == (covered, skeleton, signs)
+    firsts = {}
+    for (a, _), t in zip(skeleton[1], signs):
+        firsts.setdefault(a, t)
+    assert set(firsts.values()) <= {0}
+
+
+def test_switched_tally_pair_is_switching_invariant():
+    """The univariate pair from the switched tally equals the bivariate
+    pair's y = 0 specialization from the unswitched tally, under any switching."""
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randrange(1, 10)
+        g = random_signed_graph(rng, n, rng.randrange(16))
+        even, odd = _subset_bivariate_pair(g)
+        expected = ChromaticPair(even.substitute_y(0), odd.substitute_y(0))
+        for _ in range(3):
+            h = switch(g, [v for v in range(n) if rng.random() < 0.5])
+            assert _subset_chromatic_pair(h) == expected, (g, h)
+
+
+# -- chromatic_pairs: tallies sharing DP prefixes --------------------------------
+
+
+def switching_classes(underlying: SignedGraph) -> list[SignedGraph]:
+    return list(enumerate_classes(underlying, "switching_iso").representatives)
+
+
+def unlabelled_graphs(max_n: int):
+    """One all-positive graph per unlabelled graph on at most max_n vertices:
+    the negative edges of the iso classes of signed K_n."""
+    for n in range(max_n + 1):
+        for signed in enumerate_classes(complete_graph(n, 1), "iso").representatives:
+            yield SignedGraph(n, tuple((u, v, 1) for u, v, s in signed.edges if s < 0))
+
+
+def one_by_one(graphs) -> list:
+    chromatic._subset_tally.cache_clear()
+    return [chromatic_pair(g) for g in graphs]
+
+
+def shared(graphs) -> list:
+    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+    pairs = chromatic_pairs(graphs)
+    assert chromatic._shared is None
+    return pairs
+
+
+def shuffled(graphs, seed: int) -> list:
+    graphs = list(graphs)
+    random.Random(seed).shuffle(graphs)
+    return graphs
+
+
+def test_chromatic_pairs_match_one_by_one_on_small_graphs():
+    graphs = [h for g in unlabelled_graphs(5) for h in switching_classes(g)]
+    assert len(graphs) == 1 + 1 + 2 + 5 + 18 + 100  # by vertex count
+    graphs = shuffled(graphs, 3)
+    assert shared(graphs) == one_by_one(graphs)
+
+
+def test_chromatic_pairs_match_one_by_one_on_petersen():
+    graphs = shuffled(switching_classes(fixture("petersen")), 5)
+    graphs += [switch(g, [0, 3, 4]) for g in graphs]  # same classes, other signs
+    assert shared(graphs) == one_by_one(graphs)
+
+
+def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
+    """The Petersen classes peak at 271 to 534 live entries: with a budget of
+    450 the first one is tallied and a later one refused."""
+    graphs = switching_classes(fixture("petersen")) + [
+        SignedGraph(11, tuple((v, v + 1, -1) for v in range(10)))
+    ]
+    expected = one_by_one(graphs)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 450)
+    chromatic._subset_tally.cache_clear()
+    with pytest.raises(BudgetExceededError, match="frontier entries"):
+        chromatic_pairs(graphs)
+    assert chromatic._shared is None
+    assert chromatic._subset_tally.cache_info().currsize > 0  # it did start
+    monkeypatch.undo()
+    assert shared(graphs) == expected
+
+
+def count_takes(monkeypatch) -> list[int]:
+    calls = [0]
+    take = chromatic._take
+
+    def counted(*args):
+        calls[0] += 1
+        return take(*args)
+
+    monkeypatch.setattr(chromatic, "_take", counted)
+    return calls
+
+
+def test_chromatic_pairs_share_work(monkeypatch):
+    """Deterministic: resuming from shared prefixes takes fewer DP steps."""
+    graphs = switching_classes(fixture("petersen"))
+    calls = count_takes(monkeypatch)
+    one_by_one(graphs)
+    alone = calls[0]
+    calls[0] = 0
+    shared(graphs)
+    assert 0 < calls[0] < alone
+
+
+def test_chromatic_pairs_under_a_small_layer_budget(monkeypatch):
+    """Kept layers stop at MAX_FRONTIER_ENTRIES entries.  At 534, the largest
+    live count of any Petersen class, every tally still runs but only the
+    first few layers are kept, so less is shared and the pairs do not move."""
+    graphs = shuffled(switching_classes(fixture("petersen")), 7)
+    expected = one_by_one(graphs)
+    calls = count_takes(monkeypatch)
+    shared(graphs)
+    full = calls[0]
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 534)
+    calls[0] = 0
+    assert shared(graphs) == expected
+    assert calls[0] > full
