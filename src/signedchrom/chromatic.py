@@ -29,18 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    BadCodeError,
-    BadRangeError,
-    BudgetExceededError,
-    NonIntegralCoefficientError,
-)
-from .graphs import SignedGraph, all_positive
+from .errors import BudgetExceededError, SignedChromError
+from .graphs import SignedGraph
 from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly
 
 DEFAULT_ORACLE_BUDGET = 10**8   # max lam^n colour functions for brute-force counting
 MAX_FRONTIER_ENTRIES = 1 << 17  # live (state, (p, b, u)) entries of the frontier tally
 MAX_PARTITION_N = 10            # -K_10 has Bell(10) = 115,975 negative-clique partitions
+MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes of K_7: 1,044
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class ColourSpec:
 def make_colour_spec(lam: int, mu: int) -> ColourSpec:
     """Realize a (lam, mu)-colour set: paired = {+-1..+-h}, unpaired above lam."""
     if mu < 0 or lam < mu:
-        raise BadRangeError(f"need lam >= mu >= 0, got ({lam}, {mu})")
+        raise SignedChromError(f"need lam >= mu >= 0, got ({lam}, {mu})")
     half = (lam - mu) // 2
     paired = frozenset(i for i in range(1, half + 1)) | frozenset(
         -i for i in range(1, half + 1)
@@ -390,8 +386,13 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
     tally resumes from the kept layers of the last one on its skeleton: a
     depth-first walk of the trie of sign prefixes.  The kept layers stop
     growing at MAX_FRONTIER_ENTRIES entries and are dropped on return.
+    Refuses a batch of more than MAX_PAIR_BATCH graphs before any tally.
     """
     global _shared
+    if len(graphs) > MAX_PAIR_BATCH:
+        raise BudgetExceededError(
+            f"{len(graphs)} graphs exceed the pair-batch cap of {MAX_PAIR_BATCH}"
+        )
     keys = [_steps(g.n, g.edges, True)[1:] for g in graphs]
     pairs: list = [None] * len(graphs)
     _shared = []
@@ -401,11 +402,6 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
     finally:
         _shared = None
     return pairs
-
-
-def unsigned_chromatic(g: SignedGraph) -> UniPoly:
-    """Chromatic polynomial of the underlying unsigned graph."""
-    return chromatic_pair(all_positive(g)).even
 
 
 # -- interpolation cross-check ---------------------------------------------------
@@ -433,7 +429,7 @@ def _lagrange_integer(xs: Sequence[int], ys: Sequence[int]) -> UniPoly:
     coeffs = []
     for c in acc:
         if c.denominator != 1:
-            raise NonIntegralCoefficientError(f"coefficient {c} is not an integer")
+            raise SignedChromError(f"coefficient {c} is not an integer")
         coeffs.append(int(c))
     return UniPoly(tuple(coeffs))
 
@@ -461,7 +457,7 @@ def interpolated_pair(g: SignedGraph) -> ChromaticPair:
 def _check_code(code: Sequence[int]) -> None:
     for a in code:
         if a not in (-1, 0, 1):
-            raise BadCodeError(f"code entry {a!r} not in {{-1, 0, 1}}")
+            raise SignedChromError(f"code entry {a!r} not in {{-1, 0, 1}}")
 
 
 def threshold_step(entry: int, pair: BivariatePair) -> BivariatePair:
@@ -496,7 +492,7 @@ def threshold_even_step(entry: int, even: BiPoly) -> BiPoly:
         return Y * even.shifted(-1, -1) + (X - Y) * even.shifted(-1, 1)
     if entry == -1:
         return Y * even + (X - Y) * even.shifted(-1, 1)
-    raise BadCodeError(f"code entry {entry!r} not in {{-1, 0, 1}}")
+    raise SignedChromError(f"code entry {entry!r} not in {{-1, 0, 1}}")
 
 
 def threshold_bivariate(code: Sequence[int]) -> BivariatePair:

@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import chromatic, closedform, equivalence, verify
-from .errors import BadRangeError, ParseError, SignedChromError, UsageError
+from .errors import SignedChromError
 from .graphs import (
     SignedGraph,
     all_positive,
@@ -45,7 +45,7 @@ def _load_graph_file(path: str) -> SignedGraph:
         with open(path, encoding="utf-8") as fh:
             return parse_graph(fh.read())
     except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
+        raise SignedChromError(f"cannot read {path}: {e}") from e
 
 
 def _resolve_underlying(name: str) -> SignedGraph:
@@ -54,14 +54,12 @@ def _resolve_underlying(name: str) -> SignedGraph:
         try:
             n = int(name.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad vertex count in {name!r}") from None
+            raise SignedChromError(f"bad vertex count in {name!r}") from None
         if n < 0:
-            raise UsageError(f"bad vertex count in {name!r}")
+            raise SignedChromError(f"bad vertex count in {name!r}")
         return complete_graph(n, 1)
-    try:
+    if name in fixture_names() or name.startswith(("plusK:", "minusK:")):
         return all_positive(fixture(name))
-    except SignedChromError:
-        pass
     return all_positive(_load_graph_file(name))
 
 
@@ -123,7 +121,7 @@ def _parse_code(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"bad threshold code {text!r}") from None
+        raise SignedChromError(f"bad threshold code {text!r}") from None
 
 
 def cmd_threshold(args) -> int:
@@ -150,7 +148,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.spot_check < 0:
-        raise BadRangeError(f"--spot-check must be >= 0, got {args.spot_check}")
+        raise SignedChromError(f"--spot-check must be >= 0, got {args.spot_check}")
     underlying = _resolve_underlying(args.underlying)
     mode = "switching_iso" if args.mode == "switch" else "iso"
     inventory = equivalence.enumerate_classes(underlying, mode)

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import BadIndexError, BadRangeError, NegativeParameterError
+from .errors import SignedChromError
 from .graphs import SignedGraph, complete_graph, join
 from .poly import (
     ChromaticPair,
@@ -127,7 +127,7 @@ def H3(l: int, m: int, n: int) -> UniPoly:
 def U_x(i: int, j: int, k: int, l: int, m: int, s: int, t: int) -> UniPoly:
     """double_falling(l+m+s-i-j-k-t) times the integer (l+m-i-2j-2k)_t."""
     if not l + m + s - i - j - k >= t >= 0:
-        raise BadIndexError(f"need l+m+s-i-j-k >= t >= 0, got t={t}")
+        raise SignedChromError(f"need l+m+s-i-j-k >= t >= 0, got t={t}")
     return integer_falling(l + m - i - 2 * j - 2 * k, t) * double_falling(
         l + m + s - i - j - k - t
     )
@@ -171,22 +171,6 @@ def _hat(h, l: int, m: int, n: int) -> UniPoly:
     return acc
 
 
-def hat_H1(l: int, m: int, n: int) -> UniPoly:
-    return _hat(H1, l, m, n)
-
-
-def hat_H2(l: int, m: int, n: int) -> UniPoly:
-    return _hat(H2, l, m, n)
-
-
-def hat_H3(l: int, m: int, n: int) -> UniPoly:
-    return _hat(H3, l, m, n)
-
-
-def hat_H4(l: int, m: int, n: int) -> UniPoly:
-    return _hat(H4, l, m, n)
-
-
 def join_pair(family: int, l: int, m: int, n: int) -> ChromaticPair:
     """Chromatic pair of the family's join graph from the closed forms.
 
@@ -194,9 +178,9 @@ def join_pair(family: int, l: int, m: int, n: int) -> ChromaticPair:
     even constituent shifted to x-1 plus the family's hat polynomial.
     """
     if family not in _FAMILY:
-        raise NegativeParameterError(f"family must be 1..4, got {family!r}")
+        raise SignedChromError(f"family must be 1..4, got {family!r}")
     if l < 0 or m < 0 or n < 0:
-        raise NegativeParameterError(f"parameters must be >= 0, got {(l, m, n)}")
+        raise SignedChromError(f"parameters must be >= 0, got {(l, m, n)}")
     h = _FAMILY[family]
     even = h(l, m, n)
     odd = even.shifted(-1) + _hat(h, l, m, n)
@@ -206,9 +190,9 @@ def join_pair(family: int, l: int, m: int, n: int) -> ChromaticPair:
 def join_family_graph(family: int, l: int, m: int, n: int) -> SignedGraph:
     """The explicit signed graph whose pair join_pair computes."""
     if family not in _FAMILY:
-        raise NegativeParameterError(f"family must be 1..4, got {family!r}")
+        raise SignedChromError(f"family must be 1..4, got {family!r}")
     if l < 0 or m < 0 or n < 0:
-        raise NegativeParameterError(f"parameters must be >= 0, got {(l, m, n)}")
+        raise SignedChromError(f"parameters must be >= 0, got {(l, m, n)}")
     if family == 1:
         return join(join(complete_graph(l, -1), complete_graph(m, 1), 1),
                     complete_graph(n, -1), 1)
@@ -269,7 +253,7 @@ class IdentitySuiteReport:
 def identity_suite(max_param: int) -> IdentitySuiteReport:
     """Check the nine family identities for all parameters up to max_param."""
     if max_param < 0:
-        raise BadRangeError(f"max_param must be >= 0, got {max_param}")
+        raise SignedChromError(f"max_param must be >= 0, got {max_param}")
     rng = range(max_param + 1)
     results = []
 

@@ -115,10 +115,6 @@ def find_isomorphism(g1: SignedGraph, g2: SignedGraph) -> tuple[int, ...] | None
     return maps[0] if maps else None
 
 
-def are_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
-    return find_isomorphism(g1, g2) is not None
-
-
 def automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     """All sign-preserving automorphisms of g."""
     return _search_isomorphisms(g, g, find_all=True)
@@ -253,10 +249,6 @@ def free_switching_vertices(g: SignedGraph) -> list[int]:
             parent[ru] = rv
     roots = {find(v) for v in range(g.n)}
     return [v for v in range(g.n) if v not in roots]
-
-
-def are_switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
-    return find_switching_isomorphism(g1, g2) is not None
 
 
 # -- signature orbits over a fixed underlying graph -----------------------------

@@ -11,18 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    BadCodeError,
-    BadSignError,
-    BudgetExceededError,
-    DuplicateEdgeError,
-    EmptyGraphError,
-    IndexOutOfRangeError,
-    LoopEdgeError,
-    ParseError,
-    UnknownEdgeError,
-    UnknownFixtureError,
-)
+from .errors import BudgetExceededError, SignedChromError
 
 Edge = tuple[int, int, int]
 
@@ -50,20 +39,20 @@ class SignedGraph:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise IndexOutOfRangeError("vertex count must be nonnegative")
+            raise SignedChromError("vertex count must be nonnegative")
         seen = set()
         norm = []
         for u, v, s in self.edges:
             if u == v:
-                raise LoopEdgeError(f"loop at vertex {u}")
+                raise SignedChromError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
             if not (0 <= u and v < self.n):
-                raise IndexOutOfRangeError(f"edge ({u},{v}) outside 0..{self.n - 1}")
+                raise SignedChromError(f"edge ({u},{v}) outside 0..{self.n - 1}")
             if (u, v) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
+                raise SignedChromError(f"duplicate edge ({u},{v})")
             if s not in (1, -1):
-                raise BadSignError(f"sign {s!r} on edge ({u},{v})")
+                raise SignedChromError(f"sign {s!r} on edge ({u},{v})")
             seen.add((u, v))
             norm.append((u, v, s))
         norm.sort()
@@ -85,14 +74,9 @@ class ComponentStats(NamedTuple):
     p: int
 
 
-def build_graph(n: int, edge_list: Iterable[tuple[int, int, int]]) -> SignedGraph:
-    """Validate and canonicalize an edge list into a SignedGraph."""
-    return SignedGraph(n, tuple(edge_list))
-
-
 def _check_vertex(g: SignedGraph, v: int) -> None:
     if not (0 <= v < g.n):
-        raise IndexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
+        raise SignedChromError(f"vertex {v} outside 0..{g.n - 1}")
 
 
 def switch(g: SignedGraph, X: Iterable[int]) -> SignedGraph:
@@ -109,7 +93,7 @@ def switch(g: SignedGraph, X: Iterable[int]) -> SignedGraph:
 def relabel(g: SignedGraph, perm: Sequence[int]) -> SignedGraph:
     """Apply a vertex permutation: vertex v becomes perm[v]."""
     if len(perm) != g.n or sorted(perm) != list(range(g.n)):
-        raise IndexOutOfRangeError("perm must be a permutation of 0..n-1")
+        raise SignedChromError("perm must be a permutation of 0..n-1")
     return SignedGraph(g.n, tuple((perm[u], perm[v], s) for u, v, s in g.edges))
 
 
@@ -162,33 +146,13 @@ def is_balanced(g: SignedGraph) -> bool:
     return stats.b == stats.c
 
 
-def is_connected(g: SignedGraph) -> bool:
-    return component_stats(g).c == 1
-
-
-def spanning_subgraph(g: SignedGraph, Y: Iterable) -> SignedGraph:
-    """Keep the full vertex set and only the edges in Y (signs inherited)."""
-    by_pair = {(u, v): s for u, v, s in g.edges}
-    chosen = []
-    for item in Y:
-        u, v = item[0], item[1]
-        if u > v:
-            u, v = v, u
-        if (u, v) not in by_pair:
-            raise UnknownEdgeError(f"edge ({u},{v}) not in graph")
-        if len(item) > 2 and item[2] != by_pair[(u, v)]:
-            raise UnknownEdgeError(f"edge ({u},{v}) has sign {by_pair[(u, v)]}")
-        chosen.append((u, v, by_pair[(u, v)]))
-    return SignedGraph(g.n, tuple(chosen))
-
-
 def join(g1: SignedGraph, g2: SignedGraph, join_sign: int) -> SignedGraph:
     """Disjoint union plus all edges of join_sign between the two parts.
 
     Joining with the vertexless graph returns the other argument unchanged.
     """
     if join_sign not in (1, -1):
-        raise BadSignError(f"join sign must be +1 or -1, got {join_sign!r}")
+        raise SignedChromError(f"join sign must be +1 or -1, got {join_sign!r}")
     if g1.n == 0:
         return g2
     if g2.n == 0:
@@ -219,7 +183,7 @@ def vertex_role(g: SignedGraph, v: int) -> str:
 def delete_vertex(g: SignedGraph, v: int) -> SignedGraph:
     """Remove v and its incident edges; higher vertices shift down by one."""
     if g.n == 0:
-        raise EmptyGraphError("cannot delete from the vertexless graph")
+        raise SignedChromError("cannot delete from the vertexless graph")
     _check_vertex(g, v)
     edges = tuple(
         (u - (u > v), w - (w > v), s)
@@ -232,7 +196,7 @@ def delete_vertex(g: SignedGraph, v: int) -> SignedGraph:
 def add_dominating_vertex(g: SignedGraph, sign: int) -> SignedGraph:
     """Append a new vertex joined to every existing vertex with `sign` edges."""
     if sign not in (1, -1):
-        raise BadSignError(f"sign must be +1 or -1, got {sign!r}")
+        raise SignedChromError(f"sign must be +1 or -1, got {sign!r}")
     edges = g.edges + tuple((u, g.n, sign) for u in range(g.n))
     return SignedGraph(g.n + 1, edges)
 
@@ -246,7 +210,7 @@ def threshold_graph(code: Sequence[int]) -> SignedGraph:
     """
     for a in code:
         if a not in (-1, 0, 1):
-            raise BadCodeError(f"code entry {a!r} not in {{-1, 0, 1}}")
+            raise SignedChromError(f"code entry {a!r} not in {{-1, 0, 1}}")
     g = SignedGraph(1, ())
     for a in code:
         if a == 0:
@@ -259,11 +223,6 @@ def threshold_graph(code: Sequence[int]) -> SignedGraph:
 def positive_part(g: SignedGraph) -> SignedGraph:
     """Same vertices, only the positive edges."""
     return SignedGraph(g.n, tuple(e for e in g.edges if e[2] > 0))
-
-
-def negative_part(g: SignedGraph) -> SignedGraph:
-    """Same vertices, only the negative edges."""
-    return SignedGraph(g.n, tuple(e for e in g.edges if e[2] < 0))
 
 
 def all_positive(g: SignedGraph) -> SignedGraph:
@@ -279,7 +238,7 @@ def _check_vertex_count(n: int) -> None:
 
 def complete_graph(n: int, sign: int) -> SignedGraph:
     if sign not in (1, -1):
-        raise BadSignError(f"sign must be +1 or -1, got {sign!r}")
+        raise SignedChromError(f"sign must be +1 or -1, got {sign!r}")
     _check_vertex_count(n)
     return SignedGraph(
         n, tuple((u, v, sign) for u in range(n) for v in range(u + 1, n))
@@ -335,11 +294,11 @@ def fixture(name: str) -> SignedGraph:
             try:
                 n = int(name[len(prefix):])
             except ValueError:
-                raise UnknownFixtureError(f"bad fixture name {name!r}") from None
+                raise SignedChromError(f"bad fixture name {name!r}") from None
             if n < 0:
-                raise UnknownFixtureError(f"bad fixture name {name!r}")
+                raise SignedChromError(f"bad fixture name {name!r}")
             return complete_graph(n, sign)
-    raise UnknownFixtureError(f"unknown fixture {name!r}")
+    raise SignedChromError(f"unknown fixture {name!r}")
 
 
 def fixture_names() -> tuple[str, ...]:
@@ -365,36 +324,36 @@ def parse_graph(text: str) -> SignedGraph:
         parts = line.split()
         if parts[0] == "n":
             if n is not None:
-                raise ParseError(f"line {lineno}: duplicate n line")
+                raise SignedChromError(f"line {lineno}: duplicate n line")
             if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'n <count>'")
+                raise SignedChromError(f"line {lineno}: expected 'n <count>'")
             try:
                 n = int(parts[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+                raise SignedChromError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             if n < 0:
-                raise ParseError(f"line {lineno}: negative vertex count")
+                raise SignedChromError(f"line {lineno}: negative vertex count")
             _check_vertex_count(n)
         elif parts[0] == "e":
             if n is None:
-                raise ParseError(f"line {lineno}: edge before n line")
+                raise SignedChromError(f"line {lineno}: edge before n line")
             if len(parts) != 4:
-                raise ParseError(f"line {lineno}: expected 'e <u> <v> <+|->'")
+                raise SignedChromError(f"line {lineno}: expected 'e <u> <v> <+|->'")
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise ParseError(f"line {lineno}: bad vertex index") from None
+                raise SignedChromError(f"line {lineno}: bad vertex index") from None
             if parts[3] == "+":
                 s = 1
             elif parts[3] == "-":
                 s = -1
             else:
-                raise BadSignError(f"line {lineno}: sign must be + or -, got {parts[3]!r}")
+                raise SignedChromError(f"line {lineno}: sign must be + or -, got {parts[3]!r}")
             edges.append((u, v, s))
         else:
-            raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
+            raise SignedChromError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
-        raise ParseError("missing n line")
+        raise SignedChromError("missing n line")
     return SignedGraph(n, tuple(edges))
 
 

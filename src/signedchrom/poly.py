@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ArityMismatchError, NegativeIndexError
+from .errors import SignedChromError
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ class UniPoly:
     def x() -> "UniPoly":
         return UniPoly((0, 1))
 
-    @staticmethod
-    def constant(c: int) -> "UniPoly":
-        return UniPoly((c,))
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -68,7 +64,7 @@ class UniPoly:
         if isinstance(other, int):
             return UniPoly((other,))
         if isinstance(other, BiPoly):
-            raise ArityMismatchError("cannot mix univariate and bivariate polynomials")
+            raise SignedChromError("cannot mix univariate and bivariate polynomials")
         if isinstance(other, UniPoly):
             return other
         return None
@@ -117,7 +113,7 @@ class UniPoly:
 
     def __pow__(self, e: int):
         if e < 0:
-            raise NegativeIndexError("negative polynomial power")
+            raise SignedChromError("negative polynomial power")
         out = UniPoly.one()
         for _ in range(e):
             out = out * self
@@ -182,10 +178,6 @@ class BiPoly:
     def y() -> "BiPoly":
         return BiPoly({(0, 1): 1})
 
-    @staticmethod
-    def constant(c: int) -> "BiPoly":
-        return BiPoly({(0, 0): c})
-
     # -- queries -----------------------------------------------------------
 
     def items(self):
@@ -197,14 +189,6 @@ class BiPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def degree_x(self) -> int:
-        return max((i for i, _ in self._terms), default=-1)
-
-    @property
-    def degree_y(self) -> int:
-        return max((j for _, j in self._terms), default=-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
@@ -220,7 +204,7 @@ class BiPoly:
         if isinstance(other, int):
             return BiPoly({(0, 0): other})
         if isinstance(other, UniPoly):
-            raise ArityMismatchError("cannot mix univariate and bivariate polynomials")
+            raise SignedChromError("cannot mix univariate and bivariate polynomials")
         if isinstance(other, BiPoly):
             return other
         return None
@@ -277,7 +261,7 @@ class BiPoly:
 
     def __pow__(self, e: int):
         if e < 0:
-            raise NegativeIndexError("negative polynomial power")
+            raise SignedChromError("negative polynomial power")
         out = BiPoly.one()
         for _ in range(e):
             out = out * self
@@ -361,31 +345,6 @@ class BivariatePair(NamedTuple):
     odd: BiPoly
 
 
-# -- arity-generic operation wrappers ----------------------------------------
-
-
-def shift_substitute(p, dx: int, dy: int = 0):
-    """Return p(x+dx) or p(x+dx, y+dy); dy is ignored for univariate p."""
-    if isinstance(p, UniPoly):
-        return p.shifted(dx)
-    if isinstance(p, BiPoly):
-        return p.shifted(dx, dy)
-    raise ArityMismatchError(f"not a polynomial: {type(p).__name__}")
-
-
-def evaluate(p, x0: int, y0: int | None = None) -> int:
-    """Evaluate exactly; y0 must be supplied iff p is bivariate."""
-    if isinstance(p, UniPoly):
-        if y0 is not None:
-            raise ArityMismatchError("y value supplied for a univariate polynomial")
-        return p.evaluate(x0)
-    if isinstance(p, BiPoly):
-        if y0 is None:
-            raise ArityMismatchError("bivariate polynomial needs a y value")
-        return p.evaluate(x0, y0)
-    raise ArityMismatchError(f"not a polynomial: {type(p).__name__}")
-
-
 # -- combinatorial sequences -------------------------------------------------
 
 
@@ -393,7 +352,7 @@ def evaluate(p, x0: int, y0: int | None = None) -> int:
 def falling_factorial(n: int) -> UniPoly:
     """(x)_n = x (x-1) ... (x-n+1); the empty product for n = 0."""
     if n < 0:
-        raise NegativeIndexError("falling factorial needs n >= 0")
+        raise SignedChromError("falling factorial needs n >= 0")
     p = UniPoly.one()
     for j in range(n):
         p = p * UniPoly((-j, 1))
@@ -404,7 +363,7 @@ def falling_factorial(n: int) -> UniPoly:
 def double_falling(n: int) -> UniPoly:
     """x (x-2) (x-4) ... (x-2n+2); the empty product for n = 0."""
     if n < 0:
-        raise NegativeIndexError("double falling factorial needs n >= 0")
+        raise SignedChromError("double falling factorial needs n >= 0")
     p = UniPoly.one()
     for j in range(n):
         p = p * UniPoly((-2 * j, 1))
@@ -414,7 +373,7 @@ def double_falling(n: int) -> UniPoly:
 def integer_falling(a: int, t: int) -> int:
     """a (a-1) ... (a-t+1) with value 1 for t = 0."""
     if t < 0:
-        raise NegativeIndexError("integer falling factorial needs t >= 0")
+        raise SignedChromError("integer falling factorial needs t >= 0")
     out = 1
     for j in range(t):
         out *= a - j
@@ -448,17 +407,9 @@ def unipoly_to_json(p: UniPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def json_to_unipoly(obj) -> UniPoly:
-    return UniPoly(tuple(int(s) for s in obj))
-
-
 def bipoly_to_json(p: BiPoly) -> list[list]:
     """[x_degree, y_degree, "coefficient"] triples, lexicographic order."""
     return [[i, j, str(c)] for (i, j), c in p.items()]
-
-
-def json_to_bipoly(obj) -> BiPoly:
-    return BiPoly({(int(i), int(j)): int(c) for i, j, c in obj})
 
 
 def pair_to_json(pair) -> dict:

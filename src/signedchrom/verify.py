@@ -25,7 +25,7 @@ from .equivalence import (
     find_isomorphism,
     free_switching_vertices,
 )
-from .errors import BadRangeError, BudgetExceededError
+from .errors import BudgetExceededError, SignedChromError
 from .graphs import (
     SignedGraph,
     complete_graph,
@@ -165,11 +165,15 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
 
 def _check_n_max(n_max: int) -> None:
     if n_max < 0:
-        raise BadRangeError(f"n_max must be >= 0, got {n_max}")
+        raise SignedChromError(f"n_max must be >= 0, got {n_max}")
 
 
 def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
-    """No two switching-isomorphism classes of signed K_n share a chromatic pair."""
+    """No two switching-isomorphism classes of signed K_n share a chromatic pair.
+
+    Runs `search_cochromatic` on K_n for n = 0..n_max; the first group it
+    reports is the counterexample.
+    """
     _check_n_max(n_max)
     start = time.perf_counter()
     if n_max > MAX_COCHROMATIC_N:
@@ -179,31 +183,14 @@ def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
     status = "pass"
     details: dict = {"classes_checked": {}}
     for n in range(n_max + 1):
-        inventory = enumerate_classes(complete_graph(n, 1), "switching_iso")
-        pairs = chromatic_pairs(inventory.representatives)
-        details["classes_checked"][str(n)] = inventory.class_count
-        seen: dict[str, int] = {}
-        for idx, pair in enumerate(pairs):
-            key = _pair_key(pair)
-            if key in seen:
-                other = seen[key]
-                g1 = inventory.representatives[other]
-                g2 = inventory.representatives[idx]
-                status = "counterexample"
-                details["counterexample"] = {
-                    "n": n,
-                    "graphs": [
-                        _class_entry(inventory, other),
-                        _class_entry(inventory, idx),
-                    ],
-                    "pair": pair_to_json(pair),
-                    "non_switching_isomorphism": non_switching_isomorphism_certificate(
-                        g1, g2
-                    ),
-                }
-                break
-            seen[key] = idx
-        if status != "pass":
+        search = search_cochromatic(complete_graph(n, 1))
+        if search.status == "budget_exceeded":
+            raise BudgetExceededError(search.details["error"])
+        details["classes_checked"][str(n)] = search.details["class_count"]
+        groups = search.details["cochromatic_groups"]
+        if groups:
+            status = "counterexample"
+            details["counterexample"] = {"n": n, **groups[0]}
             break
     return VerificationReport(
         "conjecture:cochromatic-complete",

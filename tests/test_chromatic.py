@@ -17,10 +17,9 @@ from signedchrom.chromatic import (
     interpolated_pair,
     make_colour_spec,
     threshold_bivariate,
-    unsigned_chromatic,
 )
 from signedchrom.equivalence import enumerate_classes, graph_from_mask
-from signedchrom.errors import BadCodeError, BadRangeError, BudgetExceededError
+from signedchrom.errors import BudgetExceededError, SignedChromError
 from signedchrom.graphs import (
     SignedGraph,
     complete_graph,
@@ -53,9 +52,9 @@ def test_make_colour_spec_examples():
     assert spec.includes_zero
     assert spec.unpaired == {8, 9}
     assert len(spec.colours()) == 7
-    with pytest.raises(BadRangeError):
+    with pytest.raises(SignedChromError, match=r"need lam >= mu >= 0, got \(1, 2\)"):
         make_colour_spec(1, 2)
-    with pytest.raises(BadRangeError):
+    with pytest.raises(SignedChromError, match=r"need lam >= mu >= 0, got \(1, -1\)"):
         make_colour_spec(1, -1)
 
 
@@ -133,10 +132,10 @@ def test_bivariate_pair_examples():
 
 
 def test_unsigned_chromatic():
-    assert unsigned_chromatic(complete_graph(3, -1)) == X * (X - 1) * (X - 2)
-    assert unsigned_chromatic(SignedGraph(4, ())) == X**4
+    assert chromatic_pair(complete_graph(3, 1)).even == X * (X - 1) * (X - 2)
+    assert chromatic_pair(SignedGraph(4, ())).even == X**4
     g1 = fixture("G1")
-    assert bivariate_pair(g1).even.diagonal() == unsigned_chromatic(positive_part(g1))
+    assert bivariate_pair(g1).even.diagonal() == chromatic_pair(positive_part(g1)).even
 
 
 def test_interpolated_pair_examples():
@@ -145,6 +144,9 @@ def test_interpolated_pair_examples():
     g2 = fixture("G2")
     assert interpolated_pair(g2) == reference.GEM_PAIR
     assert interpolated_pair(SignedGraph(0, ())) == ChromaticPair(UniPoly.one(), UniPoly.one())
+    # through (0, 0) and (2, 1) the line is x/2
+    with pytest.raises(SignedChromError, match="coefficient 1/2 is not an integer"):
+        chromatic._lagrange_integer([0, 2], [0, 1])
 
 
 def test_threshold_bivariate_examples():
@@ -158,7 +160,7 @@ def test_threshold_bivariate_examples():
     assert pair.even == pair.odd
     # +K_5 is all-positive, so no y appears at all
     assert all(j == 0 for (_, j), _ in pair.even.items())
-    with pytest.raises(BadCodeError):
+    with pytest.raises(SignedChromError, match="code entry 3 not in"):
         threshold_bivariate((3,))
 
 

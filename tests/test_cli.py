@@ -339,3 +339,62 @@ def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch, line):
     assert code == 0, line
     if target is not None:
         assert (tmp_path / target).read_text() == out
+
+
+# Asymmetric graphs, so every signature is its own iso class and every
+# switching coset its own switching class: 2^13 iso classes of the first,
+# 2^(20 - 8 + 1) switching classes of the second.
+ASYMMETRIC_7_13 = SignedGraph(7, tuple((u, v, 1) for u, v in (
+    (0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5),
+    (3, 4), (3, 5), (5, 6),
+)))
+ASYMMETRIC_8_20 = SignedGraph(8, tuple((u, v, 1) for u, v in (
+    (0, 2), (0, 3), (0, 5), (0, 7), (1, 3), (1, 4), (1, 6), (1, 7), (2, 3), (2, 5),
+    (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+)))
+
+
+@pytest.mark.parametrize(
+    "graph, argv",
+    [
+        (ASYMMETRIC_7_13, ["enumerate", "--mode", "iso"]),
+        (ASYMMETRIC_8_20, ["enumerate", "--mode", "switch"]),
+        (ASYMMETRIC_8_20, ["search-cochromatic"]),
+    ],
+)
+def test_pair_batch_cap(capsys, tmp_path, graph, argv):
+    """8,192 classes are refused before any of their pairs is tallied."""
+    path = tmp_path / "asymmetric.sg"
+    path.write_text(format_graph(graph))
+    misses = chromatic._subset_tally.cache_info().misses
+    code, out, err = run(capsys, *argv, "--underlying", str(path))
+    message = f"8192 graphs exceed the pair-batch cap of {chromatic.MAX_PAIR_BATCH}"
+    if argv[0] == "enumerate":
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+    else:
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "budget_exceeded"
+        assert payload["details"]["error"] == message
+    assert chromatic._subset_tally.cache_info().misses == misses
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--underlying", "plusK:300", "--mode", "switch"],
+         "300 vertices exceed the vertex cap of 256"),
+        (["search-cochromatic", "--underlying", "minusK:300"],
+         "300 vertices exceed the vertex cap of 256"),
+        (["enumerate", "--underlying", "plusK:x", "--mode", "switch"],
+         "bad fixture name 'plusK:x'"),
+        (["enumerate", "--underlying", "complete:x", "--mode", "switch"],
+         "bad vertex count in 'complete:x'"),
+        (["threshold", "--code", "1,x"], "bad threshold code '1,x'"),
+    ],
+)
+def test_malformed_names_exit_2(capsys, argv, message):
+    """A fixture-shaped name is never read as a file path."""
+    run_refused_small(capsys, message, *argv)

@@ -14,7 +14,7 @@ from signedchrom.closedform import (
     join_family_graph,
     join_pair,
 )
-from signedchrom.errors import BadIndexError, NegativeParameterError
+from signedchrom.errors import SignedChromError
 from signedchrom.graphs import complete_graph
 from signedchrom.poly import UniPoly, falling_factorial
 
@@ -64,7 +64,7 @@ def test_families_vanish_on_negative_arguments():
 
 
 def test_U_x_precondition():
-    with pytest.raises(BadIndexError):
+    with pytest.raises(SignedChromError, match=r"need l\+m\+s-i-j-k >= t >= 0"):
         U_x(3, 1, 1, 1, 1, 1, 1)  # l+m+s-i-j-k = -2 < t
 
 
@@ -73,9 +73,9 @@ def test_join_pair_examples():
     assert join_pair(1, 0, 0, 3) == chromatic_pair(complete_graph(3, -1))
     assert join_pair(3, 2, 3, 0) == chromatic_pair(join_family_graph(3, 2, 3, 0))
     assert join_pair(4, 2, 2, 1) == chromatic_pair(join_family_graph(4, 2, 2, 1))
-    with pytest.raises(NegativeParameterError):
+    with pytest.raises(SignedChromError, match="parameters must be >= 0"):
         join_pair(1, -1, 0, 0)
-    with pytest.raises(NegativeParameterError):
+    with pytest.raises(SignedChromError, match="family must be 1..4"):
         join_pair(5, 0, 0, 0)
 
 

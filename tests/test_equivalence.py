@@ -8,8 +8,6 @@ import pytest
 from signedchrom import equivalence, reference
 from signedchrom.chromatic import bivariate_pair, chromatic_pair
 from signedchrom.equivalence import (
-    are_isomorphic,
-    are_switching_isomorphic,
     automorphisms,
     enumerate_classes,
     find_isomorphism,
@@ -21,7 +19,6 @@ from signedchrom.equivalence import (
 from signedchrom.errors import BudgetExceededError
 from signedchrom.graphs import (
     SignedGraph,
-    build_graph,
     complete_graph,
     fixture,
     relabel,
@@ -110,8 +107,8 @@ def test_isomorphism_examples():
     witness = find_isomorphism(g1, shuffled)
     assert witness is not None
     assert relabel(g1, witness) == shuffled
-    assert not are_isomorphic(complete_graph(3, 1), complete_graph(3, -1))
-    assert not are_isomorphic(g1, fixture("G2"))
+    assert find_isomorphism(complete_graph(3, 1), complete_graph(3, -1)) is None
+    assert find_isomorphism(g1, fixture("G2")) is None
 
 
 def test_isomorphism_budget():
@@ -128,9 +125,9 @@ def test_switching_isomorphism_examples():
     assert res is not None
     X, perm = res
     assert relabel(mk2, perm) == switch(pk2, X)
-    two_neg = build_graph(3, [(0, 1, -1), (0, 2, -1), (1, 2, 1)])
-    assert are_switching_isomorphic(two_neg, complete_graph(3, 1))
-    assert not are_switching_isomorphic(fixture("G1"), fixture("G2"))
+    two_neg = SignedGraph(3, ((0, 1, -1), (0, 2, -1), (1, 2, 1)))
+    assert find_switching_isomorphism(two_neg, complete_graph(3, 1)) is not None
+    assert find_switching_isomorphism(fixture("G1"), fixture("G2")) is None
 
 
 def test_switching_isomorphic_witness_validates():
@@ -151,17 +148,18 @@ def test_switching_isomorphism_is_equivalence_sampled():
     rng = random.Random(9)
     graphs = [random_graph(rng, 4) for _ in range(6)]
     for g in graphs:
-        assert are_switching_isomorphic(g, g)
+        assert find_switching_isomorphism(g, g) is not None
     for g in graphs:
         for h in graphs:
-            assert are_switching_isomorphic(g, h) == are_switching_isomorphic(h, g)
+            forward = find_switching_isomorphism(g, h) is not None
+            assert forward == (find_switching_isomorphism(h, g) is not None)
     # transitivity on switched/relabelled copies
     g = graphs[0]
     a = switch(g, {0})
     b = relabel(a, [g.n - 1 - v for v in range(g.n)])
-    assert are_switching_isomorphic(g, a)
-    assert are_switching_isomorphic(a, b)
-    assert are_switching_isomorphic(g, b)
+    assert find_switching_isomorphism(g, a) is not None
+    assert find_switching_isomorphism(a, b) is not None
+    assert find_switching_isomorphism(g, b) is not None
 
 
 def test_switching_search_matches_class_partition():
@@ -171,12 +169,12 @@ def test_switching_search_matches_class_partition():
     for a, ga in enumerate(members):
         for b, gb in enumerate(members):
             same = inv.classify(a) == inv.classify(b)
-            assert are_switching_isomorphic(ga, gb) == same, (a, b)
+            assert (find_switching_isomorphism(ga, gb) is not None) == same, (a, b)
     inv = enumerate_classes(complete_graph(5, 1), "switching_iso")
     for mask in range(2 ** inv.underlying.m):
         g = graph_from_mask(inv.underlying, mask)
         for cls, rep in enumerate(inv.representatives):
-            assert are_switching_isomorphic(g, rep) == (inv.classify(mask) == cls)
+            assert (find_switching_isomorphism(g, rep) is not None) == (inv.classify(mask) == cls)
 
 
 def test_switching_search_matches_certificate():
@@ -307,7 +305,7 @@ def test_enumerate_classes_structure():
     reps = inv.representatives
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            assert not are_switching_isomorphic(reps[i], reps[j])
+            assert find_switching_isomorphism(reps[i], reps[j]) is None
 
 
 def test_in_orbit_members_share_chromatic_pair():
@@ -348,5 +346,5 @@ def test_join_associative_commutative_up_to_isomorphism():
         a, b, c = (random_graph(rng, 2) for _ in range(3))
         left = join(join(a, b, sign), c, sign)
         right = join(a, join(b, c, sign), sign)
-        assert are_isomorphic(left, right)
-        assert are_switching_isomorphic(join(a, b, sign), join(b, a, sign))
+        assert find_isomorphism(left, right) is not None
+        assert find_switching_isomorphism(join(a, b, sign), join(b, a, sign)) is not None

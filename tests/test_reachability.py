@@ -1,0 +1,85 @@
+"""Every public top-level function and class of the package has a caller.
+
+A name passes when `src/signedchrom` refers to it outside its own
+definition, when `bench/` refers to it (the tracer names functions in
+strings), or when it is one of the test oracles below.  Anything else is
+API that nothing reaches: delete it rather than keep it for tests.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# (name, why tests need it) for public names that only tests call
+ORACLES = (
+    ("interpolated_pair", "rebuilds a chromatic pair from brute-force counts alone"),
+    ("join_family_graph", "the explicit join graph the closed forms are checked against"),
+    ("find_switching_isomorphism", "decides switching isomorphism independently of enumeration"),
+    ("relabel", "applies isomorphism witnesses and relabelling invariance checks"),
+    ("is_balanced", "the balance side of the balanced-iff-even-equals-odd theorem"),
+    ("vertex_role", "finds the dominating vertices of the deletion theorem"),
+    ("delete_vertex", "the smaller graph of the deletion theorem"),
+    ("positive_part", "the graph of the diagonal identity E(x, x)"),
+)
+
+
+def _names(tree: ast.AST, strings: bool = False) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _package():
+    """(public top-level definitions, names each top-level statement uses)."""
+    public, uses = [], []
+    for path in sorted((ROOT / "src" / "signedchrom").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                public.append(stmt)
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                uses.append((stmt, _names(stmt)))
+    return public, uses
+
+
+def _bench_names() -> set[str]:
+    out = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        out |= _names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    return out
+
+
+def test_every_public_name_is_reached():
+    public, uses = _package()
+    bench = _bench_names()
+    oracles = {name for name, _ in ORACLES}
+    unreached = [
+        d.name for d in public
+        if d.name not in oracles
+        and d.name not in bench
+        and not any(d.name in names for stmt, names in uses if stmt is not d)
+    ]
+    assert unreached == [], "no caller in src/ or bench/; delete or list in ORACLES"
+
+
+def test_oracles_are_defined_and_used_by_tests():
+    public, uses = _package()
+    defined = {d.name for d in public}
+    reached = {name for stmt, names in uses for name in names if name != getattr(stmt, "name", None)}
+    reached |= _bench_names()
+    tests = set()
+    for path in ROOT.joinpath("tests").glob("test_*.py"):
+        if path.name != pathlib.Path(__file__).name:
+            tests |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    for name, _ in ORACLES:
+        assert name in defined, f"{name} is not a public name of the package"
+        assert name not in reached, f"{name} has a caller; drop it from ORACLES"
+        assert name in tests, f"no test uses the oracle {name}"

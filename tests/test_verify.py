@@ -64,6 +64,28 @@ def test_conjecture_cochromatic_small():
         verify_conj_cochromatic_complete(8)
 
 
+def test_conjecture_cochromatic_counterexample(monkeypatch, capsys):
+    """With one pair for every class, K_3's two classes are the first group."""
+    from signedchrom import verify
+    from signedchrom.cli import main
+    from signedchrom.poly import ChromaticPair, UniPoly
+
+    same = ChromaticPair(UniPoly.one(), UniPoly.one())
+    monkeypatch.setattr(verify, "chromatic_pairs", lambda graphs: [same] * len(graphs))
+    report = verify_conj_cochromatic_complete(4)
+    assert report.status == "counterexample"
+    assert report.details["classes_checked"] == {"0": 1, "1": 1, "2": 1, "3": 2}
+    bad = report.details["counterexample"]
+    assert bad["n"] == 3
+    assert len(bad["classes"]) == 2
+    assert bad["pair"] == pair_to_json(same)
+    (cert,) = bad["non_switching_isomorphism"]
+    assert cert["switchings_tried"] == 4  # 2^(3-1)
+    assert cert["isomorphism_found"] is False
+    assert main(["verify", "--conjecture", "cochromatic-complete", "--max", "4"]) == 1
+    assert '"status": "counterexample"' in capsys.readouterr().out
+
+
 def test_conjecture_threshold_small():
     report = verify_conj_threshold(3)
     assert report.passed
