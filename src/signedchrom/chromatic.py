@@ -37,6 +37,7 @@ DEFAULT_ORACLE_BUDGET = 10**8   # max lam^n colour functions for brute-force cou
 MAX_FRONTIER_ENTRIES = 1 << 17  # live (state, (p, b, u)) entries of the frontier tally
 MAX_PARTITION_N = 10            # -K_10 has Bell(10) = 115,975 negative-clique partitions
 MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes of K_7: 1,044
+MAX_THRESHOLD_CODE = 40         # entries of a threshold code; length 40 takes under 1 s
 
 
 @dataclass(frozen=True)
@@ -500,8 +501,13 @@ def threshold_bivariate(code: Sequence[int]) -> BivariatePair:
 
     Folds the vertex-addition steps from the single-vertex base (x, x);
     equivalently, unwinds the dominating-vertex deletion recursion with the
-    last-added vertex deleted first.
+    last-added vertex deleted first.  Refuses codes longer than
+    MAX_THRESHOLD_CODE.
     """
+    if len(code) > MAX_THRESHOLD_CODE:
+        raise BudgetExceededError(
+            f"threshold code of length {len(code)} exceeds the cap of {MAX_THRESHOLD_CODE}"
+        )
     _check_code(code)
     pair = BivariatePair(BiPoly.x(), BiPoly.x())
     for a in code:
@@ -545,9 +551,10 @@ def _negclique_partitions(neg: list[int], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _matching_counts(adj: list[int]) -> tuple[int, ...]:
-    """Counts of matchings by size in a graph given as adjacency bitmasks."""
-    r = len(adj)
+def _matching_counts(adj: list[int]):
+    """Matching counts by size in the subgraphs of a graph given as adjacency
+    bitmasks: the returned function maps a vertex mask to its counts, and
+    every call shares one memo."""
     memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
     def rec(mask: int) -> tuple[int, ...]:
@@ -571,19 +578,7 @@ def _matching_counts(adj: list[int]) -> tuple[int, ...]:
         memo[mask] = out
         return out
 
-    return rec((1 << r) - 1)
-
-
-def _drop_index(adj: list[int], s: int) -> list[int]:
-    keep = [i for i in range(len(adj)) if i != s]
-    out = []
-    for i in keep:
-        mask = 0
-        for nj, j in enumerate(keep):
-            if adj[i] >> j & 1:
-                mask |= 1 << nj
-        out.append(mask)
-    return out
+    return rec
 
 
 @functools.lru_cache(maxsize=None)
@@ -607,20 +602,27 @@ def _yfall(j: int) -> BiPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _complete_basis(k: int, d: int, offset: int) -> BiPoly:
-    """Assignments for k doubled pairs plus d singly-coloured blocks.
-
-    offset 0 serves even lam - mu (paired pool x - y), offset 1 odd
-    (paired pool x - y - 1, colour 0 accounted for separately).
-    """
+def _complete_basis(k: int, d: int) -> BiPoly:
+    """Assignments for k doubled pairs plus d singly-coloured blocks, from a
+    colour set of even type: x - y paired colours and y unpaired ones."""
     s = BiPoly.zero()
     for j in range(d + 1):
-        s = s + math.comb(d, j) * _yfall(j) * _dfall_xy(offset + 2 * k, d - j)
-    return _dfall_xy(offset, k) * s
+        s = s + math.comb(d, j) * _yfall(j) * _dfall_xy(2 * k, d - j)
+    return _dfall_xy(0, k) * s
 
 
 def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
-    """Bivariate pair of a signed complete graph via negative-clique partitions."""
+    """Bivariate pair of a signed complete graph via negative-clique partitions.
+
+    The even constituent sums, over the partitions, the block assignments
+    from a colour set of even type.  For the odd one, colour 0 is its own
+    negative, so in a signed K_n at most one vertex takes it, as a singleton
+    block; the remaining vertices are coloured from an even-type set of
+    x - 1 colours.  So the odd constituent is the even sum plus, for each
+    singleton block, the assignments of the other blocks, all at (x - 1, y).
+    Both sums read one memo of matching counts per partition: the full block
+    set for the even sum, the full set minus one singleton for the other.
+    """
     n = g.n
     if g.m != n * (n - 1) // 2:
         raise ValueError("underlying graph is not complete")
@@ -652,23 +654,23 @@ def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
                 if not blockneg[i] & blocks[j]:
                     coadj[i] |= 1 << j
                     coadj[j] |= 1 << i
-        for k, cnt in enumerate(_matching_counts(coadj)):
+        matchings = _matching_counts(coadj)
+        full = (1 << r) - 1
+        for k, cnt in enumerate(matchings(full)):
             key = (k, r - 2 * k)
             w_all[key] = w_all.get(key, 0) + cnt
         for s in range(r):
             if blocks[s].bit_count() == 1:
-                sub = _drop_index(coadj, s)
-                for k, cnt in enumerate(_matching_counts(sub)):
+                for k, cnt in enumerate(matchings(full ^ 1 << s)):
                     key = (k, r - 1 - 2 * k)
                     w_zero[key] = w_zero.get(key, 0) + cnt
     even = BiPoly.zero()
-    odd = BiPoly.zero()
     for (k, d), cnt in sorted(w_all.items()):
-        even = even + cnt * _complete_basis(k, d, 0)
-        odd = odd + cnt * _complete_basis(k, d, 1)
+        even = even + cnt * _complete_basis(k, d)
+    odd = even
     for (k, d), cnt in sorted(w_zero.items()):
-        odd = odd + cnt * _complete_basis(k, d, 1)
-    return BivariatePair(even, odd)
+        odd = odd + cnt * _complete_basis(k, d)
+    return BivariatePair(even, odd.shifted(-1, 0))
 
 
 def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:

@@ -210,9 +210,13 @@ def cmd_search_cochromatic(args) -> int:
 
 
 _CONJECTURES = {
-    "cochromatic-complete": (verify.verify_conj_cochromatic_complete, 6, 7),
-    "threshold": (verify.verify_conj_threshold, 8, 12),
-    "bivariate-complete": (verify.verify_conj_complete_bivariate, 6, 7),
+    "cochromatic-complete": (
+        verify.verify_conj_cochromatic_complete, 6, verify.MAX_COCHROMATIC_N
+    ),
+    "threshold": (verify.verify_conj_threshold, 8, verify.MAX_THRESHOLD_N),
+    "bivariate-complete": (
+        verify.verify_conj_complete_bivariate, 6, verify.MAX_BIVARIATE_N
+    ),
 }
 
 

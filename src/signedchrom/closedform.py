@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import SignedChromError
+from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph, complete_graph, join
 from .poly import (
     ChromaticPair,
@@ -31,6 +31,9 @@ from .poly import (
     matchings_T,
     stirling2,
 )
+
+MAX_JOIN_VERTICES = 30  # l + m + n of join_pair; family 2 at 10, 10, 10 takes 1.5 s
+MAX_IDENTITY_PARAM = 7  # parameter bound of identity_suite; 7 takes about 4 s
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,11 +179,16 @@ def join_pair(family: int, l: int, m: int, n: int) -> ChromaticPair:
 
     The even constituent is the family polynomial itself; the odd one is the
     even constituent shifted to x-1 plus the family's hat polynomial.
+    Refuses l + m + n above MAX_JOIN_VERTICES.
     """
     if family not in _FAMILY:
         raise SignedChromError(f"family must be 1..4, got {family!r}")
     if l < 0 or m < 0 or n < 0:
         raise SignedChromError(f"parameters must be >= 0, got {(l, m, n)}")
+    if l + m + n > MAX_JOIN_VERTICES:
+        raise BudgetExceededError(
+            f"l + m + n = {l + m + n} exceeds the join-family cap of {MAX_JOIN_VERTICES}"
+        )
     h = _FAMILY[family]
     even = h(l, m, n)
     odd = even.shifted(-1) + _hat(h, l, m, n)
@@ -251,9 +259,14 @@ class IdentitySuiteReport:
 
 
 def identity_suite(max_param: int) -> IdentitySuiteReport:
-    """Check the nine family identities for all parameters up to max_param."""
+    """Check the nine family identities for all parameters up to max_param,
+    which is capped at MAX_IDENTITY_PARAM."""
     if max_param < 0:
         raise SignedChromError(f"max_param must be >= 0, got {max_param}")
+    if max_param > MAX_IDENTITY_PARAM:
+        raise BudgetExceededError(
+            f"identity parameters capped at {MAX_IDENTITY_PARAM}, got {max_param}"
+        )
     rng = range(max_param + 1)
     results = []
 

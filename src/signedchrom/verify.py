@@ -59,16 +59,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_dict(self, *, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "target": self.target,
             "scale": self.scale,
             "status": self.status,
             "details": self.details,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
     def summary(self) -> str:
         return (
@@ -168,7 +165,7 @@ def _check_n_max(n_max: int) -> None:
         raise SignedChromError(f"n_max must be >= 0, got {n_max}")
 
 
-def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
+def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
     """No two switching-isomorphism classes of signed K_n share a chromatic pair.
 
     Runs `search_cochromatic` on K_n for n = 0..n_max; the first group it
@@ -203,10 +200,11 @@ def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
 
 # -- threshold codes --------------------------------------------------------------
 #
-# Codes of length <= _EXACT_THRESHOLD_LIMIT are compared by their exact even
-# polynomials, longer ones by fingerprint: the even polynomial's value mod the
-# prime _FP_MOD at (_FP_X0, _FP_Y0).  Distinct fingerprints prove distinct
-# polynomials; codes with equal fingerprints are re-checked exactly.
+# One scan runs over the code lengths 0..n_max.  Codes of length <=
+# _EXACT_THRESHOLD_LIMIT are compared by their exact even polynomials, longer
+# ones by fingerprint: the even polynomial's value mod the prime _FP_MOD at
+# (_FP_X0, _FP_Y0).  Distinct fingerprints prove distinct polynomials; codes
+# with equal fingerprints are re-checked exactly.
 #
 # A step of the even recursion reads its parent at (x, y), (x - 1, y - 1) and
 # (x - 1, y + 1).  From (x0, y0) the steps therefore read only the points
@@ -220,36 +218,8 @@ def verify_conj_cochromatic_complete(n_max: int = 6) -> VerificationReport:
 # every code of the current length.  A point's list at the next length is its
 # parent lists stepped with entry -1, then 0, then 1, concatenated, so index i
 # at length d spells its code in base 3, least significant digit first, with
-# entry = digit - 1.  No code is stored.
-
-
-def _exact_threshold_scan(
-    n_max: int, checked: dict[str, int] | None = None
-) -> dict | None:
-    """Depth-first scan of all codes, exact polynomial keys; None if all distinct.
-
-    `checked`, if given, receives the number of keys compared at each length.
-    """
-    seen: list[dict[BiPoly, tuple[int, ...]]] = [dict() for _ in range(n_max + 1)]
-
-    def rec(code: tuple[int, ...], even: BiPoly):
-        d = len(code)
-        clash = seen[d].get(even)
-        if clash is not None:
-            return {"codes": [list(clash), list(code)], "even": bipoly_to_json(even)}
-        seen[d][even] = code
-        if d == n_max:
-            return None
-        for a in (-1, 0, 1):
-            bad = rec(code + (a,), threshold_even_step(a, even))
-            if bad is not None:
-                return bad
-        return None
-
-    bad = rec((), BiPoly.x())
-    if checked is not None:
-        checked.update((str(d), len(keys)) for d, keys in enumerate(seen))
-    return bad
+# entry = digit - 1.  The exact polynomials of one length are kept in the same
+# order.  No code is stored.
 
 
 def _threshold_code(index: int, length: int) -> tuple[int, ...]:
@@ -285,54 +255,37 @@ def _threshold_fingerprints(n_max: int):
         cols = child
 
 
-def _recheck_collisions(length: int, fps: list[int]) -> dict | None:
-    """Compare codes with equal fingerprints by their exact even polynomials."""
-    buckets: dict[int, list[int]] = {}
-    for i, fp in enumerate(fps):
-        buckets.setdefault(fp, []).append(i)
-    for indices in buckets.values():
-        if len(indices) < 2:
-            continue
-        by_even: dict[BiPoly, tuple[int, ...]] = {}
-        for i in indices:
-            code = _threshold_code(i, length)
-            even = BiPoly.x()
-            for a in code:
-                even = threshold_even_step(a, even)
-            other = by_even.setdefault(even, code)
-            if other is not code:
-                return {"codes": [list(other), list(code)], "even": bipoly_to_json(even)}
+def _threshold_clash(length: int, indices, evens) -> dict | None:
+    """The first two of `indices` with equal even polynomials in `evens`."""
+    seen: dict[BiPoly, int] = {}
+    for i, even in zip(indices, evens):
+        j = seen.setdefault(even, i)
+        if j != i:
+            codes = [list(_threshold_code(k, length)) for k in (j, i)]
+            return {"codes": codes, "even": bipoly_to_json(even)}
     return None
 
 
-def _fingerprint_threshold_scan(
-    n_max: int, check_from: int, checked: dict[str, int] | None = None
-) -> dict | None:
-    """Compare the fingerprints of all codes of each length check_from..n_max.
-
-    Fingerprints come level by level from the half-size value grids described
-    above, one list per grid point; index i of length d is the code
-    `_threshold_code(i, d)`.  A length whose fingerprints are not all distinct
-    has its colliding codes rebuilt from their indices and grouped by exact
-    even polynomial through `threshold_even_step`; only exact equality is
-    reported.  `checked`, if given, receives the number of fingerprints
-    compared at each length.
-    """
-    for d, fps in _threshold_fingerprints(n_max):
-        if d < check_from:
-            continue
-        if checked is not None:
-            checked[str(d)] = len(fps)
-        if len(set(fps)) != len(fps):
-            bad = _recheck_collisions(d, fps)
-            if bad is not None:
-                return bad
-    return None
+def _threshold_even(index: int, length: int) -> BiPoly:
+    """The even polynomial of one code, rebuilt from its index."""
+    even = BiPoly.x()
+    for a in _threshold_code(index, length):
+        even = threshold_even_step(a, even)
+    return even
 
 
-def verify_conj_threshold(n_max: int = 8) -> VerificationReport:
+def verify_conj_threshold(n_max: int) -> VerificationReport:
     """Distinct threshold codes of one length give distinct even bivariate
-    polynomials."""
+    polynomials.
+
+    One level-order scan over the lengths 0..n_max (see the layout above).
+    Up to length exact_to it keeps the exact even polynomials of all codes
+    in index order and compares them as keys.  Past it, it compares
+    fingerprints, and a length whose fingerprints are not all distinct has
+    its colliding codes rebuilt from their indices and compared exactly
+    (codes with distinct fingerprints cannot be equal); only exact equality
+    is reported.
+    """
     _check_n_max(n_max)
     start = time.perf_counter()
     if n_max > MAX_THRESHOLD_N:
@@ -340,12 +293,24 @@ def verify_conj_threshold(n_max: int = 8) -> VerificationReport:
             f"threshold-code check capped at n = {MAX_THRESHOLD_N}"
         )
     exact_to = min(n_max, _EXACT_THRESHOLD_LIMIT)
-    checked: dict[str, int] = {}
-    bad = _exact_threshold_scan(exact_to, checked)
     method = {"exact_to": exact_to}
-    if bad is None and n_max > exact_to:
+    if n_max > exact_to:
         method["fingerprint_from"] = exact_to + 1
-        bad = _fingerprint_threshold_scan(n_max, exact_to + 1, checked)
+    checked: dict[str, int] = {}
+    evens = [BiPoly.x()]
+    bad = None
+    for d, fps in _threshold_fingerprints(n_max):
+        checked[str(d)] = len(fps)
+        if d <= exact_to:
+            if d:
+                evens = [threshold_even_step(a, p) for a in (-1, 0, 1) for p in evens]
+            bad = _threshold_clash(d, range(len(evens)), evens)
+        elif len(set(fps)) != len(fps):
+            counts = Counter(fps)
+            collided = [i for i, fp in enumerate(fps) if counts[fp] > 1]
+            bad = _threshold_clash(d, collided, [_threshold_even(i, d) for i in collided])
+        if bad is not None:
+            break
     details: dict = {"codes_checked": checked, "method": method}
     if bad is not None:
         details["counterexample"] = bad
@@ -358,7 +323,7 @@ def verify_conj_threshold(n_max: int = 8) -> VerificationReport:
     )
 
 
-def verify_conj_complete_bivariate(n_max: int = 6) -> VerificationReport:
+def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
     """Isomorphism classes of signed K_n are separated by the even bivariate
     polynomial."""
     _check_n_max(n_max)

@@ -6,13 +6,16 @@ installed, and reads `chromatic._subset_tally.cache_info()` around every pair
 call to record its `cache_hits` and `subsets` counters.  A rename or deletion
 in `src/` that would crash a traced bench run, or leave those counters
 unrecorded, fails here instead.  So does a threshold scan whose `method` or
-traced step count the bench would reject.
+traced step count the bench would reject, and any `desk` command whose output
+fails the bench's answer keys.
 """
 
 import importlib
 import json
 import pathlib
 import sys
+
+import pytest
 
 from signedchrom import cli
 
@@ -65,3 +68,15 @@ def test_traced_threshold_run_meets_bench_checks(capsys):
     assert steps >= sum(3**d for d in range(1, 7))
     assert checks.check_cli_output(argv, code, out) == []
     assert checks.check_threshold_steps(out, steps) == []
+
+
+DESK = _bench_module("run").DESK
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in DESK], ids=[label for label, _ in DESK])
+def test_desk_commands_meet_bench_checks(capsys, argv):
+    """Every `desk` request of the bench passes its answer keys in-process."""
+    checks = _bench_module("checks")
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    assert checks.check_cli_output(argv, code, out) == []

@@ -204,11 +204,14 @@ def test_fastpath_matches_subset_expansion_all_complete_up_to_5():
 
 
 def test_fastpath_matches_subset_expansion_k6_switching_classes():
-    """The two routes agree on one graph of every switching class of signed K_6."""
+    """The two routes agree on one graph of every switching class of signed
+    K_6, for both pairs: the bivariate odd constituent is the one built from
+    the colour-0 singletons."""
     inventory = enumerate_classes(complete_graph(6, 1), "switching_iso")
     assert inventory.class_count == reference.SWITCHING_CLASS_COUNTS[6]
     for g in inventory.representatives:
         assert complete_chromatic_pair(g) == _subset_chromatic_pair(g), g
+        assert complete_bivariate_pair(g) == _subset_bivariate_pair(g), g
 
 
 def test_pair_functions_route_complete_graphs_to_partitions():

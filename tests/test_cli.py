@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from signedchrom import chromatic
+from signedchrom import chromatic, closedform
 from signedchrom.cli import main
 from signedchrom.graphs import MAX_VERTICES, SignedGraph, fixture, format_graph
 
@@ -307,6 +307,29 @@ def test_vertex_cap_complete_underlying_exit_2(capsys, command):
     if command == "enumerate":
         argv += ["--mode", "switch"]
     run_refused_small(capsys, "vertex cap", *argv)
+
+
+@pytest.mark.parametrize(
+    "message, argv",
+    [
+        (
+            f"exceeds the cap of {chromatic.MAX_THRESHOLD_CODE}",
+            ("threshold", "--code", ",".join(["1"] * (chromatic.MAX_THRESHOLD_CODE + 1))),
+        ),
+        (
+            f"exceeds the join-family cap of {closedform.MAX_JOIN_VERTICES}",
+            ("closed-form", "--family", "2", "-l", "1", "-m", "0",
+             "-n", str(closedform.MAX_JOIN_VERTICES)),
+        ),
+        (
+            f"identity parameters capped at {closedform.MAX_IDENTITY_PARAM}",
+            ("identities", "--max", str(closedform.MAX_IDENTITY_PARAM + 1)),
+        ),
+    ],
+)
+def test_work_caps_exit_2(capsys, message, argv):
+    """Inputs one past each cap are refused before any polynomial is built."""
+    run_refused_small(capsys, message, *argv)
 
 
 def test_oracle_refuses_before_building_colours(capsys, tmp_path):

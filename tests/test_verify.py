@@ -16,8 +16,6 @@ from signedchrom.verify import (
     verify_conj_cochromatic_complete,
     verify_conj_complete_bivariate,
     verify_conj_threshold,
-    _exact_threshold_scan,
-    _fingerprint_threshold_scan,
 )
 
 
@@ -94,10 +92,58 @@ def test_conjecture_threshold_small():
         verify_conj_threshold(13)
 
 
-def test_threshold_fingerprint_agrees_with_exact():
-    # fingerprint route run over the fully exact range must also be collision-free
-    assert _exact_threshold_scan(5) is None
-    assert _fingerprint_threshold_scan(5, 0) is None
+def test_threshold_fingerprint_agrees_with_exact(monkeypatch):
+    """Exact keys to length 5, and fingerprints alone, both pass every code."""
+    from signedchrom import verify
+
+    want = {str(d): 3**d for d in range(6)}
+    report = verify_conj_threshold(5)
+    assert report.passed
+    assert report.details == {"codes_checked": want, "method": {"exact_to": 5}}
+    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
+    report = verify_conj_threshold(5)
+    assert report.passed
+    assert report.details == {
+        "codes_checked": want,
+        "method": {"exact_to": 0, "fingerprint_from": 1},
+    }
+
+
+def _merged_step(monkeypatch):
+    """Make the scan read code entry -1 as 1, so codes differing only at +-1
+    entries get equal even polynomials; returns the patched step."""
+    from signedchrom import verify
+
+    step = verify.threshold_even_step
+
+    def merged(entry, even):
+        return step(1 if entry == -1 else entry, even)
+
+    monkeypatch.setattr(verify, "threshold_even_step", merged)
+    return merged
+
+
+def _assert_merged_clash(bad, merged):
+    from signedchrom.poly import BiPoly
+
+    assert bad is not None
+    first, second = bad["codes"]
+    assert first != second and len(first) == len(second)
+    assert all(a == b or {a, b} == {-1, 1} for a, b in zip(first, second))
+    even = BiPoly.x()
+    for entry in first:
+        even = merged(entry, even)
+    assert bad["even"] == bipoly_to_json(even)
+
+
+def test_exact_threshold_keys_detect_a_clash(monkeypatch):
+    merged = _merged_step(monkeypatch)
+    for n_max in (1, 3, 6):
+        report = verify_conj_threshold(n_max)
+        assert report.status == "counterexample"
+        assert report.details["method"] == {"exact_to": n_max}
+        assert report.details["codes_checked"] == {"0": 1, "1": 3}
+        _assert_merged_clash(report.details["counterexample"], merged)
 
 
 def test_fingerprint_fold_matches_exact_evaluation():
@@ -127,27 +173,16 @@ def test_fingerprint_collisions_are_rechecked_exactly(monkeypatch):
     """With modulus 1 every fingerprint collides, so only the exact re-check
     tells codes apart."""
     from signedchrom import verify
-    from signedchrom.poly import BiPoly
 
+    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
     monkeypatch.setattr(verify, "_FP_MOD", 1)
-    assert _fingerprint_threshold_scan(5, 1) is None
+    assert verify_conj_threshold(5).passed
 
-    # with -1 read as 1, codes differing only at +-1 entries become equal
-    step = verify.threshold_even_step
-
-    def merged(entry, even):
-        return step(1 if entry == -1 else entry, even)
-
-    monkeypatch.setattr(verify, "threshold_even_step", merged)
-    bad = _fingerprint_threshold_scan(3, 1)
-    assert bad is not None
-    first, second = bad["codes"]
-    assert first != second and len(first) == len(second)
-    assert all(a == b or {a, b} == {-1, 1} for a, b in zip(first, second))
-    even = BiPoly.x()
-    for entry in first:
-        even = merged(entry, even)
-    assert bad["even"] == bipoly_to_json(even)
+    merged = _merged_step(monkeypatch)
+    report = verify_conj_threshold(3)
+    assert report.status == "counterexample"
+    assert report.details["method"] == {"exact_to": 0, "fingerprint_from": 1}
+    _assert_merged_clash(report.details["counterexample"], merged)
 
 
 def test_conjecture_bivariate_small():
@@ -163,8 +198,6 @@ def test_report_shape():
     report = verify_conj_threshold(2)
     d = report.to_dict()
     assert set(d) == {"target", "scale", "status", "details"}
-    d2 = report.to_dict(include_elapsed=True)
-    assert "elapsed" in d2
     assert "PASS" in report.summary()
 
 
