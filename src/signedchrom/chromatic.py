@@ -120,12 +120,15 @@ def count_colourings_oracle(
 # (vertex count and edge steps) then differ only in their chord signs, and
 # while `chromatic_pairs` runs, `_shared` keeps the DP layers of the last
 # univariate tally: the next one on the same skeleton resumes after the
-# longest sign prefix the two have in common.  The batch reaches the tally
-# through this module variable, not an argument, so that each graph still
-# goes through the one-argument `chromatic_pair` with its route and cache;
-# `chromatic_pairs` clears it in a `finally`.
+# longest sign prefix the two have in common.  `_batch_steps` holds the
+# edges and the `_steps` of the graph the batch is on, which the batch has
+# already computed for its sort key.  The batch reaches the tally through
+# these module variables, not arguments, so that each graph still goes
+# through the one-argument `chromatic_pair` with its route and cache;
+# `chromatic_pairs` clears them in a `finally`.
 
 _shared: list | None = None  # [skeleton, signs, layers] while chromatic_pairs runs
+_batch_steps: tuple | None = None  # (edges, _steps(n, edges, True)) of that graph
 
 
 def _steps(n: int, edges, switched: bool):
@@ -252,7 +255,10 @@ def _frontier_tally(
     Refuses past MAX_FRONTIER_ENTRIES live entries, not states, as each
     state carries a table: a 3x30 grid has 402 states and 2,266 entries.
     """
-    covered, skeleton, signs = _steps(n, edges, univariate)
+    if univariate and _batch_steps is not None and _batch_steps[0] is edges:
+        covered, skeleton, signs = _batch_steps[1]
+    else:
+        covered, skeleton, signs = _steps(n, edges, univariate)
     plan = _frontier_plan(skeleton[1])
     states: dict = {((), (), ()): {(0, 0, 0): 1}}
     start = 0
@@ -389,19 +395,20 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
     growing at MAX_FRONTIER_ENTRIES entries and are dropped on return.
     Refuses a batch of more than MAX_PAIR_BATCH graphs before any tally.
     """
-    global _shared
+    global _shared, _batch_steps
     if len(graphs) > MAX_PAIR_BATCH:
         raise BudgetExceededError(
             f"{len(graphs)} graphs exceed the pair-batch cap of {MAX_PAIR_BATCH}"
         )
-    keys = [_steps(g.n, g.edges, True)[1:] for g in graphs]
+    steps = [_steps(g.n, g.edges, True) for g in graphs]
     pairs: list = [None] * len(graphs)
     _shared = []
     try:
-        for i in sorted(range(len(graphs)), key=keys.__getitem__):
+        for i in sorted(range(len(graphs)), key=lambda i: steps[i][1:]):
+            _batch_steps = (graphs[i].edges, steps[i])
             pairs[i] = chromatic_pair(graphs[i])
     finally:
-        _shared = None
+        _shared = _batch_steps = None
     return pairs
 
 

@@ -50,20 +50,36 @@ def _search_isomorphisms(
     find_all: bool,
     fixed: tuple[tuple[int, int], ...] = (),
 ):
-    """Backtracking over vertex maps pruned by sign-degree profiles.
+    """Sign-preserving vertex maps of g1 onto g2, by `_search_matrices`.
 
-    `fixed` is a sequence of pairs (v, w) that force image[v] = w; those
-    vertices are placed first.
+    Graphs of different size, or with different multisets of sign-degree
+    profiles, have none and are not searched.
     """
-    n = g1.n
-    if n != g2.n or g1.m != g2.m:
+    if g1.n != g2.n or g1.m != g2.m:
         return []
     prof1 = _profiles(g1)
     prof2 = _profiles(g2)
     if sorted(prof1) != sorted(prof2):
         return []
-    adj1 = _adjacency(g1)
-    adj2 = _adjacency(g2)
+    return _search_matrices(_adjacency(g1), prof1, _adjacency(g2), prof2, find_all, fixed)
+
+
+def _search_matrices(
+    adj1: list[list[int]],
+    prof1: list[tuple[int, int, int]],
+    adj2: list[list[int]],
+    prof2: list[tuple[int, int, int]],
+    find_all: bool,
+    fixed: tuple[tuple[int, int], ...] = (),
+):
+    """Backtracking over vertex maps pruned by sign-degree profiles.
+
+    Returns the maps `image` with adj1[v][u] == adj2[image[v]][image[u]] for
+    all v, u (all of them, or the first one unless `find_all`).  `fixed` is
+    a sequence of pairs (v, w) that force image[v] = w; those vertices are
+    placed first.  The matrices are only read.
+    """
+    n = len(adj1)
     forced = dict(fixed)
     # place high-degree vertices first; ties broken by index for determinism
     order = [v for v, _ in fixed] + sorted(
@@ -156,7 +172,7 @@ def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
             if adj[target][:i] != adj[i][:i]:
                 continue
             fixed = tuple((v, v) for v in range(i)) + ((i, target),)
-            found = _search_isomorphisms(g, g, find_all=False, fixed=fixed)
+            found = _search_matrices(adj, prof, adj, prof, False, fixed)
             if found:
                 gens.append(found[0])
                 orbit = _orbit(i, gens)

@@ -21,8 +21,11 @@ from .chromatic import (
 )
 from .equivalence import (
     ClassInventory,
+    _adjacency,
+    _check_search_size,
+    _profiles,
+    _search_matrices,
     enumerate_classes,
-    find_isomorphism,
     free_switching_vertices,
 )
 from .errors import BudgetExceededError, SignedChromError
@@ -31,10 +34,9 @@ from .graphs import (
     complete_graph,
     fixture,
     graph_to_dict,
-    switch,
     threshold_graph,
 )
-from .poly import BiPoly, bipoly_to_json, pair_to_json, unipoly_to_json
+from .poly import BiPoly, ChromaticPair, bipoly_to_json, pair_to_json, unipoly_to_json
 from . import reference
 
 MAX_COCHROMATIC_N = 7
@@ -88,24 +90,58 @@ def _class_entry(inventory: ClassInventory, idx: int) -> dict:
 
 
 def non_switching_isomorphism_certificate(g1: SignedGraph, g2: SignedGraph) -> dict:
-    """Exhaustively try every switching of g2 against g1; record the failure.
+    """Try every switching of g2 against g1; record the failure.
 
-    Unlike the decision procedure, no invariant shortcuts are taken, so the
-    transcript really covers all 2^(n-c) switching representatives.
+    The switchings X run over all 2^(n-c) subsets of g2's free vertices
+    (switching a whole component changes nothing), and each gets the
+    decision find_isomorphism(g1, switch(g2, X)) gives: the sign-degree
+    profile check, then the backtracking search.  The subsets are walked in
+    Gray-code order on one sign matrix of g2: step k switches free[j] for
+    the lowest set bit j of k, which negates that vertex's row and column,
+    swaps its positive and negative degrees and moves each neighbour's by
+    one.  The search runs only where the sorted profiles equal g1's.  On
+    failure every switching has been tried; on success the witness
+    satisfies relabel(g1, perm) == switch(g2, X).
     """
+    _check_search_size(g1, g2, "isomorphism")
     free = free_switching_vertices(g2)
-    tried = 0
-    for bits in range(1 << len(free)):
-        X = frozenset(free[i] for i in range(len(free)) if bits >> i & 1)
-        tried += 1
-        perm = find_isomorphism(g1, switch(g2, X))
-        if perm is not None:
+    total = 1 << len(free)
+    if g1.n != g2.n or g1.m != g2.m:
+        return {"switchings_tried": total, "isomorphism_found": False}
+    adj1, prof1 = _adjacency(g1), _profiles(g1)
+    want = sorted(prof1)
+    adj2 = _adjacency(g2)
+    pos = [row.count(1) for row in adj2]
+    neg = [row.count(-1) for row in adj2]
+    deg = [p + q for p, q in zip(pos, neg)]
+    nbrs = [[u for u, s in enumerate(row) if s] for row in adj2]
+    switched = [False] * g2.n
+    for k in range(total):
+        if k:
+            w = free[(k & -k).bit_length() - 1]
+            row = adj2[w]
+            for u in nbrs[w]:
+                if row[u] > 0:
+                    pos[u] -= 1
+                    neg[u] += 1
+                else:
+                    pos[u] += 1
+                    neg[u] -= 1
+                row[u] = adj2[u][w] = -row[u]
+            pos[w], neg[w] = neg[w], pos[w]
+            switched[w] = not switched[w]
+        prof2 = list(zip(deg, pos, neg))
+        if sorted(prof2) != want:
+            continue
+        maps = _search_matrices(adj1, prof1, adj2, prof2, False)
+        if maps:
+            X = [v for v in free if switched[v]]
             return {
-                "switchings_tried": tried,
+                "switchings_tried": k + 1,
                 "isomorphism_found": True,
-                "witness": {"X": sorted(X), "perm": list(perm)},
+                "witness": {"X": X, "perm": list(maps[0])},
             }
-    return {"switchings_tried": tried, "isomorphism_found": False}
+    return {"switchings_tried": total, "isomorphism_found": False}
 
 
 def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
@@ -117,12 +153,11 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
     start = time.perf_counter()
     try:
         inventory = enumerate_classes(underlying, "switching_iso")
-        by_pair: dict[str, list[int]] = {}
-        pairs = chromatic_pairs(inventory.representatives)
-        for idx, pair in enumerate(pairs):
-            by_pair.setdefault(_pair_key(pair), []).append(idx)
+        by_pair: dict[ChromaticPair, list[int]] = {}
+        for idx, pair in enumerate(chromatic_pairs(inventory.representatives)):
+            by_pair.setdefault(pair, []).append(idx)
         groups = []
-        for key, members in sorted(by_pair.items(), key=lambda kv: kv[1][0]):
+        for pair, members in by_pair.items():  # in order of first member
             if len(members) < 2:
                 continue
             certs = []
@@ -139,7 +174,7 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
             groups.append(
                 {
                     "classes": [_class_entry(inventory, i) for i in members],
-                    "pair": pair_to_json(pairs[members[0]]),
+                    "pair": pair_to_json(pair),
                     "non_switching_isomorphism": certs,
                 }
             )

@@ -304,3 +304,21 @@ def test_chromatic_pairs_under_a_small_layer_budget(monkeypatch):
     calls[0] = 0
     assert shared(graphs) == expected
     assert calls[0] > full
+
+
+def test_chromatic_pairs_compute_steps_once_per_graph(monkeypatch):
+    """The batch's sort key is each graph's `_steps`; the tally reuses it."""
+    graphs = switching_classes(fixture("petersen"))
+    graphs = shuffled(graphs + [switch(g, [1, 2, 7]) for g in graphs], 11)
+    expected = one_by_one(graphs)
+    calls = [0]
+    steps = chromatic._steps
+
+    def counted(*args):
+        calls[0] += 1
+        return steps(*args)
+
+    monkeypatch.setattr(chromatic, "_steps", counted)
+    assert shared(graphs) == expected
+    assert calls[0] == len(graphs) == 12
+    assert chromatic._batch_steps is None

@@ -1,14 +1,26 @@
 """Verifier reports at small scale; acceptance runs the full scales."""
 
 import itertools
+import random
 
 import pytest
 
 from signedchrom import reference
 from signedchrom.chromatic import bivariate_pair, chromatic_pair, count_colourings_oracle
-from signedchrom.equivalence import graph_from_mask
+from signedchrom.equivalence import (
+    find_isomorphism,
+    free_switching_vertices,
+    graph_from_mask,
+)
 from signedchrom.errors import BudgetExceededError
-from signedchrom.graphs import all_positive, complete_graph, fixture
+from signedchrom.graphs import (
+    SignedGraph,
+    all_positive,
+    complete_graph,
+    fixture,
+    relabel,
+    switch,
+)
 from signedchrom.poly import bipoly_to_json, pair_to_json
 from signedchrom.verify import (
     non_switching_isomorphism_certificate,
@@ -52,6 +64,124 @@ def test_certificate_reports_witness_when_equivalent():
     )
     assert cert["isomorphism_found"] is True
     assert "witness" in cert
+
+
+# -- the certificate against a switch-and-search loop ----------------------------
+
+
+def oracle_certificate(g1, g2):
+    """The certificate as a plain loop: find_isomorphism(g1, switch(g2, X))
+    for every subset X of g2's free vertices, in binary order."""
+    free = free_switching_vertices(g2)
+    for bits in range(1 << len(free)):
+        X = [v for i, v in enumerate(free) if bits >> i & 1]
+        perm = find_isomorphism(g1, switch(g2, X))
+        if perm is not None:
+            return {
+                "switchings_tried": bits + 1,
+                "isomorphism_found": True,
+                "witness": {"X": X, "perm": list(perm)},
+            }
+    return {"switchings_tried": 1 << len(free), "isomorphism_found": False}
+
+
+def signed_graphs_up_to_iso(max_n):
+    """One signed graph per isomorphism class on at most max_n vertices,
+    edgeless, disconnected and isolated-vertex ones included."""
+    for n in range(max_n + 1):
+        slots = list(itertools.combinations(range(n), 2))
+        perms = list(itertools.permutations(range(n)))
+        seen = set()
+        for signs in itertools.product((0, 1, -1), repeat=len(slots)):
+            g = SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(slots, signs) if s))
+            key = min(relabel(g, p).edges for p in perms)
+            if key not in seen:
+                seen.add(key)
+                yield g
+
+
+def assert_certificate_agrees(g1, g2):
+    cert = non_switching_isomorphism_certificate(g1, g2)
+    want = oracle_certificate(g1, g2)
+    assert cert["isomorphism_found"] == want["isomorphism_found"], (g1, g2)
+    free = free_switching_vertices(g2)
+    if cert["isomorphism_found"]:
+        X, perm = cert["witness"]["X"], cert["witness"]["perm"]
+        assert X == sorted(set(X)) and set(X) <= set(free)
+        assert 1 <= cert["switchings_tried"] <= 1 << len(free)
+        assert relabel(g1, perm) == switch(g2, X), (g1, g2)
+    else:
+        assert cert == want
+        assert cert["switchings_tried"] == 1 << len(free)
+    return cert["isomorphism_found"]
+
+
+def test_certificate_matches_oracle_on_all_graphs_up_to_4_vertices():
+    """Whether a switching of g2 is isomorphic to g1 depends only on the
+    isomorphism classes of the two, so one graph per class covers every
+    pair; pairs whose n or m differ are included."""
+    graphs = list(signed_graphs_up_to_iso(4))
+    assert len(graphs) == 1 + 1 + 3 + 10 + 66
+    found = sum(assert_certificate_agrees(g1, g2) for g1 in graphs for g2 in graphs)
+    assert found > len(graphs)  # each graph matches itself and its other switchings
+
+
+def test_certificate_matches_oracle_on_seeded_5_vertex_pairs():
+    """Labelled pairs on 5 vertices: half are switched, relabelled copies,
+    half of those with one edge sign flipped, and the rest independent."""
+    rng = random.Random(13)
+    slots = list(itertools.combinations(range(5), 2))
+
+    def random_graph():
+        chosen = [(u, v) for u, v in slots if rng.random() < 0.5]
+        return SignedGraph(5, tuple((u, v, rng.choice((1, -1))) for u, v in chosen))
+
+    found = 0
+    for i in range(240):
+        g1 = random_graph()
+        if i % 2:
+            g2 = random_graph()
+        else:
+            perm = list(range(5))
+            rng.shuffle(perm)
+            g2 = relabel(switch(g1, [v for v in range(5) if rng.random() < 0.5]), perm)
+            if i % 4 and g2.m:
+                edges = list(g2.edges)
+                k = rng.randrange(len(edges))
+                u, v, sgn = edges[k]
+                edges[k] = (u, v, -sgn)
+                g2 = SignedGraph(5, tuple(edges))
+        found += assert_certificate_agrees(g1, g2)
+    assert 60 <= found < 240
+
+
+def test_certificate_refuses_more_than_12_vertices():
+    big, small = SignedGraph(13, ((0, 1, -1),)), SignedGraph(12)
+    for g1, g2 in ((big, big), (big, small), (small, big)):
+        with pytest.raises(BudgetExceededError) as refusal:
+            non_switching_isomorphism_certificate(g1, g2)
+        assert str(refusal.value) == "isomorphism search limited to 12 vertices"
+
+
+def test_search_cochromatic_matches_the_oracle_certificate(monkeypatch):
+    """Seeded connected graphs with co-chromatic groups give the same report
+    with the certificate and with the switch-and-search loop."""
+    from signedchrom import verify
+
+    rng = random.Random(29)
+    graphs = []
+    while len(graphs) < 3:
+        n = rng.randrange(5, 8)
+        slots = list(itertools.combinations(range(n), 2))
+        chosen = rng.sample(slots, rng.randrange(n, 11))
+        g = SignedGraph(n, tuple((u, v, 1) for u, v in chosen))
+        if len(free_switching_vertices(g)) < n - 1:  # not connected
+            continue
+        if search_cochromatic(g).details["cochromatic_groups"]:
+            graphs.append(g)
+    reports = [search_cochromatic(g).to_dict() for g in graphs]
+    monkeypatch.setattr(verify, "non_switching_isomorphism_certificate", oracle_certificate)
+    assert [search_cochromatic(g).to_dict() for g in graphs] == reports
 
 
 def test_conjecture_cochromatic_small():
