@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,7 +34,7 @@ from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph
 from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly
 
-DEFAULT_ORACLE_BUDGET = 10**8   # max lam^n colour functions for brute-force counting
+MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
 MAX_FRONTIER_ENTRIES = 1 << 17  # live (state, (p, b, u)) entries of the frontier tally
 MAX_PARTITION_N = 10            # -K_10 has Bell(10) = 115,975 negative-clique partitions
 MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes of K_7: 1,044
@@ -72,18 +73,19 @@ def make_colour_spec(lam: int, mu: int) -> ColourSpec:
     return ColourSpec(paired, unpaired, (lam - mu) % 2 == 1)
 
 
-def count_colourings_oracle(
-    g: SignedGraph, lam: int, mu: int = 0, *, budget: int = DEFAULT_ORACLE_BUDGET
-) -> int:
+def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
     """Count proper colourings by enumerating every function V -> C.
 
-    C is the (lam, mu)-colour set, checked against the budget before it is
-    built.  A function is proper when kappa(u) != sign * kappa(v) on every
-    edge.  Deliberately naive; this is the ground truth for the polynomials.
+    C is the (lam, mu)-colour set of lam colours.  lam^max(n, 2) is checked
+    against MAX_ORACLE_FUNCTIONS before C is built, which bounds both the
+    functions and, on 0 or 1 vertices, the colours.  A function is proper
+    when kappa(u) != sign * kappa(v) on every edge.  Deliberately naive;
+    this is the ground truth for the polynomials.
     """
-    if lam ** g.n > budget:
+    k = max(g.n, 2)
+    if lam ** k > MAX_ORACLE_FUNCTIONS:
         raise BudgetExceededError(
-            f"{lam}^{g.n} colour functions exceed budget {budget}"
+            f"lambda^max(n, 2) = {lam}^{k} exceeds the oracle cap of {MAX_ORACLE_FUNCTIONS}"
         )
     colours = make_colour_spec(lam, mu).colours()
     edges = g.edges
@@ -118,17 +120,26 @@ def count_colourings_oracle(
 # BFS-tree edge positive, and starts each component with bit 1 already set,
 # so that states differing only in that bit merge.  Graphs on one skeleton
 # (vertex count and edge steps) then differ only in their chord signs, and
-# while `chromatic_pairs` runs, `_shared` keeps the DP layers of the last
+# while `chromatic_pairs` runs, its `_Batch` keeps the DP layers of the last
 # univariate tally: the next one on the same skeleton resumes after the
-# longest sign prefix the two have in common.  `_batch_steps` holds the
-# edges and the `_steps` of the graph the batch is on, which the batch has
-# already computed for its sort key.  The batch reaches the tally through
-# these module variables, not arguments, so that each graph still goes
-# through the one-argument `chromatic_pair` with its route and cache;
-# `chromatic_pairs` clears them in a `finally`.
+# longest sign prefix the two have in common.  It also holds the edges and
+# the `_steps` of the graph the batch is on, which the batch has already
+# computed for its sort key.  The batch reaches the tally through the context
+# variable `_batch`, not arguments, so that each graph still goes through the
+# one-argument `chromatic_pair` with its route and cache, and batches in
+# other threads each see their own; `chromatic_pairs` resets it in a `finally`.
 
-_shared: list | None = None  # [skeleton, signs, layers] while chromatic_pairs runs
-_batch_steps: tuple | None = None  # (edges, _steps(n, edges, True)) of that graph
+
+@dataclass
+class _Batch:
+    edges: tuple = ()     # the edges of the graph being tallied
+    steps: tuple = ()     # their _steps(n, edges, True)
+    skeleton: tuple = ()  # skeleton, signs and DP layers of the last univariate tally
+    signs: tuple = ()
+    layers: list | None = None
+
+
+_batch: ContextVar[_Batch | None] = ContextVar("_batch", default=None)
 
 
 def _steps(n: int, edges, switched: bool):
@@ -255,24 +266,25 @@ def _frontier_tally(
     Refuses past MAX_FRONTIER_ENTRIES live entries, not states, as each
     state carries a table: a 3x30 grid has 402 states and 2,266 entries.
     """
-    if univariate and _batch_steps is not None and _batch_steps[0] is edges:
-        covered, skeleton, signs = _batch_steps[1]
+    batch = _batch.get() if univariate else None
+    if batch is not None and batch.edges is edges:
+        covered, skeleton, signs = batch.steps
     else:
         covered, skeleton, signs = _steps(n, edges, univariate)
     plan = _frontier_plan(skeleton[1])
     states: dict = {((), (), ()): {(0, 0, 0): 1}}
     start = 0
     layers = None  # states entering each step, with their entry counts
-    if univariate and _shared is not None:
-        if _shared and _shared[0] == skeleton:
-            old, layers = _shared[1], _shared[2]
+    if batch is not None:
+        if batch.skeleton == skeleton:
+            old, layers = batch.signs, batch.layers
             while start < len(layers) - 1 and old[start] == signs[start]:
                 start += 1
             del layers[start + 1:]
             states = layers[start][0]
         else:
             layers = [(states, 1)]
-        _shared[:] = [skeleton, signs, layers]
+        batch.skeleton, batch.signs, batch.layers = skeleton, signs, layers
         stored = sum(size for _, size in layers)
     new = 2 if univariate else 0  # the flags of a component when it appears
     for i in range(start, len(signs)):
@@ -395,20 +407,20 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
     growing at MAX_FRONTIER_ENTRIES entries and are dropped on return.
     Refuses a batch of more than MAX_PAIR_BATCH graphs before any tally.
     """
-    global _shared, _batch_steps
     if len(graphs) > MAX_PAIR_BATCH:
         raise BudgetExceededError(
             f"{len(graphs)} graphs exceed the pair-batch cap of {MAX_PAIR_BATCH}"
         )
     steps = [_steps(g.n, g.edges, True) for g in graphs]
     pairs: list = [None] * len(graphs)
-    _shared = []
+    batch = _Batch()
+    token = _batch.set(batch)
     try:
         for i in sorted(range(len(graphs)), key=lambda i: steps[i][1:]):
-            _batch_steps = (graphs[i].edges, steps[i])
+            batch.edges, batch.steps = graphs[i].edges, steps[i]
             pairs[i] = chromatic_pair(graphs[i])
     finally:
-        _shared = _batch_steps = None
+        _batch.reset(token)
     return pairs
 
 

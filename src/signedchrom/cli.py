@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import chromatic, closedform, equivalence, verify
-from .errors import SignedChromError
+from .errors import BudgetExceededError, SignedChromError
 from .graphs import (
     SignedGraph,
     all_positive,
@@ -38,6 +38,15 @@ def _emit(args, payload: dict, text_lines=None) -> None:
         return
     payload = {"format": FORMAT_VERSION, **payload}
     print(json.dumps(payload, indent=2))
+
+
+def _report(args, payload: dict, lines: list[str], passed: bool, echo: int | None = None) -> int:
+    """Emit a verification report; in JSON mode also echo lines[:echo] to stderr."""
+    _emit(args, payload, lines)
+    if args.output != "text":
+        for line in lines[:echo]:
+            print(line, file=sys.stderr)
+    return 0 if passed else 1
 
 
 def _load_graph_file(path: str) -> SignedGraph:
@@ -79,9 +88,7 @@ def cmd_chrom(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph_file(args.file)
-    count = chromatic.count_colourings_oracle(
-        g, args.lam, args.mu, budget=args.oracle_budget
-    )
+    count = chromatic.count_colourings_oracle(g, args.lam, args.mu)
     _emit(args, {"lambda": args.lam, "mu": args.mu, "count": str(count)}, [str(count)])
     return 0
 
@@ -104,14 +111,7 @@ def cmd_closed_form(args) -> int:
 
 def cmd_identities(args) -> int:
     report = closedform.identity_suite(args.max)
-    if args.output == "text":
-        for line in report.lines():
-            print(line)
-    else:
-        _emit(args, report.to_dict())
-        for line in report.lines():
-            print(line, file=sys.stderr)
-    return 0 if report.all_pass else 1
+    return _report(args, report.to_dict(), report.lines(), report.all_pass)
 
 
 def _parse_code(text: str) -> tuple[int, ...]:
@@ -149,6 +149,9 @@ def cmd_threshold(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.spot_check < 0:
         raise SignedChromError(f"--spot-check must be >= 0, got {args.spot_check}")
+    if args.spot_check > chromatic.MAX_PAIR_BATCH:
+        raise BudgetExceededError(f"--spot-check {args.spot_check} exceeds the pair-batch"
+                                  f" cap of {chromatic.MAX_PAIR_BATCH}")
     underlying = _resolve_underlying(args.underlying)
     mode = "switching_iso" if args.mode == "switch" else "iso"
     inventory = equivalence.enumerate_classes(underlying, mode)
@@ -169,44 +172,34 @@ def cmd_enumerate(args) -> int:
         "class_count": inventory.class_count,
         "classes": classes,
     }
-    if args.spot_check:
-        rng = random.Random(args.seed)
-        size = 1 << inventory.underlying.m
-        mismatches = 0
-        for _ in range(args.spot_check):
-            mask = rng.randrange(size)
-            cls = inventory.classify(mask)
-            member = equivalence.graph_from_mask(inventory.underlying, mask)
-            pair = chromatic.chromatic_pair(member)
-            rep_pair = {"even": classes[cls]["even"], "odd": classes[cls]["odd"]}
-            if pair_to_json(pair) != rep_pair:
-                mismatches += 1
-        payload["spot_check"] = {
-            "samples": args.spot_check,
-            "seed": args.seed,
-            "mismatches": mismatches,
-        }
     lines = [f"{inventory.class_count} classes ({mode})"]
     lines += [
         f"class {i}: mask={c['mask']} orbit_size={c['orbit_size']}"
         for i, c in enumerate(classes)
     ]
+    mismatches = 0
     if args.spot_check:
+        rng = random.Random(args.seed)
+        masks = [rng.randrange(1 << inventory.underlying.m) for _ in range(args.spot_check)]
+        members = [equivalence.graph_from_mask(inventory.underlying, mask) for mask in masks]
+        for mask, pair in zip(masks, chromatic.chromatic_pairs(members)):
+            mismatches += pair != pairs[inventory.classify(mask)]
+        payload["spot_check"] = {
+            "samples": args.spot_check,
+            "seed": args.seed,
+            "mismatches": mismatches,
+        }
         lines.append(f"spot check: {payload['spot_check']}")
-        _emit(args, payload, lines)
-        return 0 if payload["spot_check"]["mismatches"] == 0 else 1
     _emit(args, payload, lines)
-    return 0
+    return 0 if mismatches == 0 else 1
 
 
 def cmd_search_cochromatic(args) -> int:
     underlying = _resolve_underlying(args.underlying)
     report = verify.search_cochromatic(underlying)
     groups = report.details.get("cochromatic_groups", [])
-    _emit(args, report.to_dict(), [report.summary(), f"co-chromatic groups: {len(groups)}"])
-    if args.output != "text":
-        print(report.summary(), file=sys.stderr)
-    return 0 if report.passed else 1
+    lines = [report.summary(), f"co-chromatic groups: {len(groups)}"]
+    return _report(args, report.to_dict(), lines, report.passed, echo=1)
 
 
 _CONJECTURES = {
@@ -224,10 +217,7 @@ def cmd_verify(args) -> int:
     runner, default_max, stretch_max = _CONJECTURES[args.conjecture]
     n_max = args.max if args.max is not None else (stretch_max if args.stretch else default_max)
     report = runner(n_max)
-    _emit(args, report.to_dict(), [report.summary()])
-    if args.output != "text":
-        print(report.summary(), file=sys.stderr)
-    return 0 if report.passed else 1
+    return _report(args, report.to_dict(), [report.summary()], report.passed)
 
 
 def cmd_reproduce_tables(args) -> int:
@@ -235,12 +225,7 @@ def cmd_reproduce_tables(args) -> int:
     lines = [report.summary()] + [
         f"  {check['name']}: {check['status']}" for check in report.details["checks"]
     ]
-    _emit(args, report.to_dict(), lines)
-    if args.output != "text":
-        print(report.summary(), file=sys.stderr)
-        for check in report.details["checks"]:
-            print(f"  {check['name']}: {check['status']}", file=sys.stderr)
-    return 0 if report.passed else 1
+    return _report(args, report.to_dict(), lines, report.passed)
 
 
 def cmd_fixtures(args) -> int:
@@ -253,19 +238,11 @@ def cmd_fixtures(args) -> int:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, *, top: bool) -> None:
-    # On subparsers the defaults are suppressed so values given before the
-    # subcommand are not clobbered; flags work in either position.
-    d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
+    # On subparsers the default is suppressed so a value given before the
+    # subcommand is not clobbered; the flag works in either position.
     parser.add_argument(
-        "--output", choices=("json", "text"), default=d("json"),
+        "--output", choices=("json", "text"), default="json" if top else argparse.SUPPRESS,
         help="output format for data commands (default json)",
-    )
-    parser.add_argument(
-        "--oracle-budget", type=int, default=d(chromatic.DEFAULT_ORACLE_BUDGET),
-        metavar="N", help="max colour-function count for the brute-force oracle",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=d(0), help="seed for randomized spot checks"
     )
 
 
@@ -316,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("iso", "switch"), required=True)
     p.add_argument("--spot-check", type=int, default=0, metavar="K",
                    help="verify K random signatures against their class pair")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     _add_common_flags(p, top=False)
     p.set_defaults(func=cmd_enumerate)
 

@@ -195,9 +195,11 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
     )
 
 
-def _check_n_max(n_max: int) -> None:
+def _check_n_max(n_max: int, cap: int, what: str) -> None:
     if n_max < 0:
         raise SignedChromError(f"n_max must be >= 0, got {n_max}")
+    if n_max > cap:
+        raise BudgetExceededError(f"{what} capped at n = {cap}")
 
 
 def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
@@ -206,12 +208,8 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
     Runs `search_cochromatic` on K_n for n = 0..n_max; the first group it
     reports is the counterexample.
     """
-    _check_n_max(n_max)
+    _check_n_max(n_max, MAX_COCHROMATIC_N, "complete-graph co-chromatic check")
     start = time.perf_counter()
-    if n_max > MAX_COCHROMATIC_N:
-        raise BudgetExceededError(
-            f"complete-graph co-chromatic check capped at n = {MAX_COCHROMATIC_N}"
-        )
     status = "pass"
     details: dict = {"classes_checked": {}}
     for n in range(n_max + 1):
@@ -321,12 +319,8 @@ def verify_conj_threshold(n_max: int) -> VerificationReport:
     (codes with distinct fingerprints cannot be equal); only exact equality
     is reported.
     """
-    _check_n_max(n_max)
+    _check_n_max(n_max, MAX_THRESHOLD_N, "threshold-code check")
     start = time.perf_counter()
-    if n_max > MAX_THRESHOLD_N:
-        raise BudgetExceededError(
-            f"threshold-code check capped at n = {MAX_THRESHOLD_N}"
-        )
     exact_to = min(n_max, _EXACT_THRESHOLD_LIMIT)
     method = {"exact_to": exact_to}
     if n_max > exact_to:
@@ -361,12 +355,8 @@ def verify_conj_threshold(n_max: int) -> VerificationReport:
 def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
     """Isomorphism classes of signed K_n are separated by the even bivariate
     polynomial."""
-    _check_n_max(n_max)
+    _check_n_max(n_max, MAX_BIVARIATE_N, "complete-graph bivariate check")
     start = time.perf_counter()
-    if n_max > MAX_BIVARIATE_N:
-        raise BudgetExceededError(
-            f"complete-graph bivariate check capped at n = {MAX_BIVARIATE_N}"
-        )
     status = "pass"
     details: dict = {"class_counts": {}, "expected_class_counts": {}}
     for n in range(n_max + 1):

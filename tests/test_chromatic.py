@@ -78,8 +78,13 @@ def test_oracle_examples():
 
 
 def test_oracle_budget():
+    """lambda^max(n, 2) is capped at 10^8: 100^5 on G1 is refused, and 10^4
+    colours on one vertex are the most the colour set may hold."""
     with pytest.raises(BudgetExceededError):
-        count_colourings_oracle(SignedGraph(8, ()), 10, budget=10**6)
+        count_colourings_oracle(fixture("G1"), 100)
+    assert count_colourings_oracle(SignedGraph(1, ()), 10**4) == 10**4
+    with pytest.raises(BudgetExceededError):
+        count_colourings_oracle(SignedGraph(1, ()), 10**4 + 1)
 
 
 def test_chromatic_pair_examples():

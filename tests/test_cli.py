@@ -1,14 +1,16 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import pathlib
+import re
 import shlex
 import tracemalloc
 
 import pytest
 
 from signedchrom import chromatic, closedform
-from signedchrom.cli import main
+from signedchrom.cli import build_parser, main
 from signedchrom.graphs import MAX_VERTICES, SignedGraph, fixture, format_graph
 
 
@@ -54,9 +56,11 @@ def test_oracle(capsys, g1_file):
 
 
 def test_oracle_budget_exit_2(capsys, g1_file):
-    code, _, err = run(capsys, "--oracle-budget", "10", "oracle", g1_file, "--lambda", "3")
+    """100^5 colour functions on the 5 vertices of G1 exceed the oracle cap."""
+    code, out, err = run(capsys, "oracle", g1_file, "--lambda", "100")
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    assert err == f"error: lambda^max(n, 2) = 100^5 exceeds the oracle cap of {10**8}\n"
 
 
 def test_threshold_example(capsys):
@@ -325,6 +329,11 @@ def test_vertex_cap_complete_underlying_exit_2(capsys, command):
             f"identity parameters capped at {closedform.MAX_IDENTITY_PARAM}",
             ("identities", "--max", str(closedform.MAX_IDENTITY_PARAM + 1)),
         ),
+        (
+            f"4097 exceeds the pair-batch cap of {chromatic.MAX_PAIR_BATCH}",
+            ("enumerate", "--underlying", "petersen", "--mode", "switch",
+             "--spot-check", str(chromatic.MAX_PAIR_BATCH + 1)),
+        ),
     ],
 )
 def test_work_caps_exit_2(capsys, message, argv):
@@ -334,17 +343,51 @@ def test_work_caps_exit_2(capsys, message, argv):
 
 def test_oracle_refuses_before_building_colours(capsys, tmp_path):
     """8,000,000^2 colour functions are refused before the 8,000,000 colours
-    of the set are built."""
-    path = tmp_path / "k2.sg"
-    path.write_text("n 2\ne 0 1 +\n")
-    run_refused_small(
-        capsys, "colour functions exceed budget", "oracle", str(path), "--lambda", "8000000"
-    )
+    of the set are built; on 0 and 1 vertices lambda^2 still bounds the set."""
+    cases = [
+        ("n 2\ne 0 1 +\n", ["--lambda", "8000000"], "8000000^2"),
+        ("n 0\n", ["--lambda", "10001"], "10001^2"),
+        ("n 1\n", ["--lambda", "10001"], "10001^2"),
+        ("n 1\n", ["--lambda", "10001", "--mu", "10001"], "10001^2"),
+    ]
+    path = tmp_path / "small.sg"
+    for text, flags, count in cases:
+        path.write_text(text)
+        message = f"{count} exceeds the oracle cap of {chromatic.MAX_ORACLE_FUNCTIONS}"
+        run_refused_small(capsys, message, "oracle", str(path), *flags)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def parser_options() -> dict[str, set[str]]:
+    """The option strings of the top-level parser ("") and of each subcommand."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = {"": parser, **sub.choices}
+    return {name: set(p._option_string_actions) for name, p in parsers.items()}
+
+
+def test_global_and_enumerate_flags():
+    options = parser_options()
+    assert options[""] == {"-h", "--help", "--output"}
+    assert {name for name, opts in options.items() if "--seed" in opts} == {"enumerate"}
+    assert all("--output" in opts for opts in options.values())
+
+
+def test_readme_names_only_cli_flags():
+    """Every --flag README names, outside the pip/pytest install block, is
+    an option of some parser."""
+    head, rest = README.read_text().split("## Install and test", 1)
+    text = head + rest.split("## CLI", 1)[1]
+    named = set(re.findall(r"--[a-z][a-z-]*", text))
+    assert "--spot-check" in named
+    assert sorted(named - set().union(*parser_options().values())) == []
 
 
 def readme_cli_examples():
     """The `signedchrom ...` lines of README's CLI block, without --stretch."""
-    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = README.read_text()
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("signedchrom ")]
     return [line for line in lines if "--stretch" not in line]

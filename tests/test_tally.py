@@ -9,6 +9,8 @@ and compared without zeros.  The univariate tally is compared on (b, u).
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,7 @@ def one_by_one(graphs) -> list:
 def shared(graphs) -> list:
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     pairs = chromatic_pairs(graphs)
-    assert chromatic._shared is None
+    assert chromatic._batch.get() is None
     return pairs
 
 
@@ -262,7 +264,7 @@ def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
     chromatic._subset_tally.cache_clear()
     with pytest.raises(BudgetExceededError, match="frontier entries"):
         chromatic_pairs(graphs)
-    assert chromatic._shared is None
+    assert chromatic._batch.get() is None
     assert chromatic._subset_tally.cache_info().currsize > 0  # it did start
     monkeypatch.undo()
     assert shared(graphs) == expected
@@ -321,4 +323,36 @@ def test_chromatic_pairs_compute_steps_once_per_graph(monkeypatch):
     monkeypatch.setattr(chromatic, "_steps", counted)
     assert shared(graphs) == expected
     assert calls[0] == len(graphs) == 12
-    assert chromatic._batch_steps is None
+    assert chromatic._batch.get() is None
+
+
+def test_chromatic_pairs_in_concurrent_threads():
+    """Each thread's batch keeps its own layers.  With module globals the
+    other threads' batches overwrote them, and most batches raised IndexError."""
+    graphs = list(enumerate_classes(fixture("petersen"), "iso").representatives)[:40]
+    expected = one_by_one(graphs)
+    results = []
+
+    def run(seed):
+        for k in range(3):
+            order = shuffled(range(len(graphs)), 10 * seed + k)
+            chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+            try:
+                pairs = chromatic_pairs([graphs[i] for i in order])
+                results.append(pairs == [expected[i] for i in order])
+            except Exception as e:  # reported below, not lost in the thread
+                results.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2, 3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 9
+    assert chromatic._batch.get() is None
