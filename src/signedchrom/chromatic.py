@@ -12,9 +12,10 @@ The univariate pair depends only on balance, so its tally runs on a switched
 copy of the graph in which only the chords carry signs.  `chromatic_pairs`
 tallies a batch, such as the switching classes of one underlying graph,
 depth-first over those chord signs, and each tally resumes from the DP
-layers of the one before at their longest common sign prefix.  On the 7,005
-switching classes of the benchmark's search inputs (seeds 11, 5 and 301)
-that takes 3.7 s instead of 8.4 s one graph at a time.
+layers of the one before at their longest common sign prefix.  Past it, the
+tallies on one skeleton share a take table and a forget table per step.
+On the 7,005 switching classes of the benchmark's search inputs (seeds 11, 5
+and 301) that takes 1.7 s instead of 6.6 s one graph at a time.
 
 A brute-force counting oracle over an explicit colour set, and exact
 Lagrange interpolation through oracle values, cross-check both routes.
@@ -26,7 +27,7 @@ import functools
 import itertools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -122,8 +123,15 @@ def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
 # (vertex count and edge steps) then differ only in their chord signs, and
 # while `chromatic_pairs` runs, its `_Batch` keeps the DP layers of the last
 # univariate tally: the next one on the same skeleton resumes after the
-# longest sign prefix the two have in common.  It also holds the edges and
-# the `_steps` of the graph the batch is on, which the batch has already
+# longest sign prefix the two have in common.  Past that prefix the states
+# recur, so the batch also keeps, per skeleton, each step's moves: a take
+# table per sign, state -> the states after the step's joins with the edge
+# skipped and taken, and a forget table, state -> the canonical state after
+# forgetting and the (dp, db, du) of the components that close.  A step
+# still counts its live entries between the two phases.  Tables and kept
+# layers together stop growing at MAX_FRONTIER_ENTRIES entries, and both are
+# dropped when the skeleton changes or the batch ends.  The batch also holds
+# the edges and the `_steps` of the graph it is on, which it has already
 # computed for its sort key.  The batch reaches the tally through the context
 # variable `_batch`, not arguments, so that each graph still goes through the
 # one-argument `chromatic_pair` with its route and cache, and batches in
@@ -134,9 +142,12 @@ def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
 class _Batch:
     edges: tuple = ()     # the edges of the graph being tallied
     steps: tuple = ()     # their _steps(n, edges, True)
-    skeleton: tuple = ()  # skeleton, signs and DP layers of the last univariate tally
-    signs: tuple = ()
-    layers: list | None = None
+    skeleton: tuple = ()  # the skeleton of the last univariate tally, and for it:
+    plan: list = field(default_factory=list)    # its _frontier_plan
+    tables: list = field(default_factory=list)  # per step: take tables by sign, forget table
+    entries: int = 0      # in the tables
+    signs: tuple = ()     # signs and DP layers of the last univariate tally
+    layers: list = field(default_factory=list)
 
 
 _batch: ContextVar[_Batch | None] = ContextVar("_batch", default=None)
@@ -253,6 +264,27 @@ def _add_into(states: dict, state, counts: dict, sign: int) -> None:
         acc[k] = acc.get(k, 0) + sign * v
 
 
+def _forget(state, gone: list[int]):
+    """The canonical state after forgetting the positions in `gone`, in order,
+    and the (dp, db, du) of the components that close, or None if none does."""
+    labs, pars, flags = state
+    closes = None
+    for k in gone:
+        l = labs[k]
+        labs, pars = labs[:k] + labs[k + 1:], pars[:k] + pars[k + 1:]
+        if l in labs:
+            if l not in labs[:k]:  # the vertex was its component's first
+                labs, pars, flags = _canonical(labs, pars, flags)
+            continue
+        f = flags[l]
+        dp, db, du = 1 - (f >> 1), 1 - (f & 1), f & 1
+        if closes is not None:
+            dp, db, du = closes[0] + dp, closes[1] + db, closes[2] | du
+        closes = dp, db, du
+        labs, flags = tuple(y - (y > l) for y in labs), flags[:l] + flags[l + 1:]
+    return (labs, pars, flags), closes
+
+
 def _frontier_tally(
     n: int, edges, univariate: bool = False
 ) -> dict[tuple[int, int, int], int]:
@@ -265,41 +297,55 @@ def _frontier_tally(
     the has-negative bit (see above), so p counts only isolated vertices.
     Refuses past MAX_FRONTIER_ENTRIES live entries, not states, as each
     state carries a table: a 3x30 grid has 402 states and 2,266 entries.
+    Live entries are counted after each step's take phase, before forgetting.
     """
     batch = _batch.get() if univariate else None
     if batch is not None and batch.edges is edges:
         covered, skeleton, signs = batch.steps
     else:
         covered, skeleton, signs = _steps(n, edges, univariate)
-    plan = _frontier_plan(skeleton[1])
     states: dict = {((), (), ()): {(0, 0, 0): 1}}
     start = 0
-    layers = None  # states entering each step, with their entry counts
-    if batch is not None:
-        if batch.skeleton == skeleton:
-            old, layers = batch.signs, batch.layers
-            while start < len(layers) - 1 and old[start] == signs[start]:
-                start += 1
-            del layers[start + 1:]
-            states = layers[start][0]
-        else:
-            layers = [(states, 1)]
-        batch.skeleton, batch.signs, batch.layers = skeleton, signs, layers
-        stored = sum(size for _, size in layers)
+    if batch is None:
+        plan, tables, layers, room = _frontier_plan(skeleton[1]), None, None, 0
+    else:
+        if batch.skeleton != skeleton:
+            batch.skeleton, batch.plan = skeleton, _frontier_plan(skeleton[1])
+            batch.tables, batch.entries = [({}, {}, {}) for _ in signs], 0
+            batch.layers = [(states, 1)]
+        plan, tables, layers = batch.plan, batch.tables, batch.layers
+        old = batch.signs
+        while start < len(layers) - 1 and old[start] == signs[start]:
+            start += 1
+        del layers[start + 1:]
+        states = layers[start][0]
+        batch.signs = signs
+        room = MAX_FRONTIER_ENTRIES - batch.entries - sum(size for _, size in layers)
     new = 2 if univariate else 0  # the flags of a component when it appears
     for i in range(start, len(signs)):
         joined, ia, ib, gone = plan[i]
         t = signs[i]
-        for _ in range(joined):
-            states = {
-                (labs + (len(flags),), pars + (0,), flags + (new,)): counts
-                for (labs, pars, flags), counts in states.items()
-            }
+        takes, forgets = (None, None) if tables is None else (tables[i][t], tables[i][2])
+        zeros, news = (0,) * joined, (new,) * joined
         nxt: dict = {}
         for state, counts in states.items():
-            taken = _take(state, ia, ib, t)
-            if taken is not state:  # else taking and skipping the edge cancel
-                _add_into(nxt, state, counts, 1)
+            move = None if takes is None else takes.get(state)
+            if move is None:
+                skip = state
+                if joined:  # one or two new vertices, each its own component
+                    labs, pars, flags = state
+                    c = len(flags)
+                    skip = (labs + (c, c + 1)[:joined], pars + zeros, flags + news)
+                taken = _take(skip, ia, ib, t)
+                # () when taking the edge changes nothing, so the two cancel
+                move = (skip, taken) if taken is not skip else ()
+                if room > 0:
+                    takes[state] = move
+                    room -= 1
+                    batch.entries += 1
+            if move:
+                skip, taken = move
+                _add_into(nxt, skip, counts, 1)
                 _add_into(nxt, taken, counts, -1)
         live = sum(map(len, nxt.values()))
         if live > MAX_FRONTIER_ENTRIES:
@@ -307,31 +353,32 @@ def _frontier_tally(
                 f"{live} frontier entries exceed the tally budget of {MAX_FRONTIER_ENTRIES}"
             )
         states = nxt
-        for k in gone:
+        if gone:
             nxt = {}
-            for (labs, pars, flags), counts in states.items():
-                l = labs[k]
-                labs, pars = labs[:k] + labs[k + 1:], pars[:k] + pars[k + 1:]
-                if l in labs:
-                    if l not in labs[:k]:  # the vertex was its component's first
-                        labs, pars, flags = _canonical(labs, pars, flags)
-                    _add_into(nxt, (labs, pars, flags), counts, 1)
-                    continue
-                f = flags[l]
-                dp, db, du = 1 - (f >> 1), 1 - (f & 1), f & 1
-                closed: dict = {}
-                for (p, bb, u), v in counts.items():
-                    key = (p + dp, bb + db, u | du)
-                    closed[key] = closed.get(key, 0) + v
-                state = (tuple(y - (y > l) for y in labs), pars, flags[:l] + flags[l + 1:])
-                _add_into(nxt, state, closed, 1)
+            for state, counts in states.items():
+                move = None if forgets is None else forgets.get(state)
+                if move is None:
+                    move = _forget(state, gone)
+                    if room > 0:
+                        forgets[state] = move
+                        room -= 1
+                        batch.entries += 1
+                kept, closes = move
+                if closes is not None:
+                    dp, db, du = closes
+                    closed: dict = {}
+                    for (p, bb, u), v in counts.items():
+                        key = (p + dp, bb + db, u | du)
+                        closed[key] = closed.get(key, 0) + v
+                    counts = closed
+                _add_into(nxt, kept, counts, 1)
             states = nxt
         if layers is not None:  # live bounds the entries left after forgetting
-            if stored + live > MAX_FRONTIER_ENTRIES:
+            if live > room:
                 layers = None
             else:
                 layers.append((states, live))
-                stored += live
+                room -= live
     (counts,) = states.values()
     iso = n - covered
     return {(p + iso, b + iso, u): v for (p, b, u), v in counts.items() if v}
@@ -399,12 +446,14 @@ def bivariate_pair(g: SignedGraph) -> BivariatePair:
 
 
 def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
-    """`[chromatic_pair(g) for g in graphs]`, with the tallies sharing prefixes.
+    """`[chromatic_pair(g) for g in graphs]`, with the tallies sharing work.
 
     The graphs are visited in order of skeleton and switched signs, so each
     tally resumes from the kept layers of the last one on its skeleton: a
-    depth-first walk of the trie of sign prefixes.  The kept layers stop
-    growing at MAX_FRONTIER_ENTRIES entries and are dropped on return.
+    depth-first walk of the trie of sign prefixes.  Past the prefix, the
+    tallies of one skeleton share its take and forget tables.  Kept layers
+    and tables together stop growing at MAX_FRONTIER_ENTRIES entries and are
+    dropped on return.
     Refuses a batch of more than MAX_PAIR_BATCH graphs before any tally.
     """
     if len(graphs) > MAX_PAIR_BATCH:

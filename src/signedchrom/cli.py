@@ -2,7 +2,8 @@
 
 Data commands print canonical JSON (stable byte-for-byte across runs) on
 stdout; verification commands additionally print a human-readable summary on
-stderr.  Exit status: 0 success or verification pass, 1 verification failure,
+stderr (on stdout instead with `--output text`) and their wall time on stderr
+only.  Exit status: 0 success or verification pass, 1 verification failure,
 2 usage or input errors.
 """
 
@@ -40,12 +41,18 @@ def _emit(args, payload: dict, text_lines=None) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _report(args, payload: dict, lines: list[str], passed: bool, echo: int | None = None) -> int:
-    """Emit a verification report; in JSON mode also echo lines[:echo] to stderr."""
+def _report(
+    args, payload: dict, lines: list[str], passed: bool,
+    elapsed: float | None = None, echo: int | None = None,
+) -> int:
+    """Emit a verification report; in JSON mode also echo lines[:echo] to
+    stderr.  The wall time goes to stderr only, so stdout stays deterministic."""
     _emit(args, payload, lines)
     if args.output != "text":
         for line in lines[:echo]:
             print(line, file=sys.stderr)
+    if elapsed is not None:
+        print(f"wall time: {elapsed:.2f}s", file=sys.stderr)
     return 0 if passed else 1
 
 
@@ -199,7 +206,7 @@ def cmd_search_cochromatic(args) -> int:
     report = verify.search_cochromatic(underlying)
     groups = report.details.get("cochromatic_groups", [])
     lines = [report.summary(), f"co-chromatic groups: {len(groups)}"]
-    return _report(args, report.to_dict(), lines, report.passed, echo=1)
+    return _report(args, report.to_dict(), lines, report.passed, report.elapsed, echo=1)
 
 
 _CONJECTURES = {
@@ -217,7 +224,7 @@ def cmd_verify(args) -> int:
     runner, default_max, stretch_max = _CONJECTURES[args.conjecture]
     n_max = args.max if args.max is not None else (stretch_max if args.stretch else default_max)
     report = runner(n_max)
-    return _report(args, report.to_dict(), [report.summary()], report.passed)
+    return _report(args, report.to_dict(), [report.summary()], report.passed, report.elapsed)
 
 
 def cmd_reproduce_tables(args) -> int:
@@ -225,7 +232,7 @@ def cmd_reproduce_tables(args) -> int:
     lines = [report.summary()] + [
         f"  {check['name']}: {check['status']}" for check in report.details["checks"]
     ]
-    return _report(args, report.to_dict(), lines, report.passed)
+    return _report(args, report.to_dict(), lines, report.passed, report.elapsed)
 
 
 def cmd_fixtures(args) -> int:

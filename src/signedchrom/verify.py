@@ -70,10 +70,7 @@ class VerificationReport:
         }
 
     def summary(self) -> str:
-        return (
-            f"{self.target} (scale {self.scale}): {self.status.upper()}"
-            f" in {self.elapsed:.2f}s"
-        )
+        return f"{self.target} (scale {self.scale}): {self.status.upper()}"
 
 
 def _pair_key(pair) -> str:

@@ -7,7 +7,8 @@ call to record its `cache_hits` and `subsets` counters.  A rename or deletion
 in `src/` that would crash a traced bench run, or leave those counters
 unrecorded, fails here instead.  So does a threshold scan whose `method` or
 traced step count the bench would reject, and any `desk` command whose output
-fails the bench's answer keys.
+fails the bench's answer keys, and so does a search on the start of the
+`cochromatic-search` input stream.
 """
 
 import importlib
@@ -18,6 +19,8 @@ import sys
 import pytest
 
 from signedchrom import cli
+from signedchrom.equivalence import enumerate_classes
+from signedchrom.graphs import parse_graph
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -80,3 +83,22 @@ def test_desk_commands_meet_bench_checks(capsys, argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     assert checks.check_cli_output(argv, code, out) == []
+
+
+def test_search_stream_meets_bench_checks(capsys, tmp_path):
+    """The first inputs of the `cochromatic-search` stream (seed 11) pass the
+    bench's search checks in-process, and on 5 vertices its brute-force
+    grouping of every class."""
+    checks, inputs = _bench_module("checks"), _bench_module("inputs")
+    grouped = 0
+    for name, text in inputs.generate(11)[:20]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code = cli.main(["search-cochromatic", "--underlying", str(path)])
+        out = capsys.readouterr().out
+        assert checks.check_search_output(text, code, out) == [], name
+        if checks.parse_sg(text)[0] == 5:
+            inventory = enumerate_classes(parse_graph(text), "switching_iso")
+            assert checks.check_groups_by_brute_force(out, inventory) == [], name
+            grouped += 1
+    assert grouped > 0

@@ -1,15 +1,17 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import argparse
+import itertools
 import json
 import pathlib
 import re
 import shlex
 import tracemalloc
+import types
 
 import pytest
 
-from signedchrom import chromatic, closedform
+from signedchrom import chromatic, closedform, verify
 from signedchrom.cli import build_parser, main
 from signedchrom.graphs import MAX_VERTICES, SignedGraph, fixture, format_graph
 
@@ -151,6 +153,25 @@ def test_verify_cli_small(capsys):
     assert payload["status"] == "pass"
     assert "elapsed" not in payload  # stdout stays byte-deterministic
     assert "PASS" in err
+
+
+def test_text_stdout_does_not_carry_the_wall_time(capsys, monkeypatch):
+    """Text summaries are byte-identical under two clocks; the time is on stderr."""
+    commands = [
+        ["reproduce-tables", "--output", "text"],
+        ["verify", "--conjecture", "threshold", "--max", "3", "--output", "text"],
+    ]
+    for argv in commands:
+        outs = []
+        for step in (1.0, 7.25):
+            clock = itertools.count(0.0, step)
+            monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=clock.__next__))
+            code, out, err = run(capsys, *argv)
+            assert code == 0
+            assert f"wall time: {step:.2f}s" in err
+            outs.append(out)
+        assert outs[0] == outs[1], argv
+        assert "PASS" in outs[0]
 
 
 def test_fixtures_json_and_text(capsys):

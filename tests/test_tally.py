@@ -255,37 +255,63 @@ def test_chromatic_pairs_match_one_by_one_on_petersen():
 
 def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
     """The Petersen classes peak at 271 to 534 live entries: with a budget of
-    450 the first one is tallied and a later one refused."""
+    450 the first one is tallied and a later one refused, while the batch
+    holds layers and tables; the batch is gone after the refusal."""
     graphs = switching_classes(fixture("petersen")) + [
         SignedGraph(11, tuple((v, v + 1, -1) for v in range(10)))
     ]
     expected = one_by_one(graphs)
+    batches = watch_batches(monkeypatch)
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 450)
     chromatic._subset_tally.cache_clear()
     with pytest.raises(BudgetExceededError, match="frontier entries"):
         chromatic_pairs(graphs)
     assert chromatic._batch.get() is None
     assert chromatic._subset_tally.cache_info().currsize > 0  # it did start
+    assert batches and batches[-1][1] > 0  # tables were in use when refused
     monkeypatch.undo()
     assert shared(graphs) == expected
 
 
-def count_takes(monkeypatch) -> list[int]:
+def count_calls(monkeypatch, name: str) -> list[int]:
     calls = [0]
-    take = chromatic._take
+    function = getattr(chromatic, name)
 
     def counted(*args):
         calls[0] += 1
-        return take(*args)
+        return function(*args)
 
-    monkeypatch.setattr(chromatic, "_take", counted)
+    monkeypatch.setattr(chromatic, name, counted)
     return calls
+
+
+def batch_entries(batch) -> tuple[int, int]:
+    """(entries of the kept layers, entries of the take and forget tables)."""
+    layers = sum(size for _, size in batch.layers)
+    return layers, sum(len(table) for step in batch.tables for table in step)
+
+
+def watch_batches(monkeypatch) -> list[tuple[int, int]]:
+    """Records `batch_entries` of the running batch after every tally in one."""
+    seen = []
+    tally = chromatic._frontier_tally
+
+    def watched(*args):
+        batch = chromatic._batch.get()
+        try:
+            return tally(*args)
+        finally:
+            if batch is not None:
+                seen.append(batch_entries(batch))
+
+    monkeypatch.setattr(chromatic, "_frontier_tally", watched)
+    return seen
 
 
 def test_chromatic_pairs_share_work(monkeypatch):
     """Deterministic: resuming from shared prefixes takes fewer DP steps."""
     graphs = switching_classes(fixture("petersen"))
-    calls = count_takes(monkeypatch)
+    calls = count_calls(monkeypatch, "_take")
     one_by_one(graphs)
     alone = calls[0]
     calls[0] = 0
@@ -296,16 +322,70 @@ def test_chromatic_pairs_share_work(monkeypatch):
 def test_chromatic_pairs_under_a_small_layer_budget(monkeypatch):
     """Kept layers stop at MAX_FRONTIER_ENTRIES entries.  At 534, the largest
     live count of any Petersen class, every tally still runs but only the
-    first few layers are kept, so less is shared and the pairs do not move."""
+    first few layers are kept, so less is shared and the pairs do not move.
+    Work is counted in DP state visits, each of which adds its counts into
+    the next layer through `_add_into`; the take tables absorb `_take` calls."""
     graphs = shuffled(switching_classes(fixture("petersen")), 7)
     expected = one_by_one(graphs)
-    calls = count_takes(monkeypatch)
+    visits = count_calls(monkeypatch, "_add_into")
     shared(graphs)
-    full = calls[0]
+    full = visits[0]
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 534)
-    calls[0] = 0
+    visits[0] = 0
     assert shared(graphs) == expected
-    assert calls[0] > full
+    assert visits[0] > full
+
+
+def first_chord_flipped(g: SignedGraph) -> SignedGraph:
+    """g with one edge negated so that its switched signs differ from g's at
+    the first chord step (the first that is not a vertex's BFS-parent edge)
+    and nowhere else."""
+    signs = _steps(g.n, g.edges, True)[2]
+    flips = []
+    for i, (u, v, s) in enumerate(g.edges):
+        h = SignedGraph(g.n, g.edges[:i] + ((u, v, -s),) + g.edges[i + 1:])
+        diff = [k for k, (x, y) in enumerate(zip(signs, _steps(h.n, h.edges, True)[2])) if x != y]
+        if len(diff) == 1:  # one chord flipped, up to switching
+            flips.append((diff[0], h))
+    return min(flips, key=lambda flip: flip[0])[1]
+
+
+def test_chromatic_pairs_share_tables_across_a_mixed_batch(monkeypatch):
+    """A shuffled batch over many skeletons of equal length, with pairs of
+    graphs on one skeleton that first differ at the first chord: the kept
+    layers then share only the tree steps before it, and the tables are
+    reused from there on.  The pairs equal the one-by-one pairs."""
+    rng = random.Random(13)
+    underlying = [fixture("petersen")] + [random_signed_graph(rng, 7, 10) for _ in range(6)]
+    graphs = []
+    for u in underlying:
+        for _ in range(3):
+            g = SignedGraph(u.n, tuple((a, b, rng.choice((1, -1))) for a, b, _ in u.edges))
+            graphs += [g, first_chord_flipped(g)]
+    graphs = shuffled(graphs, 17)
+    expected = one_by_one(graphs)
+    takes = count_calls(monkeypatch, "_take")
+    one_by_one(graphs)
+    alone = takes[0]
+    batches = watch_batches(monkeypatch)
+    takes[0] = 0
+    assert shared(graphs) == expected
+    assert 0 < takes[0] < alone
+    assert all(tables > 0 for _, tables in batches)
+
+
+def test_tables_and_layers_stop_at_a_small_budget(monkeypatch):
+    """Tables and kept layers together never hold more than
+    MAX_FRONTIER_ENTRIES entries; at 600, just above the largest live count
+    of a Petersen class, the tables fill it and the pairs do not move."""
+    graphs = shuffled(switching_classes(fixture("petersen")), 7)
+    expected = one_by_one(graphs)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 600)
+    batches = watch_batches(monkeypatch)
+    assert shared(graphs) == expected
+    totals = [layers + tables for layers, tables in batches]
+    assert len(totals) == len(graphs)
+    assert max(totals) == 600
 
 
 def test_chromatic_pairs_compute_steps_once_per_graph(monkeypatch):
