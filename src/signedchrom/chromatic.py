@@ -4,18 +4,18 @@
 take the negative-clique partition route, every other graph the edge-subset
 expansion, which sums a signed term over all spanning subgraphs classified
 by their component statistics.  That sum is tallied by a frontier edge DP
-rather than subset by subset: on a 2-core machine the Petersen graph takes
-about 4 ms instead of 0.2 s for its 2^15 subsets, and the 19-edge threshold
-example about 9 ms instead of 3.6 s.  Each route checks its own budget.
+rather than subset by subset, whose moves the process memoises: on a 2-core
+machine the Petersen graph takes about 3 ms (0.7 ms once its moves are
+memoised) instead of 0.2 s for its 2^15 subsets, and the 19-edge threshold
+example about 7 ms (1.8 ms) instead of 3.6 s.  Each route checks its own budget.
 
 The univariate pair depends only on balance, so its tally runs on a switched
 copy of the graph in which only the chords carry signs.  `chromatic_pairs`
 tallies a batch, such as the switching classes of one underlying graph,
 depth-first over those chord signs, and each tally resumes from the DP
-layers of the one before at their longest common sign prefix.  Past it, the
-tallies on one skeleton share a take table and a forget table per step.
-On the 7,005 switching classes of the benchmark's search inputs (seeds 11, 5
-and 301) that takes 1.7 s instead of 6.6 s one graph at a time.
+layers of the one before at their longest common sign prefix.  On the 7,005
+switching classes of the benchmark's search inputs (seeds 11, 5 and 301)
+that takes 1.1 s in a fresh process, against 1.4 s one graph at a time.
 
 A brute-force counting oracle over an explicit colour set, and exact
 Lagrange interpolation through oracle values, cross-check both routes.
@@ -36,7 +36,8 @@ from .graphs import SignedGraph
 from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly
 
 MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
-MAX_FRONTIER_ENTRIES = 1 << 17  # live (state, (p, b, u)) entries of the frontier tally
+MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
+MAX_MOVES = 1 << 14             # take and forget moves the process memoises
 MAX_PARTITION_N = 10            # -K_10 has Bell(10) = 115,975 negative-clique partitions
 MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes of K_7: 1,044
 MAX_THRESHOLD_CODE = 40         # entries of a threshold code; length 40 takes under 1 s
@@ -108,34 +109,38 @@ def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
 # through b == c, that is u == 0).  The tally adds the edges one at a time and
 # keeps, instead of the subsets, the distinct ways they can look from the
 # frontier (the vertices with some edges added and some still to come), as in
-# Sekine, Imai and Tani (ISAAC 1995).  A frontier state is
+# Sekine, Imai and Tani (ISAAC 1995).  A frontier state is a tuple of
 #   labs   - per frontier vertex, its component, numbered by first occurrence
 #   pars   - per frontier vertex, its sign parity relative to the first
 #            frontier vertex of its component (all 0 once it is unbalanced)
 #   flags  - per component, bit 0 unbalanced, bit 1 has a negative edge
-# and maps to the signed counts {(p, b, u): count} of the components already
-# closed, i.e. those with no vertex left on the frontier.
+#   u      - 1 once a closed component (none of it on the frontier) is unbalanced
+# and maps to the signed counts of its closed components by (p, b), packed
+# into one int as balanced W-bit digits, W = |E| + 2 (no count of at most
+# 2^|E| subsets reaches the next one), at slot p + (b - p) * stride.  Merging
+# states adds their ints, and closing components shifts one left by their slots.
 #
 # The univariate pair needs neither p nor any one edge's sign, only balance,
 # which switching keeps.  So its tally runs on the switching that makes every
 # BFS-tree edge positive, and starts each component with bit 1 already set,
-# so that states differing only in that bit merge.  Graphs on one skeleton
-# (vertex count and edge steps) then differ only in their chord signs, and
-# while `chromatic_pairs` runs, its `_Batch` keeps the DP layers of the last
-# univariate tally: the next one on the same skeleton resumes after the
-# longest sign prefix the two have in common.  Past that prefix the states
-# recur, so the batch also keeps, per skeleton, each step's moves: a take
-# table per sign, state -> the states after the step's joins with the edge
-# skipped and taken, and a forget table, state -> the canonical state after
-# forgetting and the (dp, db, du) of the components that close.  A step
-# still counts its live entries between the two phases.  Tables and kept
-# layers together stop growing at MAX_FRONTIER_ENTRIES entries, and both are
-# dropped when the skeleton changes or the batch ends.  The batch also holds
-# the edges and the `_steps` of the graph it is on, which it has already
-# computed for its sort key.  The batch reaches the tally through the context
-# variable `_batch`, not arguments, so that each graph still goes through the
-# one-argument `chromatic_pair` with its route and cache, and batches in
-# other threads each see their own; `chromatic_pairs` resets it in a `finally`.
+# so that states differing only in that bit merge; p stays 0 and stride is 1.
+# Graphs on one skeleton (vertex count and edge steps) then differ only in
+# their chord signs, and while `chromatic_pairs` runs, its `_Batch` keeps the
+# DP layers of the last univariate tally: the next one on the same skeleton
+# resumes after the longest sign prefix the two have in common.  The batch
+# also holds the edges and the `_steps` of the graph it is on, which it has
+# already computed for its sort key.  The batch reaches the tally through the
+# context variable `_batch`, not arguments, so that each graph still goes
+# through the one-argument `chromatic_pair` with its route and cache, and
+# batches in other threads each see their own; `chromatic_pairs` resets it in
+# a `finally`.
+#
+# A step's moves are pure functions of the state, so the process memoises
+# them for every later tally in either mode: `_takes` keyed by all a take
+# reads but the state, the mode included (`new`, the flags of a joining
+# vertex), and `_forgets` by `gone`.  Adding stops at MAX_MOVES moves, and a
+# key enters only with its first move.  The benchmark's search inputs stay
+# well under the cap; K_9 fills it.
 
 
 @dataclass
@@ -144,13 +149,14 @@ class _Batch:
     steps: tuple = ()     # their _steps(n, edges, True)
     skeleton: tuple = ()  # the skeleton of the last univariate tally, and for it:
     plan: list = field(default_factory=list)    # its _frontier_plan
-    tables: list = field(default_factory=list)  # per step: take tables by sign, forget table
-    entries: int = 0      # in the tables
     signs: tuple = ()     # signs and DP layers of the last univariate tally
     layers: list = field(default_factory=list)
 
 
 _batch: ContextVar[_Batch | None] = ContextVar("_batch", default=None)
+_takes: dict = {}  # (joined, ia, ib, t, new) -> {state: (skip, taken), or () if they cancel}
+_forgets: dict = {}  # gone -> {state: (kept, dp, dq)}
+_moves_room = MAX_MOVES
 
 
 def _steps(n: int, edges, switched: bool):
@@ -191,7 +197,7 @@ def _steps(n: int, edges, switched: bool):
     return len(order), skeleton, signs
 
 
-def _frontier_plan(steps) -> list[tuple[int, int, int, list[int]]]:
+def _frontier_plan(steps) -> list[tuple[int, int, int, tuple[int, ...]]]:
     """Per step: how many vertices join the frontier, the frontier positions
     of the edge's ends, and the positions forgotten after it, in order."""
     last = {}
@@ -211,22 +217,29 @@ def _frontier_plan(steps) -> list[tuple[int, int, int, list[int]]]:
             if last[x] == i:
                 gone.append(front.index(x))
                 front.remove(x)
-        plan.append((joined, ia, ib, gone))
+        plan.append((joined, ia, ib, tuple(gone)))
     return plan
 
 
-def _take(state, ia: int, ib: int, t: int):
-    """The frontier state after adding an edge between positions ia and ib."""
-    labs, pars, flags = state
+def _take(state, joined: int, ia: int, ib: int, t: int, new: int):
+    """The states after a step's joins (one or two new vertices, each its own
+    component with flags `new`) with the edge between positions ia and ib
+    skipped and taken, or () when taking it changes nothing."""
+    labs, pars, flags, u = state
+    if joined:
+        c = len(flags)
+        labs, pars = labs + (c, c + 1)[:joined], pars + (0,) * joined
+        flags += (new,) * joined
+    skip = labs, pars, flags, u
     la, lb = labs[ia], labs[ib]
     odd = pars[ia] ^ pars[ib] ^ t  # 1 when the edge closes a negative cycle
     if la == lb:
         f = flags[la] | t << 1 | odd
         if f == flags[la]:
-            return state
+            return ()
         if f & 1:
             pars = tuple(0 if l == la else p for l, p in zip(labs, pars))
-        return labs, pars, flags[:la] + (f,) + flags[la + 1:]
+        return skip, (labs, pars, flags[:la] + (f,) + flags[la + 1:], u)
     lo, hi = (la, lb) if la < lb else (lb, la)
     f = flags[lo] | flags[hi] | t << 1
     if f & 1:
@@ -234,55 +247,46 @@ def _take(state, ia: int, ib: int, t: int):
     elif odd:
         pars = tuple(p ^ 1 if l == hi else p for l, p in zip(labs, pars))
     labs = tuple(lo if l == hi else l - (l > hi) for l in labs)
-    return labs, pars, flags[:lo] + (f,) + flags[lo + 1:hi] + flags[hi + 1:]
+    return skip, (labs, pars, flags[:lo] + (f,) + flags[lo + 1:hi] + flags[hi + 1:], u)
 
 
-def _canonical(labs, pars, flags):
-    """Renumber components by first occurrence; each first vertex gets parity 0."""
-    rename: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for l, p in zip(labs, pars):
-        if l not in rename:
-            rename[l] = len(rename)
-            first[l] = p
-    new_flags = [0] * len(rename)
-    for l, r in rename.items():
-        new_flags[r] = flags[l]
-    return (
-        tuple(rename[l] for l in labs),
-        tuple(p ^ first[l] for l, p in zip(labs, pars)),
-        tuple(new_flags),
-    )
-
-
-def _add_into(states: dict, state, counts: dict, sign: int) -> None:
-    acc = states.get(state)
-    if acc is None:
-        states[state] = dict(counts) if sign > 0 else {k: -v for k, v in counts.items()}
-        return
-    for k, v in counts.items():
-        acc[k] = acc.get(k, 0) + sign * v
-
-
-def _forget(state, gone: list[int]):
+def _forget(state, gone):
     """The canonical state after forgetting the positions in `gone`, in order,
-    and the (dp, db, du) of the components that close, or None if none does."""
-    labs, pars, flags = state
-    closes = None
+    and the all-positive and other balanced components that close."""
+    labs, pars, flags, u = state
+    dp = dq = 0
     for k in gone:
         l = labs[k]
         labs, pars = labs[:k] + labs[k + 1:], pars[:k] + pars[k + 1:]
         if l in labs:
-            if l not in labs[:k]:  # the vertex was its component's first
-                labs, pars, flags = _canonical(labs, pars, flags)
+            j = labs.index(l)
+            if j >= k:  # the vertex was its component's first: the one at j is now
+                if pars[j]:
+                    pars = tuple(p ^ 1 if y == l else p for y, p in zip(labs, pars))
+                r = max(labs[k:j], default=l) - l  # components now first before j
+                if r > 0:
+                    labs = tuple(l + r if y == l else y - (l < y <= l + r) for y in labs)
+                    flags = flags[:l] + flags[l + 1:l + r + 1] + (flags[l],) + flags[l + r + 1:]
             continue
         f = flags[l]
-        dp, db, du = 1 - (f >> 1), 1 - (f & 1), f & 1
-        if closes is not None:
-            dp, db, du = closes[0] + dp, closes[1] + db, closes[2] | du
-        closes = dp, db, du
+        if f & 1:
+            u = 1
+        elif f:
+            dq += 1
+        else:
+            dp += 1
         labs, flags = tuple(y - (y > l) for y in labs), flags[:l] + flags[l + 1:]
-    return (labs, pars, flags), closes
+    return (labs, pars, flags, u), dp, dq
+
+
+def _live_entries(states: dict, width: int) -> int:
+    """Live states plus the `width`-bit slots of their counts, up to the budget."""
+    live = len(states) + sum(map(int.bit_length, states.values())) // width
+    if live > MAX_FRONTIER_ENTRIES:
+        raise BudgetExceededError(
+            f"{live} frontier entries exceed the tally budget of {MAX_FRONTIER_ENTRIES}"
+        )
+    return live
 
 
 def _frontier_tally(
@@ -291,97 +295,95 @@ def _frontier_tally(
     """Signed count of edge subsets grouped by (p, b, u) of the spanning subgraph.
 
     A vertex joins the frontier at its first step and is forgotten after its
-    last one; a component with no frontier vertex left is folded into
-    (p, b, u).  Isolated vertices each add (1, 1, 0).  Entries that cancel to
-    0 are left out.  With `univariate` the tally runs switched and without
-    the has-negative bit (see above), so p counts only isolated vertices.
-    Refuses past MAX_FRONTIER_ENTRIES live entries, not states, as each
-    state carries a table: a 3x30 grid has 402 states and 2,266 entries.
-    Live entries are counted after each step's take phase, before forgetting.
+    last one; a component with no frontier vertex left is folded into the
+    state's packed count.  Isolated vertices each add (1, 1, 0).  Entries
+    that cancel to 0 are left out.  With `univariate` the tally runs switched
+    and without the has-negative bit (see above), so p counts only isolated
+    vertices.  Refuses past MAX_FRONTIER_ENTRIES live entries, one per state
+    and one per W-bit slot of its count, as a count grows with the closed
+    components: a 3x30 grid peaks at 2,266 entries, 28 of them states.  Live
+    entries are counted after each step's take phase and after its forgets.
     """
+    global _moves_room
     batch = _batch.get() if univariate else None
     if batch is not None and batch.edges is edges:
         covered, skeleton, signs = batch.steps
     else:
         covered, skeleton, signs = _steps(n, edges, univariate)
-    states: dict = {((), (), ()): {(0, 0, 0): 1}}
+    width = len(edges) + 2
+    stride = 1 if univariate else n + 1
+    states: dict = {((), (), (), 0): 1}
     start = 0
     if batch is None:
-        plan, tables, layers, room = _frontier_plan(skeleton[1]), None, None, 0
+        plan, layers, room = _frontier_plan(skeleton[1]), None, 0
     else:
         if batch.skeleton != skeleton:
             batch.skeleton, batch.plan = skeleton, _frontier_plan(skeleton[1])
-            batch.tables, batch.entries = [({}, {}, {}) for _ in signs], 0
             batch.layers = [(states, 1)]
-        plan, tables, layers = batch.plan, batch.tables, batch.layers
+        plan, layers = batch.plan, batch.layers
         old = batch.signs
         while start < len(layers) - 1 and old[start] == signs[start]:
             start += 1
         del layers[start + 1:]
         states = layers[start][0]
         batch.signs = signs
-        room = MAX_FRONTIER_ENTRIES - batch.entries - sum(size for _, size in layers)
+        room = MAX_FRONTIER_ENTRIES - sum(size for _, size in layers)
     new = 2 if univariate else 0  # the flags of a component when it appears
     for i in range(start, len(signs)):
         joined, ia, ib, gone = plan[i]
         t = signs[i]
-        takes, forgets = (None, None) if tables is None else (tables[i][t], tables[i][2])
-        zeros, news = (0,) * joined, (new,) * joined
+        key = joined, ia, ib, t, new
+        takes = _takes.get(key, {})
         nxt: dict = {}
-        for state, counts in states.items():
-            move = None if takes is None else takes.get(state)
+        get = nxt.get
+        for state, count in states.items():
+            move = takes.get(state)
             if move is None:
-                skip = state
-                if joined:  # one or two new vertices, each its own component
-                    labs, pars, flags = state
-                    c = len(flags)
-                    skip = (labs + (c, c + 1)[:joined], pars + zeros, flags + news)
-                taken = _take(skip, ia, ib, t)
-                # () when taking the edge changes nothing, so the two cancel
-                move = (skip, taken) if taken is not skip else ()
-                if room > 0:
-                    takes[state] = move
-                    room -= 1
-                    batch.entries += 1
+                move = _take(state, joined, ia, ib, t, new)
+                if _moves_room > 0:
+                    _takes.setdefault(key, takes)[state] = move
+                    _moves_room -= 1
             if move:
                 skip, taken = move
-                _add_into(nxt, skip, counts, 1)
-                _add_into(nxt, taken, counts, -1)
-        live = sum(map(len, nxt.values()))
-        if live > MAX_FRONTIER_ENTRIES:
-            raise BudgetExceededError(
-                f"{live} frontier entries exceed the tally budget of {MAX_FRONTIER_ENTRIES}"
-            )
+                nxt[skip] = get(skip, 0) + count
+                nxt[taken] = get(taken, 0) - count
+        live = _live_entries(nxt, width)
         states = nxt
         if gone:
+            forgets = _forgets.get(gone, {})
             nxt = {}
-            for state, counts in states.items():
-                move = None if forgets is None else forgets.get(state)
+            for state, count in states.items():
+                move = forgets.get(state)
                 if move is None:
                     move = _forget(state, gone)
-                    if room > 0:
-                        forgets[state] = move
-                        room -= 1
-                        batch.entries += 1
-                kept, closes = move
-                if closes is not None:
-                    dp, db, du = closes
-                    closed: dict = {}
-                    for (p, bb, u), v in counts.items():
-                        key = (p + dp, bb + db, u | du)
-                        closed[key] = closed.get(key, 0) + v
-                    counts = closed
-                _add_into(nxt, kept, counts, 1)
+                    if _moves_room > 0:
+                        _forgets.setdefault(gone, forgets)[state] = move
+                        _moves_room -= 1
+                kept, dp, dq = move
+                if dp or dq:
+                    count <<= (dp + dq * stride) * width
+                nxt[kept] = nxt.get(kept, 0) + count
+            live = _live_entries(nxt, width)
             states = nxt
-        if layers is not None:  # live bounds the entries left after forgetting
+        if layers is not None:
             if live > room:
                 layers = None
             else:
                 layers.append((states, live))
                 room -= live
-    (counts,) = states.values()
     iso = n - covered
-    return {(p + iso, b + iso, u): v for (p, b, u), v in counts.items() if v}
+    half = 1 << width - 1
+    out = {}
+    for (_, _, _, u), count in states.items():
+        # with half added to every slot, each slot's digit reads off unsigned
+        slots = count.bit_length() // width + 1
+        digits = format(count + half * (((1 << width * slots) - 1) // ((1 << width) - 1)), "b")
+        for k in range(slots):
+            v = int(digits[-width * (k + 1):len(digits) - width * k], 2) - half
+            if v:
+                p = k % stride
+                out[p + iso, p + k // stride + iso, u] = v
+    return out
 
 
 @functools.lru_cache(maxsize=4096)
@@ -450,10 +452,8 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
 
     The graphs are visited in order of skeleton and switched signs, so each
     tally resumes from the kept layers of the last one on its skeleton: a
-    depth-first walk of the trie of sign prefixes.  Past the prefix, the
-    tallies of one skeleton share its take and forget tables.  Kept layers
-    and tables together stop growing at MAX_FRONTIER_ENTRIES entries and are
-    dropped on return.
+    depth-first walk of the trie of sign prefixes.  Kept layers stop
+    growing at MAX_FRONTIER_ENTRIES entries and are dropped on return.
     Refuses a batch of more than MAX_PAIR_BATCH graphs before any tally.
     """
     if len(graphs) > MAX_PAIR_BATCH:

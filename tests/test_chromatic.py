@@ -99,15 +99,20 @@ def test_chromatic_pair_examples():
 
 def test_chromatic_pair_budget(monkeypatch):
     """Each route refuses by its own budget: K_11 on the partition route, and
-    the frontier tally once its live entries pass the (lowered) limit."""
+    the frontier tally once its live entries pass the (lowered) limit.  The
+    Petersen graph's bivariate tally peaks at 273 entries (states plus the
+    slots of their packed counts)."""
     with pytest.raises(BudgetExceededError, match="K_11"):
         chromatic_pair(complete_graph(11, 1))
     with pytest.raises(BudgetExceededError, match="K_11"):
         bivariate_pair(complete_graph(11, -1))
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 50)
+    expected = bivariate_pair(fixture("petersen"))
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 272)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
-    with pytest.raises(BudgetExceededError, match="frontier entries"):
+    with pytest.raises(BudgetExceededError, match="273 frontier entries"):
         bivariate_pair(fixture("petersen"))
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 273)
+    assert bivariate_pair(fixture("petersen")) == expected
 
 
 @pytest.mark.parametrize(

@@ -263,14 +263,15 @@ def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):
 
 
 def test_search_cochromatic_subset_budget_refusal(capsys, monkeypatch):
-    """A pair refused by the frontier tally's budget inside the search."""
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 8)
+    """A pair refused by the frontier tally's budget inside the search: the
+    Petersen classes peak at 273 to 548 live entries."""
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 272)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     code, out, _ = run(capsys, "search-cochromatic", "--underlying", "petersen")
     assert code == 1
     payload = json.loads(out)
     assert payload["status"] == "budget_exceeded"
-    assert "exceed the tally budget of 8" in payload["details"]["error"]
+    assert "exceed the tally budget of 272" in payload["details"]["error"]
 
 
 def test_enumerate_subset_budget_exit_2(capsys):

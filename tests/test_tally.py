@@ -22,8 +22,11 @@ from signedchrom.chromatic import (
     _steps,
     _subset_bivariate_pair,
     _subset_chromatic_pair,
+    bivariate_pair,
     chromatic_pair,
     chromatic_pairs,
+    complete_bivariate_pair,
+    complete_chromatic_pair,
 )
 from signedchrom.equivalence import enumerate_classes
 from signedchrom.errors import BudgetExceededError
@@ -254,9 +257,9 @@ def test_chromatic_pairs_match_one_by_one_on_petersen():
 
 
 def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
-    """The Petersen classes peak at 271 to 534 live entries: with a budget of
+    """The Petersen classes peak at 273 to 548 live entries: with a budget of
     450 the first one is tallied and a later one refused, while the batch
-    holds layers and tables; the batch is gone after the refusal."""
+    holds layers; the batch is gone after the refusal."""
     graphs = switching_classes(fixture("petersen")) + [
         SignedGraph(11, tuple((v, v + 1, -1) for v in range(10)))
     ]
@@ -268,7 +271,7 @@ def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
         chromatic_pairs(graphs)
     assert chromatic._batch.get() is None
     assert chromatic._subset_tally.cache_info().currsize > 0  # it did start
-    assert batches and batches[-1][1] > 0  # tables were in use when refused
+    assert batches and batches[-1] > 0  # layers were kept when refused
     monkeypatch.undo()
     assert shared(graphs) == expected
 
@@ -285,14 +288,34 @@ def count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
-def batch_entries(batch) -> tuple[int, int]:
-    """(entries of the kept layers, entries of the take and forget tables)."""
-    layers = sum(size for _, size in batch.layers)
-    return layers, sum(len(table) for step in batch.tables for table in step)
+def count_visits(monkeypatch) -> list[int]:
+    """DP state visits: every layer's states, counted as `_live_entries` sizes it."""
+    visits = [0]
+    live_entries = chromatic._live_entries
+
+    def counted(states, width):
+        visits[0] += len(states)
+        return live_entries(states, width)
+
+    monkeypatch.setattr(chromatic, "_live_entries", counted)
+    return visits
 
 
-def watch_batches(monkeypatch) -> list[tuple[int, int]]:
-    """Records `batch_entries` of the running batch after every tally in one."""
+def cold_moves(monkeypatch, room: int = chromatic.MAX_MOVES) -> None:
+    """An empty move memo that takes at most `room` moves, for this test only."""
+    monkeypatch.setattr(chromatic, "_takes", {})
+    monkeypatch.setattr(chromatic, "_forgets", {})
+    monkeypatch.setattr(chromatic, "_moves_room", room)
+
+
+def memo_size() -> int:
+    """Moves in the memo, takes and forgets."""
+    memos = (chromatic._takes, chromatic._forgets)
+    return sum(len(table) for memo in memos for table in memo.values())
+
+
+def watch_batches(monkeypatch) -> list[int]:
+    """Records the entries of the kept layers after every tally in a batch."""
     seen = []
     tally = chromatic._frontier_tally
 
@@ -302,35 +325,36 @@ def watch_batches(monkeypatch) -> list[tuple[int, int]]:
             return tally(*args)
         finally:
             if batch is not None:
-                seen.append(batch_entries(batch))
+                seen.append(sum(size for _, size in batch.layers))
 
     monkeypatch.setattr(chromatic, "_frontier_tally", watched)
     return seen
 
 
 def test_chromatic_pairs_share_work(monkeypatch):
-    """Deterministic: resuming from shared prefixes takes fewer DP steps."""
+    """Deterministic: resuming from shared prefixes visits fewer DP states.
+    States, not `_take` calls, are the unit, as a warm move memo makes
+    those 0 on both sides."""
     graphs = switching_classes(fixture("petersen"))
-    calls = count_calls(monkeypatch, "_take")
+    visits = count_visits(monkeypatch)
     one_by_one(graphs)
-    alone = calls[0]
-    calls[0] = 0
+    alone = visits[0]
+    visits[0] = 0
     shared(graphs)
-    assert 0 < calls[0] < alone
+    assert 0 < visits[0] < alone
 
 
 def test_chromatic_pairs_under_a_small_layer_budget(monkeypatch):
-    """Kept layers stop at MAX_FRONTIER_ENTRIES entries.  At 534, the largest
+    """Kept layers stop at MAX_FRONTIER_ENTRIES entries.  At 548, the largest
     live count of any Petersen class, every tally still runs but only the
-    first few layers are kept, so less is shared and the pairs do not move.
-    Work is counted in DP state visits, each of which adds its counts into
-    the next layer through `_add_into`; the take tables absorb `_take` calls."""
+    first few layers are kept, so less is shared, more DP states are
+    visited and the pairs do not move."""
     graphs = shuffled(switching_classes(fixture("petersen")), 7)
     expected = one_by_one(graphs)
-    visits = count_calls(monkeypatch, "_add_into")
+    visits = count_visits(monkeypatch)
     shared(graphs)
     full = visits[0]
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 534)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 548)
     visits[0] = 0
     assert shared(graphs) == expected
     assert visits[0] > full
@@ -353,8 +377,10 @@ def first_chord_flipped(g: SignedGraph) -> SignedGraph:
 def test_chromatic_pairs_share_tables_across_a_mixed_batch(monkeypatch):
     """A shuffled batch over many skeletons of equal length, with pairs of
     graphs on one skeleton that first differ at the first chord: the kept
-    layers then share only the tree steps before it, and the tables are
-    reused from there on.  The pairs equal the one-by-one pairs."""
+    layers then share only the tree steps before it, and the memoised moves
+    are reused from there on, so a cold memo computes fewer moves than a
+    batch without one, and a warm memo none.  The pairs equal the one-by-one
+    pairs."""
     rng = random.Random(13)
     underlying = [fixture("petersen")] + [random_signed_graph(rng, 7, 10) for _ in range(6)]
     graphs = []
@@ -365,27 +391,39 @@ def test_chromatic_pairs_share_tables_across_a_mixed_batch(monkeypatch):
     graphs = shuffled(graphs, 17)
     expected = one_by_one(graphs)
     takes = count_calls(monkeypatch, "_take")
-    one_by_one(graphs)
-    alone = takes[0]
     batches = watch_batches(monkeypatch)
+    cold_moves(monkeypatch, 0)
+    assert shared(graphs) == expected
+    unmemoised = takes[0]
+    cold_moves(monkeypatch)
     takes[0] = 0
     assert shared(graphs) == expected
-    assert 0 < takes[0] < alone
-    assert all(tables > 0 for _, tables in batches)
+    assert 0 < takes[0] < unmemoised
+    takes[0] = 0
+    assert shared(graphs) == expected
+    assert takes[0] == 0
+    assert all(layers > 0 for layers in batches)
 
 
 def test_tables_and_layers_stop_at_a_small_budget(monkeypatch):
-    """Tables and kept layers together never hold more than
-    MAX_FRONTIER_ENTRIES entries; at 600, just above the largest live count
-    of a Petersen class, the tables fill it and the pairs do not move."""
+    """Kept layers never hold more than MAX_FRONTIER_ENTRIES entries, and
+    the move memo stops adding at MAX_MOVES moves.  At 600 entries, just
+    above the largest live count of a Petersen class, every tally keeps
+    fewer layer entries than without the cap; at 200 moves the memo fills.
+    The pairs do not move."""
     graphs = shuffled(switching_classes(fixture("petersen")), 7)
     expected = one_by_one(graphs)
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 600)
     batches = watch_batches(monkeypatch)
+    shared(graphs)
+    full = list(batches)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 600)
+    cold_moves(monkeypatch, 200)
+    del batches[:]
     assert shared(graphs) == expected
-    totals = [layers + tables for layers, tables in batches]
-    assert len(totals) == len(graphs)
-    assert max(totals) == 600
+    assert len(batches) == len(full) == len(graphs)
+    assert all(0 < kept <= 600 < total for kept, total in zip(batches, full))
+    assert memo_size() == 200
+    assert chromatic._moves_room == 0
 
 
 def test_chromatic_pairs_compute_steps_once_per_graph(monkeypatch):
@@ -436,3 +474,91 @@ def test_chromatic_pairs_in_concurrent_threads():
     assert not any(t.is_alive() for t in threads)
     assert results == [True] * 9
     assert chromatic._batch.get() is None
+
+
+# -- the move memo and the packed counts ------------------------------------------
+
+
+def test_move_memo_is_sound_across_modes_batches_and_threads(monkeypatch):
+    """Univariate and bivariate tallies of the same graphs, interleaved in
+    shuffled batches, agree with the subset loop on a cold memo, on the warm
+    memo they leave, and from three threads sharing one cold memo.  Both
+    modes meet the same steps and forgets, so a move memoised without the
+    mode (the flags of a new component) or without the positions forgotten
+    would hand one tally another's states."""
+    rng = random.Random(43)
+    graphs = {}
+    for _ in range(30):
+        g = random_signed_graph(rng, rng.randrange(3, 8), rng.randrange(2, 12))
+        if g.m < g.n * (g.n - 1) // 2:  # complete graphs take the partition route
+            graphs[g.n, g.edges] = g
+    graphs = list(graphs.values()) + switching_classes(fixture("G1"))
+    oracles = {(g.n, g.edges): oracle_tally(g) for g in graphs}
+    jobs = [(g, univariate) for g in graphs for univariate in (False, True)]
+    tally = chromatic._frontier_tally
+    tallies, failures = [0], []
+
+    def checked(n, edges, univariate=False):
+        got = tally(n, edges, univariate)
+        want = oracles[n, edges]
+        tallies[0] += 1
+        if (balance_counts(got) != balance_counts(want)) if univariate else got != want:
+            failures.append((n, edges, univariate))
+        return got
+
+    def run(seed: int) -> None:
+        order = shuffled(jobs, seed)
+        for start in range(0, len(order), 8):
+            batch = order[start:start + 8]
+            chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+            chromatic_pairs([g for g, univariate in batch if univariate])
+            for g, univariate in batch:
+                if not univariate:
+                    bivariate_pair(g)
+
+    def run_in_thread(seed: int) -> None:
+        try:
+            run(seed)
+        except Exception as e:  # reported below, not lost in the thread
+            failures.append(repr(e))
+
+    monkeypatch.setattr(chromatic, "_frontier_tally", checked)
+    cold_moves(monkeypatch)
+    run(1)
+    assert tallies[0] == len(jobs) and memo_size() > 0
+    run(2)  # warm
+    assert tallies[0] == 2 * len(jobs)
+    cold_moves(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run_in_thread, args=(seed,)) for seed in (3, 4, 5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert tallies[0] > 3 * len(jobs)
+    assert failures == []
+
+
+def test_packed_counts_fit_their_slots():
+    """Counts reach 2^|E| in absolute value and each sits in a slot of
+    |E| + 2 bits.  The tally, forced past the partition route, gives the
+    partition route's pairs on every switching class of signed K_6 and on
+    all-positive and all-negative K_7 (21 edges), and the subset loop's
+    table on no vertices, isolated vertices and a disconnected graph."""
+    signed_k7 = [complete_graph(7, 1), complete_graph(7, -1)]
+    for g in switching_classes(complete_graph(6, 1)) + signed_k7:
+        chromatic._subset_tally.cache_clear()
+        assert _subset_bivariate_pair(g) == complete_bivariate_pair(g), g
+        assert _subset_chromatic_pair(g) == complete_chromatic_pair(g), g
+    for g in (
+        SignedGraph(0, ()),
+        SignedGraph(4, ()),
+        SignedGraph(8, ((2, 6, -1),)),
+        SignedGraph(10, ((0, 1, -1), (1, 2, -1), (0, 2, -1), (5, 7, 1), (7, 9, 1), (5, 9, -1))),
+    ):
+        assert_matches_oracle(g)
