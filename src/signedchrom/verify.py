@@ -8,6 +8,7 @@ polynomials a referee would need to re-check the outcome by hand.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ _EXACT_THRESHOLD_LIMIT = 6  # longer codes are compared by fingerprint first
 _FP_MOD = (1 << 61) - 1
 _FP_X0 = 1122334455667788990 % _FP_MOD
 _FP_Y0 = 987654321987654321 % _FP_MOD
+_FP_SLOT = 128  # bits per fingerprint in the packed grid (see the threshold layout)
 
 
 @dataclass
@@ -244,12 +246,37 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 #     entry  0:  C(u, v) = x P(u, v)
 #     entry  1:  C(u, v) = y P(u, v + 1) + (x - y) P(u + 1, v)
 #     entry -1:  C(u, v) = y P(u, v) + (x - y) P(u + 1, v)
-# The scan runs level by level.  Each grid point keeps one list, its value for
-# every code of the current length.  A point's list at the next length is its
-# parent lists stepped with entry -1, then 0, then 1, concatenated, so index i
-# at length d spells its code in base 3, least significant digit first, with
-# entry = digit - 1.  The exact polynomials of one length are kept in the same
-# order.  No code is stored.
+# The scan runs level by level.  Each grid point keeps one Python int, its
+# value list: slot i, bits [_FP_SLOT i, _FP_SLOT (i + 1)), holds its value for
+# code index i of the current length.  A point's list at the next length is its
+# parent lists stepped with entry -1, then 0, then 1, concatenated (entry -1 in
+# the low slots), so index i at length d spells its code in base 3, least
+# significant digit first, with entry = digit - 1.  The exact polynomials of
+# one length are kept in the same order.  No code is stored.
+#
+# One step is a few big-int operations on whole lists: each of the three parts
+# is folded, then they are concatenated.  With _FP_MOD = M = 2^k - 1, a slot
+# folds mod M by adding its bits from k up to its low k bits (2^k = 1 mod M).
+# Multipliers are residues below M and every stored slot is at most 2^k, so a
+# step's sum of two products is below 2^(2k + 1) <= 2^127 and never carries
+# into the next slot; two folds bring it back to at most 2^k.  Only the corner
+# (0, 0), whose list is yielded, is made canonical, in [0, M), and a slot is
+# read out of its low 64 bits; hence 1 <= k <= 63.  The fold masks have the
+# parents' length, so the longest lists are built without any.
+
+
+def _fold(t: int, lo: int, k: int) -> int:
+    """Two folds of every slot of `t` mod 2^k - 1; `lo` holds 2^k - 1 in each slot."""
+    low = t & lo
+    t = low + ((t ^ low) >> k)
+    low = t & lo
+    return low + ((t ^ low) >> k)
+
+
+def _canonical(c: int, ones: int, k: int) -> int:
+    """Every slot of `c`, each at most 2^(k + 1) - 3, reduced into [0, 2^k - 1);
+    `ones` holds 1 in each slot."""
+    return c - (((c + ones) >> k) & ones) * ((1 << k) - 1)
 
 
 def _threshold_code(index: int, length: int) -> tuple[int, ...]:
@@ -261,28 +288,48 @@ def _threshold_code(index: int, length: int) -> tuple[int, ...]:
     return tuple(code)
 
 
+def _threshold_children(cols: list, size: int, k: int, x0: int, y0: int) -> list:
+    """The grid at the next length, from `cols` whose lists hold `size` slots.
+    The corner (0, 0), whose list the scan yields, is made canonical."""
+    mod = (1 << k) - 1
+    shift = size * _FP_SLOT
+    ones = int.from_bytes((b"\1" + bytes(_FP_SLOT // 8 - 1)) * size, "little")
+    lo = ones * mod
+    child = []
+    for u in range(len(cols) - 1):
+        row = []
+        for v in range(len(cols) - 1 - u):
+            x, y = (x0 - u - v) % mod, (y0 + u - v) % mod
+            w = (x - y) % mod
+            here, wr = cols[u][v], w * cols[u + 1][v]
+            # entries -1, 0, 1 of the recursion, in index order
+            parts = [_fold(t, lo, k) for t in (y * here + wr, x * here, y * cols[u][v + 1] + wr)]
+            if u == v == 0:
+                parts = [_canonical(p, ones, k) for p in parts]
+            row.append(parts[0] | parts[1] << shift | parts[2] << 2 * shift)
+        child.append(row)
+    return child
+
+
 def _threshold_fingerprints(n_max: int):
     """Yield (d, fingerprints of every code of length d in index order), d = 0..n_max."""
     mod = _FP_MOD
+    k = mod.bit_length()
+    if mod < 1 or mod & (mod + 1) or k > 63:
+        raise SignedChromError(f"fingerprint modulus {mod} is not 2^k - 1 with 1 <= k <= 63")
     x0, y0 = _FP_X0 % mod, _FP_Y0 % mod
-    # cols[u][v]: values at (x0 - u - v, y0 + u - v), for u + v <= n_max - d
-    cols = [[[(x0 - u - v) % mod] for v in range(n_max + 1 - u)] for u in range(n_max + 1)]
+    # cols[u][v]: the list at (x0 - u - v, y0 + u - v), for u + v <= n_max - d
+    cols = [[(x0 - u - v) % mod for v in range(n_max + 1 - u)] for u in range(n_max + 1)]
     for d in range(n_max + 1):
-        yield d, cols[0][0]
-        child = []
-        for u in range(n_max - d):
-            row = []
-            for v in range(n_max - d - u):
-                x, y = (x0 - u - v) % mod, (y0 + u - v) % mod
-                w = (x - y) % mod
-                here, right, up = cols[u][v], cols[u + 1][v], cols[u][v + 1]
-                # entries -1, 0, 1 of the recursion, in index order
-                vals = [(y * p + w * r) % mod for p, r in zip(here, right)]
-                vals.extend([x * p % mod for p in here])
-                vals.extend([(y * q + w * r) % mod for q, r in zip(up, right)])
-                row.append(vals)
-            child.append(row)
-        cols = child
+        if d:
+            cols = _threshold_children(cols, 3 ** (d - 1), k, x0, y0)
+        raw = cols[0][0].to_bytes(3**d * _FP_SLOT // 8, sys.byteorder)
+        if d == n_max:
+            del cols  # the longest list: free its packed int before building it
+        view = memoryview(raw).cast("Q")
+        fps = (view[::2] if sys.byteorder == "little" else view[::-2]).tolist()
+        del view, raw
+        yield d, fps
 
 
 def _threshold_clash(length: int, indices, evens) -> dict | None:
@@ -331,6 +378,8 @@ def verify_conj_threshold(n_max: int) -> VerificationReport:
             if d:
                 evens = [threshold_even_step(a, p) for a in (-1, 0, 1) for p in evens]
             bad = _threshold_clash(d, range(len(evens)), evens)
+            if d == exact_to:
+                evens = None  # the fingerprint lengths never read it
         elif len(set(fps)) != len(fps):
             counts = Counter(fps)
             collided = [i for i, fp in enumerate(fps) if counts[fp] > 1]

@@ -315,6 +315,90 @@ def test_fingerprint_collisions_are_rechecked_exactly(monkeypatch):
     _assert_merged_clash(report.details["counterexample"], merged)
 
 
+def _list_scan_fingerprints(n_max, mod):
+    """The fingerprint grid one Python int per code: the reference the packed
+    kernel must match, value for value and in the same index order."""
+    from signedchrom.verify import _FP_X0, _FP_Y0
+
+    x0, y0 = _FP_X0 % mod, _FP_Y0 % mod
+    cols = [[[(x0 - u - v) % mod] for v in range(n_max + 1 - u)] for u in range(n_max + 1)]
+    for d in range(n_max + 1):
+        yield d, cols[0][0]
+        child = []
+        for u in range(n_max - d):
+            row = []
+            for v in range(n_max - d - u):
+                x, y = (x0 - u - v) % mod, (y0 + u - v) % mod
+                w = (x - y) % mod
+                here, right, up = cols[u][v], cols[u + 1][v], cols[u][v + 1]
+                vals = [(y * p + w * r) % mod for p, r in zip(here, right)]
+                vals.extend([x * p % mod for p in here])
+                vals.extend([(y * q + w * r) % mod for q, r in zip(up, right)])
+                row.append(vals)
+            child.append(row)
+        cols = child
+
+
+def test_packed_fingerprints_match_the_list_scan(monkeypatch):
+    """Every n_max to 10 (each frees its grid at a different last length),
+    and every slot width the kernel accepts, down to the modulus 1."""
+    from signedchrom import verify
+
+    for n_max in range(11):
+        want = list(_list_scan_fingerprints(n_max, verify._FP_MOD))
+        assert list(verify._threshold_fingerprints(n_max)) == want, n_max
+    for k in (1, 2, 3, 5, 31, 63):
+        monkeypatch.setattr(verify, "_FP_MOD", (1 << k) - 1)
+        want = list(_list_scan_fingerprints(6, verify._FP_MOD))
+        assert list(verify._threshold_fingerprints(6)) == want, k
+
+
+def test_fold_and_canonical_keep_slots_apart():
+    """Edge values between slots of 0 and slots of the largest value: each
+    folds and reduces to its residue, and no slot carries into a neighbour."""
+    from signedchrom.verify import _FP_MOD as mod, _FP_SLOT, _canonical, _fold
+
+    k = mod.bit_length()
+    top = 2 * ((1 << 61) + 7) * ((1 << 61) - 2)  # above any step's sum of two products
+    edges = [0, mod - 1, mod, mod + 1, (1 << 61) + 7, top]
+
+    def pack(values):
+        return sum(v << (_FP_SLOT * i) for i, v in enumerate(values))
+
+    def unpack(t, n):
+        return [(t >> (_FP_SLOT * i)) & ((1 << _FP_SLOT) - 1) for i in range(n)]
+
+    def spread(big, values):
+        return [0] + [s for v in values for s in (v, 0, big, v, big)]
+
+    values = spread(top, edges)
+    folded = unpack(_fold(pack(values), pack([mod] * len(values)), k), len(values))
+    assert all(f <= 1 << 61 and f % mod == v % mod for f, v in zip(folded, values))
+    for values in (folded, spread((1 << 61) + 7, edges[:-1])):
+        reduced = unpack(_canonical(pack(values), pack([1] * len(values)), k), len(values))
+        assert reduced == [v % mod for v in values]
+
+
+@pytest.mark.parametrize("mod", [0, 10, 1 << 61, (1 << 64) - 1])
+def test_fingerprint_modulus_must_be_two_to_the_k_minus_one(monkeypatch, mod):
+    from signedchrom import verify
+    from signedchrom.errors import SignedChromError
+
+    monkeypatch.setattr(verify, "_FP_MOD", mod)
+    with pytest.raises(SignedChromError, match="2\\^k - 1"):
+        next(verify._threshold_fingerprints(3))
+
+
+def test_conjecture_threshold_stretch():
+    """The full stretch scale, which only the benchmark ran before."""
+    report = verify_conj_threshold(12)
+    assert report.passed
+    assert report.details == {
+        "codes_checked": {str(d): 3**d for d in range(13)},
+        "method": {"exact_to": 6, "fingerprint_from": 7},
+    }
+
+
 def test_conjecture_bivariate_small():
     report = verify_conj_complete_bivariate(4)
     assert report.passed
