@@ -27,9 +27,7 @@ import functools
 import itertools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph
@@ -43,8 +41,7 @@ MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes 
 MAX_THRESHOLD_CODE = 40         # entries of a threshold code; length 40 takes under 1 s
 
 
-@dataclass(frozen=True)
-class ColourSpec:
+class ColourSpec(NamedTuple):
     """A concrete colour set: paired colours, unpaired colours and maybe 0.
 
     `paired` is closed under negation, `unpaired` avoids its own negatives,
@@ -143,14 +140,16 @@ def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
 # well under the cap; K_9 fills it.
 
 
-@dataclass
 class _Batch:
-    edges: tuple = ()     # the edges of the graph being tallied
-    steps: tuple = ()     # their _steps(n, edges, True)
-    skeleton: tuple = ()  # the skeleton of the last univariate tally, and for it:
-    plan: list = field(default_factory=list)    # its _frontier_plan
-    signs: tuple = ()     # signs and DP layers of the last univariate tally
-    layers: list = field(default_factory=list)
+    __slots__ = ("edges", "steps", "skeleton", "plan", "signs", "layers")
+
+    def __init__(self) -> None:
+        self.edges = ()     # the edges of the graph being tallied
+        self.steps = ()     # their _steps(n, edges, True)
+        self.skeleton = ()  # the skeleton of the last univariate tally, and for it:
+        self.plan = []      # its _frontier_plan
+        self.signs = ()     # signs and DP layers of the last univariate tally
+        self.layers = []
 
 
 _batch: ContextVar[_Batch | None] = ContextVar("_batch", default=None)
@@ -478,6 +477,8 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
 
 def _lagrange_integer(xs: Sequence[int], ys: Sequence[int]) -> UniPoly:
     """Exact Lagrange interpolation; the result must have integer coefficients."""
+    from fractions import Fraction  # imported here: only this oracle needs it
+
     k = len(xs)
     acc = [Fraction(0)] * k
     for i in range(k):

@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from . import chromatic, closedform, equivalence, verify
+from . import chromatic, equivalence, verify
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import (
     SignedGraph,
@@ -56,12 +56,32 @@ def _report(
     return 0 if passed else 1
 
 
+# Largest graph file read.  A file of K_256, the most edges MAX_VERTICES
+# allows, holds 32,640 edge lines "e u v s" of at most 13 bytes each with a
+# CRLF ending, 424,320 bytes in all; the cap leaves room for comments.
+MAX_GRAPH_FILE_BYTES = 1 << 20
+
+
 def _load_graph_file(path: str) -> SignedGraph:
+    # The file is read in chunks, at most the cap plus one byte: a single
+    # read of that many bytes would allocate them all even for a small file.
+    chunks, size = [], 0
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
-    except OSError as e:
+        with open(path, "rb") as fh:
+            while size <= MAX_GRAPH_FILE_BYTES:
+                chunk = fh.read(min(1 << 16, MAX_GRAPH_FILE_BYTES + 1 - size))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
+        if size > MAX_GRAPH_FILE_BYTES:
+            raise BudgetExceededError(
+                f"{path} exceeds the graph-file cap of {MAX_GRAPH_FILE_BYTES} bytes"
+            )
+        text = b"".join(chunks).decode("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise SignedChromError(f"cannot read {path}: {e}") from e
+    return parse_graph(text)
 
 
 def _resolve_underlying(name: str) -> SignedGraph:
@@ -101,6 +121,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    from . import closedform  # loaded only by the two commands that use it
+
     pair = closedform.join_pair(args.family, args.l, args.m, args.n)
     _emit(
         args,
@@ -117,6 +139,8 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from . import closedform
+
     report = closedform.identity_suite(args.max)
     return _report(args, report.to_dict(), report.lines(), report.all_pass)
 

@@ -17,8 +17,8 @@ collapse identities these families satisfy.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph, complete_graph, join
@@ -214,8 +214,7 @@ def join_family_graph(family: int, l: int, m: int, n: int) -> SignedGraph:
                 complete_graph(n, -1), 1)
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     description: str
     checked: int
@@ -223,8 +222,7 @@ class IdentityResult:
     counterexample: str | None = None
 
 
-@dataclass(frozen=True)
-class IdentitySuiteReport:
+class IdentitySuiteReport(NamedTuple):
     max_param: int
     results: tuple[IdentityResult, ...]
 

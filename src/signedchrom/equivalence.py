@@ -11,7 +11,7 @@ graph's automorphism group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .graphs import SignedGraph, all_positive
@@ -270,8 +270,7 @@ def free_switching_vertices(g: SignedGraph) -> list[int]:
 # -- signature orbits over a fixed underlying graph -----------------------------
 
 
-@dataclass(frozen=True)
-class ClassInventory:
+class ClassInventory(NamedTuple):
     """Signature classes of one underlying graph under iso or switching-iso.
 
     Masks encode signatures: bit i set means edge i (in the graph's canonical
@@ -289,8 +288,15 @@ class ClassInventory:
     representative_masks: tuple[int, ...]
     representatives: tuple[SignedGraph, ...]
     orbit_sizes: tuple[int, ...]
-    normal_index: tuple[int, ...] = field(repr=False)
-    class_of_index: tuple[int, ...] = field(repr=False)
+    normal_index: tuple[int, ...]
+    class_of_index: tuple[int, ...]
+
+    def __repr__(self) -> str:
+        # The two index tables are left out: K_7's class_of_index has 2^21 entries.
+        return (f"ClassInventory(underlying={self.underlying!r}, mode={self.mode!r},"
+                f" representative_masks={self.representative_masks!r},"
+                f" representatives={self.representatives!r},"
+                f" orbit_sizes={self.orbit_sizes!r})")
 
     @property
     def class_count(self) -> int:

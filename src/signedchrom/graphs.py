@@ -8,7 +8,6 @@ are pure: they return new graphs and never mutate their arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, SignedChromError
@@ -30,25 +29,27 @@ PLAIN = "plain"
 UNIVERSAL_K1 = "universal_K1"
 
 
-@dataclass(frozen=True)
 class SignedGraph:
-    """Immutable signed graph on vertices 0..n-1."""
+    """Immutable signed graph on vertices 0..n-1.
 
-    n: int
-    edges: tuple[Edge, ...] = ()
+    Equal to another `SignedGraph` with the same `n` and normalised `edges`,
+    and hashed as the tuple `(n, edges)`.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        if n < 0:
             raise SignedChromError("vertex count must be nonnegative")
         seen = set()
         norm = []
-        for u, v, s in self.edges:
+        for u, v, s in edges:
             if u == v:
                 raise SignedChromError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if not (0 <= u and v < self.n):
-                raise SignedChromError(f"edge ({u},{v}) outside 0..{self.n - 1}")
+            if not (0 <= u and v < n):
+                raise SignedChromError(f"edge ({u},{v}) outside 0..{n - 1}")
             if (u, v) in seen:
                 raise SignedChromError(f"duplicate edge ({u},{v})")
             if s not in (1, -1):
@@ -56,7 +57,28 @@ class SignedGraph:
             seen.add((u, v))
             norm.append((u, v, s))
         norm.sort()
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"SignedGraph(n={self.n!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return SignedGraph, (self.n, self.edges)
 
     @property
     def m(self) -> int:

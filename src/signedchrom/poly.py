@@ -11,23 +11,45 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import SignedChromError
 
 
-@dataclass(frozen=True)
 class UniPoly:
-    """Polynomial in x with integer coefficients, ascending by degree."""
+    """Polynomial in x with integer coefficients, ascending by degree.
 
-    coeffs: tuple[int, ...] = ()
+    Immutable: equal to another `UniPoly` with the same trimmed `coeffs`,
+    and hashed as the tuple `(coeffs,)`.
+    """
 
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        c = tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"UniPoly(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return UniPoly, (self.coeffs,)
 
     # -- constructors ------------------------------------------------------
 

@@ -11,7 +11,6 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .chromatic import (
     bivariate_pair,
@@ -51,13 +50,16 @@ _FP_Y0 = 987654321987654321 % _FP_MOD
 _FP_SLOT = 128  # bits per fingerprint in the packed grid (see the threshold layout)
 
 
-@dataclass
 class VerificationReport:
-    target: str
-    scale: int | None
-    status: str  # "pass" | "counterexample" | "budget_exceeded"
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    __slots__ = ("target", "scale", "status", "details", "elapsed")
+
+    def __init__(self, target: str, scale: int | None, status: str,
+                 details: dict, elapsed: float) -> None:
+        self.target = target
+        self.scale = scale
+        self.status = status  # "pass" | "counterexample" | "budget_exceeded"
+        self.details = details
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

@@ -58,6 +58,18 @@ def test_make_colour_spec_examples():
         make_colour_spec(1, -1)
 
 
+def test_colour_spec_value_semantics():
+    spec = make_colour_spec(4, 1)
+    fields = (frozenset({1, -1}), frozenset({5}), True)
+    assert spec == make_colour_spec(4, 1) and spec != make_colour_spec(4, 0)
+    assert hash(spec) == hash(fields)
+    assert repr(spec) == ("ColourSpec(paired=frozenset({1, -1}), unpaired=frozenset({5}),"
+                          " includes_zero=True)")
+    with pytest.raises(AttributeError):
+        spec.includes_zero = False
+    assert spec.includes_zero
+
+
 def test_colour_spec_invariants():
     for lam in range(8):
         for mu in range(lam + 1):

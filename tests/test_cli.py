@@ -6,13 +6,16 @@ import json
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import types
 
 import pytest
 
+import signedchrom
 from signedchrom import chromatic, closedform, verify
-from signedchrom.cli import build_parser, main
+from signedchrom.cli import MAX_GRAPH_FILE_BYTES, build_parser, main
 from signedchrom.graphs import MAX_VERTICES, SignedGraph, fixture, format_graph
 
 
@@ -207,6 +210,56 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "chrom", str(tmp_path / "missing.sg"))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["chrom"], ["search-cochromatic", "--underlying"]])
+def test_undecodable_graph_file_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "utf16.sg"
+    path.write_bytes(b"\xff\xfen 2\n")
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+                   " in position 0: invalid start byte\n")
+
+
+def test_graph_file_cap_exit_2(capsys, tmp_path):
+    """A file at the cap is read; one byte more is refused, and so is a file
+    four times the cap, after reading only one byte past the cap."""
+    path = tmp_path / "long.sg"
+    header = b"n 2\ne 0 1 -\n"
+    path.write_bytes(header + b"#" * (MAX_GRAPH_FILE_BYTES - len(header)))
+    code, out, _ = run(capsys, "chrom", str(path))
+    assert code == 0 and json.loads(out)["even"]
+    message = f"error: {path} exceeds the graph-file cap of {MAX_GRAPH_FILE_BYTES} bytes\n"
+    for size in (1, 3 * MAX_GRAPH_FILE_BYTES):
+        with open(path, "ab") as fh:
+            fh.write(b"#" * size)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "chrom", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", message)
+        assert peak < 2 * MAX_GRAPH_FILE_BYTES, peak
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    """`import signedchrom.cli` adds neither dataclasses nor fractions (with
+    their inspect and decimal imports) nor closedform to what a bare
+    interpreter loads; only closed-form and identities load closedform."""
+    script = "import sys; print(*sorted(sys.modules))"
+    src = pathlib.Path(signedchrom.__file__).resolve().parent.parent
+
+    def modules(prefix):
+        proc = subprocess.run([sys.executable, "-c", prefix + script], cwd=src,
+                              capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    added = modules("import signedchrom.cli; ") - modules("")
+    assert "signedchrom.verify" in added
+    assert added & {"dataclasses", "fractions", "signedchrom.closedform"} == set()
 
 
 @pytest.mark.parametrize(

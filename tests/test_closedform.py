@@ -9,6 +9,7 @@ from signedchrom.closedform import (
     H2,
     H3,
     H4,
+    IdentityResult,
     U_x,
     identity_suite,
     join_family_graph,
@@ -101,6 +102,18 @@ def test_identity_suite_degenerate():
 
 def test_identity_suite_max_3():
     assert identity_suite(3).all_pass
+
+
+def test_identity_result_value_semantics():
+    r = IdentityResult("i", "H1 symmetric", 8, "pass")
+    fields = ("i", "H1 symmetric", 8, "pass", None)
+    assert r == IdentityResult(*fields) and r != r._replace(status="fail")
+    assert hash(r) == hash(fields)
+    assert repr(r) == ("IdentityResult(name='i', description='H1 symmetric', checked=8,"
+                       " status='pass', counterexample=None)")
+    with pytest.raises(AttributeError):
+        r.status = "fail"
+    assert r.status == "pass"
 
 
 def test_identity_report_serializes():

@@ -308,6 +308,24 @@ def test_enumerate_classes_structure():
             assert find_switching_isomorphism(reps[i], reps[j]) is None
 
 
+def test_class_inventory_value_semantics():
+    k3 = complete_graph(3, 1)
+    inv = enumerate_classes(k3, "switching_iso")
+    reps = (k3, SignedGraph(3, ((0, 1, -1), (0, 2, 1), (1, 2, 1))))
+    fields = (k3, "switching_iso", (0, 1), reps, (4, 4), (1, 1, 1), (0, 1))
+    assert (inv.normal_index, inv.class_of_index) == fields[5:]
+    assert inv == enumerate_classes(k3, "switching_iso") and inv != enumerate_classes(k3, "iso")
+    assert hash(inv) == hash(fields)
+    # the two index tables stay out of the repr: at K_7 one has 2^21 entries
+    assert repr(inv) == (
+        f"ClassInventory(underlying={k3!r}, mode='switching_iso',"
+        f" representative_masks=(0, 1), representatives={reps!r}, orbit_sizes=(4, 4))"
+    )
+    with pytest.raises(AttributeError):
+        inv.mode = "iso"
+    assert inv.mode == "switching_iso"
+
+
 def test_in_orbit_members_share_chromatic_pair():
     rng = random.Random(17)
     inv = enumerate_classes(complete_graph(4, 1), "switching_iso")

@@ -1,5 +1,7 @@
 """Signed-graph data model: construction, switching, joins, fixtures, parsing."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -60,6 +62,41 @@ def test_build_graph_examples():
 def test_edges_normalized_and_sorted():
     g = SignedGraph(3, ((2, 1, -1), (1, 0, 1)))
     assert g.edges == ((0, 1, 1), (1, 2, -1))
+    assert SignedGraph(3, iter([(2, 1, -1), (1, 0, 1)])).edges == g.edges
+
+
+def test_signed_graph_value_semantics():
+    g = SignedGraph(3, [(2, 0, -1), (1, 0, 1)])
+    edges = ((0, 1, 1), (0, 2, -1))
+    assert g.n == 3 and g.edges == edges
+    assert g == SignedGraph(3, edges) and hash(g) == hash((3, edges))
+    assert hash(SignedGraph(0)) == hash((0, ()))
+    assert g != SignedGraph(4, edges) and g != (3, edges)
+    assert repr(g) == "SignedGraph(n=3, edges=((0, 1, 1), (0, 2, -1)))"
+    assert repr(SignedGraph(0)) == "SignedGraph(n=0, edges=())"
+    for attr in ("n", "edges", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, 1)
+    with pytest.raises(AttributeError):
+        del g.edges
+    assert g.n == 3 and g.edges == edges
+    assert copy.deepcopy(g) == g and pickle.loads(pickle.dumps(g)) == g
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (-1, (), "vertex count must be nonnegative"),
+        (3, ((1, 1, 1),), "loop at vertex 1"),
+        (3, ((3, 0, 1),), "edge (0,3) outside 0..2"),
+        (3, ((0, 1, 1), (1, 0, -1)), "duplicate edge (0,1)"),
+        (3, ((2, 1, 0),), "sign 0 on edge (1,2)"),
+    ],
+)
+def test_signed_graph_error_messages(n, edges, message):
+    with pytest.raises(SignedChromError) as exc:
+        SignedGraph(n, edges)
+    assert str(exc.value) == message
 
 
 def test_switch_examples():

@@ -1,6 +1,8 @@
 """Ring arithmetic, combinatorial sequences, and serialization."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,23 @@ def test_canonical_form_strips_trailing_zeros():
     assert UniPoly((1, 2, 0, 0)) == UniPoly((1, 2))
     assert UniPoly((0, 0)).is_zero()
     assert BiPoly({(1, 1): 0}).is_zero()
+
+
+def test_unipoly_value_semantics():
+    p = UniPoly([1, -2, 0, 0])
+    assert p.coeffs == (1, -2)
+    assert p == UniPoly((1, -2)) and hash(p) == hash(((1, -2),))
+    assert hash(UniPoly()) == hash(((),))
+    assert p != UniPoly((1,)) and p != (1, -2) and p != BiPoly({(0, 0): 1, (1, 0): -2})
+    assert repr(p) == "UniPoly(coeffs=(1, -2))"
+    assert repr(UniPoly()) == "UniPoly(coeffs=())"
+    for attr in ("coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, (3,))
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert p.coeffs == (1, -2)
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
 
 
 def test_basic_arithmetic_examples():
