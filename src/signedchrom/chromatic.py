@@ -1,13 +1,14 @@
 """Colouring counts and chromatic polynomial pairs of signed graphs.
 
 `chromatic_pair` and `bivariate_pair` pick the route: signed complete graphs
-take the negative-clique partition route, every other graph the edge-subset
-expansion, which sums a signed term over all spanning subgraphs classified
-by their component statistics.  That sum is tallied by a frontier edge DP
-rather than subset by subset, whose moves the process memoises: on a 2-core
-machine the Petersen graph takes about 3 ms (0.7 ms once its moves are
-memoised) instead of 0.2 s for its 2^15 subsets, and the 19-edge threshold
-example about 7 ms (1.8 ms) instead of 3.6 s.  Each route checks its own budget.
+take the partition route, a subset DP over colour units, and every other
+graph the edge-subset expansion, which sums a signed term over all spanning
+subgraphs classified by their component statistics.  That sum is tallied by
+a frontier edge DP rather than subset by subset, whose moves the process
+memoises: on a 2-core machine the Petersen graph takes about 3 ms (0.7 ms
+once its moves are memoised) instead of 0.2 s for its 2^15 subsets, and the
+19-edge threshold example about 7 ms (1.8 ms) instead of 3.6 s.  Each route
+checks its own budget.
 
 The univariate pair depends only on balance, so its tally runs on a switched
 copy of the graph in which only the chords carry signs.  `chromatic_pairs`
@@ -31,12 +32,12 @@ from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph
-from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly
+from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly, double_falling
 
 MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
 MAX_MOVES = 1 << 14             # take and forget moves the process memoises
-MAX_PARTITION_N = 10            # -K_10 has Bell(10) = 115,975 negative-clique partitions
+MAX_PARTITION_N = 10            # vertices of a signed K_n: the unit DP visits at most 2^n masks
 MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes of K_7: 1,044
 MAX_THRESHOLD_CODE = 40         # entries of a threshold code; length 40 takes under 1 s
 
@@ -453,18 +454,25 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
     tally resumes from the kept layers of the last one on its skeleton: a
     depth-first walk of the trie of sign prefixes.  Kept layers stop
     growing at MAX_FRONTIER_ENTRIES entries and are dropped on return.
-    Refuses a batch of more than MAX_PAIR_BATCH graphs before any tally.
+    Signed K_n take the partition route, which reads no steps, so they are
+    neither numbered nor sorted.  Refuses a batch of more than MAX_PAIR_BATCH
+    graphs before any tally.
     """
     if len(graphs) > MAX_PAIR_BATCH:
         raise BudgetExceededError(
             f"{len(graphs)} graphs exceed the pair-batch cap of {MAX_PAIR_BATCH}"
         )
-    steps = [_steps(g.n, g.edges, True) for g in graphs]
     pairs: list = [None] * len(graphs)
+    steps = {}
+    for i, g in enumerate(graphs):
+        if g.m == g.n * (g.n - 1) // 2:
+            pairs[i] = chromatic_pair(g)
+        else:
+            steps[i] = _steps(g.n, g.edges, True)
     batch = _Batch()
     token = _batch.set(batch)
     try:
-        for i in sorted(range(len(graphs)), key=lambda i: steps[i][1:]):
+        for i in sorted(steps, key=lambda i: steps[i][1:]):
             batch.edges, batch.steps = graphs[i].edges, steps[i]
             pairs[i] = chromatic_pair(graphs[i])
     finally:
@@ -584,113 +592,37 @@ def threshold_bivariate(code: Sequence[int]) -> BivariatePair:
     return pair
 
 
-# -- signed complete graphs: the negative-clique partition route ------------------
+# -- signed complete graphs: the partition route over colour units ----------------
 #
 # Colour classes of a proper colouring of a signed complete graph are exactly
 # the blocks of a partition of V into all-negative cliques, and a block of
-# size >= 2 cannot take colour 0.  Given the partition, an admissible colour
-# assignment is an injection of blocks into the colour set that never puts
-# opposite paired colours on two blocks joined by a negative edge.  Counting
-# those injections by the number k of paired colour pairs used twice turns
-# into k-matchings of the complement of the block-conflict graph times
-# double-falling-factorial polynomials.
+# size >= 2 cannot take colour 0.  Group the blocks into units: a single unit
+# is one block with a colour of its own, a double unit two blocks with only
+# positive edges between them, coloured c and -c by one paired colour.  A
+# colouring from a colour set of even type is then a split of V into k double
+# and d single units times an assignment of colours to the units, counted by
+# `_complete_basis(k, d)`.  `_unit_tally` counts the splits by (k, d) in one
+# memoised DP over vertex masks, at most 2^n of them: it chooses the unit of
+# the lowest vertex of a mask and recurs on the rest.  The cliques of the
+# negative graph that it lists are memoised per vertex set too.
+#
+# A mask's counts are one packed int, the count of (k, d) in the _UNIT_BITS-bit
+# slot k * (n + 1) + d, so adding a unit is a shift and merging is an add.
+# Counts are non-negative and never reach the next slot: the splits of n
+# vertices number at most Bell(n) partitions times involutions(n) matchings
+# of their blocks, and w_zero sums n of those, so at MAX_PARTITION_N every
+# count is at most 115,975 * 9,496 * 10 < 2^34.
+_UNIT_BITS = 36
 
 
-def _negclique_partitions(neg: list[int], n: int) -> list[tuple[int, ...]]:
-    """All partitions of 0..n-1 into blocks that are cliques of the negative graph."""
-    blocks: list[int] = []
-    out: list[tuple[int, ...]] = []
+def _unit_tally(g: SignedGraph) -> tuple[dict, dict]:
+    """(w_all, w_zero) of a signed complete graph, each keyed by (k, d).
 
-    def rec(i: int) -> None:
-        if i == n:
-            out.append(tuple(blocks))
-            return
-        bit = 1 << i
-        for idx in range(len(blocks)):
-            b = blocks[idx]
-            if b & ~neg[i] == 0:
-                blocks[idx] = b | bit
-                rec(i + 1)
-                blocks[idx] = b
-        blocks.append(bit)
-        rec(i + 1)
-        blocks.pop()
-
-    rec(0)
-    return out
-
-
-def _matching_counts(adj: list[int]):
-    """Matching counts by size in the subgraphs of a graph given as adjacency
-    bitmasks: the returned function maps a vertex mask to its counts, and
-    every call shares one memo."""
-    memo: dict[int, tuple[int, ...]] = {0: (1,)}
-
-    def rec(mask: int) -> tuple[int, ...]:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        vb = mask & -mask
-        v = vb.bit_length() - 1
-        rest = mask ^ vb
-        res = list(rec(rest))
-        nb = adj[v] & rest
-        while nb:
-            ub = nb & -nb
-            nb ^= ub
-            sub = rec(rest ^ ub)
-            if len(res) < len(sub) + 1:
-                res.extend([0] * (len(sub) + 1 - len(res)))
-            for i, cnt in enumerate(sub):
-                res[i + 1] += cnt
-        out = tuple(res)
-        memo[mask] = out
-        return out
-
-    return rec
-
-
-@functools.lru_cache(maxsize=None)
-def _dfall_xy(offset: int, t: int) -> BiPoly:
-    """Product of (x - y - offset - 2i) for i < t."""
-    p = BiPoly.one()
-    z = BiPoly.x() - BiPoly.y()
-    for i in range(t):
-        p = p * (z - (offset + 2 * i))
-    return p
-
-
-@functools.lru_cache(maxsize=None)
-def _yfall(j: int) -> BiPoly:
-    """Product of (y - i) for i < j."""
-    p = BiPoly.one()
-    y = BiPoly.y()
-    for i in range(j):
-        p = p * (y - i)
-    return p
-
-
-@functools.lru_cache(maxsize=None)
-def _complete_basis(k: int, d: int) -> BiPoly:
-    """Assignments for k doubled pairs plus d singly-coloured blocks, from a
-    colour set of even type: x - y paired colours and y unpaired ones."""
-    s = BiPoly.zero()
-    for j in range(d + 1):
-        s = s + math.comb(d, j) * _yfall(j) * _dfall_xy(2 * k, d - j)
-    return _dfall_xy(0, k) * s
-
-
-def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
-    """Bivariate pair of a signed complete graph via negative-clique partitions.
-
-    The even constituent sums, over the partitions, the block assignments
-    from a colour set of even type.  For the odd one, colour 0 is its own
-    negative, so in a signed K_n at most one vertex takes it, as a singleton
-    block; the remaining vertices are coloured from an even-type set of
-    x - 1 colours.  So the odd constituent is the even sum plus, for each
-    singleton block, the assignments of the other blocks, all at (x - 1, y).
-    Both sums read one memo of matching counts per partition: the full block
-    set for the even sum, the full set minus one singleton for the other.
+    w_all counts the splits of V into k double and d single units (see
+    above).  Colour 0 is its own negative, so at most one vertex takes it,
+    as a singleton block; w_zero sums over each vertex s the splits of
+    V minus s.  Refuses graphs that are not complete, and past
+    MAX_PARTITION_N vertices.
     """
     n = g.n
     if g.m != n * (n - 1) // 2:
@@ -704,45 +636,99 @@ def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
         if s < 0:
             neg[u] |= 1 << v
             neg[v] |= 1 << u
-    w_all: dict[tuple[int, int], int] = {}
-    w_zero: dict[tuple[int, int], int] = {}
-    for blocks in _negclique_partitions(neg, n):
-        r = len(blocks)
-        blockneg = [0] * r
-        for i, bm in enumerate(blocks):
-            acc = 0
-            mm = bm
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                acc |= neg[low.bit_length() - 1]
-            blockneg[i] = acc
-        coadj = [0] * r
-        for i in range(r):
-            for j in range(i + 1, r):
-                if not blockneg[i] & blocks[j]:
-                    coadj[i] |= 1 << j
-                    coadj[j] |= 1 << i
-        matchings = _matching_counts(coadj)
-        full = (1 << r) - 1
-        for k, cnt in enumerate(matchings(full)):
-            key = (k, r - 2 * k)
-            w_all[key] = w_all.get(key, 0) + cnt
-        for s in range(r):
-            if blocks[s].bit_count() == 1:
-                for k, cnt in enumerate(matchings(full ^ 1 << s)):
-                    key = (k, r - 1 - 2 * k)
-                    w_zero[key] = w_zero.get(key, 0) + cnt
-    even = BiPoly.zero()
-    for (k, d), cnt in sorted(w_all.items()):
-        even = even + cnt * _complete_basis(k, d)
-    odd = even
-    for (k, d), cnt in sorted(w_zero.items()):
-        odd = odd + cnt * _complete_basis(k, d)
-    return BivariatePair(even, odd.shifted(-1, 0))
+    double = _UNIT_BITS * (n + 1)
+    clique_memo: dict[int, list[tuple[int, int]]] = {0: [(0, 0)]}
+    unit_memo = {0: 1}
+
+    def cliques(mask: int) -> list[tuple[int, int]]:
+        # (C, the negative neighbours of C) for the cliques C in mask, empty first
+        got = clique_memo.get(mask)
+        if got is None:
+            low = mask & -mask
+            rest, nv = mask ^ low, neg[low.bit_length() - 1]
+            got = cliques(rest) + [(c | low, nc | nv) for c, nc in cliques(rest & nv)]
+            clique_memo[mask] = got
+        return got
+
+    def units(mask: int) -> int:
+        got = unit_memo.get(mask)
+        if got is None:
+            low = mask & -mask
+            rest, nv = mask ^ low, neg[low.bit_length() - 1]
+            ones = twos = 0
+            for c, nc in cliques(rest & nv):  # the lowest vertex's block A
+                left = rest ^ c
+                ones += units(left)
+                for b, _ in cliques(left & ~(nc | nv))[1:]:  # a block B beside A
+                    twos += units(left ^ b)
+            got = unit_memo[mask] = (ones << _UNIT_BITS) + (twos << double)
+        return got
+
+    full, slot = (1 << n) - 1, (1 << _UNIT_BITS) - 1
+    packed = units(full), sum(units(full ^ 1 << s) for s in range(n))
+    return tuple(
+        {(k, d): c for k in range(n // 2 + 1) for d in range(n - 2 * k + 1)
+         if (c := w >> (k * (n + 1) + d) * _UNIT_BITS & slot)}
+        for w in packed
+    )
+
+
+def _falling(base: BiPoly, offset: int, step: int, t: int) -> BiPoly:
+    """Product of (base - offset - step * i) for i < t."""
+    p = BiPoly.one()
+    for i in range(t):
+        p = p * (base - (offset + step * i))
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def _complete_basis(k: int, d: int) -> BiPoly:
+    """Assignments for k doubled pairs plus d singly-coloured blocks, from a
+    colour set of even type: x - y paired colours and y unpaired ones, which
+    j of the single blocks take."""
+    y, z = BiPoly.y(), BiPoly.x() - BiPoly.y()
+    s = BiPoly.zero()
+    for j in range(d + 1):
+        s = s + math.comb(d, j) * _falling(y, 0, 1, j) * _falling(z, 2 * k, 2, d - j)
+    return _falling(z, 0, 2, k) * s
+
+
+def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
+    """Bivariate pair of a signed complete graph via its colour units.
+
+    The even constituent sums the assignments from a colour set of even type
+    over the splits that w_all counts.  For the odd one, the vertex coloured
+    0 (if any) is a singleton, and the others are coloured from an even-type
+    set of x - 1 colours: so the odd constituent adds the same sum over
+    w_zero and is taken at (x - 1, y).  Both sums run term by term into one
+    dict, and each polynomial is built once.
+    """
+    terms: dict[tuple[int, int], int] = {}
+    pair = []
+    for w in _unit_tally(g):
+        for (k, d), cnt in w.items():
+            for key, c in _complete_basis(k, d).items():
+                terms[key] = terms.get(key, 0) + cnt * c
+        pair.append(BiPoly(terms))
+    return BivariatePair(pair[0], pair[1].shifted(-1, 0))
 
 
 def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:
-    """Univariate pair of a signed complete graph (y = 0 specialization)."""
-    even, odd = complete_bivariate_pair(g)
-    return ChromaticPair(even.substitute_y(0), odd.substitute_y(0))
+    """Univariate pair of a signed complete graph, without bivariate polynomials.
+
+    It is `complete_bivariate_pair` at y = 0.  There the falling factorial
+    y (y - 1) ... (y - j + 1) vanishes for j >= 1, so `_complete_basis(k, d)`
+    keeps only its j = 0 term: x (x - 2) ... (x - 2k + 2) times (x - 2k) ...
+    (x - 2k - 2d + 2), which is `double_falling(k + d)`.  So the even constituent is
+    sum_t A_t double_falling(t), A_t the total of w_all over k + d = t, and
+    the odd one adds the same sum over w_zero and is taken at x - 1.
+    """
+    acc = UniPoly.zero()
+    pair = []
+    for w in _unit_tally(g):
+        totals = [0] * (g.n + 1)
+        for (k, d), cnt in w.items():
+            totals[k + d] += cnt
+        acc = sum((a * double_falling(t) for t, a in enumerate(totals) if a), acc)
+        pair.append(acc)
+    return ChromaticPair(pair[0], pair[1].shifted(-1))

@@ -11,152 +11,8 @@ from __future__ import annotations
 
 from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly
 
-X = UniPoly.x()
-XB = BiPoly.x()
-YB = BiPoly.y()
-
-
-def _p(*desc: int) -> UniPoly:
-    """Univariate polynomial from descending coefficients, as printed."""
-    return UniPoly(tuple(reversed(desc)))
-
-
-# (even, odd) chromatic pairs of the signature classes of K_3, K_4, K_5,
-# keyed by order; within one order the list is an unordered multiset.
-COMPLETE_TABLE: dict[int, list[ChromaticPair]] = {
-    3: [
-        ChromaticPair(X * (X - 1) * (X - 2), X * (X - 1) * (X - 2)),
-        ChromaticPair(X * _p(1, -3, 3), (X - 1) ** 3),
-    ],
-    4: [
-        ChromaticPair(X * (X - 1) * (X - 2) * (X - 3), X * (X - 1) * (X - 2) * (X - 3)),
-        ChromaticPair(X * (X - 2) * _p(1, -4, 5), (X - 1) ** 2 * (X - 2) ** 2),
-        ChromaticPair(X * _p(1, -6, 15, -13), (X - 1) * _p(1, -5, 10, -7)),
-    ],
-    5: [
-        ChromaticPair(
-            X * (X - 1) * (X - 2) * (X - 3) * (X - 4),
-            X * (X - 1) * (X - 2) * (X - 3) * (X - 4),
-        ),
-        ChromaticPair(
-            X * (X - 2) * (X - 3) * _p(1, -5, 7),
-            (X - 1) ** 2 * (X - 2) * (X - 3) ** 2,
-        ),
-        ChromaticPair(
-            X * (X - 2) * _p(1, -8, 25, -29),
-            (X - 1) * (X - 2) * _p(1, -7, 18, -17),
-        ),
-        ChromaticPair(
-            X * (X - 2) * (X - 3) * _p(1, -5, 8),
-            (X - 1) * (X - 2) ** 3 * (X - 3),
-        ),
-        ChromaticPair(
-            X * (X - 2) * _p(1, -8, 26, -31),
-            (X - 1) * (X - 2) * _p(1, -7, 19, -19),
-        ),
-        ChromaticPair(
-            X * (X - 2) * (X - 3) * _p(1, -5, 9),
-            (X - 1) * (X - 2) * (X - 3) * _p(1, -4, 5),
-        ),
-        ChromaticPair(
-            X * _p(1, -10, 45, -95, 75),
-            (X - 1) * _p(1, -9, 36, -69, 51),
-        ),
-    ],
-}
-
-# (even, odd) chromatic pairs of the six signature classes of the Petersen graph.
-PETERSEN_TABLE: list[ChromaticPair] = [
-    ChromaticPair(
-        X * (X - 1) * (X - 2) * _p(1, -12, 67, -230, 529, -814, 775, -352),
-        X * (X - 1) * (X - 2) * _p(1, -12, 67, -230, 529, -814, 775, -352),
-    ),
-    ChromaticPair(
-        X * (X - 2) * _p(1, -13, 79, -297, 763, -1379, 1717, -1351, 516),
-        (X - 1) ** 2 * (X - 2) ** 2 * _p(1, -9, 38, -98, 163, -165, 82),
-    ),
-    ChromaticPair(
-        X * (X - 2) * _p(1, -13, 79, -297, 765, -1397, 1781, -1462, 597),
-        (X - 1) * _p(1, -14, 91, -364, 995, -1938, 2703, -2621, 1619, -492),
-    ),
-    ChromaticPair(
-        X * (X - 2) * _p(1, -13, 79, -297, 767, -1411, 1823, -1524, 635),
-        (X - 1) * _p(1, -14, 91, -364, 997, -1956, 2773, -2767, 1781, -568),
-    ),
-    ChromaticPair(
-        X * (X - 2) * _p(1, -13, 79, -297, 765, -1401, 1803, -1509, 632),
-        (X - 1) * (X - 2) ** 2 * _p(1, -4, 5) * _p(1, -6, 18, -34, 37, -28),
-    ),
-    ChromaticPair(
-        X * _p(1, -15, 105, -455, 1365, -2981, 4785, -5460, 4005, -1425),
-        (X - 1) * _p(1, -14, 91, -364, 1001, -1992, 2913, -3057, 2103, -727),
-    ),
-]
-
-# Chromatic pairs of the displayed co-chromatic examples.
-GEM_PAIR = ChromaticPair(
-    X * (X - 2) ** 2 * _p(1, -3, 3),
-    (X - 1) ** 3 * (X - 2) ** 2,
-)
-SIGMA12_PAIR = ChromaticPair(
-    X * (X - 1) * (X - 2) ** 2 * _p(1, -3, 3),
-    (X - 1) ** 4 * (X - 2) ** 2,
-)
-
-# Bivariate pairs of the same graphs.
-_GEM_CORE_E = XB**3 - 3 * XB**2 + XB * YB + 3 * XB - 2 * YB
-GEM_BIVARIATE = BivariatePair(
-    (XB - 2) ** 2 * _GEM_CORE_E,
-    (XB - 2) ** 2 * (_GEM_CORE_E - 1),
-)
-SIGMA12_BIVARIATE = BivariatePair(
-    (XB - 1) * (XB - 2) ** 2 * _GEM_CORE_E,
-    (XB - 1) * (XB - 2) ** 2 * (_GEM_CORE_E - 1),
-)
-
-# The five-vertex pair with equal odd but distinct even bivariate polynomials.
-SIGMA3_EVEN_BIVARIATE = (
-    XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
-    - 28 * XB**2 + XB * YB**2 + 26 * XB * YB + 16 * XB - 2 * YB**2 - 15 * YB
-)
-SIGMA4_EVEN_BIVARIATE = (
-    XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
-    - 27 * XB**2 + XB * YB**2 + 26 * XB * YB + 14 * XB - 2 * YB**2 - 14 * YB
-)
-SIGMA34_ODD_BIVARIATE = (
-    XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
-    - 29 * XB**2 + XB * YB**2 + 26 * XB * YB + 21 * XB - 2 * YB**2 - 15 * YB - 6
-)
-SIGMA3_EVEN = X * (X - 2) ** 2 * _p(1, -3, 4)
-SIGMA4_EVEN = X * (X - 2) * _p(1, -5, 10, -7)
-SIGMA34_ODD = (X - 1) ** 2 * (X - 2) * _p(1, -3, 3)
-
-PLUS_K2_BIVARIATE = BivariatePair(XB * (XB - 1), XB * (XB - 1))
-MINUS_K2_BIVARIATE = BivariatePair(XB**2 - XB + YB, XB**2 - XB + YB)
-
-# The worked threshold-graph example: code, bivariate pair, and its
-# y = 0 specializations.
+# The worked threshold-graph example.
 THRESHOLD_EXAMPLE_CODE = (1, -1, 0, -1, 1, 0, 1)
-THRESHOLD_EXAMPLE_BIVARIATE = BivariatePair(
-    (XB - 1)
-    * (XB - 3)
-    * (
-        XB**6 - 15 * XB**5 + 6 * XB**4 * YB + 99 * XB**4 - 71 * XB**3 * YB
-        - 345 * XB**3 + 4 * XB**2 * YB**2 + 325 * XB**2 * YB + 618 * XB**2
-        - 36 * XB * YB**2 - 650 * XB * YB - 440 * XB + 80 * YB**2 + 424 * YB
-    ),
-    (XB - 1)
-    * (XB - 3)
-    * (
-        XB**6 - 15 * XB**5 + 6 * XB**4 * YB + 99 * XB**4 - 71 * XB**3 * YB
-        - 359 * XB**3 + 4 * XB**2 * YB**2 + 325 * XB**2 * YB + 738 * XB**2
-        - 36 * XB * YB**2 - 666 * XB * YB - 792 * XB + 80 * YB**2 + 488 * YB + 328
-    ),
-)
-THRESHOLD_EXAMPLE_PAIR = ChromaticPair(
-    X * (X - 1) * (X - 2) * (X - 3) * _p(1, -13, 73, -199, 220),
-    (X - 1) ** 2 * (X - 3) * _p(1, -14, 85, -274, 464, -328),
-)
 
 # Isomorphism classes of signed complete graphs correspond to unlabelled
 # graphs on n vertices (take the positive part): 1, 1, 2, 4, 11, 34, ...
@@ -179,3 +35,161 @@ K8_COCHROMATIC_GROUPS = (
     (288174, 305064), (296864, 297772), (305068, 837546), (305712, 305843),
     (322353, 846386),
 )
+
+
+def _p(*desc: int) -> UniPoly:
+    """Univariate polynomial from descending coefficients, as printed."""
+    return UniPoly(tuple(reversed(desc)))
+
+
+def _polynomials() -> dict:
+    """Every polynomial constant, by name, built from its factored form."""
+    X, XB, YB = UniPoly.x(), BiPoly.x(), BiPoly.y()
+
+    # (even, odd) chromatic pairs of the signature classes of K_3, K_4, K_5,
+    # keyed by order; within one order the list is an unordered multiset.
+    COMPLETE_TABLE: dict[int, list[ChromaticPair]] = {
+        3: [
+            ChromaticPair(X * (X - 1) * (X - 2), X * (X - 1) * (X - 2)),
+            ChromaticPair(X * _p(1, -3, 3), (X - 1) ** 3),
+        ],
+        4: [
+            ChromaticPair(X * (X - 1) * (X - 2) * (X - 3), X * (X - 1) * (X - 2) * (X - 3)),
+            ChromaticPair(X * (X - 2) * _p(1, -4, 5), (X - 1) ** 2 * (X - 2) ** 2),
+            ChromaticPair(X * _p(1, -6, 15, -13), (X - 1) * _p(1, -5, 10, -7)),
+        ],
+        5: [
+            ChromaticPair(
+                X * (X - 1) * (X - 2) * (X - 3) * (X - 4),
+                X * (X - 1) * (X - 2) * (X - 3) * (X - 4),
+            ),
+            ChromaticPair(
+                X * (X - 2) * (X - 3) * _p(1, -5, 7),
+                (X - 1) ** 2 * (X - 2) * (X - 3) ** 2,
+            ),
+            ChromaticPair(
+                X * (X - 2) * _p(1, -8, 25, -29),
+                (X - 1) * (X - 2) * _p(1, -7, 18, -17),
+            ),
+            ChromaticPair(
+                X * (X - 2) * (X - 3) * _p(1, -5, 8),
+                (X - 1) * (X - 2) ** 3 * (X - 3),
+            ),
+            ChromaticPair(
+                X * (X - 2) * _p(1, -8, 26, -31),
+                (X - 1) * (X - 2) * _p(1, -7, 19, -19),
+            ),
+            ChromaticPair(
+                X * (X - 2) * (X - 3) * _p(1, -5, 9),
+                (X - 1) * (X - 2) * (X - 3) * _p(1, -4, 5),
+            ),
+            ChromaticPair(
+                X * _p(1, -10, 45, -95, 75),
+                (X - 1) * _p(1, -9, 36, -69, 51),
+            ),
+        ],
+    }
+
+    # (even, odd) chromatic pairs of the six signature classes of the Petersen graph.
+    PETERSEN_TABLE: list[ChromaticPair] = [
+        ChromaticPair(
+            X * (X - 1) * (X - 2) * _p(1, -12, 67, -230, 529, -814, 775, -352),
+            X * (X - 1) * (X - 2) * _p(1, -12, 67, -230, 529, -814, 775, -352),
+        ),
+        ChromaticPair(
+            X * (X - 2) * _p(1, -13, 79, -297, 763, -1379, 1717, -1351, 516),
+            (X - 1) ** 2 * (X - 2) ** 2 * _p(1, -9, 38, -98, 163, -165, 82),
+        ),
+        ChromaticPair(
+            X * (X - 2) * _p(1, -13, 79, -297, 765, -1397, 1781, -1462, 597),
+            (X - 1) * _p(1, -14, 91, -364, 995, -1938, 2703, -2621, 1619, -492),
+        ),
+        ChromaticPair(
+            X * (X - 2) * _p(1, -13, 79, -297, 767, -1411, 1823, -1524, 635),
+            (X - 1) * _p(1, -14, 91, -364, 997, -1956, 2773, -2767, 1781, -568),
+        ),
+        ChromaticPair(
+            X * (X - 2) * _p(1, -13, 79, -297, 765, -1401, 1803, -1509, 632),
+            (X - 1) * (X - 2) ** 2 * _p(1, -4, 5) * _p(1, -6, 18, -34, 37, -28),
+        ),
+        ChromaticPair(
+            X * _p(1, -15, 105, -455, 1365, -2981, 4785, -5460, 4005, -1425),
+            (X - 1) * _p(1, -14, 91, -364, 1001, -1992, 2913, -3057, 2103, -727),
+        ),
+    ]
+
+    # Chromatic pairs of the displayed co-chromatic examples.
+    GEM_PAIR = ChromaticPair(
+        X * (X - 2) ** 2 * _p(1, -3, 3),
+        (X - 1) ** 3 * (X - 2) ** 2,
+    )
+    SIGMA12_PAIR = ChromaticPair(
+        X * (X - 1) * (X - 2) ** 2 * _p(1, -3, 3),
+        (X - 1) ** 4 * (X - 2) ** 2,
+    )
+
+    # Bivariate pairs of the same graphs.
+    _GEM_CORE_E = XB**3 - 3 * XB**2 + XB * YB + 3 * XB - 2 * YB
+    GEM_BIVARIATE = BivariatePair(
+        (XB - 2) ** 2 * _GEM_CORE_E,
+        (XB - 2) ** 2 * (_GEM_CORE_E - 1),
+    )
+    SIGMA12_BIVARIATE = BivariatePair(
+        (XB - 1) * (XB - 2) ** 2 * _GEM_CORE_E,
+        (XB - 1) * (XB - 2) ** 2 * (_GEM_CORE_E - 1),
+    )
+
+    # The five-vertex pair with equal odd but distinct even bivariate polynomials.
+    SIGMA3_EVEN_BIVARIATE = (
+        XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
+        - 28 * XB**2 + XB * YB**2 + 26 * XB * YB + 16 * XB - 2 * YB**2 - 15 * YB
+    )
+    SIGMA4_EVEN_BIVARIATE = (
+        XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
+        - 27 * XB**2 + XB * YB**2 + 26 * XB * YB + 14 * XB - 2 * YB**2 - 14 * YB
+    )
+    SIGMA34_ODD_BIVARIATE = (
+        XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
+        - 29 * XB**2 + XB * YB**2 + 26 * XB * YB + 21 * XB - 2 * YB**2 - 15 * YB - 6
+    )
+    SIGMA3_EVEN = X * (X - 2) ** 2 * _p(1, -3, 4)
+    SIGMA4_EVEN = X * (X - 2) * _p(1, -5, 10, -7)
+    SIGMA34_ODD = (X - 1) ** 2 * (X - 2) * _p(1, -3, 3)
+
+    PLUS_K2_BIVARIATE = BivariatePair(XB * (XB - 1), XB * (XB - 1))
+    MINUS_K2_BIVARIATE = BivariatePair(XB**2 - XB + YB, XB**2 - XB + YB)
+
+    # The worked threshold-graph example's bivariate pair and its y = 0
+    # specializations.
+    THRESHOLD_EXAMPLE_BIVARIATE = BivariatePair(
+        (XB - 1)
+        * (XB - 3)
+        * (
+            XB**6 - 15 * XB**5 + 6 * XB**4 * YB + 99 * XB**4 - 71 * XB**3 * YB
+            - 345 * XB**3 + 4 * XB**2 * YB**2 + 325 * XB**2 * YB + 618 * XB**2
+            - 36 * XB * YB**2 - 650 * XB * YB - 440 * XB + 80 * YB**2 + 424 * YB
+        ),
+        (XB - 1)
+        * (XB - 3)
+        * (
+            XB**6 - 15 * XB**5 + 6 * XB**4 * YB + 99 * XB**4 - 71 * XB**3 * YB
+            - 359 * XB**3 + 4 * XB**2 * YB**2 + 325 * XB**2 * YB + 738 * XB**2
+            - 36 * XB * YB**2 - 666 * XB * YB - 792 * XB + 80 * YB**2 + 488 * YB + 328
+        ),
+    )
+    THRESHOLD_EXAMPLE_PAIR = ChromaticPair(
+        X * (X - 1) * (X - 2) * (X - 3) * _p(1, -13, 73, -199, 220),
+        (X - 1) ** 2 * (X - 3) * _p(1, -14, 85, -274, 464, -328),
+    )
+    return {name: value for name, value in locals().items() if name.isupper()}
+
+
+def __getattr__(name: str):
+    """The polynomial constants, built by the ring arithmetic on first access
+    (PEP 562) and then kept as module globals, so that importing the module
+    costs nothing for the processes that never read them."""
+    table = _polynomials() if name.isupper() and "GEM_PAIR" not in globals() else {}
+    globals().update(table)
+    if name in table:
+        return table[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,9 +1,12 @@
 """Counting functions and polynomial constructors, cross-checked per route."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedchrom import chromatic
 from signedchrom.chromatic import (
@@ -11,6 +14,7 @@ from signedchrom.chromatic import (
     _subset_chromatic_pair,
     bivariate_pair,
     chromatic_pair,
+    _unit_tally,
     complete_bivariate_pair,
     complete_chromatic_pair,
     count_colourings_oracle,
@@ -25,6 +29,8 @@ from signedchrom.graphs import (
     complete_graph,
     fixture,
     positive_part,
+    relabel,
+    switch,
     threshold_graph,
 )
 from signedchrom.poly import BiPoly, ChromaticPair, UniPoly, falling_factorial
@@ -262,3 +268,213 @@ def test_empty_graph_pairs():
     assert chromatic_pair(k0) == ChromaticPair(UniPoly.one(), UniPoly.one())
     b = bivariate_pair(k0)
     assert b.even == BiPoly.one() and b.odd == BiPoly.one()
+
+
+# -- the partition route: the unit DP against partitions x matchings ---------------
+
+
+def negclique_partitions(neg: list[int], n: int) -> list[tuple[int, ...]]:
+    """All partitions of 0..n-1 into blocks that are cliques of the negative graph."""
+    blocks: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int) -> None:
+        if i == n:
+            out.append(tuple(blocks))
+            return
+        bit = 1 << i
+        for idx in range(len(blocks)):
+            b = blocks[idx]
+            if b & ~neg[i] == 0:
+                blocks[idx] = b | bit
+                rec(i + 1)
+                blocks[idx] = b
+        blocks.append(bit)
+        rec(i + 1)
+        blocks.pop()
+
+    rec(0)
+    return out
+
+
+def matching_counts(adj: list[int]):
+    """Matching counts by size in the subgraphs of a graph given as adjacency
+    bitmasks: the returned function maps a vertex mask to its counts, and
+    every call shares one memo."""
+    memo: dict[int, tuple[int, ...]] = {0: (1,)}
+
+    def rec(mask: int) -> tuple[int, ...]:
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        vb = mask & -mask
+        v = vb.bit_length() - 1
+        rest = mask ^ vb
+        res = list(rec(rest))
+        nb = adj[v] & rest
+        while nb:
+            ub = nb & -nb
+            nb ^= ub
+            sub = rec(rest ^ ub)
+            if len(res) < len(sub) + 1:
+                res.extend([0] * (len(sub) + 1 - len(res)))
+            for i, cnt in enumerate(sub):
+                res[i + 1] += cnt
+        out = tuple(res)
+        memo[mask] = out
+        return out
+
+    return rec
+
+
+def oracle_unit_tally(g: SignedGraph) -> tuple[dict, dict]:
+    """(w_all, w_zero) the route this DP replaced computed: every partition
+    of V into negative cliques, times the k-matchings of the complement of
+    its block-conflict graph (blocks joined by a negative edge conflict),
+    with w_zero reading the blocks minus each singleton from the same memo."""
+    n = g.n
+    neg = [0] * n
+    for u, v, s in g.edges:
+        if s < 0:
+            neg[u] |= 1 << v
+            neg[v] |= 1 << u
+    w_all: dict[tuple[int, int], int] = {}
+    w_zero: dict[tuple[int, int], int] = {}
+    for blocks in negclique_partitions(neg, n):
+        r = len(blocks)
+        blockneg = [0] * r
+        for i, bm in enumerate(blocks):
+            for v in range(n):
+                if bm >> v & 1:
+                    blockneg[i] |= neg[v]
+        coadj = [0] * r
+        for i in range(r):
+            for j in range(i + 1, r):
+                if not blockneg[i] & blocks[j]:
+                    coadj[i] |= 1 << j
+                    coadj[j] |= 1 << i
+        matchings = matching_counts(coadj)
+        full = (1 << r) - 1
+        for k, cnt in enumerate(matchings(full)):
+            if cnt:
+                w_all[k, r - 2 * k] = w_all.get((k, r - 2 * k), 0) + cnt
+        for s in range(r):
+            if blocks[s].bit_count() == 1:
+                for k, cnt in enumerate(matchings(full ^ 1 << s)):
+                    if cnt:
+                        w_zero[k, r - 1 - 2 * k] = w_zero.get((k, r - 1 - 2 * k), 0) + cnt
+    return w_all, w_zero
+
+
+@functools.cache
+def complete_switching_classes(n: int) -> tuple[SignedGraph, ...]:
+    return enumerate_classes(complete_graph(n, 1), "switching_iso").representatives
+
+
+def random_signed_complete(rng: random.Random, n: int) -> SignedGraph:
+    p = rng.random()
+    return SignedGraph(n, tuple(
+        (u, v, -1 if rng.random() < p else 1) for u in range(n) for v in range(u + 1, n)
+    ))
+
+
+def negative_graph(n: int, negative) -> SignedGraph:
+    """Signed K_n whose negative edges are the pairs for which negative(u, v) holds."""
+    return SignedGraph(n, tuple(
+        (u, v, -1 if negative(u, v) else 1) for u in range(n) for v in range(u + 1, n)
+    ))
+
+
+def clique_union(*sizes: int) -> SignedGraph:
+    """Signed K_n whose negative graph is the disjoint union of cliques of these sizes."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return negative_graph(len(part), lambda u, v: part[u] == part[v])
+
+
+def test_unit_tally_matches_partitions_on_switching_classes_up_to_8():
+    """Every switching class of signed K_n for n <= 8: 328 graphs."""
+    graphs = [g for n in range(9) for g in complete_switching_classes(n)]
+    assert len(graphs) == 328
+    for g in graphs:
+        assert _unit_tally(g) == oracle_unit_tally(g), g
+
+
+def test_unit_tally_matches_partitions_on_random_k9_k10():
+    rng = random.Random(19)
+    for n in (9, 9, 9, 10, 10, 10):
+        g = random_signed_complete(rng, n)
+        assert _unit_tally(g) == oracle_unit_tally(g), g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(10, 1),
+        complete_graph(10, -1),
+        clique_union(5, 5),
+        clique_union(6, 4),
+        clique_union(4, 3, 3),
+        negative_graph(10, lambda u, v: (v - u) % 10 in (1, 9)),
+        negative_graph(10, lambda u, v: (u < 5) != (v < 5)),
+    ],
+    ids=["plusK10", "minusK10", "K5+K5", "K6+K4", "K4+K3+K3", "C10", "K5,5"],
+)
+def test_unit_tally_matches_partitions_on_structured_k10(g):
+    """n = MAX_PARTITION_N, where the packed slots hold the largest counts."""
+    assert g.n == chromatic.MAX_PARTITION_N
+    assert _unit_tally(g) == oracle_unit_tally(g)
+
+
+INVOLUTIONS = (1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496)  # OEIS A000085
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)  # OEIS A000110
+
+
+def test_unit_tally_totals_are_known_sequences():
+    """On +K_n every block is a singleton and the units are a matching of V,
+    so w_all totals the involutions; on -K_n no two blocks may share a
+    colour pair, so w_all totals the partitions.  w_zero totals n times the
+    count for n - 1.  Through n = MAX_PARTITION_N."""
+    assert len(INVOLUTIONS) == len(BELL) == chromatic.MAX_PARTITION_N + 1
+    for n in range(chromatic.MAX_PARTITION_N + 1):
+        for sign, seq in ((1, INVOLUTIONS), (-1, BELL)):
+            w_all, w_zero = _unit_tally(complete_graph(n, sign))
+            assert sum(w_all.values()) == seq[n], (n, sign)
+            assert sum(w_zero.values()) == (n * seq[n - 1] if n else 0), (n, sign)
+
+
+def test_univariate_pair_is_bivariate_pair_at_y_0():
+    """complete_chromatic_pair builds no bivariate polynomial; it must equal
+    complete_bivariate_pair at y = 0 on every switching class of K_n, n <= 8."""
+    for n in range(9):
+        for g in complete_switching_classes(n):
+            even, odd = complete_bivariate_pair(g)
+            expected = ChromaticPair(even.substitute_y(0), odd.substitute_y(0))
+            assert complete_chromatic_pair(g) == expected, g
+
+
+@st.composite
+def signed_complete_graphs(draw):
+    n = draw(st.integers(0, 6))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(pairs, signs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_complete_graphs(), st.data())
+def test_partition_route_matches_tally_and_invariants(g, data):
+    """The partition route against the frontier tally on random signed K_n,
+    before and after a random relabelling and switching.  Relabelling keeps
+    both pairs; switching keeps the chromatic pair, while the bivariate pair
+    sees the switched signs (x counts all-positive components)."""
+    pair, bi = complete_chromatic_pair(g), complete_bivariate_pair(g)
+    assert pair == _subset_chromatic_pair(g)
+    assert bi == _subset_bivariate_pair(g)
+    h = relabel(g, data.draw(st.permutations(range(g.n))))
+    assert complete_chromatic_pair(h) == pair
+    assert complete_bivariate_pair(h) == bi
+    bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    h = switch(h, [v for v, bit in enumerate(bits) if bit])
+    assert complete_chromatic_pair(h) == pair == _subset_chromatic_pair(h)
+    assert complete_bivariate_pair(h) == _subset_bivariate_pair(h)
