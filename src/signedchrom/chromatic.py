@@ -532,12 +532,6 @@ def interpolated_pair(g: SignedGraph) -> ChromaticPair:
 # -- dominating-vertex deletion recursion ----------------------------------------
 
 
-def _check_code(code: Sequence[int]) -> None:
-    for a in code:
-        if a not in (-1, 0, 1):
-            raise SignedChromError(f"code entry {a!r} not in {{-1, 0, 1}}")
-
-
 def threshold_step(entry: int, pair: BivariatePair) -> BivariatePair:
     """Bivariate pair after appending one vertex per the code entry.
 
@@ -585,7 +579,6 @@ def threshold_bivariate(code: Sequence[int]) -> BivariatePair:
         raise BudgetExceededError(
             f"threshold code of length {len(code)} exceeds the cap of {MAX_THRESHOLD_CODE}"
         )
-    _check_code(code)
     pair = BivariatePair(BiPoly.x(), BiPoly.x())
     for a in code:
         pair = threshold_step(a, pair)

@@ -228,7 +228,7 @@ def cmd_enumerate(args) -> int:
 def cmd_search_cochromatic(args) -> int:
     underlying = _resolve_underlying(args.underlying)
     report = verify.search_cochromatic(underlying)
-    groups = report.details.get("cochromatic_groups", [])
+    groups = report.details["cochromatic_groups"]
     lines = [report.summary(), f"co-chromatic groups: {len(groups)}"]
     return _report(args, report.to_dict(), lines, report.passed, report.elapsed, echo=1)
 

@@ -1,9 +1,8 @@
 """Exceptions shared by all signedchrom modules.
 
 `SignedChromError` reports an input error; its message names the check that
-fired.  `BudgetExceededError` marks a refusal by a work bound, which
-`search_cochromatic` reports as status "budget_exceeded".  The CLI exits 2
-on either.
+fired.  `BudgetExceededError` marks a refusal by a work bound.  Every command
+of the CLI exits 2 on either, with the message on stderr.
 """
 
 

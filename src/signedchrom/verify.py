@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 
 from .chromatic import (
     bivariate_pair,
@@ -36,7 +37,7 @@ from .graphs import (
     graph_to_dict,
     threshold_graph,
 )
-from .poly import BiPoly, ChromaticPair, bipoly_to_json, pair_to_json, unipoly_to_json
+from .poly import BiPoly, bipoly_to_json, pair_to_json, unipoly_to_json
 from . import reference
 
 MAX_COCHROMATIC_N = 7
@@ -57,7 +58,7 @@ class VerificationReport:
                  details: dict, elapsed: float) -> None:
         self.target = target
         self.scale = scale
-        self.status = status  # "pass" | "counterexample" | "budget_exceeded"
+        self.status = status  # "pass" | "counterexample"; a refusal raises instead
         self.details = details
         self.elapsed = elapsed
 
@@ -77,8 +78,13 @@ class VerificationReport:
         return f"{self.target} (scale {self.scale}): {self.status.upper()}"
 
 
-def _pair_key(pair) -> str:
-    return json.dumps(pair_to_json(pair), separators=(",", ":"))
+def _groups(keys) -> list[list[int]]:
+    """The index groups of equal keys with two or more members, in order of
+    their first member."""
+    by_key: dict = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    return [members for members in by_key.values() if len(members) > 1]
 
 
 def _class_entry(inventory: ClassInventory, idx: int) -> dict:
@@ -149,49 +155,30 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
     """Group the switching-isomorphism classes of one underlying graph by
     chromatic pair and certify every group of two or more as co-chromatic.
 
-    A refusal by any layer's budget is reported as status "budget_exceeded".
+    A refusal by any layer's budget raises BudgetExceededError.
     """
     start = time.perf_counter()
-    try:
-        inventory = enumerate_classes(underlying, "switching_iso")
-        by_pair: dict[ChromaticPair, list[int]] = {}
-        for idx, pair in enumerate(chromatic_pairs(inventory.representatives)):
-            by_pair.setdefault(pair, []).append(idx)
-        groups = []
-        for pair, members in by_pair.items():  # in order of first member
-            if len(members) < 2:
-                continue
-            certs = []
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    gi = inventory.representatives[members[i]]
-                    gj = inventory.representatives[members[j]]
-                    certs.append(
-                        {
-                            "classes": [members[i], members[j]],
-                            **non_switching_isomorphism_certificate(gi, gj),
-                        }
-                    )
-            groups.append(
-                {
-                    "classes": [_class_entry(inventory, i) for i in members],
-                    "pair": pair_to_json(pair),
-                    "non_switching_isomorphism": certs,
-                }
-            )
-        status = "pass"
-        details = {
-            "class_count": inventory.class_count,
-            "cochromatic_groups": groups,
-        }
-    except BudgetExceededError as e:
-        status = "budget_exceeded"
-        details = {"error": str(e)}
+    inventory = enumerate_classes(underlying, "switching_iso")
+    reps = inventory.representatives
+    pairs = chromatic_pairs(reps)
+    groups = []
+    for members in _groups(pairs):
+        certs = [
+            {"classes": [i, j], **non_switching_isomorphism_certificate(reps[i], reps[j])}
+            for i, j in combinations(members, 2)
+        ]
+        groups.append(
+            {
+                "classes": [_class_entry(inventory, i) for i in members],
+                "pair": pair_to_json(pairs[members[0]]),
+                "non_switching_isomorphism": certs,
+            }
+        )
     return VerificationReport(
         "search-cochromatic",
         underlying.m,
-        status,
-        details,
+        "pass",
+        {"class_count": inventory.class_count, "cochromatic_groups": groups},
         time.perf_counter() - start,
     )
 
@@ -211,22 +198,18 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
     """
     _check_n_max(n_max, MAX_COCHROMATIC_N, "complete-graph co-chromatic check")
     start = time.perf_counter()
-    status = "pass"
     details: dict = {"classes_checked": {}}
     for n in range(n_max + 1):
         search = search_cochromatic(complete_graph(n, 1))
-        if search.status == "budget_exceeded":
-            raise BudgetExceededError(search.details["error"])
         details["classes_checked"][str(n)] = search.details["class_count"]
         groups = search.details["cochromatic_groups"]
         if groups:
-            status = "counterexample"
             details["counterexample"] = {"n": n, **groups[0]}
             break
     return VerificationReport(
         "conjecture:cochromatic-complete",
         n_max,
-        status,
+        "counterexample" if "counterexample" in details else "pass",
         details,
         time.perf_counter() - start,
     )
@@ -335,14 +318,14 @@ def _threshold_fingerprints(n_max: int):
 
 
 def _threshold_clash(length: int, indices, evens) -> dict | None:
-    """The first two of `indices` with equal even polynomials in `evens`."""
-    seen: dict[BiPoly, int] = {}
-    for i, even in zip(indices, evens):
-        j = seen.setdefault(even, i)
-        if j != i:
-            codes = [list(_threshold_code(k, length)) for k in (j, i)]
-            return {"codes": codes, "even": bipoly_to_json(even)}
-    return None
+    """The first two codes of the first group of `indices` (code indices)
+    whose even polynomials in `evens` are equal."""
+    groups = _groups(evens)
+    if not groups:
+        return None
+    first = groups[0][:2]
+    codes = [list(_threshold_code(indices[k], length)) for k in first]
+    return {"codes": codes, "even": bipoly_to_json(evens[first[0]])}
 
 
 def _threshold_even(index: int, length: int) -> BiPoly:
@@ -383,8 +366,7 @@ def verify_conj_threshold(n_max: int) -> VerificationReport:
             if d == exact_to:
                 evens = None  # the fingerprint lengths never read it
         elif len(set(fps)) != len(fps):
-            counts = Counter(fps)
-            collided = [i for i, fp in enumerate(fps) if counts[fp] > 1]
+            collided = sorted(i for members in _groups(fps) for i in members)
             bad = _threshold_clash(d, collided, [_threshold_even(i, d) for i in collided])
         if bad is not None:
             break
@@ -405,7 +387,6 @@ def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
     polynomial."""
     _check_n_max(n_max, MAX_BIVARIATE_N, "complete-graph bivariate check")
     start = time.perf_counter()
-    status = "pass"
     details: dict = {"class_counts": {}, "expected_class_counts": {}}
     for n in range(n_max + 1):
         inventory = enumerate_classes(complete_graph(n, 1), "iso")
@@ -414,28 +395,19 @@ def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
             details["expected_class_counts"][str(n)] = (
                 reference.UNLABELLED_GRAPH_COUNTS[n]
             )
-        seen: dict[BiPoly, int] = {}
-        for idx, rep in enumerate(inventory.representatives):
-            even = bivariate_pair(rep).even
-            if even in seen:
-                other = seen[even]
-                status = "counterexample"
-                details["counterexample"] = {
-                    "n": n,
-                    "graphs": [
-                        _class_entry(inventory, other),
-                        _class_entry(inventory, idx),
-                    ],
-                    "even": bipoly_to_json(even),
-                }
-                break
-            seen[even] = idx
-        if status != "pass":
+        evens = [bivariate_pair(rep).even for rep in inventory.representatives]
+        groups = _groups(evens)
+        if groups:
+            details["counterexample"] = {
+                "n": n,
+                "graphs": [_class_entry(inventory, i) for i in groups[0][:2]],
+                "even": bipoly_to_json(evens[groups[0][0]]),
+            }
             break
     return VerificationReport(
         "conjecture:bivariate-complete",
         n_max,
-        status,
+        "counterexample" if "counterexample" in details else "pass",
         details,
         time.perf_counter() - start,
     )
@@ -444,149 +416,88 @@ def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
 # -- table and display reproduction ----------------------------------------------
 
 
-def _multiset_check(name: str, computed, expected) -> dict:
-    got = Counter(_pair_key(p) for p in computed)
-    want = Counter(_pair_key(p) for p in expected)
-    entry = {"name": name, "status": "pass" if got == want else "fail"}
-    if got != want:
-        entry["missing"] = sorted((want - got).elements())
-        entry["unexpected"] = sorted((got - want).elements())
-    return entry
+def _pair_counts(pairs) -> Counter:
+    return Counter(json.dumps(pair_to_json(p), separators=(",", ":")) for p in pairs)
 
 
-def _equality_check(name: str, computed, expected) -> dict:
+def _check(name: str, computed, expected) -> dict:
+    """One row of the table, compared by equality.  A failed table of pairs,
+    counted as a multiset by `_pair_counts`, lists its missing and unexpected
+    pairs; a failed pair or polynomial shows both values; a failed bool no more."""
     entry = {"name": name, "status": "pass" if computed == expected else "fail"}
-    if computed != expected:
-        def render(v):
-            if isinstance(v, BiPoly):
-                return bipoly_to_json(v)
-            if isinstance(v, tuple):
-                return pair_to_json(v)
-            return unipoly_to_json(v)
+    if computed == expected or isinstance(computed, bool):
+        return entry
+    if isinstance(computed, Counter):
+        entry["missing"] = sorted((expected - computed).elements())
+        entry["unexpected"] = sorted((computed - expected).elements())
+        return entry
 
-        entry["computed"] = render(computed)
-        entry["expected"] = render(expected)
+    def render(v):
+        if isinstance(v, BiPoly):
+            return bipoly_to_json(v)
+        if isinstance(v, tuple):
+            return pair_to_json(v)
+        return unipoly_to_json(v)
+
+    entry["computed"] = render(computed)
+    entry["expected"] = render(expected)
     return entry
 
 
 def reproduce_tables() -> VerificationReport:
     """Recompute every published table row and displayed polynomial."""
     start = time.perf_counter()
-    checks: list[dict] = []
-
-    for n, expected in sorted(reference.COMPLETE_TABLE.items()):
-        inventory = enumerate_classes(complete_graph(n, 1), "switching_iso")
+    tables = [
+        (f"complete_table_K{n}", complete_graph(n, 1), expected)
+        for n, expected in sorted(reference.COMPLETE_TABLE.items())
+    ]
+    tables.append(("petersen_table", fixture("petersen"), reference.PETERSEN_TABLE))
+    rows, class_counts = [], []
+    for name, underlying, expected in tables:
+        inventory = enumerate_classes(underlying, "switching_iso")
+        class_counts.append(inventory.class_count)
         computed = chromatic_pairs(inventory.representatives)
-        entry = _multiset_check(f"complete_table_K{n}", computed, expected)
-        entry["classes"] = inventory.class_count
-        checks.append(entry)
-
-    petersen_inv = enumerate_classes(fixture("petersen"), "switching_iso")
-    computed = chromatic_pairs(petersen_inv.representatives)
-    entry = _multiset_check("petersen_table", computed, reference.PETERSEN_TABLE)
-    entry["classes"] = petersen_inv.class_count
-    checks.append(entry)
+        rows.append((name, _pair_counts(computed), _pair_counts(expected)))
 
     g1, g2 = fixture("G1"), fixture("G2")
     s1, s2 = fixture("Sigma1"), fixture("Sigma2")
     s3, s4 = fixture("Sigma3"), fixture("Sigma4")
-    checks.append(_equality_check("gem_G1_pair", chromatic_pair(g1), reference.GEM_PAIR))
-    checks.append(_equality_check("gem_G2_pair", chromatic_pair(g2), reference.GEM_PAIR))
-    checks.append(
-        _equality_check("sigma1_pair", chromatic_pair(s1), reference.SIGMA12_PAIR)
-    )
-    checks.append(
-        _equality_check("sigma2_pair", chromatic_pair(s2), reference.SIGMA12_PAIR)
-    )
-    checks.append(
-        _equality_check(
-            "gem_G1_bivariate", bivariate_pair(g1), reference.GEM_BIVARIATE
-        )
-    )
-    checks.append(
-        _equality_check(
-            "gem_G2_bivariate", bivariate_pair(g2), reference.GEM_BIVARIATE
-        )
-    )
-    checks.append(
-        _equality_check(
-            "sigma1_bivariate", bivariate_pair(s1), reference.SIGMA12_BIVARIATE
-        )
-    )
-    checks.append(
-        _equality_check(
-            "sigma2_bivariate", bivariate_pair(s2), reference.SIGMA12_BIVARIATE
-        )
-    )
-
     b3, b4 = bivariate_pair(s3), bivariate_pair(s4)
-    checks.append(
-        _equality_check("sigma3_even_bivariate", b3.even, reference.SIGMA3_EVEN_BIVARIATE)
-    )
-    checks.append(
-        _equality_check("sigma4_even_bivariate", b4.even, reference.SIGMA4_EVEN_BIVARIATE)
-    )
-    checks.append(
-        _equality_check("sigma3_odd_bivariate", b3.odd, reference.SIGMA34_ODD_BIVARIATE)
-    )
-    checks.append(
-        _equality_check("sigma4_odd_bivariate", b4.odd, reference.SIGMA34_ODD_BIVARIATE)
-    )
-    checks.append(
-        {
-            "name": "sigma34_odd_equal_even_distinct",
-            "status": "pass" if b3.odd == b4.odd and b3.even != b4.even else "fail",
-        }
-    )
     c3, c4 = chromatic_pair(s3), chromatic_pair(s4)
-    checks.append(_equality_check("sigma3_even", c3.even, reference.SIGMA3_EVEN))
-    checks.append(_equality_check("sigma4_even", c4.even, reference.SIGMA4_EVEN))
-    checks.append(_equality_check("sigma3_odd", c3.odd, reference.SIGMA34_ODD))
-    checks.append(_equality_check("sigma4_odd", c4.odd, reference.SIGMA34_ODD))
-
-    checks.append(
-        _equality_check(
-            "plus_K2_bivariate",
-            bivariate_pair(complete_graph(2, 1)),
-            reference.PLUS_K2_BIVARIATE,
-        )
-    )
-    checks.append(
-        _equality_check(
-            "minus_K2_bivariate",
-            bivariate_pair(complete_graph(2, -1)),
-            reference.MINUS_K2_BIVARIATE,
-        )
-    )
-
     code = reference.THRESHOLD_EXAMPLE_CODE
     tb = threshold_bivariate(code)
-    checks.append(
-        _equality_check(
-            "threshold_example_bivariate", tb, reference.THRESHOLD_EXAMPLE_BIVARIATE
-        )
-    )
-    checks.append(
-        _equality_check(
-            "threshold_example_even_specialized",
-            tb.even.substitute_y(0),
-            reference.THRESHOLD_EXAMPLE_PAIR.even,
-        )
-    )
-    checks.append(
-        _equality_check(
-            "threshold_example_odd_specialized",
-            tb.odd.substitute_y(0),
-            reference.THRESHOLD_EXAMPLE_PAIR.odd,
-        )
-    )
-    checks.append(
-        _equality_check(
-            "threshold_example_subset_expansion",
-            chromatic_pair(threshold_graph(code)),
-            reference.THRESHOLD_EXAMPLE_PAIR,
-        )
-    )
+    rows += [
+        ("gem_G1_pair", chromatic_pair(g1), reference.GEM_PAIR),
+        ("gem_G2_pair", chromatic_pair(g2), reference.GEM_PAIR),
+        ("sigma1_pair", chromatic_pair(s1), reference.SIGMA12_PAIR),
+        ("sigma2_pair", chromatic_pair(s2), reference.SIGMA12_PAIR),
+        ("gem_G1_bivariate", bivariate_pair(g1), reference.GEM_BIVARIATE),
+        ("gem_G2_bivariate", bivariate_pair(g2), reference.GEM_BIVARIATE),
+        ("sigma1_bivariate", bivariate_pair(s1), reference.SIGMA12_BIVARIATE),
+        ("sigma2_bivariate", bivariate_pair(s2), reference.SIGMA12_BIVARIATE),
+        ("sigma3_even_bivariate", b3.even, reference.SIGMA3_EVEN_BIVARIATE),
+        ("sigma4_even_bivariate", b4.even, reference.SIGMA4_EVEN_BIVARIATE),
+        ("sigma3_odd_bivariate", b3.odd, reference.SIGMA34_ODD_BIVARIATE),
+        ("sigma4_odd_bivariate", b4.odd, reference.SIGMA34_ODD_BIVARIATE),
+        ("sigma34_odd_equal_even_distinct", b3.odd == b4.odd and b3.even != b4.even, True),
+        ("sigma3_even", c3.even, reference.SIGMA3_EVEN),
+        ("sigma4_even", c4.even, reference.SIGMA4_EVEN),
+        ("sigma3_odd", c3.odd, reference.SIGMA34_ODD),
+        ("sigma4_odd", c4.odd, reference.SIGMA34_ODD),
+        ("plus_K2_bivariate", bivariate_pair(complete_graph(2, 1)), reference.PLUS_K2_BIVARIATE),
+        ("minus_K2_bivariate", bivariate_pair(complete_graph(2, -1)),
+         reference.MINUS_K2_BIVARIATE),
+        ("threshold_example_bivariate", tb, reference.THRESHOLD_EXAMPLE_BIVARIATE),
+        ("threshold_example_even_specialized", tb.even.substitute_y(0),
+         reference.THRESHOLD_EXAMPLE_PAIR.even),
+        ("threshold_example_odd_specialized", tb.odd.substitute_y(0),
+         reference.THRESHOLD_EXAMPLE_PAIR.odd),
+        ("threshold_example_subset_expansion", chromatic_pair(threshold_graph(code)),
+         reference.THRESHOLD_EXAMPLE_PAIR),
+    ]
+    checks = [_check(*row) for row in rows]
+    for entry, count in zip(checks, class_counts):  # the tables are the first rows
+        entry["classes"] = count
 
     status = "pass" if all(c["status"] == "pass" for c in checks) else "counterexample"
     return VerificationReport(

@@ -188,8 +188,9 @@ def test_threshold_bivariate_examples():
     assert pair.even == pair.odd
     # +K_5 is all-positive, so no y appears at all
     assert all(j == 0 for (_, j), _ in pair.even.items())
-    with pytest.raises(SignedChromError, match="code entry 3 not in"):
-        threshold_bivariate((3,))
+    for code in ((3,), (1, -1, 0) * 13 + (3,)):  # 40 entries: refused at the last step
+        with pytest.raises(SignedChromError, match="code entry 3 not in"):
+            threshold_bivariate(code)
 
 
 def test_threshold_recursion_matches_subset_expansion():

@@ -341,11 +341,10 @@ def test_search_cochromatic_subset_budget_refusal(capsys, monkeypatch):
     Petersen classes peak at 273 to 548 live entries."""
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 272)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
-    code, out, _ = run(capsys, "search-cochromatic", "--underlying", "petersen")
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["status"] == "budget_exceeded"
-    assert "exceed the tally budget of 272" in payload["details"]["error"]
+    code, out, err = run(capsys, "search-cochromatic", "--underlying", "petersen")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceed the tally budget of 272" in err
 
 
 def test_enumerate_subset_budget_exit_2(capsys):
@@ -531,15 +530,9 @@ def test_pair_batch_cap(capsys, tmp_path, graph, argv):
     misses = chromatic._subset_tally.cache_info().misses
     code, out, err = run(capsys, *argv, "--underlying", str(path))
     message = f"8192 graphs exceed the pair-batch cap of {chromatic.MAX_PAIR_BATCH}"
-    if argv[0] == "enumerate":
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
-    else:
-        assert code == 1
-        payload = json.loads(out)
-        assert payload["status"] == "budget_exceeded"
-        assert payload["details"]["error"] == message
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
     assert chromatic._subset_tally.cache_info().misses == misses
 
 

@@ -408,6 +408,74 @@ def test_conjecture_bivariate_small():
         verify_conj_complete_bivariate(8)
 
 
+def test_conjecture_bivariate_counterexample(monkeypatch, capsys):
+    """With one pair for every class, K_2's two classes are the first clash."""
+    from signedchrom import verify
+    from signedchrom.cli import main
+
+    same = bivariate_pair(fixture("G1"))
+    monkeypatch.setattr(verify, "bivariate_pair", lambda g: same)
+    report = verify_conj_complete_bivariate(4)
+    assert report.status == "counterexample"
+    assert report.details["class_counts"] == {"0": 1, "1": 1, "2": 2}
+    bad = report.details["counterexample"]
+    assert bad["n"] == 2
+    assert [g["mask"] for g in bad["graphs"]] == [0, 1]
+    assert bad["even"] == bipoly_to_json(same.even)
+    assert main(["verify", "--conjecture", "bivariate-complete", "--max", "4"]) == 1
+    assert '"status": "counterexample"' in capsys.readouterr().out
+
+
+TABLE_CHECK_NAMES = [
+    "complete_table_K3", "complete_table_K4", "complete_table_K5", "petersen_table",
+    "gem_G1_pair", "gem_G2_pair", "sigma1_pair", "sigma2_pair",
+    "gem_G1_bivariate", "gem_G2_bivariate", "sigma1_bivariate", "sigma2_bivariate",
+    "sigma3_even_bivariate", "sigma4_even_bivariate", "sigma3_odd_bivariate",
+    "sigma4_odd_bivariate", "sigma34_odd_equal_even_distinct",
+    "sigma3_even", "sigma4_even", "sigma3_odd", "sigma4_odd",
+    "plus_K2_bivariate", "minus_K2_bivariate",
+    "threshold_example_bivariate", "threshold_example_even_specialized",
+    "threshold_example_odd_specialized", "threshold_example_subset_expansion",
+]
+
+
+def test_reproduce_tables_renders_failures(monkeypatch):
+    """A wrong displayed pair fails its rows with computed/expected; a table
+    row dropped fails the multiset row with missing/unexpected."""
+    import json
+
+    from signedchrom.verify import reproduce_tables
+
+    assert [c["name"] for c in reproduce_tables().details["checks"]] == TABLE_CHECK_NAMES
+    gem, dropped = reference.GEM_PAIR, reference.PETERSEN_TABLE[0]
+    monkeypatch.setattr(reference, "GEM_PAIR", reference.SIGMA12_PAIR)
+    monkeypatch.setattr(reference, "PETERSEN_TABLE", reference.PETERSEN_TABLE[1:])
+    report = reproduce_tables()
+    assert report.status == "counterexample"
+    checks = report.details["checks"]
+    assert [c["name"] for c in checks] == TABLE_CHECK_NAMES
+    failed = {c["name"]: c for c in checks if c["status"] != "pass"}
+    assert set(failed) == {"gem_G1_pair", "gem_G2_pair", "petersen_table"}
+    for name in ("gem_G1_pair", "gem_G2_pair"):
+        assert failed[name] == {
+            "name": name,
+            "status": "fail",
+            "computed": pair_to_json(gem),
+            "expected": pair_to_json(reference.SIGMA12_PAIR),
+        }
+    assert failed["petersen_table"] == {
+        "name": "petersen_table",
+        "status": "fail",
+        "missing": [],
+        "unexpected": [json.dumps(pair_to_json(dropped), separators=(",", ":"))],
+        "classes": 6,
+    }
+    assert [list(failed[name]) for name in ("gem_G1_pair", "petersen_table")] == [
+        ["name", "status", "computed", "expected"],
+        ["name", "status", "missing", "unexpected", "classes"],
+    ]
+
+
 def test_report_shape():
     report = verify_conj_threshold(2)
     d = report.to_dict()
@@ -416,9 +484,9 @@ def test_report_shape():
 
 
 def test_budget_exceeded_status_inside_search():
-    report = search_cochromatic(complete_graph(9, 1))  # 36 - 9 + 1 = 28 bits
-    assert report.status == "budget_exceeded"
-    assert "28 normal-form bits" in report.details["error"]
+    """A refusal inside the search raises; it is not a report status."""
+    with pytest.raises(BudgetExceededError, match="28 normal-form bits"):
+        search_cochromatic(complete_graph(9, 1))  # 36 - 9 + 1 = 28 bits
 
 
 def test_search_cochromatic_k8_groups():
