@@ -8,7 +8,6 @@ polynomials a referee would need to re-check the outcome by hand.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from collections import Counter
 from itertools import combinations
@@ -43,10 +42,10 @@ from . import reference
 MAX_COCHROMATIC_N = 7
 MAX_THRESHOLD_N = 12
 MAX_BIVARIATE_N = 7
-_EXACT_THRESHOLD_LIMIT = 6  # longer codes are compared by fingerprint first
+_EXACT_THRESHOLD_LIMIT = 6  # longer codes are decided by lemma L on their prefixes
 
 _FP_MOD = (1 << 61) - 1
-_FP_X0 = 1122334455667788990 % _FP_MOD
+_FP_X0 = 0  # the corner and its (1, 0) neighbour are the two sides of lemma L
 _FP_Y0 = 987654321987654321 % _FP_MOD
 _FP_SLOT = 128  # bits per fingerprint in the packed grid (see the threshold layout)
 
@@ -217,21 +216,51 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 
 # -- threshold codes --------------------------------------------------------------
 #
-# One scan runs over the code lengths 0..n_max.  Codes of length <=
-# _EXACT_THRESHOLD_LIMIT are compared by their exact even polynomials, longer
-# ones by fingerprint: the even polynomial's value mod the prime _FP_MOD at
-# (_FP_X0, _FP_Y0).  Distinct fingerprints prove distinct polynomials; codes
-# with equal fingerprints are re-checked exactly.
+# Let E be the even polynomial of a code and P that of the code without its
+# last entry a, so E = threshold_even_step(a, P).  Four facts, each proven:
+#   (a) Each step is linear and injective: a shift leaves the top-degree
+#       homogeneous part unchanged, so E's top part is x times P's for every
+#       entry, and P is solved for degree by degree from the top.
+#   (b) a = 1 exactly when the coefficient of t in E(t, t) is nonzero.  E(t, t)
+#       is the chromatic polynomial of the positive part (the diagonal
+#       identity).  Entry 1 gives E(t, t) = t chi(t - 1), with chi that of P,
+#       whose coefficient of t is chi(-1) != 0 (Stanley 1973: |chi(-1)|
+#       counts the acyclic orientations); entries 0 and -1 give t chi(t), and
+#       chi(0) = 0.
+#   (c) Entry 0 gives E(0, y) = 0, since E = x P.
+#   (d) Entry -1 gives E(0, y) = y (P(0, y) - P(-1, y + 1)).
+# Lemma L, unproven: P(0, y) and P(-1, y + 1) differ as polynomials in y for
+# every signed graph.  Given L for P, rule (b)-(d) reads the last entry off E:
+# 1 by (b), else 0 when E(0, y) = 0, else -1.  Codes of one length with equal
+# E therefore share their last entry, and by (a) their prefixes share their
+# even polynomial.  So distinctness at length N follows from distinctness at
+# length N - 1 and L on every code of length N - 1.
 #
-# A step of the even recursion reads its parent at (x, y), (x - 1, y - 1) and
-# (x - 1, y + 1).  From (x0, y0) the steps therefore read only the points
-# (x0 - u - v, y0 + u - v) with u, v >= 0, and a prefix that `rem` more entries
-# extend is read only where u + v <= rem: (rem + 1)(rem + 2)/2 values, half the
-# square of offsets.  At x = x0 - u - v, y = y0 + u - v the steps are
+# The verifier compares the exact even polynomials of all codes up to length
+# exact_to = _EXACT_THRESHOLD_LIMIT, then checks L on every code of length
+# exact_to..n_max - 1, which carries distinctness up to n_max.  The stretch
+# run (n_max = 12) checks L to length 11, in about 0.25 s and 43 MB on a
+# 2-core machine; the tests check it exactly, with no fingerprints, to length
+# 7.  MAX_THRESHOLD_N stays 12, the scale the threshold12 benchmark workload
+# runs; with the cap raised, n = 13 takes 0.57 s and 92 MB, n = 14 1.7 s and
+# 242 MB.
+#
+# L is checked on fingerprints: values mod the prime _FP_MOD.  A step of the
+# even recursion reads its parent at (x, y), (x - 1, y - 1) and (x - 1, y + 1).
+# From (x0, y0) the steps therefore read only the points (x0 - u - v,
+# y0 + u - v) with u, v >= 0.  At x = x0 - u - v, y = y0 + u - v the steps are
 #     entry  0:  C(u, v) = x P(u, v)
 #     entry  1:  C(u, v) = y P(u, v + 1) + (x - y) P(u + 1, v)
 #     entry -1:  C(u, v) = y P(u, v) + (x - y) P(u + 1, v)
-# The scan runs level by level.  Each grid point keeps one Python int, its
+# With x0 = 0, the corner (0, 0) holds P(0, y0) and its neighbour (1, 0) holds
+# P(-1, y0 + 1): L's two sides at y0.  The points a prefix needs, with `rem`
+# more entries to take before the last length is reached, are those with
+# u + v <= rem + 1 except (0, rem + 1); each row of the grid is one point
+# shorter at the next length, and the last length keeps the corner and its
+# neighbour alone.  Distinct values there prove L for a code; a code whose
+# values agree is rebuilt and compared exactly.
+#
+# The grid runs level by level.  Each grid point keeps one Python int, its
 # value list: slot i, bits [_FP_SLOT i, _FP_SLOT (i + 1)), holds its value for
 # code index i of the current length.  A point's list at the next length is its
 # parent lists stepped with entry -1, then 0, then 1, concatenated (entry -1 in
@@ -243,11 +272,17 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 # is folded, then they are concatenated.  With _FP_MOD = M = 2^k - 1, a slot
 # folds mod M by adding its bits from k up to its low k bits (2^k = 1 mod M).
 # Multipliers are residues below M and every stored slot is at most 2^k, so a
-# step's sum of two products is below 2^(2k + 1) <= 2^127 and never carries
-# into the next slot; two folds bring it back to at most 2^k.  Only the corner
-# (0, 0), whose list is yielded, is made canonical, in [0, M), and a slot is
-# read out of its low 64 bits; hence 1 <= k <= 63.  The fold masks have the
+# step's sum of two products is below 2^(2k + 1) and never carries into the
+# next slot while k <= 63; two folds bring it back to at most 2^k.  The two
+# points L reads are made canonical, in [0, M), so that one zero-slot test on
+# their XOR finds every code whose two values agree.  The fold masks have the
 # parents' length, so the longest lists are built without any.
+
+
+def _slot_masks(size: int, k: int) -> tuple[int, int]:
+    """`ones` with 1 and `lo` with 2^k - 1 in each of `size` slots."""
+    ones = int.from_bytes((b"\1" + bytes(_FP_SLOT // 8 - 1)) * size, "little")
+    return ones, ones * ((1 << k) - 1)
 
 
 def _fold(t: int, lo: int, k: int) -> int:
@@ -275,46 +310,44 @@ def _threshold_code(index: int, length: int) -> tuple[int, ...]:
 
 def _threshold_children(cols: list, size: int, k: int, x0: int, y0: int) -> list:
     """The grid at the next length, from `cols` whose lists hold `size` slots.
-    The corner (0, 0), whose list the scan yields, is made canonical."""
+    The corner (0, 0) and its neighbour (1, 0), which the scan yields, are made
+    canonical."""
     mod = (1 << k) - 1
     shift = size * _FP_SLOT
-    ones = int.from_bytes((b"\1" + bytes(_FP_SLOT // 8 - 1)) * size, "little")
-    lo = ones * mod
+    ones, lo = _slot_masks(size, k)
     child = []
     for u in range(len(cols) - 1):
         row = []
-        for v in range(len(cols) - 1 - u):
+        for v in range(len(cols[u]) - 1):
             x, y = (x0 - u - v) % mod, (y0 + u - v) % mod
             w = (x - y) % mod
             here, wr = cols[u][v], w * cols[u + 1][v]
             # entries -1, 0, 1 of the recursion, in index order
             parts = [_fold(t, lo, k) for t in (y * here + wr, x * here, y * cols[u][v + 1] + wr)]
-            if u == v == 0:
+            if v == 0 and u < 2:
                 parts = [_canonical(p, ones, k) for p in parts]
             row.append(parts[0] | parts[1] << shift | parts[2] << 2 * shift)
         child.append(row)
     return child
 
 
-def _threshold_fingerprints(n_max: int):
-    """Yield (d, fingerprints of every code of length d in index order), d = 0..n_max."""
+def _threshold_fingerprints(last: int):
+    """Yield (d, corner, neighbour) for d = 0..last: the packed values mod
+    _FP_MOD of every code of length d at (x0, y0) and (x0 - 1, y0 + 1), in
+    index order."""
     mod = _FP_MOD
     k = mod.bit_length()
     if mod < 1 or mod & (mod + 1) or k > 63:
         raise SignedChromError(f"fingerprint modulus {mod} is not 2^k - 1 with 1 <= k <= 63")
     x0, y0 = _FP_X0 % mod, _FP_Y0 % mod
-    # cols[u][v]: the list at (x0 - u - v, y0 + u - v), for u + v <= n_max - d
-    cols = [[(x0 - u - v) % mod for v in range(n_max + 1 - u)] for u in range(n_max + 1)]
-    for d in range(n_max + 1):
+    # cols[u][v]: the list at (x0 - u - v, y0 + u - v), for u + v <= last + 1 - d
+    # except u = 0, v = last + 1 - d
+    cols = [[(x0 - u - v) % mod for v in range(last + 2 - u - (u == 0))]
+            for u in range(last + 2)]
+    for d in range(last + 1):
         if d:
             cols = _threshold_children(cols, 3 ** (d - 1), k, x0, y0)
-        raw = cols[0][0].to_bytes(3**d * _FP_SLOT // 8, sys.byteorder)
-        if d == n_max:
-            del cols  # the longest list: free its packed int before building it
-        view = memoryview(raw).cast("Q")
-        fps = (view[::2] if sys.byteorder == "little" else view[::-2]).tolist()
-        del view, raw
-        yield d, fps
+        yield d, cols[0][0], cols[1][0]
 
 
 def _threshold_clash(length: int, indices, evens) -> dict | None:
@@ -336,40 +369,68 @@ def _threshold_even(index: int, length: int) -> BiPoly:
     return even
 
 
+def _at_x0(even: BiPoly) -> dict:
+    """even(0, y) as a map y_degree -> coefficient."""
+    return {j: c for (i, j), c in even.items() if i == 0}
+
+
+def _check_lemma_l(length: int, corner: int, neighbour: int) -> None:
+    """Refuse unless every code of `length` satisfies lemma L.  Codes whose
+    values at the two points differ satisfy it; the rest are rebuilt and
+    compared exactly."""
+    k = _FP_MOD.bit_length()
+    ones, lo = _slot_masks(3**length, k)
+    diff = corner ^ neighbour
+    agree = ones ^ (((diff + lo) >> k) & ones)  # 1 in each slot where diff is 0
+    while agree:
+        low = agree & -agree
+        agree ^= low
+        index = (low.bit_length() - 1) // _FP_SLOT
+        even = _threshold_even(index, length)
+        if _at_x0(even) == _at_x0(even.shifted(-1, 1)):
+            code = list(_threshold_code(index, length))
+            raise SignedChromError(
+                f"lemma L fails for threshold code {code}: P(0, y) = P(-1, y + 1),"
+                f" so the longer codes cannot be decoded"
+            )
+
+
+def _exact_threshold_scan(exact_to: int, checked: dict) -> dict | None:
+    """Compare the exact even polynomials of the codes of length 0..exact_to,
+    recording each length in `checked`; the first clash, or None."""
+    evens = [BiPoly.x()]
+    for d in range(exact_to + 1):
+        if d:
+            evens = [threshold_even_step(a, p) for a in (-1, 0, 1) for p in evens]
+        checked[str(d)] = len(evens)
+        bad = _threshold_clash(d, range(len(evens)), evens)
+        if bad is not None:
+            return bad
+    return None
+
+
 def verify_conj_threshold(n_max: int) -> VerificationReport:
     """Distinct threshold codes of one length give distinct even bivariate
     polynomials.
 
-    One level-order scan over the lengths 0..n_max (see the layout above).
-    Up to length exact_to it keeps the exact even polynomials of all codes
-    in index order and compares them as keys.  Past it, it compares
-    fingerprints, and a length whose fingerprints are not all distinct has
-    its colliding codes rebuilt from their indices and compared exactly
-    (codes with distinct fingerprints cannot be equal); only exact equality
-    is reported.
+    Up to length exact_to the exact even polynomials of all codes are compared
+    as keys.  Past it, lemma L is checked on every code of length exact_to..
+    n_max - 1 (see the layout above), which decides every length up to n_max;
+    a code on which L fails is refused, since the verdict then stays open.
     """
     _check_n_max(n_max, MAX_THRESHOLD_N, "threshold-code check")
     start = time.perf_counter()
     exact_to = min(n_max, _EXACT_THRESHOLD_LIMIT)
     method = {"exact_to": exact_to}
+    checked: dict[str, int] = {}
+    bad = _exact_threshold_scan(exact_to, checked)
     if n_max > exact_to:
         method["fingerprint_from"] = exact_to + 1
-    checked: dict[str, int] = {}
-    evens = [BiPoly.x()]
-    bad = None
-    for d, fps in _threshold_fingerprints(n_max):
-        checked[str(d)] = len(fps)
-        if d <= exact_to:
-            if d:
-                evens = [threshold_even_step(a, p) for a in (-1, 0, 1) for p in evens]
-            bad = _threshold_clash(d, range(len(evens)), evens)
-            if d == exact_to:
-                evens = None  # the fingerprint lengths never read it
-        elif len(set(fps)) != len(fps):
-            collided = sorted(i for members in _groups(fps) for i in members)
-            bad = _threshold_clash(d, collided, [_threshold_even(i, d) for i in collided])
-        if bad is not None:
-            break
+        if bad is None:
+            for d, corner, neighbour in _threshold_fingerprints(n_max - 1):
+                if d >= exact_to:
+                    _check_lemma_l(d, corner, neighbour)
+            checked.update((str(d), 3**d) for d in range(exact_to + 1, n_max + 1))
     details: dict = {"codes_checked": checked, "method": method}
     if bad is not None:
         details["counterexample"] = bad

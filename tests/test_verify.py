@@ -223,7 +223,7 @@ def test_conjecture_threshold_small():
 
 
 def test_threshold_fingerprint_agrees_with_exact(monkeypatch):
-    """Exact keys to length 5, and fingerprints alone, both pass every code."""
+    """Exact keys to length 5, and lemma L from length 0, both pass every code."""
     from signedchrom import verify
 
     want = {str(d): 3**d for d in range(6)}
@@ -276,54 +276,115 @@ def test_exact_threshold_keys_detect_a_clash(monkeypatch):
         _assert_merged_clash(report.details["counterexample"], merged)
 
 
-def test_fingerprint_fold_matches_exact_evaluation():
-    """Every fingerprint of every code of length <= 6 is its even polynomial mod
-    the prime, and index i spells its code in base 3, least significant first."""
-    from signedchrom.chromatic import threshold_bivariate
-    from signedchrom.verify import (
-        _FP_MOD,
-        _FP_X0,
-        _FP_Y0,
-        _threshold_code,
-        _threshold_fingerprints,
-    )
-
-    count = 0
-    for length, fps in _threshold_fingerprints(6):
-        codes = [tuple(reversed(p)) for p in itertools.product((-1, 0, 1), repeat=length)]
-        assert len(fps) == len(codes)
-        assert [_threshold_code(i, length) for i in range(len(codes))] == codes
-        for fp, code in zip(fps, codes):
-            assert fp == threshold_bivariate(code).even.evaluate(_FP_X0, _FP_Y0) % _FP_MOD, code
-            count += 1
-    assert count == 1093  # 1 + 3 + ... + 729
+# -- the decode rule and lemma L, exactly ------------------------------------------
 
 
-def test_fingerprint_collisions_are_rechecked_exactly(monkeypatch):
-    """With modulus 1 every fingerprint collides, so only the exact re-check
-    tells codes apart."""
-    from signedchrom import verify
+def _threshold_evens(max_length):
+    """The exact even polynomial of every code of length <= max_length."""
+    from signedchrom.chromatic import threshold_even_step
+    from signedchrom.poly import BiPoly
 
-    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
-    monkeypatch.setattr(verify, "_FP_MOD", 1)
-    assert verify_conj_threshold(5).passed
-
-    merged = _merged_step(monkeypatch)
-    report = verify_conj_threshold(3)
-    assert report.status == "counterexample"
-    assert report.details["method"] == {"exact_to": 0, "fingerprint_from": 1}
-    _assert_merged_clash(report.details["counterexample"], merged)
+    evens, level = {(): BiPoly.x()}, [()]
+    for _ in range(max_length):
+        level = [code + (a,) for code in level for a in (-1, 0, 1)]
+        for code in level:
+            evens[code] = threshold_even_step(code[-1], evens[code[:-1]])
+    return evens
 
 
-def _list_scan_fingerprints(n_max, mod):
-    """The fingerprint grid one Python int per code: the reference the packed
-    kernel must match, value for value and in the same index order."""
-    from signedchrom.verify import _FP_X0, _FP_Y0
+def _at_x_zero(p):
+    """p(0, y) as a map y_degree -> coefficient."""
+    return {j: c for (i, j), c in p.items() if i == 0}
 
-    x0, y0 = _FP_X0 % mod, _FP_Y0 % mod
+
+def _lemma_l_holds(p):
+    return _at_x_zero(p) != _at_x_zero(p.shifted(-1, 1))
+
+
+def _last_entry(even):
+    """Rule (b)-(d): 1 if E(t, t) has a term in t, else 0 if E(0, y) = 0, else -1."""
+    if even.diagonal().coeff(1):
+        return 1
+    return -1 if _at_x_zero(even) else 0
+
+
+def _inverse_step(entry, even):
+    """The P with threshold_even_step(entry, P) == even: divide by x for entry
+    0; for +-1 solve from the top degree down, since each step maps P's top
+    homogeneous part to x times it (fact (a))."""
+    from signedchrom.chromatic import threshold_even_step
+    from signedchrom.poly import BiPoly
+
+    def over_x(terms):
+        assert all(i >= 1 for (i, _), _ in terms), "not divisible by x"
+        return BiPoly({(i - 1, j): c for (i, j), c in terms})
+
+    if entry == 0:
+        return over_x(even.items())
+    prefix, residual = BiPoly.zero(), even
+    while not residual.is_zero():
+        top = max(i + j for (i, j), _ in residual.items())
+        part = over_x([((i, j), c) for (i, j), c in residual.items() if i + j == top])
+        prefix += part
+        residual -= threshold_even_step(entry, part)
+        assert residual.is_zero() or max(i + j for (i, j), _ in residual.items()) < top
+    return prefix
+
+
+def test_threshold_codes_decode_by_the_rule():
+    """Every code of length <= 7 decodes to its last entry and its prefix's
+    even polynomial.  Its prefix is a shorter code of the same family, so by
+    induction every code decodes back to x, entry by entry."""
+    from signedchrom.poly import BiPoly
+
+    evens = _threshold_evens(7)
+    assert len(evens) == 3280  # 1 + 3 + ... + 3^7
+    assert evens[()] == BiPoly.x()
+    for code, even in evens.items():
+        if code:
+            entry = _last_entry(even)
+            assert entry == code[-1], code
+            assert _inverse_step(entry, even) == evens[code[:-1]], code
+
+
+def test_lemma_l_holds_exactly_on_short_codes():
+    """L on every code of length <= 7, with no fingerprint."""
+    evens = _threshold_evens(7)
+    failures = [code for code, even in evens.items() if not _lemma_l_holds(even)]
+    assert failures == []
+
+
+def test_lemma_l_holds_on_small_signed_graphs():
+    """L on the even polynomial of every signed graph on 1..5 vertices, one per
+    isomorphism class: each underlying graph (the negative edges of an iso
+    class of K_n) with each iso class of its signatures."""
+    from signedchrom.equivalence import enumerate_classes
+
+    classes = 0
+    for n in range(1, 6):
+        for rep in enumerate_classes(complete_graph(n, 1), "iso").representatives:
+            underlying = SignedGraph(n, [(u, v, 1) for u, v, s in rep.edges if s < 0])
+            for g in enumerate_classes(underlying, "iso").representatives:
+                assert _lemma_l_holds(bivariate_pair(g).even), g
+                classes += 1
+    assert classes == 1 + 3 + 10 + 66 + 792  # A004102
+
+
+# -- the fingerprint grid ----------------------------------------------------------
+
+# The anchor of the distinctness oracle.  At x0 = 0 every code ending in 0 has
+# fingerprint 0 (fact (c)), so the oracle needs a point off the axis.
+_ORACLE_X0 = 1122334455667788990
+
+
+def _list_scan(n_max, mod, x0, y0):
+    """The fingerprint grid one Python int per code: yields (d, grid) with
+    grid[u][v] the values at (x0 - u - v, y0 + u - v) of every code of length
+    d in index order, for u + v <= n_max - d."""
+    x0, y0 = x0 % mod, y0 % mod
     cols = [[[(x0 - u - v) % mod] for v in range(n_max + 1 - u)] for u in range(n_max + 1)]
     for d in range(n_max + 1):
-        yield d, cols[0][0]
+        yield d, cols
         child = []
         for u in range(n_max - d):
             row = []
@@ -339,18 +400,174 @@ def _list_scan_fingerprints(n_max, mod):
         cols = child
 
 
-def test_packed_fingerprints_match_the_list_scan(monkeypatch):
-    """Every n_max to 10 (each frees its grid at a different last length),
-    and every slot width the kernel accepts, down to the modulus 1."""
+def _distinctness_scan(n_max):
+    """The verifier before lemma L, kept as its oracle: exact keys up to
+    exact_to, then all 3^d fingerprints of each longer length at (_ORACLE_X0,
+    _FP_Y0), with the codes of colliding fingerprints rebuilt and compared
+    exactly.  Returns (status, details) as the verifier reports them."""
+    from signedchrom import verify
+    from signedchrom.poly import BiPoly
+
+    exact_to = min(n_max, verify._EXACT_THRESHOLD_LIMIT)
+    method = {"exact_to": exact_to}
+    if n_max > exact_to:
+        method["fingerprint_from"] = exact_to + 1
+    checked, evens, bad = {}, [BiPoly.x()], None
+    for d, cols in _list_scan(n_max, verify._FP_MOD, _ORACLE_X0, verify._FP_Y0):
+        fps = cols[0][0]
+        checked[str(d)] = len(fps)
+        if d <= exact_to:
+            if d:
+                evens = [verify.threshold_even_step(a, p) for a in (-1, 0, 1) for p in evens]
+            bad = verify._threshold_clash(d, range(len(evens)), evens)
+        elif len(set(fps)) != len(fps):
+            collided = sorted(i for members in verify._groups(fps) for i in members)
+            evens = [verify._threshold_even(i, d) for i in collided]
+            bad = verify._threshold_clash(d, collided, evens)
+        if bad is not None:
+            break
+    details = {"codes_checked": checked, "method": method}
+    if bad is not None:
+        details["counterexample"] = bad
+    return ("counterexample" if bad else "pass"), details
+
+
+def test_lemma_l_verdicts_match_the_distinctness_scan(monkeypatch):
+    """Every n_max to 10, and to 6 with the exact prefix cut to 0 and 3."""
     from signedchrom import verify
 
     for n_max in range(11):
-        want = list(_list_scan_fingerprints(n_max, verify._FP_MOD))
-        assert list(verify._threshold_fingerprints(n_max)) == want, n_max
+        report = verify_conj_threshold(n_max)
+        assert (report.status, report.details) == _distinctness_scan(n_max), n_max
+    for limit in (0, 3):
+        monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", limit)
+        for n_max in range(7):
+            report = verify_conj_threshold(n_max)
+            assert (report.status, report.details) == _distinctness_scan(n_max), (limit, n_max)
+
+
+def test_fingerprint_collisions_are_rechecked_exactly(monkeypatch):
+    """The distinctness oracle: with modulus 1 every fingerprint collides, so
+    only the exact re-check tells codes apart.  A merged step breaks facts
+    (b)-(d) as well, so lemma L alone could not catch its clash."""
+    from signedchrom import verify
+
+    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
+    monkeypatch.setattr(verify, "_FP_MOD", 1)
+    assert _distinctness_scan(5)[0] == "pass"
+
+    merged = _merged_step(monkeypatch)
+    status, details = _distinctness_scan(3)
+    assert status == "counterexample"
+    assert details["method"] == {"exact_to": 0, "fingerprint_from": 1}
+    _assert_merged_clash(details["counterexample"], merged)
+
+
+def test_agreeing_slots_are_rechecked_exactly(monkeypatch):
+    """With modulus 1 the two sides of L agree in every slot, so every code of
+    length exact_to..n_max - 1 is rebuilt, and L still holds on each."""
+    from signedchrom import verify
+
+    rebuild, rebuilt = verify._threshold_even, []
+
+    def counted(index, length):
+        rebuilt.append((length, index))
+        return rebuild(index, length)
+
+    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
+    monkeypatch.setattr(verify, "_FP_MOD", 1)
+    monkeypatch.setattr(verify, "_threshold_even", counted)
+    assert verify_conj_threshold(5).passed
+    assert sorted(rebuilt) == [(d, i) for d in range(5) for i in range(3**d)]
+
+
+def test_a_failure_of_lemma_l_is_refused(monkeypatch, capsys):
+    """A code whose rebuilt polynomial breaks L leaves the verdict open: the
+    verifier raises, and the CLI exits 2 with nothing on stdout."""
+    from signedchrom import verify
+    from signedchrom.cli import main
+    from signedchrom.errors import SignedChromError
+    from signedchrom.poly import BiPoly
+
+    rebuild = verify._threshold_even
+
+    def broken(index, length):
+        if (length, index) == (3, 5):  # the code (1, 0, -1)
+            return BiPoly.x() + BiPoly.y()  # y at (0, y) and at (-1, y + 1)
+        return rebuild(index, length)
+
+    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 2)
+    monkeypatch.setattr(verify, "_FP_MOD", 1)
+    monkeypatch.setattr(verify, "_threshold_even", broken)
+    with pytest.raises(SignedChromError, match=r"lemma L fails for threshold code \[1, 0, -1\]"):
+        verify_conj_threshold(4)
+    assert verify_conj_threshold(3).passed  # L is checked below n_max only
+    assert main(["verify", "--conjecture", "threshold", "--max", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: lemma L fails for threshold code [1, 0, -1]" in err
+
+
+def _slots(packed, count):
+    """The `count` 128-bit slots of a packed int, whole."""
+    from signedchrom.verify import _FP_SLOT
+
+    width = _FP_SLOT // 8
+    raw = packed.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(count)]
+
+
+def test_fingerprint_fold_matches_exact_evaluation():
+    """Every corner and neighbour slot of every code of length <= 6 is its even
+    polynomial mod the prime at (0, y0) and (-1, y0 + 1), and index i spells
+    its code in base 3, least significant first."""
+    from signedchrom.chromatic import threshold_bivariate
+    from signedchrom.verify import (
+        _FP_MOD,
+        _FP_X0,
+        _FP_Y0,
+        _threshold_code,
+        _threshold_fingerprints,
+    )
+
+    assert _FP_X0 == 0
+    count = 0
+    for length, corner, neighbour in _threshold_fingerprints(6):
+        codes = [tuple(reversed(p)) for p in itertools.product((-1, 0, 1), repeat=length)]
+        assert [_threshold_code(i, length) for i in range(len(codes))] == codes
+        pairs = zip(_slots(corner, len(codes)), _slots(neighbour, len(codes)))
+        for (at_corner, at_neighbour), code in zip(pairs, codes):
+            even = threshold_bivariate(code).even
+            assert at_corner == even.evaluate(0, _FP_Y0) % _FP_MOD, code
+            assert at_neighbour == even.evaluate(-1, _FP_Y0 + 1) % _FP_MOD, code
+            count += 1
+    assert count == 1093  # 1 + 3 + ... + 729
+
+
+def test_packed_fingerprints_match_the_list_scan(monkeypatch):
+    """The two points the verifier reads, at every length it reads them, for
+    every n_max to 10 and every slot width the kernel accepts, down to the
+    modulus 1."""
+    from signedchrom import verify
+
+    def check(n_max):
+        want = [
+            (d, cols[0][0], cols[1][0])
+            for d, cols in _list_scan(n_max, verify._FP_MOD, verify._FP_X0, verify._FP_Y0)
+            if d < n_max
+        ]
+        got = [
+            (d, _slots(corner, 3**d), _slots(neighbour, 3**d))
+            for d, corner, neighbour in verify._threshold_fingerprints(n_max - 1)
+        ]
+        assert got == want, (n_max, verify._FP_MOD)
+
+    for n_max in range(1, 11):
+        check(n_max)
     for k in (1, 2, 3, 5, 31, 63):
         monkeypatch.setattr(verify, "_FP_MOD", (1 << k) - 1)
-        want = list(_list_scan_fingerprints(6, verify._FP_MOD))
-        assert list(verify._threshold_fingerprints(6)) == want, k
+        for n_max in range(1, 8):
+            check(n_max)
 
 
 def test_fold_and_canonical_keep_slots_apart():
@@ -390,13 +607,22 @@ def test_fingerprint_modulus_must_be_two_to_the_k_minus_one(monkeypatch, mod):
 
 
 def test_conjecture_threshold_stretch():
-    """The full stretch scale, which only the benchmark ran before."""
-    report = verify_conj_threshold(12)
+    """The full stretch scale, which only the benchmark ran before, within its
+    memory: the traced peak is about 22 MB (the distinctness scan's was 59 MB)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = verify_conj_threshold(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.passed
     assert report.details == {
         "codes_checked": {str(d): 3**d for d in range(13)},
         "method": {"exact_to": 6, "fingerprint_from": 7},
     }
+    assert peak < 32 << 20, peak
 
 
 def test_conjecture_bivariate_small():
