@@ -1,14 +1,17 @@
 """Colouring counts and chromatic polynomial pairs of signed graphs.
 
-`chromatic_pair` and `bivariate_pair` pick the route: signed complete graphs
-take the partition route, a subset DP over colour units, and every other
-graph the edge-subset expansion, which sums a signed term over all spanning
-subgraphs classified by their component statistics.  That sum is tallied by
-a frontier edge DP rather than subset by subset, whose moves the process
-memoises: on a 2-core machine the Petersen graph takes about 3 ms (0.7 ms
-once its moves are memoised) instead of 0.2 s for its 2^15 subsets, and the
-19-edge threshold example about 7 ms (1.8 ms) instead of 3.6 s.  Each route
-checks its own budget.
+`chromatic_pair` and `bivariate_pair` pick the route, and each route checks its
+own budget.  First, on at most MAX_PEEL_N vertices, `bivariate_pair` peels
+every isolated vertex and every dominating vertex with edges of one sign, but
+stops at a signed K_n the partition route takes, which answers it faster.  The
+paper's deletion formulae (`threshold_step`) put the peeled vertices back: a
+40-entry threshold code takes about 0.1 s.  Then signed complete graphs take
+the partition route, a subset DP over colour units, and every other graph the
+edge-subset expansion, which sums a signed term over all spanning subgraphs
+classified by their component statistics.  That sum is tallied by a frontier
+edge DP rather than subset by subset, whose moves the process memoises: on a
+2-core machine the Petersen graph takes about 3 ms (0.7 ms once its moves are
+memoised) instead of 0.2 s for its 2^15 subsets.
 
 The univariate pair depends only on balance, so its tally runs on a switched
 copy of the graph in which only the chords carry signs.  `chromatic_pairs`
@@ -31,7 +34,9 @@ from contextvars import ContextVar
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, SignedChromError
-from .graphs import SignedGraph
+from .graphs import (
+    ISOLATED, NEGATIVE_DOMINATING, POSITIVE_DOMINATING, SignedGraph, delete_vertex, vertex_role,
+)
 from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly, double_falling
 
 MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
@@ -39,7 +44,7 @@ MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their pack
 MAX_MOVES = 1 << 14             # take and forget moves the process memoises
 MAX_PARTITION_N = 10            # vertices of a signed K_n: the unit DP visits at most 2^n masks
 MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes of K_7: 1,044
-MAX_THRESHOLD_CODE = 40         # entries of a threshold code; length 40 takes under 1 s
+MAX_PEEL_N = 41                 # vertices bivariate_pair peels: a threshold code of 40 entries
 
 
 class ColourSpec(NamedTuple):
@@ -440,11 +445,32 @@ def chromatic_pair(g: SignedGraph) -> ChromaticPair:
     return _subset_chromatic_pair(g)
 
 
+_PEEL_ENTRIES = {ISOLATED: 0, POSITIVE_DOMINATING: 1, NEGATIVE_DOMINATING: -1}
+
+
 def bivariate_pair(g: SignedGraph) -> BivariatePair:
-    """Even and odd bivariate polynomials; routed as in chromatic_pair."""
-    if g.m == g.n * (g.n - 1) // 2:
-        return complete_bivariate_pair(g)
-    return _subset_bivariate_pair(g)
+    """Even and odd bivariate polynomials, by the routes above.
+
+    The peel scans from the highest vertex, so a threshold graph loses its
+    last-added vertex first, and `threshold_step` puts the peeled vertices
+    back in reverse order."""
+    entries = []
+    while 1 < g.n <= MAX_PEEL_N:
+        if g.n <= MAX_PARTITION_N and g.m == g.n * (g.n - 1) // 2:
+            break  # the partition route answers a small signed K_n faster
+        for v in reversed(range(g.n)):
+            entry = _PEEL_ENTRIES.get(vertex_role(g, v))
+            if entry is not None:
+                break
+        else:
+            break
+        entries.append(entry)
+        g = delete_vertex(g, v)
+    complete = g.m == g.n * (g.n - 1) // 2
+    pair = complete_bivariate_pair(g) if complete else _subset_bivariate_pair(g)
+    for entry in reversed(entries):
+        pair = threshold_step(entry, pair)
+    return pair
 
 
 def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
@@ -565,24 +591,6 @@ def threshold_even_step(entry: int, even: BiPoly) -> BiPoly:
     if entry == -1:
         return Y * even + (X - Y) * even.shifted(-1, 1)
     raise SignedChromError(f"code entry {entry!r} not in {{-1, 0, 1}}")
-
-
-def threshold_bivariate(code: Sequence[int]) -> BivariatePair:
-    """Bivariate pair of the signed threshold graph of `code`.
-
-    Folds the vertex-addition steps from the single-vertex base (x, x);
-    equivalently, unwinds the dominating-vertex deletion recursion with the
-    last-added vertex deleted first.  Refuses codes longer than
-    MAX_THRESHOLD_CODE.
-    """
-    if len(code) > MAX_THRESHOLD_CODE:
-        raise BudgetExceededError(
-            f"threshold code of length {len(code)} exceeds the cap of {MAX_THRESHOLD_CODE}"
-        )
-    pair = BivariatePair(BiPoly.x(), BiPoly.x())
-    for a in code:
-        pair = threshold_step(a, pair)
-    return pair
 
 
 # -- signed complete graphs: the partition route over colour units ----------------

@@ -26,6 +26,7 @@ from .graphs import (
     format_graph,
     graph_to_dict,
     parse_graph,
+    threshold_graph,
 )
 from .poly import pair_to_json, unipoly_to_json
 
@@ -157,7 +158,10 @@ def _parse_code(text: str) -> tuple[int, ...]:
 
 def cmd_threshold(args) -> int:
     code = _parse_code(args.code)
-    pair = chromatic.threshold_bivariate(code)
+    if len(code) + 1 > chromatic.MAX_PEEL_N:  # the graph has one vertex more than the code
+        raise BudgetExceededError(f"threshold code of length {len(code)} exceeds the cap of"
+                                  f" {chromatic.MAX_PEEL_N - 1}, the peel cap less one vertex")
+    pair = chromatic.bivariate_pair(threshold_graph(code))
     payload = {
         "code": list(code),
         **pair_to_json(pair),

@@ -215,31 +215,21 @@ def delete_vertex(g: SignedGraph, v: int) -> SignedGraph:
     return SignedGraph(g.n - 1, edges)
 
 
-def add_dominating_vertex(g: SignedGraph, sign: int) -> SignedGraph:
-    """Append a new vertex joined to every existing vertex with `sign` edges."""
-    if sign not in (1, -1):
-        raise SignedChromError(f"sign must be +1 or -1, got {sign!r}")
-    edges = g.edges + tuple((u, g.n, sign) for u in range(g.n))
-    return SignedGraph(g.n + 1, edges)
-
-
 def threshold_graph(code: Sequence[int]) -> SignedGraph:
     """Build the signed threshold graph of a code over {-1, 0, 1}.
 
     Starts from the single-vertex graph; each entry appends an isolated
     vertex (0), a positive dominating vertex (1), or a negative dominating
-    vertex (-1).
+    vertex (-1).  Refuses codes of more than MAX_VERTICES - 1 entries first.
     """
-    for a in code:
+    _check_vertex_count(len(code) + 1)
+    edges = []
+    for v, a in enumerate(code, 1):
         if a not in (-1, 0, 1):
             raise SignedChromError(f"code entry {a!r} not in {{-1, 0, 1}}")
-    g = SignedGraph(1, ())
-    for a in code:
-        if a == 0:
-            g = SignedGraph(g.n + 1, g.edges)
-        else:
-            g = add_dominating_vertex(g, a)
-    return g
+        if a:
+            edges.extend((u, v, a) for u in range(v))
+    return SignedGraph(len(code) + 1, edges)
 
 
 def positive_part(g: SignedGraph) -> SignedGraph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import SignedChromError
@@ -150,14 +151,11 @@ class UniPoly:
         return acc
 
     def shifted(self, dx: int) -> "UniPoly":
-        """Return p(x + dx), expanded exactly (Horner in the shifted variable)."""
+        """Return p(x + dx), expanded exactly."""
         if dx == 0:
             return self
-        acc = UniPoly.zero()
-        base = UniPoly((dx, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * base + c
-        return acc
+        rows = _shift_matrix(dx, len(self.coeffs))
+        return UniPoly(tuple(sum(map(operator.mul, self.coeffs, row)) for row in rows))
 
     def __str__(self) -> str:
         return format_unipoly(self)
@@ -295,28 +293,9 @@ class BiPoly:
         return sum(c * x0**i * y0**j for (i, j), c in self._terms.items())
 
     def shifted(self, dx: int, dy: int) -> "BiPoly":
-        """Return p(x + dx, y + dy), expanded exactly."""
-        if dx == 0 and dy == 0:
-            return self
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self._terms.items():
-            xrow = _shift_row(i, dx)
-            yrow = _shift_row(j, dy)
-            for a, ca in enumerate(xrow):
-                cca = c * ca
-                if not cca:
-                    continue
-                for b, cb in enumerate(yrow):
-                    if not cb:
-                        continue
-                    k = (a, b)
-                    nc = out.get(k, 0) + cca * cb
-                    if nc:
-                        out[k] = nc
-                    elif k in out:
-                        del out[k]
+        """Return p(x + dx, y + dy), expanded exactly, one variable at a time."""
         r = BiPoly()
-        r._terms = out
+        r._terms = _shift_axis(_shift_axis(self._terms, dx, 0), dy, 1)
         return r
 
     def substitute_y(self, y0: int) -> UniPoly:
@@ -348,9 +327,29 @@ class BiPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _shift_row(n: int, d: int) -> tuple[int, ...]:
-    """Coefficients of (t + d)^n in t, ascending."""
-    return tuple(math.comb(n, k) * d ** (n - k) for k in range(n + 1))
+def _shift_matrix(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Row e: C(k, e) d^(k - e) for k < n (0 for k < e), the weights of the
+    coefficients of p(t) in the coefficient of t^e of p(t + d)."""
+    return tuple(tuple(math.comb(k, e) * d ** (k - e) if k >= e else 0 for k in range(n))
+                 for e in range(n))
+
+
+def _shift_axis(terms: dict, d: int, axis: int) -> dict:
+    """The terms of p after t + d is put for x (axis 0) or y (axis 1)."""
+    if not d:
+        return terms
+    lines: dict[int, list[int]] = {}  # the coefficients of p along the axis, by the other degree
+    for key, c in terms.items():
+        line = lines.setdefault(key[1 - axis], [])
+        line += [0] * (key[axis] + 1 - len(line))
+        line[key[axis]] = c
+    out = {}
+    for other, line in lines.items():
+        for e, row in enumerate(_shift_matrix(d, len(line))):
+            c = sum(map(operator.mul, line, row))
+            if c:
+                out[(e, other) if axis == 0 else (other, e)] = c
+    return out
 
 
 class ChromaticPair(NamedTuple):

@@ -16,7 +16,6 @@ from .chromatic import (
     bivariate_pair,
     chromatic_pair,
     chromatic_pairs,
-    threshold_bivariate,
     threshold_even_step,
 )
 from .equivalence import (
@@ -525,8 +524,8 @@ def reproduce_tables() -> VerificationReport:
     s3, s4 = fixture("Sigma3"), fixture("Sigma4")
     b3, b4 = bivariate_pair(s3), bivariate_pair(s4)
     c3, c4 = chromatic_pair(s3), chromatic_pair(s4)
-    code = reference.THRESHOLD_EXAMPLE_CODE
-    tb = threshold_bivariate(code)
+    threshold = threshold_graph(reference.THRESHOLD_EXAMPLE_CODE)
+    tb = bivariate_pair(threshold)
     rows += [
         ("gem_G1_pair", chromatic_pair(g1), reference.GEM_PAIR),
         ("gem_G2_pair", chromatic_pair(g2), reference.GEM_PAIR),
@@ -553,7 +552,7 @@ def reproduce_tables() -> VerificationReport:
          reference.THRESHOLD_EXAMPLE_PAIR.even),
         ("threshold_example_odd_specialized", tb.odd.substitute_y(0),
          reference.THRESHOLD_EXAMPLE_PAIR.odd),
-        ("threshold_example_subset_expansion", chromatic_pair(threshold_graph(code)),
+        ("threshold_example_subset_expansion", chromatic_pair(threshold),
          reference.THRESHOLD_EXAMPLE_PAIR),
     ]
     checks = [_check(*row) for row in rows]

@@ -13,11 +13,11 @@ import pytest
 
 from signedchrom import reference
 from signedchrom.chromatic import (
+    _subset_bivariate_pair,
     bivariate_pair,
     chromatic_pair,
     count_colourings_oracle,
     interpolated_pair,
-    threshold_bivariate,
 )
 from signedchrom.closedform import identity_suite, join_family_graph, join_pair
 from signedchrom.equivalence import (
@@ -204,11 +204,15 @@ def test_c07_identity_suite():
 
 
 def test_c08_threshold_recursion_consistency():
-    """Criterion 8: recursion equals subset expansion for all codes of length <= 5."""
+    """Criterion 8: recursion equals subset expansion for all codes of length <= 5.
+
+    `bivariate_pair` peels a threshold graph down to one vertex by the
+    deletion recursion; `_subset_bivariate_pair` tallies the whole graph."""
     count = 0
     for length in range(6):
         for code in itertools.product((-1, 0, 1), repeat=length):
-            assert threshold_bivariate(code) == bivariate_pair(threshold_graph(code)), code
+            g = threshold_graph(code)
+            assert bivariate_pair(g) == _subset_bivariate_pair(g), code
             count += 1
     assert count == 364  # 1 + 3 + 9 + 27 + 81 + 243
     print("ACCEPTANCE 8 (threshold recursion vs expansion, codes <= 5): PASS")

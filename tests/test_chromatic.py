@@ -20,7 +20,6 @@ from signedchrom.chromatic import (
     count_colourings_oracle,
     interpolated_pair,
     make_colour_spec,
-    threshold_bivariate,
 )
 from signedchrom.equivalence import enumerate_classes, graph_from_mask
 from signedchrom.errors import BudgetExceededError, SignedChromError
@@ -119,11 +118,21 @@ def test_chromatic_pair_budget(monkeypatch):
     """Each route refuses by its own budget: K_11 on the partition route, and
     the frontier tally once its live entries pass the (lowered) limit.  The
     Petersen graph's bivariate tally peaks at 273 entries (states plus the
-    slots of their packed counts)."""
+    slots of their packed counts).  The peel takes a signed K_n down to
+    K_10, the largest the partition route takes, when each vertex it meets
+    has edges of one sign, and K_n above MAX_PEEL_N vertices are not
+    peeled."""
     with pytest.raises(BudgetExceededError, match="K_11"):
         chromatic_pair(complete_graph(11, 1))
+    mixed = SignedGraph(11, [(u, v, -1 if (u + v) % 2 else 1)
+                             for u in range(11) for v in range(u + 1, 11)])
     with pytest.raises(BudgetExceededError, match="K_11"):
-        bivariate_pair(complete_graph(11, -1))
+        bivariate_pair(mixed)
+    over = chromatic.MAX_PEEL_N + 1
+    with pytest.raises(BudgetExceededError, match=f"K_{over}"):
+        bivariate_pair(complete_graph(over, -1))
+    k10 = complete_bivariate_pair(complete_graph(10, -1))
+    assert bivariate_pair(complete_graph(11, -1)) == chromatic.threshold_step(-1, k10)
     expected = bivariate_pair(fixture("petersen"))
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 272)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
@@ -178,26 +187,65 @@ def test_interpolated_pair_examples():
 
 
 def test_threshold_bivariate_examples():
-    assert threshold_bivariate(()) == (XB, XB)
-    assert threshold_bivariate(reference.THRESHOLD_EXAMPLE_CODE) == (
-        reference.THRESHOLD_EXAMPLE_BIVARIATE
-    )
+    """The peeled pairs of threshold graphs against the published values and
+    the subset expansion."""
+    assert bivariate_pair(threshold_graph(())) == (XB, XB)
+    example = threshold_graph(reference.THRESHOLD_EXAMPLE_CODE)
+    assert bivariate_pair(example) == reference.THRESHOLD_EXAMPLE_BIVARIATE
+    assert _subset_bivariate_pair(example) == reference.THRESHOLD_EXAMPLE_BIVARIATE
     fall5 = falling_factorial(5)
-    pair = threshold_bivariate((1, 1, 1, 1))
+    pair = bivariate_pair(threshold_graph((1, 1, 1, 1)))
+    assert pair == _subset_bivariate_pair(complete_graph(5, 1))
     assert pair.even.substitute_y(0) == fall5
     assert pair.even == pair.odd
     # +K_5 is all-positive, so no y appears at all
     assert all(j == 0 for (_, j), _ in pair.even.items())
-    for code in ((3,), (1, -1, 0) * 13 + (3,)):  # 40 entries: refused at the last step
+    for code in ((3,), (1, -1, 0) * 13 + (3,)):  # 40 entries, the last one refused
         with pytest.raises(SignedChromError, match="code entry 3 not in"):
-            threshold_bivariate(code)
+            threshold_graph(code)
 
 
 def test_threshold_recursion_matches_subset_expansion():
     rng = random.Random(5)
     codes = [tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randrange(5))) for _ in range(12)]
     for code in codes:
-        assert threshold_bivariate(code) == _subset_bivariate_pair(threshold_graph(code)), code
+        g = threshold_graph(code)
+        assert bivariate_pair(g) == _subset_bivariate_pair(g), code
+
+
+def _append_vertex(g: SignedGraph, entry: int) -> SignedGraph:
+    """g plus a vertex that is isolated (0) or dominating with `entry` edges."""
+    edges = g.edges + tuple((u, g.n, entry) for u in range(g.n) if entry)
+    return SignedGraph(g.n + 1, edges)
+
+
+def test_peel_matches_subset_expansion():
+    """Every signed graph on at most 4 vertices and 100 seeded random ones on
+    5, each with an isolated, a positive and a negative dominating vertex
+    appended and then relabelled at random: the peeled pair equals the
+    subset expansion of the whole graph, and on a sample its even
+    constituent counts what the brute-force oracle counts."""
+    rng = random.Random(22)
+    pairs5 = list(itertools.combinations(range(5), 2))
+    family = [g for n in range(5) for g in all_signed_graphs(n)]
+    family += [
+        SignedGraph(5, [(u, v, rng.choice((1, -1))) for u, v in pairs5 if rng.random() < 0.6])
+        for _ in range(100)
+    ]
+    sampled = 0
+    for g in family:
+        for entry in (0, 1, -1):
+            h = _append_vertex(g, entry)
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            h = relabel(h, perm)
+            pair = bivariate_pair(h)
+            assert pair == _subset_bivariate_pair(h), (g, entry, perm)
+            if rng.random() < 0.02:
+                sampled += 1
+                for lam, mu in ((2, 0), (3, 1), (4, 2), (4, 0)):
+                    assert pair.even.evaluate(lam, mu) == count_colourings_oracle(h, lam, mu)
+    assert sampled > 20, sampled
 
 
 def test_oracle_equivalence_small_family():

@@ -4,10 +4,12 @@ import argparse
 import itertools
 import json
 import pathlib
+import random
 import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 
@@ -16,7 +18,15 @@ import pytest
 import signedchrom
 from signedchrom import chromatic, closedform, verify
 from signedchrom.cli import MAX_GRAPH_FILE_BYTES, build_parser, main
-from signedchrom.graphs import MAX_VERTICES, SignedGraph, fixture, format_graph
+from signedchrom.graphs import (
+    MAX_VERTICES,
+    SignedGraph,
+    fixture,
+    format_graph,
+    relabel,
+    threshold_graph,
+)
+from signedchrom.poly import BiPoly, BivariatePair, pair_to_json
 
 
 @pytest.fixture
@@ -84,6 +94,43 @@ def test_threshold_empty_code(capsys):
     code, out, _ = run(capsys, "threshold", "--code", "")
     assert code == 0
     assert json.loads(out)["even"] == [[1, 0, "1"]]
+
+
+def _threshold_fold(code):
+    """The bivariate pair of a threshold code, by the deletion formulae alone."""
+    pair = BivariatePair(BiPoly.x(), BiPoly.x())
+    for a in code:
+        pair = chromatic.threshold_step(a, pair)
+    return pair
+
+
+@pytest.mark.parametrize("code, seconds", [
+    # its frontier tally is refused after about 5 s, past 150,000 entries
+    ((1, 0, -1) * 4 + (1,), 0.1),
+    # MAX_PEEL_N vertices, seeded random entries
+    (tuple(random.Random(41).choices((-1, 0, 1), k=chromatic.MAX_PEEL_N - 1)), 1.0),
+])
+def test_chrom_bivariate_peels_threshold_graphs(capsys, tmp_path, code, seconds):
+    """A relabelled threshold graph is peeled by the deletion formulae down to
+    one vertex: `chrom --bivariate` equals the fold of its code and `threshold
+    --code` prints the same pair."""
+    g = threshold_graph(code)
+    perm = list(range(g.n))
+    random.Random(len(code)).shuffle(perm)
+    path = tmp_path / "threshold.sg"
+    path.write_text(format_graph(relabel(g, perm)))
+    want = pair_to_json(_threshold_fold(code))
+    start = time.perf_counter()
+    status, out, _ = run(capsys, "chrom", str(path), "--bivariate")
+    elapsed = time.perf_counter() - start
+    assert status == 0
+    payload = json.loads(out)
+    assert (payload["even"], payload["odd"]) == (want["even"], want["odd"])
+    assert elapsed < seconds, elapsed
+    status, out, _ = run(capsys, "threshold", "--code", ",".join(map(str, code)))
+    assert status == 0
+    payload = json.loads(out)
+    assert (payload["even"], payload["odd"]) == (want["even"], want["odd"])
 
 
 def test_closed_form(capsys):
@@ -412,8 +459,8 @@ def test_vertex_cap_complete_underlying_exit_2(capsys, command):
     "message, argv",
     [
         (
-            f"exceeds the cap of {chromatic.MAX_THRESHOLD_CODE}",
-            ("threshold", "--code", ",".join(["1"] * (chromatic.MAX_THRESHOLD_CODE + 1))),
+            f"exceeds the cap of {chromatic.MAX_PEEL_N - 1}",
+            ("threshold", "--code", ",".join(["1"] * chromatic.MAX_PEEL_N)),
         ),
         (
             f"exceeds the join-family cap of {closedform.MAX_JOIN_VERTICES}",

@@ -4,7 +4,10 @@ Every case runs `cli.main` in-process and must end with exit 0, 1 or 2: no
 exception escapes, stderr carries no traceback, an exit-2 case prints nothing
 on stdout, and each case stays inside a time and a traced-memory bound.  The
 values are drawn from pools that mix valid small inputs, malformed tokens and
-values over each work bound, so that no valid case is a heavy run.
+values over each work bound, so that no valid case is a heavy run.  The
+largest valid cases, added once each, are the ones the peel answers:
+threshold codes of 39 to 42 entries (the last two refused), and `chrom
+--bivariate` on relabelled threshold graphs of up to MAX_PEEL_N vertices.
 """
 
 import io
@@ -15,8 +18,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from signedchrom.chromatic import MAX_PEEL_N
 from signedchrom.cli import main
-from signedchrom.graphs import fixture_names
+from signedchrom.graphs import fixture_names, format_graph, relabel, threshold_graph
 
 SEED = 20
 CASES = 300
@@ -60,6 +64,20 @@ def _graph_files(tmp_path, rng) -> list[str]:
     for data in _BAD_BYTES:
         put(data)
     return paths + [str(tmp_path / "missing.sg"), str(tmp_path)]
+
+
+def _threshold_files(tmp_path, rng) -> list[str]:
+    """Threshold graphs of random codes, relabelled at random, on 2 to
+    MAX_PEEL_N vertices."""
+    paths = []
+    for n in (2, 9, 14, 27, MAX_PEEL_N):
+        g = threshold_graph(rng.choices((-1, 0, 1), k=n - 1))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        path = tmp_path / f"threshold{n}.sg"
+        path.write_text(format_graph(relabel(g, perm)))
+        paths.append(str(path))
+    return paths
 
 
 def _underlying(rng, files) -> str:
@@ -139,6 +157,10 @@ def test_random_argv_keeps_the_exit_contract(tmp_path):
     files = _graph_files(tmp_path, rng)
     cases = [_argv(rng, files) for _ in range(CASES)]
     cases += [["chrom", path] for path in files]  # every malformed file at least once
+    # the largest valid cases, each once: at 40 entries and 41 vertices, about 1.5 s traced
+    cases += [["chrom", path, "--bivariate"] for path in _threshold_files(tmp_path, rng)]
+    cases += [["threshold", "--code", ",".join(rng.choices(["-1", "0", "1"], k=k))]
+              for k in range(MAX_PEEL_N - 2, MAX_PEEL_N + 2)]
     codes = {0: 0, 1: 0, 2: 0}
     tracemalloc.start()
     try:

@@ -185,6 +185,17 @@ def test_threshold_graph_examples():
     assert threshold_graph((-1, -1)) == complete_graph(3, -1)
     with pytest.raises(SignedChromError, match="code entry 2 not in"):
         threshold_graph((2,))
+    # each entry is a join with one vertex, or a disjoint union with it
+    rng = random.Random(3)
+    code = ()
+    for _ in range(12):
+        a = rng.choice((-1, 0, 1))
+        prev = threshold_graph(code)
+        want = join(prev, SignedGraph(1, ()), a) if a else SignedGraph(prev.n + 1, prev.edges)
+        code += (a,)
+        assert threshold_graph(code) == want, code
+    with pytest.raises(BudgetExceededError, match="vertex cap"):
+        threshold_graph((0,) * MAX_VERTICES)
 
 
 def _is_threshold_underlying(g: SignedGraph) -> bool:

@@ -18,8 +18,6 @@ ORACLES = (
     ("find_switching_isomorphism", "decides switching isomorphism independently of enumeration"),
     ("relabel", "applies isomorphism witnesses and relabelling invariance checks"),
     ("is_balanced", "the balance side of the balanced-iff-even-equals-odd theorem"),
-    ("vertex_role", "finds the dominating vertices of the deletion theorem"),
-    ("delete_vertex", "the smaller graph of the deletion theorem"),
     ("positive_part", "the graph of the diagonal identity E(x, x)"),
 )
 

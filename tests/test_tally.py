@@ -22,7 +22,6 @@ from signedchrom.chromatic import (
     _steps,
     _subset_bivariate_pair,
     _subset_chromatic_pair,
-    bivariate_pair,
     chromatic_pair,
     chromatic_pairs,
     complete_bivariate_pair,
@@ -515,8 +514,8 @@ def test_move_memo_is_sound_across_modes_batches_and_threads(monkeypatch):
             chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
             chromatic_pairs([g for g, univariate in batch if univariate])
             for g, univariate in batch:
-                if not univariate:
-                    bivariate_pair(g)
+                if not univariate:  # the tally of g itself: bivariate_pair may peel it first
+                    _subset_bivariate_pair(g)
 
     def run_in_thread(seed: int) -> None:
         try:

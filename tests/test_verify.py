@@ -521,12 +521,12 @@ def test_fingerprint_fold_matches_exact_evaluation():
     """Every corner and neighbour slot of every code of length <= 6 is its even
     polynomial mod the prime at (0, y0) and (-1, y0 + 1), and index i spells
     its code in base 3, least significant first."""
-    from signedchrom.chromatic import threshold_bivariate
     from signedchrom.verify import (
         _FP_MOD,
         _FP_X0,
         _FP_Y0,
         _threshold_code,
+        _threshold_even,
         _threshold_fingerprints,
     )
 
@@ -536,8 +536,8 @@ def test_fingerprint_fold_matches_exact_evaluation():
         codes = [tuple(reversed(p)) for p in itertools.product((-1, 0, 1), repeat=length)]
         assert [_threshold_code(i, length) for i in range(len(codes))] == codes
         pairs = zip(_slots(corner, len(codes)), _slots(neighbour, len(codes)))
-        for (at_corner, at_neighbour), code in zip(pairs, codes):
-            even = threshold_bivariate(code).even
+        for index, ((at_corner, at_neighbour), code) in enumerate(zip(pairs, codes)):
+            even = _threshold_even(index, length)
             assert at_corner == even.evaluate(0, _FP_Y0) % _FP_MOD, code
             assert at_neighbour == even.evaluate(-1, _FP_Y0 + 1) % _FP_MOD, code
             count += 1
