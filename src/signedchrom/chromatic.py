@@ -37,7 +37,7 @@ from .errors import BudgetExceededError, SignedChromError
 from .graphs import (
     ISOLATED, NEGATIVE_DOMINATING, POSITIVE_DOMINATING, SignedGraph, delete_vertex, vertex_role,
 )
-from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly, double_falling
+from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling
 
 MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
@@ -410,13 +410,9 @@ def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:
     keeps only subsets with every component balanced (delta = 0 with 0^0 = 1),
     the odd one keeps all of them (delta = 1).
     """
-    ecoef = [0] * (g.n + 1)
-    ocoef = [0] * (g.n + 1)
-    for (_, b, u), cnt in _subset_tally(g, True):
-        ocoef[b] += cnt
-        if not u:
-            ecoef[b] += cnt
-    return ChromaticPair(UniPoly(tuple(ecoef)), UniPoly(tuple(ocoef)))
+    tally = _subset_tally(g, True)
+    even = BiPoly(((b, 0), cnt) for (_, b, u), cnt in tally if not u)
+    return ChromaticPair(even, BiPoly(((b, 0), cnt) for (_, b, _), cnt in tally))
 
 
 def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
@@ -509,7 +505,7 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
 # -- interpolation cross-check ---------------------------------------------------
 
 
-def _lagrange_integer(xs: Sequence[int], ys: Sequence[int]) -> UniPoly:
+def _lagrange_integer(xs: Sequence[int], ys: Sequence[int]) -> BiPoly:
     """Exact Lagrange interpolation; the result must have integer coefficients."""
     from fractions import Fraction  # imported here: only this oracle needs it
 
@@ -530,12 +526,10 @@ def _lagrange_integer(xs: Sequence[int], ys: Sequence[int]) -> UniPoly:
         scale = Fraction(ys[i], denom)
         for t, c in enumerate(num):
             acc[t] += scale * c
-    coeffs = []
     for c in acc:
         if c.denominator != 1:
             raise SignedChromError(f"coefficient {c} is not an integer")
-        coeffs.append(int(c))
-    return UniPoly(tuple(coeffs))
+    return BiPoly(((t, 0), int(c)) for t, c in enumerate(acc))
 
 
 def interpolated_pair(g: SignedGraph) -> ChromaticPair:
@@ -715,7 +709,7 @@ def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
 
 
 def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:
-    """Univariate pair of a signed complete graph, without bivariate polynomials.
+    """Univariate pair of a signed complete graph, built without y terms.
 
     It is `complete_bivariate_pair` at y = 0.  There the falling factorial
     y (y - 1) ... (y - j + 1) vanishes for j >= 1, so `_complete_basis(k, d)`
@@ -724,7 +718,7 @@ def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:
     sum_t A_t double_falling(t), A_t the total of w_all over k + d = t, and
     the odd one adds the same sum over w_zero and is taken at x - 1.
     """
-    acc = UniPoly.zero()
+    acc = BiPoly.zero()
     pair = []
     for w in _unit_tally(g):
         totals = [0] * (g.n + 1)
@@ -732,4 +726,4 @@ def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:
             totals[k + d] += cnt
         acc = sum((a * double_falling(t) for t, a in enumerate(totals) if a), acc)
         pair.append(acc)
-    return ChromaticPair(pair[0], pair[1].shifted(-1))
+    return ChromaticPair(pair[0], pair[1].shifted(-1, 0))

@@ -17,14 +17,15 @@ collapse identities these families satisfy.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph, complete_graph, join
 from .poly import (
+    BiPoly,
     ChromaticPair,
-    UniPoly,
     double_falling,
     falling_factorial,
     integer_falling,
@@ -32,32 +33,44 @@ from .poly import (
     stirling2,
 )
 
-MAX_JOIN_VERTICES = 30  # l + m + n of join_pair; family 2 at 10, 10, 10 takes 1.5 s
-MAX_IDENTITY_PARAM = 7  # parameter bound of identity_suite; 7 takes about 4 s
+MAX_JOIN_VERTICES = 30  # l + m + n of join_pair; family 2 at 10, 10, 10 takes 0.4 s
+MAX_IDENTITY_PARAM = 7  # parameter bound of identity_suite; 7 takes about 1.3 s
 
 
 @functools.lru_cache(maxsize=None)
-def _falling_shifted(m: int, a: int) -> UniPoly:
-    """(x - a)_m as a polynomial in x."""
-    return falling_factorial(m).shifted(-a)
+def _basis(a: int, m: int, b: int) -> BiPoly:
+    """double_falling(a) (x - b)_m, one of the products the family sums weight."""
+    return double_falling(a) * falling_factorial(m).shifted(-b, 0)
+
+
+def _weighted_sum(weights: Counter, m: int) -> BiPoly:
+    """Sum of w * _basis(a, m, b) over the weights w by key (a, b).  The
+    families total their integer weights per key first, so each product is
+    built once however many terms of the sum share it.  H2 and H4 have no
+    falling-factorial tail: they key (a, 0) with m = 0, and (x)_0 = 1."""
+    acc = BiPoly.zero()
+    for (a, b), w in weights.items():
+        if w:
+            acc = acc + w * _basis(a, m, b)
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
-def H(n: int) -> UniPoly:
+def H(n: int) -> BiPoly:
     """Sum of stirling2(n, i) * double_falling(i); zero for n < 0."""
     if n < 0:
-        return UniPoly.zero()
-    acc = UniPoly.zero()
+        return BiPoly.zero()
+    acc = BiPoly.zero()
     for i in range(n + 1):
         acc = acc + stirling2(n, i) * double_falling(i)
     return acc
 
 
 @functools.lru_cache(maxsize=None)
-def H1(l: int, m: int, n: int) -> UniPoly:
+def H1(l: int, m: int, n: int) -> BiPoly:
     if l < 0 or m < 0 or n < 0:
-        return UniPoly.zero()
-    acc = UniPoly.zero()
+        return BiPoly.zero()
+    weights = Counter()
     for i in range(l + 1):
         si = stirling2(l, i)
         if not si:
@@ -66,18 +79,16 @@ def H1(l: int, m: int, n: int) -> UniPoly:
             sj = stirling2(n, j)
             if not sj:
                 continue
-            tail = _falling_shifted(m, i + j)
             for k in range(min(i, j) + 1):
-                w = factorial(k) * comb(i, k) * comb(j, k) * si * sj
-                acc = acc + w * (double_falling(i + j - k) * tail)
-    return acc
+                weights[i + j - k, i + j] += factorial(k) * comb(i, k) * comb(j, k) * si * sj
+    return _weighted_sum(weights, m)
 
 
 @functools.lru_cache(maxsize=None)
-def H2(l: int, m: int, n: int) -> UniPoly:
+def H2(l: int, m: int, n: int) -> BiPoly:
     if l < 0 or m < 0 or n < 0:
-        return UniPoly.zero()
-    acc = UniPoly.zero()
+        return BiPoly.zero()
+    weights = Counter()
     for i in range(l + 1):
         si = stirling2(l, i)
         if not si:
@@ -93,7 +104,7 @@ def H2(l: int, m: int, n: int) -> UniPoly:
                 for s in range(min(i, j) + 1):
                     fs = factorial(s) * comb(i, s) * comb(j, s)
                     for t in range(k + 1):
-                        w = (
+                        weights[i + j + k - t - s, 0] += (
                             fs
                             * comb(k, t)
                             * si
@@ -101,19 +112,16 @@ def H2(l: int, m: int, n: int) -> UniPoly:
                             * sk
                             * integer_falling(i + j - 2 * s, t)
                         )
-                        if w:
-                            acc = acc + w * double_falling(i + j + k - t - s)
-    return acc
+    return _weighted_sum(weights, 0)
 
 
 @functools.lru_cache(maxsize=None)
-def H3(l: int, m: int, n: int) -> UniPoly:
+def H3(l: int, m: int, n: int) -> BiPoly:
     if l < 0 or m < 0 or n < 0:
-        return UniPoly.zero()
-    acc = UniPoly.zero()
+        return BiPoly.zero()
+    weights = Counter()
     for i in range(min(l, m) + 1):
         fi = factorial(i) * comb(l, i) * comb(m, i)
-        tail = _falling_shifted(n, l + m - i)
         for j in range((l - i) // 2 + 1):
             tj = matchings_T(l - i, j)
             if not tj:
@@ -122,25 +130,17 @@ def H3(l: int, m: int, n: int) -> UniPoly:
                 tk = matchings_T(m - i, k)
                 if not tk:
                     continue
-                w = fi * tj * tk
-                acc = acc + w * (double_falling(l + m - i - j - k) * tail)
-    return acc
-
-
-def U_x(i: int, j: int, k: int, l: int, m: int, s: int, t: int) -> UniPoly:
-    """double_falling(l+m+s-i-j-k-t) times the integer (l+m-i-2j-2k)_t."""
-    if not l + m + s - i - j - k >= t >= 0:
-        raise SignedChromError(f"need l+m+s-i-j-k >= t >= 0, got t={t}")
-    return integer_falling(l + m - i - 2 * j - 2 * k, t) * double_falling(
-        l + m + s - i - j - k - t
-    )
+                weights[l + m - i - j - k, l + m - i] += fi * tj * tk
+    return _weighted_sum(weights, n)
 
 
 @functools.lru_cache(maxsize=None)
-def H4(l: int, m: int, n: int) -> UniPoly:
+def H4(l: int, m: int, n: int) -> BiPoly:
+    """Sums double_falling(l+m+s-i-j-k-t) times the integer (l+m-i-2j-2k)_t;
+    the ranges below keep l+m+s-i-j-k >= s >= t >= 0."""
     if l < 0 or m < 0 or n < 0:
-        return UniPoly.zero()
-    acc = UniPoly.zero()
+        return BiPoly.zero()
+    weights = Counter()
     for i in range(min(l, m) + 1):
         fi = factorial(i) * comb(l, i) * comb(m, i)
         for j in range((l - i) // 2 + 1):
@@ -156,22 +156,31 @@ def H4(l: int, m: int, n: int) -> UniPoly:
                     if not ss:
                         continue
                     for t in range(s + 1):
-                        w = fi * tj * tk * ss * comb(s, t)
-                        if w:
-                            acc = acc + w * U_x(i, j, k, l, m, s, t)
-    return acc
+                        weights[l + m + s - i - j - k - t, 0] += (
+                            fi * tj * tk * ss * comb(s, t)
+                            * integer_falling(l + m - i - 2 * j - 2 * k, t)
+                        )
+    return _weighted_sum(weights, 0)
 
 
 _FAMILY = {1: H1, 2: H2, 3: H3, 4: H4}
 
 
-def _hat(h, l: int, m: int, n: int) -> UniPoly:
+def _hat(h, l: int, m: int, n: int) -> BiPoly:
     """l*h(l-1,m,n)(x-1) + m*h(l,m-1,n)(x-1) + n*h(l,m,n-1)(x-1)."""
-    acc = UniPoly.zero()
+    acc = BiPoly.zero()
     for w, args in ((l, (l - 1, m, n)), (m, (l, m - 1, n)), (n, (l, m, n - 1))):
         if w:
-            acc = acc + w * h(*args).shifted(-1)
+            acc = acc + w * h(*args).shifted(-1, 0)
     return acc
+
+
+def _check_family(family: int, l: int, m: int, n: int) -> None:
+    """Refuses a family other than 1..4 and a negative parameter."""
+    if family not in _FAMILY:
+        raise SignedChromError(f"family must be 1..4, got {family!r}")
+    if l < 0 or m < 0 or n < 0:
+        raise SignedChromError(f"parameters must be >= 0, got {(l, m, n)}")
 
 
 def join_pair(family: int, l: int, m: int, n: int) -> ChromaticPair:
@@ -181,26 +190,20 @@ def join_pair(family: int, l: int, m: int, n: int) -> ChromaticPair:
     even constituent shifted to x-1 plus the family's hat polynomial.
     Refuses l + m + n above MAX_JOIN_VERTICES.
     """
-    if family not in _FAMILY:
-        raise SignedChromError(f"family must be 1..4, got {family!r}")
-    if l < 0 or m < 0 or n < 0:
-        raise SignedChromError(f"parameters must be >= 0, got {(l, m, n)}")
+    _check_family(family, l, m, n)
     if l + m + n > MAX_JOIN_VERTICES:
         raise BudgetExceededError(
             f"l + m + n = {l + m + n} exceeds the join-family cap of {MAX_JOIN_VERTICES}"
         )
     h = _FAMILY[family]
     even = h(l, m, n)
-    odd = even.shifted(-1) + _hat(h, l, m, n)
+    odd = even.shifted(-1, 0) + _hat(h, l, m, n)
     return ChromaticPair(even, odd)
 
 
 def join_family_graph(family: int, l: int, m: int, n: int) -> SignedGraph:
     """The explicit signed graph whose pair join_pair computes."""
-    if family not in _FAMILY:
-        raise SignedChromError(f"family must be 1..4, got {family!r}")
-    if l < 0 or m < 0 or n < 0:
-        raise SignedChromError(f"parameters must be >= 0, got {(l, m, n)}")
+    _check_family(family, l, m, n)
     if family == 1:
         return join(join(complete_graph(l, -1), complete_graph(m, 1), 1),
                     complete_graph(n, -1), 1)
@@ -353,7 +356,7 @@ def identity_suite(max_param: int) -> IdentitySuiteReport:
     for n in range(2 * max_param + 1):
         tsum = sum(
             (matchings_T(n, j) * double_falling(n - j) for j in range(n // 2 + 1)),
-            UniPoly.zero(),
+            BiPoly.zero(),
         )
         viii_cases.append((f"n={n} T-sum", falling_factorial(n), tsum))
     run(

@@ -1,10 +1,11 @@
-"""Exact integer polynomial arithmetic in x and in (x, y).
+"""Exact integer polynomial arithmetic in (x, y).
 
-Univariate polynomials are dense tuples of coefficients indexed by degree;
-bivariate polynomials are sparse maps (x_degree, y_degree) -> coefficient.
-Coefficients are plain Python ints, so every operation is exact at any size.
-Canonical form: no trailing zero coefficients / no zero-valued terms, which
-makes equality, hashing and the JSON serialization bit-stable.
+A polynomial is a sparse map (x_degree, y_degree) -> coefficient, and a
+polynomial in x alone, such as a chromatic polynomial, is one with no y
+terms: the univariate pair is the bivariate pair at y = 0.  Coefficients are
+plain Python ints, so every operation is exact at any size.  Canonical form:
+no zero-valued terms, which makes equality, hashing and the JSON
+serialization bit-stable.
 """
 
 from __future__ import annotations
@@ -15,150 +16,6 @@ import operator
 from typing import NamedTuple
 
 from .errors import SignedChromError
-
-
-class UniPoly:
-    """Polynomial in x with integer coefficients, ascending by degree.
-
-    Immutable: equal to another `UniPoly` with the same trimmed `coeffs`,
-    and hashed as the tuple `(coeffs,)`.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
-        c = tuple(coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"UniPoly(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return UniPoly, (self.coeffs,)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
-
-    @staticmethod
-    def one() -> "UniPoly":
-        return UniPoly((1,))
-
-    @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly((0, 1))
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    # -- ring operations ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return UniPoly((other,))
-        if isinstance(other, BiPoly):
-            raise SignedChromError("cannot mix univariate and bivariate polynomials")
-        if isinstance(other, UniPoly):
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(tuple(out))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise SignedChromError("negative polynomial power")
-        out = UniPoly.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
-    # -- evaluation and substitution ----------------------------------------
-
-    def evaluate(self, x0: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
-
-    def shifted(self, dx: int) -> "UniPoly":
-        """Return p(x + dx), expanded exactly."""
-        if dx == 0:
-            return self
-        rows = _shift_matrix(dx, len(self.coeffs))
-        return UniPoly(tuple(sum(map(operator.mul, self.coeffs, row)) for row in rows))
-
-    def __str__(self) -> str:
-        return format_unipoly(self)
 
 
 class BiPoly:
@@ -223,8 +80,6 @@ class BiPoly:
     def _coerce(self, other):
         if isinstance(other, int):
             return BiPoly({(0, 0): other})
-        if isinstance(other, UniPoly):
-            raise SignedChromError("cannot mix univariate and bivariate polynomials")
         if isinstance(other, BiPoly):
             return other
         return None
@@ -298,29 +153,13 @@ class BiPoly:
         r._terms = _shift_axis(_shift_axis(self._terms, dx, 0), dy, 1)
         return r
 
-    def substitute_y(self, y0: int) -> UniPoly:
-        """Return p(x, y0) as a univariate polynomial."""
-        out: dict[int, int] = {}
-        for (i, j), c in self._terms.items():
-            out[i] = out.get(i, 0) + c * y0**j
-        if not out:
-            return UniPoly.zero()
-        coeffs = [0] * (max(out) + 1)
-        for i, c in out.items():
-            coeffs[i] = c
-        return UniPoly(tuple(coeffs))
+    def substitute_y(self, y0: int) -> "BiPoly":
+        """Return p(x, y0), a polynomial in x alone."""
+        return BiPoly(((i, 0), c * y0**j) for (i, j), c in self._terms.items())
 
-    def diagonal(self) -> UniPoly:
+    def diagonal(self) -> "BiPoly":
         """Return p(x, x): substitute y = x."""
-        out: dict[int, int] = {}
-        for (i, j), c in self._terms.items():
-            out[i + j] = out.get(i + j, 0) + c
-        if not out:
-            return UniPoly.zero()
-        coeffs = [0] * (max(out) + 1)
-        for i, c in out.items():
-            coeffs[i] = c
-        return UniPoly(tuple(coeffs))
+        return BiPoly(((i + j, 0), c) for (i, j), c in self._terms.items())
 
     def __str__(self) -> str:
         return format_bipoly(self)
@@ -353,10 +192,11 @@ def _shift_axis(terms: dict, d: int, axis: int) -> dict:
 
 
 class ChromaticPair(NamedTuple):
-    """The (even, odd) univariate chromatic polynomials of a signed graph."""
+    """The (even, odd) univariate chromatic polynomials of a signed graph,
+    each a `BiPoly` with no y terms."""
 
-    even: UniPoly
-    odd: UniPoly
+    even: BiPoly
+    odd: BiPoly
 
 
 class BivariatePair(NamedTuple):
@@ -370,24 +210,24 @@ class BivariatePair(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def falling_factorial(n: int) -> UniPoly:
+def falling_factorial(n: int) -> BiPoly:
     """(x)_n = x (x-1) ... (x-n+1); the empty product for n = 0."""
     if n < 0:
         raise SignedChromError("falling factorial needs n >= 0")
-    p = UniPoly.one()
+    p = BiPoly.one()
     for j in range(n):
-        p = p * UniPoly((-j, 1))
+        p = p * BiPoly({(0, 0): -j, (1, 0): 1})
     return p
 
 
 @functools.lru_cache(maxsize=None)
-def double_falling(n: int) -> UniPoly:
+def double_falling(n: int) -> BiPoly:
     """x (x-2) (x-4) ... (x-2n+2); the empty product for n = 0."""
     if n < 0:
         raise SignedChromError("double falling factorial needs n >= 0")
-    p = UniPoly.one()
+    p = BiPoly.one()
     for j in range(n):
-        p = p * UniPoly((-2 * j, 1))
+        p = p * BiPoly({(0, 0): -2 * j, (1, 0): 1})
     return p
 
 
@@ -423,9 +263,11 @@ def matchings_T(n: int, k: int) -> int:
 # -- canonical JSON serialization --------------------------------------------
 
 
-def unipoly_to_json(p: UniPoly) -> list[str]:
-    """Decimal coefficient strings ascending by degree; [] for zero."""
-    return [str(c) for c in p.coeffs]
+def unipoly_to_json(p: BiPoly) -> list[str]:
+    """Decimal coefficient strings of p in x alone, ascending by degree and
+    dense; [] for zero."""
+    degree = max((i for (i, _), _ in p.items()), default=-1)
+    return [str(p.coeff(i, 0)) for i in range(degree + 1)]
 
 
 def bipoly_to_json(p: BiPoly) -> list[list]:
@@ -449,19 +291,6 @@ def _term_str(c: int, monomial: str, first: bool) -> str:
     if first:
         return body if c > 0 else f"-{body}"
     return f" {sign} {body}"
-
-
-def format_unipoly(p: UniPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if not c:
-            continue
-        mono = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-        parts.append(_term_str(c, mono, not parts))
-    return "".join(parts)
 
 
 def format_bipoly(p: BiPoly) -> str:

@@ -9,7 +9,7 @@ fixes no correspondence with the published row labels.
 
 from __future__ import annotations
 
-from .poly import BiPoly, BivariatePair, ChromaticPair, UniPoly
+from .poly import BiPoly, BivariatePair, ChromaticPair
 
 # The worked threshold-graph example.
 THRESHOLD_EXAMPLE_CODE = (1, -1, 0, -1, 1, 0, 1)
@@ -37,14 +37,14 @@ K8_COCHROMATIC_GROUPS = (
 )
 
 
-def _p(*desc: int) -> UniPoly:
-    """Univariate polynomial from descending coefficients, as printed."""
-    return UniPoly(tuple(reversed(desc)))
+def _p(*desc: int) -> BiPoly:
+    """Polynomial in x from descending coefficients, as printed."""
+    return BiPoly(((i, 0), c) for i, c in enumerate(reversed(desc)))
 
 
 def _polynomials() -> dict:
     """Every polynomial constant, by name, built from its factored form."""
-    X, XB, YB = UniPoly.x(), BiPoly.x(), BiPoly.y()
+    X, Y = BiPoly.x(), BiPoly.y()
 
     # (even, odd) chromatic pairs of the signature classes of K_3, K_4, K_5,
     # keyed by order; within one order the list is an unordered multiset.
@@ -129,52 +129,52 @@ def _polynomials() -> dict:
     )
 
     # Bivariate pairs of the same graphs.
-    _GEM_CORE_E = XB**3 - 3 * XB**2 + XB * YB + 3 * XB - 2 * YB
+    _GEM_CORE_E = X**3 - 3 * X**2 + X * Y + 3 * X - 2 * Y
     GEM_BIVARIATE = BivariatePair(
-        (XB - 2) ** 2 * _GEM_CORE_E,
-        (XB - 2) ** 2 * (_GEM_CORE_E - 1),
+        (X - 2) ** 2 * _GEM_CORE_E,
+        (X - 2) ** 2 * (_GEM_CORE_E - 1),
     )
     SIGMA12_BIVARIATE = BivariatePair(
-        (XB - 1) * (XB - 2) ** 2 * _GEM_CORE_E,
-        (XB - 1) * (XB - 2) ** 2 * (_GEM_CORE_E - 1),
+        (X - 1) * (X - 2) ** 2 * _GEM_CORE_E,
+        (X - 1) * (X - 2) ** 2 * (_GEM_CORE_E - 1),
     )
 
     # The five-vertex pair with equal odd but distinct even bivariate polynomials.
     SIGMA3_EVEN_BIVARIATE = (
-        XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
-        - 28 * XB**2 + XB * YB**2 + 26 * XB * YB + 16 * XB - 2 * YB**2 - 15 * YB
+        X**5 - 7 * X**4 + 3 * X**3 * Y + 20 * X**3 - 15 * X**2 * Y
+        - 28 * X**2 + X * Y**2 + 26 * X * Y + 16 * X - 2 * Y**2 - 15 * Y
     )
     SIGMA4_EVEN_BIVARIATE = (
-        XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
-        - 27 * XB**2 + XB * YB**2 + 26 * XB * YB + 14 * XB - 2 * YB**2 - 14 * YB
+        X**5 - 7 * X**4 + 3 * X**3 * Y + 20 * X**3 - 15 * X**2 * Y
+        - 27 * X**2 + X * Y**2 + 26 * X * Y + 14 * X - 2 * Y**2 - 14 * Y
     )
     SIGMA34_ODD_BIVARIATE = (
-        XB**5 - 7 * XB**4 + 3 * XB**3 * YB + 20 * XB**3 - 15 * XB**2 * YB
-        - 29 * XB**2 + XB * YB**2 + 26 * XB * YB + 21 * XB - 2 * YB**2 - 15 * YB - 6
+        X**5 - 7 * X**4 + 3 * X**3 * Y + 20 * X**3 - 15 * X**2 * Y
+        - 29 * X**2 + X * Y**2 + 26 * X * Y + 21 * X - 2 * Y**2 - 15 * Y - 6
     )
     SIGMA3_EVEN = X * (X - 2) ** 2 * _p(1, -3, 4)
     SIGMA4_EVEN = X * (X - 2) * _p(1, -5, 10, -7)
     SIGMA34_ODD = (X - 1) ** 2 * (X - 2) * _p(1, -3, 3)
 
-    PLUS_K2_BIVARIATE = BivariatePair(XB * (XB - 1), XB * (XB - 1))
-    MINUS_K2_BIVARIATE = BivariatePair(XB**2 - XB + YB, XB**2 - XB + YB)
+    PLUS_K2_BIVARIATE = BivariatePair(X * (X - 1), X * (X - 1))
+    MINUS_K2_BIVARIATE = BivariatePair(X**2 - X + Y, X**2 - X + Y)
 
     # The worked threshold-graph example's bivariate pair and its y = 0
     # specializations.
     THRESHOLD_EXAMPLE_BIVARIATE = BivariatePair(
-        (XB - 1)
-        * (XB - 3)
+        (X - 1)
+        * (X - 3)
         * (
-            XB**6 - 15 * XB**5 + 6 * XB**4 * YB + 99 * XB**4 - 71 * XB**3 * YB
-            - 345 * XB**3 + 4 * XB**2 * YB**2 + 325 * XB**2 * YB + 618 * XB**2
-            - 36 * XB * YB**2 - 650 * XB * YB - 440 * XB + 80 * YB**2 + 424 * YB
+            X**6 - 15 * X**5 + 6 * X**4 * Y + 99 * X**4 - 71 * X**3 * Y
+            - 345 * X**3 + 4 * X**2 * Y**2 + 325 * X**2 * Y + 618 * X**2
+            - 36 * X * Y**2 - 650 * X * Y - 440 * X + 80 * Y**2 + 424 * Y
         ),
-        (XB - 1)
-        * (XB - 3)
+        (X - 1)
+        * (X - 3)
         * (
-            XB**6 - 15 * XB**5 + 6 * XB**4 * YB + 99 * XB**4 - 71 * XB**3 * YB
-            - 359 * XB**3 + 4 * XB**2 * YB**2 + 325 * XB**2 * YB + 738 * XB**2
-            - 36 * XB * YB**2 - 666 * XB * YB - 792 * XB + 80 * YB**2 + 488 * YB + 328
+            X**6 - 15 * X**5 + 6 * X**4 * Y + 99 * X**4 - 71 * X**3 * Y
+            - 359 * X**3 + 4 * X**2 * Y**2 + 325 * X**2 * Y + 738 * X**2
+            - 36 * X * Y**2 - 666 * X * Y - 792 * X + 80 * Y**2 + 488 * Y + 328
         ),
     )
     THRESHOLD_EXAMPLE_PAIR = ChromaticPair(

@@ -480,10 +480,13 @@ def _pair_counts(pairs) -> Counter:
     return Counter(json.dumps(pair_to_json(p), separators=(",", ":")) for p in pairs)
 
 
-def _check(name: str, computed, expected) -> dict:
-    """One row of the table, compared by equality.  A failed table of pairs,
-    counted as a multiset by `_pair_counts`, lists its missing and unexpected
-    pairs; a failed pair or polynomial shows both values; a failed bool no more."""
+def _check(name: str, render, computed, expected) -> dict:
+    """One row of the table, compared by equality of the renderings its row
+    names: the JSON of a pair or polynomial, whose shape the row picks; the
+    multiset `_pair_counts` of a table of pairs; or a bool.  A failed table
+    lists its missing and unexpected pairs; a failed pair or polynomial shows
+    both renderings; a failed bool no more."""
+    computed, expected = render(computed), render(expected)
     entry = {"name": name, "status": "pass" if computed == expected else "fail"}
     if computed == expected or isinstance(computed, bool):
         return entry
@@ -491,16 +494,8 @@ def _check(name: str, computed, expected) -> dict:
         entry["missing"] = sorted((expected - computed).elements())
         entry["unexpected"] = sorted((computed - expected).elements())
         return entry
-
-    def render(v):
-        if isinstance(v, BiPoly):
-            return bipoly_to_json(v)
-        if isinstance(v, tuple):
-            return pair_to_json(v)
-        return unipoly_to_json(v)
-
-    entry["computed"] = render(computed)
-    entry["expected"] = render(expected)
+    entry["computed"] = computed
+    entry["expected"] = expected
     return entry
 
 
@@ -517,7 +512,7 @@ def reproduce_tables() -> VerificationReport:
         inventory = enumerate_classes(underlying, "switching_iso")
         class_counts.append(inventory.class_count)
         computed = chromatic_pairs(inventory.representatives)
-        rows.append((name, _pair_counts(computed), _pair_counts(expected)))
+        rows.append((name, _pair_counts, computed, expected))
 
     g1, g2 = fixture("G1"), fixture("G2")
     s1, s2 = fixture("Sigma1"), fixture("Sigma2")
@@ -526,33 +521,36 @@ def reproduce_tables() -> VerificationReport:
     c3, c4 = chromatic_pair(s3), chromatic_pair(s4)
     threshold = threshold_graph(reference.THRESHOLD_EXAMPLE_CODE)
     tb = bivariate_pair(threshold)
+    pair, bi, uni = pair_to_json, bipoly_to_json, unipoly_to_json
     rows += [
-        ("gem_G1_pair", chromatic_pair(g1), reference.GEM_PAIR),
-        ("gem_G2_pair", chromatic_pair(g2), reference.GEM_PAIR),
-        ("sigma1_pair", chromatic_pair(s1), reference.SIGMA12_PAIR),
-        ("sigma2_pair", chromatic_pair(s2), reference.SIGMA12_PAIR),
-        ("gem_G1_bivariate", bivariate_pair(g1), reference.GEM_BIVARIATE),
-        ("gem_G2_bivariate", bivariate_pair(g2), reference.GEM_BIVARIATE),
-        ("sigma1_bivariate", bivariate_pair(s1), reference.SIGMA12_BIVARIATE),
-        ("sigma2_bivariate", bivariate_pair(s2), reference.SIGMA12_BIVARIATE),
-        ("sigma3_even_bivariate", b3.even, reference.SIGMA3_EVEN_BIVARIATE),
-        ("sigma4_even_bivariate", b4.even, reference.SIGMA4_EVEN_BIVARIATE),
-        ("sigma3_odd_bivariate", b3.odd, reference.SIGMA34_ODD_BIVARIATE),
-        ("sigma4_odd_bivariate", b4.odd, reference.SIGMA34_ODD_BIVARIATE),
-        ("sigma34_odd_equal_even_distinct", b3.odd == b4.odd and b3.even != b4.even, True),
-        ("sigma3_even", c3.even, reference.SIGMA3_EVEN),
-        ("sigma4_even", c4.even, reference.SIGMA4_EVEN),
-        ("sigma3_odd", c3.odd, reference.SIGMA34_ODD),
-        ("sigma4_odd", c4.odd, reference.SIGMA34_ODD),
-        ("plus_K2_bivariate", bivariate_pair(complete_graph(2, 1)), reference.PLUS_K2_BIVARIATE),
-        ("minus_K2_bivariate", bivariate_pair(complete_graph(2, -1)),
+        ("gem_G1_pair", pair, chromatic_pair(g1), reference.GEM_PAIR),
+        ("gem_G2_pair", pair, chromatic_pair(g2), reference.GEM_PAIR),
+        ("sigma1_pair", pair, chromatic_pair(s1), reference.SIGMA12_PAIR),
+        ("sigma2_pair", pair, chromatic_pair(s2), reference.SIGMA12_PAIR),
+        ("gem_G1_bivariate", pair, bivariate_pair(g1), reference.GEM_BIVARIATE),
+        ("gem_G2_bivariate", pair, bivariate_pair(g2), reference.GEM_BIVARIATE),
+        ("sigma1_bivariate", pair, bivariate_pair(s1), reference.SIGMA12_BIVARIATE),
+        ("sigma2_bivariate", pair, bivariate_pair(s2), reference.SIGMA12_BIVARIATE),
+        ("sigma3_even_bivariate", bi, b3.even, reference.SIGMA3_EVEN_BIVARIATE),
+        ("sigma4_even_bivariate", bi, b4.even, reference.SIGMA4_EVEN_BIVARIATE),
+        ("sigma3_odd_bivariate", bi, b3.odd, reference.SIGMA34_ODD_BIVARIATE),
+        ("sigma4_odd_bivariate", bi, b4.odd, reference.SIGMA34_ODD_BIVARIATE),
+        ("sigma34_odd_equal_even_distinct", bool, b3.odd == b4.odd and b3.even != b4.even,
+         True),
+        ("sigma3_even", uni, c3.even, reference.SIGMA3_EVEN),
+        ("sigma4_even", uni, c4.even, reference.SIGMA4_EVEN),
+        ("sigma3_odd", uni, c3.odd, reference.SIGMA34_ODD),
+        ("sigma4_odd", uni, c4.odd, reference.SIGMA34_ODD),
+        ("plus_K2_bivariate", pair, bivariate_pair(complete_graph(2, 1)),
+         reference.PLUS_K2_BIVARIATE),
+        ("minus_K2_bivariate", pair, bivariate_pair(complete_graph(2, -1)),
          reference.MINUS_K2_BIVARIATE),
-        ("threshold_example_bivariate", tb, reference.THRESHOLD_EXAMPLE_BIVARIATE),
-        ("threshold_example_even_specialized", tb.even.substitute_y(0),
+        ("threshold_example_bivariate", pair, tb, reference.THRESHOLD_EXAMPLE_BIVARIATE),
+        ("threshold_example_even_specialized", uni, tb.even.substitute_y(0),
          reference.THRESHOLD_EXAMPLE_PAIR.even),
-        ("threshold_example_odd_specialized", tb.odd.substitute_y(0),
+        ("threshold_example_odd_specialized", uni, tb.odd.substitute_y(0),
          reference.THRESHOLD_EXAMPLE_PAIR.odd),
-        ("threshold_example_subset_expansion", chromatic_pair(threshold),
+        ("threshold_example_subset_expansion", pair, chromatic_pair(threshold),
          reference.THRESHOLD_EXAMPLE_PAIR),
     ]
     checks = [_check(*row) for row in rows]

@@ -70,9 +70,7 @@ def family_le4():
 
 
 def _pair_multiset(pairs):
-    return Counter(
-        (tuple(p.even.coeffs), tuple(p.odd.coeffs)) for p in pairs
-    )
+    return Counter((p.even, p.odd) for p in pairs)
 
 
 def test_c01_complete_tables():
@@ -134,7 +132,7 @@ def test_c05_theorem_suite(family_le4):
         assert bp.even.substitute_y(0) == cp.even
         assert bp.odd.substitute_y(0) == cp.odd
         if component_stats(g).c == 1:
-            assert (cp.odd.evaluate(0) == 0) == balanced
+            assert (cp.odd.evaluate(0, 0) == 0) == balanced
         # leading coefficients: -|E| at x^(n-1), negative-edge count at x^(n-2) y
         if g.n >= 1:
             assert bp.even.coeff(g.n - 1, 0) == -g.m

@@ -32,10 +32,10 @@ from signedchrom.graphs import (
     switch,
     threshold_graph,
 )
-from signedchrom.poly import BiPoly, ChromaticPair, UniPoly, falling_factorial
+from signedchrom.poly import BiPoly, ChromaticPair, falling_factorial
 from signedchrom import reference
 
-X = UniPoly.x()
+X = BiPoly.x()
 XB, YB = BiPoly.x(), BiPoly.y()
 
 
@@ -180,7 +180,7 @@ def test_interpolated_pair_examples():
     assert interpolated_pair(mk2) == chromatic_pair(mk2)
     g2 = fixture("G2")
     assert interpolated_pair(g2) == reference.GEM_PAIR
-    assert interpolated_pair(SignedGraph(0, ())) == ChromaticPair(UniPoly.one(), UniPoly.one())
+    assert interpolated_pair(SignedGraph(0, ())) == ChromaticPair(BiPoly.one(), BiPoly.one())
     # through (0, 0) and (2, 1) the line is x/2
     with pytest.raises(SignedChromError, match="coefficient 1/2 is not an integer"):
         chromatic._lagrange_integer([0, 2], [0, 1])
@@ -267,7 +267,7 @@ def test_univariate_oracle_lambda_up_to_six():
         for lam in range(7):
             want = count_colourings_oracle(g, lam)
             poly = pair.even if lam % 2 == 0 else pair.odd
-            assert poly.evaluate(lam) == want
+            assert poly.evaluate(lam, 0) == want
 
 
 def test_fastpath_matches_subset_expansion_all_complete_up_to_5():
@@ -314,7 +314,7 @@ def test_fastpath_rejects_incomplete():
 
 def test_empty_graph_pairs():
     k0 = SignedGraph(0, ())
-    assert chromatic_pair(k0) == ChromaticPair(UniPoly.one(), UniPoly.one())
+    assert chromatic_pair(k0) == ChromaticPair(BiPoly.one(), BiPoly.one())
     b = bivariate_pair(k0)
     assert b.even == BiPoly.one() and b.odd == BiPoly.one()
 

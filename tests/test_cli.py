@@ -380,7 +380,7 @@ def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):
         for lam in range(lam_stop):
             want = count_colourings_oracle(g, lam)
             poly = pair.even if lam % 2 == 0 else pair.odd
-            assert poly.evaluate(lam) == want
+            assert poly.evaluate(lam, 0) == want
 
 
 def test_search_cochromatic_subset_budget_refusal(capsys, monkeypatch):

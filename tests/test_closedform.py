@@ -10,22 +10,21 @@ from signedchrom.closedform import (
     H3,
     H4,
     IdentityResult,
-    U_x,
     identity_suite,
     join_family_graph,
     join_pair,
 )
 from signedchrom.errors import SignedChromError
 from signedchrom.graphs import complete_graph
-from signedchrom.poly import UniPoly, falling_factorial
+from signedchrom.poly import BiPoly, falling_factorial
 
-X = UniPoly.x()
+X = BiPoly.x()
 
 
 def test_H_examples():
-    assert H(0) == UniPoly.one()
+    assert H(0) == BiPoly.one()
     assert H(3) == X**3 - 3 * X**2 + 3 * X
-    assert H(-2) == UniPoly.zero()
+    assert H(-2) == BiPoly.zero()
 
 
 def test_H_is_even_polynomial_of_all_negative_complete():
@@ -44,7 +43,7 @@ def test_H1_examples():
 
 def test_H2_examples():
     assert H2(1, 1, 1) == falling_factorial(3)
-    assert H2(-1, 0, 0) == UniPoly.zero()
+    assert H2(-1, 0, 0) == BiPoly.zero()
 
 
 def test_H3_H4_examples():
@@ -59,14 +58,9 @@ def test_H3_H4_examples():
 
 def test_families_vanish_on_negative_arguments():
     for h in (H1, H2, H3, H4):
-        assert h(-1, 2, 2) == UniPoly.zero()
-        assert h(2, -1, 2) == UniPoly.zero()
-        assert h(2, 2, -1) == UniPoly.zero()
-
-
-def test_U_x_precondition():
-    with pytest.raises(SignedChromError, match=r"need l\+m\+s-i-j-k >= t >= 0"):
-        U_x(3, 1, 1, 1, 1, 1, 1)  # l+m+s-i-j-k = -2 < t
+        assert h(-1, 2, 2) == BiPoly.zero()
+        assert h(2, -1, 2) == BiPoly.zero()
+        assert h(2, 2, -1) == BiPoly.zero()
 
 
 def test_join_pair_examples():
@@ -81,10 +75,12 @@ def test_join_pair_examples():
 
 
 def test_join_pair_cross_validation_small():
+    """Every family at l + m + n <= 10 against the partition route, which
+    takes each join graph: all of them are signed complete graphs."""
     for family in (1, 2, 3, 4):
-        for l in range(3):
-            for m in range(3):
-                for n in range(3):
+        for l in range(11):
+            for m in range(11 - l):
+                for n in range(11 - l - m):
                     got = join_pair(family, l, m, n)
                     want = chromatic_pair(join_family_graph(family, l, m, n))
                     assert got == want, (family, l, m, n)

@@ -1,0 +1,57 @@
+"""Golden stdout: each command prints the same bytes as when the digests were taken.
+
+Every command runs `cli.main` in-process and the sha256 of its stdout is
+compared with a recorded digest.  The digests were taken before univariate
+polynomials became `BiPoly`s with no y terms, so they pin the JSON and text
+renderings of both polynomial shapes across that change.  The G1 graph file
+is written to a temporary directory; its path does not reach stdout.
+"""
+
+import hashlib
+
+import pytest
+
+from signedchrom.cli import main
+from signedchrom.graphs import fixture, format_graph
+
+G1 = "{G1}"  # replaced by the path of the G1 graph file
+
+GOLDEN = [
+    (["chrom", G1],
+     "6304e59701c25c49ee93b569f442a6a140f9394966d527b27d41c5beb5f83ea9"),
+    (["chrom", G1, "--output", "text"],
+     "263c9d07c2a335d8cde3c98df144fbe1054848d7c1b7c75b99703e63f41edd43"),
+    (["chrom", G1, "--bivariate"],
+     "df12dd76be9d2a19d19d56435f9f5d1c311597fff25020b462ad725c8086a6dc"),
+    (["chrom", G1, "--bivariate", "--output", "text"],
+     "6826446d6fce53580b3c01d5b7e2a608970dedc58fc2250a2ed0f6437249b685"),
+    (["threshold", "--code", "1,-1,0,-1,1,0,1"],
+     "e4148421cde807c58f9bb35b9344ded04892547be0638d7790152c7fc85f76b6"),
+    (["threshold", "--code", "1,-1,0,-1,1,0,1", "--output", "text"],
+     "c5d71e01c1aacff316c466d4919f4916760519ff34ed94422f2f2c258aaa4576"),
+    (["closed-form", "--family", "2", "-l", "4", "-m", "3", "-n", "2"],
+     "fff07654d4a3453e1712e42ebfe4764981137cca092be7ab419fa432c7edcae1"),
+    (["identities", "--max", "3"],
+     "c503eb4ef4d71cbed3d0cde65a4e63f07592054b8d5662cbc5d24a8c03fd1e5d"),
+    (["enumerate", "--underlying", "petersen", "--mode", "switch", "--spot-check", "20"],
+     "8316349f964c7ddf0a49f7be358ee11790a573ea55175573c87da94b09ab6863"),
+    (["search-cochromatic", "--underlying", "G1"],
+     "e9ef77336781b5afa29890441fbc5aea4f87066821797490495c15afdea8b016"),
+    (["reproduce-tables"],
+     "014114771be063345139ec4b2509c2a8ec75d54b0b7ea20b3ac7014584a8dcbf"),
+    (["verify", "--conjecture", "cochromatic-complete"],
+     "7b13337b413165ec42fc8bb8086998cc467dd9547b467a86b8d632207d0efae2"),
+    (["verify", "--conjecture", "threshold"],
+     "1c38b108a1f0302975ccc46fdd95e24455f9a0dc19abbdd2ad9defefb1bfd447"),
+    (["verify", "--conjecture", "bivariate-complete"],
+     "a6f2c03f3378b7a9a6ef3b8a7158125c3b7f4c868ffc8f63a0c820164d1a2cda"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_matches_golden_digest(capsys, tmp_path, argv, digest):
+    path = tmp_path / "g1.sg"
+    path.write_text(format_graph(fixture("G1")))
+    assert main([str(path) if a == G1 else a for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -196,9 +196,9 @@ def test_conjecture_cochromatic_counterexample(monkeypatch, capsys):
     """With one pair for every class, K_3's two classes are the first group."""
     from signedchrom import verify
     from signedchrom.cli import main
-    from signedchrom.poly import ChromaticPair, UniPoly
+    from signedchrom.poly import BiPoly, ChromaticPair
 
-    same = ChromaticPair(UniPoly.one(), UniPoly.one())
+    same = ChromaticPair(BiPoly.one(), BiPoly.one())
     monkeypatch.setattr(verify, "chromatic_pairs", lambda graphs: [same] * len(graphs))
     report = verify_conj_cochromatic_complete(4)
     assert report.status == "counterexample"
@@ -303,7 +303,7 @@ def _lemma_l_holds(p):
 
 def _last_entry(even):
     """Rule (b)-(d): 1 if E(t, t) has a term in t, else 0 if E(0, y) = 0, else -1."""
-    if even.diagonal().coeff(1):
+    if even.diagonal().coeff(1, 0):
         return 1
     return -1 if _at_x_zero(even) else 0
 
@@ -666,7 +666,8 @@ TABLE_CHECK_NAMES = [
 
 
 def test_reproduce_tables_renders_failures(monkeypatch):
-    """A wrong displayed pair fails its rows with computed/expected; a table
+    """A wrong displayed pair fails its rows with computed/expected; so does a
+    wrong univariate polynomial, shown as dense coefficient strings; a table
     row dropped fails the multiset row with missing/unexpected."""
     import json
 
@@ -675,13 +676,14 @@ def test_reproduce_tables_renders_failures(monkeypatch):
     assert [c["name"] for c in reproduce_tables().details["checks"]] == TABLE_CHECK_NAMES
     gem, dropped = reference.GEM_PAIR, reference.PETERSEN_TABLE[0]
     monkeypatch.setattr(reference, "GEM_PAIR", reference.SIGMA12_PAIR)
+    monkeypatch.setattr(reference, "SIGMA3_EVEN", reference.SIGMA4_EVEN)
     monkeypatch.setattr(reference, "PETERSEN_TABLE", reference.PETERSEN_TABLE[1:])
     report = reproduce_tables()
     assert report.status == "counterexample"
     checks = report.details["checks"]
     assert [c["name"] for c in checks] == TABLE_CHECK_NAMES
     failed = {c["name"]: c for c in checks if c["status"] != "pass"}
-    assert set(failed) == {"gem_G1_pair", "gem_G2_pair", "petersen_table"}
+    assert set(failed) == {"gem_G1_pair", "gem_G2_pair", "petersen_table", "sigma3_even"}
     for name in ("gem_G1_pair", "gem_G2_pair"):
         assert failed[name] == {
             "name": name,
@@ -689,6 +691,12 @@ def test_reproduce_tables_renders_failures(monkeypatch):
             "computed": pair_to_json(gem),
             "expected": pair_to_json(reference.SIGMA12_PAIR),
         }
+    assert failed["sigma3_even"] == {
+        "name": "sigma3_even",
+        "status": "fail",
+        "computed": ["0", "16", "-28", "20", "-7", "1"],
+        "expected": ["0", "14", "-27", "20", "-7", "1"],
+    }
     assert failed["petersen_table"] == {
         "name": "petersen_table",
         "status": "fail",
@@ -731,6 +739,6 @@ def test_search_cochromatic_k8_groups():
     for group in reference.K8_COCHROMATIC_GROUPS:
         evens = {bivariate_pair(graph_from_mask(k8, mask)).even for mask in group}
         assert len(evens) == len(group)  # the bivariate pair still separates them
-    assert chromatic_pair(graph_from_mask(k8, 9110)).odd.evaluate(5) == 80
+    assert chromatic_pair(graph_from_mask(k8, 9110)).odd.evaluate(5, 0) == 80
     for mask in (9110, 9115):
         assert count_colourings_oracle(graph_from_mask(k8, mask), 5) == 80
