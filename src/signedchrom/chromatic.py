@@ -5,7 +5,7 @@ own budget.  First, on at most MAX_PEEL_N vertices, `bivariate_pair` peels
 every isolated vertex and every dominating vertex with edges of one sign, but
 stops at a signed K_n the partition route takes, which answers it faster.  The
 paper's deletion formulae (`threshold_step`) put the peeled vertices back: a
-40-entry threshold code takes about 0.1 s.  Then signed complete graphs take
+40-entry threshold code takes about 0.06 s.  Then signed complete graphs take
 the partition route, a subset DP over colour units, and every other graph the
 edge-subset expansion, which sums a signed term over all spanning subgraphs
 classified by their component statistics.  That sum is tallied by a frontier
@@ -37,7 +37,7 @@ from .errors import BudgetExceededError, SignedChromError
 from .graphs import (
     ISOLATED, NEGATIVE_DOMINATING, POSITIVE_DOMINATING, SignedGraph, delete_vertex, vertex_role,
 )
-from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling
+from .poly import BiPoly, BivariatePair, ChromaticPair, _shift_axis, double_falling
 
 MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
@@ -557,34 +557,54 @@ def threshold_step(entry: int, pair: BivariatePair) -> BivariatePair:
 
     Inverts the deletion formulae: the appended vertex is isolated (0),
     positive dominating (1) or negative dominating (-1), so the new pair is
-    a fixed combination of the old pair evaluated at shifted arguments.
+    a fixed combination of the old pair evaluated at shifted arguments.  The
+    odd half is the even step applied to the odd polynomial, less B, plus the
+    even polynomial shifted in x (see `_dominating_moves`).
     """
     even, odd = pair
-    e2 = threshold_even_step(entry, even)
-    X, Y = BiPoly.x(), BiPoly.y()
-    if entry == 0:
-        o2 = X * odd
-    elif entry == 1:
-        o2 = (
-            Y * odd.shifted(-1, -1)
-            + (X - Y - 1) * odd.shifted(-1, 1)
-            + even.shifted(-1, 0)
-        )
-    else:
-        o2 = Y * odd + (X - Y - 1) * odd.shifted(-1, 1) + even.shifted(-1, 0)
-    return BivariatePair(e2, o2)
+    _check_entry(entry)
+    if not entry:
+        return BivariatePair(_times_x(even), _times_x(odd))
+    even_x = _shift_axis(even._terms, -1, 0)
+    odd_moves, b = _dominating_moves(entry, odd._terms, _shift_axis(odd._terms, -1, 0))
+    odd_moves += ((key, -c) for key, c in b.items())
+    odd_moves += even_x.items()
+    even_moves, _ = _dominating_moves(entry, even._terms, even_x)
+    return BivariatePair(BiPoly(even_moves), BiPoly(odd_moves))
 
 
 def threshold_even_step(entry: int, even: BiPoly) -> BiPoly:
     """Even constituent only; its recursion is closed in itself."""
-    X, Y = BiPoly.x(), BiPoly.y()
-    if entry == 0:
-        return X * even
-    if entry == 1:
-        return Y * even.shifted(-1, -1) + (X - Y) * even.shifted(-1, 1)
-    if entry == -1:
-        return Y * even + (X - Y) * even.shifted(-1, 1)
-    raise SignedChromError(f"code entry {entry!r} not in {{-1, 0, 1}}")
+    _check_entry(entry)
+    if not entry:
+        return _times_x(even)
+    moves, _ = _dominating_moves(entry, even._terms, _shift_axis(even._terms, -1, 0))
+    return BiPoly(moves)
+
+
+def _check_entry(entry: int) -> None:
+    if entry not in (-1, 0, 1):
+        raise SignedChromError(f"code entry {entry!r} not in {{-1, 0, 1}}")
+
+
+def _times_x(p: BiPoly) -> BiPoly:
+    return BiPoly(((i + 1, j), c) for (i, j), c in p._terms.items())
+
+
+def _dominating_moves(entry: int, terms: dict, x_shift: dict) -> tuple[list, dict]:
+    """The even step y A + (x - y) B of a dominating entry as (key,
+    coefficient) moves for the `BiPoly` constructor to sum, and the terms of B.
+
+    `terms` are those of P and `x_shift` those of P(x - 1, y), from which both
+    y-shifts are taken: B = P(x - 1, y + 1), and A = P(x - 1, y - 1) for
+    entry 1 and P itself for entry -1.
+    """
+    a = _shift_axis(x_shift, -1, 1) if entry == 1 else terms
+    b = _shift_axis(x_shift, 1, 1)
+    moves = [((i, j + 1), c) for (i, j), c in a.items()]
+    for (i, j), c in b.items():
+        moves += (((i + 1, j), c), ((i, j + 1), -c))
+    return moves, b
 
 
 # -- signed complete graphs: the partition route over colour units ----------------

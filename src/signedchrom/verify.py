@@ -43,10 +43,9 @@ MAX_THRESHOLD_N = 12
 MAX_BIVARIATE_N = 7
 _EXACT_THRESHOLD_LIMIT = 6  # longer codes are decided by lemma L on their prefixes
 
-_FP_MOD = (1 << 61) - 1
+_FP_MOD = (1 << 31) - 1  # slots of _slot_bits(31) = 64 bits (see the threshold layout)
 _FP_X0 = 0  # the corner and its (1, 0) neighbour are the two sides of lemma L
 _FP_Y0 = 987654321987654321 % _FP_MOD
-_FP_SLOT = 128  # bits per fingerprint in the packed grid (see the threshold layout)
 
 
 class VerificationReport:
@@ -238,11 +237,11 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 # The verifier compares the exact even polynomials of all codes up to length
 # exact_to = _EXACT_THRESHOLD_LIMIT, then checks L on every code of length
 # exact_to..n_max - 1, which carries distinctness up to n_max.  The stretch
-# run (n_max = 12) checks L to length 11, in about 0.25 s and 43 MB on a
+# run (n_max = 12) checks L to length 11, in about 0.14 s and 30 MB on a
 # 2-core machine; the tests check it exactly, with no fingerprints, to length
 # 7.  MAX_THRESHOLD_N stays 12, the scale the threshold12 benchmark workload
-# runs; with the cap raised, n = 13 takes 0.57 s and 92 MB, n = 14 1.7 s and
-# 242 MB.
+# runs; with the cap raised, n = 13 takes 0.29 s and 54 MB, n = 14 0.8 s and
+# 124 MB.
 #
 # L is checked on fingerprints: values mod the prime _FP_MOD.  A step of the
 # even recursion reads its parent at (x, y), (x - 1, y - 1) and (x - 1, y + 1).
@@ -260,27 +259,38 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 # values agree is rebuilt and compared exactly.
 #
 # The grid runs level by level.  Each grid point keeps one Python int, its
-# value list: slot i, bits [_FP_SLOT i, _FP_SLOT (i + 1)), holds its value for
-# code index i of the current length.  A point's list at the next length is its
-# parent lists stepped with entry -1, then 0, then 1, concatenated (entry -1 in
-# the low slots), so index i at length d spells its code in base 3, least
-# significant digit first, with entry = digit - 1.  The exact polynomials of
-# one length are kept in the same order.  No code is stored.
+# value list: slot i, bits [W i, W (i + 1)) with W = _slot_bits(k), holds its
+# value for code index i of the current length.  A point's list at the next
+# length is its parent lists stepped with entry -1, then 0, then 1,
+# concatenated (entry -1 in the low slots), so index i at length d spells its
+# code in base 3, least significant digit first, with entry = digit - 1.  The
+# exact polynomials of one length are kept in the same order.  No code is
+# stored.
 #
 # One step is a few big-int operations on whole lists: each of the three parts
 # is folded, then they are concatenated.  With _FP_MOD = M = 2^k - 1, a slot
 # folds mod M by adding its bits from k up to its low k bits (2^k = 1 mod M).
 # Multipliers are residues below M and every stored slot is at most 2^k, so a
-# step's sum of two products is below 2^(2k + 1) and never carries into the
-# next slot while k <= 63; two folds bring it back to at most 2^k.  The two
+# step's sum of two products is below 2^(2k + 1), and W is the least multiple
+# of 8 bits that holds it: 64 bits for the prime 2^31 - 1, and 128 for k = 61
+# and for k = 63, the largest k the kernel takes.  So no sum carries into the next slot,
+# and two folds bring it back to at most 2^k.  Which prime it is does not
+# matter to the verdict: distinct residues prove L, and agreeing ones are
+# rebuilt exactly.  At n_max = 12 no code of any length is rebuilt.  The two
 # points L reads are made canonical, in [0, M), so that one zero-slot test on
 # their XOR finds every code whose two values agree.  The fold masks have the
 # parents' length, so the longest lists are built without any.
 
 
+def _slot_bits(k: int) -> int:
+    """Bits per slot for the modulus 2^k - 1: the least multiple of 8 that
+    holds a step's sum, which is below 2^(2k + 1)."""
+    return (2 * k + 8) // 8 * 8
+
+
 def _slot_masks(size: int, k: int) -> tuple[int, int]:
     """`ones` with 1 and `lo` with 2^k - 1 in each of `size` slots."""
-    ones = int.from_bytes((b"\1" + bytes(_FP_SLOT // 8 - 1)) * size, "little")
+    ones = int.from_bytes((b"\1" + bytes(_slot_bits(k) // 8 - 1)) * size, "little")
     return ones, ones * ((1 << k) - 1)
 
 
@@ -312,7 +322,7 @@ def _threshold_children(cols: list, size: int, k: int, x0: int, y0: int) -> list
     The corner (0, 0) and its neighbour (1, 0), which the scan yields, are made
     canonical."""
     mod = (1 << k) - 1
-    shift = size * _FP_SLOT
+    shift = size * _slot_bits(k)
     ones, lo = _slot_masks(size, k)
     child = []
     for u in range(len(cols) - 1):
@@ -384,7 +394,7 @@ def _check_lemma_l(length: int, corner: int, neighbour: int) -> None:
     while agree:
         low = agree & -agree
         agree ^= low
-        index = (low.bit_length() - 1) // _FP_SLOT
+        index = (low.bit_length() - 1) // _slot_bits(k)
         even = _threshold_even(index, length)
         if _at_x0(even) == _at_x0(even.shifted(-1, 1)):
             code = list(_threshold_code(index, length))

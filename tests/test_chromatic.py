@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from signedchrom.graphs import (
     switch,
     threshold_graph,
 )
-from signedchrom.poly import BiPoly, ChromaticPair, falling_factorial
+from signedchrom.poly import BiPoly, BivariatePair, ChromaticPair, falling_factorial
 from signedchrom import reference
 
 X = BiPoly.x()
@@ -211,6 +212,69 @@ def test_threshold_recursion_matches_subset_expansion():
     for code in codes:
         g = threshold_graph(code)
         assert bivariate_pair(g) == _subset_bivariate_pair(g), code
+
+
+def _generic_even_step(entry, even):
+    """The even step as `BiPoly` ring operations: the oracle of the index moves
+    in `threshold_even_step`."""
+    if entry == 0:
+        return XB * even
+    if entry == 1:
+        return YB * even.shifted(-1, -1) + (XB - YB) * even.shifted(-1, 1)
+    return YB * even + (XB - YB) * even.shifted(-1, 1)
+
+
+def _generic_step(entry, pair):
+    """The deletion formulae as `BiPoly` ring operations: the oracle of
+    `threshold_step`."""
+    even, odd = pair
+    if entry == 0:
+        odd2 = XB * odd
+    else:
+        a = odd.shifted(-1, -1) if entry == 1 else odd
+        odd2 = YB * a + (XB - YB - 1) * odd.shifted(-1, 1) + even.shifted(-1, 0)
+    return BivariatePair(_generic_even_step(entry, even), odd2)
+
+
+def _assert_steps_match_generic(pair):
+    for entry in (-1, 0, 1):
+        assert chromatic.threshold_even_step(entry, pair.even) == _generic_even_step(entry, pair.even)
+        assert chromatic.threshold_step(entry, pair) == _generic_step(entry, pair), (entry, pair)
+
+
+def test_threshold_steps_match_generic_ring_operations():
+    """Both steps on the pair of every code of length <= 5, so every code of
+    length <= 6 is stepped, and on seeded random polynomials: the zero
+    polynomial, negative coefficients and unrelated even and odd halves."""
+    pairs = [BivariatePair(XB, XB)]
+    for _ in range(6):
+        for pair in pairs:
+            _assert_steps_match_generic(pair)
+        pairs = [chromatic.threshold_step(a, p) for a in (-1, 0, 1) for p in pairs]
+    rng = random.Random(24)
+
+    def random_poly():
+        size = rng.choice((0, 1, 3, 8))
+        return BiPoly({(rng.randrange(6), rng.randrange(6)): rng.randint(-50, 50)
+                       for _ in range(size)})
+
+    zero = BiPoly.zero()
+    randoms = [BivariatePair(random_poly(), random_poly()) for _ in range(300)]
+    for pair in [BivariatePair(zero, zero), BivariatePair(XB, zero), BivariatePair(zero, -YB)]:
+        _assert_steps_match_generic(pair)
+    for pair in randoms:
+        _assert_steps_match_generic(pair)
+    assert any(c < 0 for p in randoms for _, c in p.even.items())
+    assert any(p.odd.is_zero() for p in randoms)
+
+
+@pytest.mark.parametrize("entry", [2, -2, 3, "1", None])
+def test_threshold_steps_refuse_a_bad_entry(entry):
+    message = re.escape(f"code entry {entry!r} not in {{-1, 0, 1}}")
+    with pytest.raises(SignedChromError, match=f"^{message}$"):
+        chromatic.threshold_even_step(entry, XB)
+    with pytest.raises(SignedChromError, match=f"^{message}$"):
+        chromatic.threshold_step(entry, BivariatePair(XB, XB))
 
 
 def _append_vertex(g: SignedGraph, entry: int) -> SignedGraph:

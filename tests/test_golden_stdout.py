@@ -3,8 +3,12 @@
 Every command runs `cli.main` in-process and the sha256 of its stdout is
 compared with a recorded digest.  The digests were taken before univariate
 polynomials became `BiPoly`s with no y terms, so they pin the JSON and text
-renderings of both polynomial shapes across that change.  The G1 graph file
-is written to a temporary directory; its path does not reach stdout.
+renderings of both polynomial shapes across that change.  The threshold
+cases after them (the stretch verifier, a 40-entry code and a relabelled
+20-vertex threshold graph, whose pair the peel rebuilds by `threshold_step`)
+were recorded before the fingerprint slots went from 128 to 64 bits and the
+deletion-formula steps became index moves.  The graph files are written to a
+temporary directory; their paths do not reach stdout.
 """
 
 import hashlib
@@ -12,9 +16,18 @@ import hashlib
 import pytest
 
 from signedchrom.cli import main
-from signedchrom.graphs import fixture, format_graph
+from signedchrom.graphs import fixture, format_graph, relabel, threshold_graph
 
 G1 = "{G1}"  # replaced by the path of the G1 graph file
+T20 = "{T20}"  # replaced by the path of a relabelled threshold graph on 20 vertices
+CODE40 = "1,-1,0,1,-1,-1,1,-1,0,1,-1,1,-1,-1,-1,0,0,-1,-1,-1,1,0,-1,1,-1,-1,1,1,1,-1,1,1,0,-1,-1,-1,1,-1,0,0"
+GRAPHS = {
+    G1: fixture("G1"),
+    T20: relabel(
+        threshold_graph((-1, 1, -1, 1, 0, 1, 1, -1, -1, 1, 1, 1, -1, 0, -1, 1, 1, -1, 1)),
+        (18, 11, 19, 12, 8, 17, 0, 16, 2, 3, 4, 5, 14, 9, 7, 10, 13, 15, 6, 1),
+    ),
+}
 
 GOLDEN = [
     (["chrom", G1],
@@ -45,13 +58,26 @@ GOLDEN = [
      "1c38b108a1f0302975ccc46fdd95e24455f9a0dc19abbdd2ad9defefb1bfd447"),
     (["verify", "--conjecture", "bivariate-complete"],
      "a6f2c03f3378b7a9a6ef3b8a7158125c3b7f4c868ffc8f63a0c820164d1a2cda"),
+    (["verify", "--conjecture", "threshold", "--stretch"],
+     "6f14f080cc55ffbc5a2591421f46510924b53ebcec0924dcf8b51875be576111"),
+    (["verify", "--conjecture", "threshold", "--stretch", "--output", "text"],
+     "876e1d54b5a0ad404c5dd767f2d3661c484110cacac5d5956570d855fc99d0c9"),
+    (["threshold", "--code", CODE40],
+     "0d92c7f3070b8dbb38e492f164aa1e8394b206b4869b1f17b154365ab264774e"),
+    (["threshold", "--code", CODE40, "--output", "text"],
+     "45ddd840527ab5fbf070945695392cb98bbd2d7ff59f951cf3f8fa64d0dffde2"),
+    (["chrom", T20, "--bivariate"],
+     "19fe30ad5ab41db61032b4b73968592028fc64a9562247f359e5296180601d6a"),
+    (["chrom", T20, "--bivariate", "--output", "text"],
+     "2c25bb8fa19c2a20f25cbf330dbbd13b34f96db81d120f021c85dfeb7e212023"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_stdout_matches_golden_digest(capsys, tmp_path, argv, digest):
-    path = tmp_path / "g1.sg"
-    path.write_text(format_graph(fixture("G1")))
-    assert main([str(path) if a == G1 else a for a in argv]) == 0
+    paths = {name: tmp_path / f"{name.strip('{}')}.sg" for name in GRAPHS}
+    for name, graph in GRAPHS.items():
+        paths[name].write_text(format_graph(graph))
+    assert main([str(paths.get(a, a)) for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -509,10 +509,11 @@ def test_a_failure_of_lemma_l_is_refused(monkeypatch, capsys):
 
 
 def _slots(packed, count):
-    """The `count` 128-bit slots of a packed int, whole."""
-    from signedchrom.verify import _FP_SLOT
+    """The `count` slots of a packed int, whole, at the slot width of the
+    live modulus."""
+    from signedchrom import verify
 
-    width = _FP_SLOT // 8
+    width = verify._slot_bits(verify._FP_MOD.bit_length()) // 8
     raw = packed.to_bytes(count * width, "little")
     return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(count)]
 
@@ -572,28 +573,33 @@ def test_packed_fingerprints_match_the_list_scan(monkeypatch):
 
 def test_fold_and_canonical_keep_slots_apart():
     """Edge values between slots of 0 and slots of the largest value: each
-    folds and reduces to its residue, and no slot carries into a neighbour."""
-    from signedchrom.verify import _FP_MOD as mod, _FP_SLOT, _canonical, _fold
-
-    k = mod.bit_length()
-    top = 2 * ((1 << 61) + 7) * ((1 << 61) - 2)  # above any step's sum of two products
-    edges = [0, mod - 1, mod, mod + 1, (1 << 61) + 7, top]
-
-    def pack(values):
-        return sum(v << (_FP_SLOT * i) for i, v in enumerate(values))
-
-    def unpack(t, n):
-        return [(t >> (_FP_SLOT * i)) & ((1 << _FP_SLOT) - 1) for i in range(n)]
+    folds and reduces to its residue, and no slot carries into a neighbour.
+    At the verifier's modulus 2^31 - 1 in 64-bit slots, and at 2^61 - 1 in
+    128-bit slots."""
+    from signedchrom.verify import _FP_MOD, _canonical, _fold, _slot_bits
 
     def spread(big, values):
         return [0] + [s for v in values for s in (v, 0, big, v, big)]
 
-    values = spread(top, edges)
-    folded = unpack(_fold(pack(values), pack([mod] * len(values)), k), len(values))
-    assert all(f <= 1 << 61 and f % mod == v % mod for f, v in zip(folded, values))
-    for values in (folded, spread((1 << 61) + 7, edges[:-1])):
-        reduced = unpack(_canonical(pack(values), pack([1] * len(values)), k), len(values))
-        assert reduced == [v % mod for v in values]
+    assert _FP_MOD == (1 << 31) - 1
+    for k, width in ((31, 64), (61, 128)):
+        assert _slot_bits(k) == width
+        mod = (1 << k) - 1
+        top = 2 * ((1 << k) + 7) * ((1 << k) - 2)  # above any step's sum of two products
+        edges = [0, mod - 1, mod, mod + 1, (1 << k) + 7, top]
+
+        def pack(values):
+            return sum(v << (width * i) for i, v in enumerate(values))
+
+        def unpack(t, n):
+            return [(t >> (width * i)) & ((1 << width) - 1) for i in range(n)]
+
+        values = spread(top, edges)
+        folded = unpack(_fold(pack(values), pack([mod] * len(values)), k), len(values))
+        assert all(f <= 1 << k and f % mod == v % mod for f, v in zip(folded, values)), k
+        for values in (folded, spread((1 << k) + 7, edges[:-1])):
+            reduced = unpack(_canonical(pack(values), pack([1] * len(values)), k), len(values))
+            assert reduced == [v % mod for v in values], k
 
 
 @pytest.mark.parametrize("mod", [0, 10, 1 << 61, (1 << 64) - 1])
@@ -608,7 +614,8 @@ def test_fingerprint_modulus_must_be_two_to_the_k_minus_one(monkeypatch, mod):
 
 def test_conjecture_threshold_stretch():
     """The full stretch scale, which only the benchmark ran before, within its
-    memory: the traced peak is about 22 MB (the distinctness scan's was 59 MB)."""
+    memory: the traced peak is about 11 MB in 64-bit slots (21 MB in 128-bit
+    slots, and the distinctness scan's was 59 MB)."""
     import tracemalloc
 
     tracemalloc.start()
@@ -622,7 +629,7 @@ def test_conjecture_threshold_stretch():
         "codes_checked": {str(d): 3**d for d in range(13)},
         "method": {"exact_to": 6, "fingerprint_from": 7},
     }
-    assert peak < 32 << 20, peak
+    assert peak < 16 << 20, peak
 
 
 def test_conjecture_bivariate_small():
