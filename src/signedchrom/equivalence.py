@@ -2,7 +2,8 @@
 
 Decision procedures return explicit witnesses (a vertex permutation, plus a
 switching set where applicable) so a result of "equivalent" can be re-checked
-independently.  Signature classes over a fixed underlying graph are
+independently; a certificate records that every switching was tried when
+there is none.  Signature classes over a fixed underlying graph are
 enumerated on switching normal forms: each sign pattern is reduced to the
 smallest pattern of its switching coset, which leaves 2^(|E|-n+c) patterns
 for c components, and those are grouped into orbits of the underlying
@@ -21,47 +22,14 @@ MAX_NORMAL_FORM_BITS = 21  # log2 of the normal forms a class enumeration walks
 MAX_CLASS_EDGES = 1 << 21  # signed edges held by the class representatives
 
 
-def _adjacency(g: SignedGraph) -> list[list[int]]:
-    """n x n matrix of edge signs, 0 where there is no edge."""
+def _matrix(g: SignedGraph) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """The n x n matrix of edge signs, 0 where there is no edge, and
+    (degree, positive degree, negative degree) per vertex, read from its rows."""
     adj = [[0] * g.n for _ in range(g.n)]
     for u, v, s in g.edges:
         adj[u][v] = s
         adj[v][u] = s
-    return adj
-
-
-def _profiles(g: SignedGraph) -> list[tuple[int, int, int]]:
-    """(degree, positive degree, negative degree) per vertex."""
-    pos = [0] * g.n
-    neg = [0] * g.n
-    for u, v, s in g.edges:
-        if s > 0:
-            pos[u] += 1
-            pos[v] += 1
-        else:
-            neg[u] += 1
-            neg[v] += 1
-    return [(pos[v] + neg[v], pos[v], neg[v]) for v in range(g.n)]
-
-
-def _search_isomorphisms(
-    g1: SignedGraph,
-    g2: SignedGraph,
-    find_all: bool,
-    fixed: tuple[tuple[int, int], ...] = (),
-):
-    """Sign-preserving vertex maps of g1 onto g2, by `_search_matrices`.
-
-    Graphs of different size, or with different multisets of sign-degree
-    profiles, have none and are not searched.
-    """
-    if g1.n != g2.n or g1.m != g2.m:
-        return []
-    prof1 = _profiles(g1)
-    prof2 = _profiles(g2)
-    if sorted(prof1) != sorted(prof2):
-        return []
-    return _search_matrices(_adjacency(g1), prof1, _adjacency(g2), prof2, find_all, fixed)
+    return adj, [(g.n - row.count(0), row.count(1), row.count(-1)) for row in adj]
 
 
 def _search_matrices(
@@ -125,15 +93,23 @@ def _check_search_size(g1: SignedGraph, g2: SignedGraph, what: str) -> None:
 
 
 def find_isomorphism(g1: SignedGraph, g2: SignedGraph) -> tuple[int, ...] | None:
-    """A sign-preserving vertex bijection with relabel(g1, perm) == g2, or None."""
+    """A sign-preserving vertex bijection with relabel(g1, perm) == g2, or None.
+    Graphs that differ in size or in their sign-degree profiles are not searched."""
     _check_search_size(g1, g2, "isomorphism")
-    maps = _search_isomorphisms(g1, g2, find_all=False)
+    if g1.n != g2.n or g1.m != g2.m:
+        return None
+    adj1, prof1 = _matrix(g1)
+    adj2, prof2 = _matrix(g2)
+    if sorted(prof1) != sorted(prof2):
+        return None
+    maps = _search_matrices(adj1, prof1, adj2, prof2, False)
     return maps[0] if maps else None
 
 
 def automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     """All sign-preserving automorphisms of g."""
-    return _search_isomorphisms(g, g, find_all=True)
+    adj, prof = _matrix(g)
+    return _search_matrices(adj, prof, adj, prof, True)
 
 
 def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
@@ -161,8 +137,7 @@ def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     every element, and a target is searched only if it has i's profile and
     i's edges to 0..i-1.
     """
-    prof = _profiles(g)
-    adj = _adjacency(g)
+    adj, prof = _matrix(g)
     gens: list[tuple[int, ...]] = []
     for i in reversed(range(g.n)):
         orbit = {i}
@@ -193,10 +168,10 @@ def find_switching_isomorphism(
     n = g1.n
     if n != g2.n or g1.m != g2.m:
         return None
-    adj1 = _adjacency(g1)
-    adj2 = _adjacency(g2)
-    deg1 = [sum(map(abs, row)) for row in adj1]
-    deg2 = [sum(map(abs, row)) for row in adj2]
+    adj1, prof1 = _matrix(g1)
+    adj2, prof2 = _matrix(g2)
+    deg1 = [p[0] for p in prof1]
+    deg2 = [p[0] for p in prof2]
     if sorted(deg1) != sorted(deg2):
         return None
     order: list[int] = []
@@ -265,6 +240,53 @@ def free_switching_vertices(g: SignedGraph) -> list[int]:
             parent[ru] = rv
     roots = {find(v) for v in range(g.n)}
     return [v for v in range(g.n) if v not in roots]
+
+
+def non_switching_isomorphism_certificate(g1: SignedGraph, g2: SignedGraph) -> dict:
+    """Try every switching of g2 against g1; record the failure.
+
+    The switchings X run over all 2^(n-c) subsets of g2's free vertices
+    (switching a whole component changes nothing), and each gets the
+    decision find_isomorphism(g1, switch(g2, X)) gives: the sign-degree
+    profile check, then the backtracking search.  The subsets are walked in
+    Gray-code order on one sign matrix of g2: step k switches free[j] for
+    the lowest set bit j of k, which negates that vertex's row and column,
+    swaps its positive and negative degrees and moves each neighbour's by
+    one; after it X holds free[j] for the set bits j of k ^ (k >> 1).  The
+    search runs only where the sorted profiles equal g1's.  On failure every
+    switching has been tried; on success the witness satisfies
+    relabel(g1, perm) == switch(g2, X).
+    """
+    _check_search_size(g1, g2, "isomorphism")
+    free = free_switching_vertices(g2)
+    total = 1 << len(free)
+    if g1.n != g2.n or g1.m != g2.m:
+        return {"switchings_tried": total, "isomorphism_found": False}
+    adj1, prof1 = _matrix(g1)
+    want = sorted(prof1)
+    adj2, prof2 = _matrix(g2)
+    nbrs = [[u for u, s in enumerate(row) if s] for row in adj2]
+    for k in range(total):
+        if k:
+            w = free[(k & -k).bit_length() - 1]
+            row = adj2[w]
+            for u in nbrs[w]:
+                d, p, q = prof2[u]
+                prof2[u] = (d, p - 1, q + 1) if row[u] > 0 else (d, p + 1, q - 1)
+                row[u] = adj2[u][w] = -row[u]
+            d, p, q = prof2[w]
+            prof2[w] = (d, q, p)
+        if sorted(prof2) != want:
+            continue
+        maps = _search_matrices(adj1, prof1, adj2, prof2, False)
+        if maps:
+            X = [v for j, v in enumerate(free) if (k ^ k >> 1) >> j & 1]
+            return {
+                "switchings_tried": k + 1,
+                "isomorphism_found": True,
+                "witness": {"X": X, "perm": list(maps[0])},
+            }
+    return {"switchings_tried": total, "isomorphism_found": False}
 
 
 # -- signature orbits over a fixed underlying graph -----------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import NamedTuple
 
 from .errors import SignedChromError
@@ -165,16 +164,10 @@ class BiPoly:
         return format_bipoly(self)
 
 
-@functools.lru_cache(maxsize=None)
-def _shift_matrix(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Row e: C(k, e) d^(k - e) for k < n (0 for k < e), the weights of the
-    coefficients of p(t) in the coefficient of t^e of p(t + d)."""
-    return tuple(tuple(math.comb(k, e) * d ** (k - e) if k >= e else 0 for k in range(n))
-                 for e in range(n))
-
-
 def _shift_axis(terms: dict, d: int, axis: int) -> dict:
-    """The terms of p after t + d is put for x (axis 0) or y (axis 1)."""
+    """The terms of p after t + d is put for x (axis 0) or y (axis 1).  Pass i of
+    the Taylor shift divides entries i.. of a line by t - d by Horner's rule and
+    leaves the remainder, the coefficient of t^i in p(t + d), in entry i."""
     if not d:
         return terms
     lines: dict[int, list[int]] = {}  # the coefficients of p along the axis, by the other degree
@@ -183,9 +176,12 @@ def _shift_axis(terms: dict, d: int, axis: int) -> dict:
         line += [0] * (key[axis] + 1 - len(line))
         line[key[axis]] = c
     out = {}
-    for other, line in lines.items():
-        for e, row in enumerate(_shift_matrix(d, len(line))):
-            c = sum(map(operator.mul, line, row))
+    for other, a in lines.items():
+        top = len(a) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                a[j] += d * a[j + 1]
+        for e, c in enumerate(a):
             if c:
                 out[(e, other) if axis == 0 else (other, e)] = c
     return out

@@ -20,12 +20,8 @@ from .chromatic import (
 )
 from .equivalence import (
     ClassInventory,
-    _adjacency,
-    _check_search_size,
-    _profiles,
-    _search_matrices,
     enumerate_classes,
-    free_switching_vertices,
+    non_switching_isomorphism_certificate,
 )
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import (
@@ -44,7 +40,6 @@ MAX_BIVARIATE_N = 7
 _EXACT_THRESHOLD_LIMIT = 6  # longer codes are decided by lemma L on their prefixes
 
 _FP_MOD = (1 << 31) - 1  # slots of _slot_bits(31) = 64 bits (see the threshold layout)
-_FP_X0 = 0  # the corner and its (1, 0) neighbour are the two sides of lemma L
 _FP_Y0 = 987654321987654321 % _FP_MOD
 
 
@@ -91,61 +86,6 @@ def _class_entry(inventory: ClassInventory, idx: int) -> dict:
         "orbit_size": inventory.orbit_sizes[idx],
         **graph_to_dict(g),
     }
-
-
-def non_switching_isomorphism_certificate(g1: SignedGraph, g2: SignedGraph) -> dict:
-    """Try every switching of g2 against g1; record the failure.
-
-    The switchings X run over all 2^(n-c) subsets of g2's free vertices
-    (switching a whole component changes nothing), and each gets the
-    decision find_isomorphism(g1, switch(g2, X)) gives: the sign-degree
-    profile check, then the backtracking search.  The subsets are walked in
-    Gray-code order on one sign matrix of g2: step k switches free[j] for
-    the lowest set bit j of k, which negates that vertex's row and column,
-    swaps its positive and negative degrees and moves each neighbour's by
-    one.  The search runs only where the sorted profiles equal g1's.  On
-    failure every switching has been tried; on success the witness
-    satisfies relabel(g1, perm) == switch(g2, X).
-    """
-    _check_search_size(g1, g2, "isomorphism")
-    free = free_switching_vertices(g2)
-    total = 1 << len(free)
-    if g1.n != g2.n or g1.m != g2.m:
-        return {"switchings_tried": total, "isomorphism_found": False}
-    adj1, prof1 = _adjacency(g1), _profiles(g1)
-    want = sorted(prof1)
-    adj2 = _adjacency(g2)
-    pos = [row.count(1) for row in adj2]
-    neg = [row.count(-1) for row in adj2]
-    deg = [p + q for p, q in zip(pos, neg)]
-    nbrs = [[u for u, s in enumerate(row) if s] for row in adj2]
-    switched = [False] * g2.n
-    for k in range(total):
-        if k:
-            w = free[(k & -k).bit_length() - 1]
-            row = adj2[w]
-            for u in nbrs[w]:
-                if row[u] > 0:
-                    pos[u] -= 1
-                    neg[u] += 1
-                else:
-                    pos[u] += 1
-                    neg[u] -= 1
-                row[u] = adj2[u][w] = -row[u]
-            pos[w], neg[w] = neg[w], pos[w]
-            switched[w] = not switched[w]
-        prof2 = list(zip(deg, pos, neg))
-        if sorted(prof2) != want:
-            continue
-        maps = _search_matrices(adj1, prof1, adj2, prof2, False)
-        if maps:
-            X = [v for v in free if switched[v]]
-            return {
-                "switchings_tried": k + 1,
-                "isomorphism_found": True,
-                "witness": {"X": X, "perm": list(maps[0])},
-            }
-    return {"switchings_tried": total, "isomorphism_found": False}
 
 
 def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
@@ -245,12 +185,13 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 #
 # L is checked on fingerprints: values mod the prime _FP_MOD.  A step of the
 # even recursion reads its parent at (x, y), (x - 1, y - 1) and (x - 1, y + 1).
-# From (x0, y0) the steps therefore read only the points (x0 - u - v,
-# y0 + u - v) with u, v >= 0.  At x = x0 - u - v, y = y0 + u - v the steps are
+# The grid is anchored at x = 0, the only anchor at which distinct residues
+# prove L: from (0, y0) the steps read only the points (-u - v, y0 + u - v)
+# with u, v >= 0, and at x = -u - v, y = y0 + u - v they are
 #     entry  0:  C(u, v) = x P(u, v)
 #     entry  1:  C(u, v) = y P(u, v + 1) + (x - y) P(u + 1, v)
 #     entry -1:  C(u, v) = y P(u, v) + (x - y) P(u + 1, v)
-# With x0 = 0, the corner (0, 0) holds P(0, y0) and its neighbour (1, 0) holds
+# So the corner (0, 0) holds P(0, y0) and its neighbour (1, 0) holds
 # P(-1, y0 + 1): L's two sides at y0.  The points a prefix needs, with `rem`
 # more entries to take before the last length is reached, are those with
 # u + v <= rem + 1 except (0, rem + 1); each row of the grid is one point
@@ -317,7 +258,7 @@ def _threshold_code(index: int, length: int) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _threshold_children(cols: list, size: int, k: int, x0: int, y0: int) -> list:
+def _threshold_children(cols: list, size: int, k: int, y0: int) -> list:
     """The grid at the next length, from `cols` whose lists hold `size` slots.
     The corner (0, 0) and its neighbour (1, 0), which the scan yields, are made
     canonical."""
@@ -328,7 +269,7 @@ def _threshold_children(cols: list, size: int, k: int, x0: int, y0: int) -> list
     for u in range(len(cols) - 1):
         row = []
         for v in range(len(cols[u]) - 1):
-            x, y = (x0 - u - v) % mod, (y0 + u - v) % mod
+            x, y = (-u - v) % mod, (y0 + u - v) % mod
             w = (x - y) % mod
             here, wr = cols[u][v], w * cols[u + 1][v]
             # entries -1, 0, 1 of the recursion, in index order
@@ -342,20 +283,20 @@ def _threshold_children(cols: list, size: int, k: int, x0: int, y0: int) -> list
 
 def _threshold_fingerprints(last: int):
     """Yield (d, corner, neighbour) for d = 0..last: the packed values mod
-    _FP_MOD of every code of length d at (x0, y0) and (x0 - 1, y0 + 1), in
+    _FP_MOD of every code of length d at (0, y0) and (-1, y0 + 1), in
     index order."""
     mod = _FP_MOD
     k = mod.bit_length()
     if mod < 1 or mod & (mod + 1) or k > 63:
         raise SignedChromError(f"fingerprint modulus {mod} is not 2^k - 1 with 1 <= k <= 63")
-    x0, y0 = _FP_X0 % mod, _FP_Y0 % mod
-    # cols[u][v]: the list at (x0 - u - v, y0 + u - v), for u + v <= last + 1 - d
+    y0 = _FP_Y0 % mod
+    # cols[u][v]: the list at (-u - v, y0 + u - v), for u + v <= last + 1 - d
     # except u = 0, v = last + 1 - d
-    cols = [[(x0 - u - v) % mod for v in range(last + 2 - u - (u == 0))]
+    cols = [[(-u - v) % mod for v in range(last + 2 - u - (u == 0))]
             for u in range(last + 2)]
     for d in range(last + 1):
         if d:
-            cols = _threshold_children(cols, 3 ** (d - 1), k, x0, y0)
+            cols = _threshold_children(cols, 3 ** (d - 1), k, y0)
         yield d, cols[0][0], cols[1][0]
 
 

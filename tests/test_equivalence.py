@@ -4,6 +4,9 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_tally import small_signed_graphs
 
 from signedchrom import equivalence, reference
 from signedchrom.chromatic import bivariate_pair, chromatic_pair
@@ -15,16 +18,17 @@ from signedchrom.equivalence import (
     free_switching_vertices,
     generating_automorphisms,
     graph_from_mask,
+    non_switching_isomorphism_certificate,
 )
 from signedchrom.errors import BudgetExceededError
 from signedchrom.graphs import (
     SignedGraph,
     complete_graph,
+    component_stats,
     fixture,
     relabel,
     switch,
 )
-from signedchrom.verify import non_switching_isomorphism_certificate
 
 
 def random_graph(rng, n):
@@ -201,6 +205,32 @@ def test_switching_search_matches_certificate():
             X, pw = res
             assert relabel(g, pw) == switch(h, X)
 
+
+@settings(max_examples=200, deadline=None)
+@given(small_signed_graphs(), st.data())
+def test_certificate_agrees_with_the_switching_search(g, data):
+    """On a random switching and relabelling of g, sometimes with one sign
+    flipped, the certificate finds an isomorphism exactly when the
+    independent switching search does.  A found witness re-checks; a failure
+    has tried all 2^(n - c) switchings."""
+    bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    h = relabel(switch(g, [v for v, bit in enumerate(bits) if bit]),
+                data.draw(st.permutations(range(g.n))))
+    flipped = bool(h.m) and data.draw(st.booleans())
+    if flipped:
+        k = data.draw(st.integers(0, h.m - 1))
+        edges = list(h.edges)
+        u, v, sgn = edges[k]
+        edges[k] = (u, v, -sgn)
+        h = SignedGraph(h.n, tuple(edges))
+    cert = non_switching_isomorphism_certificate(g, h)
+    assert cert["isomorphism_found"] == (find_switching_isomorphism(g, h) is not None)
+    if cert["isomorphism_found"]:
+        X, perm = cert["witness"]["X"], cert["witness"]["perm"]
+        assert relabel(g, perm) == switch(h, X)
+    else:
+        assert flipped
+        assert cert["switchings_tried"] == 2 ** (h.n - component_stats(h).c)
 
 def test_automorphism_groups():
     assert len(automorphisms(fixture("petersen"))) == 120

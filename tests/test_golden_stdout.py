@@ -7,8 +7,12 @@ renderings of both polynomial shapes across that change.  The threshold
 cases after them (the stretch verifier, a 40-entry code and a relabelled
 20-vertex threshold graph, whose pair the peel rebuilds by `threshold_step`)
 were recorded before the fingerprint slots went from 128 to 64 bits and the
-deletion-formula steps became index moves.  The graph files are written to a
-temporary directory; their paths do not reach stdout.
+deletion-formula steps became index moves.  The last three (the 12
+co-chromatic groups and 61 certificates of a 7-vertex, 12-edge graph, and
+the 156 iso classes of signed K_6) were recorded before the certificate
+moved into `equivalence` and every sign-matrix search got one builder.  The
+graph files are written to a temporary directory; their paths do not reach
+stdout.
 """
 
 import hashlib
@@ -16,10 +20,11 @@ import hashlib
 import pytest
 
 from signedchrom.cli import main
-from signedchrom.graphs import fixture, format_graph, relabel, threshold_graph
+from signedchrom.graphs import SignedGraph, fixture, format_graph, relabel, threshold_graph
 
 G1 = "{G1}"  # replaced by the path of the G1 graph file
 T20 = "{T20}"  # replaced by the path of a relabelled threshold graph on 20 vertices
+G072 = "{G072}"  # replaced by the path of a connected 7-vertex, 12-edge graph
 CODE40 = "1,-1,0,1,-1,-1,1,-1,0,1,-1,1,-1,-1,-1,0,0,-1,-1,-1,1,0,-1,1,-1,-1,1,1,1,-1,1,1,0,-1,-1,-1,1,-1,0,0"
 GRAPHS = {
     G1: fixture("G1"),
@@ -27,6 +32,10 @@ GRAPHS = {
         threshold_graph((-1, 1, -1, 1, 0, 1, 1, -1, -1, 1, 1, 1, -1, 0, -1, 1, 1, -1, 1)),
         (18, 11, 19, 12, 8, 17, 0, 16, 2, 3, 4, 5, 14, 9, 7, 10, 13, 15, 6, 1),
     ),
+    G072: SignedGraph(7, tuple((u, v, 1) for u, v in (
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3),
+        (1, 4), (1, 5), (1, 6), (2, 4), (3, 4), (5, 6),
+    ))),
 }
 
 GOLDEN = [
@@ -70,6 +79,12 @@ GOLDEN = [
      "19fe30ad5ab41db61032b4b73968592028fc64a9562247f359e5296180601d6a"),
     (["chrom", T20, "--bivariate", "--output", "text"],
      "2c25bb8fa19c2a20f25cbf330dbbd13b34f96db81d120f021c85dfeb7e212023"),
+    (["search-cochromatic", "--underlying", G072],
+     "432f666b20018cff8f7c593f556203d36eb5a8196a450c887dcc4bb6c2275db7"),
+    (["search-cochromatic", "--underlying", G072, "--output", "text"],
+     "dcb751c252363d093c6443f89e822a0009561a910c91fdcb3571d333d244b4dd"),
+    (["enumerate", "--underlying", "complete:6", "--mode", "iso"],
+     "581eda15456c3c9b34d6ac151b38b29b5ce849136f38ff8fdb080c61b21e508c"),
 ]
 
 

@@ -1,9 +1,12 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package has a caller,
+and no module imports another module's private names.
 
 A name passes when `src/signedchrom` refers to it outside its own
 definition, when `bench/` refers to it (the tracer names functions in
 strings), or when it is one of the test oracles below.  Anything else is
-API that nothing reaches: delete it rather than keep it for tests.
+API that nothing reaches: delete it rather than keep it for tests.  A
+private name imported across modules means two modules know one format;
+each such import is listed below with its reason.
 """
 
 import ast
@@ -19,6 +22,11 @@ ORACLES = (
     ("relabel", "applies isomorphism witnesses and relabelling invariance checks"),
     ("is_balanced", "the balance side of the balanced-iff-even-equals-odd theorem"),
     ("positive_part", "the graph of the diagonal identity E(x, x)"),
+)
+
+# (importing module, module.private name, why it may cross the boundary)
+PRIVATE_IMPORTS = (
+    ("chromatic", "poly._shift_axis", "the fused threshold steps shift raw term dicts"),
 )
 
 
@@ -81,3 +89,23 @@ def test_oracles_are_defined_and_used_by_tests():
         assert name in defined, f"{name} is not a public name of the package"
         assert name not in reached, f"{name} has a caller; drop it from ORACLES"
         assert name in tests, f"no test uses the oracle {name}"
+
+
+def _private_imports() -> set[tuple[str, str]]:
+    """(importing module, module.name) for each `from .module import _name`
+    in the package."""
+    out = set()
+    for path in sorted((ROOT / "src" / "signedchrom").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        out.add((path.stem, f"{node.module}.{alias.name}"))
+    return out
+
+
+def test_no_private_imports_across_modules():
+    found = _private_imports()
+    listed = {(importer, name) for importer, name, _ in PRIVATE_IMPORTS}
+    assert sorted(found - listed) == [], "import a public name, or list the pair with a reason"
+    assert sorted(listed - found) == [], "no longer imported; drop it from PRIVATE_IMPORTS"

@@ -524,14 +524,12 @@ def test_fingerprint_fold_matches_exact_evaluation():
     its code in base 3, least significant first."""
     from signedchrom.verify import (
         _FP_MOD,
-        _FP_X0,
         _FP_Y0,
         _threshold_code,
         _threshold_even,
         _threshold_fingerprints,
     )
 
-    assert _FP_X0 == 0
     count = 0
     for length, corner, neighbour in _threshold_fingerprints(6):
         codes = [tuple(reversed(p)) for p in itertools.product((-1, 0, 1), repeat=length)]
@@ -554,7 +552,7 @@ def test_packed_fingerprints_match_the_list_scan(monkeypatch):
     def check(n_max):
         want = [
             (d, cols[0][0], cols[1][0])
-            for d, cols in _list_scan(n_max, verify._FP_MOD, verify._FP_X0, verify._FP_Y0)
+            for d, cols in _list_scan(n_max, verify._FP_MOD, 0, verify._FP_Y0)
             if d < n_max
         ]
         got = [
