@@ -37,7 +37,7 @@ from . import reference
 MAX_COCHROMATIC_N = 7
 MAX_THRESHOLD_N = 12
 MAX_BIVARIATE_N = 7
-_EXACT_THRESHOLD_LIMIT = 6  # longer codes are decided by lemma L on their prefixes
+_EXACT_THRESHOLD_LIMIT = 3  # longer codes are decided by lemma L on their prefixes
 
 _FP_MOD = (1 << 31) - 1  # slots of _slot_bits(31) = 64 bits (see the threshold layout)
 _FP_Y0 = 987654321987654321 % _FP_MOD
@@ -176,12 +176,14 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 #
 # The verifier compares the exact even polynomials of all codes up to length
 # exact_to = _EXACT_THRESHOLD_LIMIT, then checks L on every code of length
-# exact_to..n_max - 1, which carries distinctness up to n_max.  The stretch
-# run (n_max = 12) checks L to length 11, in about 0.14 s and 30 MB on a
-# 2-core machine; the tests check it exactly, with no fingerprints, to length
-# 7.  MAX_THRESHOLD_N stays 12, the scale the threshold12 benchmark workload
-# runs; with the cap raised, n = 13 takes 0.29 s and 54 MB, n = 14 0.8 s and
-# 124 MB.
+# exact_to..n_max - 1, which carries distinctness up to n_max.  Any exact_to
+# gives the same verdict; 3 keeps the 3 + 9 + 27 exact steps that the
+# benchmark's threshold checks count.  The stretch run (n_max = 12) checks L
+# on lengths 3 to 11 in about 0.05 s, in a CLI process of about 0.2 s and
+# 25 MB on a 2-core machine; the tests check L exactly, with no fingerprints,
+# to length 7.  MAX_THRESHOLD_N stays 12, the scale the threshold12 benchmark
+# workload runs; with the cap raised, the CLI process takes 0.33 s and 44 MB
+# at n = 13, and 0.65 s and 103 MB at n = 14.
 #
 # L is checked on fingerprints: values mod the prime _FP_MOD.  A step of the
 # even recursion reads its parent at (x, y), (x - 1, y - 1) and (x - 1, y + 1).
@@ -199,17 +201,18 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 # neighbour alone.  Distinct values there prove L for a code; a code whose
 # values agree is rebuilt and compared exactly.
 #
-# The grid runs level by level.  Each grid point keeps one Python int, its
-# value list: slot i, bits [W i, W (i + 1)) with W = _slot_bits(k), holds its
-# value for code index i of the current length.  A point's list at the next
-# length is its parent lists stepped with entry -1, then 0, then 1,
-# concatenated (entry -1 in the low slots), so index i at length d spells its
-# code in base 3, least significant digit first, with entry = digit - 1.  The
-# exact polynomials of one length are kept in the same order.  No code is
-# stored.
+# The grid runs level by level.  A value list is one Python int: slot i, bits
+# [W i, W (i + 1)) with W = _slot_bits(k), holds the value for code index i.
+# A step makes three parts per grid point, its parent lists stepped with entry
+# -1, 0 and 1, and keeps them apart; the next step first concatenates them
+# (entry -1 in the low slots) into the point's list.  So index i at length d
+# spells its code in base 3, least significant digit first, with entry =
+# digit - 1, and part a of a length d >= 1 holds the codes a 3^(d-1) ..
+# (a + 1) 3^(d-1) - 1.  The exact polynomials of one length are kept in the
+# same order.  No code is stored.
 #
 # One step is a few big-int operations on whole lists: each of the three parts
-# is folded, then they are concatenated.  With _FP_MOD = M = 2^k - 1, a slot
+# is built and folded before the next.  With _FP_MOD = M = 2^k - 1, a slot
 # folds mod M by adding its bits from k up to its low k bits (2^k = 1 mod M).
 # Multipliers are residues below M and every stored slot is at most 2^k, so a
 # step's sum of two products is below 2^(2k + 1), and W is the least multiple
@@ -219,8 +222,9 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
 # matter to the verdict: distinct residues prove L, and agreeing ones are
 # rebuilt exactly.  At n_max = 12 no code of any length is rebuilt.  The two
 # points L reads are made canonical, in [0, M), so that one zero-slot test on
-# their XOR finds every code whose two values agree.  The fold masks have the
-# parents' length, so the longest lists are built without any.
+# the XOR of two parts finds every code whose two values agree.  L is checked
+# part by part, with the step's own masks of the parents' length, so the last
+# length builds no list longer than its parents' and joins no parts.
 
 
 def _slot_bits(k: int) -> int:
@@ -258,12 +262,12 @@ def _threshold_code(index: int, length: int) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _threshold_children(cols: list, size: int, k: int, y0: int) -> list:
-    """The grid at the next length, from `cols` whose lists hold `size` slots.
-    The corner (0, 0) and its neighbour (1, 0), which the scan yields, are made
-    canonical."""
+def _threshold_children(cols: list, size: int, k: int, y0: int) -> tuple[list, int, int]:
+    """The grid at the next length, from `cols` whose lists hold `size` slots:
+    each point's parts for entries -1, 0, 1, each of `size` slots, and the
+    `ones` and `lo` masks of that size.  The corner (0, 0) and its neighbour
+    (1, 0), which the scan yields, are made canonical."""
     mod = (1 << k) - 1
-    shift = size * _slot_bits(k)
     ones, lo = _slot_masks(size, k)
     child = []
     for u in range(len(cols) - 1):
@@ -272,32 +276,42 @@ def _threshold_children(cols: list, size: int, k: int, y0: int) -> list:
             x, y = (-u - v) % mod, (y0 + u - v) % mod
             w = (x - y) % mod
             here, wr = cols[u][v], w * cols[u + 1][v]
-            # entries -1, 0, 1 of the recursion, in index order
-            parts = [_fold(t, lo, k) for t in (y * here + wr, x * here, y * cols[u][v + 1] + wr)]
+            # entries -1, 0, 1 of the recursion, in index order, each folded
+            # before the next is built
+            parts = [_fold(y * here + wr, lo, k), _fold(x * here, lo, k),
+                     _fold(y * cols[u][v + 1] + wr, lo, k)]
             if v == 0 and u < 2:
                 parts = [_canonical(p, ones, k) for p in parts]
-            row.append(parts[0] | parts[1] << shift | parts[2] << 2 * shift)
+            row.append(parts)
         child.append(row)
-    return child
+    return child, ones, lo
 
 
 def _threshold_fingerprints(last: int):
-    """Yield (d, corner, neighbour) for d = 0..last: the packed values mod
-    _FP_MOD of every code of length d at (0, y0) and (-1, y0 + 1), in
-    index order."""
+    """Yield (d, corners, neighbours, ones, lo) for d = 0..last: the packed
+    values mod _FP_MOD of every code of length d at (0, y0) and (-1, y0 + 1),
+    as parts of equal size (one at d = 0, else three: part a holds the codes
+    a * 3^(d-1) .. (a + 1) * 3^(d-1) - 1 in index order), and the `ones` and
+    `lo` masks of one part."""
     mod = _FP_MOD
     k = mod.bit_length()
     if mod < 1 or mod & (mod + 1) or k > 63:
         raise SignedChromError(f"fingerprint modulus {mod} is not 2^k - 1 with 1 <= k <= 63")
     y0 = _FP_Y0 % mod
-    # cols[u][v]: the list at (-u - v, y0 + u - v), for u + v <= last + 1 - d
+    # cols[u][v]: the parts at (-u - v, y0 + u - v), for u + v <= last + 1 - d
     # except u = 0, v = last + 1 - d
-    cols = [[(-u - v) % mod for v in range(last + 2 - u - (u == 0))]
+    cols = [[[(-u - v) % mod] for v in range(last + 2 - u - (u == 0))]
             for u in range(last + 2)]
+    ones, lo = _slot_masks(1, k)
     for d in range(last + 1):
         if d:
-            cols = _threshold_children(cols, 3 ** (d - 1), k, y0)
-        yield d, cols[0][0], cols[1][0]
+            size = 3 ** (d - 1)
+            bits = size // len(cols[0][0]) * _slot_bits(k)
+            # joined before the step, so the parts are freed before it builds
+            cols = [[sum(p << a * bits for a, p in enumerate(parts)) for parts in row]
+                    for row in cols]
+            cols, ones, lo = _threshold_children(cols, size, k, y0)
+        yield d, cols[0][0], cols[1][0], ones, lo
 
 
 def _threshold_clash(length: int, indices, evens) -> dict | None:
@@ -324,25 +338,25 @@ def _at_x0(even: BiPoly) -> dict:
     return {j: c for (i, j), c in even.items() if i == 0}
 
 
-def _check_lemma_l(length: int, corner: int, neighbour: int) -> None:
-    """Refuse unless every code of `length` satisfies lemma L.  Codes whose
-    values at the two points differ satisfy it; the rest are rebuilt and
-    compared exactly."""
+def _check_lemma_l(length: int, corners: list, neighbours: list, ones: int, lo: int) -> None:
+    """Refuse unless every code of `length` satisfies lemma L, on the parts
+    and masks that _threshold_fingerprints yields.  Codes whose values at the
+    two points differ satisfy it; the rest are rebuilt and compared exactly."""
     k = _FP_MOD.bit_length()
-    ones, lo = _slot_masks(3**length, k)
-    diff = corner ^ neighbour
-    agree = ones ^ (((diff + lo) >> k) & ones)  # 1 in each slot where diff is 0
-    while agree:
-        low = agree & -agree
-        agree ^= low
-        index = (low.bit_length() - 1) // _slot_bits(k)
-        even = _threshold_even(index, length)
-        if _at_x0(even) == _at_x0(even.shifted(-1, 1)):
-            code = list(_threshold_code(index, length))
-            raise SignedChromError(
-                f"lemma L fails for threshold code {code}: P(0, y) = P(-1, y + 1),"
-                f" so the longer codes cannot be decoded"
-            )
+    size = 3**length // len(corners)
+    for a, (corner, neighbour) in enumerate(zip(corners, neighbours)):
+        agree = ones ^ ((((corner ^ neighbour) + lo) >> k) & ones)  # 1 where they agree
+        while agree:
+            low = agree & -agree
+            agree ^= low
+            index = a * size + (low.bit_length() - 1) // _slot_bits(k)
+            even = _threshold_even(index, length)
+            if _at_x0(even) == _at_x0(even.shifted(-1, 1)):
+                code = list(_threshold_code(index, length))
+                raise SignedChromError(
+                    f"lemma L fails for threshold code {code}: P(0, y) = P(-1, y + 1),"
+                    f" so the longer codes cannot be decoded"
+                )
 
 
 def _exact_threshold_scan(exact_to: int, checked: dict) -> dict | None:
@@ -377,9 +391,10 @@ def verify_conj_threshold(n_max: int) -> VerificationReport:
     if n_max > exact_to:
         method["fingerprint_from"] = exact_to + 1
         if bad is None:
-            for d, corner, neighbour in _threshold_fingerprints(n_max - 1):
+            for d, corners, neighbours, ones, lo in _threshold_fingerprints(n_max - 1):
                 if d >= exact_to:
-                    _check_lemma_l(d, corner, neighbour)
+                    _check_lemma_l(d, corners, neighbours, ones, lo)
+                del corners, neighbours  # so the next length's step can free them
             checked.update((str(d), 3**d) for d in range(exact_to + 1, n_max + 1))
     details: dict = {"codes_checked": checked, "method": method}
     if bad is not None:

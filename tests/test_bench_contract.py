@@ -52,10 +52,9 @@ def test_traced_runs_record_pair_spans(capsys):
         assert set(span[5]) == {"cache_hits", "subsets"}, span
 
 
-def test_traced_threshold_run_meets_bench_checks(capsys):
-    """The exact prefix to length 6 runs through `threshold_even_step`."""
+def _check_threshold_run(capsys, argv, scale):
+    """Run `argv` under the bench tracer and hold it to the bench's checks."""
     spans, checks = _bench_module("spans"), _bench_module("checks")
-    argv = ["verify", "--conjecture", "threshold", "--max", "8"]
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -65,12 +64,24 @@ def test_traced_threshold_run_meets_bench_checks(capsys):
     out = capsys.readouterr().out
     assert code == 0
     details = json.loads(out)["details"]
-    assert details["method"] == {"exact_to": 6, "fingerprint_from": 7}
-    assert details["codes_checked"] == {str(d): 3**d for d in range(9)}
+    assert details["method"] == {"exact_to": 3, "fingerprint_from": 4}
+    assert details["codes_checked"] == {str(d): 3**d for d in range(scale + 1)}
     steps = sum(1 for span in tracer.spans if span[0] == "chromatic.threshold_step")
-    assert steps >= sum(3**d for d in range(1, 7))
+    assert steps == 3 + 9 + 27
     assert checks.check_cli_output(argv, code, out) == []
     assert checks.check_threshold_steps(out, steps) == []
+
+
+def test_traced_threshold_run_meets_bench_checks(capsys):
+    """The exact prefix to length 3 runs through `threshold_even_step`, one
+    step for each of its 3 + 9 + 27 codes and no more."""
+    _check_threshold_run(capsys, ["verify", "--conjecture", "threshold", "--max", "8"], 8)
+
+
+def test_traced_threshold_stretch_meets_bench_checks(capsys):
+    """The stretch run that the `threshold12` workload makes passes the same
+    checks, so a change to the exact prefix fails here before the bench."""
+    _check_threshold_run(capsys, ["verify", "--conjecture", "threshold", "--stretch"], 12)
 
 
 DESK = _bench_module("run").DESK

@@ -11,7 +11,10 @@ deletion-formula steps became index moves.  The last three (the 12
 co-chromatic groups and 61 certificates of a 7-vertex, 12-edge graph, and
 the 156 iso classes of signed K_6) were recorded before the certificate
 moved into `equivalence` and every sign-matrix search got one builder.  The
-graph files are written to a temporary directory; their paths do not reach
+two JSON `verify --conjecture threshold` digests were re-taken when the exact
+prefix went from length 6 to 3; the parent's stdout differed from the new one
+in `details.method` alone (`exact_to`, `fingerprint_from`) for every `--max`
+from 0 to 12.  The graph files are written to a temporary directory; their paths do not reach
 stdout.
 """
 
@@ -64,11 +67,11 @@ GOLDEN = [
     (["verify", "--conjecture", "cochromatic-complete"],
      "7b13337b413165ec42fc8bb8086998cc467dd9547b467a86b8d632207d0efae2"),
     (["verify", "--conjecture", "threshold"],
-     "1c38b108a1f0302975ccc46fdd95e24455f9a0dc19abbdd2ad9defefb1bfd447"),
+     "dc4dc4988c106feb832b497e3c08e6c9bce12c10fe6adf602afa185e0aa6e7db"),
     (["verify", "--conjecture", "bivariate-complete"],
      "a6f2c03f3378b7a9a6ef3b8a7158125c3b7f4c868ffc8f63a0c820164d1a2cda"),
     (["verify", "--conjecture", "threshold", "--stretch"],
-     "6f14f080cc55ffbc5a2591421f46510924b53ebcec0924dcf8b51875be576111"),
+     "9b8754a41b96601c30ed3cd73f73b0607c33f2acb1a2467b9c6437dc65f4b286"),
     (["verify", "--conjecture", "threshold", "--stretch", "--output", "text"],
      "876e1d54b5a0ad404c5dd767f2d3661c484110cacac5d5956570d855fc99d0c9"),
     (["threshold", "--code", CODE40],

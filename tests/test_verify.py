@@ -223,10 +223,18 @@ def test_conjecture_threshold_small():
 
 
 def test_threshold_fingerprint_agrees_with_exact(monkeypatch):
-    """Exact keys to length 5, and lemma L from length 0, both pass every code."""
+    """Exact keys to length 5, lemma L from length 3 (the default), and lemma
+    L from length 0 all pass every code."""
     from signedchrom import verify
 
     want = {str(d): 3**d for d in range(6)}
+    report = verify_conj_threshold(5)
+    assert report.passed
+    assert report.details == {
+        "codes_checked": want,
+        "method": {"exact_to": 3, "fingerprint_from": 4},
+    }
+    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 5)
     report = verify_conj_threshold(5)
     assert report.passed
     assert report.details == {"codes_checked": want, "method": {"exact_to": 5}}
@@ -268,7 +276,7 @@ def _assert_merged_clash(bad, merged):
 
 def test_exact_threshold_keys_detect_a_clash(monkeypatch):
     merged = _merged_step(monkeypatch)
-    for n_max in (1, 3, 6):
+    for n_max in (1, 2, 3):
         report = verify_conj_threshold(n_max)
         assert report.status == "counterexample"
         assert report.details["method"] == {"exact_to": n_max}
@@ -433,13 +441,14 @@ def _distinctness_scan(n_max):
 
 
 def test_lemma_l_verdicts_match_the_distinctness_scan(monkeypatch):
-    """Every n_max to 10, and to 6 with the exact prefix cut to 0 and 3."""
+    """Every n_max to 10, and to 6 with the exact prefix cut to 0 and 3 and
+    kept at 6, the length it had before L was checked from 3."""
     from signedchrom import verify
 
     for n_max in range(11):
         report = verify_conj_threshold(n_max)
         assert (report.status, report.details) == _distinctness_scan(n_max), n_max
-    for limit in (0, 3):
+    for limit in (0, 3, 6):
         monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", limit)
         for n_max in range(7):
             report = verify_conj_threshold(n_max)
@@ -508,32 +517,36 @@ def test_a_failure_of_lemma_l_is_refused(monkeypatch, capsys):
     assert "error: lemma L fails for threshold code [1, 0, -1]" in err
 
 
-def _slots(packed, count):
-    """The `count` slots of a packed int, whole, at the slot width of the
-    live modulus."""
+def _slots(parts, count):
+    """The `count` slots of a point's packed parts, whole and in index order,
+    at the slot width of the live modulus."""
     from signedchrom import verify
 
     width = verify._slot_bits(verify._FP_MOD.bit_length()) // 8
-    raw = packed.to_bytes(count * width, "little")
+    size = count // len(parts)
+    raw = b"".join(part.to_bytes(size * width, "little") for part in parts)
     return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(count)]
 
 
 def test_fingerprint_fold_matches_exact_evaluation():
     """Every corner and neighbour slot of every code of length <= 6 is its even
-    polynomial mod the prime at (0, y0) and (-1, y0 + 1), and index i spells
-    its code in base 3, least significant first."""
+    polynomial mod the prime at (0, y0) and (-1, y0 + 1), index i spells its
+    code in base 3, least significant first, and the masks fit one part."""
     from signedchrom.verify import (
         _FP_MOD,
         _FP_Y0,
+        _slot_masks,
         _threshold_code,
         _threshold_even,
         _threshold_fingerprints,
     )
 
     count = 0
-    for length, corner, neighbour in _threshold_fingerprints(6):
+    for length, corner, neighbour, ones, lo in _threshold_fingerprints(6):
         codes = [tuple(reversed(p)) for p in itertools.product((-1, 0, 1), repeat=length)]
         assert [_threshold_code(i, length) for i in range(len(codes))] == codes
+        assert len(corner) == len(neighbour) == (3 if length else 1)
+        assert (ones, lo) == _slot_masks(len(codes) // len(corner), _FP_MOD.bit_length())
         pairs = zip(_slots(corner, len(codes)), _slots(neighbour, len(codes)))
         for index, ((at_corner, at_neighbour), code) in enumerate(zip(pairs, codes)):
             even = _threshold_even(index, length)
@@ -557,7 +570,7 @@ def test_packed_fingerprints_match_the_list_scan(monkeypatch):
         ]
         got = [
             (d, _slots(corner, 3**d), _slots(neighbour, 3**d))
-            for d, corner, neighbour in verify._threshold_fingerprints(n_max - 1)
+            for d, corner, neighbour, _, _ in verify._threshold_fingerprints(n_max - 1)
         ]
         assert got == want, (n_max, verify._FP_MOD)
 
@@ -612,8 +625,9 @@ def test_fingerprint_modulus_must_be_two_to_the_k_minus_one(monkeypatch, mod):
 
 def test_conjecture_threshold_stretch():
     """The full stretch scale, which only the benchmark ran before, within its
-    memory: the traced peak is about 11 MB in 64-bit slots (21 MB in 128-bit
-    slots, and the distinctness scan's was 59 MB)."""
+    memory: the traced peak is about 9 MB with L checked on the parts of the
+    last length (11 MB on joined lists, 21 MB in 128-bit slots, and the
+    distinctness scan's was 59 MB)."""
     import tracemalloc
 
     tracemalloc.start()
@@ -625,9 +639,9 @@ def test_conjecture_threshold_stretch():
     assert report.passed
     assert report.details == {
         "codes_checked": {str(d): 3**d for d in range(13)},
-        "method": {"exact_to": 6, "fingerprint_from": 7},
+        "method": {"exact_to": 3, "fingerprint_from": 4},
     }
-    assert peak < 16 << 20, peak
+    assert peak < 12 << 20, peak
 
 
 def test_conjecture_bivariate_small():
