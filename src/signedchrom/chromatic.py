@@ -5,13 +5,13 @@ own budget.  First, on at most MAX_PEEL_N vertices, `bivariate_pair` peels
 every isolated vertex and every dominating vertex with edges of one sign, but
 stops at a signed K_n the partition route takes, which answers it faster.  The
 paper's deletion formulae (`threshold_step`) put the peeled vertices back: a
-40-entry threshold code takes about 0.06 s.  Then signed complete graphs take
-the partition route, a subset DP over colour units, and every other graph the
-edge-subset expansion, which sums a signed term over all spanning subgraphs
-classified by their component statistics.  That sum is tallied by a frontier
-edge DP rather than subset by subset, whose moves the process memoises: on a
-2-core machine the Petersen graph takes about 3 ms (0.7 ms once its moves are
-memoised) instead of 0.2 s for its 2^15 subsets.
+relabelled 41-vertex threshold graph takes about 0.07 s.  Then signed
+complete graphs take the partition route, a subset DP over colour units, and
+every other graph the edge-subset expansion, which sums a signed term over
+all spanning subgraphs classified by their component statistics.  That sum
+is tallied by a frontier edge DP rather than subset by subset, whose moves
+the process memoises: on a 2-core machine the Petersen graph takes about 3 ms
+(0.7 ms once its moves are memoised) instead of 0.2 s for its 2^15 subsets.
 
 The univariate pair depends only on balance, so its tally runs on a switched
 copy of the graph in which only the chords carry signs.  `chromatic_pairs`
@@ -19,7 +19,7 @@ tallies a batch, such as the switching classes of one underlying graph,
 depth-first over those chord signs, and each tally resumes from the DP
 layers of the one before at their longest common sign prefix.  On the 7,005
 switching classes of the benchmark's search inputs (seeds 11, 5 and 301)
-that takes 1.1 s in a fresh process, against 1.4 s one graph at a time.
+that takes about 1.1 s in a fresh process, against 1.8 s one graph at a time.
 
 A brute-force counting oracle over an explicit colour set, and exact
 Lagrange interpolation through oracle values, cross-check both routes.
@@ -37,7 +37,7 @@ from .errors import BudgetExceededError, SignedChromError
 from .graphs import (
     ISOLATED, NEGATIVE_DOMINATING, POSITIVE_DOMINATING, SignedGraph, delete_vertex, vertex_role,
 )
-from .poly import BiPoly, BivariatePair, ChromaticPair, _shift_axis, double_falling
+from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling
 
 MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
@@ -558,28 +558,24 @@ def threshold_step(entry: int, pair: BivariatePair) -> BivariatePair:
     Inverts the deletion formulae: the appended vertex is isolated (0),
     positive dominating (1) or negative dominating (-1), so the new pair is
     a fixed combination of the old pair evaluated at shifted arguments.  The
-    odd half is the even step applied to the odd polynomial, less B, plus the
-    even polynomial shifted in x (see `_dominating_moves`).
+    odd half is the even step applied to the odd polynomial O, less
+    O(x - 1, y + 1), plus E(x - 1, y).
     """
     even, odd = pair
     _check_entry(entry)
     if not entry:
-        return BivariatePair(_times_x(even), _times_x(odd))
-    even_x = _shift_axis(even._terms, -1, 0)
-    odd_moves, b = _dominating_moves(entry, odd._terms, _shift_axis(odd._terms, -1, 0))
-    odd_moves += ((key, -c) for key, c in b.items())
-    odd_moves += even_x.items()
-    even_moves, _ = _dominating_moves(entry, even._terms, even_x)
-    return BivariatePair(BiPoly(even_moves), BiPoly(odd_moves))
+        return BivariatePair(BiPoly.x() * even, BiPoly.x() * odd)
+    even_x = even.shifted(-1, 0)
+    odd_step, b = _dominating_step(entry, odd, odd.shifted(-1, 0))
+    return BivariatePair(_dominating_step(entry, even, even_x)[0], odd_step - b + even_x)
 
 
 def threshold_even_step(entry: int, even: BiPoly) -> BiPoly:
     """Even constituent only; its recursion is closed in itself."""
     _check_entry(entry)
     if not entry:
-        return _times_x(even)
-    moves, _ = _dominating_moves(entry, even._terms, _shift_axis(even._terms, -1, 0))
-    return BiPoly(moves)
+        return BiPoly.x() * even
+    return _dominating_step(entry, even, even.shifted(-1, 0))[0]
 
 
 def _check_entry(entry: int) -> None:
@@ -587,24 +583,16 @@ def _check_entry(entry: int) -> None:
         raise SignedChromError(f"code entry {entry!r} not in {{-1, 0, 1}}")
 
 
-def _times_x(p: BiPoly) -> BiPoly:
-    return BiPoly(((i + 1, j), c) for (i, j), c in p._terms.items())
+def _dominating_step(entry: int, p: BiPoly, p_x: BiPoly) -> tuple[BiPoly, BiPoly]:
+    """The even step y A + (x - y) B of a dominating entry, and B.
 
-
-def _dominating_moves(entry: int, terms: dict, x_shift: dict) -> tuple[list, dict]:
-    """The even step y A + (x - y) B of a dominating entry as (key,
-    coefficient) moves for the `BiPoly` constructor to sum, and the terms of B.
-
-    `terms` are those of P and `x_shift` those of P(x - 1, y), from which both
-    y-shifts are taken: B = P(x - 1, y + 1), and A = P(x - 1, y - 1) for
-    entry 1 and P itself for entry -1.
+    `p_x` is P(x - 1, y), from which both y-shifts are taken: B = P(x - 1,
+    y + 1), and A = P(x - 1, y - 1) for entry 1 and P itself for entry -1.
     """
-    a = _shift_axis(x_shift, -1, 1) if entry == 1 else terms
-    b = _shift_axis(x_shift, 1, 1)
-    moves = [((i, j + 1), c) for (i, j), c in a.items()]
-    for (i, j), c in b.items():
-        moves += (((i + 1, j), c), ((i, j + 1), -c))
-    return moves, b
+    y = BiPoly.y()
+    a = p_x.shifted(0, -1) if entry == 1 else p
+    b = p_x.shifted(0, 1)
+    return y * a + (BiPoly.x() - y) * b, b
 
 
 # -- signed complete graphs: the partition route over colour units ----------------
@@ -688,11 +676,11 @@ def _unit_tally(g: SignedGraph) -> tuple[dict, dict]:
     )
 
 
-def _falling(base: BiPoly, offset: int, step: int, t: int) -> BiPoly:
-    """Product of (base - offset - step * i) for i < t."""
+def _falling(base: BiPoly, step: int, t: int) -> BiPoly:
+    """Product of (base - step * i) for i < t."""
     p = BiPoly.one()
     for i in range(t):
-        p = p * (base - (offset + step * i))
+        p = p * (base - step * i)
     return p
 
 
@@ -700,12 +688,13 @@ def _falling(base: BiPoly, offset: int, step: int, t: int) -> BiPoly:
 def _complete_basis(k: int, d: int) -> BiPoly:
     """Assignments for k doubled pairs plus d singly-coloured blocks, from a
     colour set of even type: x - y paired colours and y unpaired ones, which
-    j of the single blocks take."""
+    j of the single blocks take.  The k pairs and the other d - j blocks each
+    take a pair +-c of the paired colours."""
     y, z = BiPoly.y(), BiPoly.x() - BiPoly.y()
     s = BiPoly.zero()
     for j in range(d + 1):
-        s = s + math.comb(d, j) * _falling(y, 0, 1, j) * _falling(z, 2 * k, 2, d - j)
-    return _falling(z, 0, 2, k) * s
+        s = s + math.comb(d, j) * _falling(y, 1, j) * _falling(z, 2, k + d - j)
+    return s
 
 
 def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:

@@ -147,9 +147,33 @@ class BiPoly:
         return sum(c * x0**i * y0**j for (i, j), c in self._terms.items())
 
     def shifted(self, dx: int, dy: int) -> "BiPoly":
-        """Return p(x + dx, y + dy), expanded exactly, one variable at a time."""
+        """Return p(x + dx, y + dy), expanded exactly, one variable at a time.
+
+        Each axis with a nonzero shift d takes the coefficients of p along it,
+        one line per degree in the other variable.  Pass i of the Taylor shift
+        divides entries i.. of a line by t - d by Horner's rule and leaves the
+        remainder, the coefficient of t^i in p(t + d), in entry i.
+        """
+        terms = self._terms
+        for axis, d in enumerate((dx, dy)):
+            if not d:
+                continue
+            lines: dict[int, list[int]] = {}  # the line of each degree in the other variable
+            for key, c in terms.items():
+                line = lines.setdefault(key[1 - axis], [])
+                line += [0] * (key[axis] + 1 - len(line))
+                line[key[axis]] = c
+            terms = {}
+            for other, a in lines.items():
+                top = len(a) - 1
+                for i in range(top):
+                    for j in range(top - 1, i - 1, -1):
+                        a[j] += d * a[j + 1]
+                for e, c in enumerate(a):
+                    if c:
+                        terms[(e, other) if axis == 0 else (other, e)] = c
         r = BiPoly()
-        r._terms = _shift_axis(_shift_axis(self._terms, dx, 0), dy, 1)
+        r._terms = terms
         return r
 
     def substitute_y(self, y0: int) -> "BiPoly":
@@ -162,29 +186,6 @@ class BiPoly:
 
     def __str__(self) -> str:
         return format_bipoly(self)
-
-
-def _shift_axis(terms: dict, d: int, axis: int) -> dict:
-    """The terms of p after t + d is put for x (axis 0) or y (axis 1).  Pass i of
-    the Taylor shift divides entries i.. of a line by t - d by Horner's rule and
-    leaves the remainder, the coefficient of t^i in p(t + d), in entry i."""
-    if not d:
-        return terms
-    lines: dict[int, list[int]] = {}  # the coefficients of p along the axis, by the other degree
-    for key, c in terms.items():
-        line = lines.setdefault(key[1 - axis], [])
-        line += [0] * (key[axis] + 1 - len(line))
-        line[key[axis]] = c
-    out = {}
-    for other, a in lines.items():
-        top = len(a) - 1
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                a[j] += d * a[j + 1]
-        for e, c in enumerate(a):
-            if c:
-                out[(e, other) if axis == 0 else (other, e)] = c
-    return out
 
 
 class ChromaticPair(NamedTuple):

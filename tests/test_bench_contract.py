@@ -84,6 +84,25 @@ def test_traced_threshold_stretch_meets_bench_checks(capsys):
     _check_threshold_run(capsys, ["verify", "--conjecture", "threshold", "--stretch"], 12)
 
 
+def test_traced_peel_records_one_step_per_put_back_vertex(capsys):
+    """`threshold --code` peels the 8-vertex graph down to the signed K_3 of
+    its first three vertices, which the partition route answers, and the
+    deletion formulae put the other five back: five steps.  A step that calls
+    another traced step is not counted again, so however `threshold_step`
+    shares work with `threshold_even_step`, the bench counts it once."""
+    spans = _bench_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["threshold", "--code", "1,-1,0,-1,1,0,1"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("chromatic.complete_pair") == 1
+    assert names.count("chromatic.threshold_step") == 5
+
+
 DESK = _bench_module("run").DESK
 
 

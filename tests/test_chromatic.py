@@ -215,8 +215,8 @@ def test_threshold_recursion_matches_subset_expansion():
 
 
 def _generic_even_step(entry, even):
-    """The even step as `BiPoly` ring operations: the oracle of the index moves
-    in `threshold_even_step`."""
+    """The even step as `BiPoly` ring operations, each shift taken on both
+    axes at once: the oracle of `threshold_even_step`."""
     if entry == 0:
         return XB * even
     if entry == 1:

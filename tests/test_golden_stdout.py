@@ -14,8 +14,9 @@ moved into `equivalence` and every sign-matrix search got one builder.  The
 two JSON `verify --conjecture threshold` digests were re-taken when the exact
 prefix went from length 6 to 3; the parent's stdout differed from the new one
 in `details.method` alone (`exact_to`, `fingerprint_from`) for every `--max`
-from 0 to 12.  The graph files are written to a temporary directory; their paths do not reach
-stdout.
+from 0 to 12.  Every digest held when the deletion-formula steps went from
+index moves on term dicts back to `BiPoly` ring operations.  The graph files
+are written to a temporary directory; their paths do not reach stdout.
 """
 
 import hashlib

@@ -1,12 +1,15 @@
 """Every public top-level function and class of the package has a caller,
-and no module imports another module's private names.
+no module imports another module's private names, and only `poly` reads
+the term dict of a polynomial.
 
 A name passes when `src/signedchrom` refers to it outside its own
 definition, when `bench/` refers to it (the tracer names functions in
 strings), or when it is one of the test oracles below.  Anything else is
 API that nothing reaches: delete it rather than keep it for tests.  A
 private name imported across modules means two modules know one format;
-each such import is listed below with its reason.
+each such import is listed below with its reason.  Every other module
+works with polynomials through `BiPoly`'s own operations, so the term-dict
+format can change in `poly` alone.
 """
 
 import ast
@@ -25,9 +28,7 @@ ORACLES = (
 )
 
 # (importing module, module.private name, why it may cross the boundary)
-PRIVATE_IMPORTS = (
-    ("chromatic", "poly._shift_axis", "the fused threshold steps shift raw term dicts"),
-)
+PRIVATE_IMPORTS = ()
 
 
 def _names(tree: ast.AST, strings: bool = False) -> set[str]:
@@ -109,3 +110,13 @@ def test_no_private_imports_across_modules():
     listed = {(importer, name) for importer, name, _ in PRIVATE_IMPORTS}
     assert sorted(found - listed) == [], "import a public name, or list the pair with a reason"
     assert sorted(listed - found) == [], "no longer imported; drop it from PRIVATE_IMPORTS"
+
+
+def test_only_poly_reads_the_term_dict():
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in (ROOT / "src" / "signedchrom").glob("*.py") if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    )
+    assert readers == [], "use BiPoly's operations; only poly.py knows the term dict"
