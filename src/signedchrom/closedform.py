@@ -11,15 +11,16 @@ H1..H4 and a companion "hat" polynomial that corrects the odd constituent:
 H(n, x) is the special case of family 1 with l = m = 0 (the all-negative
 complete graph).  All functions return the zero polynomial whenever any
 parameter is negative.  identity_suite machine-checks the nine exchange and
-collapse identities these families satisfy.
+collapse identities these families satisfy and returns the plain data the
+`identities` command renders; it keeps no clock.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from math import comb, factorial
-from typing import NamedTuple
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph, complete_graph, join
@@ -33,8 +34,8 @@ from .poly import (
     stirling2,
 )
 
-MAX_JOIN_VERTICES = 30  # l + m + n of join_pair; family 2 at 10, 10, 10 takes 0.4 s
-MAX_IDENTITY_PARAM = 7  # parameter bound of identity_suite; 7 takes about 1.3 s
+MAX_JOIN_VERTICES = 30  # l + m + n of join_pair; family 2 at 10, 10, 10 takes 0.13-0.26 s
+MAX_IDENTITY_PARAM = 7  # parameter bound of identity_suite; 7 takes 0.6-0.9 s
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,51 +218,24 @@ def join_family_graph(family: int, l: int, m: int, n: int) -> SignedGraph:
                 complete_graph(n, -1), 1)
 
 
-class IdentityResult(NamedTuple):
-    name: str
-    description: str
-    checked: int
-    status: str  # "pass" | "fail"
-    counterexample: str | None = None
+def _symmetric(h, rng):
+    """Cases of h equal under the five non-trivial permutations of (l, m, n)."""
+    return (
+        (f"(l,m,n)={(l, m, n)} perm={p}", h(l, m, n), h(*p))
+        for l in rng for m in rng for n in rng
+        for p in ((l, n, m), (m, l, n), (m, n, l), (n, l, m), (n, m, l))
+    )
 
 
-class IdentitySuiteReport(NamedTuple):
-    max_param: int
-    results: tuple[IdentityResult, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.status == "pass" for r in self.results)
-
-    def lines(self) -> list[str]:
-        out = []
-        for r in self.results:
-            line = f"{r.name}: {r.description} [params <= {self.max_param}, {r.checked} checks] {r.status.upper()}"
-            if r.counterexample:
-                line += f"  first counterexample: {r.counterexample}"
-            out.append(line)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "max_param": self.max_param,
-            "all_pass": self.all_pass,
-            "identities": [
-                {
-                    "name": r.name,
-                    "description": r.description,
-                    "checked": r.checked,
-                    "status": r.status,
-                    "counterexample": r.counterexample,
-                }
-                for r in self.results
-            ],
-        }
-
-
-def identity_suite(max_param: int) -> IdentitySuiteReport:
+def identity_suite(max_param: int) -> dict:
     """Check the nine family identities for all parameters up to max_param,
-    which is capped at MAX_IDENTITY_PARAM."""
+    which is capped at MAX_IDENTITY_PARAM.
+
+    Each row of the table is (name, statement, cases), and each case is
+    (label, lhs, rhs), built lazily.  Returns the `identities` payload: per
+    identity the number of cases checked, its status and the label of the
+    first case whose sides differ.
+    """
     if max_param < 0:
         raise SignedChromError(f"max_param must be >= 0, got {max_param}")
     if max_param > MAX_IDENTITY_PARAM:
@@ -269,107 +243,57 @@ def identity_suite(max_param: int) -> IdentitySuiteReport:
             f"identity parameters capped at {MAX_IDENTITY_PARAM}, got {max_param}"
         )
     rng = range(max_param + 1)
-    results = []
-
-    def run(name, description, cases):
-        checked = 0
-        bad = None
+    table = [
+        ("i", "H1(l,m,n) = H1(n,m,l)", (
+            (f"(l,m,n)={(l, m, n)}", H1(l, m, n), H1(n, m, l))
+            for l in rng for m in rng for n in rng
+        )),
+        ("ii", "H2 symmetric in all three parameters", _symmetric(H2, rng)),
+        ("iii", "H1(l,1,n) = H2(l,1,n)", (
+            (f"(l,n)={(l, n)}", H1(l, 1, n), H2(l, 1, n)) for l in rng for n in rng
+        )),
+        ("iv", "H1(q,0,r) = H2(q,0,r) = H(q+r)", (
+            (f"(q,r)={(q, r)} {tag}", h(q, 0, r), H(q + r))
+            for q in rng for r in rng for tag, h in (("H1", H1), ("H2", H2))
+        )),
+        ("v", "H4(l,m,n) = H4(m,l,n)", (
+            (f"(l,m,n)={(l, m, n)}", H4(l, m, n), H4(m, l, n))
+            for l in rng for m in rng for n in rng
+        )),
+        ("vi", "H3 symmetric in all three parameters", _symmetric(H3, rng)),
+        ("vii", "H3(l,m,1) = H4(l,m,1)", (
+            (f"(l,m)={(l, m)}", H3(l, m, 1), H4(l, m, 1)) for l in rng for m in rng
+        )),
+        ("viii", "H3(q,r,0) = H4(q,r,0) = (x)_{q+r}; (x)_n = sum_j T(n,j) * 2-falling(n-j)",
+         itertools.chain(
+             (
+                 (f"(q,r)={(q, r)} {tag}", h(q, r, 0), falling_factorial(q + r))
+                 for q in rng for r in rng for tag, h in (("H3", H3), ("H4", H4))
+             ),
+             (
+                 (f"n={n} T-sum", falling_factorial(n), sum(
+                     (matchings_T(n, j) * double_falling(n - j) for j in range(n // 2 + 1)),
+                     BiPoly.zero(),
+                 ))
+                 for n in range(2 * max_param + 1)
+             ),
+         )),
+        ("ix", "H1(0,m,n) = H4(1,m,n-1) for n >= 1", (
+            (f"(m,n)={(m, n)}", H1(0, m, n), H4(1, m, n - 1))
+            for m in rng for n in range(1, max_param + 1)
+        )),
+    ]
+    identities = []
+    for name, statement, cases in table:
+        checked, bad = 0, None
         for label, lhs, rhs in cases:
             checked += 1
             if lhs != rhs and bad is None:
                 bad = label
-        results.append(
-            IdentityResult(name, description, checked, "fail" if bad else "pass", bad)
-        )
-
-    run(
-        "i",
-        "H1(l,m,n) = H1(n,m,l)",
-        (
-            (f"(l,m,n)={(l, m, n)}", H1(l, m, n), H1(n, m, l))
-            for l in rng for m in rng for n in rng
-        ),
-    )
-    run(
-        "ii",
-        "H2 symmetric in all three parameters",
-        (
-            (f"(l,m,n)={(l, m, n)} perm={p}", H2(l, m, n), H2(*p))
-            for l in rng for m in rng for n in rng
-            for p in ((l, n, m), (m, l, n), (m, n, l), (n, l, m), (n, m, l))
-        ),
-    )
-    run(
-        "iii",
-        "H1(l,1,n) = H2(l,1,n)",
-        (
-            (f"(l,n)={(l, n)}", H1(l, 1, n), H2(l, 1, n))
-            for l in rng for n in rng
-        ),
-    )
-    run(
-        "iv",
-        "H1(q,0,r) = H2(q,0,r) = H(q+r)",
-        (
-            case
-            for q in rng for r in rng
-            for case in (
-                (f"(q,r)={(q, r)} H1", H1(q, 0, r), H(q + r)),
-                (f"(q,r)={(q, r)} H2", H2(q, 0, r), H(q + r)),
-            )
-        ),
-    )
-    run(
-        "v",
-        "H4(l,m,n) = H4(m,l,n)",
-        (
-            (f"(l,m,n)={(l, m, n)}", H4(l, m, n), H4(m, l, n))
-            for l in rng for m in rng for n in rng
-        ),
-    )
-    run(
-        "vi",
-        "H3 symmetric in all three parameters",
-        (
-            (f"(l,m,n)={(l, m, n)} perm={p}", H3(l, m, n), H3(*p))
-            for l in rng for m in rng for n in rng
-            for p in ((l, n, m), (m, l, n), (m, n, l), (n, l, m), (n, m, l))
-        ),
-    )
-    run(
-        "vii",
-        "H3(l,m,1) = H4(l,m,1)",
-        (
-            (f"(l,m)={(l, m)}", H3(l, m, 1), H4(l, m, 1))
-            for l in rng for m in rng
-        ),
-    )
-    viii_cases = []
-    for q in rng:
-        for r in rng:
-            viii_cases.append(
-                (f"(q,r)={(q, r)} H3", H3(q, r, 0), falling_factorial(q + r))
-            )
-            viii_cases.append(
-                (f"(q,r)={(q, r)} H4", H4(q, r, 0), falling_factorial(q + r))
-            )
-    for n in range(2 * max_param + 1):
-        tsum = sum(
-            (matchings_T(n, j) * double_falling(n - j) for j in range(n // 2 + 1)),
-            BiPoly.zero(),
-        )
-        viii_cases.append((f"n={n} T-sum", falling_factorial(n), tsum))
-    run(
-        "viii",
-        "H3(q,r,0) = H4(q,r,0) = (x)_{q+r}; (x)_n = sum_j T(n,j) * 2-falling(n-j)",
-        viii_cases,
-    )
-    run(
-        "ix",
-        "H1(0,m,n) = H4(1,m,n-1) for n >= 1",
-        (
-            (f"(m,n)={(m, n)}", H1(0, m, n), H4(1, m, n - 1))
-            for m in rng for n in range(1, max_param + 1)
-        ),
-    )
-    return IdentitySuiteReport(max_param, tuple(results))
+        identities.append({"name": name, "description": statement, "checked": checked,
+                           "status": "fail" if bad else "pass", "counterexample": bad})
+    return {
+        "max_param": max_param,
+        "all_pass": all(r["status"] == "pass" for r in identities),
+        "identities": identities,
+    }

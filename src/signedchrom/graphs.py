@@ -84,9 +84,6 @@ class SignedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def negative_edge_count(self) -> int:
-        return sum(1 for _, _, s in self.edges if s < 0)
-
 
 class ComponentStats(NamedTuple):
     """Connected components: total, balanced, and all-positive counts."""

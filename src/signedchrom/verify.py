@@ -2,13 +2,13 @@
 
 Every entry point returns a VerificationReport whose details are plain
 JSON-serializable data, so a failed run carries the concrete graphs and
-polynomials a referee would need to re-check the outcome by hand.
+polynomials a referee would need to re-check the outcome by hand.  No
+verifier keeps a clock: the CLI times the one call each command makes.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from collections import Counter
 from itertools import combinations
 
@@ -44,15 +44,13 @@ _FP_Y0 = 987654321987654321 % _FP_MOD
 
 
 class VerificationReport:
-    __slots__ = ("target", "scale", "status", "details", "elapsed")
+    __slots__ = ("target", "scale", "status", "details")
 
-    def __init__(self, target: str, scale: int | None, status: str,
-                 details: dict, elapsed: float) -> None:
+    def __init__(self, target: str, scale: int | None, status: str, details: dict) -> None:
         self.target = target
         self.scale = scale
         self.status = status  # "pass" | "counterexample"; a refusal raises instead
         self.details = details
-        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -94,7 +92,6 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
 
     A refusal by any layer's budget raises BudgetExceededError.
     """
-    start = time.perf_counter()
     inventory = enumerate_classes(underlying, "switching_iso")
     reps = inventory.representatives
     pairs = chromatic_pairs(reps)
@@ -111,13 +108,8 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
                 "non_switching_isomorphism": certs,
             }
         )
-    return VerificationReport(
-        "search-cochromatic",
-        underlying.m,
-        "pass",
-        {"class_count": inventory.class_count, "cochromatic_groups": groups},
-        time.perf_counter() - start,
-    )
+    details = {"class_count": inventory.class_count, "cochromatic_groups": groups}
+    return VerificationReport("search-cochromatic", underlying.m, "pass", details)
 
 
 def _check_n_max(n_max: int, cap: int, what: str) -> None:
@@ -134,7 +126,6 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
     reports is the counterexample.
     """
     _check_n_max(n_max, MAX_COCHROMATIC_N, "complete-graph co-chromatic check")
-    start = time.perf_counter()
     details: dict = {"classes_checked": {}}
     for n in range(n_max + 1):
         search = search_cochromatic(complete_graph(n, 1))
@@ -143,13 +134,8 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
         if groups:
             details["counterexample"] = {"n": n, **groups[0]}
             break
-    return VerificationReport(
-        "conjecture:cochromatic-complete",
-        n_max,
-        "counterexample" if "counterexample" in details else "pass",
-        details,
-        time.perf_counter() - start,
-    )
+    status = "counterexample" if "counterexample" in details else "pass"
+    return VerificationReport("conjecture:cochromatic-complete", n_max, status, details)
 
 
 # -- threshold codes --------------------------------------------------------------
@@ -383,7 +369,6 @@ def verify_conj_threshold(n_max: int) -> VerificationReport:
     a code on which L fails is refused, since the verdict then stays open.
     """
     _check_n_max(n_max, MAX_THRESHOLD_N, "threshold-code check")
-    start = time.perf_counter()
     exact_to = min(n_max, _EXACT_THRESHOLD_LIMIT)
     method = {"exact_to": exact_to}
     checked: dict[str, int] = {}
@@ -399,20 +384,14 @@ def verify_conj_threshold(n_max: int) -> VerificationReport:
     details: dict = {"codes_checked": checked, "method": method}
     if bad is not None:
         details["counterexample"] = bad
-    return VerificationReport(
-        "conjecture:threshold",
-        n_max,
-        "counterexample" if bad else "pass",
-        details,
-        time.perf_counter() - start,
-    )
+    status = "counterexample" if bad else "pass"
+    return VerificationReport("conjecture:threshold", n_max, status, details)
 
 
 def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
     """Isomorphism classes of signed K_n are separated by the even bivariate
     polynomial."""
     _check_n_max(n_max, MAX_BIVARIATE_N, "complete-graph bivariate check")
-    start = time.perf_counter()
     details: dict = {"class_counts": {}, "expected_class_counts": {}}
     for n in range(n_max + 1):
         inventory = enumerate_classes(complete_graph(n, 1), "iso")
@@ -430,13 +409,8 @@ def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
                 "even": bipoly_to_json(evens[groups[0][0]]),
             }
             break
-    return VerificationReport(
-        "conjecture:bivariate-complete",
-        n_max,
-        "counterexample" if "counterexample" in details else "pass",
-        details,
-        time.perf_counter() - start,
-    )
+    status = "counterexample" if "counterexample" in details else "pass"
+    return VerificationReport("conjecture:bivariate-complete", n_max, status, details)
 
 
 # -- table and display reproduction ----------------------------------------------
@@ -467,7 +441,6 @@ def _check(name: str, render, computed, expected) -> dict:
 
 def reproduce_tables() -> VerificationReport:
     """Recompute every published table row and displayed polynomial."""
-    start = time.perf_counter()
     tables = [
         (f"complete_table_K{n}", complete_graph(n, 1), expected)
         for n, expected in sorted(reference.COMPLETE_TABLE.items())
@@ -524,10 +497,4 @@ def reproduce_tables() -> VerificationReport:
         entry["classes"] = count
 
     status = "pass" if all(c["status"] == "pass" for c in checks) else "counterexample"
-    return VerificationReport(
-        "reproduce-tables",
-        None,
-        status,
-        {"checks": checks},
-        time.perf_counter() - start,
-    )
+    return VerificationReport("reproduce-tables", None, status, {"checks": checks})

@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_tally import small_signed_graphs
 
 from signedchrom import chromatic
 from signedchrom.chromatic import (
@@ -591,3 +592,25 @@ def test_partition_route_matches_tally_and_invariants(g, data):
     h = switch(h, [v for v, bit in enumerate(bits) if bit])
     assert complete_chromatic_pair(h) == pair == _subset_chromatic_pair(h)
     assert complete_bivariate_pair(h) == _subset_bivariate_pair(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_signed_graphs(), st.data())
+def test_production_routes_match_brute_force(g, data):
+    """The production routes against brute-force counts on a random signed
+    graph of at most 6 vertices, relabelled and switched at random:
+    `chromatic_pair` at every lambda <= 4 (mu = 0) and `bivariate_pair` at
+    every mu <= lambda <= 4.  Up to 5 vertices `chromatic_pair` also equals
+    `interpolated_pair`, which rebuilds the pair from oracle counts alone."""
+    h = relabel(g, data.draw(st.permutations(range(g.n))))
+    bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    h = switch(h, [v for v, bit in enumerate(bits) if bit])
+    pair, bi = chromatic_pair(h), bivariate_pair(h)
+    assert pair == chromatic_pair(g)  # relabelling and switching keep the pair
+    for lam in range(5):
+        assert (pair.odd if lam % 2 else pair.even).evaluate(lam, 0) == count_colourings_oracle(h, lam)
+        for mu in range(lam + 1):
+            poly = bi.odd if (lam - mu) % 2 else bi.even
+            assert poly.evaluate(lam, mu) == count_colourings_oracle(h, lam, mu), (h, lam, mu)
+    if h.n <= 5:
+        assert pair == interpolated_pair(h)

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import argparse
+import hashlib
 import itertools
 import json
 import pathlib
@@ -16,7 +17,7 @@ import types
 import pytest
 
 import signedchrom
-from signedchrom import chromatic, closedform, verify
+from signedchrom import chromatic, cli, closedform
 from signedchrom.cli import MAX_GRAPH_FILE_BYTES, build_parser, main
 from signedchrom.graphs import (
     MAX_VERTICES,
@@ -147,6 +148,38 @@ def test_identities_exit_codes(capsys):
     assert len([l for l in out.splitlines() if l]) == 9
 
 
+# Stdout of `identities --max 3 --output text` with H1 off by one at (2, 1, 0)
+# and H4 off by one wherever l > m, recorded before the identity suite became
+# one table of rows and the CLI took over rendering its lines.
+IDENTITY_FAILURES = (
+    "i: H1(l,m,n) = H1(n,m,l) [params <= 3, 64 checks] FAIL  first counterexample: (l,m,n)=(0, 1, 2)\n"
+    "ii: H2 symmetric in all three parameters [params <= 3, 320 checks] PASS\n"
+    "iii: H1(l,1,n) = H2(l,1,n) [params <= 3, 16 checks] FAIL  first counterexample: (l,n)=(2, 0)\n"
+    "iv: H1(q,0,r) = H2(q,0,r) = H(q+r) [params <= 3, 32 checks] PASS\n"
+    "v: H4(l,m,n) = H4(m,l,n) [params <= 3, 64 checks] FAIL  first counterexample: (l,m,n)=(0, 1, 0)\n"
+    "vi: H3 symmetric in all three parameters [params <= 3, 320 checks] PASS\n"
+    "vii: H3(l,m,1) = H4(l,m,1) [params <= 3, 16 checks] FAIL  first counterexample: (l,m)=(1, 0)\n"
+    "viii: H3(q,r,0) = H4(q,r,0) = (x)_{q+r}; (x)_n = sum_j T(n,j) * 2-falling(n-j) [params <= 3, 39 checks] FAIL  first counterexample: (q,r)=(1, 0) H4\n"
+    "ix: H1(0,m,n) = H4(1,m,n-1) for n >= 1 [params <= 3, 12 checks] FAIL  first counterexample: (m,n)=(0, 1)\n"
+)
+IDENTITY_FAILURES_JSON_SHA256 = "ce36367d9e05f3fff7dce074d6b54777dce3d5fea4e90b8d4a3efccd486daee8"
+
+
+def test_identities_failure_exit_1(capsys, monkeypatch):
+    """Failing identities exit 1 and name their first counterexamples, in
+    text on stdout and, in JSON mode, on stderr beside the JSON payload."""
+    h1, h4 = closedform.H1, closedform.H4
+    monkeypatch.setattr(closedform, "H1", lambda l, m, n: h1(l, m, n) + int((l, m, n) == (2, 1, 0)))
+    monkeypatch.setattr(closedform, "H4", lambda l, m, n: h4(l, m, n) + int(l > m))
+    assert run(capsys, "identities", "--max", "3", "--output", "text") == (1, IDENTITY_FAILURES, "")
+    code, out, err = run(capsys, "identities", "--max", "3")
+    assert (code, err) == (1, IDENTITY_FAILURES)
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_FAILURES_JSON_SHA256
+    payload = json.loads(out)
+    assert payload["all_pass"] is False
+    assert [r["name"] for r in payload["identities"] if r["status"] == "pass"] == ["ii", "iv", "vi"]
+
+
 def test_enumerate_complete3(capsys):
     code, out, _ = run(capsys, "enumerate", "--underlying", "complete:3", "--mode", "switch")
     assert code == 0
@@ -210,12 +243,13 @@ def test_text_stdout_does_not_carry_the_wall_time(capsys, monkeypatch):
     commands = [
         ["reproduce-tables", "--output", "text"],
         ["verify", "--conjecture", "threshold", "--max", "3", "--output", "text"],
+        ["search-cochromatic", "--underlying", "G1", "--output", "text"],
     ]
     for argv in commands:
         outs = []
         for step in (1.0, 7.25):
             clock = itertools.count(0.0, step)
-            monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=clock.__next__))
+            monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=clock.__next__))
             code, out, err = run(capsys, *argv)
             assert code == 0
             assert f"wall time: {step:.2f}s" in err
@@ -353,11 +387,9 @@ def test_usage_error_exit_2():
 
 
 def test_verification_failure_exit_1(capsys, monkeypatch):
-    import signedchrom.cli as cli
     from signedchrom.verify import VerificationReport
 
-    failing = VerificationReport("reproduce-tables", None, "counterexample",
-                                 {"checks": []}, 0.0)
+    failing = VerificationReport("reproduce-tables", None, "counterexample", {"checks": []})
     monkeypatch.setattr(cli.verify, "reproduce_tables", lambda: failing)
     code, out, _ = run(capsys, "reproduce-tables")
     assert code == 1

@@ -1,5 +1,7 @@
 """Closed-form join families, their hat variants, and the identity suite."""
 
+import json
+
 import pytest
 
 from signedchrom.chromatic import chromatic_pair
@@ -9,7 +11,6 @@ from signedchrom.closedform import (
     H2,
     H3,
     H4,
-    IdentityResult,
     identity_suite,
     join_family_graph,
     join_pair,
@@ -88,31 +89,20 @@ def test_join_pair_cross_validation_small():
 
 def test_identity_suite_degenerate():
     report = identity_suite(0)
-    assert report.all_pass
-    assert len(report.results) == 9
-    assert len(report.lines()) == 9
-    assert [r.name for r in report.results] == [
+    assert report["all_pass"] and report["max_param"] == 0
+    assert [r["name"] for r in report["identities"]] == [
         "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix",
     ]
 
 
 def test_identity_suite_max_3():
-    assert identity_suite(3).all_pass
-
-
-def test_identity_result_value_semantics():
-    r = IdentityResult("i", "H1 symmetric", 8, "pass")
-    fields = ("i", "H1 symmetric", 8, "pass", None)
-    assert r == IdentityResult(*fields) and r != r._replace(status="fail")
-    assert hash(r) == hash(fields)
-    assert repr(r) == ("IdentityResult(name='i', description='H1 symmetric', checked=8,"
-                       " status='pass', counterexample=None)")
-    with pytest.raises(AttributeError):
-        r.status = "fail"
-    assert r.status == "pass"
+    report = identity_suite(3)
+    assert report["all_pass"]
+    assert [r["checked"] for r in report["identities"]] == [64, 320, 16, 32, 64, 320, 16, 39, 12]
 
 
 def test_identity_report_serializes():
-    d = identity_suite(1).to_dict()
+    d = identity_suite(1)
+    assert json.loads(json.dumps(d)) == d
     assert d["all_pass"] is True
     assert len(d["identities"]) == 9

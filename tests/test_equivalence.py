@@ -396,3 +396,39 @@ def test_join_associative_commutative_up_to_isomorphism():
         right = join(a, join(b, c, sign), sign)
         assert find_isomorphism(left, right) is not None
         assert find_switching_isomorphism(join(a, b, sign), join(b, a, sign)) is not None
+
+
+@st.composite
+def underlying_graphs(draw):
+    """An all-positive graph on at most 6 vertices."""
+    n = draw(st.integers(0, 6))
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return SignedGraph(n, tuple((u, v, 1) for (u, v), k in zip(slots, keep) if k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(underlying_graphs(), st.sampled_from(("iso", "switching_iso")), st.data())
+def test_classify_is_constant_on_orbits(g, mode, data):
+    """A random mask keeps its class index when a random automorphism of the
+    underlying graph moves it and, in switching mode, when it is XOR-ed with
+    the cut of a random vertex set.  Its class's representative is no larger
+    than it, and each representative mask classifies to its own index."""
+    inventory = enumerate_classes(g, mode)
+    assert [inventory.classify(r) for r in inventory.representative_masks] == list(
+        range(inventory.class_count)
+    )
+    edge_index = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
+    mask = data.draw(st.integers(0, (1 << g.m) - 1))
+    cls = inventory.classify(mask)
+    assert inventory.representative_masks[cls] <= mask
+    perm = data.draw(st.sampled_from(automorphisms(g)))
+    moved = sum(
+        1 << edge_index[tuple(sorted((perm[u], perm[v])))]
+        for i, (u, v, _) in enumerate(g.edges) if mask >> i & 1
+    )
+    assert inventory.classify(moved) == cls
+    if mode == "switching_iso":
+        bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        cut = sum(1 << i for i, (u, v, _) in enumerate(g.edges) if bits[u] != bits[v])
+        assert inventory.classify(mask ^ cut) == cls

@@ -233,7 +233,7 @@ def test_parts():
 
 def test_fixture_examples():
     g1 = fixture("G1")
-    assert g1.n == 5 and g1.m == 7 and g1.negative_edge_count() == 1
+    assert g1.n == 5 and g1.m == 7 and [s for _, _, s in g1.edges].count(-1) == 1
     assert fixture("minusK:0") == SignedGraph(0, ())
     pet = fixture("petersen")
     assert pet.n == 10 and pet.m == 15
