@@ -9,9 +9,11 @@ relabelled 41-vertex threshold graph takes about 0.07 s.  Then signed
 complete graphs take the partition route, a subset DP over colour units, and
 every other graph the edge-subset expansion, which sums a signed term over
 all spanning subgraphs classified by their component statistics.  That sum
-is tallied by a frontier edge DP rather than subset by subset, whose moves
-the process memoises: on a 2-core machine the Petersen graph takes about 3 ms
-(0.7 ms once its moves are memoised) instead of 0.2 s for its 2^15 subsets.
+is tallied by a frontier edge DP rather than subset by subset, on vertices
+numbered by maximum cardinality search and states held as bytes strings
+(see the comment above `_Batch`), whose moves the process memoises: on a
+2-core machine the Petersen graph takes about 2 ms (0.3 ms once its moves
+are memoised) instead of 0.2 s for its 2^15 subsets.
 
 The univariate pair depends only on balance, so its tally runs on a switched
 copy of the graph in which only the chords carry signs.  `chromatic_pairs`
@@ -19,7 +21,7 @@ tallies a batch, such as the switching classes of one underlying graph,
 depth-first over those chord signs, and each tally resumes from the DP
 layers of the one before at their longest common sign prefix.  On the 7,005
 switching classes of the benchmark's search inputs (seeds 11, 5 and 301)
-that takes about 1.1 s in a fresh process, against 1.8 s one graph at a time.
+that takes about 0.8 s in a fresh process, against 1.3 s one graph at a time.
 
 A brute-force counting oracle over an explicit colour set, and exact
 Lagrange interpolation through oracle values, cross-check both routes.
@@ -112,31 +114,50 @@ def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
 # through b == c, that is u == 0).  The tally adds the edges one at a time and
 # keeps, instead of the subsets, the distinct ways they can look from the
 # frontier (the vertices with some edges added and some still to come), as in
-# Sekine, Imai and Tani (ISAAC 1995).  A frontier state is a tuple of
+# Sekine, Imai and Tani (ISAAC 1995).  A frontier state holds
 #   labs   - per frontier vertex, its component, numbered by first occurrence
 #   pars   - per frontier vertex, its sign parity relative to the first
 #            frontier vertex of its component (all 0 once it is unbalanced)
 #   flags  - per component, bit 0 unbalanced, bit 1 has a negative edge
 #   u      - 1 once a closed component (none of it on the frontier) is unbalanced
-# and maps to the signed counts of its closed components by (p, b), packed
-# into one int as balanced W-bit digits, W = |E| + 2 (no count of at most
-# 2^|E| subsets reaches the next one), at slot p + (b - p) * stride.  Merging
-# states adds their ints, and closing components shifts one left by their slots.
+# in one bytes string: the frontier width w in two bytes (w reaches 256, the
+# vertex cap), labs and pars in w bytes each, a byte of flags per component
+# and u in the last byte (`_state`, `_parts`).  With the width in front a
+# state decodes on its own, and states of different widths, which share the
+# forget memo, never compare equal.  Python hashes a bytes string once and
+# keeps the hash, so the several dict operations a state meets in each step
+# hash it once; the moves work on the bytes, relabelling components with
+# `bytes.translate`.  Each state maps to the signed counts of
+# its closed components by (p, b), packed into one int as balanced W-bit
+# digits, W = |E| + 2 (no count of at most 2^|E| subsets reaches the next
+# one), at slot p + (b - p) * stride.  Merging states adds their ints, and
+# closing components shifts one left by their slots.
+#
+# The frontier, and so the work, depends on the vertex order.  `_order`
+# numbers the vertices by maximum cardinality search (Tarjan and Yannakakis,
+# SIAM J. Comput. 1984) with tie-breaks that keep grids narrow: each
+# component starts at a vertex of least degree, and then the vertex with the
+# most numbered neighbours comes next, ties broken by fewest unnumbered
+# neighbours, then by the earliest position of its first numbered neighbour,
+# then by label.  The Petersen graph then peaks at 156 entries, a 3x30 grid
+# at 848 and a random recursive 256-vertex tree at 8,324; without the
+# tie-break on the first numbered neighbour the grid is refused at 65,975.
 #
 # The univariate pair needs neither p nor any one edge's sign, only balance,
-# which switching keeps.  So its tally runs on the switching that makes every
-# BFS-tree edge positive, and starts each component with bit 1 already set,
-# so that states differing only in that bit merge; p stays 0 and stride is 1.
-# Graphs on one skeleton (vertex count and edge steps) then differ only in
-# their chord signs, and while `chromatic_pairs` runs, its `_Batch` keeps the
-# DP layers of the last univariate tally: the next one on the same skeleton
-# resumes after the longest sign prefix the two have in common.  The batch
-# also holds the edges and the `_steps` of the graph it is on, which it has
-# already computed for its sort key.  The batch reaches the tally through the
-# context variable `_batch`, not arguments, so that each graph still goes
-# through the one-argument `chromatic_pair` with its route and cache, and
-# batches in other threads each see their own; `chromatic_pairs` resets it in
-# a `finally`.
+# which switching keeps.  So its tally runs on the switching that makes each
+# vertex's first step, back to its earliest numbered neighbour, positive, and
+# starts each component with bit 1 already set, so that states differing only
+# in that bit merge; p stays 0 and stride is 1.  Graphs on one skeleton
+# (vertex count and edge steps) then differ only in their chord signs, and
+# while `chromatic_pairs` runs, its `_Batch` keeps the DP layers of the last
+# univariate tally: the next one on the same skeleton resumes after the
+# longest sign prefix the two have in common.  The batch also holds the edges
+# and the `_steps` of the graph it is on, which `chromatic_pairs` has already
+# computed for its sort key, numbering each underlying graph once.  The batch
+# reaches the tally through the context variable `_batch`, not arguments, so
+# that each graph still goes through the one-argument `chromatic_pair` with
+# its route and cache, and batches in other threads each see their own;
+# `chromatic_pairs` resets it in a `finally`.
 #
 # A step's moves are pure functions of the state, so the process memoises
 # them for every later tally in either mode: `_takes` keyed by all a take
@@ -164,42 +185,80 @@ _forgets: dict = {}  # gone -> {state: (kept, dp, dq)}
 _moves_room = MAX_MOVES
 
 
-def _steps(n: int, edges, switched: bool):
+def _order(n: int, edges) -> list[int]:
+    """Each vertex's position in the maximum cardinality search of the tally,
+    -1 for a vertex without edges.
+
+    Each component starts at an unnumbered vertex of least degree, ties by
+    label.  Next comes the unnumbered vertex with the most numbered
+    neighbours, ties broken by fewest unnumbered neighbours, then by the
+    earliest position of its first numbered neighbour, then by label.  A
+    vertex's key only changes when a neighbour is numbered, so the heap
+    takes one entry per such change and skips the entries left behind.
+    """
+    from heapq import heappop, heappush  # imported here: only the tally needs it
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    pos, seen, first = [-1] * n, [0] * n, [0] * n
+    roots = sorted((len(a), v) for v, a in enumerate(adj) if a)
+    numbered = 0
+    for _, root in roots:
+        if pos[root] >= 0:
+            continue
+        heap = [(0, 0, 0, root)]
+        while heap:
+            x = heappop(heap)[3]
+            if pos[x] >= 0:
+                continue
+            pos[x] = numbered
+            for y in adj[x]:
+                if pos[y] < 0:
+                    k = seen[y] = seen[y] + 1
+                    if k == 1:
+                        first[y] = numbered
+                    heappush(heap, (-k, len(adj[y]) - k, first[y], y))
+            numbered += 1
+    return pos
+
+
+def _numbering(n: int, edges):
+    """(vertices with an edge, skeleton, edge of each step) of the tally of
+    a graph, which depend only on its underlying graph.
+
+    Vertices are numbered by `_order`, and each edge becomes a step (a, b),
+    a > b, taken in sorted order; the skeleton is n and the steps.
+    """
+    pos = _order(n, edges)
+    steps = []
+    for i, (u, v, _) in enumerate(edges):
+        a, b = pos[u], pos[v]
+        steps.append((a, b, i) if a > b else (b, a, i))
+    steps.sort()
+    skeleton = (n, tuple((a, b) for a, b, _ in steps))
+    return n - pos.count(-1), skeleton, tuple(i for _, _, i in steps)
+
+
+def _steps(n: int, edges, switched: bool, numbering=None):
     """(vertices with an edge, skeleton, signs) of the tally of a graph.
 
-    Vertices are numbered in BFS order, component by component, and each edge
-    becomes a step (a, b), a > b, taken in sorted order; the skeleton is n
-    and the steps, and signs has a 1 for each negative step.  With `switched`
-    the signs are those after the switching that makes each vertex's first
-    step, the one to its BFS parent, positive.
+    `numbering` is the graph's `_numbering`, computed here if not given;
+    signs has a 1 for each negative step.  Every vertex but a component's
+    first has an earlier neighbour, so its first step goes back into the
+    numbered part; with `switched` the signs are those after the switching
+    that makes each such first step positive.
     """
-    adj: dict[int, list[int]] = {}
-    for u, v, _ in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    order: dict[int, int] = {}
-    for root in sorted(adj):
-        if root in order:
-            continue
-        order[root] = len(order)
-        queue = [root]
-        for x in queue:
-            for y in adj[x]:
-                if y not in order:
-                    order[y] = len(order)
-                    queue.append(y)
-    steps = sorted(
-        (max(order[u], order[v]), min(order[u], order[v]), 1 if s < 0 else 0)
-        for u, v, s in edges
-    )
-    flip: dict[int, int] = {}
+    covered, skeleton, index = numbering or _numbering(n, edges)
+    signs = [1 if edges[i][2] < 0 else 0 for i in index]
     if switched:
-        for a, b, t in steps:
-            if a not in flip:
-                flip[a] = flip.get(b, 0) ^ t
-    skeleton = (n, tuple((a, b) for a, b, _ in steps))
-    signs = tuple(t ^ flip.get(a, 0) ^ flip.get(b, 0) for a, b, t in steps)
-    return len(order), skeleton, signs
+        flip, done = [0] * n, -1
+        for (a, b), t in zip(skeleton[1], signs):
+            if a > done:
+                flip[a], done = flip[b] ^ t, a
+        signs = [t ^ flip[a] ^ flip[b] for (a, b), t in zip(skeleton[1], signs)]
+    return covered, skeleton, tuple(signs)
 
 
 def _frontier_plan(steps) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -226,16 +285,62 @@ def _frontier_plan(steps) -> list[tuple[int, int, int, tuple[int, ...]]]:
     return plan
 
 
-def _take(state, joined: int, ia: int, ib: int, t: int, new: int):
+def _state(labs: bytes, pars: bytes, flags: bytes, u: bytes) -> bytes:
+    """One frontier state as bytes: the width w in two bytes, then labs,
+    pars, flags and u (see above)."""
+    return b"".join((len(labs).to_bytes(2, "big"), labs, pars, flags, u))
+
+
+def _parts(state: bytes) -> tuple[bytes, bytes, bytes, bytes]:
+    """(labs, pars, flags, u) of a state, each as bytes."""
+    w = state[0] << 8 | state[1]
+    return state[2:w + 2], state[w + 2:2 * w + 2], state[2 * w + 2:-1], state[-1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _label_is(l: int) -> bytes:
+    """The translate table that reads a label as 1 when it is l, else 0."""
+    return bytes(y == l for y in range(256))
+
+
+@functools.lru_cache(maxsize=None)
+def _merged(lo: int, hi: int) -> bytes:
+    """The translate table that folds label hi into lo, lo <= hi, and moves
+    the labels above hi down one."""
+    return bytes(lo if y == hi else y - (y > hi) for y in range(256))
+
+
+@functools.lru_cache(maxsize=None)
+def _rotated(l: int, r: int) -> bytes:
+    """The translate table that moves label l up to l + r and the r labels
+    above it down one."""
+    return bytes(l + r if y == l else y - (l < y <= l + r) for y in range(256))
+
+
+def _flip(pars: bytes, labs: bytes, l: int) -> bytes:
+    """pars with the parity of every vertex labelled l flipped."""
+    mask = int.from_bytes(labs.translate(_label_is(l)), "big")
+    return (int.from_bytes(pars, "big") ^ mask).to_bytes(len(pars), "big")
+
+
+def _clear(pars: bytes, labs: bytes, l: int) -> bytes:
+    """pars with the parity of every vertex labelled l set to 0."""
+    mask = int.from_bytes(labs.translate(_label_is(l)), "big")
+    return (int.from_bytes(pars, "big") & ~mask).to_bytes(len(pars), "big")
+
+
+def _take(state: bytes, joined: int, ia: int, ib: int, t: int, new: int):
     """The states after a step's joins (one or two new vertices, each its own
     component with flags `new`) with the edge between positions ia and ib
     skipped and taken, or () when taking it changes nothing."""
-    labs, pars, flags, u = state
+    skip = state
+    labs, pars, flags, u = _parts(state)
     if joined:
         c = len(flags)
-        labs, pars = labs + (c, c + 1)[:joined], pars + (0,) * joined
-        flags += (new,) * joined
-    skip = labs, pars, flags, u
+        labs += bytes((c, c + 1)[:joined])
+        pars += bytes(joined)
+        flags += bytes((new, new)[:joined])
+        skip = _state(labs, pars, flags, u)
     la, lb = labs[ia], labs[ib]
     odd = pars[ia] ^ pars[ib] ^ t  # 1 when the edge closes a negative cycle
     if la == lb:
@@ -243,45 +348,46 @@ def _take(state, joined: int, ia: int, ib: int, t: int, new: int):
         if f == flags[la]:
             return ()
         if f & 1:
-            pars = tuple(0 if l == la else p for l, p in zip(labs, pars))
-        return skip, (labs, pars, flags[:la] + (f,) + flags[la + 1:], u)
+            pars = _clear(pars, labs, la)
+        return skip, _state(labs, pars, flags[:la] + bytes((f,)) + flags[la + 1:], u)
     lo, hi = (la, lb) if la < lb else (lb, la)
     f = flags[lo] | flags[hi] | t << 1
+    if odd and not f & 1:
+        pars = _flip(pars, labs, hi)
+    labs = labs.translate(_merged(lo, hi))
     if f & 1:
-        pars = tuple(0 if l == lo or l == hi else p for l, p in zip(labs, pars))
-    elif odd:
-        pars = tuple(p ^ 1 if l == hi else p for l, p in zip(labs, pars))
-    labs = tuple(lo if l == hi else l - (l > hi) for l in labs)
-    return skip, (labs, pars, flags[:lo] + (f,) + flags[lo + 1:hi] + flags[hi + 1:], u)
+        pars = _clear(pars, labs, lo)
+    flags = flags[:lo] + bytes((f,)) + flags[lo + 1:hi] + flags[hi + 1:]
+    return skip, _state(labs, pars, flags, u)
 
 
-def _forget(state, gone):
+def _forget(state: bytes, gone):
     """The canonical state after forgetting the positions in `gone`, in order,
     and the all-positive and other balanced components that close."""
-    labs, pars, flags, u = state
+    labs, pars, flags, u = _parts(state)
     dp = dq = 0
     for k in gone:
         l = labs[k]
         labs, pars = labs[:k] + labs[k + 1:], pars[:k] + pars[k + 1:]
-        if l in labs:
-            j = labs.index(l)
+        j = labs.find(l)
+        if j >= 0:
             if j >= k:  # the vertex was its component's first: the one at j is now
                 if pars[j]:
-                    pars = tuple(p ^ 1 if y == l else p for y, p in zip(labs, pars))
+                    pars = _flip(pars, labs, l)
                 r = max(labs[k:j], default=l) - l  # components now first before j
                 if r > 0:
-                    labs = tuple(l + r if y == l else y - (l < y <= l + r) for y in labs)
-                    flags = flags[:l] + flags[l + 1:l + r + 1] + (flags[l],) + flags[l + r + 1:]
+                    labs = labs.translate(_rotated(l, r))
+                    flags = flags[:l] + flags[l + 1:l + r + 1] + flags[l:l + 1] + flags[l + r + 1:]
             continue
         f = flags[l]
         if f & 1:
-            u = 1
+            u = b"\1"
         elif f:
             dq += 1
         else:
             dp += 1
-        labs, flags = tuple(y - (y > l) for y in labs), flags[:l] + flags[l + 1:]
-    return (labs, pars, flags, u), dp, dq
+        labs, flags = labs.translate(_merged(l, l)), flags[:l] + flags[l + 1:]
+    return _state(labs, pars, flags, u), dp, dq
 
 
 def _live_entries(states: dict, width: int) -> int:
@@ -306,7 +412,7 @@ def _frontier_tally(
     and without the has-negative bit (see above), so p counts only isolated
     vertices.  Refuses past MAX_FRONTIER_ENTRIES live entries, one per state
     and one per W-bit slot of its count, as a count grows with the closed
-    components: a 3x30 grid peaks at 2,266 entries, 28 of them states.  Live
+    components: a 3x30 grid peaks at 848 entries, 10 of them states.  Live
     entries are counted after each step's take phase and after its forgets.
     """
     global _moves_room
@@ -317,7 +423,7 @@ def _frontier_tally(
         covered, skeleton, signs = _steps(n, edges, univariate)
     width = len(edges) + 2
     stride = 1 if univariate else n + 1
-    states: dict = {((), (), (), 0): 1}
+    states: dict = {_state(b"", b"", b"", b"\0"): 1}
     start = 0
     if batch is None:
         plan, layers, room = _frontier_plan(skeleton[1]), None, 0
@@ -379,7 +485,8 @@ def _frontier_tally(
     iso = n - covered
     half = 1 << width - 1
     out = {}
-    for (_, _, _, u), count in states.items():
+    for state, count in states.items():
+        u = state[-1]
         # with half added to every slot, each slot's digit reads off unsigned
         slots = count.bit_length() // width + 1
         digits = format(count + half * (((1 << width * slots) - 1) // ((1 << width) - 1)), "b")
@@ -485,12 +592,16 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
             f"{len(graphs)} graphs exceed the pair-batch cap of {MAX_PAIR_BATCH}"
         )
     pairs: list = [None] * len(graphs)
-    steps = {}
+    steps, numberings = {}, {}
     for i, g in enumerate(graphs):
         if g.m == g.n * (g.n - 1) // 2:
             pairs[i] = chromatic_pair(g)
-        else:
-            steps[i] = _steps(g.n, g.edges, True)
+            continue
+        underlying = g.n, tuple([e[:2] for e in g.edges])
+        numbering = numberings.get(underlying)
+        if numbering is None:
+            numbering = numberings[underlying] = _numbering(g.n, g.edges)
+        steps[i] = _steps(g.n, g.edges, True, numbering)
     batch = _Batch()
     token = _batch.set(batch)
     try:

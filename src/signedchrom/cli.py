@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import chromatic, equivalence, verify
 from .errors import BudgetExceededError, SignedChromError
@@ -41,7 +42,45 @@ def _emit(args, payload: dict, text_lines=None) -> None:
             print(line)
         return
     payload = {"format": FORMAT_VERSION, **payload}
-    print(json.dumps(payload, indent=2))
+    print(_json(payload))
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """The text of `json.dumps(obj, indent=2)`, nested at `indent`.
+
+    With an indent, `json` runs its pure-Python encoder.  Here strings go
+    through the C function that `json` quotes them with, and Python only
+    nests; what is not a str, int, bool, None or a non-empty dict, list or
+    tuple of exactly those types is `json`'s own text, re-indented (JSON
+    text has no raw newline but those between items)."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = indent + "  "
+    if kind is dict and obj:
+        items = [(_quote(k) if type(k) is str else _json_key(k)) + ": "
+                 + (_quote(v) if type(v) is str else _json(v, inner)) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if (kind is list or kind is tuple) and obj:
+        items = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                 else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj, indent=2).replace("\n", indent)
+
+
+def _json_key(key) -> str:
+    """A dict key that is not a str, quoted as `json` writes it."""
+    if key is None or isinstance(key, (str, int, float)):  # bool is an int
+        return _quote(key if isinstance(key, str) else json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _report(

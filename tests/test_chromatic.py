@@ -119,7 +119,7 @@ def test_chromatic_pair_examples():
 def test_chromatic_pair_budget(monkeypatch):
     """Each route refuses by its own budget: K_11 on the partition route, and
     the frontier tally once its live entries pass the (lowered) limit.  The
-    Petersen graph's bivariate tally peaks at 273 entries (states plus the
+    Petersen graph's bivariate tally peaks at 156 entries (states plus the
     slots of their packed counts).  The peel takes a signed K_n down to
     K_10, the largest the partition route takes, when each vertex it meets
     has edges of one sign, and K_n above MAX_PEEL_N vertices are not
@@ -136,11 +136,11 @@ def test_chromatic_pair_budget(monkeypatch):
     k10 = complete_bivariate_pair(complete_graph(10, -1))
     assert bivariate_pair(complete_graph(11, -1)) == chromatic.threshold_step(-1, k10)
     expected = bivariate_pair(fixture("petersen"))
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 272)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 155)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
-    with pytest.raises(BudgetExceededError, match="273 frontier entries"):
+    with pytest.raises(BudgetExceededError, match="156 frontier entries"):
         bivariate_pair(fixture("petersen"))
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 273)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 156)
     assert bivariate_pair(fixture("petersen")) == expected
 
 

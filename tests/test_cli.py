@@ -15,6 +15,8 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import signedchrom
 from signedchrom import chromatic, cli, closedform
@@ -279,6 +281,39 @@ def test_output_flag_does_not_outlive_its_call(capsys):
         assert json.loads(out)["edges"] == [[0, 1, "-"]]
 
 
+_JSON_TEXT = st.text(st.characters(), max_size=6) | st.sampled_from(
+    ["", "\"", "\\", "\n\t\x00\x7f", "é", " ", "😀", "a\"b\\c"]
+)
+_JSON_KEYS = _JSON_TEXT | st.integers(-10**20, 10**20) | st.booleans() | st.none()
+_JSON_PAYLOADS = st.recursive(
+    _JSON_TEXT | st.integers(-10**30, 10**30) | st.booleans() | st.none() | st.floats(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_text_is_json_dumps_with_indent_2(payload):
+    """The CLI's JSON emitter gives the bytes of `json.dumps(payload,
+    indent=2)`: non-ASCII and escaped strings, int, bool and None keys,
+    None, floats, and empty and nested-empty containers."""
+    assert cli._json(payload) == json.dumps(payload, indent=2)
+    assert cli._json([payload, {}, [[]], {"": []}]) == json.dumps(
+        [payload, {}, [[]], {"": []}], indent=2
+    )
+
+
+def test_json_text_refuses_what_json_refuses():
+    for bad in ({(1, 2): 0}, {"a": [object()]}, {1.5j: 0}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(bad)
+
+
 def test_unknown_fixture_exit_2(capsys):
     code, _, err = run(capsys, "fixtures", "--name", "bogus")
     assert code == 2 and "error" in err
@@ -417,13 +452,13 @@ def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):
 
 def test_search_cochromatic_subset_budget_refusal(capsys, monkeypatch):
     """A pair refused by the frontier tally's budget inside the search: the
-    Petersen classes peak at 273 to 548 live entries."""
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 272)
+    Petersen classes peak at 156 to 266 live entries."""
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 155)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     code, out, err = run(capsys, "search-cochromatic", "--underlying", "petersen")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "exceed the tally budget of 272" in err
+    assert err.startswith("error: ") and "exceed the tally budget of 155" in err
 
 
 def test_enumerate_subset_budget_exit_2(capsys):

@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 from signedchrom import chromatic, reference
 from signedchrom.chromatic import (
     _frontier_tally,
+    _order,
+    _parts,
+    _state,
     _steps,
     _subset_bivariate_pair,
     _subset_chromatic_pair,
@@ -186,7 +189,8 @@ def test_tally_matches_oracle_and_invariants(g, data):
     switched = switch(g, [v for v, bit in enumerate(bits) if bit])
     assert chromatic_pair(switched) == chromatic_pair(g)
     # the univariate tally runs on one signing per switching class, the one
-    # whose first step at each vertex (to its BFS parent) is positive
+    # whose first step at each vertex (back to its earliest numbered
+    # neighbour) is positive
     covered, skeleton, signs = _steps(g.n, g.edges, True)
     assert _steps(switched.n, switched.edges, True) == (covered, skeleton, signs)
     firsts = {}
@@ -256,15 +260,15 @@ def test_chromatic_pairs_match_one_by_one_on_petersen():
 
 
 def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
-    """The Petersen classes peak at 273 to 548 live entries: with a budget of
-    450 the first one is tallied and a later one refused, while the batch
+    """The Petersen classes peak at 156 to 266 live entries: with a budget of
+    265 the first one is tallied and a later one refused, while the batch
     holds layers; the batch is gone after the refusal."""
     graphs = switching_classes(fixture("petersen")) + [
         SignedGraph(11, tuple((v, v + 1, -1) for v in range(10)))
     ]
     expected = one_by_one(graphs)
     batches = watch_batches(monkeypatch)
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 450)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 265)
     chromatic._subset_tally.cache_clear()
     with pytest.raises(BudgetExceededError, match="frontier entries"):
         chromatic_pairs(graphs)
@@ -344,8 +348,8 @@ def test_chromatic_pairs_share_work(monkeypatch):
 
 
 def test_chromatic_pairs_under_a_small_layer_budget(monkeypatch):
-    """Kept layers stop at MAX_FRONTIER_ENTRIES entries.  At 548, the largest
-    live count of any Petersen class, every tally still runs but only the
+    """Kept layers stop at MAX_FRONTIER_ENTRIES entries.  At 548, above the
+    largest live count of any Petersen class (266), every tally still runs but only the
     first few layers are kept, so less is shared, more DP states are
     visited and the pairs do not move."""
     graphs = shuffled(switching_classes(fixture("petersen")), 7)
@@ -361,7 +365,7 @@ def test_chromatic_pairs_under_a_small_layer_budget(monkeypatch):
 
 def first_chord_flipped(g: SignedGraph) -> SignedGraph:
     """g with one edge negated so that its switched signs differ from g's at
-    the first chord step (the first that is not a vertex's BFS-parent edge)
+    the first chord step (the first that is not a vertex's first step)
     and nowhere else."""
     signs = _steps(g.n, g.edges, True)[2]
     flips = []
@@ -406,8 +410,8 @@ def test_chromatic_pairs_share_tables_across_a_mixed_batch(monkeypatch):
 
 def test_tables_and_layers_stop_at_a_small_budget(monkeypatch):
     """Kept layers never hold more than MAX_FRONTIER_ENTRIES entries, and
-    the move memo stops adding at MAX_MOVES moves.  At 600 entries, just
-    above the largest live count of a Petersen class, every tally keeps
+    the move memo stops adding at MAX_MOVES moves.  At 267 entries, just
+    above the largest live count of a Petersen class (266), every tally keeps
     fewer layer entries than without the cap; at 200 moves the memo fills.
     The pairs do not move."""
     graphs = shuffled(switching_classes(fixture("petersen")), 7)
@@ -415,12 +419,12 @@ def test_tables_and_layers_stop_at_a_small_budget(monkeypatch):
     batches = watch_batches(monkeypatch)
     shared(graphs)
     full = list(batches)
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 600)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 267)
     cold_moves(monkeypatch, 200)
     del batches[:]
     assert shared(graphs) == expected
     assert len(batches) == len(full) == len(graphs)
-    assert all(0 < kept <= 600 < total for kept, total in zip(batches, full))
+    assert all(0 < kept <= 267 < total for kept, total in zip(batches, full))
     assert memo_size() == 200
     assert chromatic._moves_room == 0
 
@@ -563,3 +567,167 @@ def test_packed_counts_fit_their_slots():
         SignedGraph(10, ((0, 1, -1), (1, 2, -1), (0, 2, -1), (5, 7, 1), (7, 9, 1), (5, 9, -1))),
     ):
         assert_matches_oracle(g)
+
+
+# -- the vertex order and the bytes states -----------------------------------------
+
+
+def mcs_by_the_rule(n: int, edges) -> list[int]:
+    """`_order` read off its rule directly, one quadratic scan per vertex."""
+    adj = [set() for _ in range(n)]
+    for u, v, _ in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    pos = [-1] * n
+    numbered = 0
+    while True:
+        left = [v for v in range(n) if pos[v] < 0 and adj[v]]
+        if not left:
+            return pos
+        reached = [v for v in left if any(pos[y] >= 0 for y in adj[v])]
+        if reached:
+            def key(v):
+                done = [pos[y] for y in adj[v] if pos[y] >= 0]
+                return -len(done), len(adj[v]) - len(done), min(done), v
+            x = min(reached, key=key)
+        else:
+            x = min(left, key=lambda v: (len(adj[v]), v))
+        pos[x] = numbered
+        numbered += 1
+
+
+@st.composite
+def connected_or_not(draw):
+    """A signed graph on up to 10 vertices: a random forest, with each tree
+    linked to the last one with some chance, plus random chords, relabelled."""
+    n = draw(st.integers(0, 10))
+    edges = {}
+    for v in range(1, n):
+        if draw(st.integers(0, 3)):
+            edges[draw(st.integers(0, v - 1)), v] = draw(st.sampled_from((1, -1)))
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for slot in draw(st.lists(st.sampled_from(slots), max_size=8)) if slots else ():
+        edges[slot] = draw(st.sampled_from((1, -1)))
+    g = SignedGraph(n, tuple((u, v, s) for (u, v), s in edges.items()))
+    return relabel(g, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_or_not(), st.data())
+def test_order_switching_and_batches_on_random_graphs(g, data):
+    """The order is the rule's, numbers each component in one run from a
+    vertex of least degree, and gives every other vertex an earlier
+    neighbour; the switched signs make every vertex's first step positive;
+    and a batch of relabelled and switched copies gets the one-by-one pairs."""
+    pos = _order(g.n, g.edges)
+    assert pos == mcs_by_the_rule(g.n, g.edges)
+    adj = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    by_pos = sorted((p, v) for v, p in enumerate(pos) if p >= 0)
+    assert [p for p, _ in by_pos] == list(range(len(by_pos)))
+    for p, v in by_pos:
+        if min(pos[y] for y in adj[v]) > p:  # the first vertex of its component
+            component, queue = {v}, [v]
+            for x in queue:
+                for y in adj[x]:
+                    if y not in component:
+                        component.add(y)
+                        queue.append(y)
+            assert sorted(pos[x] for x in component) == list(range(p, p + len(component)))
+            assert len(adj[v]) == min(len(adj[x]) for x in component)
+    covered, skeleton, signs = _steps(g.n, g.edges, True)
+    assert covered == len(by_pos)
+    firsts = {}
+    for (a, _), t in zip(skeleton[1], signs):
+        firsts.setdefault(a, t)
+    assert set(firsts.values()) <= {0}
+    assert len(firsts) == covered - sum(1 for p, v in by_pos if min(pos[y] for y in adj[v]) > p)
+    batch = [g]
+    for _ in range(3):
+        h = relabel(g, data.draw(st.permutations(range(g.n))))
+        bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        batch.append(switch(h, [v for v, bit in enumerate(bits) if bit]))
+    assert shared(batch) == one_by_one(batch)
+
+
+def test_state_bytes_round_trip_and_carry_their_width():
+    """A state decodes to the parts it was built from, at every width up to
+    the vertex cap of 256, and states of different widths whose parts
+    concatenate to the same bytes stay apart."""
+    parts = [
+        (b"", b"", b"", b"\0"),
+        (b"\0", b"\1", b"\2", b"\1"),
+        (bytes([0, 1, 0, 2]), bytes([0, 0, 1, 0]), bytes([3, 0, 2]), b"\0"),
+        (bytes(range(255)), bytes(255), bytes(255), b"\1"),
+        (bytes(range(256)), bytes([1]) * 256, bytes([2]) * 256, b"\0"),
+    ]
+    for labs, pars, flags, u in parts:
+        state = _state(labs, pars, flags, u)
+        assert type(state) is bytes
+        assert _parts(state) == (labs, pars, flags, u)
+    assert _state(bytes(range(256)), bytes(256), bytes(256), b"\0")[:2] == b"\1\0"
+    one = _state(b"\0", b"\0", b"\0", b"\0")  # width 1: one vertex, one component
+    none = _state(b"", b"", b"\0\0\0", b"\0")  # width 0, the same bytes after the width
+    assert one[2:] == none[2:] and one != none
+    assert _parts(one) != _parts(none)
+
+
+def grid(rows: int, columns: int, sign: int = 1) -> SignedGraph:
+    edges = []
+    for r in range(rows):
+        for c in range(columns):
+            v = r * columns + c
+            if c + 1 < columns:
+                edges.append((v, v + 1, sign))
+            if r + 1 < rows:
+                edges.append((v, v + columns, sign))
+    return SignedGraph(rows * columns, tuple(edges))
+
+
+def recursive_tree(seed: int) -> SignedGraph:
+    rng = random.Random(seed)
+    return SignedGraph(256, tuple((rng.randrange(v), v, 1) for v in range(1, 256)))
+
+
+def peak_entries(monkeypatch, g: SignedGraph, univariate: bool):
+    """(peak live entries, the refusal's message or None) of one tally of g."""
+    peak = [0]
+    live_entries = chromatic._live_entries
+
+    def watched(states, width):
+        live = live_entries(states, width)
+        peak[0] = max(peak[0], live)
+        return live
+
+    monkeypatch.setattr(chromatic, "_live_entries", watched)
+    try:
+        _frontier_tally(g.n, g.edges, univariate)
+        refusal = None
+    except BudgetExceededError as e:
+        refusal = str(e)
+    monkeypatch.undo()
+    return peak[0], refusal
+
+
+@pytest.mark.parametrize("name, g, modes, peak, refused_at", [
+    ("petersen", fixture("petersen"), (True, False), 156, None),
+    ("3x30 grid", grid(3, 30), (True, False), 848, None),
+    ("2x128 ladder", grid(2, 128), (True, False), 1014, None),
+    ("negative 2x128 ladder", grid(2, 128, -1), (True,), 1014, None),
+    ("random 256-vertex tree", recursive_tree(1), (True, False), 8324, None),
+    ("negative 2x128 ladder", grid(2, 128, -1), (False,), 130567, 131338),
+    ("16x16 grid", grid(16, 16), (True,), 106280, 134584),
+])
+def test_probe_peaks_in_maximum_cardinality_order(monkeypatch, name, g, modes, peak, refused_at):
+    """Peak live entries of the budget probes, in the univariate and
+    bivariate tallies, and where the order still leaves them refused, the
+    count that the refusal names."""
+    for univariate in modes:
+        got, refusal = peak_entries(monkeypatch, g, univariate)
+        assert got == peak, (name, univariate)
+        if refused_at is None:
+            assert refusal is None, (name, univariate)
+        else:
+            assert refusal is not None and refusal.startswith(f"{refused_at} frontier entries")
