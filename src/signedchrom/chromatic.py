@@ -33,13 +33,13 @@ import functools
 import itertools
 import math
 from contextvars import ContextVar
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import (
     ISOLATED, NEGATIVE_DOMINATING, POSITIVE_DOMINATING, SignedGraph, delete_vertex, vertex_role,
 )
-from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling
+from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling, falling_product
 
 MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
@@ -49,35 +49,16 @@ MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes 
 MAX_PEEL_N = 41                 # vertices bivariate_pair peels: a threshold code of 40 entries
 
 
-class ColourSpec(NamedTuple):
-    """A concrete colour set: paired colours, unpaired colours and maybe 0.
-
-    `paired` is closed under negation, `unpaired` avoids its own negatives,
-    and zero is present exactly when lam - mu is odd, so the three parts
-    always add up to lam colours (see `make_colour_spec`).
-    """
-
-    paired: frozenset[int]
-    unpaired: frozenset[int]
-    includes_zero: bool
-
-    def colours(self) -> tuple[int, ...]:
-        cs = set(self.paired) | set(self.unpaired)
-        if self.includes_zero:
-            cs.add(0)
-        return tuple(sorted(cs))
-
-
-def make_colour_spec(lam: int, mu: int) -> ColourSpec:
-    """Realize a (lam, mu)-colour set: paired = {+-1..+-h}, unpaired above lam."""
+def colour_set(lam: int, mu: int) -> tuple[int, ...]:
+    """A (lam, mu)-colour set of lam colours, sorted: the paired colours
+    +-1..+-h with h = (lam - mu) // 2, closed under negation; the mu unpaired
+    colours lam + 1..lam + mu, none of whose negatives is present; and 0
+    exactly when lam - mu is odd."""
     if mu < 0 or lam < mu:
         raise SignedChromError(f"need lam >= mu >= 0, got ({lam}, {mu})")
     half = (lam - mu) // 2
-    paired = frozenset(i for i in range(1, half + 1)) | frozenset(
-        -i for i in range(1, half + 1)
-    )
-    unpaired = frozenset(range(lam + 1, lam + mu + 1))
-    return ColourSpec(paired, unpaired, (lam - mu) % 2 == 1)
+    zero = (0,) if (lam - mu) % 2 else ()
+    return (*range(-half, 0), *zero, *range(1, half + 1), *range(lam + 1, lam + mu + 1))
 
 
 def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
@@ -94,7 +75,7 @@ def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
         raise BudgetExceededError(
             f"lambda^max(n, 2) = {lam}^{k} exceeds the oracle cap of {MAX_ORACLE_FUNCTIONS}"
         )
-    colours = make_colour_spec(lam, mu).colours()
+    colours = colour_set(lam, mu)
     edges = g.edges
     count = 0
     for kappa in itertools.product(colours, repeat=g.n):
@@ -787,14 +768,6 @@ def _unit_tally(g: SignedGraph) -> tuple[dict, dict]:
     )
 
 
-def _falling(base: BiPoly, step: int, t: int) -> BiPoly:
-    """Product of (base - step * i) for i < t."""
-    p = BiPoly.one()
-    for i in range(t):
-        p = p * (base - step * i)
-    return p
-
-
 @functools.lru_cache(maxsize=None)
 def _complete_basis(k: int, d: int) -> BiPoly:
     """Assignments for k doubled pairs plus d singly-coloured blocks, from a
@@ -804,7 +777,7 @@ def _complete_basis(k: int, d: int) -> BiPoly:
     y, z = BiPoly.y(), BiPoly.x() - BiPoly.y()
     s = BiPoly.zero()
     for j in range(d + 1):
-        s = s + math.comb(d, j) * _falling(y, 1, j) * _falling(z, 2, k + d - j)
+        s = s + math.comb(d, j) * falling_product(y, 1, j) * falling_product(z, 2, k + d - j)
     return s
 
 

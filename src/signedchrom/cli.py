@@ -2,9 +2,10 @@
 
 Data commands print canonical JSON (stable byte-for-byte across runs) on
 stdout; verification commands additionally print a human-readable summary on
-stderr (on stdout instead with `--output text`).  The CLI times the one call
-that `verify`, `search-cochromatic` and `reproduce-tables` each make and
-prints that wall time on stderr only.  Exit status: 0 success or
+stderr (on stdout instead with `--output text`).  `verify`,
+`search-cochromatic` and `reproduce-tables` each print the dict their one
+checking call returns; the CLI renders the summary line from it, times the
+call and prints that wall time on stderr only.  Exit status: 0 success or
 verification pass, 1 verification failure, 2 usage or input errors.
 """
 
@@ -102,6 +103,14 @@ def _timed(fn, *args):
     """fn(*args) and its wall time in seconds, for the stderr line of _report."""
     start = time.perf_counter()
     return fn(*args), time.perf_counter() - start
+
+
+def _verdict(args, payload: dict, elapsed: float, extra=(), echo: int | None = None) -> int:
+    """Report a checking function's payload under its summary line,
+    `target (scale N): STATUS`, then the `extra` lines; exit 1 unless the
+    status is pass."""
+    summary = f"{payload['target']} (scale {payload['scale']}): {payload['status'].upper()}"
+    return _report(args, payload, [summary, *extra], payload["status"] == "pass", elapsed, echo)
 
 
 # Largest graph file read.  A file of K_256, the most edges MAX_VERTICES
@@ -285,10 +294,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_search_cochromatic(args) -> int:
     underlying = _resolve_underlying(args.underlying)
-    report, elapsed = _timed(verify.search_cochromatic, underlying)
-    groups = report.details["cochromatic_groups"]
-    lines = [report.summary(), f"co-chromatic groups: {len(groups)}"]
-    return _report(args, report.to_dict(), lines, report.passed, elapsed, echo=1)
+    payload, elapsed = _timed(verify.search_cochromatic, underlying)
+    groups = payload["details"]["cochromatic_groups"]
+    return _verdict(args, payload, elapsed, [f"co-chromatic groups: {len(groups)}"], echo=1)
 
 
 _CONJECTURES = {
@@ -305,16 +313,14 @@ _CONJECTURES = {
 def cmd_verify(args) -> int:
     runner, default_max, stretch_max = _CONJECTURES[args.conjecture]
     n_max = args.max if args.max is not None else (stretch_max if args.stretch else default_max)
-    report, elapsed = _timed(runner, n_max)
-    return _report(args, report.to_dict(), [report.summary()], report.passed, elapsed)
+    payload, elapsed = _timed(runner, n_max)
+    return _verdict(args, payload, elapsed)
 
 
 def cmd_reproduce_tables(args) -> int:
-    report, elapsed = _timed(verify.reproduce_tables)
-    lines = [report.summary()] + [
-        f"  {check['name']}: {check['status']}" for check in report.details["checks"]
-    ]
-    return _report(args, report.to_dict(), lines, report.passed, elapsed)
+    payload, elapsed = _timed(verify.reproduce_tables)
+    checks = payload["details"]["checks"]
+    return _verdict(args, payload, elapsed, [f"  {c['name']}: {c['status']}" for c in checks])
 
 
 def cmd_fixtures(args) -> int:

@@ -184,6 +184,9 @@ class BiPoly:
         """Return p(x, x): substitute y = x."""
         return BiPoly(((i + j, 0), c) for (i, j), c in self._terms.items())
 
+    def __repr__(self) -> str:
+        return f"BiPoly({dict(self.items())!r})"
+
     def __str__(self) -> str:
         return format_bipoly(self)
 
@@ -206,15 +209,20 @@ class BivariatePair(NamedTuple):
 # -- combinatorial sequences -------------------------------------------------
 
 
+def falling_product(base: BiPoly, step: int, t: int) -> BiPoly:
+    """base (base - step) ... (base - (t-1) step); the empty product for t <= 0."""
+    p = BiPoly.one()
+    for i in range(t):
+        p = p * (base - step * i)
+    return p
+
+
 @functools.lru_cache(maxsize=None)
 def falling_factorial(n: int) -> BiPoly:
     """(x)_n = x (x-1) ... (x-n+1); the empty product for n = 0."""
     if n < 0:
         raise SignedChromError("falling factorial needs n >= 0")
-    p = BiPoly.one()
-    for j in range(n):
-        p = p * BiPoly({(0, 0): -j, (1, 0): 1})
-    return p
+    return falling_product(BiPoly.x(), 1, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,10 +230,7 @@ def double_falling(n: int) -> BiPoly:
     """x (x-2) (x-4) ... (x-2n+2); the empty product for n = 0."""
     if n < 0:
         raise SignedChromError("double falling factorial needs n >= 0")
-    p = BiPoly.one()
-    for j in range(n):
-        p = p * BiPoly({(0, 0): -2 * j, (1, 0): 1})
-    return p
+    return falling_product(BiPoly.x(), 2, n)
 
 
 def integer_falling(a: int, t: int) -> int:

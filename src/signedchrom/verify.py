@@ -1,9 +1,11 @@
 """Verification harness: conjecture checks, co-chromatic search, table replay.
 
-Every entry point returns a VerificationReport whose details are plain
-JSON-serializable data, so a failed run carries the concrete graphs and
+Every entry point returns the plain JSON data its command prints: a dict of
+`target`, `scale`, `status` ("pass" or "counterexample"; a refusal raises
+instead) and `details`, so a failed run carries the concrete graphs and
 polynomials a referee would need to re-check the outcome by hand.  No
-verifier keeps a clock: the CLI times the one call each command makes.
+verifier keeps a clock or renders text: the CLI times the one call each
+command makes and writes its summary line from the dict.
 """
 
 from __future__ import annotations
@@ -43,29 +45,12 @@ _FP_MOD = (1 << 31) - 1  # slots of _slot_bits(31) = 64 bits (see the threshold 
 _FP_Y0 = 987654321987654321 % _FP_MOD
 
 
-class VerificationReport:
-    __slots__ = ("target", "scale", "status", "details")
-
-    def __init__(self, target: str, scale: int | None, status: str, details: dict) -> None:
-        self.target = target
-        self.scale = scale
-        self.status = status  # "pass" | "counterexample"; a refusal raises instead
-        self.details = details
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "scale": self.scale,
-            "status": self.status,
-            "details": self.details,
-        }
-
-    def summary(self) -> str:
-        return f"{self.target} (scale {self.scale}): {self.status.upper()}"
+def _result(target: str, scale: int | None, details: dict, status: str | None = None) -> dict:
+    """The dict a checking function returns; `status` defaults to
+    "counterexample" when `details` holds one, else "pass"."""
+    if status is None:
+        status = "counterexample" if "counterexample" in details else "pass"
+    return {"target": target, "scale": scale, "status": status, "details": details}
 
 
 def _groups(keys) -> list[list[int]]:
@@ -86,7 +71,7 @@ def _class_entry(inventory: ClassInventory, idx: int) -> dict:
     }
 
 
-def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
+def search_cochromatic(underlying: SignedGraph) -> dict:
     """Group the switching-isomorphism classes of one underlying graph by
     chromatic pair and certify every group of two or more as co-chromatic.
 
@@ -109,7 +94,7 @@ def search_cochromatic(underlying: SignedGraph) -> VerificationReport:
             }
         )
     details = {"class_count": inventory.class_count, "cochromatic_groups": groups}
-    return VerificationReport("search-cochromatic", underlying.m, "pass", details)
+    return _result("search-cochromatic", underlying.m, details)
 
 
 def _check_n_max(n_max: int, cap: int, what: str) -> None:
@@ -119,7 +104,7 @@ def _check_n_max(n_max: int, cap: int, what: str) -> None:
         raise BudgetExceededError(f"{what} capped at n = {cap}")
 
 
-def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
+def verify_conj_cochromatic_complete(n_max: int) -> dict:
     """No two switching-isomorphism classes of signed K_n share a chromatic pair.
 
     Runs `search_cochromatic` on K_n for n = 0..n_max; the first group it
@@ -128,14 +113,13 @@ def verify_conj_cochromatic_complete(n_max: int) -> VerificationReport:
     _check_n_max(n_max, MAX_COCHROMATIC_N, "complete-graph co-chromatic check")
     details: dict = {"classes_checked": {}}
     for n in range(n_max + 1):
-        search = search_cochromatic(complete_graph(n, 1))
-        details["classes_checked"][str(n)] = search.details["class_count"]
-        groups = search.details["cochromatic_groups"]
+        search = search_cochromatic(complete_graph(n, 1))["details"]
+        details["classes_checked"][str(n)] = search["class_count"]
+        groups = search["cochromatic_groups"]
         if groups:
             details["counterexample"] = {"n": n, **groups[0]}
             break
-    status = "counterexample" if "counterexample" in details else "pass"
-    return VerificationReport("conjecture:cochromatic-complete", n_max, status, details)
+    return _result("conjecture:cochromatic-complete", n_max, details)
 
 
 # -- threshold codes --------------------------------------------------------------
@@ -359,7 +343,7 @@ def _exact_threshold_scan(exact_to: int, checked: dict) -> dict | None:
     return None
 
 
-def verify_conj_threshold(n_max: int) -> VerificationReport:
+def verify_conj_threshold(n_max: int) -> dict:
     """Distinct threshold codes of one length give distinct even bivariate
     polynomials.
 
@@ -384,11 +368,10 @@ def verify_conj_threshold(n_max: int) -> VerificationReport:
     details: dict = {"codes_checked": checked, "method": method}
     if bad is not None:
         details["counterexample"] = bad
-    status = "counterexample" if bad else "pass"
-    return VerificationReport("conjecture:threshold", n_max, status, details)
+    return _result("conjecture:threshold", n_max, details)
 
 
-def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
+def verify_conj_complete_bivariate(n_max: int) -> dict:
     """Isomorphism classes of signed K_n are separated by the even bivariate
     polynomial."""
     _check_n_max(n_max, MAX_BIVARIATE_N, "complete-graph bivariate check")
@@ -409,8 +392,7 @@ def verify_conj_complete_bivariate(n_max: int) -> VerificationReport:
                 "even": bipoly_to_json(evens[groups[0][0]]),
             }
             break
-    status = "counterexample" if "counterexample" in details else "pass"
-    return VerificationReport("conjecture:bivariate-complete", n_max, status, details)
+    return _result("conjecture:bivariate-complete", n_max, details)
 
 
 # -- table and display reproduction ----------------------------------------------
@@ -439,7 +421,7 @@ def _check(name: str, render, computed, expected) -> dict:
     return entry
 
 
-def reproduce_tables() -> VerificationReport:
+def reproduce_tables() -> dict:
     """Recompute every published table row and displayed polynomial."""
     tables = [
         (f"complete_table_K{n}", complete_graph(n, 1), expected)
@@ -496,5 +478,5 @@ def reproduce_tables() -> VerificationReport:
     for entry, count in zip(checks, class_counts):  # the tables are the first rows
         entry["classes"] = count
 
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "counterexample"
-    return VerificationReport("reproduce-tables", None, status, {"checks": checks})
+    status ="pass" if all(c["status"] == "pass" for c in checks) else "counterexample"
+    return _result("reproduce-tables", None, {"checks": checks}, status)

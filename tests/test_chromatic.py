@@ -17,11 +17,11 @@ from signedchrom.chromatic import (
     bivariate_pair,
     chromatic_pair,
     _unit_tally,
+    colour_set,
     complete_bivariate_pair,
     complete_chromatic_pair,
     count_colourings_oracle,
     interpolated_pair,
-    make_colour_spec,
 )
 from signedchrom.equivalence import enumerate_classes, graph_from_mask
 from signedchrom.errors import BudgetExceededError, SignedChromError
@@ -49,44 +49,29 @@ def all_signed_graphs(n):
         yield SignedGraph(n, edges)
 
 
-def test_make_colour_spec_examples():
-    empty = make_colour_spec(0, 0)
-    assert empty.colours() == ()
-    single = make_colour_spec(1, 0)
-    assert single.colours() == (0,)
-    spec = make_colour_spec(7, 2)
-    assert spec.paired == {1, 2, -1, -2}
-    assert spec.includes_zero
-    assert spec.unpaired == {8, 9}
-    assert len(spec.colours()) == 7
+def test_colour_set_examples():
+    assert colour_set(0, 0) == ()
+    assert colour_set(1, 0) == (0,)
+    assert colour_set(4, 1) == (-1, 0, 1, 5)
+    assert colour_set(7, 2) == (-2, -1, 0, 1, 2, 8, 9)
     with pytest.raises(SignedChromError, match=r"need lam >= mu >= 0, got \(1, 2\)"):
-        make_colour_spec(1, 2)
+        colour_set(1, 2)
     with pytest.raises(SignedChromError, match=r"need lam >= mu >= 0, got \(1, -1\)"):
-        make_colour_spec(1, -1)
-
-
-def test_colour_spec_value_semantics():
-    spec = make_colour_spec(4, 1)
-    fields = (frozenset({1, -1}), frozenset({5}), True)
-    assert spec == make_colour_spec(4, 1) and spec != make_colour_spec(4, 0)
-    assert hash(spec) == hash(fields)
-    assert repr(spec) == ("ColourSpec(paired=frozenset({1, -1}), unpaired=frozenset({5}),"
-                          " includes_zero=True)")
-    with pytest.raises(AttributeError):
-        spec.includes_zero = False
-    assert spec.includes_zero
+        colour_set(1, -1)
 
 
 def test_colour_spec_invariants():
     for lam in range(8):
         for mu in range(lam + 1):
-            spec = make_colour_spec(lam, mu)
-            assert len(spec.unpaired) == mu
-            assert not spec.paired & spec.unpaired
-            assert spec.paired == {-c for c in spec.paired}
-            assert not spec.unpaired & {-c for c in spec.unpaired}
-            assert spec.includes_zero == ((lam - mu) % 2 == 1)
-            assert len(spec.colours()) == lam
+            colours = colour_set(lam, mu)
+            assert colours == tuple(sorted(set(colours)))
+            paired = {c for c in colours if 0 < abs(c) <= (lam - mu) // 2}
+            unpaired = set(colours) - paired - {0}
+            assert paired == {-c for c in paired}
+            assert len(unpaired) == mu
+            assert not {-c for c in unpaired} & set(colours)
+            assert (0 in colours) == ((lam - mu) % 2 == 1)
+            assert len(colours) == lam
 
 
 def test_oracle_examples():

@@ -422,13 +422,15 @@ def test_usage_error_exit_2():
 
 
 def test_verification_failure_exit_1(capsys, monkeypatch):
-    from signedchrom.verify import VerificationReport
-
-    failing = VerificationReport("reproduce-tables", None, "counterexample", {"checks": []})
+    failing = {"target": "reproduce-tables", "scale": None, "status": "counterexample",
+               "details": {"checks": []}}
     monkeypatch.setattr(cli.verify, "reproduce_tables", lambda: failing)
     code, out, _ = run(capsys, "reproduce-tables")
     assert code == 1
     assert json.loads(out)["status"] == "counterexample"
+    code, out, _ = run(capsys, "reproduce-tables", "--output", "text")
+    assert code == 1
+    assert out == "reproduce-tables (scale None): COUNTEREXAMPLE\n"
 
 
 def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):

@@ -17,11 +17,16 @@ in `details.method` alone (`exact_to`, `fingerprint_from`) for every `--max`
 from 0 to 12.  Every digest held when the deletion-formula steps went from
 index moves on term dicts back to `BiPoly` ring operations.  The `identities`
 digests for `--max 3 --output text` and `--max 0` were recorded before the
-identity suite became one table of rows whose text the CLI renders.  The graph files
-are written to a temporary directory; their paths do not reach stdout.
+identity suite became one table of rows whose text the CLI renders.  The
+`reproduce-tables --output text` digest and the stderr digests of three
+JSON-mode runs (the summary lines echoed there, with the wall time masked)
+were recorded while each verifier still returned a report object, before
+the CLI rendered the summary line from the payload.  The graph files are
+written to a temporary directory; their paths do not reach stdout.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -95,6 +100,18 @@ GOLDEN = [
      "dcb751c252363d093c6443f89e822a0009561a910c91fdcb3571d333d244b4dd"),
     (["enumerate", "--underlying", "complete:6", "--mode", "iso"],
      "581eda15456c3c9b34d6ac151b38b29b5ce849136f38ff8fdb080c61b21e508c"),
+    (["reproduce-tables", "--output", "text"],
+     "119a656392ce802166766ffb61c624caea615081cb0fbdc332a9c770b41e4099"),
+]
+
+# sha256 of stderr with the wall-time figure replaced by "X"
+GOLDEN_STDERR = [
+    (["verify", "--conjecture", "cochromatic-complete", "--max", "4"],
+     "961736d73853d1e240a555360fdcd49a29e73b3026054639a3d7117275f41a69"),
+    (["reproduce-tables"],
+     "03d75037106e0fb753e08719bd582288a950bb12544b5de030b9b5e7032d1277"),
+    (["search-cochromatic", "--underlying", "G1"],
+     "ed724f139570a9968ef5924d4bcb548d5feeaf45ec12231528c1f6e99000eb3c"),
 ]
 
 
@@ -106,3 +123,12 @@ def test_stdout_matches_golden_digest(capsys, tmp_path, argv, digest):
     assert main([str(paths.get(a, a)) for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDERR,
+                         ids=[" ".join(a) for a, _ in GOLDEN_STDERR])
+def test_json_mode_stderr_matches_golden_digest(capsys, argv, digest):
+    assert main(argv) == 0
+    err = re.sub(r"wall time: \d+\.\d\ds", "wall time: X", capsys.readouterr().err)
+    assert err.endswith("wall time: X\n")
+    assert hashlib.sha256(err.encode()).hexdigest() == digest

@@ -2,12 +2,17 @@
 
 import copy
 import itertools
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signedchrom
 from signedchrom.errors import SignedChromError
 from signedchrom.poly import (
     BiPoly,
@@ -187,6 +192,36 @@ def test_json_round_trip():
     assert unipoly_to_json(BiPoly.zero()) == []
     q = X**2 - X + Y
     assert bipoly_to_json(q) == [[0, 1, "1"], [1, 0, "-1"], [2, 0, "1"]]
+
+
+@settings(max_examples=80)
+@given(bipolys)
+def test_repr_evaluates_back(p):
+    assert eval(repr(p), {"BiPoly": BiPoly}) == p
+
+
+def test_repr_lists_terms_in_order():
+    assert repr(BiPoly.zero()) == "BiPoly({})"
+    assert repr(2 * X - Y) == "BiPoly({(0, 1): -1, (1, 0): 2})"
+
+
+def test_pair_repr_is_the_same_in_two_processes():
+    """The repr of a chromatic pair shows its terms, not object addresses."""
+    script = (
+        "from signedchrom.chromatic import chromatic_pair\n"
+        "from signedchrom.graphs import SignedGraph\n"
+        "k38 = SignedGraph(11, tuple((u, v, 1) for u in range(3) for v in range(3, 11)))\n"
+        "print(repr(chromatic_pair(k38)))\n"
+    )
+    src = pathlib.Path(signedchrom.__file__).resolve().parent.parent
+    outs = [
+        subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed}, check=True).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("ChromaticPair(even=BiPoly({(1, 0): ")
+    assert "0x" not in outs[0]
 
 
 def test_bipoly_partial_substitutions():

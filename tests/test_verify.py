@@ -1,6 +1,7 @@
-"""Verifier reports at small scale; acceptance runs the full scales."""
+"""Verifier payloads at small scale; acceptance runs the full scales."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from signedchrom.graphs import (
 from signedchrom.poly import bipoly_to_json, pair_to_json
 from signedchrom.verify import (
     non_switching_isomorphism_certificate,
+    reproduce_tables,
     search_cochromatic,
     verify_conj_cochromatic_complete,
     verify_conj_complete_bivariate,
@@ -34,8 +36,8 @@ from signedchrom.verify import (
 def test_search_cochromatic_gem():
     gem = all_positive(fixture("G1"))
     report = search_cochromatic(gem)
-    assert report.passed
-    groups = report.details["cochromatic_groups"]
+    assert report["status"] == "pass"
+    groups = report["details"]["cochromatic_groups"]
     assert len(groups) == 1
     group = groups[0]
     assert len(group["classes"]) == 2
@@ -47,15 +49,15 @@ def test_search_cochromatic_gem():
 
 def test_search_cochromatic_k4_free():
     report = search_cochromatic(complete_graph(4, 1))
-    assert report.passed
-    assert report.details["cochromatic_groups"] == []
+    assert report["status"] == "pass"
+    assert report["details"]["cochromatic_groups"] == []
 
 
 def test_search_cochromatic_petersen_free():
     report = search_cochromatic(fixture("petersen"))
-    assert report.passed
-    assert report.details["class_count"] == 6
-    assert report.details["cochromatic_groups"] == []
+    assert report["status"] == "pass"
+    assert report["details"]["class_count"] == 6
+    assert report["details"]["cochromatic_groups"] == []
 
 
 def test_certificate_reports_witness_when_equivalent():
@@ -177,17 +179,17 @@ def test_search_cochromatic_matches_the_oracle_certificate(monkeypatch):
         g = SignedGraph(n, tuple((u, v, 1) for u, v in chosen))
         if len(free_switching_vertices(g)) < n - 1:  # not connected
             continue
-        if search_cochromatic(g).details["cochromatic_groups"]:
+        if search_cochromatic(g)["details"]["cochromatic_groups"]:
             graphs.append(g)
-    reports = [search_cochromatic(g).to_dict() for g in graphs]
+    reports = [search_cochromatic(g) for g in graphs]
     monkeypatch.setattr(verify, "non_switching_isomorphism_certificate", oracle_certificate)
-    assert [search_cochromatic(g).to_dict() for g in graphs] == reports
+    assert [search_cochromatic(g) for g in graphs] == reports
 
 
 def test_conjecture_cochromatic_small():
     report = verify_conj_cochromatic_complete(4)
-    assert report.passed
-    assert report.details["classes_checked"] == {"0": 1, "1": 1, "2": 1, "3": 2, "4": 3}
+    assert report["status"] == "pass"
+    assert report["details"]["classes_checked"] == {"0": 1, "1": 1, "2": 1, "3": 2, "4": 3}
     with pytest.raises(BudgetExceededError):
         verify_conj_cochromatic_complete(8)
 
@@ -201,9 +203,9 @@ def test_conjecture_cochromatic_counterexample(monkeypatch, capsys):
     same = ChromaticPair(BiPoly.one(), BiPoly.one())
     monkeypatch.setattr(verify, "chromatic_pairs", lambda graphs: [same] * len(graphs))
     report = verify_conj_cochromatic_complete(4)
-    assert report.status == "counterexample"
-    assert report.details["classes_checked"] == {"0": 1, "1": 1, "2": 1, "3": 2}
-    bad = report.details["counterexample"]
+    assert report["status"] == "counterexample"
+    assert report["details"]["classes_checked"] == {"0": 1, "1": 1, "2": 1, "3": 2}
+    bad = report["details"]["counterexample"]
     assert bad["n"] == 3
     assert len(bad["classes"]) == 2
     assert bad["pair"] == pair_to_json(same)
@@ -216,8 +218,8 @@ def test_conjecture_cochromatic_counterexample(monkeypatch, capsys):
 
 def test_conjecture_threshold_small():
     report = verify_conj_threshold(3)
-    assert report.passed
-    assert report.details["codes_checked"]["3"] == 27
+    assert report["status"] == "pass"
+    assert report["details"]["codes_checked"]["3"] == 27
     with pytest.raises(BudgetExceededError):
         verify_conj_threshold(13)
 
@@ -229,19 +231,19 @@ def test_threshold_fingerprint_agrees_with_exact(monkeypatch):
 
     want = {str(d): 3**d for d in range(6)}
     report = verify_conj_threshold(5)
-    assert report.passed
-    assert report.details == {
+    assert report["status"] == "pass"
+    assert report["details"] == {
         "codes_checked": want,
         "method": {"exact_to": 3, "fingerprint_from": 4},
     }
     monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 5)
     report = verify_conj_threshold(5)
-    assert report.passed
-    assert report.details == {"codes_checked": want, "method": {"exact_to": 5}}
+    assert report["status"] == "pass"
+    assert report["details"] == {"codes_checked": want, "method": {"exact_to": 5}}
     monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
     report = verify_conj_threshold(5)
-    assert report.passed
-    assert report.details == {
+    assert report["status"] == "pass"
+    assert report["details"] == {
         "codes_checked": want,
         "method": {"exact_to": 0, "fingerprint_from": 1},
     }
@@ -278,10 +280,10 @@ def test_exact_threshold_keys_detect_a_clash(monkeypatch):
     merged = _merged_step(monkeypatch)
     for n_max in (1, 2, 3):
         report = verify_conj_threshold(n_max)
-        assert report.status == "counterexample"
-        assert report.details["method"] == {"exact_to": n_max}
-        assert report.details["codes_checked"] == {"0": 1, "1": 3}
-        _assert_merged_clash(report.details["counterexample"], merged)
+        assert report["status"] == "counterexample"
+        assert report["details"]["method"] == {"exact_to": n_max}
+        assert report["details"]["codes_checked"] == {"0": 1, "1": 3}
+        _assert_merged_clash(report["details"]["counterexample"], merged)
 
 
 # -- the decode rule and lemma L, exactly ------------------------------------------
@@ -447,12 +449,13 @@ def test_lemma_l_verdicts_match_the_distinctness_scan(monkeypatch):
 
     for n_max in range(11):
         report = verify_conj_threshold(n_max)
-        assert (report.status, report.details) == _distinctness_scan(n_max), n_max
+        assert (report["status"], report["details"]) == _distinctness_scan(n_max), n_max
     for limit in (0, 3, 6):
         monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", limit)
         for n_max in range(7):
             report = verify_conj_threshold(n_max)
-            assert (report.status, report.details) == _distinctness_scan(n_max), (limit, n_max)
+            want = _distinctness_scan(n_max)
+            assert (report["status"], report["details"]) == want, (limit, n_max)
 
 
 def test_fingerprint_collisions_are_rechecked_exactly(monkeypatch):
@@ -486,7 +489,7 @@ def test_agreeing_slots_are_rechecked_exactly(monkeypatch):
     monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
     monkeypatch.setattr(verify, "_FP_MOD", 1)
     monkeypatch.setattr(verify, "_threshold_even", counted)
-    assert verify_conj_threshold(5).passed
+    assert verify_conj_threshold(5)["status"] == "pass"
     assert sorted(rebuilt) == [(d, i) for d in range(5) for i in range(3**d)]
 
 
@@ -510,7 +513,7 @@ def test_a_failure_of_lemma_l_is_refused(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_threshold_even", broken)
     with pytest.raises(SignedChromError, match=r"lemma L fails for threshold code \[1, 0, -1\]"):
         verify_conj_threshold(4)
-    assert verify_conj_threshold(3).passed  # L is checked below n_max only
+    assert verify_conj_threshold(3)["status"] == "pass"  # L is checked below n_max only
     assert main(["verify", "--conjecture", "threshold", "--max", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -636,8 +639,8 @@ def test_conjecture_threshold_stretch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed
-    assert report.details == {
+    assert report["status"] == "pass"
+    assert report["details"] == {
         "codes_checked": {str(d): 3**d for d in range(13)},
         "method": {"exact_to": 3, "fingerprint_from": 4},
     }
@@ -646,9 +649,9 @@ def test_conjecture_threshold_stretch():
 
 def test_conjecture_bivariate_small():
     report = verify_conj_complete_bivariate(4)
-    assert report.passed
-    assert report.details["class_counts"] == {"0": 1, "1": 1, "2": 2, "3": 4, "4": 11}
-    assert report.details["class_counts"] == report.details["expected_class_counts"]
+    assert report["status"] == "pass"
+    assert report["details"]["class_counts"] == {"0": 1, "1": 1, "2": 2, "3": 4, "4": 11}
+    assert report["details"]["class_counts"] == report["details"]["expected_class_counts"]
     with pytest.raises(BudgetExceededError):
         verify_conj_complete_bivariate(8)
 
@@ -661,9 +664,9 @@ def test_conjecture_bivariate_counterexample(monkeypatch, capsys):
     same = bivariate_pair(fixture("G1"))
     monkeypatch.setattr(verify, "bivariate_pair", lambda g: same)
     report = verify_conj_complete_bivariate(4)
-    assert report.status == "counterexample"
-    assert report.details["class_counts"] == {"0": 1, "1": 1, "2": 2}
-    bad = report.details["counterexample"]
+    assert report["status"] == "counterexample"
+    assert report["details"]["class_counts"] == {"0": 1, "1": 1, "2": 2}
+    bad = report["details"]["counterexample"]
     assert bad["n"] == 2
     assert [g["mask"] for g in bad["graphs"]] == [0, 1]
     assert bad["even"] == bipoly_to_json(same.even)
@@ -688,18 +691,14 @@ def test_reproduce_tables_renders_failures(monkeypatch):
     """A wrong displayed pair fails its rows with computed/expected; so does a
     wrong univariate polynomial, shown as dense coefficient strings; a table
     row dropped fails the multiset row with missing/unexpected."""
-    import json
-
-    from signedchrom.verify import reproduce_tables
-
-    assert [c["name"] for c in reproduce_tables().details["checks"]] == TABLE_CHECK_NAMES
+    assert [c["name"] for c in reproduce_tables()["details"]["checks"]] == TABLE_CHECK_NAMES
     gem, dropped = reference.GEM_PAIR, reference.PETERSEN_TABLE[0]
     monkeypatch.setattr(reference, "GEM_PAIR", reference.SIGMA12_PAIR)
     monkeypatch.setattr(reference, "SIGMA3_EVEN", reference.SIGMA4_EVEN)
     monkeypatch.setattr(reference, "PETERSEN_TABLE", reference.PETERSEN_TABLE[1:])
     report = reproduce_tables()
-    assert report.status == "counterexample"
-    checks = report.details["checks"]
+    assert report["status"] == "counterexample"
+    checks = report["details"]["checks"]
     assert [c["name"] for c in checks] == TABLE_CHECK_NAMES
     failed = {c["name"]: c for c in checks if c["status"] != "pass"}
     assert set(failed) == {"gem_G1_pair", "gem_G2_pair", "petersen_table", "sigma3_even"}
@@ -729,11 +728,21 @@ def test_reproduce_tables_renders_failures(monkeypatch):
     ]
 
 
-def test_report_shape():
-    report = verify_conj_threshold(2)
-    d = report.to_dict()
-    assert set(d) == {"target", "scale", "status", "details"}
-    assert "PASS" in report.summary()
+def test_checking_functions_return_plain_data():
+    """Each checking function returns the JSON data its command prints: a
+    round trip through `json` gives the same dict (no tuple, no int key, no
+    object), with exactly the four top-level keys."""
+    payloads = [
+        search_cochromatic(all_positive(fixture("G1"))),
+        verify_conj_cochromatic_complete(4),
+        verify_conj_threshold(5),
+        verify_conj_complete_bivariate(4),
+        reproduce_tables(),
+    ]
+    for payload in payloads:
+        assert json.loads(json.dumps(payload)) == payload, payload["target"]
+        assert list(payload) == ["target", "scale", "status", "details"]
+        assert payload["status"] in ("pass", "counterexample")
 
 
 def test_budget_exceeded_status_inside_search():
@@ -745,9 +754,9 @@ def test_budget_exceeded_status_inside_search():
 def test_search_cochromatic_k8_groups():
     """K_8 is the first complete graph with co-chromatic switching classes."""
     report = search_cochromatic(complete_graph(8, 1))
-    assert report.passed
-    assert report.details["class_count"] == 243  # A002854
-    groups = report.details["cochromatic_groups"]
+    assert report["status"] == "pass"
+    assert report["details"]["class_count"] == 243  # A002854
+    groups = report["details"]["cochromatic_groups"]
     masks = tuple(tuple(c["mask"] for c in group["classes"]) for group in groups)
     assert masks == reference.K8_COCHROMATIC_GROUPS
     for group in groups:
