@@ -2,12 +2,12 @@
 
 Decision procedures return explicit witnesses (a vertex permutation, plus a
 switching set where applicable) so a result of "equivalent" can be re-checked
-independently; a certificate records that every switching was tried when
-there is none.  Signature classes over a fixed underlying graph are
-enumerated on switching normal forms: each sign pattern is reduced to the
-smallest pattern of its switching coset, which leaves 2^(|E|-n+c) patterns
-for c components, and those are grouped into orbits of the underlying
-graph's automorphism group.
+independently; when there is none, a certificate records the number of
+switchings the failed search ruled out.  Signature classes over a fixed
+underlying graph are enumerated on switching normal forms: each sign pattern
+is reduced to the smallest pattern of its switching coset, which leaves
+2^(|E|-n+c) patterns for c components, and those are grouped into orbits of
+the underlying graph's automorphism group.
 """
 
 from __future__ import annotations
@@ -154,40 +154,68 @@ def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     return gens
 
 
+def _labels(g: SignedGraph) -> list[tuple[int, int]]:
+    """(degree, negative triangles through the vertex) per vertex.  A
+    triangle's sign survives switching, so switching and relabelling only
+    permute the labels.  Triangle u v w is negative when w's edges to u and
+    v differ in sign and uv is positive, or agree and uv is negative; it
+    lies on two edges at each of its vertices."""
+    pos, neg = [0] * g.n, [0] * g.n
+    for u, v, s in g.edges:
+        masks = pos if s > 0 else neg
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    twice = [0] * g.n
+    for u, v, s in g.edges:
+        if s > 0:
+            k = (pos[u] & neg[v] | neg[u] & pos[v]).bit_count()
+        else:
+            k = (pos[u] & pos[v] | neg[u] & neg[v]).bit_count()
+        twice[u] += k
+        twice[v] += k
+    return [((pos[v] | neg[v]).bit_count(), twice[v] // 2) for v in range(g.n)]
+
+
 def find_switching_isomorphism(
     g1: SignedGraph, g2: SignedGraph
 ) -> tuple[frozenset[int], tuple[int, ...]] | None:
     """A pair (X, perm) with relabel(g1, perm) == switch(g2, X), or None.
 
-    One backtracking search over vertex maps.  g1's vertices are placed in
-    BFS order per component.  A component's first vertex gets switch bit 0
-    (switching a whole component changes nothing); every later vertex has a
-    placed BFS parent, so the sign of the edge to it forces the bit.
+    One backtracking search over vertex maps, pruned by the switching
+    invariant labels of `_labels`: v may map only to a vertex with its
+    label, and graphs whose sorted labels differ are not searched.  g1's
+    vertices are placed by maximum cardinality search (most placed
+    neighbours first, then highest degree, then lowest index), so each
+    placement closes as many cycles as it can.  A component's first vertex
+    gets switch bit 0 (switching a whole component changes nothing); every
+    later vertex has a placed neighbour, its parent, and the sign of the
+    edge to it forces the bit.  A failed search has ruled out every
+    switching of g2 under every relabelling.
     """
     _check_search_size(g1, g2, "switching-isomorphism")
     n = g1.n
     if n != g2.n or g1.m != g2.m:
         return None
-    adj1, prof1 = _matrix(g1)
-    adj2, prof2 = _matrix(g2)
-    deg1 = [p[0] for p in prof1]
-    deg2 = [p[0] for p in prof2]
-    if sorted(deg1) != sorted(deg2):
+    lab1, lab2 = _labels(g1), _labels(g2)
+    if sorted(lab1) != sorted(lab2):
         return None
+    adj1, _ = _matrix(g1)
+    adj2, _ = _matrix(g2)
     order: list[int] = []
     parent = [-1] * n
-    for root in range(n):
-        if root in order:
-            continue
-        i = len(order)
-        order.append(root)
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for u in range(n):
-                if adj1[v][u] and u not in order:
+    placed_nbrs = [0] * n
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if placed_nbrs[u] >= 0),
+            key=lambda u: (placed_nbrs[u], lab1[u][0], -u),
+        )
+        order.append(v)
+        placed_nbrs[v] = -1
+        for u in range(n):
+            if adj1[v][u] and placed_nbrs[u] >= 0:
+                placed_nbrs[u] += 1
+                if parent[u] < 0:
                     parent[u] = v
-                    order.append(u)
     image = [-1] * n
     used = [False] * n
     flip = [1] * n  # -1 where a vertex of g2 is switched
@@ -199,7 +227,7 @@ def find_switching_isomorphism(
         row1 = adj1[v]
         a = parent[v]
         for w in range(n):
-            if used[w] or deg1[v] != deg2[w]:
+            if used[w] or lab1[v] != lab2[w]:
                 continue
             row2 = adj2[w]
             s = 1
@@ -224,8 +252,8 @@ def find_switching_isomorphism(
     return frozenset(w for w in range(n) if flip[w] < 0), tuple(image)
 
 
-def free_switching_vertices(g: SignedGraph) -> list[int]:
-    """All vertices except one representative per connected component."""
+def _roots(g: SignedGraph) -> list[int]:
+    """Each vertex's component representative; a representative is its own."""
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -238,55 +266,39 @@ def free_switching_vertices(g: SignedGraph) -> list[int]:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    roots = {find(v) for v in range(g.n)}
-    return [v for v in range(g.n) if v not in roots]
+    return [find(v) for v in range(g.n)]
+
+
+def free_switching_vertices(g: SignedGraph) -> list[int]:
+    """All vertices except one representative per connected component."""
+    return [v for v, r in enumerate(_roots(g)) if r != v]
 
 
 def non_switching_isomorphism_certificate(g1: SignedGraph, g2: SignedGraph) -> dict:
-    """Try every switching of g2 against g1; record the failure.
-
-    The switchings X run over all 2^(n-c) subsets of g2's free vertices
-    (switching a whole component changes nothing), and each gets the
-    decision find_isomorphism(g1, switch(g2, X)) gives: the sign-degree
-    profile check, then the backtracking search.  The subsets are walked in
-    Gray-code order on one sign matrix of g2: step k switches free[j] for
-    the lowest set bit j of k, which negates that vertex's row and column,
-    swaps its positive and negative degrees and moves each neighbour's by
-    one; after it X holds free[j] for the set bits j of k ^ (k >> 1).  The
-    search runs only where the sorted profiles equal g1's.  On failure every
-    switching has been tried; on success the witness satisfies
-    relabel(g1, perm) == switch(g2, X).
+    """Whether some switching of g2 is isomorphic to g1, decided by one
+    find_switching_isomorphism search.  On failure `switchings_tried` counts
+    the 2^(n-c) switchings of g2 it ruled out, one per subset of
+    free_switching_vertices(g2).  On success it is 1, the witness's
+    switching, and relabel(g1, perm) == switch(g2, X) with X the search's
+    switching complemented on each component whose representative it holds,
+    so a sorted subset of the free vertices.
     """
     _check_search_size(g1, g2, "isomorphism")
-    free = free_switching_vertices(g2)
-    total = 1 << len(free)
-    if g1.n != g2.n or g1.m != g2.m:
-        return {"switchings_tried": total, "isomorphism_found": False}
-    adj1, prof1 = _matrix(g1)
-    want = sorted(prof1)
-    adj2, prof2 = _matrix(g2)
-    nbrs = [[u for u, s in enumerate(row) if s] for row in adj2]
-    for k in range(total):
-        if k:
-            w = free[(k & -k).bit_length() - 1]
-            row = adj2[w]
-            for u in nbrs[w]:
-                d, p, q = prof2[u]
-                prof2[u] = (d, p - 1, q + 1) if row[u] > 0 else (d, p + 1, q - 1)
-                row[u] = adj2[u][w] = -row[u]
-            d, p, q = prof2[w]
-            prof2[w] = (d, q, p)
-        if sorted(prof2) != want:
-            continue
-        maps = _search_matrices(adj1, prof1, adj2, prof2, False)
-        if maps:
-            X = [v for j, v in enumerate(free) if (k ^ k >> 1) >> j & 1]
-            return {
-                "switchings_tried": k + 1,
-                "isomorphism_found": True,
-                "witness": {"X": X, "perm": list(maps[0])},
-            }
-    return {"switchings_tried": total, "isomorphism_found": False}
+    found = find_switching_isomorphism(g1, g2)
+    if found is None:
+        free = free_switching_vertices(g2)
+        return {"switchings_tried": 1 << len(free), "isomorphism_found": False}
+    X, perm = found
+    root = _roots(g2)
+    whole = {v for v in X if root[v] == v}
+    return {
+        "switchings_tried": 1,
+        "isomorphism_found": True,
+        "witness": {
+            "X": [v for v in range(g2.n) if (v in X) != (root[v] in whole)],
+            "perm": list(perm),
+        },
+    }
 
 
 # -- signature orbits over a fixed underlying graph -----------------------------

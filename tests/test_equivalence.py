@@ -1,11 +1,13 @@
 """Isomorphism, switching isomorphism, and signature-class enumeration."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from switching_oracle import oracle_certificate
 from test_tally import small_signed_graphs
 
 from signedchrom import equivalence, reference
@@ -182,7 +184,7 @@ def test_switching_search_matches_class_partition():
 
 
 def test_switching_search_matches_certificate():
-    # the certificate tries every switching of g2 with a plain isomorphism search
+    # the oracle certificate tries every switching of h with a plain isomorphism search
     rng = random.Random(41)
     for i in range(60):
         n = rng.randrange(5, 9)
@@ -198,9 +200,7 @@ def test_switching_search_matches_certificate():
             edges[k] = (u, v, -sgn)
             h = SignedGraph(n, tuple(edges))
         res = find_switching_isomorphism(g, h)
-        assert (res is not None) == non_switching_isomorphism_certificate(g, h)[
-            "isomorphism_found"
-        ]
+        assert (res is not None) == oracle_certificate(g, h)["isomorphism_found"]
         if res is not None:
             X, pw = res
             assert relabel(g, pw) == switch(h, X)
@@ -210,9 +210,9 @@ def test_switching_search_matches_certificate():
 @given(small_signed_graphs(), st.data())
 def test_certificate_agrees_with_the_switching_search(g, data):
     """On a random switching and relabelling of g, sometimes with one sign
-    flipped, the certificate finds an isomorphism exactly when the
-    independent switching search does.  A found witness re-checks; a failure
-    has tried all 2^(n - c) switchings."""
+    flipped, the certificate finds an isomorphism exactly when the plain
+    switch-and-search loop does.  A found witness re-checks; a failure
+    counts all 2^(n - c) switchings, as the loop does."""
     bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
     h = relabel(switch(g, [v for v, bit in enumerate(bits) if bit]),
                 data.draw(st.permutations(range(g.n))))
@@ -224,13 +224,41 @@ def test_certificate_agrees_with_the_switching_search(g, data):
         edges[k] = (u, v, -sgn)
         h = SignedGraph(h.n, tuple(edges))
     cert = non_switching_isomorphism_certificate(g, h)
-    assert cert["isomorphism_found"] == (find_switching_isomorphism(g, h) is not None)
+    want = oracle_certificate(g, h)
+    assert cert["isomorphism_found"] == want["isomorphism_found"]
     if cert["isomorphism_found"]:
         X, perm = cert["witness"]["X"], cert["witness"]["perm"]
         assert relabel(g, perm) == switch(h, X)
     else:
         assert flipped
+        assert cert == want
         assert cert["switchings_tried"] == 2 ** (h.n - component_stats(h).c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_signed_graphs(), st.data())
+def test_switching_search_labels_survive_switching_and_relabelling(g, data):
+    """The search's labels, (degree, negative triangles through the
+    vertex), of a switched and relabelled copy of g are g's labels moved by
+    the relabelling, and they count the negative triangles by brute force."""
+    labels = equivalence._labels(g)
+    sign = {(u, v): s for u, v, s in g.edges}
+    for v in range(g.n):
+        degree = sum(v in (a, b) for a, b in sign)
+        negative = sum(
+            sign[a, b] * sign[a, c] * sign[b, c] < 0
+            for a, b, c in combinations(range(g.n), 3)
+            if v in (a, b, c) and {(a, b), (a, c), (b, c)} <= sign.keys()
+        )
+        assert labels[v] == (degree, negative)
+    bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    perm = data.draw(st.permutations(range(g.n)))
+    h = relabel(switch(g, [v for v, bit in enumerate(bits) if bit]), perm)
+    moved = [None] * g.n
+    for v in range(g.n):
+        moved[perm[v]] = labels[v]
+    assert equivalence._labels(h) == moved
+
 
 def test_automorphism_groups():
     assert len(automorphisms(fixture("petersen"))) == 120

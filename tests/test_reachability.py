@@ -22,7 +22,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 ORACLES = (
     ("interpolated_pair", "rebuilds a chromatic pair from brute-force counts alone"),
     ("join_family_graph", "the explicit join graph the closed forms are checked against"),
-    ("find_switching_isomorphism", "decides switching isomorphism independently of enumeration"),
     ("relabel", "applies isomorphism witnesses and relabelling invariance checks"),
     ("is_balanced", "the balance side of the balanced-iff-even-equals-odd theorem"),
     ("positive_part", "the graph of the diagonal identity E(x, x)"),
