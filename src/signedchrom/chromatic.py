@@ -23,8 +23,8 @@ layers of the one before at their longest common sign prefix.  On the 7,005
 switching classes of the benchmark's search inputs (seeds 11, 5 and 301)
 that takes about 0.8 s in a fresh process, against 1.3 s one graph at a time.
 
-A brute-force counting oracle over an explicit colour set, and exact
-Lagrange interpolation through oracle values, cross-check both routes.
+A brute-force counting oracle over an explicit colour set cross-checks both
+routes.
 """
 
 from __future__ import annotations
@@ -592,53 +592,6 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
     finally:
         _batch.reset(token)
     return pairs
-
-
-# -- interpolation cross-check ---------------------------------------------------
-
-
-def _lagrange_integer(xs: Sequence[int], ys: Sequence[int]) -> BiPoly:
-    """Exact Lagrange interpolation; the result must have integer coefficients."""
-    from fractions import Fraction  # imported here: only this oracle needs it
-
-    k = len(xs)
-    acc = [Fraction(0)] * k
-    for i in range(k):
-        num = [Fraction(1)]
-        denom = 1
-        for j in range(k):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for t, c in enumerate(num):
-                nxt[t + 1] += c
-                nxt[t] -= xs[j] * c
-            num = nxt
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i], denom)
-        for t, c in enumerate(num):
-            acc[t] += scale * c
-    for c in acc:
-        if c.denominator != 1:
-            raise SignedChromError(f"coefficient {c} is not an integer")
-    return BiPoly(((t, 0), int(c)) for t, c in enumerate(acc))
-
-
-def interpolated_pair(g: SignedGraph) -> ChromaticPair:
-    """Rebuild the chromatic pair from oracle counts alone.
-
-    Interpolates through lam = 0, 2, ..., 2n for the even constituent and
-    lam = 1, 3, ..., 2n+1 for the odd one; both polynomials have degree n,
-    so n+1 points of matching parity pin them down.
-    """
-    deg = g.n
-    even_xs = [2 * i for i in range(deg + 1)]
-    odd_xs = [2 * i + 1 for i in range(deg + 1)]
-    even_ys = [count_colourings_oracle(g, l) for l in even_xs]
-    odd_ys = [count_colourings_oracle(g, l) for l in odd_xs]
-    return ChromaticPair(
-        _lagrange_integer(even_xs, even_ys), _lagrange_integer(odd_xs, odd_ys)
-    )
 
 
 # -- dominating-vertex deletion recursion ----------------------------------------

@@ -1,13 +1,15 @@
 """Isomorphism and switching-isomorphism of signed graphs, and signature orbits.
 
-Decision procedures return explicit witnesses (a vertex permutation, plus a
-switching set where applicable) so a result of "equivalent" can be re-checked
-independently; when there is none, a certificate records the number of
-switchings the failed search ruled out.  Signature classes over a fixed
-underlying graph are enumerated on switching normal forms: each sign pattern
-is reduced to the smallest pattern of its switching coset, which leaves
-2^(|E|-n+c) patterns for c components, and those are grouped into orbits of
-the underlying graph's automorphism group.
+Isomorphism, automorphisms and switching isomorphism are decided by one
+backtracking search over sign matrices, `_search`; plain isomorphism is the
+case in which no vertex is switched.  Decision procedures return explicit
+witnesses (a vertex permutation, plus a switching set where applicable) so a
+result of "equivalent" can be re-checked independently; when there is none,
+a certificate records the number of switchings the failed search ruled out.
+Signature classes over a fixed underlying graph are enumerated on switching
+normal forms: each sign pattern is reduced to the smallest pattern of its
+switching coset, which leaves 2^(|E|-n+c) patterns for c components, and
+those are grouped into orbits of the underlying graph's automorphism group.
 """
 
 from __future__ import annotations
@@ -22,65 +24,115 @@ MAX_NORMAL_FORM_BITS = 21  # log2 of the normal forms a class enumeration walks
 MAX_CLASS_EDGES = 1 << 21  # signed edges held by the class representatives
 
 
-def _matrix(g: SignedGraph) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
-    """The n x n matrix of edge signs, 0 where there is no edge, and
-    (degree, positive degree, negative degree) per vertex, read from its rows."""
+def _matrix(g: SignedGraph) -> list[list[int]]:
+    """The n x n matrix of edge signs, 0 where there is no edge."""
     adj = [[0] * g.n for _ in range(g.n)]
     for u, v, s in g.edges:
         adj[u][v] = s
         adj[v][u] = s
-    return adj, [(g.n - row.count(0), row.count(1), row.count(-1)) for row in adj]
+    return adj
 
 
-def _search_matrices(
+def _labels(g: SignedGraph, switching: bool) -> list[tuple[int, ...]]:
+    """(degree, negative triangles through the vertex) per vertex, then its
+    negative degree unless `switching`.  A triangle's sign survives
+    switching, so switching and relabelling only permute the first two, and
+    relabelling only permutes all three.  Triangle u v w is negative when
+    w's edges to u and v differ in sign and uv is positive, or agree and uv
+    is negative; it lies on two edges at each of its vertices."""
+    pos, neg = [0] * g.n, [0] * g.n
+    for u, v, s in g.edges:
+        masks = pos if s > 0 else neg
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    twice = [0] * g.n
+    for u, v, s in g.edges:
+        if s > 0:
+            k = (pos[u] & neg[v] | neg[u] & pos[v]).bit_count()
+        else:
+            k = (pos[u] & pos[v] | neg[u] & neg[v]).bit_count()
+        twice[u] += k
+        twice[v] += k
+    return [
+        ((pos[v] | neg[v]).bit_count(), twice[v] // 2)
+        + (() if switching else (neg[v].bit_count(),))
+        for v in range(g.n)
+    ]
+
+
+def _search(
     adj1: list[list[int]],
-    prof1: list[tuple[int, int, int]],
+    lab1: list[tuple[int, ...]],
     adj2: list[list[int]],
-    prof2: list[tuple[int, int, int]],
-    find_all: bool,
+    lab2: list[tuple[int, ...]],
+    switching: bool,
+    find_all: bool = False,
     fixed: tuple[tuple[int, int], ...] = (),
-):
-    """Backtracking over vertex maps pruned by sign-degree profiles.
+) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Backtracking over vertex maps, pruned by labels: v may map only to a
+    vertex with its label.
 
-    Returns the maps `image` with adj1[v][u] == adj2[image[v]][image[u]] for
-    all v, u (all of them, or the first one unless `find_all`).  `fixed` is
-    a sequence of pairs (v, w) that force image[v] = w; those vertices are
-    placed first.  The matrices are only read.
+    Returns the pairs (X, image) with adj1[v][u] == adj2[image[v]][image[u]]
+    * f(image[v]) * f(image[u]) for all v, u, where f is -1 on X and 1 off
+    it (all of them, or the first one unless `find_all`).  X is empty unless
+    `switching`.  `fixed` is a sequence of pairs (v, w) that force image[v]
+    = w; those vertices are placed first, and the rest by maximum
+    cardinality search (most placed neighbours first, then highest degree,
+    then lowest index), so each placement closes as many cycles as it can.
+    A vertex with a placed neighbour has its first one as parent, and the
+    sign of the edge to it forces the vertex's switch bit; any other vertex
+    gets bit 0, since switching a whole component changes nothing.  A
+    failed switching search has ruled out every switching of graph 2 under
+    every relabelling.  The matrices are only read.
     """
     n = len(adj1)
     forced = dict(fixed)
-    # place high-degree vertices first; ties broken by index for determinism
-    order = [v for v, _ in fixed] + sorted(
-        (v for v in range(n) if v not in forced), key=lambda v: (-prof1[v][0], v)
-    )
-    choices = [(forced[v],) if v in forced else range(n) for v in order]
-    found: list[tuple[int, ...]] = []
+    order: list[int] = []
+    parent = [-1] * n
+    # the order's key (placed neighbours, degree, -index) as one int,
+    # placed neighbours * n^2 + degree * n + n - 1 - index; -1 once placed
+    rank = [lab1[u][0] * n + n - 1 - u for u in range(n)]
+    for step in range(n):
+        v = fixed[step][0] if step < len(fixed) else max(range(n), key=rank.__getitem__)
+        order.append(v)
+        rank[v] = -1
+        for u, sign in enumerate(adj1[v]):
+            if sign and rank[u] >= 0:
+                rank[u] += n * n
+                if parent[u] < 0:
+                    parent[u] = v
+    found: list[tuple[frozenset[int], tuple[int, ...]]] = []
     image = [-1] * n
     used = [False] * n
+    flip = [1] * n  # -1 where a vertex of graph 2 is switched
 
     def extend(step: int) -> bool:
         if step == n:
-            perm = tuple(image)
-            found.append(perm)
+            found.append((frozenset(w for w in range(n) if flip[w] < 0), tuple(image)))
             return not find_all
         v = order[step]
         row1 = adj1[v]
-        for w in choices[step]:
-            if used[w] or prof1[v] != prof2[w]:
+        a = parent[v]
+        for w in (forced[v],) if v in forced else range(n):
+            if used[w] or lab1[v] != lab2[w]:
                 continue
             row2 = adj2[w]
-            ok = True
-            for prev in order[:step]:
-                if row1[prev] != row2[image[prev]]:
-                    ok = False
+            s = 1
+            if a >= 0:
+                if not row2[image[a]]:
+                    continue
+                if switching:
+                    s = row1[a] * row2[image[a]] * flip[image[a]]
+            for p in order[:step]:
+                if row1[p] != s * row2[image[p]] * flip[image[p]]:
                     break
-            if ok:
+            else:
                 image[v] = w
                 used[w] = True
+                flip[w] = s
                 if extend(step + 1):
                     return True
                 used[w] = False
-                image[v] = -1
         return False
 
     extend(0)
@@ -92,24 +144,32 @@ def _check_search_size(g1: SignedGraph, g2: SignedGraph, what: str) -> None:
         raise BudgetExceededError(f"{what} search limited to {MAX_SEARCH_VERTICES} vertices")
 
 
-def find_isomorphism(g1: SignedGraph, g2: SignedGraph) -> tuple[int, ...] | None:
-    """A sign-preserving vertex bijection with relabel(g1, perm) == g2, or None.
-    Graphs that differ in size or in their sign-degree profiles are not searched."""
-    _check_search_size(g1, g2, "isomorphism")
+def _find(
+    g1: SignedGraph, g2: SignedGraph, switching: bool
+) -> tuple[frozenset[int], tuple[int, ...]] | None:
+    """The first (X, perm) of a search between g1 and g2, or None; graphs
+    that differ in size or in their sorted labels are not searched."""
     if g1.n != g2.n or g1.m != g2.m:
         return None
-    adj1, prof1 = _matrix(g1)
-    adj2, prof2 = _matrix(g2)
-    if sorted(prof1) != sorted(prof2):
+    lab1, lab2 = _labels(g1, switching), _labels(g2, switching)
+    if sorted(lab1) != sorted(lab2):
         return None
-    maps = _search_matrices(adj1, prof1, adj2, prof2, False)
-    return maps[0] if maps else None
+    found = _search(_matrix(g1), lab1, _matrix(g2), lab2, switching)
+    return found[0] if found else None
+
+
+def find_isomorphism(g1: SignedGraph, g2: SignedGraph) -> tuple[int, ...] | None:
+    """A sign-preserving vertex bijection with relabel(g1, perm) == g2, or None.
+    Graphs that differ in size or in their sorted `_labels` are not searched."""
+    _check_search_size(g1, g2, "isomorphism")
+    found = _find(g1, g2, False)
+    return found[1] if found else None
 
 
 def automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     """All sign-preserving automorphisms of g."""
-    adj, prof = _matrix(g)
-    return _search_matrices(adj, prof, adj, prof, True)
+    adj, lab = _matrix(g), _labels(g, False)
+    return [perm for _, perm in _search(adj, lab, adj, lab, False, find_all=True)]
 
 
 def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
@@ -134,46 +194,24 @@ def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     of 0..i-1 in the whole group, so by induction from the last vertex the
     generators found at points >= i generate that stabiliser, and at i = 0
     the whole group.  That takes at most n^2 searches, not a walk over
-    every element, and a target is searched only if it has i's profile and
+    every element, and a target is searched only if it has i's label and
     i's edges to 0..i-1.
     """
-    adj, prof = _matrix(g)
+    adj, lab = _matrix(g), _labels(g, False)
     gens: list[tuple[int, ...]] = []
     for i in reversed(range(g.n)):
         orbit = {i}
         for target in range(i + 1, g.n):
-            if target in orbit or prof[target] != prof[i]:
+            if target in orbit or lab[target] != lab[i]:
                 continue
             if adj[target][:i] != adj[i][:i]:
                 continue
             fixed = tuple((v, v) for v in range(i)) + ((i, target),)
-            found = _search_matrices(adj, prof, adj, prof, False, fixed)
+            found = _search(adj, lab, adj, lab, False, fixed=fixed)
             if found:
-                gens.append(found[0])
+                gens.append(found[0][1])
                 orbit = _orbit(i, gens)
     return gens
-
-
-def _labels(g: SignedGraph) -> list[tuple[int, int]]:
-    """(degree, negative triangles through the vertex) per vertex.  A
-    triangle's sign survives switching, so switching and relabelling only
-    permute the labels.  Triangle u v w is negative when w's edges to u and
-    v differ in sign and uv is positive, or agree and uv is negative; it
-    lies on two edges at each of its vertices."""
-    pos, neg = [0] * g.n, [0] * g.n
-    for u, v, s in g.edges:
-        masks = pos if s > 0 else neg
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    twice = [0] * g.n
-    for u, v, s in g.edges:
-        if s > 0:
-            k = (pos[u] & neg[v] | neg[u] & pos[v]).bit_count()
-        else:
-            k = (pos[u] & pos[v] | neg[u] & neg[v]).bit_count()
-        twice[u] += k
-        twice[v] += k
-    return [((pos[v] | neg[v]).bit_count(), twice[v] // 2) for v in range(g.n)]
 
 
 def find_switching_isomorphism(
@@ -181,75 +219,12 @@ def find_switching_isomorphism(
 ) -> tuple[frozenset[int], tuple[int, ...]] | None:
     """A pair (X, perm) with relabel(g1, perm) == switch(g2, X), or None.
 
-    One backtracking search over vertex maps, pruned by the switching
-    invariant labels of `_labels`: v may map only to a vertex with its
-    label, and graphs whose sorted labels differ are not searched.  g1's
-    vertices are placed by maximum cardinality search (most placed
-    neighbours first, then highest degree, then lowest index), so each
-    placement closes as many cycles as it can.  A component's first vertex
-    gets switch bit 0 (switching a whole component changes nothing); every
-    later vertex has a placed neighbour, its parent, and the sign of the
-    edge to it forces the bit.  A failed search has ruled out every
-    switching of g2 under every relabelling.
+    One `_search` with switching, pruned by the switching-invariant labels
+    (degree, negative triangles through the vertex); graphs whose sorted
+    labels differ are not searched.
     """
     _check_search_size(g1, g2, "switching-isomorphism")
-    n = g1.n
-    if n != g2.n or g1.m != g2.m:
-        return None
-    lab1, lab2 = _labels(g1), _labels(g2)
-    if sorted(lab1) != sorted(lab2):
-        return None
-    adj1, _ = _matrix(g1)
-    adj2, _ = _matrix(g2)
-    order: list[int] = []
-    parent = [-1] * n
-    placed_nbrs = [0] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if placed_nbrs[u] >= 0),
-            key=lambda u: (placed_nbrs[u], lab1[u][0], -u),
-        )
-        order.append(v)
-        placed_nbrs[v] = -1
-        for u in range(n):
-            if adj1[v][u] and placed_nbrs[u] >= 0:
-                placed_nbrs[u] += 1
-                if parent[u] < 0:
-                    parent[u] = v
-    image = [-1] * n
-    used = [False] * n
-    flip = [1] * n  # -1 where a vertex of g2 is switched
-
-    def extend(step: int) -> bool:
-        if step == n:
-            return True
-        v = order[step]
-        row1 = adj1[v]
-        a = parent[v]
-        for w in range(n):
-            if used[w] or lab1[v] != lab2[w]:
-                continue
-            row2 = adj2[w]
-            s = 1
-            if a >= 0:
-                if not row2[image[a]]:
-                    continue
-                s = row1[a] * row2[image[a]] * flip[image[a]]
-            for p in order[:step]:
-                if row1[p] != s * row2[image[p]] * flip[image[p]]:
-                    break
-            else:
-                image[v] = w
-                used[w] = True
-                flip[w] = s
-                if extend(step + 1):
-                    return True
-                used[w] = False
-        return False
-
-    if not extend(0):
-        return None
-    return frozenset(w for w in range(n) if flip[w] < 0), tuple(image)
+    return _find(g1, g2, True)
 
 
 def _roots(g: SignedGraph) -> list[int]:

@@ -10,6 +10,7 @@ import random
 from collections import Counter
 
 import pytest
+from oracles import interpolated_pair
 
 from signedchrom import reference
 from signedchrom.chromatic import (
@@ -17,7 +18,6 @@ from signedchrom.chromatic import (
     bivariate_pair,
     chromatic_pair,
     count_colourings_oracle,
-    interpolated_pair,
 )
 from signedchrom.closedform import identity_suite, join_family_graph, join_pair
 from signedchrom.equivalence import (

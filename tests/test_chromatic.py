@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import interpolated_pair, lagrange_integer
 from test_tally import small_signed_graphs
 
 from signedchrom import chromatic
@@ -21,7 +22,6 @@ from signedchrom.chromatic import (
     complete_bivariate_pair,
     complete_chromatic_pair,
     count_colourings_oracle,
-    interpolated_pair,
 )
 from signedchrom.equivalence import enumerate_classes, graph_from_mask
 from signedchrom.errors import BudgetExceededError, SignedChromError
@@ -170,7 +170,7 @@ def test_interpolated_pair_examples():
     assert interpolated_pair(SignedGraph(0, ())) == ChromaticPair(BiPoly.one(), BiPoly.one())
     # through (0, 0) and (2, 1) the line is x/2
     with pytest.raises(SignedChromError, match="coefficient 1/2 is not an integer"):
-        chromatic._lagrange_integer([0, 2], [0, 1])
+        lagrange_integer([0, 2], [0, 1])
 
 
 def test_threshold_bivariate_examples():

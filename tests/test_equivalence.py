@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from switching_oracle import oracle_certificate
+from oracles import isomorphisms, oracle_certificate
 from test_tally import small_signed_graphs
 
 from signedchrom import equivalence, reference
@@ -89,6 +89,20 @@ def union_find_classes(underlying, mode):
         sizes[rep_of_root[root]] += 1
         class_of.append(rep_of_root[root])
     return tuple(reps), tuple(sizes), class_of
+
+
+def generated_group(gens, n):
+    """The permutation group on range(n) that gens generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        for b in gens:
+            c = tuple(b[a[v]] for v in range(n))
+            if c not in group:
+                group.add(c)
+                frontier.append(c)
+    return group
 
 
 def oracle_graphs():
@@ -238,26 +252,35 @@ def test_certificate_agrees_with_the_switching_search(g, data):
 @settings(max_examples=200, deadline=None)
 @given(small_signed_graphs(), st.data())
 def test_switching_search_labels_survive_switching_and_relabelling(g, data):
-    """The search's labels, (degree, negative triangles through the
-    vertex), of a switched and relabelled copy of g are g's labels moved by
-    the relabelling, and they count the negative triangles by brute force."""
-    labels = equivalence._labels(g)
+    """The switching search's labels, (degree, negative triangles through
+    the vertex), count the negative triangles by brute force, and the iso
+    searches' labels add the negative degree.  Relabelling moves both label
+    lists by the relabelling, and switching keeps the switching labels."""
+    switching_labels, iso_labels = equivalence._labels(g, True), equivalence._labels(g, False)
     sign = {(u, v): s for u, v, s in g.edges}
     for v in range(g.n):
         degree = sum(v in (a, b) for a, b in sign)
+        negative_degree = sum(v in (a, b) and s < 0 for (a, b), s in sign.items())
         negative = sum(
             sign[a, b] * sign[a, c] * sign[b, c] < 0
             for a, b, c in combinations(range(g.n), 3)
             if v in (a, b, c) and {(a, b), (a, c), (b, c)} <= sign.keys()
         )
-        assert labels[v] == (degree, negative)
-    bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        assert switching_labels[v] == (degree, negative)
+        assert iso_labels[v] == (degree, negative, negative_degree)
     perm = data.draw(st.permutations(range(g.n)))
-    h = relabel(switch(g, [v for v, bit in enumerate(bits) if bit]), perm)
-    moved = [None] * g.n
-    for v in range(g.n):
-        moved[perm[v]] = labels[v]
-    assert equivalence._labels(h) == moved
+    bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    h = relabel(g, perm)
+
+    def moved(labels):
+        out = [None] * g.n
+        for v in range(g.n):
+            out[perm[v]] = labels[v]
+        return out
+
+    assert equivalence._labels(h, False) == moved(iso_labels)
+    switched = switch(h, [v for v, bit in enumerate(bits) if bit])
+    assert equivalence._labels(switched, True) == moved(switching_labels)
 
 
 def test_automorphism_groups():
@@ -276,17 +299,43 @@ def test_generating_automorphisms_generate_the_group():
     graphs += [random_graph(rng, rng.randrange(1, 7)) for _ in range(10)]
     for g in graphs:
         gens = generating_automorphisms(g)
-        group = {tuple(range(g.n))}
-        frontier = list(group)
-        while frontier:
-            a = frontier.pop()
-            for b in gens:
-                c = tuple(b[a[v]] for v in range(g.n))
-                if c not in group:
-                    group.add(c)
-                    frontier.append(c)
-        assert group == set(automorphisms(g))
+        assert generated_group(gens, g.n) == set(isomorphisms(g, g))
         assert len(gens) <= g.n * g.n
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_signed_graphs(7), st.data())
+def test_searches_match_the_plain_search(g, data):
+    """On a signed graph g of at most 7 vertices, `automorphisms` lists the
+    group the plain search of `oracles` finds, `generating_automorphisms`
+    generates it with at most n^2 generators, and `find_isomorphism` and
+    `find_switching_isomorphism` decide a relabelled copy of g, and a
+    switching of that copy, as the plain search does.  Sometimes one sign of
+    the copy is flipped, which usually leaves g's classes."""
+    group = set(isomorphisms(g, g))
+    found = automorphisms(g)
+    assert len(found) == len(group) and set(found) == group
+    gens = generating_automorphisms(g)
+    assert generated_group(gens, g.n) == group
+    assert len(gens) <= g.n * g.n
+    h = relabel(g, data.draw(st.permutations(range(g.n))))
+    if h.m and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, h.m - 1))
+        edges = list(h.edges)
+        u, v, sgn = edges[k]
+        edges[k] = (u, v, -sgn)
+        h = SignedGraph(h.n, tuple(edges))
+    perm = find_isomorphism(g, h)
+    assert (perm is not None) == (next(isomorphisms(g, h), None) is not None)
+    if perm is not None:
+        assert relabel(g, perm) == h
+    bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    h = switch(h, [v for v, bit in enumerate(bits) if bit])
+    res = find_switching_isomorphism(g, h)
+    assert (res is not None) == oracle_certificate(g, h)["isomorphism_found"]
+    if res is not None:
+        X, perm = res
+        assert relabel(g, perm) == switch(h, X)
 
 
 def test_enumerate_classes_counts():

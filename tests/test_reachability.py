@@ -20,7 +20,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # (name, why tests need it) for public names that only tests call
 ORACLES = (
-    ("interpolated_pair", "rebuilds a chromatic pair from brute-force counts alone"),
     ("join_family_graph", "the explicit join graph the closed forms are checked against"),
     ("relabel", "applies isomorphism witnesses and relabelling invariance checks"),
     ("is_balanced", "the balance side of the balanced-iff-even-equals-odd theorem"),
@@ -139,3 +138,20 @@ def test_only_poly_reads_the_term_dict():
         if isinstance(node, ast.Attribute) and node.attr == "_terms"
     )
     assert readers == [], "use BiPoly's operations; only poly.py knows the term dict"
+
+
+def test_equivalence_has_one_backtracking_search():
+    """Isomorphism, automorphisms and switching isomorphism share one search
+    core in `equivalence`; a second function that calls itself there is a
+    second search loop."""
+    tree = ast.parse((ROOT / "src" / "signedchrom" / "equivalence.py").read_text(encoding="utf-8"))
+    recursive = sorted(
+        f"{node.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    )
+    assert len(recursive) == 1, f"one search core, found {recursive}"

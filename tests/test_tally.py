@@ -168,8 +168,8 @@ def test_seeded_random_graphs_up_to_8_vertices_14_edges():
 
 
 @st.composite
-def small_signed_graphs(draw):
-    n = draw(st.integers(0, 6))
+def small_signed_graphs(draw, max_n=6):
+    n = draw(st.integers(0, max_n))
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=len(slots), max_size=len(slots)))
     return SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(slots, signs) if s))

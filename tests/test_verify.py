@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from switching_oracle import oracle_certificate
+from oracles import oracle_certificate
 
 from signedchrom import reference
 from signedchrom.chromatic import bivariate_pair, chromatic_pair, count_colourings_oracle
