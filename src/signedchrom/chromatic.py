@@ -36,9 +36,7 @@ from contextvars import ContextVar
 from typing import Sequence
 
 from .errors import BudgetExceededError, SignedChromError
-from .graphs import (
-    ISOLATED, NEGATIVE_DOMINATING, POSITIVE_DOMINATING, SignedGraph, delete_vertex, vertex_role,
-)
+from .graphs import SignedGraph, delete_vertex
 from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling, falling_product
 
 MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
@@ -529,7 +527,16 @@ def chromatic_pair(g: SignedGraph) -> ChromaticPair:
     return _subset_chromatic_pair(g)
 
 
-_PEEL_ENTRIES = {ISOLATED: 0, POSITIVE_DOMINATING: 1, NEGATIVE_DOMINATING: -1}
+def _peel_entry(g: SignedGraph, v: int) -> int | None:
+    """The threshold-code entry that `threshold_step` puts v back with: 0
+    when v has no edges, s when v has n - 1 edges all of sign s, otherwise
+    None.  The vertex of K_1 is where a code starts, not an entry: None."""
+    signs = [s for a, b, s in g.edges if a == v or b == v]
+    if not signs:
+        return 0 if g.n > 1 else None
+    if len(signs) == g.n - 1 and len(set(signs)) == 1:
+        return signs[0]
+    return None
 
 
 def bivariate_pair(g: SignedGraph) -> BivariatePair:
@@ -543,7 +550,7 @@ def bivariate_pair(g: SignedGraph) -> BivariatePair:
         if g.n <= MAX_PARTITION_N and g.m == g.n * (g.n - 1) // 2:
             break  # the partition route answers a small signed K_n faster
         for v in reversed(range(g.n)):
-            entry = _PEEL_ENTRIES.get(vertex_role(g, v))
+            entry = _peel_entry(g, v)
             if entry is not None:
                 break
         else:

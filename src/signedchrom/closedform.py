@@ -23,7 +23,6 @@ from collections import Counter
 from math import comb, factorial
 
 from .errors import BudgetExceededError, SignedChromError
-from .graphs import SignedGraph, complete_graph, join
 from .poly import (
     BiPoly,
     ChromaticPair,
@@ -200,22 +199,6 @@ def join_pair(family: int, l: int, m: int, n: int) -> ChromaticPair:
     even = h(l, m, n)
     odd = even.shifted(-1, 0) + _hat(h, l, m, n)
     return ChromaticPair(even, odd)
-
-
-def join_family_graph(family: int, l: int, m: int, n: int) -> SignedGraph:
-    """The explicit signed graph whose pair join_pair computes."""
-    _check_family(family, l, m, n)
-    if family == 1:
-        return join(join(complete_graph(l, -1), complete_graph(m, 1), 1),
-                    complete_graph(n, -1), 1)
-    if family == 2:
-        return join(join(complete_graph(l, -1), complete_graph(m, -1), 1),
-                    complete_graph(n, -1), 1)
-    if family == 3:
-        return join(join(complete_graph(l, 1), complete_graph(m, 1), -1),
-                    complete_graph(n, 1), 1)
-    return join(join(complete_graph(l, 1), complete_graph(m, 1), -1),
-                complete_graph(n, -1), 1)
 
 
 def _symmetric(h, rng):

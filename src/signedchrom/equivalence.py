@@ -60,12 +60,40 @@ def _labels(g: SignedGraph, switching: bool) -> list[tuple[int, ...]]:
     ]
 
 
+def _order(
+    adj: list[list[int]], lab: list[tuple[int, ...]], k: int
+) -> tuple[list[int], list[int]]:
+    """The order in which a search places the vertices of the graph with
+    matrix `adj`, and each vertex's parent.  Vertices 0..k-1 come first,
+    and the rest by maximum cardinality search (most placed neighbours
+    first, then highest degree, then lowest index), so each placement closes
+    as many cycles as it can.  A vertex's parent is its first placed
+    neighbour, -1 for a vertex placed before all of its neighbours."""
+    n = len(adj)
+    order: list[int] = []
+    parent = [-1] * n
+    # the order's key (placed neighbours, degree, -index) as one int,
+    # placed neighbours * n^2 + degree * n + n - 1 - index; -1 once placed
+    rank = [lab[u][0] * n + n - 1 - u for u in range(n)]
+    for step in range(n):
+        v = step if step < k else max(range(n), key=rank.__getitem__)
+        order.append(v)
+        rank[v] = -1
+        for u, sign in enumerate(adj[v]):
+            if sign and rank[u] >= 0:
+                rank[u] += n * n
+                if parent[u] < 0:
+                    parent[u] = v
+    return order, parent
+
+
 def _search(
     adj1: list[list[int]],
     lab1: list[tuple[int, ...]],
     adj2: list[list[int]],
     lab2: list[tuple[int, ...]],
     switching: bool,
+    order: tuple[list[int], list[int]],
     find_all: bool = False,
     fixed: tuple[tuple[int, int], ...] = (),
 ) -> list[tuple[frozenset[int], tuple[int, ...]]]:
@@ -75,32 +103,18 @@ def _search(
     Returns the pairs (X, image) with adj1[v][u] == adj2[image[v]][image[u]]
     * f(image[v]) * f(image[u]) for all v, u, where f is -1 on X and 1 off
     it (all of them, or the first one unless `find_all`).  X is empty unless
-    `switching`.  `fixed` is a sequence of pairs (v, w) that force image[v]
-    = w; those vertices are placed first, and the rest by maximum
-    cardinality search (most placed neighbours first, then highest degree,
-    then lowest index), so each placement closes as many cycles as it can.
-    A vertex with a placed neighbour has its first one as parent, and the
-    sign of the edge to it forces the vertex's switch bit; any other vertex
-    gets bit 0, since switching a whole component changes nothing.  A
-    failed switching search has ruled out every switching of graph 2 under
-    every relabelling.  The matrices are only read.
+    `switching`.  Vertices are placed in the order, with the parents, that
+    `order` gives, which is `_order` of graph 1.  `fixed` is a sequence of
+    pairs (v, w) that force image[v] = w, for the vertices `order` places
+    first.  A vertex with a parent must map to a neighbour of its parent's
+    image, and the sign of the edge to it forces the vertex's switch bit;
+    any other vertex gets bit 0, since switching a whole component changes
+    nothing.  A failed switching search has ruled out every switching of
+    graph 2 under every relabelling.  The matrices are only read.
     """
     n = len(adj1)
     forced = dict(fixed)
-    order: list[int] = []
-    parent = [-1] * n
-    # the order's key (placed neighbours, degree, -index) as one int,
-    # placed neighbours * n^2 + degree * n + n - 1 - index; -1 once placed
-    rank = [lab1[u][0] * n + n - 1 - u for u in range(n)]
-    for step in range(n):
-        v = fixed[step][0] if step < len(fixed) else max(range(n), key=rank.__getitem__)
-        order.append(v)
-        rank[v] = -1
-        for u, sign in enumerate(adj1[v]):
-            if sign and rank[u] >= 0:
-                rank[u] += n * n
-                if parent[u] < 0:
-                    parent[u] = v
+    order, parent = order
     found: list[tuple[frozenset[int], tuple[int, ...]]] = []
     image = [-1] * n
     used = [False] * n
@@ -154,13 +168,15 @@ def _find(
     lab1, lab2 = _labels(g1, switching), _labels(g2, switching)
     if sorted(lab1) != sorted(lab2):
         return None
-    found = _search(_matrix(g1), lab1, _matrix(g2), lab2, switching)
+    adj1 = _matrix(g1)
+    found = _search(adj1, lab1, _matrix(g2), lab2, switching, _order(adj1, lab1, 0))
     return found[0] if found else None
 
 
 def find_isomorphism(g1: SignedGraph, g2: SignedGraph) -> tuple[int, ...] | None:
-    """A sign-preserving vertex bijection with relabel(g1, perm) == g2, or None.
-    Graphs that differ in size or in their sorted `_labels` are not searched."""
+    """A sign-preserving vertex bijection perm, taking each edge (u, v, s) of
+    g1 to the edge (perm[u], perm[v], s) of g2, or None.  Graphs that differ
+    in size or in their sorted `_labels` are not searched."""
     _check_search_size(g1, g2, "isomorphism")
     found = _find(g1, g2, False)
     return found[1] if found else None
@@ -169,7 +185,8 @@ def find_isomorphism(g1: SignedGraph, g2: SignedGraph) -> tuple[int, ...] | None
 def automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     """All sign-preserving automorphisms of g."""
     adj, lab = _matrix(g), _labels(g, False)
-    return [perm for _, perm in _search(adj, lab, adj, lab, False, find_all=True)]
+    order = _order(adj, lab, 0)
+    return [perm for _, perm in _search(adj, lab, adj, lab, False, order, find_all=True)]
 
 
 def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
@@ -195,19 +212,23 @@ def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     generators found at points >= i generate that stabiliser, and at i = 0
     the whole group.  That takes at most n^2 searches, not a walk over
     every element, and a target is searched only if it has i's label and
-    i's edges to 0..i-1.
+    i's edges to 0..i-1.  The searches at one point share one placement
+    order, which starts with 0..i whatever the target.
     """
     adj, lab = _matrix(g), _labels(g, False)
     gens: list[tuple[int, ...]] = []
     for i in reversed(range(g.n)):
         orbit = {i}
+        order = None
         for target in range(i + 1, g.n):
             if target in orbit or lab[target] != lab[i]:
                 continue
             if adj[target][:i] != adj[i][:i]:
                 continue
+            if order is None:
+                order = _order(adj, lab, i + 1)
             fixed = tuple((v, v) for v in range(i)) + ((i, target),)
-            found = _search(adj, lab, adj, lab, False, fixed=fixed)
+            found = _search(adj, lab, adj, lab, False, order, fixed=fixed)
             if found:
                 gens.append(found[0][1])
                 orbit = _orbit(i, gens)
@@ -217,7 +238,8 @@ def generating_automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
 def find_switching_isomorphism(
     g1: SignedGraph, g2: SignedGraph
 ) -> tuple[frozenset[int], tuple[int, ...]] | None:
-    """A pair (X, perm) with relabel(g1, perm) == switch(g2, X), or None.
+    """A pair (X, perm) such that perm is a sign-preserving vertex bijection
+    from g1 to switch(g2, X), or None.
 
     One `_search` with switching, pruned by the switching-invariant labels
     (degree, negative triangles through the vertex); graphs whose sorted
@@ -254,7 +276,7 @@ def non_switching_isomorphism_certificate(g1: SignedGraph, g2: SignedGraph) -> d
     find_switching_isomorphism search.  On failure `switchings_tried` counts
     the 2^(n-c) switchings of g2 it ruled out, one per subset of
     free_switching_vertices(g2).  On success it is 1, the witness's
-    switching, and relabel(g1, perm) == switch(g2, X) with X the search's
+    switching, and perm maps g1 onto switch(g2, X) with X the search's
     switching complemented on each component whose representative it holds,
     so a sorted subset of the free vertices.
     """

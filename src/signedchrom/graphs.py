@@ -1,4 +1,5 @@
-"""Signed graphs: construction, switching, balance, joins and fixtures.
+"""Signed graphs: construction, switching, vertex deletion, threshold graphs,
+fixtures and the edge-list file format.
 
 A signed graph is a finite simple graph whose edges carry a sign in {+1, -1}.
 Vertices are 0..n-1; edges are stored as (u, v, sign) with u < v, sorted
@@ -8,7 +9,7 @@ are pure: they return new graphs and never mutate their arguments.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, SignedChromError
 
@@ -20,13 +21,6 @@ Edge = tuple[int, int, int]
 # 12-vertex searches); this cap only keeps what is built before those checks
 # small: K_256 has 32,640 edges.
 MAX_VERTICES = 256
-
-# vertex roles
-ISOLATED = "isolated"
-POSITIVE_DOMINATING = "positive_dominating"
-NEGATIVE_DOMINATING = "negative_dominating"
-PLAIN = "plain"
-UNIVERSAL_K1 = "universal_K1"
 
 
 class SignedGraph:
@@ -85,14 +79,6 @@ class SignedGraph:
         return len(self.edges)
 
 
-class ComponentStats(NamedTuple):
-    """Connected components: total, balanced, and all-positive counts."""
-
-    c: int
-    b: int
-    p: int
-
-
 def _check_vertex(g: SignedGraph, v: int) -> None:
     if not (0 <= v < g.n):
         raise SignedChromError(f"vertex {v} outside 0..{g.n - 1}")
@@ -107,96 +93,6 @@ def switch(g: SignedGraph, X: Iterable[int]) -> SignedGraph:
         (u, v, -s if (u in xs) != (v in xs) else s) for u, v, s in g.edges
     )
     return SignedGraph(g.n, edges)
-
-
-def relabel(g: SignedGraph, perm: Sequence[int]) -> SignedGraph:
-    """Apply a vertex permutation: vertex v becomes perm[v]."""
-    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
-        raise SignedChromError("perm must be a permutation of 0..n-1")
-    return SignedGraph(g.n, tuple((perm[u], perm[v], s) for u, v, s in g.edges))
-
-
-def component_stats(g: SignedGraph) -> ComponentStats:
-    """Count components, balanced components and all-positive components.
-
-    Uses a parity union-find: each vertex carries its sign relative to the
-    component root, so a negative cycle shows up as a parity clash.
-    """
-    parent = list(range(g.n))
-    parity = [0] * g.n
-    unbalanced = [False] * g.n
-    has_negative = [False] * g.n
-    for u, v, s in g.edges:
-        pu = 0
-        while parent[u] != u:
-            pu ^= parity[u]
-            u = parent[u]
-        pv = 0
-        while parent[v] != v:
-            pv ^= parity[v]
-            v = parent[v]
-        t = 1 if s < 0 else 0
-        if u == v:
-            if pu ^ pv != t:
-                unbalanced[u] = True
-        else:
-            parent[v] = u
-            parity[v] = pu ^ pv ^ t
-            if unbalanced[v]:
-                unbalanced[u] = True
-            if has_negative[v]:
-                has_negative[u] = True
-        if t:
-            has_negative[u] = True
-    c = b = p = 0
-    for v in range(g.n):
-        if parent[v] == v:
-            c += 1
-            if not unbalanced[v]:
-                b += 1
-            if not has_negative[v]:
-                p += 1
-    return ComponentStats(c, b, p)
-
-
-def is_balanced(g: SignedGraph) -> bool:
-    """True iff no component contains a negative cycle."""
-    stats = component_stats(g)
-    return stats.b == stats.c
-
-
-def join(g1: SignedGraph, g2: SignedGraph, join_sign: int) -> SignedGraph:
-    """Disjoint union plus all edges of join_sign between the two parts.
-
-    Joining with the vertexless graph returns the other argument unchanged.
-    """
-    if join_sign not in (1, -1):
-        raise SignedChromError(f"join sign must be +1 or -1, got {join_sign!r}")
-    if g1.n == 0:
-        return g2
-    if g2.n == 0:
-        return g1
-    k = g1.n
-    edges = list(g1.edges)
-    edges.extend((u + k, v + k, s) for u, v, s in g2.edges)
-    edges.extend((u, v + k, join_sign) for u in range(g1.n) for v in range(g2.n))
-    return SignedGraph(g1.n + g2.n, tuple(edges))
-
-
-def vertex_role(g: SignedGraph, v: int) -> str:
-    """Classify v as isolated / positive or negative dominating / plain."""
-    _check_vertex(g, v)
-    if g.n == 1:
-        return UNIVERSAL_K1
-    signs = [s for u, w, s in g.edges if v in (u, w)]
-    if not signs:
-        return ISOLATED
-    if len(signs) == g.n - 1:
-        if all(s > 0 for s in signs):
-            return POSITIVE_DOMINATING
-        if all(s < 0 for s in signs):
-            return NEGATIVE_DOMINATING
-    return PLAIN
 
 
 def delete_vertex(g: SignedGraph, v: int) -> SignedGraph:
@@ -227,11 +123,6 @@ def threshold_graph(code: Sequence[int]) -> SignedGraph:
         if a:
             edges.extend((u, v, a) for u in range(v))
     return SignedGraph(len(code) + 1, edges)
-
-
-def positive_part(g: SignedGraph) -> SignedGraph:
-    """Same vertices, only the positive edges."""
-    return SignedGraph(g.n, tuple(e for e in g.edges if e[2] > 0))
 
 
 def all_positive(g: SignedGraph) -> SignedGraph:

@@ -141,10 +141,7 @@ class BiPoly:
             out = out * self
         return out
 
-    # -- evaluation and substitution ----------------------------------------
-
-    def evaluate(self, x0: int, y0: int) -> int:
-        return sum(c * x0**i * y0**j for (i, j), c in self._terms.items())
+    # -- substitution ------------------------------------------------------
 
     def shifted(self, dx: int, dy: int) -> "BiPoly":
         """Return p(x + dx, y + dy), expanded exactly, one variable at a time.
@@ -179,10 +176,6 @@ class BiPoly:
     def substitute_y(self, y0: int) -> "BiPoly":
         """Return p(x, y0), a polynomial in x alone."""
         return BiPoly(((i, 0), c * y0**j) for (i, j), c in self._terms.items())
-
-    def diagonal(self) -> "BiPoly":
-        """Return p(x, x): substitute y = x."""
-        return BiPoly(((i + j, 0), c) for (i, j), c in self._terms.items())
 
     def __repr__(self) -> str:
         return f"BiPoly({dict(self.items())!r})"

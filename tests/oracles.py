@@ -1,15 +1,23 @@
-"""Reference routes the tests check production against, built without the
-production searches: a plain isomorphism search, the non-switching-
-isomorphism certificate as a switch-and-search loop over it, and the
-chromatic pair rebuilt by Lagrange interpolation through brute-force
-colouring counts."""
+"""Reference routes and helpers the tests check production against, none
+of which production calls.
+
+- A plain isomorphism search, and the non-switching-isomorphism certificate
+  as a switch-and-search loop over it.
+- The chromatic pair rebuilt by Lagrange interpolation through brute-force
+  colouring counts.
+- Graph helpers: relabelling, component statistics and balance, the
+  positive part, joins and the explicit join-family graphs.
+- Each vertex's role in the dominating-vertex deletion formulae.
+- Polynomial evaluation and the diagonal p(x, x), read from `items()`.
+"""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from signedchrom.chromatic import count_colourings_oracle
 from signedchrom.equivalence import free_switching_vertices
 from signedchrom.errors import SignedChromError
-from signedchrom.graphs import switch
+from signedchrom.graphs import SignedGraph, complete_graph, switch
 from signedchrom.poly import BiPoly, ChromaticPair
 
 
@@ -92,3 +100,144 @@ def interpolated_pair(g):
     even_ys = [count_colourings_oracle(g, lam) for lam in even_xs]
     odd_ys = [count_colourings_oracle(g, lam) for lam in odd_xs]
     return ChromaticPair(lagrange_integer(even_xs, even_ys), lagrange_integer(odd_xs, odd_ys))
+
+
+# -- graph helpers ------------------------------------------------------------
+
+
+def relabel(g, perm):
+    """Apply a vertex permutation: vertex v becomes perm[v]."""
+    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
+        raise SignedChromError("perm must be a permutation of 0..n-1")
+    return SignedGraph(g.n, tuple((perm[u], perm[v], s) for u, v, s in g.edges))
+
+
+class ComponentStats(NamedTuple):
+    """Connected components: total, balanced, and all-positive counts."""
+
+    c: int
+    b: int
+    p: int
+
+
+def component_stats(g):
+    """Count components, balanced components and all-positive components.
+
+    Uses a parity union-find: each vertex carries its sign relative to the
+    component root, so a negative cycle shows up as a parity clash.
+    """
+    parent = list(range(g.n))
+    parity = [0] * g.n
+    unbalanced = [False] * g.n
+    has_negative = [False] * g.n
+    for u, v, s in g.edges:
+        pu = 0
+        while parent[u] != u:
+            pu ^= parity[u]
+            u = parent[u]
+        pv = 0
+        while parent[v] != v:
+            pv ^= parity[v]
+            v = parent[v]
+        t = 1 if s < 0 else 0
+        if u == v:
+            if pu ^ pv != t:
+                unbalanced[u] = True
+        else:
+            parent[v] = u
+            parity[v] = pu ^ pv ^ t
+            if unbalanced[v]:
+                unbalanced[u] = True
+            if has_negative[v]:
+                has_negative[u] = True
+        if t:
+            has_negative[u] = True
+    c = b = p = 0
+    for v in range(g.n):
+        if parent[v] == v:
+            c += 1
+            if not unbalanced[v]:
+                b += 1
+            if not has_negative[v]:
+                p += 1
+    return ComponentStats(c, b, p)
+
+
+def is_balanced(g):
+    """True iff no component contains a negative cycle."""
+    stats = component_stats(g)
+    return stats.b == stats.c
+
+
+def positive_part(g):
+    """Same vertices, only the positive edges."""
+    return SignedGraph(g.n, tuple(e for e in g.edges if e[2] > 0))
+
+
+def join(g1, g2, join_sign):
+    """Disjoint union plus all edges of join_sign between the two parts.
+
+    Joining with the vertexless graph returns the other argument unchanged.
+    """
+    if join_sign not in (1, -1):
+        raise SignedChromError(f"join sign must be +1 or -1, got {join_sign!r}")
+    if g1.n == 0:
+        return g2
+    if g2.n == 0:
+        return g1
+    k = g1.n
+    edges = list(g1.edges)
+    edges.extend((u + k, v + k, s) for u, v, s in g2.edges)
+    edges.extend((u, v + k, join_sign) for u in range(g1.n) for v in range(g2.n))
+    return SignedGraph(g1.n + g2.n, tuple(edges))
+
+
+def join_family_graph(family, l, m, n):
+    """The explicit signed graph whose pair `closedform.join_pair` computes:
+    the three signed complete graphs of the family joined as listed in the
+    `closedform` docstring."""
+    # the signs of K_l, K_m and K_n, then of the edges joining K_l to K_m
+    signs = {1: (-1, 1, -1, 1), 2: (-1, -1, -1, 1), 3: (1, 1, 1, -1), 4: (1, 1, -1, -1)}
+    sl, sm, sn, inner = signs[family]
+    return join(join(complete_graph(l, sl), complete_graph(m, sm), inner),
+                complete_graph(n, sn), 1)
+
+
+# -- vertex roles in the deletion formulae ------------------------------------
+
+ISOLATED = "isolated"
+POSITIVE_DOMINATING = "positive_dominating"
+NEGATIVE_DOMINATING = "negative_dominating"
+PLAIN = "plain"
+UNIVERSAL_K1 = "universal_K1"
+
+
+def vertex_role(g, v):
+    """Classify v as isolated / positive or negative dominating / plain; the
+    vertex of K_1 is universal_K1."""
+    if not 0 <= v < g.n:
+        raise SignedChromError(f"vertex {v} outside 0..{g.n - 1}")
+    if g.n == 1:
+        return UNIVERSAL_K1
+    signs = [s for u, w, s in g.edges if v in (u, w)]
+    if not signs:
+        return ISOLATED
+    if len(signs) == g.n - 1:
+        if all(s > 0 for s in signs):
+            return POSITIVE_DOMINATING
+        if all(s < 0 for s in signs):
+            return NEGATIVE_DOMINATING
+    return PLAIN
+
+
+# -- polynomial evaluation ----------------------------------------------------
+
+
+def evaluate(p, x0, y0):
+    """p(x0, y0)."""
+    return sum(c * x0**i * y0**j for (i, j), c in p.items())
+
+
+def diagonal(p):
+    """p(x, x): substitute y = x."""
+    return BiPoly(((i + j, 0), c) for (i, j), c in p.items())

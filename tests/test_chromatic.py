@@ -8,11 +8,23 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import interpolated_pair, lagrange_integer
+from oracles import (
+    ISOLATED,
+    NEGATIVE_DOMINATING,
+    POSITIVE_DOMINATING,
+    diagonal,
+    evaluate,
+    interpolated_pair,
+    lagrange_integer,
+    positive_part,
+    relabel,
+    vertex_role,
+)
 from test_tally import small_signed_graphs
 
 from signedchrom import chromatic
 from signedchrom.chromatic import (
+    _peel_entry,
     _subset_bivariate_pair,
     _subset_chromatic_pair,
     bivariate_pair,
@@ -25,15 +37,7 @@ from signedchrom.chromatic import (
 )
 from signedchrom.equivalence import enumerate_classes, graph_from_mask
 from signedchrom.errors import BudgetExceededError, SignedChromError
-from signedchrom.graphs import (
-    SignedGraph,
-    complete_graph,
-    fixture,
-    positive_part,
-    relabel,
-    switch,
-    threshold_graph,
-)
+from signedchrom.graphs import SignedGraph, complete_graph, fixture, switch, threshold_graph
 from signedchrom.poly import BiPoly, BivariatePair, ChromaticPair, falling_factorial
 from signedchrom import reference
 
@@ -159,7 +163,7 @@ def test_unsigned_chromatic():
     assert chromatic_pair(complete_graph(3, 1)).even == X * (X - 1) * (X - 2)
     assert chromatic_pair(SignedGraph(4, ())).even == X**4
     g1 = fixture("G1")
-    assert bivariate_pair(g1).even.diagonal() == chromatic_pair(positive_part(g1)).even
+    assert diagonal(bivariate_pair(g1).even) == chromatic_pair(positive_part(g1)).even
 
 
 def test_interpolated_pair_examples():
@@ -294,8 +298,23 @@ def test_peel_matches_subset_expansion():
             if rng.random() < 0.02:
                 sampled += 1
                 for lam, mu in ((2, 0), (3, 1), (4, 2), (4, 0)):
-                    assert pair.even.evaluate(lam, mu) == count_colourings_oracle(h, lam, mu)
+                    assert evaluate(pair.even, lam, mu) == count_colourings_oracle(h, lam, mu)
     assert sampled > 20, sampled
+
+
+def test_peel_entry_matches_vertex_roles():
+    """On every vertex of every signed graph on at most 4 vertices, K_1
+    among them, the peel takes the code entry of the vertex's role: 0 when
+    isolated, 1 or -1 when dominating with edges of that sign, and none for
+    a plain vertex or the vertex of K_1."""
+    want = {ISOLATED: 0, POSITIVE_DOMINATING: 1, NEGATIVE_DOMINATING: -1}
+    checked = 0
+    for n in range(5):
+        for g in all_signed_graphs(n):
+            for v in range(n):
+                assert _peel_entry(g, v) == want.get(vertex_role(g, v)), (g, v)
+                checked += 1
+    assert checked == 1 + 2 * 3 + 3 * 3**3 + 4 * 3**6
 
 
 def test_oracle_equivalence_small_family():
@@ -306,7 +325,7 @@ def test_oracle_equivalence_small_family():
             for mu in range(lam + 1):
                 want = count_colourings_oracle(g, lam, mu)
                 poly = pair.even if (lam - mu) % 2 == 0 else pair.odd
-                assert poly.evaluate(lam, mu) == want
+                assert evaluate(poly, lam, mu) == want
 
 
 def test_univariate_oracle_lambda_up_to_six():
@@ -317,7 +336,7 @@ def test_univariate_oracle_lambda_up_to_six():
         for lam in range(7):
             want = count_colourings_oracle(g, lam)
             poly = pair.even if lam % 2 == 0 else pair.odd
-            assert poly.evaluate(lam, 0) == want
+            assert evaluate(poly, lam, 0) == want
 
 
 def test_fastpath_matches_subset_expansion_all_complete_up_to_5():
@@ -593,9 +612,9 @@ def test_production_routes_match_brute_force(g, data):
     pair, bi = chromatic_pair(h), bivariate_pair(h)
     assert pair == chromatic_pair(g)  # relabelling and switching keep the pair
     for lam in range(5):
-        assert (pair.odd if lam % 2 else pair.even).evaluate(lam, 0) == count_colourings_oracle(h, lam)
+        assert evaluate(pair.odd if lam % 2 else pair.even, lam, 0) == count_colourings_oracle(h, lam)
         for mu in range(lam + 1):
             poly = bi.odd if (lam - mu) % 2 else bi.even
-            assert poly.evaluate(lam, mu) == count_colourings_oracle(h, lam, mu), (h, lam, mu)
+            assert evaluate(poly, lam, mu) == count_colourings_oracle(h, lam, mu), (h, lam, mu)
     if h.n <= 5:
         assert pair == interpolated_pair(h)

@@ -17,10 +17,11 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from oracles import relabel
 
 from signedchrom.chromatic import MAX_PEEL_N
 from signedchrom.cli import main
-from signedchrom.graphs import fixture_names, format_graph, relabel, threshold_graph
+from signedchrom.graphs import fixture_names, format_graph, threshold_graph
 
 SEED = 20
 CASES = 300

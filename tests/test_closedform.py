@@ -3,18 +3,10 @@
 import json
 
 import pytest
+from oracles import join_family_graph
 
 from signedchrom.chromatic import chromatic_pair
-from signedchrom.closedform import (
-    H,
-    H1,
-    H2,
-    H3,
-    H4,
-    identity_suite,
-    join_family_graph,
-    join_pair,
-)
+from signedchrom.closedform import H, H1, H2, H3, H4, identity_suite, join_pair
 from signedchrom.errors import SignedChromError
 from signedchrom.graphs import complete_graph
 from signedchrom.poly import BiPoly, falling_factorial

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import isomorphisms, oracle_certificate
+from oracles import component_stats, isomorphisms, join, oracle_certificate, relabel
 from test_tally import small_signed_graphs
 
 from signedchrom import equivalence, reference
@@ -23,14 +23,7 @@ from signedchrom.equivalence import (
     non_switching_isomorphism_certificate,
 )
 from signedchrom.errors import BudgetExceededError
-from signedchrom.graphs import (
-    SignedGraph,
-    complete_graph,
-    component_stats,
-    fixture,
-    relabel,
-    switch,
-)
+from signedchrom.graphs import SignedGraph, complete_graph, fixture, switch
 
 
 def random_graph(rng, n):
@@ -465,7 +458,6 @@ def test_isomorphic_graphs_share_bivariate_pair():
 
 
 def test_join_associative_commutative_up_to_isomorphism():
-    from signedchrom.graphs import join
     rng = random.Random(31)
     for sign in (1, -1):
         a, b, c = (random_graph(rng, 2) for _ in range(3))

@@ -29,9 +29,10 @@ import hashlib
 import re
 
 import pytest
+from oracles import relabel
 
 from signedchrom.cli import main
-from signedchrom.graphs import SignedGraph, fixture, format_graph, relabel, threshold_graph
+from signedchrom.graphs import SignedGraph, fixture, format_graph, threshold_graph
 
 G1 = "{G1}"  # replaced by the path of the G1 graph file
 T20 = "{T20}"  # replaced by the path of a relabelled threshold graph on 20 vertices

@@ -1,4 +1,5 @@
-"""Signed-graph data model: construction, switching, joins, fixtures, parsing."""
+"""Signed-graph data model: construction, switching, fixtures, parsing; and the
+graph oracles of `tests/oracles.py`: component statistics, joins, vertex roles."""
 
 import copy
 import pickle
@@ -7,28 +8,30 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from signedchrom.errors import BudgetExceededError, SignedChromError
-from signedchrom.graphs import (
+from oracles import (
     ISOLATED,
-    MAX_VERTICES,
     NEGATIVE_DOMINATING,
     PLAIN,
     POSITIVE_DOMINATING,
     UNIVERSAL_K1,
+    component_stats,
+    is_balanced,
+    join,
+    positive_part,
+    vertex_role,
+)
+
+from signedchrom.errors import BudgetExceededError, SignedChromError
+from signedchrom.graphs import (
+    MAX_VERTICES,
     SignedGraph,
     complete_graph,
-    component_stats,
     delete_vertex,
     fixture,
     format_graph,
-    is_balanced,
-    join,
     parse_graph,
-    positive_part,
     switch,
     threshold_graph,
-    vertex_role,
 )
 
 

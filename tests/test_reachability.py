@@ -1,16 +1,19 @@
 """Every public top-level function and class of the package, and every
-public method of a public class, has a caller, no module imports another
-module's private names, and only `poly` reads the term dict of a polynomial.
+public method of a public class, has a production caller, no module imports
+another module's private names, and only `poly` reads the term dict of a
+polynomial.
 
 A name passes when `src/signedchrom` refers to it outside its own
-definition, when `bench/` refers to it (the tracer names functions in
-strings), or when it is one of the test oracles below.  Methods match by
-name: a method passes when any other method or statement uses an attribute
-of that name.  Anything else is API that nothing reaches: delete it rather
-than keep it for tests.  A private name imported across modules means two
-modules know one format; each such import is listed below with its reason.
-Every other module works with polynomials through `BiPoly`'s own
-operations, so the term-dict format can change in `poly` alone.
+definition, or when `bench/` imports it or names it in a string (the tracer
+looks functions up by the names in its tables).  An attribute access in
+`bench/` is no caller: `"".join` there says nothing of a `join` in the
+package.  Methods match by name: a method passes when any other method or
+statement reads an attribute of that name from a name or a dotted name.  Anything else is API that
+nothing reaches: delete it, or move it to `tests/oracles.py` when only tests
+need it.  A private name imported across modules means two modules know one
+format; each such import is listed below with its reason.  Every other
+module works with polynomials through `BiPoly`'s own operations, so the
+term-dict format can change in `poly` alone.
 """
 
 import ast
@@ -18,31 +21,23 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# (name, why tests need it) for public names that only tests call
-ORACLES = (
-    ("join_family_graph", "the explicit join graph the closed forms are checked against"),
-    ("relabel", "applies isomorphism witnesses and relabelling invariance checks"),
-    ("is_balanced", "the balance side of the balanced-iff-even-equals-odd theorem"),
-    ("positive_part", "the graph of the diagonal identity E(x, x)"),
-    ("evaluate", "evaluates a pair at colour counts for the brute-force comparisons"),
-    ("diagonal", "the diagonal identity E(x, x)"),
-)
-
 # (importing module, module.private name, why it may cross the boundary)
 PRIVATE_IMPORTS = ()
 
 
-def _names(tree: ast.AST, strings: bool = False) -> set[str]:
+def _names(tree: ast.AST) -> set[str]:
+    """The names and imported names the tree uses, and the attributes it
+    reads from a name or a dotted name: `verify.search_cochromatic` and
+    `pair.even.substitute_y` use an attribute, `", ".join` and
+    `("," + inner).join` use no `join` of the package."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute)):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
     return out
 
 
@@ -74,40 +69,26 @@ def _package():
 
 
 def _bench_names() -> set[str]:
+    """The names `bench/` imports and the strings it holds."""
     out = set()
     for path in (ROOT / "bench").glob("*.py"):
-        out |= _names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                out.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
     return out
 
 
-def _unreached() -> tuple[set[str], set[str]]:
-    """(names of the public definitions, those of them that nothing reaches)."""
+def test_every_public_name_is_reached():
     public, uses = _package()
     bench = _bench_names()
-    unreached = {
+    unreached = sorted(
         d.name for d in public
         if d.name not in bench
         and not any(d.name in names for stmt, part, names in uses if d is not stmt and d is not part)
-    }
-    return {d.name for d in public}, unreached
-
-
-def test_every_public_name_is_reached():
-    _, unreached = _unreached()
-    oracles = {name for name, _ in ORACLES}
-    assert sorted(unreached - oracles) == [], "no caller in src/ or bench/; delete or list in ORACLES"
-
-
-def test_oracles_are_defined_and_used_by_tests():
-    defined, unreached = _unreached()
-    tests = set()
-    for path in ROOT.joinpath("tests").glob("test_*.py"):
-        if path.name != pathlib.Path(__file__).name:
-            tests |= _names(ast.parse(path.read_text(encoding="utf-8")))
-    for name, _ in ORACLES:
-        assert name in defined, f"{name} is not a public name of the package"
-        assert name in unreached, f"{name} has a caller; drop it from ORACLES"
-        assert name in tests, f"no test uses the oracle {name}"
+    )
+    assert unreached == [], "no caller in src/ or bench/; delete it or move it to tests/oracles.py"
 
 
 def _private_imports() -> set[tuple[str, str]]:

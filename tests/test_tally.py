@@ -15,6 +15,7 @@ import threading
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import relabel
 
 from signedchrom import chromatic, reference
 from signedchrom.chromatic import (
@@ -33,14 +34,7 @@ from signedchrom.chromatic import (
 from signedchrom.equivalence import enumerate_classes
 from signedchrom.errors import BudgetExceededError
 from signedchrom.poly import ChromaticPair
-from signedchrom.graphs import (
-    SignedGraph,
-    complete_graph,
-    fixture,
-    relabel,
-    switch,
-    threshold_graph,
-)
+from signedchrom.graphs import SignedGraph, complete_graph, fixture, switch, threshold_graph
 
 
 def _tally_spanning_stats(n: int, edges) -> dict[tuple[int, int, int], int]:

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from oracles import oracle_certificate
+from oracles import diagonal, evaluate, oracle_certificate, relabel
 
 from signedchrom import reference
 from signedchrom.chromatic import bivariate_pair, chromatic_pair, count_colourings_oracle
@@ -16,14 +16,7 @@ from signedchrom.equivalence import (
     graph_from_mask,
 )
 from signedchrom.errors import BudgetExceededError
-from signedchrom.graphs import (
-    SignedGraph,
-    all_positive,
-    complete_graph,
-    fixture,
-    relabel,
-    switch,
-)
+from signedchrom.graphs import SignedGraph, all_positive, complete_graph, fixture, switch
 from signedchrom.poly import bipoly_to_json, pair_to_json
 from signedchrom.verify import (
     non_switching_isomorphism_certificate,
@@ -317,7 +310,7 @@ def _lemma_l_holds(p):
 
 def _last_entry(even):
     """Rule (b)-(d): 1 if E(t, t) has a term in t, else 0 if E(0, y) = 0, else -1."""
-    if even.diagonal().coeff(1, 0):
+    if diagonal(even).coeff(1, 0):
         return 1
     return -1 if _at_x_zero(even) else 0
 
@@ -557,8 +550,8 @@ def test_fingerprint_fold_matches_exact_evaluation():
         pairs = zip(_slots(corner, len(codes)), _slots(neighbour, len(codes)))
         for index, ((at_corner, at_neighbour), code) in enumerate(zip(pairs, codes)):
             even = _threshold_even(index, length)
-            assert at_corner == even.evaluate(0, _FP_Y0) % _FP_MOD, code
-            assert at_neighbour == even.evaluate(-1, _FP_Y0 + 1) % _FP_MOD, code
+            assert at_corner == evaluate(even, 0, _FP_Y0) % _FP_MOD, code
+            assert at_neighbour == evaluate(even, -1, _FP_Y0 + 1) % _FP_MOD, code
             count += 1
     assert count == 1093  # 1 + 3 + ... + 729
 
@@ -771,6 +764,6 @@ def test_search_cochromatic_k8_groups():
     for group in reference.K8_COCHROMATIC_GROUPS:
         evens = {bivariate_pair(graph_from_mask(k8, mask)).even for mask in group}
         assert len(evens) == len(group)  # the bivariate pair still separates them
-    assert chromatic_pair(graph_from_mask(k8, 9110)).odd.evaluate(5, 0) == 80
+    assert evaluate(chromatic_pair(graph_from_mask(k8, 9110)).odd, 5, 0) == 80
     for mask in (9110, 9115):
         assert count_colourings_oracle(graph_from_mask(k8, mask), 5) == 80
