@@ -659,7 +659,10 @@ def _dominating_step(entry: int, p: BiPoly, p_x: BiPoly) -> tuple[BiPoly, BiPoly
 # `_complete_basis(k, d)`.  `_unit_tally` counts the splits by (k, d) in one
 # memoised DP over vertex masks, at most 2^n of them: it chooses the unit of
 # the lowest vertex of a mask and recurs on the rest.  The cliques of the
-# negative graph that it lists are memoised per vertex set too.
+# negative graph that it lists are memoised per vertex set too.  `_unit_sum`
+# weights the counts by a basis for both pairs: `_complete_basis` for the
+# bivariate pair, and its y = 0 value `double_falling(k + d)` for the
+# univariate one.
 #
 # A mask's counts are one packed int, the count of (k, d) in the _UNIT_BITS-bit
 # slot k * (n + 1) + d, so adding a unit is a shift and merging is an add.
@@ -741,24 +744,27 @@ def _complete_basis(k: int, d: int) -> BiPoly:
     return s
 
 
-def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
-    """Bivariate pair of a signed complete graph via its colour units.
-
-    The even constituent sums the assignments from a colour set of even type
-    over the splits that w_all counts.  For the odd one, the vertex coloured
-    0 (if any) is a singleton, and the others are coloured from an even-type
-    set of x - 1 colours: so the odd constituent adds the same sum over
-    w_zero and is taken at (x - 1, y).  Both sums run term by term into one
-    dict, and each polynomial is built once.
-    """
+def _unit_sum(g: SignedGraph, basis) -> tuple[BiPoly, BiPoly]:
+    """(even, odd) of a signed complete graph: count * basis(k, d) summed
+    over the splits that w_all counts for the even constituent.  For the odd
+    one, the vertex coloured 0 (if any) is a singleton, and the others are
+    coloured from an even-type set of x - 1 colours: so the odd constituent
+    adds the same sum over w_zero and is taken at (x - 1, y).  Both sums run
+    term by term into one dict, and each polynomial is built once."""
     terms: dict[tuple[int, int], int] = {}
     pair = []
     for w in _unit_tally(g):
         for (k, d), cnt in w.items():
-            for key, c in _complete_basis(k, d).items():
+            for key, c in basis(k, d).items():
                 terms[key] = terms.get(key, 0) + cnt * c
         pair.append(BiPoly(terms))
-    return BivariatePair(pair[0], pair[1].shifted(-1, 0))
+    return pair[0], pair[1].shifted(-1, 0)
+
+
+def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
+    """Bivariate pair of a signed complete graph via its colour units: the
+    colour assignments of `_complete_basis` over each split."""
+    return BivariatePair(*_unit_sum(g, _complete_basis))
 
 
 def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:
@@ -767,16 +773,6 @@ def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:
     It is `complete_bivariate_pair` at y = 0.  There the falling factorial
     y (y - 1) ... (y - j + 1) vanishes for j >= 1, so `_complete_basis(k, d)`
     keeps only its j = 0 term: x (x - 2) ... (x - 2k + 2) times (x - 2k) ...
-    (x - 2k - 2d + 2), which is `double_falling(k + d)`.  So the even constituent is
-    sum_t A_t double_falling(t), A_t the total of w_all over k + d = t, and
-    the odd one adds the same sum over w_zero and is taken at x - 1.
+    (x - 2k - 2d + 2), which is `double_falling(k + d)`.
     """
-    acc = BiPoly.zero()
-    pair = []
-    for w in _unit_tally(g):
-        totals = [0] * (g.n + 1)
-        for (k, d), cnt in w.items():
-            totals[k + d] += cnt
-        acc = sum((a * double_falling(t) for t, a in enumerate(totals) if a), acc)
-        pair.append(acc)
-    return ChromaticPair(pair[0], pair[1].shifted(-1, 0))
+    return ChromaticPair(*_unit_sum(g, lambda k, d: double_falling(k + d)))

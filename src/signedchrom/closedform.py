@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .errors import BudgetExceededError, SignedChromError
 from .poly import (
@@ -28,7 +28,6 @@ from .poly import (
     ChromaticPair,
     double_falling,
     falling_factorial,
-    integer_falling,
     matchings_T,
     stirling2,
 )
@@ -110,7 +109,7 @@ def H2(l: int, m: int, n: int) -> BiPoly:
                             * si
                             * sj
                             * sk
-                            * integer_falling(i + j - 2 * s, t)
+                            * perm(i + j - 2 * s, t)
                         )
     return _weighted_sum(weights, 0)
 
@@ -158,7 +157,7 @@ def H4(l: int, m: int, n: int) -> BiPoly:
                     for t in range(s + 1):
                         weights[l + m + s - i - j - k - t, 0] += (
                             fi * tj * tk * ss * comb(s, t)
-                            * integer_falling(l + m - i - 2 * j - 2 * k, t)
+                            * perm(l + m - i - 2 * j - 2 * k, t)
                         )
     return _weighted_sum(weights, 0)
 

@@ -226,16 +226,6 @@ def double_falling(n: int) -> BiPoly:
     return falling_product(BiPoly.x(), 2, n)
 
 
-def integer_falling(a: int, t: int) -> int:
-    """a (a-1) ... (a-t+1) with value 1 for t = 0."""
-    if t < 0:
-        raise SignedChromError("integer falling factorial needs t >= 0")
-    out = 1
-    for j in range(t):
-        out *= a - j
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind; 0 outside 0 <= k <= n."""
@@ -252,7 +242,7 @@ def matchings_T(n: int, k: int) -> int:
     """Number of k-edge matchings in the complete graph on n vertices."""
     if n < 0 or k < 0 or n < 2 * k:
         return 0
-    return integer_falling(n, 2 * k) // (2**k * math.factorial(k))
+    return math.perm(n, 2 * k) // (2**k * math.factorial(k))
 
 
 # -- canonical JSON serialization --------------------------------------------

@@ -9,6 +9,8 @@ of which production calls.
   positive part, joins and the explicit join-family graphs.
 - Each vertex's role in the dominating-vertex deletion formulae.
 - Polynomial evaluation and the diagonal p(x, x), read from `items()`.
+- Published counts no command checks: switching classes of signed K_n, and
+  the co-chromatic groups of signed K_8.
 """
 
 from fractions import Fraction
@@ -241,3 +243,21 @@ def evaluate(p, x0, y0):
 def diagonal(p):
     """p(x, x): substitute y = x."""
     return BiPoly(((i + j, 0), c) for (i, j), c in p.items())
+
+
+# Switching classes of signed complete graphs are switching classes of graphs
+# on n vertices, equal in number to two-graphs and to Euler graphs
+# (Mallows-Sloane 1975, OEIS A002854), indexed by n.
+SWITCHING_CLASS_COUNTS = (1, 1, 1, 2, 3, 7, 16, 54)
+
+# The co-chromatic groups of signed K_8: switching classes that share one
+# chromatic pair, by representative mask (bit i set: edge i of K_8 in
+# lexicographic order is negative).  243 classes give 228 distinct pairs, so
+# K_8 is the smallest complete graph whose pair does not separate switching
+# classes; the bivariate pair separates all of these groups.
+K8_COCHROMATIC_GROUPS = (
+    (9110, 9115), (9114, 9770), (9118, 9768), (9759, 25375), (25885, 25896),
+    (25892, 25899), (25897, 26012), (287903, 304799), (287907, 287911, 288154),
+    (288174, 305064), (296864, 297772), (305068, 837546), (305712, 305843),
+    (322353, 846386),
+)

@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     NEGATIVE_DOMINATING,
     POSITIVE_DOMINATING,
+    SWITCHING_CLASS_COUNTS,
     UNIVERSAL_K1,
     component_stats,
     diagonal,
@@ -82,7 +83,7 @@ def test_c01_complete_tables():
     """Criterion 1: switching classes of K3/K4/K5 match the reference table."""
     for n, rows in sorted(reference.COMPLETE_TABLE.items()):
         inv = enumerate_classes(complete_graph(n, 1), "switching_iso")
-        assert inv.class_count == reference.SWITCHING_CLASS_COUNTS[n]
+        assert inv.class_count == SWITCHING_CLASS_COUNTS[n]
         computed = [chromatic_pair(rep) for rep in inv.representatives]
         assert _pair_multiset(computed) == _pair_multiset(rows), f"K{n} table mismatch"
     print("ACCEPTANCE 1 (complete-graph table, K3/K4/K5): PASS")

@@ -12,6 +12,7 @@ from oracles import (
     ISOLATED,
     NEGATIVE_DOMINATING,
     POSITIVE_DOMINATING,
+    SWITCHING_CLASS_COUNTS,
     diagonal,
     evaluate,
     interpolated_pair,
@@ -35,6 +36,7 @@ from signedchrom.chromatic import (
     complete_chromatic_pair,
     count_colourings_oracle,
 )
+from signedchrom.closedform import join_pair
 from signedchrom.equivalence import enumerate_classes, graph_from_mask
 from signedchrom.errors import BudgetExceededError, SignedChromError
 from signedchrom.graphs import SignedGraph, complete_graph, fixture, switch, threshold_graph
@@ -354,7 +356,7 @@ def test_fastpath_matches_subset_expansion_k6_switching_classes():
     K_6, for both pairs: the bivariate odd constituent is the one built from
     the colour-0 singletons."""
     inventory = enumerate_classes(complete_graph(6, 1), "switching_iso")
-    assert inventory.class_count == reference.SWITCHING_CLASS_COUNTS[6]
+    assert inventory.class_count == SWITCHING_CLASS_COUNTS[6]
     for g in inventory.representatives:
         assert complete_chromatic_pair(g) == _subset_chromatic_pair(g), g
         assert complete_bivariate_pair(g) == _subset_bivariate_pair(g), g
@@ -562,12 +564,20 @@ def test_unit_tally_totals_are_known_sequences():
 
 def test_univariate_pair_is_bivariate_pair_at_y_0():
     """complete_chromatic_pair builds no bivariate polynomial; it must equal
-    complete_bivariate_pair at y = 0 on every switching class of K_n, n <= 8."""
-    for n in range(9):
-        for g in complete_switching_classes(n):
-            even, odd = complete_bivariate_pair(g)
-            expected = ChromaticPair(even.substitute_y(0), odd.substitute_y(0))
-            assert complete_chromatic_pair(g) == expected, g
+    complete_bivariate_pair at y = 0 on every switching class of K_n, n <= 8,
+    and on +-K_9 and +-K_10, whose packed unit counts are the largest.  The
+    closed forms of family 3 at (0, 0, n) (+K_n) and family 1 at (n, 0, 0)
+    (-K_n) pin those four pairs independently of the unit sum both share."""
+    graphs = [g for n in range(9) for g in complete_switching_classes(n)]
+    closed = {}
+    for n in (9, 10):
+        closed[complete_graph(n, 1)] = join_pair(3, 0, 0, n)
+        closed[complete_graph(n, -1)] = join_pair(1, n, 0, 0)
+    for g in graphs + list(closed):
+        even, odd = complete_bivariate_pair(g)
+        expected = ChromaticPair(even.substitute_y(0), odd.substitute_y(0))
+        assert complete_chromatic_pair(g) == expected, g
+        assert closed.get(g, expected) == expected, g
 
 
 @st.composite

@@ -357,8 +357,10 @@ def test_graph_file_cap_exit_2(capsys, tmp_path):
 
 def test_cli_import_loads_no_heavy_stdlib_modules():
     """`import signedchrom.cli` adds neither dataclasses nor fractions (with
-    their inspect and decimal imports) nor closedform to what a bare
-    interpreter loads; only closed-form and identities load closedform."""
+    their inspect and decimal imports) nor closedform nor reference to what
+    a bare interpreter loads; only closed-form and identities load
+    closedform, and only reproduce-tables loads reference and so builds its
+    polynomials: the bivariate verifier does not."""
     script = "import sys; print(*sorted(sys.modules))"
     src = pathlib.Path(signedchrom.__file__).resolve().parent.parent
 
@@ -369,28 +371,11 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
 
     added = modules("import signedchrom.cli; ") - modules("")
     assert "signedchrom.verify" in added
-    assert added & {"dataclasses", "fractions", "signedchrom.closedform"} == set()
-
-
-def test_reference_polynomials_are_built_on_first_access():
-    """Importing the CLI builds none of `reference`'s polynomial constants;
-    the first read, by attribute or by `from ... import`, builds them all
-    once and keeps them as module globals, and unknown names still raise."""
-    script = """if True:
-        import signedchrom.cli
-        from signedchrom import reference as r
-        assert not {"GEM_PAIR", "COMPLETE_TABLE", "X"} & set(vars(r))
-        from signedchrom.reference import GEM_PAIR
-        assert vars(r)["GEM_PAIR"] is GEM_PAIR is r.GEM_PAIR
-        table = r.COMPLETE_TABLE
-        assert r._polynomials()["COMPLETE_TABLE"] == table and r.COMPLETE_TABLE is table
-        assert not hasattr(r, "NO_SUCH_TABLE") and not hasattr(r, "no_such_name")
-        print(sorted(table), len(r.PETERSEN_TABLE))
-    """
-    src = pathlib.Path(signedchrom.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", script], cwd=src,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout == "[3, 4, 5] 6\n"
+    heavy = {"dataclasses", "fractions", "signedchrom.closedform", "signedchrom.reference"}
+    assert added & heavy == set()
+    call = "from signedchrom import verify; verify.{}; "
+    assert "signedchrom.reference" not in modules(call.format("verify_conj_complete_bivariate(3)"))
+    assert "signedchrom.reference" in modules(call.format("reproduce_tables()"))
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import component_stats, isomorphisms, join, oracle_certificate, relabel
+from oracles import (
+    SWITCHING_CLASS_COUNTS,
+    component_stats,
+    isomorphisms,
+    join,
+    oracle_certificate,
+    relabel,
+)
 from test_tally import small_signed_graphs
 
-from signedchrom import equivalence, reference
+from signedchrom import equivalence
 from signedchrom.chromatic import bivariate_pair, chromatic_pair
 from signedchrom.equivalence import (
     automorphisms,
@@ -24,6 +31,7 @@ from signedchrom.equivalence import (
 )
 from signedchrom.errors import BudgetExceededError
 from signedchrom.graphs import SignedGraph, complete_graph, fixture, switch
+from signedchrom.verify import UNLABELLED_GRAPH_COUNTS
 
 
 def random_graph(rng, n):
@@ -333,11 +341,11 @@ def test_searches_match_the_plain_search(g, data):
 
 def test_enumerate_classes_counts():
     # switching classes of K_0..K_7: OEIS A002854; iso classes of K_0..K_6: A000088
-    for n, count in enumerate(reference.SWITCHING_CLASS_COUNTS):
+    for n, count in enumerate(SWITCHING_CLASS_COUNTS):
         assert enumerate_classes(complete_graph(n, 1), "switching_iso").class_count == count
     for n in range(7):
         inv = enumerate_classes(complete_graph(n, 1), "iso")
-        assert inv.class_count == reference.UNLABELLED_GRAPH_COUNTS[n]
+        assert inv.class_count == UNLABELLED_GRAPH_COUNTS[n]
     with pytest.raises(ValueError):
         enumerate_classes(complete_graph(3, 1), "nope")
     with pytest.raises(BudgetExceededError):

@@ -20,7 +20,6 @@ from signedchrom.poly import (
     bipoly_to_json,
     double_falling,
     falling_factorial,
-    integer_falling,
     matchings_T,
     stirling2,
     unipoly_to_json,
@@ -117,19 +116,8 @@ def test_bipoly_shift_matches_evaluation(p, x0, y0, dx, dy):
 def test_falling_factorials():
     assert falling_factorial(0) == BiPoly.one()
     assert falling_factorial(3) == X**3 - 3 * X**2 + 2 * X
-    assert integer_falling(2, 1) == 2
-    assert integer_falling(0, 1) == 0
-    assert integer_falling(5, 0) == 1
     with pytest.raises(SignedChromError, match="^falling factorial needs n >= 0"):
         falling_factorial(-1)
-    with pytest.raises(SignedChromError, match="integer falling factorial needs t >= 0"):
-        integer_falling(3, -1)
-
-
-def test_integer_falling_vanishes_inside_range():
-    for a in range(6):
-        for t in range(a + 1, 8):
-            assert integer_falling(a, t) == 0
 
 
 def test_double_falling():

@@ -1,14 +1,16 @@
-"""Every public top-level function and class of the package, and every
-public method of a public class, has a production caller, no module imports
-another module's private names, and only `poly` reads the term dict of a
-polynomial.
+"""Every public top-level function and class of the package, every public
+method of a public class and every public module-level constant has a
+production caller or reader, no module imports another module's private
+names, and only `poly` reads the term dict of a polynomial.
 
 A name passes when `src/signedchrom` refers to it outside its own
 definition, or when `bench/` imports it or names it in a string (the tracer
 looks functions up by the names in its tables).  An attribute access in
 `bench/` is no caller: `"".join` there says nothing of a `join` in the
 package.  Methods match by name: a method passes when any other method or
-statement reads an attribute of that name from a name or a dotted name.  Anything else is API that
+statement reads an attribute of that name from a name or a dotted name.  A
+constant, an upper-case name assigned at a module's top level, passes when a
+statement other than its own assignment reads it.  Anything else is API that
 nothing reaches: delete it, or move it to `tests/oracles.py` when only tests
 need it.  A private name imported across modules means two modules know one
 format; each such import is listed below with its reason.  Every other
@@ -32,7 +34,7 @@ def _names(tree: ast.AST) -> set[str]:
     `("," + inner).join` use no `join` of the package."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute)):
             out.add(node.attr)
@@ -89,6 +91,32 @@ def test_every_public_name_is_reached():
         and not any(d.name in names for stmt, part, names in uses if d is not stmt and d is not part)
     )
     assert unreached == [], "no caller in src/ or bench/; delete it or move it to tests/oracles.py"
+
+
+def _constants(stmt: ast.stmt) -> list[str]:
+    """The public upper-case names a top-level statement assigns."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [
+        node.id for target in targets for node in ast.walk(target)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id.isupper() and not node.id.startswith("_")
+    ]
+
+
+def test_every_public_constant_is_read():
+    _, uses = _package()
+    bench = _bench_names()
+    unread = sorted(
+        name for stmt, _, _ in uses for name in _constants(stmt)
+        if name not in bench
+        and not any(name in names for other, _, names in uses if other is not stmt)
+    )
+    assert unread == [], "no reader in src/ or bench/; delete it or move it to tests/oracles.py"
 
 
 def _private_imports() -> set[tuple[str, str]]:

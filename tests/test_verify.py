@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from oracles import diagonal, evaluate, oracle_certificate, relabel
+from oracles import K8_COCHROMATIC_GROUPS, diagonal, evaluate, oracle_certificate, relabel
 
 from signedchrom import reference
 from signedchrom.chromatic import bivariate_pair, chromatic_pair, count_colourings_oracle
@@ -19,6 +19,8 @@ from signedchrom.errors import BudgetExceededError
 from signedchrom.graphs import SignedGraph, all_positive, complete_graph, fixture, switch
 from signedchrom.poly import bipoly_to_json, pair_to_json
 from signedchrom.verify import (
+    MAX_BIVARIATE_N,
+    UNLABELLED_GRAPH_COUNTS,
     non_switching_isomorphism_certificate,
     reproduce_tables,
     search_cochromatic,
@@ -649,6 +651,7 @@ def test_conjecture_bivariate_small():
     assert report["status"] == "pass"
     assert report["details"]["class_counts"] == {"0": 1, "1": 1, "2": 2, "3": 4, "4": 11}
     assert report["details"]["class_counts"] == report["details"]["expected_class_counts"]
+    assert len(UNLABELLED_GRAPH_COUNTS) == MAX_BIVARIATE_N + 1  # a key for every allowed n
     with pytest.raises(BudgetExceededError):
         verify_conj_complete_bivariate(8)
 
@@ -755,13 +758,13 @@ def test_search_cochromatic_k8_groups():
     assert report["details"]["class_count"] == 243  # A002854
     groups = report["details"]["cochromatic_groups"]
     masks = tuple(tuple(c["mask"] for c in group["classes"]) for group in groups)
-    assert masks == reference.K8_COCHROMATIC_GROUPS
+    assert masks == K8_COCHROMATIC_GROUPS
     for group in groups:
         for cert in group["non_switching_isomorphism"]:
             assert cert["isomorphism_found"] is False
             assert cert["switchings_tried"] == 128  # 2^(8-1)
     k8 = complete_graph(8, 1)
-    for group in reference.K8_COCHROMATIC_GROUPS:
+    for group in K8_COCHROMATIC_GROUPS:
         evens = {bivariate_pair(graph_from_mask(k8, mask)).even for mask in group}
         assert len(evens) == len(group)  # the bivariate pair still separates them
     assert evaluate(chromatic_pair(graph_from_mask(k8, 9110)).odd, 5, 0) == 80
