@@ -11,17 +11,18 @@ every other graph the edge-subset expansion, which sums a signed term over
 all spanning subgraphs classified by their component statistics.  That sum
 is tallied by a frontier edge DP rather than subset by subset, on vertices
 numbered by maximum cardinality search and states held as bytes strings
-(see the comment above `_Batch`), whose moves the process memoises: on a
+(see the comment above `_walk`), whose moves the process memoises: on a
 2-core machine the Petersen graph takes about 2 ms (0.3 ms once its moves
 are memoised) instead of 0.2 s for its 2^15 subsets.
 
 The univariate pair depends only on balance, so its tally runs on a switched
 copy of the graph in which only the chords carry signs.  `chromatic_pairs`
-tallies a batch, such as the switching classes of one underlying graph,
-depth-first over those chord signs, and each tally resumes from the DP
-layers of the one before at their longest common sign prefix.  On the 7,005
-switching classes of the benchmark's search inputs (seeds 11, 5 and 301)
-that takes about 0.8 s in a fresh process, against 1.3 s one graph at a time.
+tallies a batch, such as the switching classes of one underlying graph, in
+one depth-first walk per skeleton of the trie of those chord signs, so each
+class costs only the DP steps after the sign prefix it shares with the one
+before, and its leaf decodes straight into its pair.  On the 7,005 switching
+classes of the benchmark's search inputs (seeds 11, 5 and 301) that takes
+about 0.4 s in a fresh process, against 1.0 s one graph at a time.
 
 A brute-force counting oracle over an explicit colour set cross-checks both
 routes.
@@ -33,7 +34,7 @@ import functools
 import itertools
 import math
 from contextvars import ContextVar
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph, delete_vertex
@@ -128,15 +129,13 @@ def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
 # starts each component with bit 1 already set, so that states differing only
 # in that bit merge; p stays 0 and stride is 1.  Graphs on one skeleton
 # (vertex count and edge steps) then differ only in their chord signs, and
-# while `chromatic_pairs` runs, its `_Batch` keeps the DP layers of the last
-# univariate tally: the next one on the same skeleton resumes after the
-# longest sign prefix the two have in common.  The batch also holds the edges
-# and the `_steps` of the graph it is on, which `chromatic_pairs` has already
-# computed for its sort key, numbering each underlying graph once.  The batch
-# reaches the tally through the context variable `_batch`, not arguments, so
-# that each graph still goes through the one-argument `chromatic_pair` with
-# its route and cache, and batches in other threads each see their own;
-# `chromatic_pairs` resets it in a `finally`.
+# `_walk` tallies them in one depth-first walk of the trie of their sorted
+# sign vectors; a tally of one graph walks a single vector.  Each graph of a
+# batch still goes through the one-argument `chromatic_pair` and the cached
+# `_subset_tally`, which runs the batch's walk, held in the context variable
+# `_batch`, on to that graph, past any graph the cache answered: so its
+# share of the DP runs inside its own call, and batches in other threads
+# each see their own walk.  `chromatic_pairs` resets it in a `finally`.
 #
 # A step's moves are pure functions of the state, so the process memoises
 # them for every later tally in either mode: `_takes` keyed by all a take
@@ -146,19 +145,7 @@ def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
 # well under the cap; K_9 fills it.
 
 
-class _Batch:
-    __slots__ = ("edges", "steps", "skeleton", "plan", "signs", "layers")
-
-    def __init__(self) -> None:
-        self.edges = ()     # the edges of the graph being tallied
-        self.steps = ()     # their _steps(n, edges, True)
-        self.skeleton = ()  # the skeleton of the last univariate tally, and for it:
-        self.plan = []      # its _frontier_plan
-        self.signs = ()     # signs and DP layers of the last univariate tally
-        self.layers = []
-
-
-_batch: ContextVar[_Batch | None] = ContextVar("_batch", default=None)
+_batch: ContextVar[Iterator | None] = ContextVar("_batch", default=None)
 _takes: dict = {}  # (joined, ia, ib, t, new) -> {state: (skip, taken), or () if they cancel}
 _forgets: dict = {}  # gone -> {state: (kept, dp, dq)}
 _moves_room = MAX_MOVES
@@ -379,114 +366,113 @@ def _live_entries(states: dict, width: int) -> int:
     return live
 
 
-def _frontier_tally(
-    n: int, edges, univariate: bool = False
-) -> dict[tuple[int, int, int], int]:
-    """Signed count of edge subsets grouped by (p, b, u) of the spanning subgraph.
-
-    A vertex joins the frontier at its first step and is forgotten after its
-    last one; a component with no frontier vertex left is folded into the
-    state's packed count.  Isolated vertices each add (1, 1, 0).  Entries
-    that cancel to 0 are left out.  With `univariate` the tally runs switched
-    and without the has-negative bit (see above), so p counts only isolated
-    vertices.  Refuses past MAX_FRONTIER_ENTRIES live entries, one per state
-    and one per W-bit slot of its count, as a count grows with the closed
-    components: a 3x30 grid peaks at 848 entries, 10 of them states.  Live
-    entries are counted after each step's take phase and after its forgets.
-    """
+def _walk(skeleton, univariate: bool, sign_vectors) -> Iterator[dict]:
+    """The final states of the tally on `skeleton` for each sign vector in
+    turn.  Each starts from the layer after the sign prefix it shares with
+    the one before, and keeps its layers as far as it shares signs with the
+    one after, until the kept live entries would pass MAX_FRONTIER_ENTRIES.
+    With `univariate` the tally runs without the has-negative bit."""
     global _moves_room
-    batch = _batch.get() if univariate else None
-    if batch is not None and batch.edges is edges:
-        covered, skeleton, signs = batch.steps
-    else:
-        covered, skeleton, signs = _steps(n, edges, univariate)
-    width = len(edges) + 2
+    n, steps = skeleton
+    plan = _frontier_plan(steps)
+    width = len(steps) + 2
     stride = 1 if univariate else n + 1
-    states: dict = {_state(b"", b"", b"", b"\0"): 1}
-    start = 0
-    if batch is None:
-        plan, layers, room = _frontier_plan(skeleton[1]), None, 0
-    else:
-        if batch.skeleton != skeleton:
-            batch.skeleton, batch.plan = skeleton, _frontier_plan(skeleton[1])
-            batch.layers = [(states, 1)]
-        plan, layers = batch.plan, batch.layers
-        old = batch.signs
-        while start < len(layers) - 1 and old[start] == signs[start]:
-            start += 1
-        del layers[start + 1:]
-        states = layers[start][0]
-        batch.signs = signs
-        room = MAX_FRONTIER_ENTRIES - sum(size for _, size in layers)
     new = 2 if univariate else 0  # the flags of a component when it appears
-    for i in range(start, len(signs)):
-        joined, ia, ib, gone = plan[i]
-        t = signs[i]
-        key = joined, ia, ib, t, new
-        takes = _takes.get(key, {})
-        nxt: dict = {}
-        get = nxt.get
-        for state, count in states.items():
-            move = takes.get(state)
-            if move is None:
-                move = _take(state, joined, ia, ib, t, new)
-                if _moves_room > 0:
-                    _takes.setdefault(key, takes)[state] = move
-                    _moves_room -= 1
-            if move:
-                skip, taken = move
-                nxt[skip] = get(skip, 0) + count
-                nxt[taken] = get(taken, 0) - count
-        live = _live_entries(nxt, width)
-        states = nxt
-        if gone:
-            forgets = _forgets.get(gone, {})
-            nxt = {}
+    # per vector, the length of the sign prefix it shares with the next one
+    shared = [next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), len(a))
+              for a, b in zip(sign_vectors, sign_vectors[1:])]
+    layers = [({_state(b"", b"", b"", b"\0"): 1}, 1)]  # (states, entries held through them)
+    start = 0
+    for signs, keep in zip(sign_vectors, shared + [0]):
+        del layers[start + 1:]
+        states, held = layers[start]
+        for i in range(start, len(signs)):
+            joined, ia, ib, gone = plan[i]
+            t = signs[i]
+            key = joined, ia, ib, t, new
+            takes = _takes.get(key, {})
+            nxt: dict = {}
+            get = nxt.get
             for state, count in states.items():
-                move = forgets.get(state)
+                move = takes.get(state)
                 if move is None:
-                    move = _forget(state, gone)
+                    move = _take(state, joined, ia, ib, t, new)
                     if _moves_room > 0:
-                        _forgets.setdefault(gone, forgets)[state] = move
+                        _takes.setdefault(key, takes)[state] = move
                         _moves_room -= 1
-                kept, dp, dq = move
-                if dp or dq:
-                    count <<= (dp + dq * stride) * width
-                nxt[kept] = nxt.get(kept, 0) + count
+                if move:
+                    skip, taken = move
+                    nxt[skip] = get(skip, 0) + count
+                    nxt[taken] = get(taken, 0) - count
             live = _live_entries(nxt, width)
             states = nxt
-        if layers is not None:
-            if live > room:
-                layers = None
-            else:
-                layers.append((states, live))
-                room -= live
-    iso = n - covered
-    half = 1 << width - 1
-    out = {}
+            if gone:
+                forgets = _forgets.get(gone, {})
+                nxt = {}
+                for state, count in states.items():
+                    move = forgets.get(state)
+                    if move is None:
+                        move = _forget(state, gone)
+                        if _moves_room > 0:
+                            _forgets.setdefault(gone, forgets)[state] = move
+                            _moves_room -= 1
+                    kept, dp, dq = move
+                    if dp or dq:
+                        count <<= (dp + dq * stride) * width
+                    nxt[kept] = nxt.get(kept, 0) + count
+                live = _live_entries(nxt, width)
+                states = nxt
+            if i < keep:
+                if held + live > MAX_FRONTIER_ENTRIES:
+                    keep = i  # keep no further layer of this path
+                else:
+                    held += live
+                    layers.append((states, held))
+        yield states
+        start = min(keep, len(layers) - 1)
+
+
+def _digits(states: dict, width: int) -> list[dict[int, int]]:
+    """For u = 0 and u = 1, {slot: digit} of the sum of the packed counts of
+    the states with that u (still at most 2^|E| subsets per slot): each
+    nonzero balanced digit, read off by shifts once every slot gains half."""
+    sums = [0, 0]
     for state, count in states.items():
-        u = state[-1]
-        # with half added to every slot, each slot's digit reads off unsigned
+        sums[state[-1]] += count
+    half, mask = 1 << width - 1, (1 << width) - 1
+    out = []
+    for count in sums:
         slots = count.bit_length() // width + 1
-        digits = format(count + half * (((1 << width * slots) - 1) // ((1 << width) - 1)), "b")
-        for k in range(slots):
-            v = int(digits[-width * (k + 1):len(digits) - width * k], 2) - half
-            if v:
-                p = k % stride
-                out[p + iso, p + k // stride + iso, u] = v
+        count += half * (((1 << width * slots) - 1) // mask)
+        out.append({k: v for k in range(slots) if (v := (count >> width * k & mask) - half)})
     return out
 
 
 @functools.lru_cache(maxsize=4096)
-def _subset_tally(
-    g: SignedGraph, univariate: bool
-) -> tuple[tuple[tuple[int, int, int], int], ...]:
-    """Cached frontier tally of g, as sorted items.
+def _subset_tally(g: SignedGraph, univariate: bool) -> tuple[int, dict[int, int], dict[int, int]]:
+    """g's frontier tally, the signed count of its edge subsets: (isolated
+    vertices, {slot: count} of the subsets without an unbalanced component,
+    the same of those with one), slot p + (b - p) * stride over the vertices
+    with an edge (see above); counts that cancel to 0 are left out.  With
+    `univariate` the tally runs switched, so p is 0.
 
-    The name is kept for the benchmark's tracer, which reads its
-    `cache_info()` around every pair call.
+    Inside `chromatic_pairs` a univariate tally is the batch's walk, run on
+    to g past any graph the cache answered, else a walk of g's one sign
+    vector.  Refuses past MAX_FRONTIER_ENTRIES live entries, one per state
+    and one per W-bit slot of its count, counted after each step's take
+    phase and after its forgets: a 3x30 grid peaks at 848 entries, 10 of
+    them states.  Cached; the benchmark's tracer reads its `cache_info()`
+    around every pair call.
     """
-    return tuple(sorted(_frontier_tally(g.n, g.edges, univariate).items()))
+    walk = _batch.get() if univariate else None
+    if walk is None:
+        covered, skeleton, signs = _steps(g.n, g.edges, univariate)
+        (states,) = _walk(skeleton, univariate, [signs])
+        walk = [(g, covered, states)]
+    for h, covered, states in walk:
+        if h is g:
+            return (g.n - covered, *_digits(states, g.m + 2))
+    raise RuntimeError("a batch's graphs must be asked for in the order of its walk")
 
 
 def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:
@@ -496,9 +482,10 @@ def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:
     keeps only subsets with every component balanced (delta = 0 with 0^0 = 1),
     the odd one keeps all of them (delta = 1).
     """
-    tally = _subset_tally(g, True)
-    even = BiPoly(((b, 0), cnt) for (_, b, u), cnt in tally if not u)
-    return ChromaticPair(even, BiPoly(((b, 0), cnt) for (_, b, _), cnt in tally))
+    iso, balanced, unbalanced = _subset_tally(g, True)
+    even = BiPoly({(k + iso, 0): v for k, v in balanced.items()})
+    odd = [((k + iso, 0), v) for slots in (balanced, unbalanced) for k, v in slots.items()]
+    return ChromaticPair(even, BiPoly(odd))
 
 
 def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
@@ -507,21 +494,25 @@ def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
     Each subset contributes (-1)^|Y| x^p (x-y)^(b-p) delta^(c-b), with delta
     handled as in _subset_chromatic_pair.
     """
+    iso, *tally = _subset_tally(g, False)
     even: dict[tuple[int, int], int] = {}
     odd: dict[tuple[int, int], int] = {}
-    for (p, b, u), cnt in _subset_tally(g, False):
-        w = b - p
-        for j in range(w + 1):
-            co = cnt * math.comb(w, j) * (-1 if j & 1 else 1)
-            key = (b - j, j)
-            odd[key] = odd.get(key, 0) + co
-            if not u:
-                even[key] = even.get(key, 0) + co
+    for u, slots in enumerate(tally):
+        for k, cnt in slots.items():
+            w, b = divmod(k, g.n + 1)  # b - p and p, then b
+            b += w + iso
+            for j in range(w + 1):
+                co = cnt * math.comb(w, j) * (-1 if j & 1 else 1)
+                key = (b - j, j)
+                odd[key] = odd.get(key, 0) + co
+                if not u:
+                    even[key] = even.get(key, 0) + co
     return BivariatePair(BiPoly(even), BiPoly(odd))
 
 
 def chromatic_pair(g: SignedGraph) -> ChromaticPair:
-    """Even and odd chromatic polynomials: partitions on signed K_n, else the tally."""
+    """Even and odd chromatic polynomials: partitions on signed K_n, else the
+    tally, which inside `chromatic_pairs` comes from the batch's walk."""
     if g.m == g.n * (g.n - 1) // 2:
         return complete_chromatic_pair(g)
     return _subset_chromatic_pair(g)
@@ -565,40 +556,43 @@ def bivariate_pair(g: SignedGraph) -> BivariatePair:
 
 
 def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
-    """`[chromatic_pair(g) for g in graphs]`, with the tallies sharing work.
-
-    The graphs are visited in order of skeleton and switched signs, so each
-    tally resumes from the kept layers of the last one on its skeleton: a
-    depth-first walk of the trie of sign prefixes.  Kept layers stop
-    growing at MAX_FRONTIER_ENTRIES entries and are dropped on return.
-    Signed K_n take the partition route, which reads no steps, so they are
-    neither numbered nor sorted.  Refuses a batch of more than MAX_PAIR_BATCH
-    graphs before any tally.
-    """
+    """`[chromatic_pair(g) for g in graphs]`, with the tallies sharing work:
+    numbered once per underlying graph, and each skeleton's graphs asked for
+    in order of their switched signs, one walk of their trie.  Signed K_n
+    take the partition route and are neither numbered nor sorted.  Refuses
+    a batch of more than MAX_PAIR_BATCH graphs before any tally."""
     if len(graphs) > MAX_PAIR_BATCH:
         raise BudgetExceededError(
             f"{len(graphs)} graphs exceed the pair-batch cap of {MAX_PAIR_BATCH}"
         )
     pairs: list = [None] * len(graphs)
-    steps, numberings = {}, {}
+    batch, numberings = [], {}
     for i, g in enumerate(graphs):
         if g.m == g.n * (g.n - 1) // 2:
             pairs[i] = chromatic_pair(g)
             continue
         underlying = g.n, tuple([e[:2] for e in g.edges])
-        numbering = numberings.get(underlying)
-        if numbering is None:
-            numbering = numberings[underlying] = _numbering(g.n, g.edges)
-        steps[i] = _steps(g.n, g.edges, True, numbering)
-    batch = _Batch()
-    token = _batch.set(batch)
+        if underlying not in numberings:
+            numberings[underlying] = _numbering(g.n, g.edges)
+        batch.append((*_steps(g.n, g.edges, True, numberings[underlying]), i))
+    batch.sort(key=lambda entry: entry[1:3])  # by skeleton, then signs
+    token = _batch.set(_batch_walk(graphs, batch))
     try:
-        for i in sorted(steps, key=lambda i: steps[i][1:]):
-            batch.edges, batch.steps = graphs[i].edges, steps[i]
+        for *_, i in batch:
             pairs[i] = chromatic_pair(graphs[i])
     finally:
         _batch.reset(token)
     return pairs
+
+
+def _batch_walk(graphs, batch) -> Iterator[tuple[SignedGraph, int, dict]]:
+    """(graph, vertices with an edge, final states) for each (covered,
+    skeleton, signs, index) of the sorted batch, one walk per skeleton."""
+    for skeleton, group in itertools.groupby(batch, key=lambda entry: entry[1]):
+        group = list(group)
+        walk = _walk(skeleton, True, [signs for _, _, signs, _ in group])
+        for (covered, _, _, i), states in zip(group, walk):
+            yield graphs[i], covered, states
 
 
 # -- dominating-vertex deletion recursion ----------------------------------------

@@ -196,6 +196,22 @@ def test_enumerate_spot_check(capsys):
     assert payload["spot_check"]["seed"] == 42
 
 
+def test_enumerate_spot_check_that_draws_a_mask_twice(capsys):
+    """Masks are drawn with replacement: seed 2 draws one of G1's 128 masks
+    twice among 20, so the members' batch repeats a graph, and its walk
+    still matches every class pair."""
+    rng = random.Random(2)
+    masks = [rng.randrange(1 << 7) for _ in range(20)]
+    assert len(set(masks)) < len(masks)
+    code, out, _ = run(
+        capsys,
+        "enumerate", "--underlying", "G1", "--mode", "switch",
+        "--spot-check", "20", "--seed", "2",
+    )
+    assert code == 0
+    assert json.loads(out)["spot_check"] == {"samples": 20, "seed": 2, "mismatches": 0}
+
+
 CLASS_COUNTS = {
     ("complete:5", "switch"): 7,
     ("complete:5", "iso"): 34,
@@ -618,17 +634,27 @@ ASYMMETRIC_8_20 = SignedGraph(8, tuple((u, v, 1) for u, v in (
         (ASYMMETRIC_8_20, ["search-cochromatic"]),
     ],
 )
-def test_pair_batch_cap(capsys, tmp_path, graph, argv):
-    """8,192 classes are refused before any of their pairs is tallied."""
+def test_pair_batch_cap(capsys, monkeypatch, tmp_path, graph, argv):
+    """8,192 classes are refused before any of their pairs is tallied: no
+    DP step of a walk or of a single tally sizes its states."""
     path = tmp_path / "asymmetric.sg"
     path.write_text(format_graph(graph))
     misses = chromatic._subset_tally.cache_info().misses
+    steps = [0]
+    live_entries = chromatic._live_entries
+
+    def counted(states, width):
+        steps[0] += 1
+        return live_entries(states, width)
+
+    monkeypatch.setattr(chromatic, "_live_entries", counted)
     code, out, err = run(capsys, *argv, "--underlying", str(path))
     message = f"8192 graphs exceed the pair-batch cap of {chromatic.MAX_PAIR_BATCH}"
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
     assert chromatic._subset_tally.cache_info().misses == misses
+    assert steps[0] == 0
 
 
 @pytest.mark.parametrize(

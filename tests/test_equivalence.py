@@ -304,6 +304,21 @@ def test_generating_automorphisms_generate_the_group():
         assert len(gens) <= g.n * g.n
 
 
+def test_graph_from_mask_is_the_checked_graph():
+    """Every mask of a few small underlying graphs gives the graph that
+    `SignedGraph` builds and checks from the same edges, equal, with equal
+    hashes and sorted edges; only the mask's low m bits are read."""
+    underlying = [complete_graph(4, 1), star(4), fixture("G1"), SignedGraph(6, ((1, 4, -1),)),
+                  SignedGraph(3, ())]
+    for u in underlying:
+        for mask in range(1 << u.m):
+            edges = tuple((a, b, -1 if mask >> i & 1 else 1) for i, (a, b, _) in enumerate(u.edges))
+            g = graph_from_mask(u, mask)
+            assert g == SignedGraph(u.n, edges) and hash(g) == hash(SignedGraph(u.n, edges))
+            assert g.edges == edges and type(g.edges) is tuple
+            assert graph_from_mask(u, mask | 1 << u.m) == g
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_signed_graphs(7), st.data())
 def test_searches_match_the_plain_search(g, data):

@@ -21,12 +21,18 @@ identity suite became one table of rows whose text the CLI renders.  The
 `reproduce-tables --output text` digest and the stderr digests of three
 JSON-mode runs (the summary lines echoed there, with the wall time masked)
 were recorded while each verifier still returned a report object, before
-the CLI rendered the summary line from the payload.  The graph files are
-written to a temporary directory; their paths do not reach stdout.
+the CLI rendered the summary line from the payload.  The stream digest, over
+the exit codes and stdout of `search-cochromatic` on the benchmark's 200
+seed-11 search inputs, was recorded before a batch of switching classes was
+tallied in one walk of its chord-sign trie.  The graph files are written to
+a temporary directory; their paths do not reach stdout.
 """
 
 import hashlib
+import importlib
+import pathlib
 import re
+import sys
 
 import pytest
 from oracles import relabel
@@ -133,3 +139,24 @@ def test_json_mode_stderr_matches_golden_digest(capsys, argv, digest):
     err = re.sub(r"wall time: \d+\.\d\ds", "wall time: X", capsys.readouterr().err)
     assert err.endswith("wall time: X\n")
     assert hashlib.sha256(err.encode()).hexdigest() == digest
+
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+STREAM_DIGEST = "3ab1e24cc304f0fafcd499fb4f638a116e6389fc09fe18a3dff733de2fd7a514"
+
+
+def test_search_stream_matches_golden_digest(capsys, tmp_path):
+    """Each of the 200 inputs of the `cochromatic-search` stream (seed 11)
+    adds its exit code, a newline and its stdout to one sha256."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        inputs = importlib.import_module("inputs")
+    finally:
+        sys.path.remove(str(BENCH))
+    digest = hashlib.sha256()
+    for name, text in inputs.generate(11):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code = main(["search-cochromatic", "--underlying", str(path)])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == STREAM_DIGEST

@@ -7,7 +7,9 @@ entries that cancel to 0, so the oracle's table is projected onto those keys
 and compared without zeros.  The univariate tally is compared on (b, u).
 """
 
+import importlib
 import itertools
+import pathlib
 import random
 import sys
 import threading
@@ -17,9 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import relabel
 
-from signedchrom import chromatic, reference
+from signedchrom import chromatic, cli, reference
 from signedchrom.chromatic import (
-    _frontier_tally,
     _order,
     _parts,
     _state,
@@ -33,7 +34,7 @@ from signedchrom.chromatic import (
 )
 from signedchrom.equivalence import enumerate_classes
 from signedchrom.errors import BudgetExceededError
-from signedchrom.poly import ChromaticPair
+from signedchrom.poly import BiPoly, ChromaticPair
 from signedchrom.graphs import SignedGraph, complete_graph, fixture, switch, threshold_graph
 
 
@@ -98,6 +99,24 @@ def _nonzero_sums(items) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def as_table(n: int, univariate: bool, tally) -> dict[tuple[int, int, int], int]:
+    """A `_subset_tally` result, (isolated vertices, balanced slots,
+    unbalanced slots), as its (p, b, u) table."""
+    iso, *slots = tally
+    stride = 1 if univariate else n + 1
+    return {
+        (iso + k % stride, iso + k % stride + k // stride, u): v
+        for u, counts in enumerate(slots) for k, v in counts.items()
+    }
+
+
+def frontier_tally(n: int, edges, univariate: bool = False) -> dict[tuple[int, int, int], int]:
+    """The frontier tally of SignedGraph(n, edges) as a (p, b, u) table,
+    computed past the cache."""
+    g = SignedGraph(n, edges)
+    return as_table(n, univariate, chromatic._subset_tally.__wrapped__(g, univariate))
+
+
 def oracle_tally(g: SignedGraph) -> dict[tuple[int, int, int], int]:
     """The oracle's table on (p, b, u) keys."""
     return _nonzero_sums(
@@ -110,10 +129,17 @@ def balance_counts(tally: dict) -> dict[tuple[int, int], int]:
     return _nonzero_sums(((b, u), v) for (_, b, u), v in tally.items())
 
 
+def pair_from_tally(tally: dict) -> ChromaticPair:
+    """The univariate pair a (p, b, u) table gives: the term x^b for each
+    entry, and only the balanced entries (u = 0) in the even constituent."""
+    even = BiPoly(((b, 0), v) for (_, b, u), v in tally.items() if not u)
+    return ChromaticPair(even, BiPoly(((b, 0), v) for (_, b, _), v in tally.items()))
+
+
 def assert_matches_oracle(g: SignedGraph) -> None:
     oracle = oracle_tally(g)
-    assert _frontier_tally(g.n, g.edges) == oracle, g
-    assert balance_counts(_frontier_tally(g.n, g.edges, True)) == balance_counts(oracle), g
+    assert frontier_tally(g.n, g.edges) == oracle, g
+    assert balance_counts(frontier_tally(g.n, g.edges, True)) == balance_counts(oracle), g
 
 
 def random_signed_graph(rng: random.Random, n: int, m: int) -> SignedGraph:
@@ -135,9 +161,9 @@ def test_every_signed_graph_up_to_4_vertices():
 
 
 def test_isolated_vertices_components_and_empty_graph():
-    assert _frontier_tally(0, ()) == {(0, 0, 0): 1}
-    assert _frontier_tally(5, ()) == {(5, 5, 0): 1}
-    assert _frontier_tally(5, (), True) == {(5, 5, 0): 1}
+    assert frontier_tally(0, ()) == {(0, 0, 0): 1}
+    assert frontier_tally(5, ()) == {(5, 5, 0): 1}
+    assert frontier_tally(5, (), True) == {(5, 5, 0): 1}
     graphs = [
         SignedGraph(7, ((1, 4, -1),)),  # isolated vertices around one edge
         SignedGraph(9, ((0, 1, 1), (1, 2, -1), (0, 2, 1),      # negative triangle
@@ -174,11 +200,11 @@ def small_signed_graphs(draw, max_n=6):
 def test_tally_matches_oracle_and_invariants(g, data):
     """Relabelling reorders the edges and the frontier, so it catches edge-order
     and forget-order faults; switching keeps the chromatic pair."""
-    tally = _frontier_tally(g.n, g.edges)
+    tally = frontier_tally(g.n, g.edges)
     assert tally == oracle_tally(g)
     perm = data.draw(st.permutations(range(g.n)))
     h = relabel(g, perm)
-    assert _frontier_tally(h.n, h.edges) == tally
+    assert frontier_tally(h.n, h.edges) == tally
     bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
     switched = switch(g, [v for v, bit in enumerate(bits) if bit])
     assert chromatic_pair(switched) == chromatic_pair(g)
@@ -207,7 +233,7 @@ def test_switched_tally_pair_is_switching_invariant():
             assert _subset_chromatic_pair(h) == expected, (g, h)
 
 
-# -- chromatic_pairs: tallies sharing DP prefixes --------------------------------
+# -- chromatic_pairs: one walk of each skeleton's sign trie -----------------------
 
 
 def switching_classes(underlying: SignedGraph) -> list[SignedGraph]:
@@ -255,20 +281,22 @@ def test_chromatic_pairs_match_one_by_one_on_petersen():
 
 def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
     """The Petersen classes peak at 156 to 266 live entries: with a budget of
-    265 the first one is tallied and a later one refused, while the batch
-    holds layers; the batch is gone after the refusal."""
+    265 the first one is tallied and a later one refused, while the walk
+    holds layers; the walk and its layers are gone after the refusal."""
     graphs = switching_classes(fixture("petersen")) + [
         SignedGraph(11, tuple((v, v + 1, -1) for v in range(10)))
     ]
     expected = one_by_one(graphs)
-    batches = watch_batches(monkeypatch)
+    walks, kept = watch_walks(monkeypatch)
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 265)
-    chromatic._subset_tally.cache_clear()
+    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     with pytest.raises(BudgetExceededError, match="frontier entries"):
         chromatic_pairs(graphs)
     assert chromatic._batch.get() is None
-    assert chromatic._subset_tally.cache_info().currsize > 0  # it did start
-    assert batches and batches[-1] > 0  # layers were kept when refused
+    assert kept  # it did start: some classes were tallied before the refusal
+    assert len(kept) < len(graphs) - 1  # and a Petersen class was refused
+    assert kept[-1] > 1  # layers beyond the root were kept when refused
+    assert walks and all(walk.gi_frame is None for walk in walks)  # and are gone
     monkeypatch.undo()
     assert shared(graphs) == expected
 
@@ -311,21 +339,22 @@ def memo_size() -> int:
     return sum(len(table) for memo in memos for table in memo.values())
 
 
-def watch_batches(monkeypatch) -> list[int]:
-    """Records the entries of the kept layers after every tally in a batch."""
-    seen = []
-    tally = chromatic._frontier_tally
+def watch_walks(monkeypatch) -> tuple[list, list[int]]:
+    """(the walks started, the entries of the kept layers after each class
+    of a batch).  A kept layer records the entries kept through it, so the
+    last one's figure is the total; the root layer counts 1."""
+    walks, kept = [], []
+    walk = chromatic._walk
 
-    def watched(*args):
-        batch = chromatic._batch.get()
-        try:
-            return tally(*args)
-        finally:
-            if batch is not None:
-                seen.append(sum(size for _, size in batch.layers))
+    def watched(skeleton, univariate, sign_vectors):
+        inner = walk(skeleton, univariate, sign_vectors)
+        walks.append(inner)
+        for states in inner:
+            kept.append(inner.gi_frame.f_locals["layers"][-1][1])
+            yield states
 
-    monkeypatch.setattr(chromatic, "_frontier_tally", watched)
-    return seen
+    monkeypatch.setattr(chromatic, "_walk", watched)
+    return walks, kept
 
 
 def test_chromatic_pairs_share_work(monkeypatch):
@@ -388,7 +417,7 @@ def test_chromatic_pairs_share_tables_across_a_mixed_batch(monkeypatch):
     graphs = shuffled(graphs, 17)
     expected = one_by_one(graphs)
     takes = count_calls(monkeypatch, "_take")
-    batches = watch_batches(monkeypatch)
+    _, kept = watch_walks(monkeypatch)
     cold_moves(monkeypatch, 0)
     assert shared(graphs) == expected
     unmemoised = takes[0]
@@ -399,26 +428,32 @@ def test_chromatic_pairs_share_tables_across_a_mixed_batch(monkeypatch):
     takes[0] = 0
     assert shared(graphs) == expected
     assert takes[0] == 0
-    assert all(layers > 0 for layers in batches)
+    # every skeleton has six graphs and its walk keeps at least the first
+    # tree step's layer beside the root after every one of them
+    assert len(kept) == 3 * len(graphs)
+    assert all(entries > 1 for entries in kept)
 
 
 def test_tables_and_layers_stop_at_a_small_budget(monkeypatch):
     """Kept layers never hold more than MAX_FRONTIER_ENTRIES entries, and
     the move memo stops adding at MAX_MOVES moves.  At 267 entries, just
-    above the largest live count of a Petersen class (266), every tally keeps
-    fewer layer entries than without the cap; at 200 moves the memo fills.
-    The pairs do not move."""
+    above the largest live count of a Petersen class (266), no class keeps
+    more layer entries than without the cap, and each that kept more than
+    267 without it keeps fewer; at 200 moves the memo fills.  The pairs do
+    not move."""
     graphs = shuffled(switching_classes(fixture("petersen")), 7)
     expected = one_by_one(graphs)
-    batches = watch_batches(monkeypatch)
+    _, kept = watch_walks(monkeypatch)
     shared(graphs)
-    full = list(batches)
+    full = list(kept)
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 267)
     cold_moves(monkeypatch, 200)
-    del batches[:]
+    del kept[:]
     assert shared(graphs) == expected
-    assert len(batches) == len(full) == len(graphs)
-    assert all(0 < kept <= 267 < total for kept, total in zip(batches, full))
+    assert len(kept) == len(full) == len(graphs)
+    assert all(0 < entries <= min(267, total) for entries, total in zip(kept, full))
+    assert all(entries < total for entries, total in zip(kept, full) if total > 267)
+    assert max(full) > 267
     assert memo_size() == 200
     assert chromatic._moves_room == 0
 
@@ -441,6 +476,101 @@ def test_chromatic_pairs_compute_steps_once_per_graph(monkeypatch):
     assert shared(graphs) == expected
     assert calls[0] == len(graphs) - 16 == 12
     assert chromatic._batch.get() is None
+
+
+def test_repeated_graphs_resume_after_the_last_step(monkeypatch):
+    """Equal sign vectors share every layer, so a graph that comes again
+    resumes after its last step and costs no DP step: a batch with
+    repeats, a switched copy included, takes as many steps as the batch of
+    its distinct classes, and gets the one-by-one pairs.  The cache answers
+    the repeats of an equal graph, which the walk then passes; the switched
+    copy is another graph with the same signs, so the walk tallies it."""
+    petersen = switching_classes(fixture("petersen"))
+    g, h = petersen[1], petersen[4]
+    copy = switch(g, [2, 5])
+    assert copy != g and _steps(copy.n, copy.edges, True) == _steps(g.n, g.edges, True)
+    steps = count_calls(monkeypatch, "_live_entries")
+    distinct = shared([g, h])
+    alone = steps[0]
+    steps[0] = 0
+    batch = [g, h, g, copy, h, g]
+    assert shared(batch) == [distinct[0], distinct[1]] + [distinct[0]] * 2 + distinct[::-1]
+    assert steps[0] == alone > 0
+    monkeypatch.undo()
+    assert shared(batch) == one_by_one(batch)
+
+
+def test_a_batch_refuses_a_graph_its_walk_has_passed(monkeypatch):
+    """Inside `chromatic_pairs`, `chromatic_pair(g)` runs the batch's walk
+    on to g, past the graphs the cache answered: a graph the walk has
+    already passed is refused, and the batch's context is reset."""
+    walk = chromatic._batch_walk
+
+    def rotated(graphs, batch):
+        items = list(walk(graphs, batch))
+        return iter(items[1:] + items[:1])
+
+    monkeypatch.setattr(chromatic, "_batch_walk", rotated)
+    chromatic._subset_tally.cache_clear()  # a cached table would skip the walk
+    with pytest.raises(RuntimeError, match="order of its walk"):
+        chromatic_pairs(switching_classes(fixture("G1"))[:3])
+    assert chromatic._batch.get() is None
+
+
+def test_each_tally_of_a_batch_is_a_cache_miss():
+    """The benchmark's tracer reads the tally work of each pair call off
+    `_subset_tally.cache_info()`: in a shuffled batch each distinct graph
+    that takes the tally is one miss and each repeat one hit, while signed
+    K_n are neither; the pairs are the one-by-one pairs."""
+    graphs = switching_classes(fixture("petersen"))
+    batch = shuffled(graphs + graphs[:3] + [complete_graph(5, -1)], 19)
+    expected = one_by_one(batch)
+    chromatic._subset_tally.cache_clear()
+    assert chromatic_pairs(batch) == expected
+    info = chromatic._subset_tally.cache_info()
+    assert (info.misses, info.hits) == (len(graphs), 3)
+
+
+def test_traced_search_records_the_tally_work_of_each_pair(capsys):
+    """Under the benchmark's tracer every pair call of a search records
+    either the 2^|E| subsets of its tally or one cache hit."""
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(bench))
+    tracer = spans.Tracer()
+    chromatic._subset_tally.cache_clear()
+    tracer.install()
+    try:
+        assert cli.main(["search-cochromatic", "--underlying", "petersen"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counts = [span[5] for span in tracer.spans if span[0] == "chromatic.pair"]
+    assert len(counts) >= len(switching_classes(fixture("petersen")))
+    assert all(c in ({"cache_hits": 0, "subsets": 1 << 15}, {"cache_hits": 1, "subsets": 0})
+               for c in counts), counts
+
+
+def test_mixed_batches_and_batches_of_one_match_chromatic_pair():
+    """A batch mixing several skeletons with signed K_n (which take the
+    partition route), and each of its graphs as a batch of one, give what
+    `chromatic_pair` gives for each graph alone."""
+    rng = random.Random(37)
+    batch = [complete_graph(5, -1), SignedGraph(4, ((0, 1, -1), (0, 2, 1), (0, 3, 1),
+                                                    (1, 2, 1), (1, 3, -1), (2, 3, 1)))]
+    batch += switching_classes(fixture("G1"))[:6] + [SignedGraph(0, ()), SignedGraph(1, ()),
+                                                      SignedGraph(5, ()), fixture("Sigma3")]
+    batch += [random_signed_graph(rng, rng.randrange(2, 9), rng.randrange(1, 12))
+              for _ in range(12)]
+    batch = shuffled(batch, 41)
+    expected = one_by_one(batch)
+    assert shared(batch) == expected
+    for g, pair in zip(batch, expected):
+        assert shared([g]) == [pair], g
+    assert len({_steps(g.n, g.edges, True)[1] for g in batch}) > 10
 
 
 def test_chromatic_pairs_in_concurrent_threads():
@@ -484,7 +614,9 @@ def test_move_memo_is_sound_across_modes_batches_and_threads(monkeypatch):
     memo they leave, and from three threads sharing one cold memo.  Both
     modes meet the same steps and forgets, so a move memoised without the
     mode (the flags of a new component) or without the positions forgotten
-    would hand one tally another's states."""
+    would hand one tally another's states.  Every tally, the univariate
+    ones from the batch's walk, is checked by its table as it leaves
+    `_subset_tally`, and the batch's pairs against the oracle's."""
     rng = random.Random(43)
     graphs = {}
     for _ in range(30):
@@ -493,24 +625,28 @@ def test_move_memo_is_sound_across_modes_batches_and_threads(monkeypatch):
             graphs[g.n, g.edges] = g
     graphs = list(graphs.values()) + switching_classes(fixture("G1"))
     oracles = {(g.n, g.edges): oracle_tally(g) for g in graphs}
+    univariate_pairs = {key: pair_from_tally(tally) for key, tally in oracles.items()}
     jobs = [(g, univariate) for g in graphs for univariate in (False, True)]
-    tally = chromatic._frontier_tally
+    tally = chromatic._subset_tally
     tallies, failures = [0], []
 
-    def checked(n, edges, univariate=False):
-        got = tally(n, edges, univariate)
-        want = oracles[n, edges]
+    def checked(g, univariate):
+        got = tally(g, univariate)
+        table, want = as_table(g.n, univariate, got), oracles[g.n, g.edges]
         tallies[0] += 1
-        if (balance_counts(got) != balance_counts(want)) if univariate else got != want:
-            failures.append((n, edges, univariate))
+        if (balance_counts(table) != balance_counts(want)) if univariate else table != want:
+            failures.append((g.n, g.edges, univariate))
         return got
 
     def run(seed: int) -> None:
         order = shuffled(jobs, seed)
         for start in range(0, len(order), 8):
             batch = order[start:start + 8]
-            chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
-            chromatic_pairs([g for g, univariate in batch if univariate])
+            tally.cache_clear()  # a cached table would skip the tally
+            walked = [g for g, univariate in batch if univariate]
+            for g, pair in zip(walked, chromatic_pairs(walked)):
+                if pair != univariate_pairs[g.n, g.edges]:
+                    failures.append((g.n, g.edges, True))
             for g, univariate in batch:
                 if not univariate:  # the tally of g itself: bivariate_pair may peel it first
                     _subset_bivariate_pair(g)
@@ -521,7 +657,7 @@ def test_move_memo_is_sound_across_modes_batches_and_threads(monkeypatch):
         except Exception as e:  # reported below, not lost in the thread
             failures.append(repr(e))
 
-    monkeypatch.setattr(chromatic, "_frontier_tally", checked)
+    monkeypatch.setattr(chromatic, "_subset_tally", checked)
     cold_moves(monkeypatch)
     run(1)
     assert tallies[0] == len(jobs) and memo_size() > 0
@@ -697,7 +833,7 @@ def peak_entries(monkeypatch, g: SignedGraph, univariate: bool):
 
     monkeypatch.setattr(chromatic, "_live_entries", watched)
     try:
-        _frontier_tally(g.n, g.edges, univariate)
+        frontier_tally(g.n, g.edges, univariate)
         refusal = None
     except BudgetExceededError as e:
         refusal = str(e)
