@@ -1,4 +1,4 @@
-"""Colouring counts and chromatic polynomial pairs of signed graphs.
+"""Chromatic polynomial pairs of signed graphs.
 
 `chromatic_pair` and `bivariate_pair` pick the route, and each route checks its
 own budget.  First, on at most MAX_PEEL_N vertices, `bivariate_pair` peels
@@ -23,9 +23,6 @@ class costs only the DP steps after the sign prefix it shares with the one
 before, and its leaf decodes straight into its pair.  On the 7,005 switching
 classes of the benchmark's search inputs (seeds 11, 5 and 301) that takes
 about 0.4 s in a fresh process, against 1.0 s one graph at a time.
-
-A brute-force counting oracle over an explicit colour set cross-checks both
-routes.
 """
 
 from __future__ import annotations
@@ -40,50 +37,11 @@ from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph, delete_vertex
 from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling, falling_product
 
-MAX_ORACLE_FUNCTIONS = 10**8    # lam^max(n, 2): colour functions, and at most 10^4 colours
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
 MAX_MOVES = 1 << 14             # take and forget moves the process memoises
 MAX_PARTITION_N = 10            # vertices of a signed K_n: the unit DP visits at most 2^n masks
 MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes of K_7: 1,044
 MAX_PEEL_N = 41                 # vertices bivariate_pair peels: a threshold code of 40 entries
-
-
-def colour_set(lam: int, mu: int) -> tuple[int, ...]:
-    """A (lam, mu)-colour set of lam colours, sorted: the paired colours
-    +-1..+-h with h = (lam - mu) // 2, closed under negation; the mu unpaired
-    colours lam + 1..lam + mu, none of whose negatives is present; and 0
-    exactly when lam - mu is odd."""
-    if mu < 0 or lam < mu:
-        raise SignedChromError(f"need lam >= mu >= 0, got ({lam}, {mu})")
-    half = (lam - mu) // 2
-    zero = (0,) if (lam - mu) % 2 else ()
-    return (*range(-half, 0), *zero, *range(1, half + 1), *range(lam + 1, lam + mu + 1))
-
-
-def count_colourings_oracle(g: SignedGraph, lam: int, mu: int = 0) -> int:
-    """Count proper colourings by enumerating every function V -> C.
-
-    C is the (lam, mu)-colour set of lam colours.  lam^max(n, 2) is checked
-    against MAX_ORACLE_FUNCTIONS before C is built, which bounds both the
-    functions and, on 0 or 1 vertices, the colours.  A function is proper
-    when kappa(u) != sign * kappa(v) on every edge.  Deliberately naive;
-    this is the ground truth for the polynomials.
-    """
-    k = max(g.n, 2)
-    if lam ** k > MAX_ORACLE_FUNCTIONS:
-        raise BudgetExceededError(
-            f"lambda^max(n, 2) = {lam}^{k} exceeds the oracle cap of {MAX_ORACLE_FUNCTIONS}"
-        )
-    colours = colour_set(lam, mu)
-    edges = g.edges
-    count = 0
-    for kappa in itertools.product(colours, repeat=g.n):
-        for u, v, s in edges:
-            if kappa[u] == s * kappa[v]:
-                break
-        else:
-            count += 1
-    return count
 
 
 # -- edge-subset expansion: the frontier tally -----------------------------------

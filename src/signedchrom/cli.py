@@ -156,24 +156,49 @@ def _resolve_underlying(name: str) -> SignedGraph:
     return all_positive(_load_graph_file(name))
 
 
+# Most colours `chrom --lambda` counts with.  A count on at most MAX_VERTICES
+# vertices is at most (10^4)^256, 1,025 digits, well within the 4,300 digits
+# Python turns into a decimal string.
+MAX_COLOURS = 10**4
+
+
+def _colours(args) -> tuple[int, int] | None:
+    """(lambda, mu) of `chrom --lambda L [--mu M]`, or None without --lambda;
+    bad values are refused before any pair is built."""
+    lam, mu = args.lam, args.mu
+    if lam is None:
+        if mu is not None:
+            raise SignedChromError("--mu needs --lambda")
+        return None
+    mu = mu or 0
+    if mu < 0 or lam < mu:
+        raise SignedChromError(f"need lam >= mu >= 0, got ({lam}, {mu})")
+    if mu and not args.bivariate:
+        raise SignedChromError("--mu > 0 needs --bivariate: the univariate pair is"
+                               " the bivariate pair at mu = 0")
+    if lam > MAX_COLOURS:
+        raise BudgetExceededError(f"--lambda {lam} exceeds the colour cap of {MAX_COLOURS}")
+    return lam, mu
+
+
 def cmd_chrom(args) -> int:
+    colours = _colours(args)
     g = _load_graph_file(args.file)
     if args.bivariate:
         pair = chromatic.bivariate_pair(g)
     else:
         pair = chromatic.chromatic_pair(g)
-    _emit(
-        args,
-        {"bivariate": args.bivariate, **pair_to_json(pair)},
-        [f"even: {pair.even}", f"odd: {pair.odd}"],
-    )
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    g = _load_graph_file(args.file)
-    count = chromatic.count_colourings_oracle(g, args.lam, args.mu)
-    _emit(args, {"lambda": args.lam, "mu": args.mu, "count": str(count)}, [str(count)])
+    payload = {"bivariate": args.bivariate, **pair_to_json(pair)}
+    lines = [f"even: {pair.even}", f"odd: {pair.odd}"]
+    if colours is not None:
+        # A (lam, mu)-colour set holds 0 exactly when lam - mu is odd, which
+        # the odd constituent counts.
+        lam, mu = colours
+        poly = (pair.odd if (lam - mu) % 2 else pair.even).substitute_y(mu)
+        count = sum(c * lam**i for (i, _), c in poly.items())
+        payload.update({"lambda": lam, "mu": mu, "count": str(count)})
+        lines.append(f"count: {count}")
+    _emit(args, payload, lines)
     return 0
 
 
@@ -354,15 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chrom", help="chromatic pair of a graph file")
     p.add_argument("file")
     p.add_argument("--bivariate", action="store_true")
+    p.add_argument("--lambda", dest="lam", type=int, metavar="L",
+                   help="also print the count of proper colourings from L colours")
+    p.add_argument("--mu", type=int, metavar="M",
+                   help="of which M are unpaired (needs --bivariate; default 0)")
     _add_common_flags(p, top=False)
     p.set_defaults(func=cmd_chrom)
-
-    p = sub.add_parser("oracle", help="brute-force proper colouring count")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--mu", type=int, default=0)
-    _add_common_flags(p, top=False)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("closed-form", help="closed-form join family pair")
     p.add_argument("--family", type=int, choices=(1, 2, 3, 4), required=True)

@@ -211,15 +211,16 @@ def _symmetric(h, rng):
 
 def identity_suite(max_param: int) -> dict:
     """Check the nine family identities for all parameters up to max_param,
-    which is capped at MAX_IDENTITY_PARAM.
+    from 1 (below it identity ix has no case) to MAX_IDENTITY_PARAM.
 
     Each row of the table is (name, statement, cases), and each case is
     (label, lhs, rhs), built lazily.  Returns the `identities` payload: per
     identity the number of cases checked, its status and the label of the
     first case whose sides differ.
     """
-    if max_param < 0:
-        raise SignedChromError(f"max_param must be >= 0, got {max_param}")
+    if max_param < 1:
+        raise SignedChromError(f"max_param must be >= 1, as identity ix needs n >= 1;"
+                               f" got {max_param}")
     if max_param > MAX_IDENTITY_PARAM:
         raise BudgetExceededError(
             f"identity parameters capped at {MAX_IDENTITY_PARAM}, got {max_param}"

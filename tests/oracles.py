@@ -3,6 +3,8 @@ of which production calls.
 
 - A plain isomorphism search, and the non-switching-isomorphism certificate
   as a switch-and-search loop over it.
+- The (lambda, mu)-colour set and a brute-force count of proper colourings
+  from it, which `chrom --lambda` reads off the computed pair instead.
 - The chromatic pair rebuilt by Lagrange interpolation through brute-force
   colouring counts.
 - Graph helpers: relabelling, component statistics and balance, the
@@ -13,10 +15,10 @@ of which production calls.
   the co-chromatic groups of signed K_8.
 """
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from signedchrom.chromatic import count_colourings_oracle
 from signedchrom.equivalence import free_switching_vertices
 from signedchrom.errors import SignedChromError
 from signedchrom.graphs import SignedGraph, complete_graph, switch
@@ -63,6 +65,33 @@ def oracle_certificate(g1, g2):
                 "witness": {"X": X, "perm": list(perm)},
             }
     return {"switchings_tried": 1 << len(free), "isomorphism_found": False}
+
+
+def colour_set(lam, mu):
+    """A (lam, mu)-colour set of lam colours, sorted: the paired colours
+    +-1..+-h with h = (lam - mu) // 2, closed under negation; the mu unpaired
+    colours lam + 1..lam + mu, none of whose negatives is present; and 0
+    exactly when lam - mu is odd."""
+    if mu < 0 or lam < mu:
+        raise SignedChromError(f"need lam >= mu >= 0, got ({lam}, {mu})")
+    half = (lam - mu) // 2
+    zero = (0,) if (lam - mu) % 2 else ()
+    return (*range(-half, 0), *zero, *range(1, half + 1), *range(lam + 1, lam + mu + 1))
+
+
+def count_colourings_oracle(g, lam, mu=0):
+    """Count proper colourings from the (lam, mu)-colour set by enumerating
+    every function V -> C: a function is proper when kappa(u) != sign *
+    kappa(v) on every edge.  Deliberately naive; this is the ground truth
+    for the polynomials, so keep lam^n small."""
+    count = 0
+    for kappa in itertools.product(colour_set(lam, mu), repeat=g.n):
+        for u, v, s in g.edges:
+            if kappa[u] == s * kappa[v]:
+                break
+        else:
+            count += 1
+    return count
 
 
 def lagrange_integer(xs, ys):

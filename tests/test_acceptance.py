@@ -16,6 +16,7 @@ from oracles import (
     SWITCHING_CLASS_COUNTS,
     UNIVERSAL_K1,
     component_stats,
+    count_colourings_oracle,
     diagonal,
     evaluate,
     interpolated_pair,
@@ -31,7 +32,6 @@ from signedchrom.chromatic import (
     _subset_bivariate_pair,
     bivariate_pair,
     chromatic_pair,
-    count_colourings_oracle,
 )
 from signedchrom.closedform import identity_suite, join_pair
 from signedchrom.equivalence import (

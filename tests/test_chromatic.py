@@ -13,6 +13,8 @@ from oracles import (
     NEGATIVE_DOMINATING,
     POSITIVE_DOMINATING,
     SWITCHING_CLASS_COUNTS,
+    colour_set,
+    count_colourings_oracle,
     diagonal,
     evaluate,
     interpolated_pair,
@@ -31,10 +33,8 @@ from signedchrom.chromatic import (
     bivariate_pair,
     chromatic_pair,
     _unit_tally,
-    colour_set,
     complete_bivariate_pair,
     complete_chromatic_pair,
-    count_colourings_oracle,
 )
 from signedchrom.closedform import join_pair
 from signedchrom.equivalence import enumerate_classes, graph_from_mask
@@ -85,16 +85,6 @@ def test_oracle_examples():
     assert count_colourings_oracle(SignedGraph(1, ()), 0) == 0
     assert count_colourings_oracle(fixture("G1"), 3) == 8
     assert count_colourings_oracle(SignedGraph(0, ()), 0) == 1
-
-
-def test_oracle_budget():
-    """lambda^max(n, 2) is capped at 10^8: 100^5 on G1 is refused, and 10^4
-    colours on one vertex are the most the colour set may hold."""
-    with pytest.raises(BudgetExceededError):
-        count_colourings_oracle(fixture("G1"), 100)
-    assert count_colourings_oracle(SignedGraph(1, ()), 10**4) == 10**4
-    with pytest.raises(BudgetExceededError):
-        count_colourings_oracle(SignedGraph(1, ()), 10**4 + 1)
 
 
 def test_chromatic_pair_examples():

@@ -17,7 +17,7 @@ import types
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import evaluate, relabel
+from oracles import count_colourings_oracle, relabel
 
 import signedchrom
 from signedchrom import chromatic, cli, closedform
@@ -31,6 +31,10 @@ def g1_file(tmp_path):
     path = tmp_path / "g1.sg"
     path.write_text(format_graph(fixture("G1")))
     return str(path)
+
+
+# A positive path on the most vertices a graph file may have.
+PATH_256 = SignedGraph(MAX_VERTICES, tuple((v, v + 1, 1) for v in range(MAX_VERTICES - 1)))
 
 
 def run(capsys, *argv):
@@ -62,17 +66,69 @@ def test_chrom_deterministic(capsys, g1_file):
 
 
 def test_oracle(capsys, g1_file):
-    code, out, _ = run(capsys, "oracle", g1_file, "--lambda", "3")
+    """G1 has 8 proper colourings from 3 colours, read off by `chrom --lambda`."""
+    code, out, _ = run(capsys, "chrom", g1_file, "--lambda", "3")
     assert code == 0
     assert json.loads(out)["count"] == "8"
+    code, out, _ = run(capsys, "chrom", g1_file, "--output", "text", "--lambda", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "count: 8"
 
 
 def test_oracle_budget_exit_2(capsys, g1_file):
-    """100^5 colour functions on the 5 vertices of G1 exceed the oracle cap."""
-    code, out, err = run(capsys, "oracle", g1_file, "--lambda", "100")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: lambda^max(n, 2) = 100^5 exceeds the oracle cap of {10**8}\n"
+    """One colour past the colour cap is refused on G1, in both modes."""
+    lam = cli.MAX_COLOURS + 1
+    for flags in ([], ["--bivariate"]):
+        code, out, err = run(capsys, "chrom", g1_file, "--lambda", str(lam), *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --lambda {lam} exceeds the colour cap of {cli.MAX_COLOURS}\n"
+
+
+def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):
+    """`chrom --lambda L [--mu M]` prints the number of proper colourings from
+    the (L, M)-colour set, read off the pair it computes; the brute force
+    counts them one colour function at a time."""
+    path = tmp_path / "g.sg"
+    cases = [(name, 6) for name in ("G1", "G2", "Sigma1", "Sigma2", "Sigma3", "Sigma4",
+                                    "plusK:4", "minusK:4", "plusK:1", "plusK:0")]
+    cases.append(("petersen", 4))  # 10 vertices: keep the brute force affordable
+    for name, lam_stop in cases:
+        g = fixture(name)
+        path.write_text(format_graph(g))
+        for lam in range(lam_stop):
+            code, out, _ = run(capsys, "chrom", str(path), "--lambda", str(lam))
+            payload = json.loads(out)
+            assert code == 0 and (payload["lambda"], payload["mu"]) == (lam, 0)
+            assert payload["count"] == str(count_colourings_oracle(g, lam)), (name, lam)
+    g1 = fixture("G1")
+    path.write_text(format_graph(g1))
+    for lam in range(5):
+        for mu in range(lam + 1):
+            code, out, _ = run(capsys, "chrom", str(path), "--bivariate", "--output", "text",
+                               "--lambda", str(lam), "--mu", str(mu))
+            assert code == 0
+            assert out.splitlines()[2:] == [f"count: {count_colourings_oracle(g1, lam, mu)}"]
+
+
+def test_chrom_lambda_at_the_colour_cap(capsys, tmp_path):
+    """On a positive path every vertex after the first avoids one colour:
+    L (L - 1)^(n - 1) colourings, 1,024 digits at the cap on 256 vertices."""
+    path = tmp_path / "path.sg"
+    path.write_text(format_graph(PATH_256))
+    lam = cli.MAX_COLOURS
+    for flags in ([], ["--bivariate"]):
+        code, out, _ = run(capsys, "chrom", str(path), "--lambda", str(lam), *flags)
+        assert code == 0
+        assert json.loads(out)["count"] == str(lam * (lam - 1) ** (MAX_VERTICES - 1))
+
+
+def test_oracle_command_is_gone(capsys, g1_file):
+    """Brute-force counting is a test oracle only; `chrom --lambda` counts."""
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", g1_file, "--lambda", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_threshold_example(capsys):
@@ -401,6 +457,7 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
         ("verify", "--conjecture", "cochromatic-complete", "--max", "-1"),
         ("verify", "--conjecture", "bivariate-complete", "--max", "-1"),
         ("identities", "--max", "-1"),
+        ("identities", "--max", "0"),  # identity ix has no case: no vacuous pass
     ],
 )
 def test_negative_max_exit_2(capsys, argv):
@@ -426,25 +483,6 @@ def test_verification_failure_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "reproduce-tables", "--output", "text")
     assert code == 1
     assert out == "reproduce-tables (scale None): COUNTEREXAMPLE\n"
-
-
-def test_chrom_and_oracle_agree_on_fixtures(capsys, tmp_path):
-    """Smoke test: polynomial evaluations match oracle counts at small lambda."""
-    from signedchrom.chromatic import chromatic_pair, count_colourings_oracle
-
-    cases = [
-        (name, 6)
-        for name in ("G1", "G2", "Sigma1", "Sigma2", "Sigma3", "Sigma4",
-                     "plusK:4", "minusK:4", "plusK:0")
-    ]
-    cases.append(("petersen", 4))  # 10 vertices: keep the oracle affordable
-    for name, lam_stop in cases:
-        g = fixture(name)
-        pair = chromatic_pair(g)
-        for lam in range(lam_stop):
-            want = count_colourings_oracle(g, lam)
-            poly = pair.even if lam % 2 == 0 else pair.odd
-            assert evaluate(poly, lam, 0) == want
 
 
 def test_search_cochromatic_subset_budget_refusal(capsys, monkeypatch):
@@ -547,20 +585,51 @@ def test_work_caps_exit_2(capsys, message, argv):
     run_refused_small(capsys, message, *argv)
 
 
-def test_oracle_refuses_before_building_colours(capsys, tmp_path):
-    """8,000,000^2 colour functions are refused before the 8,000,000 colours
-    of the set are built; on 0 and 1 vertices lambda^2 still bounds the set."""
+def test_oracle_refuses_before_building_colours(capsys, monkeypatch, tmp_path):
+    """8,000,000 colours are refused before a pair is built, also on the 0-,
+    1- and 2-vertex files whose counts would be small."""
+    def built(g):
+        raise AssertionError("a pair was built")
+
+    monkeypatch.setattr(chromatic, "chromatic_pair", built)
+    monkeypatch.setattr(chromatic, "bivariate_pair", built)
     cases = [
-        ("n 2\ne 0 1 +\n", ["--lambda", "8000000"], "8000000^2"),
-        ("n 0\n", ["--lambda", "10001"], "10001^2"),
-        ("n 1\n", ["--lambda", "10001"], "10001^2"),
-        ("n 1\n", ["--lambda", "10001", "--mu", "10001"], "10001^2"),
+        ("n 2\ne 0 1 +\n", ["--lambda", "8000000"]),
+        ("n 0\n", ["--lambda", "8000000"]),
+        ("n 1\n", ["--lambda", "8000000"]),
+        ("n 1\n", ["--lambda", "8000000", "--mu", "8000000", "--bivariate"]),
     ]
     path = tmp_path / "small.sg"
-    for text, flags, count in cases:
+    message = f"--lambda 8000000 exceeds the colour cap of {cli.MAX_COLOURS}"
+    for text, flags in cases:
         path.write_text(text)
-        message = f"{count} exceeds the oracle cap of {chromatic.MAX_ORACLE_FUNCTIONS}"
-        run_refused_small(capsys, message, "oracle", str(path), *flags)
+        run_refused_small(capsys, message, "chrom", str(path), *flags)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda", "2", "--mu", "3", "--bivariate"], "need lam >= mu >= 0, got (2, 3)"),
+        (["--lambda", "3", "--mu", "-1", "--bivariate"], "need lam >= mu >= 0, got (3, -1)"),
+        (["--lambda", "-1"], "need lam >= mu >= 0, got (-1, 0)"),
+        (["--lambda", "3", "--mu", "1"], "--mu > 0 needs --bivariate"),
+        (["--mu", "0"], "--mu needs --lambda"),
+        (["--lambda", str(cli.MAX_COLOURS + 1)], f"exceeds the colour cap of {cli.MAX_COLOURS}"),
+    ],
+    ids=["mu-above-lambda", "negative-mu", "negative-lambda", "mu-without-bivariate",
+         "mu-without-lambda", "lambda-past-cap"],
+)
+def test_chrom_lambda_refused_before_any_pair(capsys, monkeypatch, tmp_path, flags, message):
+    """Each bad (lambda, mu) exits 2 before a pair of the 256-vertex path is built."""
+    path = tmp_path / "path.sg"
+    path.write_text(format_graph(PATH_256))
+
+    def built(g):
+        raise AssertionError("a pair was built")
+
+    monkeypatch.setattr(chromatic, "chromatic_pair", built)
+    monkeypatch.setattr(chromatic, "bivariate_pair", built)
+    run_refused_small(capsys, message, "chrom", str(path), *flags)
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

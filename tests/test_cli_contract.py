@@ -20,7 +20,7 @@ import pytest
 from oracles import relabel
 
 from signedchrom.chromatic import MAX_PEEL_N
-from signedchrom.cli import main
+from signedchrom.cli import MAX_COLOURS, main
 from signedchrom.graphs import fixture_names, format_graph, threshold_graph
 
 SEED = 20
@@ -29,6 +29,8 @@ CASE_SECONDS = 5.0
 CASE_PEAK_BYTES = 64 << 20
 
 _INTS = ["-1", "0", "1", "2", "3", "x", "", "1.5", "99999999999999999999"]
+# one past the colour cap, and an int longer than Python turns from a string
+_COLOURS = _INTS + [str(MAX_COLOURS + 1), "1" * 4301]
 _GRAPH_TEXTS = [
     "n 0\n",
     "n 1\n",
@@ -94,15 +96,17 @@ def _argv(rng, files) -> list[str]:
     """One random command line."""
     n = lambda: rng.choice(_INTS)  # noqa: E731
     command = rng.choice([
-        "chrom", "oracle", "closed-form", "identities", "threshold", "enumerate",
+        "chrom", "chrom --lambda", "closed-form", "identities", "threshold", "enumerate",
         "search-cochromatic", "verify", "reproduce-tables", "fixtures", "junk",
     ])
     if command == "chrom":
         argv = ["chrom", rng.choice(files)] + rng.choice([[], ["--bivariate"]])
-    elif command == "oracle":
-        argv = ["oracle", rng.choice(files), "--lambda", n()]
+    elif command == "chrom --lambda":
+        colours = lambda: rng.choice(_COLOURS)  # noqa: E731
+        argv = ["chrom", rng.choice(files), "--lambda", colours()]
+        argv += rng.choice([[], ["--bivariate"]])
         if rng.random() < 0.5:
-            argv += ["--mu", n()]
+            argv += ["--mu", colours()]
     elif command == "closed-form":
         argv = ["closed-form", "--family", rng.choice(["0", "1", "2", "3", "4", "5", "x"]),
                 "-l", n(), "-m", n(), "-n", n()]

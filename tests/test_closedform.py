@@ -80,9 +80,11 @@ def test_join_pair_cross_validation_small():
 
 
 def test_identity_suite_degenerate():
-    report = identity_suite(0)
-    assert report["all_pass"] and report["max_param"] == 0
-    assert [r["name"] for r in report["identities"]] == [
+    """At max_param 0 identity ix (n >= 1) has no case, so a pass would be
+    vacuous: the suite refuses it."""
+    with pytest.raises(SignedChromError, match=r"identity ix needs n >= 1; got 0"):
+        identity_suite(0)
+    assert [r["name"] for r in identity_suite(1)["identities"]] == [
         "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix",
     ]
 

@@ -5,10 +5,17 @@ import json
 import random
 
 import pytest
-from oracles import K8_COCHROMATIC_GROUPS, diagonal, evaluate, oracle_certificate, relabel
+from oracles import (
+    K8_COCHROMATIC_GROUPS,
+    count_colourings_oracle,
+    diagonal,
+    evaluate,
+    oracle_certificate,
+    relabel,
+)
 
 from signedchrom import reference
-from signedchrom.chromatic import bivariate_pair, chromatic_pair, count_colourings_oracle
+from signedchrom.chromatic import bivariate_pair, chromatic_pair
 from signedchrom.equivalence import (
     enumerate_classes,
     find_switching_isomorphism,
