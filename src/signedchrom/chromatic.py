@@ -11,18 +11,18 @@ every other graph the edge-subset expansion, which sums a signed term over
 all spanning subgraphs classified by their component statistics.  That sum
 is tallied by a frontier edge DP rather than subset by subset, on vertices
 numbered by maximum cardinality search and states held as bytes strings
-(see the comment above `_walk`), whose moves the process memoises: on a
-2-core machine the Petersen graph takes about 2 ms (0.3 ms once its moves
-are memoised) instead of 0.2 s for its 2^15 subsets.
+(see the comment above `_walk`): one memoised move per state and one budget
+check per step.  On a 2-core machine the Petersen graph takes about 2 ms
+(0.3 ms once its moves are memoised) instead of 0.2 s for its 2^15 subsets.
 
 The univariate pair depends only on balance, so its tally runs on a switched
-copy of the graph in which only the chords carry signs.  `chromatic_pairs`
-tallies a batch, such as the switching classes of one underlying graph, in
-one depth-first walk per skeleton of the trie of those chord signs, so each
-class costs only the DP steps after the sign prefix it shares with the one
-before, and its leaf decodes straight into its pair.  On the 7,005 switching
-classes of the benchmark's search inputs (seeds 11, 5 and 301) that takes
-about 0.4 s in a fresh process, against 1.0 s one graph at a time.
+copy of the graph, whose chord signs are parities of edge masks.
+`chromatic_pairs` tallies a batch, such as the switching classes of one
+underlying graph, in one depth-first walk per skeleton of the trie of those
+signs, so each class costs only the DP steps after the sign prefix it shares
+with the one before, and its leaf decodes straight into its pair: 0.25 s of
+CPU in a fresh process on the 7,005 switching classes of the benchmark's
+search inputs (seeds 11, 5 and 301), against 0.59 s one graph at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .graphs import SignedGraph, delete_vertex
 from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling, falling_product
 
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
-MAX_MOVES = 1 << 14             # take and forget moves the process memoises
+MAX_MOVES = 1 << 14             # fused step moves the process memoises
 MAX_PARTITION_N = 10            # vertices of a signed K_n: the unit DP visits at most 2^n masks
 MAX_PAIR_BATCH = 1 << 12        # graphs per chromatic_pairs batch; iso classes of K_7: 1,044
 MAX_PEEL_N = 41                 # vertices bivariate_pair peels: a threshold code of 40 entries
@@ -62,14 +62,13 @@ MAX_PEEL_N = 41                 # vertices bivariate_pair peels: a threshold cod
 # vertex cap), labs and pars in w bytes each, a byte of flags per component
 # and u in the last byte (`_state`, `_parts`).  With the width in front a
 # state decodes on its own, and states of different widths, which share the
-# forget memo, never compare equal.  Python hashes a bytes string once and
-# keeps the hash, so the several dict operations a state meets in each step
-# hash it once; the moves work on the bytes, relabelling components with
-# `bytes.translate`.  Each state maps to the signed counts of
-# its closed components by (p, b), packed into one int as balanced W-bit
-# digits, W = |E| + 2 (no count of at most 2^|E| subsets reaches the next
-# one), at slot p + (b - p) * stride.  Merging states adds their ints, and
-# closing components shifts one left by their slots.
+# move memo, never compare equal.  Python keeps a bytes string's hash, and
+# the moves work on the bytes, relabelling components with `bytes.translate`.
+# Each state maps to the signed counts of its closed components by (p, b),
+# packed into one int as balanced W-bit digits, W = |E| + 2 (no count of at
+# most 2^|E| subsets reaches the next one), at slot p + (b - p) * stride.
+# Merging states adds their ints, and closing components shifts one left by
+# their slots.
 #
 # The frontier, and so the work, depends on the vertex order.  `_order`
 # numbers the vertices by maximum cardinality search (Tarjan and Yannakakis,
@@ -77,35 +76,36 @@ MAX_PEEL_N = 41                 # vertices bivariate_pair peels: a threshold cod
 # component starts at a vertex of least degree, and then the vertex with the
 # most numbered neighbours comes next, ties broken by fewest unnumbered
 # neighbours, then by the earliest position of its first numbered neighbour,
-# then by label.  The Petersen graph then peaks at 156 entries, a 3x30 grid
-# at 848 and a random recursive 256-vertex tree at 8,324; without the
-# tie-break on the first numbered neighbour the grid is refused at 65,975.
+# then by label.  The Petersen graph then peaks at 94 entries, a 3x30 grid
+# at 428 and a random recursive 256-vertex tree at 4,162; without the
+# tie-break on the first numbered neighbour the grid is refused at 131,951.
 #
 # The univariate pair needs neither p nor any one edge's sign, only balance,
 # which switching keeps.  So its tally runs on the switching that makes each
 # vertex's first step, back to its earliest numbered neighbour, positive, and
 # starts each component with bit 1 already set, so that states differing only
-# in that bit merge; p stays 0 and stride is 1.  Graphs on one skeleton
-# (vertex count and edge steps) then differ only in their chord signs, and
+# in that bit merge; p stays 0 and stride is 1.  A chord's sign is then the
+# parity of the negative edges on its cycle through first steps, read off an
+# edge mask that `_numbering` finds once per underlying graph.  Graphs on one
+# skeleton (vertex count and edge steps) differ only in chord signs, and
 # `_walk` tallies them in one depth-first walk of the trie of their sorted
-# sign vectors; a tally of one graph walks a single vector.  Each graph of a
-# batch still goes through the one-argument `chromatic_pair` and the cached
-# `_subset_tally`, which runs the batch's walk, held in the context variable
-# `_batch`, on to that graph, past any graph the cache answered: so its
-# share of the DP runs inside its own call, and batches in other threads
-# each see their own walk.  `chromatic_pairs` resets it in a `finally`.
+# sign ints (`_signs`).  Each graph of a batch still goes through the
+# one-argument `chromatic_pair` and the cached `_subset_tally`, which runs the
+# batch's walk, held in the context variable `_batch`, on to that graph, past
+# any graph the cache answered: so its share of the DP runs inside its own
+# call, and batches in other threads each see their own walk.
+# `chromatic_pairs` resets it in a `finally`.
 #
-# A step's moves are pure functions of the state, so the process memoises
-# them for every later tally in either mode: `_takes` keyed by all a take
-# reads but the state, the mode included (`new`, the flags of a joining
-# vertex), and `_forgets` by `gone`.  Adding stops at MAX_MOVES moves, and a
-# key enters only with its first move.  The benchmark's search inputs stay
-# well under the cap; K_9 fills it.
+# A step's move, its take then its forgets, is a pure function of the state,
+# so the process memoises it in `_moves` for every later tally in either mode,
+# keyed by all the move reads but the state, the mode (`new` and `stride`)
+# included.  So each step is one pass over the states and one budget check.
+# Adding stops at MAX_MOVES moves, and a key enters only with its first move.
+# The search inputs of seeds 11, 5 and 301 take 1,363 moves; K_9 fills it.
 
 
 _batch: ContextVar[Iterator | None] = ContextVar("_batch", default=None)
-_takes: dict = {}  # (joined, ia, ib, t, new) -> {state: (skip, taken), or () if they cancel}
-_forgets: dict = {}  # gone -> {state: (kept, dp, dq)}
+_moves: dict = {}  # (joined, ia, ib, t, new, gone, stride) -> {state: `_move`'s move}
 _moves_room = MAX_MOVES
 
 
@@ -148,12 +148,13 @@ def _order(n: int, edges) -> list[int]:
     return pos
 
 
-def _numbering(n: int, edges):
-    """(vertices with an edge, skeleton, edge of each step) of the tally of
-    a graph, which depend only on its underlying graph.
+def _numbering(n: int, edges, switched: bool):
+    """(vertices with an edge, skeleton, edge mask of each step) of the tally
+    of a graph, which depend only on its underlying graph.
 
     Vertices are numbered by `_order`, and each edge becomes a step (a, b),
-    a > b, taken in sorted order; the skeleton is n and the steps.
+    a > b, taken in sorted order; the skeleton is n and the steps.  A step's
+    mask is its edge, with `switched` also both ends' first-step paths.
     """
     pos = _order(n, edges)
     steps = []
@@ -161,28 +162,24 @@ def _numbering(n: int, edges):
         a, b = pos[u], pos[v]
         steps.append((a, b, i) if a > b else (b, a, i))
     steps.sort()
+    masks, path, done = [], [0] * n, -1
+    for a, b, i in steps:
+        bit = 1 << i
+        if switched and a > done:
+            path[a], done = path[b] ^ bit, a
+        masks.append(bit ^ path[a] ^ path[b])
     skeleton = (n, tuple((a, b) for a, b, _ in steps))
-    return n - pos.count(-1), skeleton, tuple(i for _, _, i in steps)
+    return n - pos.count(-1), skeleton, masks
 
 
-def _steps(n: int, edges, switched: bool, numbering=None):
-    """(vertices with an edge, skeleton, signs) of the tally of a graph.
-
-    `numbering` is the graph's `_numbering`, computed here if not given;
-    signs has a 1 for each negative step.  Every vertex but a component's
-    first has an earlier neighbour, so its first step goes back into the
-    numbered part; with `switched` the signs are those after the switching
-    that makes each such first step positive.
-    """
-    covered, skeleton, index = numbering or _numbering(n, edges)
-    signs = [1 if edges[i][2] < 0 else 0 for i in index]
-    if switched:
-        flip, done = [0] * n, -1
-        for (a, b), t in zip(skeleton[1], signs):
-            if a > done:
-                flip[a], done = flip[b] ^ t, a
-        signs = [t ^ flip[a] ^ flip[b] for (a, b), t in zip(skeleton[1], signs)]
-    return covered, skeleton, tuple(signs)
+def _signs(g: SignedGraph, masks) -> int:
+    """g's step signs as one int, the first in the top bit, each the parity
+    of g's negative edges in its mask: ints order as sign vectors do."""
+    neg = sum(1 << i for i, (_, _, s) in enumerate(g.edges) if s < 0)
+    signs = 0
+    for mask in masks:
+        signs = signs << 1 | (neg & mask).bit_count() & 1
+    return signs
 
 
 def _frontier_plan(steps) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -256,7 +253,7 @@ def _clear(pars: bytes, labs: bytes, l: int) -> bytes:
 def _take(state: bytes, joined: int, ia: int, ib: int, t: int, new: int):
     """The states after a step's joins (one or two new vertices, each its own
     component with flags `new`) with the edge between positions ia and ib
-    skipped and taken, or () when taking it changes nothing."""
+    skipped and taken, equal when taking it changes nothing."""
     skip = state
     labs, pars, flags, u = _parts(state)
     if joined:
@@ -269,8 +266,6 @@ def _take(state: bytes, joined: int, ia: int, ib: int, t: int, new: int):
     odd = pars[ia] ^ pars[ib] ^ t  # 1 when the edge closes a negative cycle
     if la == lb:
         f = flags[la] | t << 1 | odd
-        if f == flags[la]:
-            return ()
         if f & 1:
             pars = _clear(pars, labs, la)
         return skip, _state(labs, pars, flags[:la] + bytes((f,)) + flags[la + 1:], u)
@@ -285,11 +280,12 @@ def _take(state: bytes, joined: int, ia: int, ib: int, t: int, new: int):
     return skip, _state(labs, pars, flags, u)
 
 
-def _forget(state: bytes, gone):
+def _forget(state: bytes, gone, stride: int) -> tuple[bytes, int]:
     """The canonical state after forgetting the positions in `gone`, in order,
-    and the all-positive and other balanced components that close."""
+    and the slots its count moves up by: one per all-positive component
+    that closes and `stride` per other balanced one."""
     labs, pars, flags, u = _parts(state)
-    dp = dq = 0
+    slots = 0
     for k in gone:
         l = labs[k]
         labs, pars = labs[:k] + labs[k + 1:], pars[:k] + pars[k + 1:]
@@ -306,12 +302,21 @@ def _forget(state: bytes, gone):
         f = flags[l]
         if f & 1:
             u = b"\1"
-        elif f:
-            dq += 1
         else:
-            dp += 1
+            slots += stride if f else 1
         labs, flags = labs.translate(_merged(l, l)), flags[:l] + flags[l + 1:]
-    return _state(labs, pars, flags, u), dp, dq
+    return _state(labs, pars, flags, u), slots
+
+
+def _move(state: bytes, joined: int, ia: int, ib: int, t: int, new: int, gone, stride: int):
+    """A step's take and its forgets composed: (skip, its slots, taken, its
+    slots), the states after the edge is skipped and taken and the slots
+    each count moves up by, or () when the two cancel."""
+    skip, taken = _take(state, joined, ia, ib, t, new)
+    if not gone:
+        return () if skip == taken else (skip, 0, taken, 0)
+    skip, taken = _forget(skip, gone, stride), _forget(taken, gone, stride)
+    return () if skip == taken else (*skip, *taken)
 
 
 def _live_entries(states: dict, width: int) -> int:
@@ -325,7 +330,7 @@ def _live_entries(states: dict, width: int) -> int:
 
 
 def _walk(skeleton, univariate: bool, sign_vectors) -> Iterator[dict]:
-    """The final states of the tally on `skeleton` for each sign vector in
+    """The final states of the tally on `skeleton` for each sign int in
     turn.  Each starts from the layer after the sign prefix it shares with
     the one before, and keeps its layers as far as it shares signs with the
     one after, until the kept live entries would pass MAX_FRONTIER_ENTRIES.
@@ -333,53 +338,37 @@ def _walk(skeleton, univariate: bool, sign_vectors) -> Iterator[dict]:
     global _moves_room
     n, steps = skeleton
     plan = _frontier_plan(steps)
-    width = len(steps) + 2
+    L = len(steps)
+    width = L + 2
     stride = 1 if univariate else n + 1
     new = 2 if univariate else 0  # the flags of a component when it appears
     # per vector, the length of the sign prefix it shares with the next one
-    shared = [next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), len(a))
-              for a, b in zip(sign_vectors, sign_vectors[1:])]
+    shared = [L - (a ^ b).bit_length() for a, b in zip(sign_vectors, sign_vectors[1:])]
     layers = [({_state(b"", b"", b"", b"\0"): 1}, 1)]  # (states, entries held through them)
     start = 0
     for signs, keep in zip(sign_vectors, shared + [0]):
         del layers[start + 1:]
         states, held = layers[start]
-        for i in range(start, len(signs)):
+        for i in range(start, L):
             joined, ia, ib, gone = plan[i]
-            t = signs[i]
-            key = joined, ia, ib, t, new
-            takes = _takes.get(key, {})
+            t = signs >> L - 1 - i & 1
+            key = joined, ia, ib, t, new, gone, stride
+            moves = _moves.get(key, {})
             nxt: dict = {}
             get = nxt.get
             for state, count in states.items():
-                move = takes.get(state)
+                move = moves.get(state)
                 if move is None:
-                    move = _take(state, joined, ia, ib, t, new)
+                    move = _move(state, joined, ia, ib, t, new, gone, stride)
                     if _moves_room > 0:
-                        _takes.setdefault(key, takes)[state] = move
+                        _moves.setdefault(key, moves)[state] = move
                         _moves_room -= 1
                 if move:
-                    skip, taken = move
-                    nxt[skip] = get(skip, 0) + count
-                    nxt[taken] = get(taken, 0) - count
+                    skip, s, taken, r = move
+                    nxt[skip] = get(skip, 0) + (count << s * width if s else count)
+                    nxt[taken] = get(taken, 0) - (count << r * width if r else count)
             live = _live_entries(nxt, width)
             states = nxt
-            if gone:
-                forgets = _forgets.get(gone, {})
-                nxt = {}
-                for state, count in states.items():
-                    move = forgets.get(state)
-                    if move is None:
-                        move = _forget(state, gone)
-                        if _moves_room > 0:
-                            _forgets.setdefault(gone, forgets)[state] = move
-                            _moves_room -= 1
-                    kept, dp, dq = move
-                    if dp or dq:
-                        count <<= (dp + dq * stride) * width
-                    nxt[kept] = nxt.get(kept, 0) + count
-                live = _live_entries(nxt, width)
-                states = nxt
             if i < keep:
                 if held + live > MAX_FRONTIER_ENTRIES:
                     keep = i  # keep no further layer of this path
@@ -417,15 +406,14 @@ def _subset_tally(g: SignedGraph, univariate: bool) -> tuple[int, dict[int, int]
     Inside `chromatic_pairs` a univariate tally is the batch's walk, run on
     to g past any graph the cache answered, else a walk of g's one sign
     vector.  Refuses past MAX_FRONTIER_ENTRIES live entries, one per state
-    and one per W-bit slot of its count, counted after each step's take
-    phase and after its forgets: a 3x30 grid peaks at 848 entries, 10 of
-    them states.  Cached; the benchmark's tracer reads its `cache_info()`
-    around every pair call.
+    and one per W-bit slot of its count, on the one layer each step leaves:
+    a 3x30 grid peaks at 428 entries, 5 of them states.  Cached; the
+    benchmark's tracer reads its `cache_info()` around every pair call.
     """
     walk = _batch.get() if univariate else None
     if walk is None:
-        covered, skeleton, signs = _steps(g.n, g.edges, univariate)
-        (states,) = _walk(skeleton, univariate, [signs])
+        covered, skeleton, masks = _numbering(g.n, g.edges, univariate)
+        (states,) = _walk(skeleton, univariate, [_signs(g, masks)])
         walk = [(g, covered, states)]
     for h, covered, states in walk:
         if h is g:
@@ -441,9 +429,10 @@ def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:
     the odd one keeps all of them (delta = 1).
     """
     iso, balanced, unbalanced = _subset_tally(g, True)
-    even = BiPoly({(k + iso, 0): v for k, v in balanced.items()})
-    odd = [((k + iso, 0), v) for slots in (balanced, unbalanced) for k, v in slots.items()]
-    return ChromaticPair(even, BiPoly(odd))
+    even = {(k + iso, 0): v for k, v in balanced.items()}
+    odd = {(k + iso, 0): c for k in balanced.keys() | unbalanced.keys()
+           if (c := balanced.get(k, 0) + unbalanced.get(k, 0))}
+    return ChromaticPair(BiPoly._trusted(even), BiPoly._trusted(odd))
 
 
 def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
@@ -529,11 +518,12 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
         if g.m == g.n * (g.n - 1) // 2:
             pairs[i] = chromatic_pair(g)
             continue
-        underlying = g.n, tuple([e[:2] for e in g.edges])
+        underlying = (g.n, *zip(*g.edges))[:3]  # n and the two columns of edge ends
         if underlying not in numberings:
-            numberings[underlying] = _numbering(g.n, g.edges)
-        batch.append((*_steps(g.n, g.edges, True, numberings[underlying]), i))
-    batch.sort(key=lambda entry: entry[1:3])  # by skeleton, then signs
+            numberings[underlying] = _numbering(g.n, g.edges, True)
+        covered, skeleton, masks = numberings[underlying]
+        batch.append((skeleton, _signs(g, masks), covered, i))
+    batch.sort()  # by skeleton, then signs; the index breaks ties as a stable sort would
     token = _batch.set(_batch_walk(graphs, batch))
     try:
         for *_, i in batch:
@@ -544,12 +534,12 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
 
 
 def _batch_walk(graphs, batch) -> Iterator[tuple[SignedGraph, int, dict]]:
-    """(graph, vertices with an edge, final states) for each (covered,
-    skeleton, signs, index) of the sorted batch, one walk per skeleton."""
-    for skeleton, group in itertools.groupby(batch, key=lambda entry: entry[1]):
+    """(graph, vertices with an edge, final states) for each (skeleton,
+    signs, covered, index) of the sorted batch, one walk per skeleton."""
+    for skeleton, group in itertools.groupby(batch, key=lambda entry: entry[0]):
         group = list(group)
-        walk = _walk(skeleton, True, [signs for _, _, signs, _ in group])
-        for (covered, _, _, i), states in zip(group, walk):
+        walk = _walk(skeleton, True, [signs for _, signs, _, _ in group])
+        for (_, _, covered, i), states in zip(group, walk):
             yield graphs[i], covered, states
 
 

@@ -444,6 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["oracle"]:  # the removed command: name what counts instead
+        parser.error("the oracle command is gone; count with chrom FILE --lambda L [--mu M]")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -349,7 +349,7 @@ def graph_from_mask(underlying: SignedGraph, mask: int) -> SignedGraph:
         (u, v, -1 if mask >> i & 1 else 1)
         for i, (u, v, _) in enumerate(underlying.edges)
     )
-    return SignedGraph(underlying.n, edges)
+    return SignedGraph._trusted(underlying.n, edges)  # the underlying's checked edges
 
 
 MODE_ISO = "iso"

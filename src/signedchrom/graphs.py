@@ -32,7 +32,7 @@ class SignedGraph:
 
     __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+    def __new__(cls, n: int, edges: Iterable[Edge] = ()) -> "SignedGraph":
         if n < 0:
             raise SignedChromError("vertex count must be nonnegative")
         seen = set()
@@ -51,8 +51,15 @@ class SignedGraph:
             seen.add((u, v))
             norm.append((u, v, s))
         norm.sort()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
+        return cls._trusted(n, tuple(norm))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "SignedGraph":
+        """The graph of edges already normalised and checked, taken as is."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

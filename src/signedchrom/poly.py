@@ -39,6 +39,13 @@ class BiPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _trusted(terms: dict) -> "BiPoly":
+        """The polynomial of a term dict already in canonical form, taken as is."""
+        r = BiPoly.__new__(BiPoly)
+        r._terms = terms
+        return r
+
+    @staticmethod
     def zero() -> "BiPoly":
         return BiPoly()
 
@@ -94,16 +101,12 @@ class BiPoly:
                 out[k] = nc
             elif k in out:
                 del out[k]
-        r = BiPoly()
-        r._terms = out
-        return r
+        return BiPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = BiPoly()
-        r._terms = {k: -c for k, c in self._terms.items()}
-        return r
+        return BiPoly._trusted({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -127,9 +130,7 @@ class BiPoly:
                     out[k] = nc
                 elif k in out:
                     del out[k]
-        r = BiPoly()
-        r._terms = out
-        return r
+        return BiPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -169,9 +170,7 @@ class BiPoly:
                 for e, c in enumerate(a):
                     if c:
                         terms[(e, other) if axis == 0 else (other, e)] = c
-        r = BiPoly()
-        r._terms = terms
-        return r
+        return BiPoly._trusted(terms)
 
     def substitute_y(self, y0: int) -> "BiPoly":
         """Return p(x, y0), a polynomial in x alone."""

@@ -8,7 +8,8 @@ of which production calls.
 - The chromatic pair rebuilt by Lagrange interpolation through brute-force
   colouring counts.
 - Graph helpers: relabelling, component statistics and balance, the
-  positive part, joins and the explicit join-family graphs.
+  positive part, edge contraction for deletion-contraction, joins and the
+  explicit join-family graphs.
 - Each vertex's role in the dominating-vertex deletion formulae.
 - Polynomial evaluation and the diagonal p(x, x), read from `items()`.
 - Published counts no command checks: switching classes of signed K_n, and
@@ -203,6 +204,26 @@ def is_balanced(g):
 def positive_part(g):
     """Same vertices, only the positive edges."""
     return SignedGraph(g.n, tuple(e for e in g.edges if e[2] > 0))
+
+
+def contract(g, e):
+    """g with the positive edge e = (u, v, 1), u < v, contracted: v merges
+    into u, its edges keep their signs, and the vertices above v shift down
+    by one.  The ends must have no common neighbour, so that no two edges
+    become parallel."""
+    u, v, s = e
+    if s != 1 or e not in g.edges:
+        raise SignedChromError(f"{e} is not a positive edge of the graph")
+    near = [{b if a == x else a for a, b, _ in g.edges if x in (a, b)} for x in (u, v)]
+    if near[0] & near[1]:
+        raise SignedChromError(f"the ends of {e} have a common neighbour")
+
+    def image(x):
+        return u if x == v else x - (x > v)
+
+    return SignedGraph(g.n - 1, tuple(
+        (image(a), image(b), t) for a, b, t in g.edges if (a, b) != (u, v)
+    ))
 
 
 def join(g1, g2, join_sign):

@@ -14,6 +14,7 @@ from oracles import (
     POSITIVE_DOMINATING,
     SWITCHING_CLASS_COUNTS,
     colour_set,
+    contract,
     count_colourings_oracle,
     diagonal,
     evaluate,
@@ -23,7 +24,7 @@ from oracles import (
     relabel,
     vertex_role,
 )
-from test_tally import small_signed_graphs
+from test_tally import random_signed_graph, small_signed_graphs
 
 from signedchrom import chromatic
 from signedchrom.chromatic import (
@@ -32,6 +33,7 @@ from signedchrom.chromatic import (
     _subset_chromatic_pair,
     bivariate_pair,
     chromatic_pair,
+    chromatic_pairs,
     _unit_tally,
     complete_bivariate_pair,
     complete_chromatic_pair,
@@ -100,7 +102,7 @@ def test_chromatic_pair_examples():
 def test_chromatic_pair_budget(monkeypatch):
     """Each route refuses by its own budget: K_11 on the partition route, and
     the frontier tally once its live entries pass the (lowered) limit.  The
-    Petersen graph's bivariate tally peaks at 156 entries (states plus the
+    Petersen graph's bivariate tally peaks at 94 entries (states plus the
     slots of their packed counts).  The peel takes a signed K_n down to
     K_10, the largest the partition route takes, when each vertex it meets
     has edges of one sign, and K_n above MAX_PEEL_N vertices are not
@@ -117,11 +119,11 @@ def test_chromatic_pair_budget(monkeypatch):
     k10 = complete_bivariate_pair(complete_graph(10, -1))
     assert bivariate_pair(complete_graph(11, -1)) == chromatic.threshold_step(-1, k10)
     expected = bivariate_pair(fixture("petersen"))
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 155)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 93)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
-    with pytest.raises(BudgetExceededError, match="156 frontier entries"):
+    with pytest.raises(BudgetExceededError, match="94 frontier entries"):
         bivariate_pair(fixture("petersen"))
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 156)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 94)
     assert bivariate_pair(fixture("petersen")) == expected
 
 
@@ -618,3 +620,39 @@ def test_production_routes_match_brute_force(g, data):
             assert evaluate(poly, lam, mu) == count_colourings_oracle(h, lam, mu), (h, lam, mu)
     if h.n <= 5:
         assert pair == interpolated_pair(h)
+
+
+def test_deletion_contraction_past_brute_force():
+    """P(G) = P(G - e) - P(G / e) in both univariate constituents for a
+    positive edge e whose ends have no common neighbour, on seeded signed
+    graphs of 8 to 14 vertices, where brute force cannot follow: once with
+    every pair from one `chromatic_pairs` batch and once from single
+    `chromatic_pair` calls.  A negative e is made positive by switching one
+    of its ends, which keeps the pair."""
+    rng = random.Random(59)
+    triples = []
+    while len(triples) < 30:
+        n = rng.randrange(8, 15)
+        g = random_signed_graph(rng, n, rng.randrange(n, n + 9))
+        near = [set() for _ in range(n)]
+        for u, v, _ in g.edges:
+            near[u].add(v)
+            near[v].add(u)
+        free = [(u, v, s) for u, v, s in g.edges if not near[u] & near[v]]
+        if not free:
+            continue
+        u, v, s = rng.choice(free)
+        if s < 0:
+            g = switch(g, [u])
+        deleted = SignedGraph(g.n, tuple(e for e in g.edges if e[:2] != (u, v)))
+        triples += [(g, deleted, contract(g, (u, v, 1)))]
+    graphs = [h for triple in triples for h in triple]
+    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+    batched = chromatic_pairs(graphs)
+    chromatic._subset_tally.cache_clear()
+    for pairs in (batched, [chromatic_pair(h) for h in graphs]):
+        for k, triple in enumerate(triples):
+            whole, minus, merged = pairs[3 * k:3 * k + 3]
+            assert whole.even == minus.even - merged.even, triple
+            assert whole.odd == minus.odd - merged.odd, triple
+            assert not merged.even.is_zero()

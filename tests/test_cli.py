@@ -124,11 +124,17 @@ def test_chrom_lambda_at_the_colour_cap(capsys, tmp_path):
 
 
 def test_oracle_command_is_gone(capsys, g1_file):
-    """Brute-force counting is a test oracle only; `chrom --lambda` counts."""
+    """Brute-force counting is a test oracle only; `chrom --lambda` counts,
+    and the removed command's error line says so."""
     with pytest.raises(SystemExit) as exc:
         main(["oracle", g1_file, "--lambda", "3"])
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "signedchrom: error: the oracle command is gone;"
+        " count with chrom FILE --lambda L [--mu M]"
+    )
 
 
 def test_threshold_example(capsys):
@@ -487,13 +493,13 @@ def test_verification_failure_exit_1(capsys, monkeypatch):
 
 def test_search_cochromatic_subset_budget_refusal(capsys, monkeypatch):
     """A pair refused by the frontier tally's budget inside the search: the
-    Petersen classes peak at 156 to 266 live entries."""
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 155)
+    Petersen classes peak at 94 to 160 live entries."""
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 93)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     code, out, err = run(capsys, "search-cochromatic", "--underlying", "petersen")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "exceed the tally budget of 155" in err
+    assert err.startswith("error: ") and "exceed the tally budget of 93" in err
 
 
 def test_enumerate_subset_budget_exit_2(capsys):

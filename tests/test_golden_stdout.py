@@ -141,10 +141,14 @@ def test_json_mode_stderr_matches_golden_digest(capsys, argv, digest):
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 STREAM_DIGEST = "3ab1e24cc304f0fafcd499fb4f638a116e6389fc09fe18a3dff733de2fd7a514"
+OTHER_STREAM_DIGESTS = {
+    5: "6b6e1b26cbf390f780c9b47442866a5b06f70c0f0cb541c56f9badecc2e80615",
+    301: "f2cdbc2c69a5b465b7f82f78b557da27a6257a56fbcfc769b34c2b145400c647",
+}
 
 
-def test_search_stream_matches_golden_digest(capsys, tmp_path):
-    """Each of the 200 inputs of the `cochromatic-search` stream (seed 11)
+def stream_digest(capsys, tmp_path, seed):
+    """Each of the 200 inputs of the `cochromatic-search` stream at `seed`
     adds its exit code, a newline and its stdout to one sha256."""
     sys.path.insert(0, str(BENCH))
     try:
@@ -152,9 +156,19 @@ def test_search_stream_matches_golden_digest(capsys, tmp_path):
     finally:
         sys.path.remove(str(BENCH))
     digest = hashlib.sha256()
-    for name, text in inputs.generate(11):
+    for name, text in inputs.generate(seed):
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
         code = main(["search-cochromatic", "--underlying", str(path)])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
-    assert digest.hexdigest() == STREAM_DIGEST
+    return digest.hexdigest()
+
+
+def test_search_stream_matches_golden_digest(capsys, tmp_path):
+    """The stream at seed 11."""
+    assert stream_digest(capsys, tmp_path, 11) == STREAM_DIGEST
+
+
+@pytest.mark.parametrize("seed", list(OTHER_STREAM_DIGESTS))
+def test_search_stream_at_other_seeds_matches_golden_digest(capsys, tmp_path, seed):
+    assert stream_digest(capsys, tmp_path, seed) == OTHER_STREAM_DIGESTS[seed]

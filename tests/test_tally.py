@@ -21,10 +21,11 @@ from oracles import relabel
 
 from signedchrom import chromatic, cli, reference
 from signedchrom.chromatic import (
+    _numbering,
     _order,
     _parts,
+    _signs,
     _state,
-    _steps,
     _subset_bivariate_pair,
     _subset_chromatic_pair,
     chromatic_pair,
@@ -90,6 +91,30 @@ def _tally_spanning_stats(n: int, edges) -> dict[tuple[int, int, int], int]:
         key = (p, b, c)
         counts[key] = counts.get(key, 0) + (-1 if mask.bit_count() & 1 else 1)
     return counts
+
+
+def switched_steps(g: SignedGraph):
+    """(vertices with an edge, skeleton, switched sign of each step) of g's
+    univariate tally, the signs unpacked from `_signs`'s int."""
+    covered, skeleton, masks = _numbering(g.n, g.edges, True)
+    signs = _signs(g, masks)
+    return covered, skeleton, tuple(signs >> len(masks) - 1 - k & 1 for k in range(len(masks)))
+
+
+def flipped_signs(g: SignedGraph, skeleton) -> tuple[int, ...]:
+    """The switched signs of g's steps by switching itself: walk the steps
+    in order and flip each vertex at its first step, back into the numbered
+    part, so that step turns positive."""
+    pos = _order(g.n, g.edges)
+    sign = {}
+    for u, v, s in g.edges:
+        sign[pos[u], pos[v]] = sign[pos[v], pos[u]] = 1 if s < 0 else 0
+    flip, done, signs = [0] * g.n, -1, []
+    for a, b in skeleton[1]:
+        if a > done:
+            flip[a], done = flip[b] ^ sign[a, b], a
+        signs.append(sign[a, b] ^ flip[a] ^ flip[b])
+    return tuple(signs)
 
 
 def _nonzero_sums(items) -> dict:
@@ -211,8 +236,8 @@ def test_tally_matches_oracle_and_invariants(g, data):
     # the univariate tally runs on one signing per switching class, the one
     # whose first step at each vertex (back to its earliest numbered
     # neighbour) is positive
-    covered, skeleton, signs = _steps(g.n, g.edges, True)
-    assert _steps(switched.n, switched.edges, True) == (covered, skeleton, signs)
+    covered, skeleton, signs = switched_steps(g)
+    assert switched_steps(switched) == (covered, skeleton, signs)
     firsts = {}
     for (a, _), t in zip(skeleton[1], signs):
         firsts.setdefault(a, t)
@@ -280,15 +305,16 @@ def test_chromatic_pairs_match_one_by_one_on_petersen():
 
 
 def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
-    """The Petersen classes peak at 156 to 266 live entries: with a budget of
-    265 the first one is tallied and a later one refused, while the walk
-    holds layers; the walk and its layers are gone after the refusal."""
+    """The Petersen classes peak at 94 to 160 live entries: with a budget of
+    159 the first one is tallied and a later one refused, while the walk
+    holds layers; the walk and its layers are gone after the refusal.  At
+    160 the whole batch is tallied."""
     graphs = switching_classes(fixture("petersen")) + [
         SignedGraph(11, tuple((v, v + 1, -1) for v in range(10)))
     ]
     expected = one_by_one(graphs)
     walks, kept = watch_walks(monkeypatch)
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 265)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 159)
     chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     with pytest.raises(BudgetExceededError, match="frontier entries"):
         chromatic_pairs(graphs)
@@ -297,7 +323,7 @@ def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
     assert len(kept) < len(graphs) - 1  # and a Petersen class was refused
     assert kept[-1] > 1  # layers beyond the root were kept when refused
     assert walks and all(walk.gi_frame is None for walk in walks)  # and are gone
-    monkeypatch.undo()
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 160)
     assert shared(graphs) == expected
 
 
@@ -328,15 +354,13 @@ def count_visits(monkeypatch) -> list[int]:
 
 def cold_moves(monkeypatch, room: int = chromatic.MAX_MOVES) -> None:
     """An empty move memo that takes at most `room` moves, for this test only."""
-    monkeypatch.setattr(chromatic, "_takes", {})
-    monkeypatch.setattr(chromatic, "_forgets", {})
+    monkeypatch.setattr(chromatic, "_moves", {})
     monkeypatch.setattr(chromatic, "_moves_room", room)
 
 
 def memo_size() -> int:
-    """Moves in the memo, takes and forgets."""
-    memos = (chromatic._takes, chromatic._forgets)
-    return sum(len(table) for memo in memos for table in memo.values())
+    """Moves in the memo."""
+    return sum(len(table) for table in chromatic._moves.values())
 
 
 def watch_walks(monkeypatch) -> tuple[list, list[int]]:
@@ -372,7 +396,7 @@ def test_chromatic_pairs_share_work(monkeypatch):
 
 def test_chromatic_pairs_under_a_small_layer_budget(monkeypatch):
     """Kept layers stop at MAX_FRONTIER_ENTRIES entries.  At 548, above the
-    largest live count of any Petersen class (266), every tally still runs but only the
+    largest live count of any Petersen class (160), every tally still runs but only the
     first few layers are kept, so less is shared, more DP states are
     visited and the pairs do not move."""
     graphs = shuffled(switching_classes(fixture("petersen")), 7)
@@ -390,11 +414,11 @@ def first_chord_flipped(g: SignedGraph) -> SignedGraph:
     """g with one edge negated so that its switched signs differ from g's at
     the first chord step (the first that is not a vertex's first step)
     and nowhere else."""
-    signs = _steps(g.n, g.edges, True)[2]
+    signs = switched_steps(g)[2]
     flips = []
     for i, (u, v, s) in enumerate(g.edges):
         h = SignedGraph(g.n, g.edges[:i] + ((u, v, -s),) + g.edges[i + 1:])
-        diff = [k for k, (x, y) in enumerate(zip(signs, _steps(h.n, h.edges, True)[2])) if x != y]
+        diff = [k for k, (x, y) in enumerate(zip(signs, switched_steps(h)[2])) if x != y]
         if len(diff) == 1:  # one chord flipped, up to switching
             flips.append((diff[0], h))
     return min(flips, key=lambda flip: flip[0])[1]
@@ -436,45 +460,40 @@ def test_chromatic_pairs_share_tables_across_a_mixed_batch(monkeypatch):
 
 def test_tables_and_layers_stop_at_a_small_budget(monkeypatch):
     """Kept layers never hold more than MAX_FRONTIER_ENTRIES entries, and
-    the move memo stops adding at MAX_MOVES moves.  At 267 entries, just
-    above the largest live count of a Petersen class (266), no class keeps
+    the move memo stops adding at MAX_MOVES moves.  At 161 entries, just
+    above the largest live count of a Petersen class (160), no class keeps
     more layer entries than without the cap, and each that kept more than
-    267 without it keeps fewer; at 200 moves the memo fills.  The pairs do
+    161 without it keeps fewer; at 200 moves the memo fills.  The pairs do
     not move."""
     graphs = shuffled(switching_classes(fixture("petersen")), 7)
     expected = one_by_one(graphs)
     _, kept = watch_walks(monkeypatch)
     shared(graphs)
     full = list(kept)
-    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 267)
+    monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 161)
     cold_moves(monkeypatch, 200)
     del kept[:]
     assert shared(graphs) == expected
     assert len(kept) == len(full) == len(graphs)
-    assert all(0 < entries <= min(267, total) for entries, total in zip(kept, full))
-    assert all(entries < total for entries, total in zip(kept, full) if total > 267)
-    assert max(full) > 267
+    assert all(0 < entries <= min(161, total) for entries, total in zip(kept, full))
+    assert all(entries < total for entries, total in zip(kept, full) if total > 161)
+    assert max(full) > 161
     assert memo_size() == 200
     assert chromatic._moves_room == 0
 
 
 def test_chromatic_pairs_compute_steps_once_per_graph(monkeypatch):
-    """The batch's sort key is each graph's `_steps`; the tally reuses it.
-    Signed K_n take the partition route and get no `_steps` at all."""
+    """The steps and their masks are numbered once per underlying graph:
+    the classes of Petersen and of G1, with switched copies of the Petersen
+    classes, take two `_numbering` calls, the tally reuses them, and signed
+    K_n take the partition route and are not numbered at all."""
     graphs = switching_classes(fixture("petersen"))
-    graphs = graphs + [switch(g, [1, 2, 7]) for g in graphs]
+    graphs = graphs + [switch(g, [1, 2, 7]) for g in graphs] + switching_classes(fixture("G1"))
     graphs = shuffled(graphs + switching_classes(complete_graph(6, 1)), 11)
     expected = one_by_one(graphs)
-    calls = [0]
-    steps = chromatic._steps
-
-    def counted(*args):
-        calls[0] += 1
-        return steps(*args)
-
-    monkeypatch.setattr(chromatic, "_steps", counted)
+    calls = count_calls(monkeypatch, "_numbering")
     assert shared(graphs) == expected
-    assert calls[0] == len(graphs) - 16 == 12
+    assert calls[0] == 2
     assert chromatic._batch.get() is None
 
 
@@ -488,7 +507,7 @@ def test_repeated_graphs_resume_after_the_last_step(monkeypatch):
     petersen = switching_classes(fixture("petersen"))
     g, h = petersen[1], petersen[4]
     copy = switch(g, [2, 5])
-    assert copy != g and _steps(copy.n, copy.edges, True) == _steps(g.n, g.edges, True)
+    assert copy != g and switched_steps(copy) == switched_steps(g)
     steps = count_calls(monkeypatch, "_live_entries")
     distinct = shared([g, h])
     alone = steps[0]
@@ -570,7 +589,7 @@ def test_mixed_batches_and_batches_of_one_match_chromatic_pair():
     assert shared(batch) == expected
     for g, pair in zip(batch, expected):
         assert shared([g]) == [pair], g
-    assert len({_steps(g.n, g.edges, True)[1] for g in batch}) > 10
+    assert len({switched_steps(g)[1] for g in batch}) > 10
 
 
 def test_chromatic_pairs_in_concurrent_threads():
@@ -767,7 +786,8 @@ def test_order_switching_and_batches_on_random_graphs(g, data):
                         queue.append(y)
             assert sorted(pos[x] for x in component) == list(range(p, p + len(component)))
             assert len(adj[v]) == min(len(adj[x]) for x in component)
-    covered, skeleton, signs = _steps(g.n, g.edges, True)
+    covered, skeleton, signs = switched_steps(g)
+    assert signs == flipped_signs(g, skeleton)
     assert covered == len(by_pos)
     firsts = {}
     for (a, _), t in zip(skeleton[1], signs):
@@ -842,14 +862,15 @@ def peak_entries(monkeypatch, g: SignedGraph, univariate: bool):
 
 
 @pytest.mark.parametrize("name, g, modes, peak, refused_at", [
-    ("petersen", fixture("petersen"), (True, False), 156, None),
-    ("3x30 grid", grid(3, 30), (True, False), 848, None),
-    ("2x128 ladder", grid(2, 128), (True, False), 1014, None),
-    ("negative 2x128 ladder", grid(2, 128, -1), (True,), 1014, None),
-    ("random 256-vertex tree", recursive_tree(1), (True, False), 8324, None),
-    ("negative 2x128 ladder", grid(2, 128, -1), (False,), 130567, 131338),
-    ("16x16 grid", grid(16, 16), (True,), 106280, 134584),
-])
+    ("petersen", fixture("petersen"), (True, False), 94, None),
+    ("3x30 grid", grid(3, 30), (True, False), 428, None),
+    ("2x128 ladder", grid(2, 128), (True, False), 508, None),
+    ("negative 2x128 ladder", grid(2, 128, -1), (True,), 508, None),
+    ("random 256-vertex tree", recursive_tree(1), (True, False), 4162, None),
+    ("negative 2x128 ladder", grid(2, 128, -1), (False,), 130820, 131334),
+    ("16x16 grid", grid(16, 16), (True,), 67292, 134584),
+], ids=["petersen", "3x30 grid", "2x128 ladder", "negative 2x128 ladder",
+        "random 256-vertex tree", "negative 2x128 ladder bivariate", "16x16 grid"])
 def test_probe_peaks_in_maximum_cardinality_order(monkeypatch, name, g, modes, peak, refused_at):
     """Peak live entries of the budget probes, in the univariate and
     bivariate tallies, and where the order still leaves them refused, the
