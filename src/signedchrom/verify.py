@@ -15,6 +15,7 @@ verifier's answer key, `UNLABELLED_GRAPH_COUNTS`, is kept here.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from itertools import combinations
 
@@ -47,9 +48,6 @@ MAX_BIVARIATE_N = 7
 # (OEIS A000088), indexed by n up to MAX_BIVARIATE_N.
 UNLABELLED_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 _EXACT_THRESHOLD_LIMIT = 3  # longer codes are decided by lemma L on their prefixes
-
-_FP_MOD = (1 << 31) - 1  # slots of _slot_bits(31) = 64 bits (see the threshold layout)
-_FP_Y0 = 987654321987654321 % _FP_MOD
 
 
 def _result(target: str, scale: int | None, details: dict, status: str | None = None) -> dict:
@@ -132,7 +130,7 @@ def verify_conj_cochromatic_complete(n_max: int) -> dict:
 # -- threshold codes --------------------------------------------------------------
 #
 # Let E be the even polynomial of a code and P that of the code without its
-# last entry a, so E = threshold_even_step(a, P).  Four facts, each proven:
+# last entry a, so E = threshold_even_step(a, P).  Five facts, each proven:
 #   (a) Each step is linear and injective: a shift leaves the top-degree
 #       homogeneous part unchanged, so E's top part is x times P's for every
 #       entry, and P is solved for degree by degree from the top.
@@ -144,90 +142,67 @@ def verify_conj_cochromatic_complete(n_max: int) -> dict:
 #       chi(0) = 0.
 #   (c) Entry 0 gives E(0, y) = 0, since E = x P.
 #   (d) Entry -1 gives E(0, y) = y (P(0, y) - P(-1, y + 1)).
+#   (e) E(0, 0) = 0: the empty code gives x, and each step (see the grid
+#       below) is x P or a sum of multiples of y and x - y, all 0 at (0, 0).
 # Lemma L, unproven: P(0, y) and P(-1, y + 1) differ as polynomials in y for
 # every signed graph.  Given L for P, rule (b)-(d) reads the last entry off E:
 # 1 by (b), else 0 when E(0, y) = 0, else -1.  Codes of one length with equal
 # E therefore share their last entry, and by (a) their prefixes share their
 # even polynomial.  So distinctness at length N follows from distinctness at
-# length N - 1 and L on every code of length N - 1.
+# length N - 1 and L on every code of length N - 1.  By (e), L holds for P as
+# soon as P(-1, 1) != 0: its two sides then differ at y = 0.
 #
 # The verifier compares the exact even polynomials of all codes up to length
-# exact_to = _EXACT_THRESHOLD_LIMIT, then checks L on every code of length
-# exact_to..n_max - 1, which carries distinctness up to n_max.  Any exact_to
-# gives the same verdict; 3 keeps the 3 + 9 + 27 exact steps that the
-# benchmark's threshold checks count.  The stretch run (n_max = 12) checks L
-# on lengths 3 to 11 in about 0.05 s, in a CLI process of about 0.2 s and
-# 25 MB on a 2-core machine; the tests check L exactly, with no fingerprints,
-# to length 7.  MAX_THRESHOLD_N stays 12, the scale the threshold12 benchmark
-# workload runs; with the cap raised, the CLI process takes 0.33 s and 44 MB
-# at n = 13, and 0.65 s and 103 MB at n = 14.
+# exact_to = _EXACT_THRESHOLD_LIMIT, then checks P(-1, 1) != 0 on every code of
+# length exact_to..n_max - 1, which carries distinctness up to n_max.  Any
+# exact_to gives the same verdict; 3 keeps the 3 + 9 + 27 exact steps that the
+# benchmark's threshold checks count.  A zero would leave L open for its code,
+# so it is refused; no code of length <= 11 has one.  The stretch run
+# (n_max = 12) checks lengths 3 to 11 in about 0.012 s, in a CLI process of
+# about 0.09 s and 21 MB on a 2-core machine; the tests check L on the
+# polynomials themselves to length 7.  MAX_THRESHOLD_N stays 12, the scale the
+# threshold12 benchmark workload runs; with the cap raised, the verifier takes
+# 0.04 s at n = 13 and 0.15 s at n = 14, in a process of 34 MB and 77 MB.
 #
-# L is checked on fingerprints: values mod the prime _FP_MOD.  A step of the
-# even recursion reads its parent at (x, y), (x - 1, y - 1) and (x - 1, y + 1).
-# The grid is anchored at x = 0, the only anchor at which distinct residues
-# prove L: from (0, y0) the steps read only the points (-u - v, y0 + u - v)
-# with u, v >= 0, and at x = -u - v, y = y0 + u - v they are
+# A step of the even recursion reads its parent at (x, y), (x - 1, y - 1) and
+# (x - 1, y + 1).  From (-1, 1) the steps read only the points (-u - v, u - v)
+# with u >= 1 and v >= 0, and at x = -u - v, y = u - v they are
 #     entry  0:  C(u, v) = x P(u, v)
 #     entry  1:  C(u, v) = y P(u, v + 1) + (x - y) P(u + 1, v)
 #     entry -1:  C(u, v) = y P(u, v) + (x - y) P(u + 1, v)
-# So the corner (0, 0) holds P(0, y0) and its neighbour (1, 0) holds
-# P(-1, y0 + 1): L's two sides at y0.  The points a prefix needs, with `rem`
-# more entries to take before the last length is reached, are those with
-# u + v <= rem + 1 except (0, rem + 1); each row of the grid is one point
-# shorter at the next length, and the last length keeps the corner and its
-# neighbour alone.  Distinct values there prove L for a code; a code whose
-# values agree is rebuilt and compared exactly.
+# with x - y = -2u.  The points a prefix needs, with `rem` more entries to
+# take before the last length is reached, are those with u + v <= rem + 1;
+# each row of the grid is one point shorter at the next length, and the last
+# length keeps (1, 0), the point (-1, 1), alone.
+#
+# Every value is an exact integer.  At length 0 the value at (u, v) is
+# -u - v, at most last + 1 in size.  A step multiplies by |x| <= u + v, or by
+# |y| and |x - y| with |y| + |x - y| <= 3 (u + v), and at length d the points
+# have u + v <= last + 1 - d.  So no value up to length `last` exceeds
+# B(last) = (last + 1) 3^last last! in size: below 2^47 at last = 11, where the
+# largest value met has 35 bits.
 #
 # The grid runs level by level.  A value list is one Python int: slot i, bits
-# [W i, W (i + 1)) with W = _slot_bits(k), holds the value for code index i.
-# A step makes three parts per grid point, its parent lists stepped with entry
-# -1, 0 and 1, and keeps them apart; the next step first concatenates them
-# (entry -1 in the low slots) into the point's list.  So index i at length d
-# spells its code in base 3, least significant digit first, with entry =
-# digit - 1, and part a of a length d >= 1 holds the codes a 3^(d-1) ..
-# (a + 1) 3^(d-1) - 1.  The exact polynomials of one length are kept in the
-# same order.  No code is stored.
-#
-# One step is a few big-int operations on whole lists: each of the three parts
-# is built and folded before the next.  With _FP_MOD = M = 2^k - 1, a slot
-# folds mod M by adding its bits from k up to its low k bits (2^k = 1 mod M).
-# Multipliers are residues below M and every stored slot is at most 2^k, so a
-# step's sum of two products is below 2^(2k + 1), and W is the least multiple
-# of 8 bits that holds it: 64 bits for the prime 2^31 - 1, and 128 for k = 61
-# and for k = 63, the largest k the kernel takes.  So no sum carries into the next slot,
-# and two folds bring it back to at most 2^k.  Which prime it is does not
-# matter to the verdict: distinct residues prove L, and agreeing ones are
-# rebuilt exactly.  At n_max = 12 no code of any length is rebuilt.  The two
-# points L reads are made canonical, in [0, M), so that one zero-slot test on
-# the XOR of two parts finds every code whose two values agree.  L is checked
-# part by part, with the step's own masks of the parents' length, so the last
-# length builds no list longer than its parents' and joins no parts.
+# [W i, W (i + 1)) with W = _slot_bits(last), holds the value for code index i
+# as a balanced digit, so the int is the sum of value_i 2^(W i).  Sums, small
+# multiples and shifts of such ints act on every slot at once and stay exact,
+# and the slots read back apart while every value v has |v| < 2^(W - 1), which
+# the bound gives.  A step makes three parts per grid point, its parent lists
+# stepped with entry -1, 0 and 1, and keeps them apart; the next step first
+# concatenates them (entry -1 in the low slots) into the point's list.  So
+# index i at length d spells its code in base 3, least significant digit
+# first, with entry = digit - 1, and part a of a length d >= 1 holds the codes
+# a 3^(d-1) .. (a + 1) 3^(d-1) - 1.  The exact polynomials of one length are
+# kept in the same order.  No code is stored.  The zero test runs part by
+# part, so the last length builds no list longer than its parents' and joins
+# no parts.
 
 
-def _slot_bits(k: int) -> int:
-    """Bits per slot for the modulus 2^k - 1: the least multiple of 8 that
-    holds a step's sum, which is below 2^(2k + 1)."""
-    return (2 * k + 8) // 8 * 8
-
-
-def _slot_masks(size: int, k: int) -> tuple[int, int]:
-    """`ones` with 1 and `lo` with 2^k - 1 in each of `size` slots."""
-    ones = int.from_bytes((b"\1" + bytes(_slot_bits(k) // 8 - 1)) * size, "little")
-    return ones, ones * ((1 << k) - 1)
-
-
-def _fold(t: int, lo: int, k: int) -> int:
-    """Two folds of every slot of `t` mod 2^k - 1; `lo` holds 2^k - 1 in each slot."""
-    low = t & lo
-    t = low + ((t ^ low) >> k)
-    low = t & lo
-    return low + ((t ^ low) >> k)
-
-
-def _canonical(c: int, ones: int, k: int) -> int:
-    """Every slot of `c`, each at most 2^(k + 1) - 3, reduced into [0, 2^k - 1);
-    `ones` holds 1 in each slot."""
-    return c - (((c + ones) >> k) & ones) * ((1 << k) - 1)
+def _slot_bits(last: int) -> int:
+    """Bits per slot of the grid up to length `last`: the least multiple of 8
+    above the bit length of B(last), which bounds every value."""
+    bound = (last + 1) * 3**last * math.factorial(last)
+    return bound.bit_length() // 8 * 8 + 8
 
 
 def _threshold_code(index: int, length: int) -> tuple[int, ...]:
@@ -239,56 +214,30 @@ def _threshold_code(index: int, length: int) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _threshold_children(cols: list, size: int, k: int, y0: int) -> tuple[list, int, int]:
-    """The grid at the next length, from `cols` whose lists hold `size` slots:
-    each point's parts for entries -1, 0, 1, each of `size` slots, and the
-    `ones` and `lo` masks of that size.  The corner (0, 0) and its neighbour
-    (1, 0), which the scan yields, are made canonical."""
-    mod = (1 << k) - 1
-    ones, lo = _slot_masks(size, k)
-    child = []
-    for u in range(len(cols) - 1):
-        row = []
-        for v in range(len(cols[u]) - 1):
-            x, y = (-u - v) % mod, (y0 + u - v) % mod
-            w = (x - y) % mod
-            here, wr = cols[u][v], w * cols[u + 1][v]
-            # entries -1, 0, 1 of the recursion, in index order, each folded
-            # before the next is built
-            parts = [_fold(y * here + wr, lo, k), _fold(x * here, lo, k),
-                     _fold(y * cols[u][v + 1] + wr, lo, k)]
-            if v == 0 and u < 2:
-                parts = [_canonical(p, ones, k) for p in parts]
-            row.append(parts)
-        child.append(row)
-    return child, ones, lo
-
-
-def _threshold_fingerprints(last: int):
-    """Yield (d, corners, neighbours, ones, lo) for d = 0..last: the packed
-    values mod _FP_MOD of every code of length d at (0, y0) and (-1, y0 + 1),
-    as parts of equal size (one at d = 0, else three: part a holds the codes
-    a * 3^(d-1) .. (a + 1) * 3^(d-1) - 1 in index order), and the `ones` and
-    `lo` masks of one part."""
-    mod = _FP_MOD
-    k = mod.bit_length()
-    if mod < 1 or mod & (mod + 1) or k > 63:
-        raise SignedChromError(f"fingerprint modulus {mod} is not 2^k - 1 with 1 <= k <= 63")
-    y0 = _FP_Y0 % mod
-    # cols[u][v]: the parts at (-u - v, y0 + u - v), for u + v <= last + 1 - d
-    # except u = 0, v = last + 1 - d
-    cols = [[[(-u - v) % mod] for v in range(last + 2 - u - (u == 0))]
-            for u in range(last + 2)]
-    ones, lo = _slot_masks(1, k)
+def _threshold_grid(last: int, width: int):
+    """Yield (d, rows) for d = 0..last: rows[u - 1][v] holds the packed values
+    in `width`-bit slots of every code of length d at (-u - v, u - v), for
+    u >= 1 and u + v <= last + 1 - d, as parts of equal size (one at d = 0,
+    else three: part a holds the codes a * 3^(d-1) .. (a + 1) * 3^(d-1) - 1
+    in index order).  rows[0][0] is the point (-1, 1)."""
+    rows = [[[-u - v] for v in range(last + 2 - u)] for u in range(1, last + 2)]
     for d in range(last + 1):
         if d:
-            size = 3 ** (d - 1)
-            bits = size // len(cols[0][0]) * _slot_bits(k)
+            bits = 3 ** (d - 1) // len(rows[0][0]) * width
             # joined before the step, so the parts are freed before it builds
-            cols = [[sum(p << a * bits for a, p in enumerate(parts)) for parts in row]
-                    for row in cols]
-            cols, ones, lo = _threshold_children(cols, size, k, y0)
-        yield d, cols[0][0], cols[1][0], ones, lo
+            rows = [[sum(p << a * bits for a, p in enumerate(parts)) for parts in row]
+                    for row in rows]
+            child = []
+            for u, (row, below) in enumerate(zip(rows, rows[1:]), 1):
+                points = []
+                for v, right in enumerate(below):
+                    x, y = -u - v, u - v
+                    here, wr = row[v], -2 * u * right
+                    # entries -1, 0, 1 of the recursion, in index order
+                    points.append([y * here + wr, x * here, y * row[v + 1] + wr])
+                child.append(points)
+            rows = child
+        yield d, rows
 
 
 def _threshold_clash(length: int, indices, evens) -> dict | None:
@@ -302,38 +251,24 @@ def _threshold_clash(length: int, indices, evens) -> dict | None:
     return {"codes": codes, "even": bipoly_to_json(evens[first[0]])}
 
 
-def _threshold_even(index: int, length: int) -> BiPoly:
-    """The even polynomial of one code, rebuilt from its index."""
-    even = BiPoly.x()
-    for a in _threshold_code(index, length):
-        even = threshold_even_step(a, even)
-    return even
-
-
-def _at_x0(even: BiPoly) -> dict:
-    """even(0, y) as a map y_degree -> coefficient."""
-    return {j: c for (i, j), c in even.items() if i == 0}
-
-
-def _check_lemma_l(length: int, corners: list, neighbours: list, ones: int, lo: int) -> None:
-    """Refuse unless every code of `length` satisfies lemma L, on the parts
-    and masks that _threshold_fingerprints yields.  Codes whose values at the
-    two points differ satisfy it; the rest are rebuilt and compared exactly."""
-    k = _FP_MOD.bit_length()
-    size = 3**length // len(corners)
-    for a, (corner, neighbour) in enumerate(zip(corners, neighbours)):
-        agree = ones ^ ((((corner ^ neighbour) + lo) >> k) & ones)  # 1 where they agree
-        while agree:
-            low = agree & -agree
-            agree ^= low
-            index = a * size + (low.bit_length() - 1) // _slot_bits(k)
-            even = _threshold_even(index, length)
-            if _at_x0(even) == _at_x0(even.shifted(-1, 1)):
-                code = list(_threshold_code(index, length))
-                raise SignedChromError(
-                    f"lemma L fails for threshold code {code}: P(0, y) = P(-1, y + 1),"
-                    f" so the longer codes cannot be decoded"
-                )
+def _check_lemma_l(length: int, parts: list, width: int) -> None:
+    """Refuse unless every code of `length` has a nonzero value at (-1, 1) in
+    `parts`, packed in `width`-bit slots as _threshold_grid yields them.  A
+    nonzero value proves L for its code by fact (e); a zero leaves L open."""
+    size = 3**length // len(parts)
+    ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * size, "little")
+    top = ones << (width - 1)  # 2^(W - 1) in each slot
+    low = top - ones
+    for a, part in enumerate(parts):
+        digits = (part + top) ^ top  # each slot in W-bit two's complement, 0 only for 0
+        zero = top & ~(((digits & low) + low) | digits)  # 2^(W - 1) in the zero slots
+        if zero:
+            index = a * size + ((zero & -zero).bit_length() - 1) // width
+            code = list(_threshold_code(index, length))
+            raise SignedChromError(
+                f"lemma L is undecided for threshold code {code}: P(-1, 1) = 0,"
+                f" so the longer codes cannot be decoded"
+            )
 
 
 def _exact_threshold_scan(exact_to: int, checked: dict) -> dict | None:
@@ -357,7 +292,8 @@ def verify_conj_threshold(n_max: int) -> dict:
     Up to length exact_to the exact even polynomials of all codes are compared
     as keys.  Past it, lemma L is checked on every code of length exact_to..
     n_max - 1 (see the layout above), which decides every length up to n_max;
-    a code on which L fails is refused, since the verdict then stays open.
+    a code on which the check leaves L open is refused, since the verdict
+    then stays open.
     """
     _check_n_max(n_max, MAX_THRESHOLD_N, "threshold-code check")
     exact_to = min(n_max, _EXACT_THRESHOLD_LIMIT)
@@ -365,12 +301,13 @@ def verify_conj_threshold(n_max: int) -> dict:
     checked: dict[str, int] = {}
     bad = _exact_threshold_scan(exact_to, checked)
     if n_max > exact_to:
-        method["fingerprint_from"] = exact_to + 1
+        method["fingerprint_from"] = exact_to + 1  # the first length the grid decides
         if bad is None:
-            for d, corners, neighbours, ones, lo in _threshold_fingerprints(n_max - 1):
+            width = _slot_bits(n_max - 1)
+            for d, rows in _threshold_grid(n_max - 1, width):
                 if d >= exact_to:
-                    _check_lemma_l(d, corners, neighbours, ones, lo)
-                del corners, neighbours  # so the next length's step can free them
+                    _check_lemma_l(d, rows[0][0], width)
+                del rows  # so the next length's step can free them
             checked.update((str(d), 3**d) for d in range(exact_to + 1, n_max + 1))
     details: dict = {"codes_checked": checked, "method": method}
     if bad is not None:

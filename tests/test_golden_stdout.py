@@ -15,7 +15,9 @@ two JSON `verify --conjecture threshold` digests were re-taken when the exact
 prefix went from length 6 to 3; the parent's stdout differed from the new one
 in `details.method` alone (`exact_to`, `fingerprint_from`) for every `--max`
 from 0 to 12.  Every digest held when the deletion-formula steps went from
-index moves on term dicts back to `BiPoly` ring operations.  The
+index moves on term dicts back to `BiPoly` ring operations, and every
+threshold digest held when the check of lemma L went from residues mod
+2^31 - 1 to exact values at (-1, 1).  The
 `identities --max 3 --output text` digest was recorded before the identity
 suite became one table of rows whose text the CLI renders.  The
 `reproduce-tables --output text` digest and the stderr digests of three

@@ -12,7 +12,9 @@ statement reads an attribute of that name from a name or a dotted name.  A
 constant, an upper-case name assigned at a module's top level, passes when a
 statement other than its own assignment reads it.  Anything else is API that
 nothing reaches: delete it, or move it to `tests/oracles.py` when only tests
-need it.  A private name imported across modules means two modules know one
+need it.  The same holds for private top-level functions and upper-case
+constants: a helper that only tests read is left over from a route that
+went.  A private name imported across modules means two modules know one
 format; each such import is listed below with its reason.  Every other
 module works with polynomials through `BiPoly`'s own operations, so the
 term-dict format can change in `poly` alone.
@@ -93,8 +95,9 @@ def test_every_public_name_is_reached():
     assert unreached == [], "no caller in src/ or bench/; delete it or move it to tests/oracles.py"
 
 
-def _constants(stmt: ast.stmt) -> list[str]:
-    """The public upper-case names a top-level statement assigns."""
+def _constants(stmt: ast.stmt, private: bool = False) -> list[str]:
+    """The public (or the private) upper-case names a top-level statement
+    assigns."""
     if isinstance(stmt, ast.Assign):
         targets = stmt.targets
     elif isinstance(stmt, ast.AnnAssign):
@@ -104,7 +107,7 @@ def _constants(stmt: ast.stmt) -> list[str]:
     return [
         node.id for target in targets for node in ast.walk(target)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-        and node.id.isupper() and not node.id.startswith("_")
+        and node.id.isupper() and node.id.startswith("_") == private
     ]
 
 
@@ -117,6 +120,26 @@ def test_every_public_constant_is_read():
         and not any(name in names for other, _, names in uses if other is not stmt)
     )
     assert unread == [], "no reader in src/ or bench/; delete it or move it to tests/oracles.py"
+
+
+def _private_names(stmt: ast.stmt) -> list[str]:
+    """The private function or upper-case constants a top-level statement
+    defines."""
+    if isinstance(stmt, ast.FunctionDef):
+        private = stmt.name.startswith("_") and not stmt.name.startswith("__")
+        return [stmt.name] if private else []
+    return _constants(stmt, private=True)
+
+
+def test_every_private_top_level_name_is_read():
+    _, uses = _package()
+    bench = _bench_names()
+    unread = sorted(
+        name for stmt, _, _ in uses for name in _private_names(stmt)
+        if name not in bench
+        and not any(name in names for other, _, names in uses if other is not stmt)
+    )
+    assert unread == [], "no reader in src/ or bench/; delete it or move it to tests/"
 
 
 def _private_imports() -> set[tuple[str, str]]:

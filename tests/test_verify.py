@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from oracles import (
@@ -386,11 +387,14 @@ def test_lemma_l_holds_on_small_signed_graphs():
     assert classes == 1 + 3 + 10 + 66 + 792  # A004102
 
 
-# -- the fingerprint grid ----------------------------------------------------------
+# -- the grid of exact values ----------------------------------------------------
 
-# The anchor of the distinctness oracle.  At x0 = 0 every code ending in 0 has
-# fingerprint 0 (fact (c)), so the oracle needs a point off the axis.
+# The distinctness oracle's fingerprints: values mod a prime at (x0 - u - v,
+# y0 + u - v).  At x0 = 0 every code ending in 0 has fingerprint 0 (fact (c)),
+# so the oracle anchors off the axis.
+_ORACLE_MOD = (1 << 31) - 1
 _ORACLE_X0 = 1122334455667788990
+_ORACLE_Y0 = 987654321987654321
 
 
 def _list_scan(n_max, mod, x0, y0):
@@ -416,11 +420,24 @@ def _list_scan(n_max, mod, x0, y0):
         cols = child
 
 
-def _distinctness_scan(n_max):
+def _threshold_even(index, length):
+    """The even polynomial of one code, rebuilt from its index through the
+    verifier's own step, which a test may patch."""
+    from signedchrom import verify
+    from signedchrom.poly import BiPoly
+
+    even = BiPoly.x()
+    for a in verify._threshold_code(index, length):
+        even = verify.threshold_even_step(a, even)
+    return even
+
+
+def _distinctness_scan(n_max, mod=_ORACLE_MOD):
     """The verifier before lemma L, kept as its oracle: exact keys up to
-    exact_to, then all 3^d fingerprints of each longer length at (_ORACLE_X0,
-    _FP_Y0), with the codes of colliding fingerprints rebuilt and compared
-    exactly.  Returns (status, details) as the verifier reports them."""
+    exact_to, then all 3^d fingerprints of each longer length mod `mod` at
+    (_ORACLE_X0, _ORACLE_Y0), with the codes of colliding fingerprints
+    rebuilt and compared exactly.  Returns (status, details) as the verifier
+    reports them."""
     from signedchrom import verify
     from signedchrom.poly import BiPoly
 
@@ -429,7 +446,7 @@ def _distinctness_scan(n_max):
     if n_max > exact_to:
         method["fingerprint_from"] = exact_to + 1
     checked, evens, bad = {}, [BiPoly.x()], None
-    for d, cols in _list_scan(n_max, verify._FP_MOD, _ORACLE_X0, verify._FP_Y0):
+    for d, cols in _list_scan(n_max, mod, _ORACLE_X0, _ORACLE_Y0):
         fps = cols[0][0]
         checked[str(d)] = len(fps)
         if d <= exact_to:
@@ -438,7 +455,7 @@ def _distinctness_scan(n_max):
             bad = verify._threshold_clash(d, range(len(evens)), evens)
         elif len(set(fps)) != len(fps):
             collided = sorted(i for members in verify._groups(fps) for i in members)
-            evens = [verify._threshold_even(i, d) for i in collided]
+            evens = [_threshold_even(i, d) for i in collided]
             bad = verify._threshold_clash(d, collided, evens)
         if bad is not None:
             break
@@ -471,172 +488,144 @@ def test_fingerprint_collisions_are_rechecked_exactly(monkeypatch):
     from signedchrom import verify
 
     monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
-    monkeypatch.setattr(verify, "_FP_MOD", 1)
-    assert _distinctness_scan(5)[0] == "pass"
+    assert _distinctness_scan(5, mod=1)[0] == "pass"
 
     merged = _merged_step(monkeypatch)
-    status, details = _distinctness_scan(3)
+    status, details = _distinctness_scan(3, mod=1)
     assert status == "counterexample"
     assert details["method"] == {"exact_to": 0, "fingerprint_from": 1}
     _assert_merged_clash(details["counterexample"], merged)
 
 
-def test_agreeing_slots_are_rechecked_exactly(monkeypatch):
-    """With modulus 1 the two sides of L agree in every slot, so every code of
-    length exact_to..n_max - 1 is rebuilt, and L still holds on each."""
+def _slots(parts, count, width):
+    """The `count` values in a point's packed parts, in index order: each
+    balanced `width`-bit slot read back by adding 2^(width - 1) to it."""
+    size, nbytes, half = count // len(parts), width // 8, 1 << (width - 1)
+    top = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    values = []
+    for part in parts:
+        raw = (part + top).to_bytes(size * nbytes, "little")
+        values += [int.from_bytes(raw[i:i + nbytes], "little") - half
+                   for i in range(0, len(raw), nbytes)]
+    return values
+
+
+def _planted_zero(monkeypatch, length, *indices):
+    """Make the grid yield 0 at (-1, 1) for the codes at `indices` of `length`:
+    subtracting a slot's value from its packed part clears that slot alone."""
     from signedchrom import verify
 
-    rebuild, rebuilt = verify._threshold_even, []
+    grid = verify._threshold_grid
 
-    def counted(index, length):
-        rebuilt.append((length, index))
-        return rebuild(index, length)
+    def planted(last, width):
+        for d, rows in grid(last, width):
+            if d == length:
+                parts = rows[0][0]
+                values = _slots(parts, 3**length, width)
+                size = 3**length // len(parts)
+                for index in indices:
+                    a, i = divmod(index, size)
+                    parts[a] -= values[index] << (i * width)
+            yield d, rows
 
-    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)
-    monkeypatch.setattr(verify, "_FP_MOD", 1)
-    monkeypatch.setattr(verify, "_threshold_even", counted)
-    assert verify_conj_threshold(5)["status"] == "pass"
-    assert sorted(rebuilt) == [(d, i) for d in range(5) for i in range(3**d)]
+    monkeypatch.setattr(verify, "_threshold_grid", planted)
 
 
 def test_a_failure_of_lemma_l_is_refused(monkeypatch, capsys):
-    """A code whose rebuilt polynomial breaks L leaves the verdict open: the
-    verifier raises, and the CLI exits 2 with nothing on stdout."""
-    from signedchrom import verify
+    """A zero at (-1, 1) leaves L open for its code, and with it the verdict:
+    the verifier raises, and the CLI exits 2 with nothing on stdout.  The
+    zero sits at length exact_to = 3, the first length whose L is checked."""
     from signedchrom.cli import main
     from signedchrom.errors import SignedChromError
-    from signedchrom.poly import BiPoly
 
-    rebuild = verify._threshold_even
-
-    def broken(index, length):
-        if (length, index) == (3, 5):  # the code (1, 0, -1)
-            return BiPoly.x() + BiPoly.y()  # y at (0, y) and at (-1, y + 1)
-        return rebuild(index, length)
-
-    monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 2)
-    monkeypatch.setattr(verify, "_FP_MOD", 1)
-    monkeypatch.setattr(verify, "_threshold_even", broken)
-    with pytest.raises(SignedChromError, match=r"lemma L fails for threshold code \[1, 0, -1\]"):
+    _planted_zero(monkeypatch, 3, 5)  # the code (1, 0, -1)
+    with pytest.raises(SignedChromError, match=r"lemma L is undecided for threshold code \[1, 0, -1\]"):
         verify_conj_threshold(4)
     assert verify_conj_threshold(3)["status"] == "pass"  # L is checked below n_max only
     assert main(["verify", "--conjecture", "threshold", "--max", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error: lemma L fails for threshold code [1, 0, -1]" in err
+    assert "error: lemma L is undecided for threshold code [1, 0, -1]" in err
 
 
-def _slots(parts, count):
-    """The `count` slots of a point's packed parts, whole and in index order,
-    at the slot width of the live modulus."""
+def test_a_planted_zero_is_found_in_every_slot(monkeypatch):
+    """The zero test finds a planted zero at the first, a middle and the last
+    slot of each part, and names its code; of two zeros, the first."""
     from signedchrom import verify
+    from signedchrom.errors import SignedChromError
 
-    width = verify._slot_bits(verify._FP_MOD.bit_length()) // 8
-    size = count // len(parts)
-    raw = b"".join(part.to_bytes(size * width, "little") for part in parts)
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(count)]
+    for indices in [(0,), (1,), (26,), (27,), (40,), (53,), (54,), (80,), (3, 7), (30, 60)]:
+        _planted_zero(monkeypatch, 4, *indices)
+        code = list(verify._threshold_code(indices[0], 4))
+        with pytest.raises(SignedChromError, match=f"code {re.escape(str(code))}:"):
+            verify_conj_threshold(5)
+        monkeypatch.undo()
 
 
-def test_fingerprint_fold_matches_exact_evaluation():
-    """Every corner and neighbour slot of every code of length <= 6 is its even
-    polynomial mod the prime at (0, y0) and (-1, y0 + 1), index i spells its
-    code in base 3, least significant first, and the masks fit one part."""
-    from signedchrom.verify import (
-        _FP_MOD,
-        _FP_Y0,
-        _slot_masks,
-        _threshold_code,
-        _threshold_even,
-        _threshold_fingerprints,
-    )
+def test_grid_slots_match_exact_evaluation():
+    """Every code of length <= 6 has its even polynomial's value at (-1, 1) in
+    its slot and E(0, 0) = 0 (fact (e)); index i spells its code in base 3,
+    least significant first."""
+    from signedchrom.verify import _slot_bits, _threshold_code, _threshold_grid
 
-    count = 0
-    for length, corner, neighbour, ones, lo in _threshold_fingerprints(6):
+    count, width = 0, _slot_bits(6)
+    for length, rows in _threshold_grid(6, width):
         codes = [tuple(reversed(p)) for p in itertools.product((-1, 0, 1), repeat=length)]
         assert [_threshold_code(i, length) for i in range(len(codes))] == codes
-        assert len(corner) == len(neighbour) == (3 if length else 1)
-        assert (ones, lo) == _slot_masks(len(codes) // len(corner), _FP_MOD.bit_length())
-        pairs = zip(_slots(corner, len(codes)), _slots(neighbour, len(codes)))
-        for index, ((at_corner, at_neighbour), code) in enumerate(zip(pairs, codes)):
+        assert len(rows[0][0]) == (3 if length else 1)
+        for index, (value, code) in enumerate(zip(_slots(rows[0][0], len(codes), width), codes)):
             even = _threshold_even(index, length)
-            assert at_corner == evaluate(even, 0, _FP_Y0) % _FP_MOD, code
-            assert at_neighbour == evaluate(even, -1, _FP_Y0 + 1) % _FP_MOD, code
+            assert value == evaluate(even, -1, 1), code
+            assert evaluate(even, 0, 0) == 0, code
             count += 1
     assert count == 1093  # 1 + 3 + ... + 729
 
 
-def test_packed_fingerprints_match_the_list_scan(monkeypatch):
-    """The two points the verifier reads, at every length it reads them, for
-    every n_max to 10 and every slot width the kernel accepts, down to the
-    modulus 1."""
+def test_every_grid_value_fits_its_slot():
+    """At the largest scale, every value at every grid point of every length,
+    read from 128-bit slots, is within B(last) = (last + 1) 3^last last! and
+    below 2^(W - 1) for the verifier's width W, the least multiple of 8 above
+    B's bit length: 48 bits, where the largest value has 35."""
+    import math
+
+    from signedchrom.verify import MAX_THRESHOLD_N, _slot_bits, _threshold_grid
+
+    last = MAX_THRESHOLD_N - 1
+    bound = (last + 1) * 3**last * math.factorial(last)
+    width = _slot_bits(last)
+    assert width % 8 == 0 and width - 8 <= bound.bit_length() < width
+    assert width == 48
+    largest = 0
+    for d, rows in _threshold_grid(last, 128):
+        for row in rows:
+            for parts in row:
+                largest = max(largest, *map(abs, _slots(parts, 3**d, 128)))
+    assert largest <= bound and largest < 1 << (width - 1)
+    assert largest.bit_length() == 35
+
+
+def test_packed_fingerprints_match_the_list_scan():
+    """The packed values at (-1, 1), at every length the verifier reads them
+    and for every n_max to 10, against the one-int-per-code list scan at the
+    anchor (0, 0) mod 2^61 - 1, which exceeds twice every value."""
     from signedchrom import verify
 
-    def check(n_max):
-        want = [
-            (d, cols[0][0], cols[1][0])
-            for d, cols in _list_scan(n_max, verify._FP_MOD, 0, verify._FP_Y0)
-            if d < n_max
-        ]
-        got = [
-            (d, _slots(corner, 3**d), _slots(neighbour, 3**d))
-            for d, corner, neighbour, _, _ in verify._threshold_fingerprints(n_max - 1)
-        ]
-        assert got == want, (n_max, verify._FP_MOD)
-
+    mod = (1 << 61) - 1
     for n_max in range(1, 11):
-        check(n_max)
-    for k in (1, 2, 3, 5, 31, 63):
-        monkeypatch.setattr(verify, "_FP_MOD", (1 << k) - 1)
-        for n_max in range(1, 8):
-            check(n_max)
-
-
-def test_fold_and_canonical_keep_slots_apart():
-    """Edge values between slots of 0 and slots of the largest value: each
-    folds and reduces to its residue, and no slot carries into a neighbour.
-    At the verifier's modulus 2^31 - 1 in 64-bit slots, and at 2^61 - 1 in
-    128-bit slots."""
-    from signedchrom.verify import _FP_MOD, _canonical, _fold, _slot_bits
-
-    def spread(big, values):
-        return [0] + [s for v in values for s in (v, 0, big, v, big)]
-
-    assert _FP_MOD == (1 << 31) - 1
-    for k, width in ((31, 64), (61, 128)):
-        assert _slot_bits(k) == width
-        mod = (1 << k) - 1
-        top = 2 * ((1 << k) + 7) * ((1 << k) - 2)  # above any step's sum of two products
-        edges = [0, mod - 1, mod, mod + 1, (1 << k) + 7, top]
-
-        def pack(values):
-            return sum(v << (width * i) for i, v in enumerate(values))
-
-        def unpack(t, n):
-            return [(t >> (width * i)) & ((1 << width) - 1) for i in range(n)]
-
-        values = spread(top, edges)
-        folded = unpack(_fold(pack(values), pack([mod] * len(values)), k), len(values))
-        assert all(f <= 1 << k and f % mod == v % mod for f, v in zip(folded, values)), k
-        for values in (folded, spread((1 << k) + 7, edges[:-1])):
-            reduced = unpack(_canonical(pack(values), pack([1] * len(values)), k), len(values))
-            assert reduced == [v % mod for v in values], k
-
-
-@pytest.mark.parametrize("mod", [0, 10, 1 << 61, (1 << 64) - 1])
-def test_fingerprint_modulus_must_be_two_to_the_k_minus_one(monkeypatch, mod):
-    from signedchrom import verify
-    from signedchrom.errors import SignedChromError
-
-    monkeypatch.setattr(verify, "_FP_MOD", mod)
-    with pytest.raises(SignedChromError, match="2\\^k - 1"):
-        next(verify._threshold_fingerprints(3))
+        want = [(d, cols[1][0]) for d, cols in _list_scan(n_max, mod, 0, 0) if d < n_max]
+        width = verify._slot_bits(n_max - 1)
+        got = [
+            (d, [v % mod for v in _slots(rows[0][0], 3**d, width)])
+            for d, rows in verify._threshold_grid(n_max - 1, width)
+        ]
+        assert got == want, n_max
 
 
 def test_conjecture_threshold_stretch():
     """The full stretch scale, which only the benchmark ran before, within its
-    memory: the traced peak is about 9 MB with L checked on the parts of the
-    last length (11 MB on joined lists, 21 MB in 128-bit slots, and the
-    distinctness scan's was 59 MB)."""
+    memory: the traced peak is about 5 MB with exact values in 48-bit slots
+    (8.5 MB with residues mod 2^31 - 1 in 64-bit slots, and the distinctness
+    scan's was 59 MB)."""
     import tracemalloc
 
     tracemalloc.start()
