@@ -96,10 +96,12 @@ MAX_PEEL_N = 41                 # vertices bivariate_pair peels: a threshold cod
 # call, and batches in other threads each see their own walk.
 # `chromatic_pairs` resets it in a `finally`.
 #
-# A step's move, its take then its forgets, is a pure function of the state,
-# so the process memoises it in `_moves` for every later tally in either mode,
-# keyed by all the move reads but the state, the mode (`new` and `stride`)
-# included.  So each step is one pass over the states and one budget check.
+# A step's move, its edge skipped and taken, each then forgotten, is a pure
+# function of the state, so the process memoises it in `_moves` for every
+# later tally in either mode, keyed by all the move reads but the state, the
+# mode (`new` and `stride`) included.  `_move` decodes the state once and
+# encodes each result once.  So each step is one pass over the states and
+# one budget check.
 # Adding stops at MAX_MOVES moves, and a key enters only with its first move.
 # The search inputs of seeds 11, 5 and 301 take 1,363 moves; K_9 fills it.
 
@@ -250,41 +252,10 @@ def _clear(pars: bytes, labs: bytes, l: int) -> bytes:
     return (int.from_bytes(pars, "big") & ~mask).to_bytes(len(pars), "big")
 
 
-def _take(state: bytes, joined: int, ia: int, ib: int, t: int, new: int):
-    """The states after a step's joins (one or two new vertices, each its own
-    component with flags `new`) with the edge between positions ia and ib
-    skipped and taken, equal when taking it changes nothing."""
-    skip = state
-    labs, pars, flags, u = _parts(state)
-    if joined:
-        c = len(flags)
-        labs += bytes((c, c + 1)[:joined])
-        pars += bytes(joined)
-        flags += bytes((new, new)[:joined])
-        skip = _state(labs, pars, flags, u)
-    la, lb = labs[ia], labs[ib]
-    odd = pars[ia] ^ pars[ib] ^ t  # 1 when the edge closes a negative cycle
-    if la == lb:
-        f = flags[la] | t << 1 | odd
-        if f & 1:
-            pars = _clear(pars, labs, la)
-        return skip, _state(labs, pars, flags[:la] + bytes((f,)) + flags[la + 1:], u)
-    lo, hi = (la, lb) if la < lb else (lb, la)
-    f = flags[lo] | flags[hi] | t << 1
-    if odd and not f & 1:
-        pars = _flip(pars, labs, hi)
-    labs = labs.translate(_merged(lo, hi))
-    if f & 1:
-        pars = _clear(pars, labs, lo)
-    flags = flags[:lo] + bytes((f,)) + flags[lo + 1:hi] + flags[hi + 1:]
-    return skip, _state(labs, pars, flags, u)
-
-
-def _forget(state: bytes, gone, stride: int) -> tuple[bytes, int]:
-    """The canonical state after forgetting the positions in `gone`, in order,
-    and the slots its count moves up by: one per all-positive component
-    that closes and `stride` per other balanced one."""
-    labs, pars, flags, u = _parts(state)
+def _forget(labs: bytes, pars: bytes, flags: bytes, u: bytes, gone, stride: int) -> tuple[bytes, int]:
+    """The canonical state of these parts after forgetting the positions in
+    `gone`, in order, and the slots its count moves up by: one per
+    all-positive component that closes and `stride` per other balanced one."""
     slots = 0
     for k in gone:
         l = labs[k]
@@ -309,13 +280,35 @@ def _forget(state: bytes, gone, stride: int) -> tuple[bytes, int]:
 
 
 def _move(state: bytes, joined: int, ia: int, ib: int, t: int, new: int, gone, stride: int):
-    """A step's take and its forgets composed: (skip, its slots, taken, its
-    slots), the states after the edge is skipped and taken and the slots
-    each count moves up by, or () when the two cancel."""
-    skip, taken = _take(state, joined, ia, ib, t, new)
-    if not gone:
-        return () if skip == taken else (skip, 0, taken, 0)
-    skip, taken = _forget(skip, gone, stride), _forget(taken, gone, stride)
+    """A step's move: after its joins (one or two new vertices, each its own
+    component with flags `new`), the edge between positions ia and ib
+    skipped and taken, each followed by the forgets.  (skip, its slots,
+    taken, its slots), the states and the slots each count moves up by, or
+    () when the two are equal, as when taking the edge changes nothing."""
+    labs, pars, flags, u = _parts(state)
+    if joined:
+        c = len(flags)
+        labs += bytes((c, c + 1)[:joined])
+        pars += bytes(joined)
+        flags += bytes((new, new)[:joined])
+    skip = _forget(labs, pars, flags, u, gone, stride)
+    la, lb = labs[ia], labs[ib]
+    odd = pars[ia] ^ pars[ib] ^ t  # 1 when the edge closes a negative cycle
+    if la == lb:
+        f = flags[la] | t << 1 | odd
+        if f & 1:
+            pars = _clear(pars, labs, la)
+        flags = flags[:la] + bytes((f,)) + flags[la + 1:]
+    else:
+        lo, hi = (la, lb) if la < lb else (lb, la)
+        f = flags[lo] | flags[hi] | t << 1
+        if odd and not f & 1:
+            pars = _flip(pars, labs, hi)
+        labs = labs.translate(_merged(lo, hi))
+        if f & 1:
+            pars = _clear(pars, labs, lo)
+        flags = flags[:lo] + bytes((f,)) + flags[lo + 1:hi] + flags[hi + 1:]
+    taken = _forget(labs, pars, flags, u, gone, stride)
     return () if skip == taken else (*skip, *taken)
 
 

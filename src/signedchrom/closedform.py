@@ -57,8 +57,6 @@ def _weighted_sum(weights: Counter, m: int) -> BiPoly:
 @functools.lru_cache(maxsize=None)
 def H(n: int) -> BiPoly:
     """Sum of stirling2(n, i) * double_falling(i); zero for n < 0."""
-    if n < 0:
-        return BiPoly.zero()
     acc = BiPoly.zero()
     for i in range(n + 1):
         acc = acc + stirling2(n, i) * double_falling(i)
@@ -85,8 +83,6 @@ def H1(l: int, m: int, n: int) -> BiPoly:
 
 @functools.lru_cache(maxsize=None)
 def H2(l: int, m: int, n: int) -> BiPoly:
-    if l < 0 or m < 0 or n < 0:
-        return BiPoly.zero()
     weights = Counter()
     for i in range(l + 1):
         si = stirling2(l, i)
@@ -123,12 +119,8 @@ def H3(l: int, m: int, n: int) -> BiPoly:
         fi = factorial(i) * comb(l, i) * comb(m, i)
         for j in range((l - i) // 2 + 1):
             tj = matchings_T(l - i, j)
-            if not tj:
-                continue
             for k in range((m - i) // 2 + 1):
                 tk = matchings_T(m - i, k)
-                if not tk:
-                    continue
                 weights[l + m - i - j - k, l + m - i] += fi * tj * tk
     return _weighted_sum(weights, n)
 
@@ -137,19 +129,13 @@ def H3(l: int, m: int, n: int) -> BiPoly:
 def H4(l: int, m: int, n: int) -> BiPoly:
     """Sums double_falling(l+m+s-i-j-k-t) times the integer (l+m-i-2j-2k)_t;
     the ranges below keep l+m+s-i-j-k >= s >= t >= 0."""
-    if l < 0 or m < 0 or n < 0:
-        return BiPoly.zero()
     weights = Counter()
     for i in range(min(l, m) + 1):
         fi = factorial(i) * comb(l, i) * comb(m, i)
         for j in range((l - i) // 2 + 1):
             tj = matchings_T(l - i, j)
-            if not tj:
-                continue
             for k in range((m - i) // 2 + 1):
                 tk = matchings_T(m - i, k)
-                if not tk:
-                    continue
                 for s in range(n + 1):
                     ss = stirling2(n, s)
                     if not ss:

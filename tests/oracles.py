@@ -8,8 +8,9 @@ of which production calls.
 - The chromatic pair rebuilt by Lagrange interpolation through brute-force
   colouring counts.
 - Graph helpers: relabelling, component statistics and balance, the
-  positive part, edge contraction for deletion-contraction, joins and the
-  explicit join-family graphs.
+  positive part, induced subgraphs, edge contraction for
+  deletion-contraction, joins and the explicit join-family graphs.
+- The canonical form of a frontier-tally state, computed from scratch.
 - Each vertex's role in the dominating-vertex deletion formulae.
 - Polynomial evaluation and the diagonal p(x, x), read from `items()`.
 - Published counts no command checks: switching classes of signed K_n, and
@@ -206,6 +207,15 @@ def positive_part(g):
     return SignedGraph(g.n, tuple(e for e in g.edges if e[2] > 0))
 
 
+def induced(g, vertices):
+    """The subgraph of g induced on `vertices`, renumbered in increasing order."""
+    keep = sorted(vertices)
+    index = {v: i for i, v in enumerate(keep)}
+    return SignedGraph(len(keep), tuple(
+        (index[u], index[v], s) for u, v, s in g.edges if u in index and v in index
+    ))
+
+
 def contract(g, e):
     """g with the positive edge e = (u, v, 1), u < v, contracted: v merges
     into u, its edges keep their signs, and the vertices above v shift down
@@ -280,6 +290,29 @@ def vertex_role(g, v):
         if all(s < 0 for s in signs):
             return NEGATIVE_DOMINATING
     return PLAIN
+
+
+# -- frontier-tally states ----------------------------------------------------
+
+
+def canonical_state(state):
+    """The canonical form of a frontier-tally state, rebuilt from scratch.
+
+    A state is bytes: the frontier width w in two bytes, then per frontier
+    vertex its component label, then per frontier vertex its sign parity,
+    then per component a flags byte (bit 0 unbalanced), then u.  The
+    canonical form renumbers the components by first occurrence (their flags
+    follow them), takes each parity relative to the first vertex of its
+    component, and zeroes the parities of unbalanced components."""
+    w = state[0] << 8 | state[1]
+    labs, pars, flags = state[2:w + 2], state[w + 2:2 * w + 2], state[2 * w + 2:-1]
+    number, root = {}, {}
+    for lab, par in zip(labs, pars):
+        if lab not in number:
+            number[lab], root[lab] = len(number), par
+    pars = bytes(0 if flags[lab] & 1 else par ^ root[lab] for lab, par in zip(labs, pars))
+    labs = bytes(number[lab] for lab in labs)
+    return b"".join((state[:2], labs, pars, bytes(flags[lab] for lab in number), state[-1:]))
 
 
 # -- polynomial evaluation ----------------------------------------------------

@@ -18,6 +18,7 @@ from oracles import (
     count_colourings_oracle,
     diagonal,
     evaluate,
+    induced,
     interpolated_pair,
     lagrange_integer,
     positive_part,
@@ -656,3 +657,27 @@ def test_deletion_contraction_past_brute_force():
             assert whole.even == minus.even - merged.even, triple
             assert whole.odd == minus.odd - merged.odd, triple
             assert not merged.even.is_zero()
+
+
+def test_unpaired_colour_split_past_brute_force():
+    """P_biv(G; x, y) = sum over S of P_univ(G - S; x - y) chi(G+[S]; y) in
+    both constituents, where G+[S] is the positive part of G induced on S
+    and chi its even univariate constituent: the vertices of S take the y
+    unpaired colours, which act as plain colours on positive edges and
+    clash with nothing across a negative one.  On seeded signed graphs of 7
+    to 10 vertices, the sums of two `chromatic_pairs` batches against
+    `bivariate_pair`, which ties the bivariate tally to the univariate one."""
+    rng = random.Random(83)
+    for _ in range(5):
+        n = rng.randrange(7, 11)
+        g = random_signed_graph(rng, n, rng.randrange(n, 2 * n + 1))
+        subsets = [{v for v in range(n) if mask >> v & 1} for mask in range(1 << n)]
+        chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+        rests = chromatic_pairs([induced(g, set(range(n)) - s) for s in subsets])
+        parts = chromatic_pairs([positive_part(induced(g, s)) for s in subsets])
+        whole = bivariate_pair(g)
+        for x, y in ((3, 1), (4, 2), (5, 0), (6, 3), (2, 2)):
+            chi = [evaluate(part.even, y, 0) for part in parts]
+            for k in (0, 1):  # even, odd
+                split = sum(evaluate(rest[k], x - y, 0) * c for rest, c in zip(rests, chi))
+                assert split == evaluate(whole[k], x, y), (g, x, y, k)

@@ -17,7 +17,7 @@ import threading
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import relabel
+from oracles import canonical_state, relabel
 
 from signedchrom import chromatic, cli, reference
 from signedchrom.chromatic import (
@@ -381,9 +381,21 @@ def watch_walks(monkeypatch) -> tuple[list, list[int]]:
     return walks, kept
 
 
+def test_a_cold_move_decodes_its_state_once(monkeypatch):
+    """With the move memo empty, every move of a Petersen tally, in either
+    mode, decodes its state with one `_parts` call and no other."""
+    for univariate in (True, False):
+        cold_moves(monkeypatch)
+        moves, parts = count_calls(monkeypatch, "_move"), count_calls(monkeypatch, "_parts")
+        g = fixture("petersen")
+        frontier_tally(g.n, g.edges, univariate)
+        assert moves[0] > 0 and parts[0] == moves[0], univariate
+        monkeypatch.undo()
+
+
 def test_chromatic_pairs_share_work(monkeypatch):
     """Deterministic: resuming from shared prefixes visits fewer DP states.
-    States, not `_take` calls, are the unit, as a warm move memo makes
+    States, not `_move` calls, are the unit, as a warm move memo makes
     those 0 on both sides."""
     graphs = switching_classes(fixture("petersen"))
     visits = count_visits(monkeypatch)
@@ -440,18 +452,18 @@ def test_chromatic_pairs_share_tables_across_a_mixed_batch(monkeypatch):
             graphs += [g, first_chord_flipped(g)]
     graphs = shuffled(graphs, 17)
     expected = one_by_one(graphs)
-    takes = count_calls(monkeypatch, "_take")
+    moves = count_calls(monkeypatch, "_move")
     _, kept = watch_walks(monkeypatch)
     cold_moves(monkeypatch, 0)
     assert shared(graphs) == expected
-    unmemoised = takes[0]
+    unmemoised = moves[0]
     cold_moves(monkeypatch)
-    takes[0] = 0
+    moves[0] = 0
     assert shared(graphs) == expected
-    assert 0 < takes[0] < unmemoised
-    takes[0] = 0
+    assert 0 < moves[0] < unmemoised
+    moves[0] = 0
     assert shared(graphs) == expected
-    assert takes[0] == 0
+    assert moves[0] == 0
     # every skeleton has six graphs and its walk keeps at least the first
     # tree step's layer beside the root after every one of them
     assert len(kept) == 3 * len(graphs)
@@ -822,6 +834,30 @@ def test_state_bytes_round_trip_and_carry_their_width():
     none = _state(b"", b"", b"\0\0\0", b"\0")  # width 0, the same bytes after the width
     assert one[2:] == none[2:] and one != none
     assert _parts(one) != _parts(none)
+
+
+def test_every_state_is_canonical(monkeypatch):
+    """Every state of every layer is a fixed point of the oracle's
+    `canonical_state`, in both modes, on Petersen and on seeded random
+    graphs of 2 to 9 vertices.  A state left non-canonical would cost extra
+    states, not a wrong pair, so the oracle comparisons miss it."""
+    rng = random.Random(43)
+    graphs = [fixture("petersen")]
+    for _ in range(30):
+        n = rng.randrange(2, 10)
+        graphs.append(random_signed_graph(rng, n, rng.randrange(1, n * (n - 1) // 2 + 1)))
+    bad = []
+    live_entries = chromatic._live_entries
+
+    def watched(states, width):
+        bad.extend(state for state in states if canonical_state(state) != state)
+        return live_entries(states, width)
+
+    monkeypatch.setattr(chromatic, "_live_entries", watched)
+    for g in graphs:
+        for univariate in (True, False):
+            frontier_tally(g.n, g.edges, univariate)
+            assert not bad, (g, univariate, bad[:3])
 
 
 def grid(rows: int, columns: int, sign: int = 1) -> SignedGraph:
