@@ -4,16 +4,18 @@
 own budget.  First, on at most MAX_PEEL_N vertices, `bivariate_pair` peels
 every isolated vertex and every dominating vertex with edges of one sign, but
 stops at a signed K_n the partition route takes, which answers it faster.  The
-paper's deletion formulae (`threshold_step`) put the peeled vertices back: a
-relabelled 41-vertex threshold graph takes about 0.07 s.  Then signed
-complete graphs take the partition route, a subset DP over colour units, and
-every other graph the edge-subset expansion, which sums a signed term over
-all spanning subgraphs classified by their component statistics.  That sum
-is tallied by a frontier edge DP rather than subset by subset, on vertices
-numbered by maximum cardinality search and states held as bytes strings
-(see the comment above `_walk`): one memoised move per state and one budget
-check per step.  On a 2-core machine the Petersen graph takes about 2 ms
-(0.3 ms once its moves are memoised) instead of 0.2 s for its 2^15 subsets.
+paper's deletion formulae (`threshold_step`, whose even half is
+`threshold_even_step`) put the peeled vertices back: a relabelled 41-vertex
+threshold graph takes about 0.07 s.  Then signed complete graphs take the
+partition route, a subset DP over colour units whose univariate pair is its
+bivariate pair at y = 0, and every other graph the edge-subset expansion,
+which sums a signed term over all spanning subgraphs classified by their
+component statistics.  That sum is tallied by a frontier edge DP rather
+than subset by subset, on vertices numbered by maximum cardinality search
+and states held as bytes strings (see the comment above `_walk`): one
+memoised move per state and one budget check per step.  On a 2-core
+machine the Petersen graph takes about 2 ms (0.3 ms once its moves are
+memoised) instead of 0.2 s for its 2^15 subsets.
 
 The univariate pair depends only on balance, so its tally runs on a switched
 copy of the graph, whose chord signs are parities of edge masks.
@@ -35,7 +37,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph, delete_vertex
-from .poly import BiPoly, BivariatePair, ChromaticPair, double_falling, falling_product
+from .poly import BiPoly, BivariatePair, ChromaticPair, falling_product
 
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
 MAX_MOVES = 1 << 14             # fused step moves the process memoises
@@ -450,10 +452,15 @@ def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
     return BivariatePair(BiPoly(even), BiPoly(odd))
 
 
+def _complete(g: SignedGraph) -> bool:
+    """Whether g is a signed K_n: every pair of its vertices an edge."""
+    return g.m == g.n * (g.n - 1) // 2
+
+
 def chromatic_pair(g: SignedGraph) -> ChromaticPair:
     """Even and odd chromatic polynomials: partitions on signed K_n, else the
     tally, which inside `chromatic_pairs` comes from the batch's walk."""
-    if g.m == g.n * (g.n - 1) // 2:
+    if _complete(g):
         return complete_chromatic_pair(g)
     return _subset_chromatic_pair(g)
 
@@ -478,7 +485,7 @@ def bivariate_pair(g: SignedGraph) -> BivariatePair:
     back in reverse order."""
     entries = []
     while 1 < g.n <= MAX_PEEL_N:
-        if g.n <= MAX_PARTITION_N and g.m == g.n * (g.n - 1) // 2:
+        if g.n <= MAX_PARTITION_N and _complete(g):
             break  # the partition route answers a small signed K_n faster
         for v in reversed(range(g.n)):
             entry = _peel_entry(g, v)
@@ -488,8 +495,7 @@ def bivariate_pair(g: SignedGraph) -> BivariatePair:
             break
         entries.append(entry)
         g = delete_vertex(g, v)
-    complete = g.m == g.n * (g.n - 1) // 2
-    pair = complete_bivariate_pair(g) if complete else _subset_bivariate_pair(g)
+    pair = complete_bivariate_pair(g) if _complete(g) else _subset_bivariate_pair(g)
     for entry in reversed(entries):
         pair = threshold_step(entry, pair)
     return pair
@@ -508,7 +514,7 @@ def chromatic_pairs(graphs: Sequence[SignedGraph]) -> list[ChromaticPair]:
     pairs: list = [None] * len(graphs)
     batch, numberings = [], {}
     for i, g in enumerate(graphs):
-        if g.m == g.n * (g.n - 1) // 2:
+        if _complete(g):
             pairs[i] = chromatic_pair(g)
             continue
         underlying = (g.n, *zip(*g.edges))[:3]  # n and the two columns of edge ends
@@ -548,8 +554,9 @@ def threshold_step(entry: int, pair: BivariatePair) -> BivariatePair:
     odd half is the even step applied to the odd polynomial O, less
     O(x - 1, y + 1), plus E(x - 1, y).
     """
+    if entry not in (-1, 0, 1):
+        raise SignedChromError(f"code entry {entry!r} not in {{-1, 0, 1}}")
     even, odd = pair
-    _check_entry(entry)
     if not entry:
         return BivariatePair(BiPoly.x() * even, BiPoly.x() * odd)
     even_x = even.shifted(-1, 0)
@@ -558,16 +565,9 @@ def threshold_step(entry: int, pair: BivariatePair) -> BivariatePair:
 
 
 def threshold_even_step(entry: int, even: BiPoly) -> BiPoly:
-    """Even constituent only; its recursion is closed in itself."""
-    _check_entry(entry)
-    if not entry:
-        return BiPoly.x() * even
-    return _dominating_step(entry, even, even.shifted(-1, 0))[0]
-
-
-def _check_entry(entry: int) -> None:
-    if entry not in (-1, 0, 1):
-        raise SignedChromError(f"code entry {entry!r} not in {{-1, 0, 1}}")
+    """Even constituent only: its recursion is closed in itself, so it is
+    `threshold_step`'s even half whatever the odd half."""
+    return threshold_step(entry, BivariatePair(even, even)).even
 
 
 def _dominating_step(entry: int, p: BiPoly, p_x: BiPoly) -> tuple[BiPoly, BiPoly]:
@@ -594,10 +594,9 @@ def _dominating_step(entry: int, p: BiPoly, p_x: BiPoly) -> tuple[BiPoly, BiPoly
 # `_complete_basis(k, d)`.  `_unit_tally` counts the splits by (k, d) in one
 # memoised DP over vertex masks, at most 2^n of them: it chooses the unit of
 # the lowest vertex of a mask and recurs on the rest.  The cliques of the
-# negative graph that it lists are memoised per vertex set too.  `_unit_sum`
-# weights the counts by a basis for both pairs: `_complete_basis` for the
-# bivariate pair, and its y = 0 value `double_falling(k + d)` for the
-# univariate one.
+# negative graph that it lists are memoised per vertex set too.
+# `complete_bivariate_pair` weights the counts by `_complete_basis`, and the
+# univariate pair is that pair at y = 0.
 #
 # A mask's counts are one packed int, the count of (k, d) in the _UNIT_BITS-bit
 # slot k * (n + 1) + d, so adding a unit is a shift and merging is an add.
@@ -618,7 +617,7 @@ def _unit_tally(g: SignedGraph) -> tuple[dict, dict]:
     MAX_PARTITION_N vertices.
     """
     n = g.n
-    if g.m != n * (n - 1) // 2:
+    if not _complete(g):
         raise ValueError("underlying graph is not complete")
     if n > MAX_PARTITION_N:
         raise BudgetExceededError(
@@ -679,35 +678,26 @@ def _complete_basis(k: int, d: int) -> BiPoly:
     return s
 
 
-def _unit_sum(g: SignedGraph, basis) -> tuple[BiPoly, BiPoly]:
-    """(even, odd) of a signed complete graph: count * basis(k, d) summed
-    over the splits that w_all counts for the even constituent.  For the odd
-    one, the vertex coloured 0 (if any) is a singleton, and the others are
-    coloured from an even-type set of x - 1 colours: so the odd constituent
-    adds the same sum over w_zero and is taken at (x - 1, y).  Both sums run
-    term by term into one dict, and each polynomial is built once."""
+def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
+    """Bivariate pair of a signed complete graph via its colour units: count
+    * `_complete_basis(k, d)` summed over the splits that w_all counts for
+    the even constituent.  For the odd one, the vertex coloured 0 (if any) is
+    a singleton, and the others are coloured from an even-type set of x - 1
+    colours: so the odd constituent adds the same sum over w_zero and is
+    taken at (x - 1, y).  Both sums run term by term into one dict, and each
+    polynomial is built once."""
     terms: dict[tuple[int, int], int] = {}
     pair = []
     for w in _unit_tally(g):
         for (k, d), cnt in w.items():
-            for key, c in basis(k, d).items():
+            for key, c in _complete_basis(k, d).items():
                 terms[key] = terms.get(key, 0) + cnt * c
         pair.append(BiPoly(terms))
-    return pair[0], pair[1].shifted(-1, 0)
-
-
-def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
-    """Bivariate pair of a signed complete graph via its colour units: the
-    colour assignments of `_complete_basis` over each split."""
-    return BivariatePair(*_unit_sum(g, _complete_basis))
+    return BivariatePair(pair[0], pair[1].shifted(-1, 0))
 
 
 def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:
-    """Univariate pair of a signed complete graph, built without y terms.
-
-    It is `complete_bivariate_pair` at y = 0.  There the falling factorial
-    y (y - 1) ... (y - j + 1) vanishes for j >= 1, so `_complete_basis(k, d)`
-    keeps only its j = 0 term: x (x - 2) ... (x - 2k + 2) times (x - 2k) ...
-    (x - 2k - 2d + 2), which is `double_falling(k + d)`.
-    """
-    return ChromaticPair(*_unit_sum(g, lambda k, d: double_falling(k + d)))
+    """Univariate pair of a signed complete graph: `complete_bivariate_pair`
+    at y = 0."""
+    even, odd = complete_bivariate_pair(g)
+    return ChromaticPair(even.substitute_y(0), odd.substitute_y(0))

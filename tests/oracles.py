@@ -9,7 +9,8 @@ of which production calls.
   colouring counts.
 - Graph helpers: relabelling, component statistics and balance, the
   positive part, induced subgraphs, edge contraction for
-  deletion-contraction, joins and the explicit join-family graphs.
+  deletion-contraction, joins, gluings at one vertex and the explicit
+  join-family graphs.
 - The canonical form of a frontier-tally state, computed from scratch.
 - Each vertex's role in the dominating-vertex deletion formulae.
 - Polynomial evaluation and the diagonal p(x, x), read from `items()`.
@@ -252,6 +253,18 @@ def join(g1, g2, join_sign):
     edges.extend((u + k, v + k, s) for u, v, s in g2.edges)
     edges.extend((u, v + k, join_sign) for u in range(g1.n) for v in range(g2.n))
     return SignedGraph(g1.n + g2.n, tuple(edges))
+
+
+def glue(g1, g2, v1, v2):
+    """g1 and g2 glued at one vertex: vertex v2 of g2 becomes vertex v1 of
+    g1, and g2's other vertices follow g1's in order, so v1 is a cut vertex
+    whenever both parts have another vertex."""
+    def image(x):
+        return v1 if x == v2 else g1.n + x - (x > v2)
+
+    return SignedGraph(g1.n + g2.n - 1, g1.edges + tuple(
+        (image(a), image(b), s) for a, b, s in g2.edges
+    ))
 
 
 def join_family_graph(family, l, m, n):

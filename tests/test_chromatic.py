@@ -18,6 +18,7 @@ from oracles import (
     count_colourings_oracle,
     diagonal,
     evaluate,
+    glue,
     induced,
     interpolated_pair,
     lagrange_integer,
@@ -556,11 +557,12 @@ def test_unit_tally_totals_are_known_sequences():
 
 
 def test_univariate_pair_is_bivariate_pair_at_y_0():
-    """complete_chromatic_pair builds no bivariate polynomial; it must equal
-    complete_bivariate_pair at y = 0 on every switching class of K_n, n <= 8,
-    and on +-K_9 and +-K_10, whose packed unit counts are the largest.  The
-    closed forms of family 3 at (0, 0, n) (+K_n) and family 1 at (n, 0, 0)
-    (-K_n) pin those four pairs independently of the unit sum both share."""
+    """complete_chromatic_pair reads complete_bivariate_pair at y = 0; it
+    must equal that pair's y = 0 values on every switching class of K_n,
+    n <= 8, and on +-K_9 and +-K_10, whose packed unit counts are the
+    largest.  The closed forms of family 3 at (0, 0, n) (+K_n) and family 1
+    at (n, 0, 0) (-K_n) pin those four pairs independently of the unit sum
+    both read."""
     graphs = [g for n in range(9) for g in complete_switching_classes(n)]
     closed = {}
     for n in (9, 10):
@@ -681,3 +683,51 @@ def test_unpaired_colour_split_past_brute_force():
             for k in (0, 1):  # even, odd
                 split = sum(evaluate(rest[k], x - y, 0) * c for rest, c in zip(rests, chi))
                 assert split == evaluate(whole[k], x, y), (g, x, y, k)
+
+
+def test_reciprocity_signs():
+    """(-1)^n P(-t) > 0 for t = 1, 2, 3 in both univariate constituents
+    (Zaslavsky, Discrete Math. 1982; Beck and Zaslavsky, Adv. Math. 2006),
+    on every labelled signed graph of at most 4 vertices, 3,000 seeded ones
+    of 5 and one graph of every switching class of signed K_n, n <= 7, all
+    in one `chromatic_pairs` batch: the tally and the partition route at
+    y = 0 both answer."""
+    rng = random.Random(97)
+    slots = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    graphs = [g for n in range(5) for g in all_signed_graphs(n)]
+    for _ in range(3000):
+        signs = rng.choices((0, 1, -1), k=len(slots))
+        graphs.append(SignedGraph(5, tuple((u, v, s) for (u, v), s in zip(slots, signs) if s)))
+    graphs += [g for n in range(8) for g in complete_switching_classes(n)]
+    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+    for g, pair in zip(graphs, chromatic_pairs(graphs)):
+        for t in (1, 2, 3):
+            for poly in pair:
+                assert (-1) ** g.n * evaluate(poly, -t, 0) > 0, (g, t)
+
+
+def test_cut_vertex_product_past_brute_force():
+    """x E(G) = E(G1) E(G2) in the even univariate constituent E when G is
+    G1 and G2 glued at one vertex: from an even-type colour set, negation
+    and permutations of the colour pairs take any colour to any other, so
+    each colour of the glued vertex extends to E(Gi) / x colourings of each
+    part.  (Colour 0 is apart in the odd constituent, and there the
+    relation fails.)  On seeded gluings of 5 to 15 vertices, G1 a random
+    signed K_n in half of them, so that the partition route is checked
+    against the tally of G."""
+    rng = random.Random(61)
+    triples = []
+    for k in range(32):
+        n1, n2 = rng.randrange(3, 9), rng.randrange(3, 9)
+        if k % 2:
+            g1 = random_signed_complete(rng, n1)
+        else:
+            g1 = random_signed_graph(rng, n1, rng.randrange(n1 - 1, 2 * n1))
+        g2 = random_signed_graph(rng, n2, rng.randrange(n2 - 1, 2 * n2))
+        triples.append((glue(g1, g2, rng.randrange(n1), rng.randrange(n2)), g1, g2))
+    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
+    pairs = chromatic_pairs([h for triple in triples for h in triple])
+    for k, triple in enumerate(triples):
+        whole, one, two = pairs[3 * k:3 * k + 3]
+        assert XB * whole.even == one.even * two.even, triple
+        assert not whole.even.is_zero()
