@@ -92,10 +92,10 @@ MAX_PEEL_N = 41                 # vertices bivariate_pair peels: a threshold cod
 # skeleton (vertex count and edge steps) differ only in chord signs, and
 # `_walk` tallies them in one depth-first walk of the trie of their sorted
 # sign ints (`_signs`).  Each graph of a batch still goes through the
-# one-argument `chromatic_pair` and the cached `_subset_tally`, which runs the
-# batch's walk, held in the context variable `_batch`, on to that graph, past
-# any graph the cache answered: so its share of the DP runs inside its own
-# call, and batches in other threads each see their own walk.
+# one-argument `chromatic_pair` and `_subset_tally`, which takes the next
+# entry of the batch's walk, held in the context variable `_batch`: so its
+# share of the DP runs inside its own call, and batches in other threads
+# each see their own walk.
 # `chromatic_pairs` resets it in a `finally`.
 #
 # A step's move, its edge skipped and taken, each then forgotten, is a pure
@@ -390,7 +390,7 @@ def _digits(states: dict, width: int) -> list[dict[int, int]]:
     return out
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=0)
 def _subset_tally(g: SignedGraph, univariate: bool) -> tuple[int, dict[int, int], dict[int, int]]:
     """g's frontier tally, the signed count of its edge subsets: (isolated
     vertices, {slot: count} of the subsets without an unbalanced component,
@@ -398,22 +398,23 @@ def _subset_tally(g: SignedGraph, univariate: bool) -> tuple[int, dict[int, int]
     with an edge (see above); counts that cancel to 0 are left out.  With
     `univariate` the tally runs switched, so p is 0.
 
-    Inside `chromatic_pairs` a univariate tally is the batch's walk, run on
-    to g past any graph the cache answered, else a walk of g's one sign
-    vector.  Refuses past MAX_FRONTIER_ENTRIES live entries, one per state
-    and one per W-bit slot of its count, on the one layer each step leaves:
-    a 3x30 grid peaks at 428 entries, 5 of them states.  Cached; the
-    benchmark's tracer reads its `cache_info()` around every pair call.
+    Inside `chromatic_pairs` a univariate tally is the next entry of the
+    batch's walk, else a walk of g's one sign vector.  Refuses past
+    MAX_FRONTIER_ENTRIES live entries, one per state and one per W-bit slot
+    of its count, on the one layer each step leaves: a 3x30 grid peaks at
+    428 entries, 5 of them states.  The `lru_cache` stores nothing: the
+    benchmark's tracer reads its `cache_info()`, whose misses count every
+    tally, around every pair call.
     """
     walk = _batch.get() if univariate else None
     if walk is None:
         covered, skeleton, masks = _numbering(g.n, g.edges, univariate)
         (states,) = _walk(skeleton, univariate, [_signs(g, masks)])
-        walk = [(g, covered, states)]
-    for h, covered, states in walk:
-        if h is g:
-            return (g.n - covered, *_digits(states, g.m + 2))
-    raise RuntimeError("a batch's graphs must be asked for in the order of its walk")
+    else:
+        h, covered, states = next(walk, (None, 0, None))
+        if h is not g:
+            raise RuntimeError("a batch's graphs must be asked for in the order of its walk")
+    return (g.n - covered, *_digits(states, g.m + 2))
 
 
 def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:

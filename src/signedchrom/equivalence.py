@@ -153,16 +153,15 @@ def _search(
     return found
 
 
-def _check_search_size(g1: SignedGraph, g2: SignedGraph, what: str) -> None:
-    if max(g1.n, g2.n) > MAX_SEARCH_VERTICES:
-        raise BudgetExceededError(f"{what} search limited to {MAX_SEARCH_VERTICES} vertices")
-
-
 def _find(
     g1: SignedGraph, g2: SignedGraph, switching: bool
 ) -> tuple[frozenset[int], tuple[int, ...]] | None:
     """The first (X, perm) of a search between g1 and g2, or None; graphs
-    that differ in size or in their sorted labels are not searched."""
+    that differ in size or in their sorted labels are not searched.  Refuses
+    either graph past MAX_SEARCH_VERTICES, even when the sizes differ."""
+    if max(g1.n, g2.n) > MAX_SEARCH_VERTICES:
+        what = "switching-isomorphism" if switching else "isomorphism"
+        raise BudgetExceededError(f"{what} search limited to {MAX_SEARCH_VERTICES} vertices")
     if g1.n != g2.n or g1.m != g2.m:
         return None
     lab1, lab2 = _labels(g1, switching), _labels(g2, switching)
@@ -177,7 +176,6 @@ def find_isomorphism(g1: SignedGraph, g2: SignedGraph) -> tuple[int, ...] | None
     """A sign-preserving vertex bijection perm, taking each edge (u, v, s) of
     g1 to the edge (perm[u], perm[v], s) of g2, or None.  Graphs that differ
     in size or in their sorted `_labels` are not searched."""
-    _check_search_size(g1, g2, "isomorphism")
     found = _find(g1, g2, False)
     return found[1] if found else None
 
@@ -245,7 +243,6 @@ def find_switching_isomorphism(
     (degree, negative triangles through the vertex); graphs whose sorted
     labels differ are not searched.
     """
-    _check_search_size(g1, g2, "switching-isomorphism")
     return _find(g1, g2, True)
 
 
@@ -280,7 +277,6 @@ def non_switching_isomorphism_certificate(g1: SignedGraph, g2: SignedGraph) -> d
     switching complemented on each component whose representative it holds,
     so a sorted subset of the free vertices.
     """
-    _check_search_size(g1, g2, "isomorphism")
     found = find_switching_isomorphism(g1, g2)
     if found is None:
         free = free_switching_vertices(g2)

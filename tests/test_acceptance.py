@@ -237,6 +237,22 @@ def test_c09_conjecture_verification_desk_scale():
     print("ACCEPTANCE 9 (conjectures at scales 6/8/6): PASS")
 
 
+def test_c09_complete_graph_conjectures_at_stretch_scale():
+    """Both complete-graph verifiers pass at their cap, n = 7: the even
+    bivariate polynomial separates the 1,044 iso classes of signed K_7
+    (A000088), and the chromatic pair its 54 switching classes (A002854)."""
+    r1 = verify_conj_complete_bivariate(7)
+    assert r1["status"] == "pass", r1["details"]
+    assert [r1["details"]["class_counts"][str(n)] for n in range(8)] == [
+        1, 1, 2, 4, 11, 34, 156, 1044
+    ]
+    r2 = verify_conj_cochromatic_complete(7)
+    assert r2["status"] == "pass", r2["details"]
+    assert [r2["details"]["classes_checked"][str(n)] for n in range(8)] == [
+        1, 1, 1, 2, 3, 7, 16, 54
+    ]
+
+
 def test_c10_cochromatic_rediscovery():
     """Criterion 10: the gem search finds exactly the published co-chromatic pair."""
     gem = all_positive(fixture("G1"))

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     ISOLATED,
@@ -122,7 +122,6 @@ def test_chromatic_pair_budget(monkeypatch):
     assert bivariate_pair(complete_graph(11, -1)) == chromatic.threshold_step(-1, k10)
     expected = bivariate_pair(fixture("petersen"))
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 93)
-    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     with pytest.raises(BudgetExceededError, match="94 frontier entries"):
         bivariate_pair(fixture("petersen"))
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 94)
@@ -313,6 +312,28 @@ def test_peel_entry_matches_vertex_roles():
     assert checked == 1 + 2 * 3 + 3 * 3**3 + 4 * 3**6
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from((-1, 0, 1)), min_size=13, max_size=chromatic.MAX_PEEL_N - 1),
+       st.data())
+def test_threshold_codes_past_the_verifier(code, data):
+    """A spot check of lemma L past the verifier's 12 entries, evidence and
+    not a verdict: on codes of 13 to 40 entries, the peel of the relabelled
+    threshold graph equals the fold of `threshold_step` from K_1; every
+    prefix's even polynomial has (-1)^n E(-1, 1) >= 1, n its vertex count;
+    and both halves of the whole pair at y = 0 keep Zaslavsky's reciprocity
+    signs, (-1)^n P(-t) > 0 for t = 1, 2, 3."""
+    pair = BivariatePair(XB, XB)
+    for n, a in enumerate([None, *code], 1):
+        if a is not None:
+            pair = chromatic.threshold_step(a, pair)
+        assert (-1) ** n * evaluate(pair.even, -1, 1) >= 1, (code[:n - 1], n)
+    perm = data.draw(st.permutations(range(n)))
+    assert bivariate_pair(relabel(threshold_graph(code), perm)) == pair
+    for t in (1, 2, 3):
+        for poly in pair:
+            assert (-1) ** n * evaluate(poly, -t, 0) > 0, (code, t)
+
+
 def test_oracle_equivalence_small_family():
     """Subset expansion agrees with brute-force counts on all 3-vertex graphs."""
     for g in all_signed_graphs(3):
@@ -359,7 +380,7 @@ def test_fastpath_matches_subset_expansion_k6_switching_classes():
 def test_pair_functions_route_complete_graphs_to_partitions():
     """Signed K_n never reach the subset tally; other graphs do, once per
     pair function: the univariate tally runs switched and without the
-    has-negative bit, so it is cached apart from the bivariate one."""
+    has-negative bit, so the two pair functions tally it apart."""
     k6 = SignedGraph(6, tuple(
         (u, v, -1 if (u + v) % 3 == 0 else 1) for u in range(6) for v in range(u + 1, 6)
     ))
@@ -625,6 +646,25 @@ def test_production_routes_match_brute_force(g, data):
         assert pair == interpolated_pair(h)
 
 
+def _free_edges(g: SignedGraph) -> list:
+    """The edges of g whose ends have no common neighbour."""
+    near = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        near[u].add(v)
+        near[v].add(u)
+    return [(u, v, s) for u, v, s in g.edges if not near[u] & near[v]]
+
+
+def _deletion_contraction_triple(g: SignedGraph, e) -> tuple:
+    """(G, G - e, G / e) for a free edge e of g, made positive first by
+    switching one of its ends if it is negative, which keeps the pair."""
+    u, v, s = e
+    if s < 0:
+        g = switch(g, [u])
+    deleted = SignedGraph(g.n, tuple(f for f in g.edges if f[:2] != (u, v)))
+    return g, deleted, contract(g, (u, v, 1))
+
+
 def test_deletion_contraction_past_brute_force():
     """P(G) = P(G - e) - P(G / e) in both univariate constituents for a
     positive edge e whose ends have no common neighbour, on seeded signed
@@ -637,22 +677,11 @@ def test_deletion_contraction_past_brute_force():
     while len(triples) < 30:
         n = rng.randrange(8, 15)
         g = random_signed_graph(rng, n, rng.randrange(n, n + 9))
-        near = [set() for _ in range(n)]
-        for u, v, _ in g.edges:
-            near[u].add(v)
-            near[v].add(u)
-        free = [(u, v, s) for u, v, s in g.edges if not near[u] & near[v]]
-        if not free:
-            continue
-        u, v, s = rng.choice(free)
-        if s < 0:
-            g = switch(g, [u])
-        deleted = SignedGraph(g.n, tuple(e for e in g.edges if e[:2] != (u, v)))
-        triples += [(g, deleted, contract(g, (u, v, 1)))]
+        free = _free_edges(g)
+        if free:
+            triples.append(_deletion_contraction_triple(g, rng.choice(free)))
     graphs = [h for triple in triples for h in triple]
-    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     batched = chromatic_pairs(graphs)
-    chromatic._subset_tally.cache_clear()
     for pairs in (batched, [chromatic_pair(h) for h in graphs]):
         for k, triple in enumerate(triples):
             whole, minus, merged = pairs[3 * k:3 * k + 3]
@@ -674,7 +703,6 @@ def test_unpaired_colour_split_past_brute_force():
         n = rng.randrange(7, 11)
         g = random_signed_graph(rng, n, rng.randrange(n, 2 * n + 1))
         subsets = [{v for v in range(n) if mask >> v & 1} for mask in range(1 << n)]
-        chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
         rests = chromatic_pairs([induced(g, set(range(n)) - s) for s in subsets])
         parts = chromatic_pairs([positive_part(induced(g, s)) for s in subsets])
         whole = bivariate_pair(g)
@@ -699,7 +727,6 @@ def test_reciprocity_signs():
         signs = rng.choices((0, 1, -1), k=len(slots))
         graphs.append(SignedGraph(5, tuple((u, v, s) for (u, v), s in zip(slots, signs) if s)))
     graphs += [g for n in range(8) for g in complete_switching_classes(n)]
-    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     for g, pair in zip(graphs, chromatic_pairs(graphs)):
         for t in (1, 2, 3):
             for poly in pair:
@@ -725,9 +752,52 @@ def test_cut_vertex_product_past_brute_force():
             g1 = random_signed_graph(rng, n1, rng.randrange(n1 - 1, 2 * n1))
         g2 = random_signed_graph(rng, n2, rng.randrange(n2 - 1, 2 * n2))
         triples.append((glue(g1, g2, rng.randrange(n1), rng.randrange(n2)), g1, g2))
-    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     pairs = chromatic_pairs([h for triple in triples for h in triple])
     for k, triple in enumerate(triples):
         whole, one, two = pairs[3 * k:3 * k + 3]
         assert XB * whole.even == one.even * two.even, triple
         assert not whole.even.is_zero()
+
+
+@st.composite
+def sparse_signed_graphs(draw, n, chords):
+    """A signed graph on n vertices: a random spanning tree, each vertex
+    after the first hung from an earlier one, plus at most `chords` other
+    edges, with random signs, relabelled at random."""
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - set(pairs))
+    if others:
+        pairs += draw(st.lists(st.sampled_from(others), max_size=chords, unique=True))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs), max_size=len(pairs)))
+    g = SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(pairs, signs)))
+    return relabel(g, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(16, 24).flatmap(lambda n: sparse_signed_graphs(n, 6)), st.data())
+def test_deletion_contraction_on_sparse_graphs(g, data):
+    """P(G) = P(G - e) - P(G / e) in both univariate constituents on a
+    sparse signed graph of 16 to 24 vertices, a spanning tree plus at most
+    6 chords, for a positive edge e whose ends have no common neighbour (a
+    negative one is made positive by switching one of its ends)."""
+    free = _free_edges(g)
+    assume(free)
+    triple = _deletion_contraction_triple(g, data.draw(st.sampled_from(free)))
+    whole, minus, merged = chromatic_pairs(list(triple))
+    assert whole.even == minus.even - merged.even
+    assert whole.odd == minus.odd - merged.odd
+    assert not merged.even.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(16, 24).flatmap(lambda n: st.integers(2, n - 1).map(lambda n1: (n1, n + 1 - n1))),
+       st.data())
+def test_cut_vertex_product_on_sparse_graphs(sizes, data):
+    """x E(G) = E(G1) E(G2) in the even univariate constituent when G, of
+    16 to 24 vertices, is G1 and G2 glued at one vertex, each part a
+    spanning tree plus at most 3 chords."""
+    g1, g2 = (data.draw(sparse_signed_graphs(n, 3)) for n in sizes)
+    v1, v2 = (data.draw(st.integers(0, h.n - 1)) for h in (g1, g2))
+    whole, one, two = chromatic_pairs([glue(g1, g2, v1, v2), g1, g2])
+    assert XB * whole.even == one.even * two.even
+    assert not whole.even.is_zero()

@@ -495,7 +495,6 @@ def test_search_cochromatic_subset_budget_refusal(capsys, monkeypatch):
     """A pair refused by the frontier tally's budget inside the search: the
     Petersen classes peak at 94 to 160 live entries."""
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 93)
-    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     code, out, err = run(capsys, "search-cochromatic", "--underlying", "petersen")
     assert code == 2
     assert out == ""

@@ -137,7 +137,7 @@ def as_table(n: int, univariate: bool, tally) -> dict[tuple[int, int, int], int]
 
 def frontier_tally(n: int, edges, univariate: bool = False) -> dict[tuple[int, int, int], int]:
     """The frontier tally of SignedGraph(n, edges) as a (p, b, u) table,
-    computed past the cache."""
+    not counted in `cache_info()`."""
     g = SignedGraph(n, edges)
     return as_table(n, univariate, chromatic._subset_tally.__wrapped__(g, univariate))
 
@@ -274,12 +274,10 @@ def unlabelled_graphs(max_n: int):
 
 
 def one_by_one(graphs) -> list:
-    chromatic._subset_tally.cache_clear()
     return [chromatic_pair(g) for g in graphs]
 
 
 def shared(graphs) -> list:
-    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     pairs = chromatic_pairs(graphs)
     assert chromatic._batch.get() is None
     return pairs
@@ -315,7 +313,6 @@ def test_budget_refusal_mid_batch_keeps_no_layers(monkeypatch):
     expected = one_by_one(graphs)
     walks, kept = watch_walks(monkeypatch)
     monkeypatch.setattr(chromatic, "MAX_FRONTIER_ENTRIES", 159)
-    chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
     with pytest.raises(BudgetExceededError, match="frontier entries"):
         chromatic_pairs(graphs)
     assert chromatic._batch.get() is None
@@ -513,9 +510,9 @@ def test_repeated_graphs_resume_after_the_last_step(monkeypatch):
     """Equal sign vectors share every layer, so a graph that comes again
     resumes after its last step and costs no DP step: a batch with
     repeats, a switched copy included, takes as many steps as the batch of
-    its distinct classes, and gets the one-by-one pairs.  The cache answers
-    the repeats of an equal graph, which the walk then passes; the switched
-    copy is another graph with the same signs, so the walk tallies it."""
+    its distinct classes, and gets the one-by-one pairs.  Each repeat, an
+    equal graph or the switched copy (another graph with the same signs),
+    is its own entry of the walk."""
     petersen = switching_classes(fixture("petersen"))
     g, h = petersen[1], petersen[4]
     copy = switch(g, [2, 5])
@@ -532,9 +529,9 @@ def test_repeated_graphs_resume_after_the_last_step(monkeypatch):
 
 
 def test_a_batch_refuses_a_graph_its_walk_has_passed(monkeypatch):
-    """Inside `chromatic_pairs`, `chromatic_pair(g)` runs the batch's walk
-    on to g, past the graphs the cache answered: a graph the walk has
-    already passed is refused, and the batch's context is reset."""
+    """Inside `chromatic_pairs`, `chromatic_pair(g)` takes the next entry
+    of the batch's walk: a graph that is not that entry is refused, and the
+    batch's context is reset."""
     walk = chromatic._batch_walk
 
     def rotated(graphs, batch):
@@ -542,7 +539,6 @@ def test_a_batch_refuses_a_graph_its_walk_has_passed(monkeypatch):
         return iter(items[1:] + items[:1])
 
     monkeypatch.setattr(chromatic, "_batch_walk", rotated)
-    chromatic._subset_tally.cache_clear()  # a cached table would skip the walk
     with pytest.raises(RuntimeError, match="order of its walk"):
         chromatic_pairs(switching_classes(fixture("G1"))[:3])
     assert chromatic._batch.get() is None
@@ -550,16 +546,17 @@ def test_a_batch_refuses_a_graph_its_walk_has_passed(monkeypatch):
 
 def test_each_tally_of_a_batch_is_a_cache_miss():
     """The benchmark's tracer reads the tally work of each pair call off
-    `_subset_tally.cache_info()`: in a shuffled batch each distinct graph
-    that takes the tally is one miss and each repeat one hit, while signed
-    K_n are neither; the pairs are the one-by-one pairs."""
+    `_subset_tally.cache_info()`: in a shuffled batch each graph that takes
+    the tally, repeats too, is one miss, while signed K_n are neither; no
+    tally is ever a hit and the cache holds nothing; the pairs are the
+    one-by-one pairs."""
     graphs = switching_classes(fixture("petersen"))
     batch = shuffled(graphs + graphs[:3] + [complete_graph(5, -1)], 19)
     expected = one_by_one(batch)
     chromatic._subset_tally.cache_clear()
     assert chromatic_pairs(batch) == expected
     info = chromatic._subset_tally.cache_info()
-    assert (info.misses, info.hits) == (len(graphs), 3)
+    assert (info.misses, info.hits, info.currsize) == (len(graphs) + 3, 0, 0)
 
 
 def test_traced_search_records_the_tally_work_of_each_pair(capsys):
@@ -614,7 +611,6 @@ def test_chromatic_pairs_in_concurrent_threads():
     def run(seed):
         for k in range(3):
             order = shuffled(range(len(graphs)), 10 * seed + k)
-            chromatic._subset_tally.cache_clear()  # a cached table would skip the tally
             try:
                 pairs = chromatic_pairs([graphs[i] for i in order])
                 results.append(pairs == [expected[i] for i in order])
@@ -673,7 +669,6 @@ def test_move_memo_is_sound_across_modes_batches_and_threads(monkeypatch):
         order = shuffled(jobs, seed)
         for start in range(0, len(order), 8):
             batch = order[start:start + 8]
-            tally.cache_clear()  # a cached table would skip the tally
             walked = [g for g, univariate in batch if univariate]
             for g, pair in zip(walked, chromatic_pairs(walked)):
                 if pair != univariate_pairs[g.n, g.edges]:
@@ -718,7 +713,6 @@ def test_packed_counts_fit_their_slots():
     table on no vertices, isolated vertices and a disconnected graph."""
     signed_k7 = [complete_graph(7, 1), complete_graph(7, -1)]
     for g in switching_classes(complete_graph(6, 1)) + signed_k7:
-        chromatic._subset_tally.cache_clear()
         assert _subset_bivariate_pair(g) == complete_bivariate_pair(g), g
         assert _subset_chromatic_pair(g) == complete_chromatic_pair(g), g
     for g in (

@@ -169,7 +169,7 @@ def test_certificate_refuses_more_than_12_vertices():
     for g1, g2 in ((big, big), (big, small), (small, big)):
         with pytest.raises(BudgetExceededError) as refusal:
             non_switching_isomorphism_certificate(g1, g2)
-        assert str(refusal.value) == "isomorphism search limited to 12 vertices"
+        assert str(refusal.value) == "switching-isomorphism search limited to 12 vertices"
 
 
 def test_search_cochromatic_matches_the_oracle_certificate(monkeypatch):
