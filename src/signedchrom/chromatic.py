@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, SignedChromError
 from .graphs import SignedGraph, delete_vertex
-from .poly import BiPoly, BivariatePair, ChromaticPair, falling_product
+from .poly import BiPoly, BivariatePair, ChromaticPair, falling_product, weighted_sum
 
 MAX_FRONTIER_ENTRIES = 1 << 17  # live states plus the W-bit slots of their packed counts
 MAX_MOVES = 1 << 14             # fused step moves the process memoises
@@ -374,29 +374,25 @@ def _walk(skeleton, univariate: bool, sign_vectors) -> Iterator[dict]:
         start = min(keep, len(layers) - 1)
 
 
-def _digits(states: dict, width: int) -> list[dict[int, int]]:
-    """For u = 0 and u = 1, {slot: digit} of the sum of the packed counts of
-    the states with that u (still at most 2^|E| subsets per slot): each
-    nonzero balanced digit, read off by shifts once every slot gains half."""
-    sums = [0, 0]
-    for state, count in states.items():
-        sums[state[-1]] += count
+def _digits(count: int, width: int) -> dict[int, int]:
+    """{slot: digit} of the nonzero digits of a packed int of balanced
+    `width`-bit digits, each of absolute value below 2^(width - 1): read off
+    by shifts once every slot gains half."""
     half, mask = 1 << width - 1, (1 << width) - 1
-    out = []
-    for count in sums:
-        slots = count.bit_length() // width + 1
-        count += half * (((1 << width * slots) - 1) // mask)
-        out.append({k: v for k in range(slots) if (v := (count >> width * k & mask) - half)})
-    return out
+    slots = count.bit_length() // width + 1
+    count += half * (((1 << width * slots) - 1) // mask)
+    return {k: v for k in range(slots) if (v := (count >> width * k & mask) - half)}
 
 
 @functools.lru_cache(maxsize=0)
 def _subset_tally(g: SignedGraph, univariate: bool) -> tuple[int, dict[int, int], dict[int, int]]:
     """g's frontier tally, the signed count of its edge subsets: (isolated
     vertices, {slot: count} of the subsets without an unbalanced component,
-    the same of those with one), slot p + (b - p) * stride over the vertices
-    with an edge (see above); counts that cancel to 0 are left out.  With
-    `univariate` the tally runs switched, so p is 0.
+    the same of all subsets), slot p + (b - p) * stride over the vertices
+    with an edge (see above); counts that cancel to 0 are left out.  The
+    packed counts of the states add slot by slot, and no sum of at most
+    2^|E| subsets reaches half a slot.  With `univariate` the tally runs
+    switched, so p is 0.
 
     Inside `chromatic_pairs` a univariate tally is the next entry of the
     batch's walk, else a walk of g's one sign vector.  Refuses past
@@ -414,7 +410,8 @@ def _subset_tally(g: SignedGraph, univariate: bool) -> tuple[int, dict[int, int]
         h, covered, states = next(walk, (None, 0, None))
         if h is not g:
             raise RuntimeError("a batch's graphs must be asked for in the order of its walk")
-    return (g.n - covered, *_digits(states, g.m + 2))
+    even = sum(count for state, count in states.items() if not state[-1])
+    return g.n - covered, _digits(even, g.m + 2), _digits(sum(states.values()), g.m + 2)
 
 
 def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:
@@ -424,11 +421,8 @@ def _subset_chromatic_pair(g: SignedGraph) -> ChromaticPair:
     keeps only subsets with every component balanced (delta = 0 with 0^0 = 1),
     the odd one keeps all of them (delta = 1).
     """
-    iso, balanced, unbalanced = _subset_tally(g, True)
-    even = {(k + iso, 0): v for k, v in balanced.items()}
-    odd = {(k + iso, 0): c for k in balanced.keys() | unbalanced.keys()
-           if (c := balanced.get(k, 0) + unbalanced.get(k, 0))}
-    return ChromaticPair(BiPoly._trusted(even), BiPoly._trusted(odd))
+    iso, *tally = _subset_tally(g, True)
+    return ChromaticPair(*(BiPoly._trusted({(k + iso, 0): v for k, v in t.items()}) for t in tally))
 
 
 def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
@@ -438,19 +432,19 @@ def _subset_bivariate_pair(g: SignedGraph) -> BivariatePair:
     handled as in _subset_chromatic_pair.
     """
     iso, *tally = _subset_tally(g, False)
-    even: dict[tuple[int, int], int] = {}
-    odd: dict[tuple[int, int], int] = {}
-    for u, slots in enumerate(tally):
-        for k, cnt in slots.items():
-            w, b = divmod(k, g.n + 1)  # b - p and p, then b
-            b += w + iso
-            for j in range(w + 1):
-                co = cnt * math.comb(w, j) * (-1 if j & 1 else 1)
-                key = (b - j, j)
-                odd[key] = odd.get(key, 0) + co
-                if not u:
-                    even[key] = even.get(key, 0) + co
-    return BivariatePair(BiPoly(even), BiPoly(odd))
+
+    def basis(k: int) -> BiPoly:
+        w, p = divmod(k, g.n + 1)  # b - p and p
+        return BiPoly({(p + iso, 0): 1}) * _difference_power(w)
+
+    return BivariatePair(*(weighted_sum(t, basis) for t in tally))
+
+
+@functools.lru_cache(maxsize=None)
+def _difference_power(w: int) -> BiPoly:
+    """(x - y)^w; w = b - p is at most graphs.MAX_VERTICES, which bounds
+    the cache."""
+    return (BiPoly.x() - BiPoly.y()) ** w
 
 
 def _complete(g: SignedGraph) -> bool:
@@ -596,20 +590,22 @@ def _dominating_step(entry: int, p: BiPoly, p_x: BiPoly) -> tuple[BiPoly, BiPoly
 # memoised DP over vertex masks, at most 2^n of them: it chooses the unit of
 # the lowest vertex of a mask and recurs on the rest.  The cliques of the
 # negative graph that it lists are memoised per vertex set too.
-# `complete_bivariate_pair` weights the counts by `_complete_basis`, and the
-# univariate pair is that pair at y = 0.
+# `complete_bivariate_pair` weights the counts by `_complete_basis`, and
+# `complete_chromatic_pair` by its value at y = 0.
 #
 # A mask's counts are one packed int, the count of (k, d) in the _UNIT_BITS-bit
 # slot k * (n + 1) + d, so adding a unit is a shift and merging is an add.
-# Counts are non-negative and never reach the next slot: the splits of n
-# vertices number at most Bell(n) partitions times involutions(n) matchings
-# of their blocks, and w_zero sums n of those, so at MAX_PARTITION_N every
-# count is at most 115,975 * 9,496 * 10 < 2^34.
+# Counts are non-negative and stay below 2^34, so `_digits` reads them as
+# balanced digits: the splits of n vertices number at most Bell(n)
+# partitions times involutions(n) matchings of their blocks, and the odd
+# counts w_all + w_zero sum n + 1 of those, so at MAX_PARTITION_N every
+# count is at most 115,975 * 9,496 * 11 < 2^34.
 _UNIT_BITS = 36
 
 
 def _unit_tally(g: SignedGraph) -> tuple[dict, dict]:
-    """(w_all, w_zero) of a signed complete graph, each keyed by (k, d).
+    """(w_all, w_all + w_zero) of a signed complete graph, the even and the
+    odd counts, each keyed by (k, d).
 
     w_all counts the splits of V into k double and d single units (see
     above).  Colour 0 is its own negative, so at most one vertex takes it,
@@ -657,13 +653,11 @@ def _unit_tally(g: SignedGraph) -> tuple[dict, dict]:
             got = unit_memo[mask] = (ones << _UNIT_BITS) + (twos << double)
         return got
 
-    full, slot = (1 << n) - 1, (1 << _UNIT_BITS) - 1
-    packed = units(full), sum(units(full ^ 1 << s) for s in range(n))
-    return tuple(
-        {(k, d): c for k in range(n // 2 + 1) for d in range(n - 2 * k + 1)
-         if (c := w >> (k * (n + 1) + d) * _UNIT_BITS & slot)}
-        for w in packed
-    )
+    full = (1 << n) - 1
+    w_all = units(full)
+    odd = w_all + sum(units(full ^ 1 << s) for s in range(n))
+    return tuple({divmod(slot, n + 1): c for slot, c in _digits(w, _UNIT_BITS).items()}
+                 for w in (w_all, odd))
 
 
 @functools.lru_cache(maxsize=None)
@@ -673,10 +667,14 @@ def _complete_basis(k: int, d: int) -> BiPoly:
     j of the single blocks take.  The k pairs and the other d - j blocks each
     take a pair +-c of the paired colours."""
     y, z = BiPoly.y(), BiPoly.x() - BiPoly.y()
-    s = BiPoly.zero()
-    for j in range(d + 1):
-        s = s + math.comb(d, j) * falling_product(y, 1, j) * falling_product(z, 2, k + d - j)
-    return s
+    return weighted_sum({j: math.comb(d, j) for j in range(d + 1)},
+                        lambda j: falling_product(y, 1, j) * falling_product(z, 2, k + d - j))
+
+
+@functools.lru_cache(maxsize=None)
+def _complete_basis_at_y0(k: int, d: int) -> BiPoly:
+    """`_complete_basis(k, d)` at y = 0."""
+    return _complete_basis(k, d).substitute_y(0)
 
 
 def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
@@ -684,21 +682,15 @@ def complete_bivariate_pair(g: SignedGraph) -> BivariatePair:
     * `_complete_basis(k, d)` summed over the splits that w_all counts for
     the even constituent.  For the odd one, the vertex coloured 0 (if any) is
     a singleton, and the others are coloured from an even-type set of x - 1
-    colours: so the odd constituent adds the same sum over w_zero and is
-    taken at (x - 1, y).  Both sums run term by term into one dict, and each
-    polynomial is built once."""
-    terms: dict[tuple[int, int], int] = {}
-    pair = []
-    for w in _unit_tally(g):
-        for (k, d), cnt in w.items():
-            for key, c in _complete_basis(k, d).items():
-                terms[key] = terms.get(key, 0) + cnt * c
-        pair.append(BiPoly(terms))
-    return BivariatePair(pair[0], pair[1].shifted(-1, 0))
+    colours: so the odd constituent sums the odd counts w_all + w_zero and
+    is taken at (x - 1, y)."""
+    even, odd = (weighted_sum(w, lambda kd: _complete_basis(*kd)) for w in _unit_tally(g))
+    return BivariatePair(even, odd.shifted(-1, 0))
 
 
 def complete_chromatic_pair(g: SignedGraph) -> ChromaticPair:
-    """Univariate pair of a signed complete graph: `complete_bivariate_pair`
-    at y = 0."""
-    even, odd = complete_bivariate_pair(g)
-    return ChromaticPair(even.substitute_y(0), odd.substitute_y(0))
+    """Univariate pair of a signed complete graph: the same unit sums as
+    `complete_bivariate_pair`, over the bases at y = 0, so only the
+    univariate odd sum is shifted."""
+    even, odd = (weighted_sum(w, lambda kd: _complete_basis_at_y0(*kd)) for w in _unit_tally(g))
+    return ChromaticPair(even, odd.shifted(-1, 0))

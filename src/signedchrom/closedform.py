@@ -30,6 +30,7 @@ from .poly import (
     falling_factorial,
     matchings_T,
     stirling2,
+    weighted_sum,
 )
 
 MAX_JOIN_VERTICES = 30  # l + m + n of join_pair; family 2 at 10, 10, 10 takes 0.13-0.26 s
@@ -37,30 +38,19 @@ MAX_IDENTITY_PARAM = 7  # parameter bound of identity_suite; 7 takes 0.6-0.9 s
 
 
 @functools.lru_cache(maxsize=None)
-def _basis(a: int, m: int, b: int) -> BiPoly:
-    """double_falling(a) (x - b)_m, one of the products the family sums weight."""
+def _basis(a: int, b: int, m: int) -> BiPoly:
+    """double_falling(a) (x - b)_m, the product H1 and H3 weight by key
+    (a, b).  The families total their integer weights per key first, so
+    each product is built once however many terms of the sum share it.  H2
+    and H4 have no falling-factorial tail and weight double_falling(a) by
+    key a."""
     return double_falling(a) * falling_factorial(m).shifted(-b, 0)
-
-
-def _weighted_sum(weights: Counter, m: int) -> BiPoly:
-    """Sum of w * _basis(a, m, b) over the weights w by key (a, b).  The
-    families total their integer weights per key first, so each product is
-    built once however many terms of the sum share it.  H2 and H4 have no
-    falling-factorial tail: they key (a, 0) with m = 0, and (x)_0 = 1."""
-    acc = BiPoly.zero()
-    for (a, b), w in weights.items():
-        if w:
-            acc = acc + w * _basis(a, m, b)
-    return acc
 
 
 @functools.lru_cache(maxsize=None)
 def H(n: int) -> BiPoly:
     """Sum of stirling2(n, i) * double_falling(i); zero for n < 0."""
-    acc = BiPoly.zero()
-    for i in range(n + 1):
-        acc = acc + stirling2(n, i) * double_falling(i)
-    return acc
+    return weighted_sum({i: stirling2(n, i) for i in range(n + 1)}, double_falling)
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,7 +68,7 @@ def H1(l: int, m: int, n: int) -> BiPoly:
                 continue
             for k in range(min(i, j) + 1):
                 weights[i + j - k, i + j] += factorial(k) * comb(i, k) * comb(j, k) * si * sj
-    return _weighted_sum(weights, m)
+    return weighted_sum(weights, lambda ab: _basis(*ab, m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,7 +89,7 @@ def H2(l: int, m: int, n: int) -> BiPoly:
                 for s in range(min(i, j) + 1):
                     fs = factorial(s) * comb(i, s) * comb(j, s)
                     for t in range(k + 1):
-                        weights[i + j + k - t - s, 0] += (
+                        weights[i + j + k - t - s] += (
                             fs
                             * comb(k, t)
                             * si
@@ -107,7 +97,7 @@ def H2(l: int, m: int, n: int) -> BiPoly:
                             * sk
                             * perm(i + j - 2 * s, t)
                         )
-    return _weighted_sum(weights, 0)
+    return weighted_sum(weights, double_falling)
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,7 +112,7 @@ def H3(l: int, m: int, n: int) -> BiPoly:
             for k in range((m - i) // 2 + 1):
                 tk = matchings_T(m - i, k)
                 weights[l + m - i - j - k, l + m - i] += fi * tj * tk
-    return _weighted_sum(weights, n)
+    return weighted_sum(weights, lambda ab: _basis(*ab, n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,23 +131,21 @@ def H4(l: int, m: int, n: int) -> BiPoly:
                     if not ss:
                         continue
                     for t in range(s + 1):
-                        weights[l + m + s - i - j - k - t, 0] += (
+                        weights[l + m + s - i - j - k - t] += (
                             fi * tj * tk * ss * comb(s, t)
                             * perm(l + m - i - 2 * j - 2 * k, t)
                         )
-    return _weighted_sum(weights, 0)
+    return weighted_sum(weights, double_falling)
 
 
 _FAMILY = {1: H1, 2: H2, 3: H3, 4: H4}
 
 
 def _hat(h, l: int, m: int, n: int) -> BiPoly:
-    """l*h(l-1,m,n)(x-1) + m*h(l,m-1,n)(x-1) + n*h(l,m,n-1)(x-1)."""
-    acc = BiPoly.zero()
-    for w, args in ((l, (l - 1, m, n)), (m, (l, m - 1, n)), (n, (l, m, n - 1))):
-        if w:
-            acc = acc + w * h(*args).shifted(-1, 0)
-    return acc
+    """l*h(l-1,m,n)(x-1) + m*h(l,m-1,n)(x-1) + n*h(l,m,n-1)(x-1), shifted
+    once as a sum."""
+    weights = {(l - 1, m, n): l, (l, m - 1, n): m, (l, m, n - 1): n}
+    return weighted_sum(weights, lambda args: h(*args)).shifted(-1, 0)
 
 
 def _check_family(family: int, l: int, m: int, n: int) -> None:
@@ -240,9 +228,8 @@ def identity_suite(max_param: int) -> dict:
                  for q in rng for r in rng for tag, h in (("H3", H3), ("H4", H4))
              ),
              (
-                 (f"n={n} T-sum", falling_factorial(n), sum(
-                     (matchings_T(n, j) * double_falling(n - j) for j in range(n // 2 + 1)),
-                     BiPoly.zero(),
+                 (f"n={n} T-sum", falling_factorial(n), weighted_sum(
+                     {n - j: matchings_T(n, j) for j in range(n // 2 + 1)}, double_falling,
                  ))
                  for n in range(2 * max_param + 1)
              ),

@@ -198,6 +198,18 @@ class BivariatePair(NamedTuple):
     odd: BiPoly
 
 
+def weighted_sum(weights, basis) -> BiPoly:
+    """Sum of w * basis(key) over the items (key, w) of the mapping `weights`,
+    skipping w = 0, so no basis polynomial of a zero weight is built: the
+    terms add into one dict, and one polynomial is built at the end."""
+    out: dict[tuple[int, int], int] = {}
+    for key, w in weights.items():
+        if w:
+            for k, c in basis(key)._terms.items():
+                out[k] = out.get(k, 0) + w * c
+    return BiPoly._trusted({k: c for k, c in out.items() if c})
+
+
 # -- combinatorial sequences -------------------------------------------------
 
 

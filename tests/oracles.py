@@ -220,21 +220,20 @@ def induced(g, vertices):
 def contract(g, e):
     """g with the positive edge e = (u, v, 1), u < v, contracted: v merges
     into u, its edges keep their signs, and the vertices above v shift down
-    by one.  The ends must have no common neighbour, so that no two edges
-    become parallel."""
+    by one.  A common neighbour of the ends must be joined to both by edges
+    of one sign; the two become one edge, which forbids the same colours."""
     u, v, s = e
     if s != 1 or e not in g.edges:
         raise SignedChromError(f"{e} is not a positive edge of the graph")
-    near = [{b if a == x else a for a, b, _ in g.edges if x in (a, b)} for x in (u, v)]
-    if near[0] & near[1]:
-        raise SignedChromError(f"the ends of {e} have a common neighbour")
+    near = [{b if a == x else a: t for a, b, t in g.edges if x in (a, b)} for x in (u, v)]
+    if any(near[0][w] != near[1][w] for w in near[0].keys() & near[1].keys()):
+        raise SignedChromError(f"a common neighbour of the ends of {e} is joined to them by two signs")
 
     def image(x):
         return u if x == v else x - (x > v)
 
-    return SignedGraph(g.n - 1, tuple(
-        (image(a), image(b), t) for a, b, t in g.edges if (a, b) != (u, v)
-    ))
+    edges = {tuple(sorted((image(a), image(b)))): t for a, b, t in g.edges if (a, b) != (u, v)}
+    return SignedGraph(g.n - 1, tuple((a, b, t) for (a, b), t in edges.items()))
 
 
 def join(g1, g2, join_sign):

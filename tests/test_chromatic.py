@@ -463,10 +463,11 @@ def matching_counts(adj: list[int]):
 
 
 def oracle_unit_tally(g: SignedGraph) -> tuple[dict, dict]:
-    """(w_all, w_zero) the route this DP replaced computed: every partition
-    of V into negative cliques, times the k-matchings of the complement of
-    its block-conflict graph (blocks joined by a negative edge conflict),
-    with w_zero reading the blocks minus each singleton from the same memo."""
+    """(w_all, w_all + w_zero), the even and odd counts, from w_all and
+    w_zero as the route this DP replaced computed them: every partition of
+    V into negative cliques, times the k-matchings of the complement of its
+    block-conflict graph (blocks joined by a negative edge conflict), with
+    w_zero reading the blocks minus each singleton from the same memo."""
     n = g.n
     neg = [0] * n
     for u, v, s in g.edges:
@@ -498,7 +499,10 @@ def oracle_unit_tally(g: SignedGraph) -> tuple[dict, dict]:
                 for k, cnt in enumerate(matchings(full ^ 1 << s)):
                     if cnt:
                         w_zero[k, r - 1 - 2 * k] = w_zero.get((k, r - 1 - 2 * k), 0) + cnt
-    return w_all, w_zero
+    odd = dict(w_all)
+    for key, cnt in w_zero.items():
+        odd[key] = odd.get(key, 0) + cnt
+    return w_all, odd
 
 
 @functools.cache
@@ -568,18 +572,20 @@ def test_unit_tally_totals_are_known_sequences():
     """On +K_n every block is a singleton and the units are a matching of V,
     so w_all totals the involutions; on -K_n no two blocks may share a
     colour pair, so w_all totals the partitions.  w_zero totals n times the
-    count for n - 1.  Through n = MAX_PARTITION_N."""
+    count for n - 1, so the odd counts w_all + w_zero total that plus the
+    count for n.  Through n = MAX_PARTITION_N."""
     assert len(INVOLUTIONS) == len(BELL) == chromatic.MAX_PARTITION_N + 1
     for n in range(chromatic.MAX_PARTITION_N + 1):
         for sign, seq in ((1, INVOLUTIONS), (-1, BELL)):
-            w_all, w_zero = _unit_tally(complete_graph(n, sign))
-            assert sum(w_all.values()) == seq[n], (n, sign)
-            assert sum(w_zero.values()) == (n * seq[n - 1] if n else 0), (n, sign)
+            even, odd = _unit_tally(complete_graph(n, sign))
+            assert sum(even.values()) == seq[n], (n, sign)
+            assert sum(odd.values()) == seq[n] + (n * seq[n - 1] if n else 0), (n, sign)
 
 
 def test_univariate_pair_is_bivariate_pair_at_y_0():
-    """complete_chromatic_pair reads complete_bivariate_pair at y = 0; it
-    must equal that pair's y = 0 values on every switching class of K_n,
+    """complete_chromatic_pair sums the unit counts over the bases at y = 0
+    and shifts only its univariate odd sum; it must equal
+    complete_bivariate_pair's y = 0 values on every switching class of K_n,
     n <= 8, and on +-K_9 and +-K_10, whose packed unit counts are the
     largest.  The closed forms of family 3 at (0, 0, n) (+K_n) and family 1
     at (n, 0, 0) (-K_n) pin those four pairs independently of the unit sum
@@ -646,18 +652,21 @@ def test_production_routes_match_brute_force(g, data):
         assert pair == interpolated_pair(h)
 
 
-def _free_edges(g: SignedGraph) -> list:
-    """The edges of g whose ends have no common neighbour."""
-    near = [set() for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        near[u].add(v)
-        near[v].add(u)
-    return [(u, v, s) for u, v, s in g.edges if not near[u] & near[v]]
+def _contractible_edges(g: SignedGraph) -> list:
+    """The edges (u, v, s) of g that `contract` takes once s is made
+    positive by switching u: every common neighbour w of the ends has
+    sign(u, w) * sign(v, w) = s."""
+    near: list[dict] = [{} for _ in range(g.n)]
+    for u, v, s in g.edges:
+        near[u][v] = near[v][u] = s
+    return [(u, v, s) for u, v, s in g.edges
+            if all(near[u][w] * near[v][w] == s for w in near[u].keys() & near[v].keys())]
 
 
 def _deletion_contraction_triple(g: SignedGraph, e) -> tuple:
-    """(G, G - e, G / e) for a free edge e of g, made positive first by
-    switching one of its ends if it is negative, which keeps the pair."""
+    """(G, G - e, G / e) for a contractible edge e = (u, v, s) of g, made
+    positive first by switching u if it is negative, which keeps the
+    univariate pair."""
     u, v, s = e
     if s < 0:
         g = switch(g, [u])
@@ -667,19 +676,19 @@ def _deletion_contraction_triple(g: SignedGraph, e) -> tuple:
 
 def test_deletion_contraction_past_brute_force():
     """P(G) = P(G - e) - P(G / e) in both univariate constituents for a
-    positive edge e whose ends have no common neighbour, on seeded signed
-    graphs of 8 to 14 vertices, where brute force cannot follow: once with
-    every pair from one `chromatic_pairs` batch and once from single
-    `chromatic_pair` calls.  A negative e is made positive by switching one
-    of its ends, which keeps the pair."""
+    positive edge e whose ends see each common neighbour with one sign, on
+    seeded signed graphs of 8 to 14 vertices, where brute force cannot
+    follow: once with every pair from one `chromatic_pairs` batch and once
+    from single `chromatic_pair` calls.  A negative e is made positive by
+    switching one of its ends, which keeps the pair."""
     rng = random.Random(59)
     triples = []
     while len(triples) < 30:
         n = rng.randrange(8, 15)
         g = random_signed_graph(rng, n, rng.randrange(n, n + 9))
-        free = _free_edges(g)
-        if free:
-            triples.append(_deletion_contraction_triple(g, rng.choice(free)))
+        edges = _contractible_edges(g)
+        if edges:
+            triples.append(_deletion_contraction_triple(g, rng.choice(edges)))
     graphs = [h for triple in triples for h in triple]
     batched = chromatic_pairs(graphs)
     for pairs in (batched, [chromatic_pair(h) for h in graphs]):
@@ -778,11 +787,11 @@ def sparse_signed_graphs(draw, n, chords):
 def test_deletion_contraction_on_sparse_graphs(g, data):
     """P(G) = P(G - e) - P(G / e) in both univariate constituents on a
     sparse signed graph of 16 to 24 vertices, a spanning tree plus at most
-    6 chords, for a positive edge e whose ends have no common neighbour (a
-    negative one is made positive by switching one of its ends)."""
-    free = _free_edges(g)
-    assume(free)
-    triple = _deletion_contraction_triple(g, data.draw(st.sampled_from(free)))
+    6 chords, for a contractible edge e (a negative one is made positive by
+    switching one of its ends)."""
+    edges = _contractible_edges(g)
+    assume(edges)
+    triple = _deletion_contraction_triple(g, data.draw(st.sampled_from(edges)))
     whole, minus, merged = chromatic_pairs(list(triple))
     assert whole.even == minus.even - merged.even
     assert whole.odd == minus.odd - merged.odd
@@ -797,6 +806,53 @@ def test_cut_vertex_product_on_sparse_graphs(sizes, data):
     16 to 24 vertices, is G1 and G2 glued at one vertex, each part a
     spanning tree plus at most 3 chords."""
     g1, g2 = (data.draw(sparse_signed_graphs(n, 3)) for n in sizes)
+    v1, v2 = (data.draw(st.integers(0, h.n - 1)) for h in (g1, g2))
+    whole, one, two = chromatic_pairs([glue(g1, g2, v1, v2), g1, g2])
+    assert XB * whole.even == one.even * two.even
+    assert not whole.even.is_zero()
+
+
+@st.composite
+def banded_signed_graphs(draw, n, band):
+    """A signed graph on n vertices in which each pair of vertices at most
+    `band` apart is an edge in about four draws of five, of either sign,
+    relabelled at random: dense, yet its frontier stays narrow."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, min(n, u + band + 1))]
+    signs = draw(st.lists(st.sampled_from((1, -1, 1, -1, 0)), min_size=len(pairs),
+                          max_size=len(pairs)))
+    g = SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(pairs, signs) if s))
+    return relabel(g, draw(st.permutations(range(n))))
+
+
+@pytest.mark.parametrize("pairs, top", [
+    (chromatic_pairs, 24),
+    # the bivariate tally's (p, b) slots near the budget from about 24 vertices
+    (lambda graphs: [bivariate_pair(g) for g in graphs], 16),
+], ids=["univariate", "bivariate"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_deletion_contraction_on_banded_graphs(pairs, top, data):
+    """P(G) = P(G - e) - P(G / e) in both constituents of either pair on a
+    banded signed graph of 8 to `top` vertices, for a contractible edge e
+    made positive by switching one of its ends: the switched graph's pairs
+    obey it, the bivariate pair's too, since a positive edge forbids equal
+    colours of either kind."""
+    g = data.draw(st.integers(8, top).flatmap(lambda n: banded_signed_graphs(n, 3)))
+    edges = _contractible_edges(g)
+    assume(edges)
+    whole, minus, merged = pairs(list(_deletion_contraction_triple(g, data.draw(st.sampled_from(edges)))))
+    assert whole.even == minus.even - merged.even
+    assert whole.odd == minus.odd - merged.odd
+    assert not merged.even.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(8, 24).flatmap(lambda n: st.integers(2, n - 1).map(lambda n1: (n1, n + 1 - n1))),
+       st.data())
+def test_cut_vertex_product_on_banded_graphs(sizes, data):
+    """x E(G) = E(G1) E(G2) in the even univariate constituent when G, of
+    8 to 24 vertices, is two banded signed graphs glued at one vertex."""
+    g1, g2 = (data.draw(banded_signed_graphs(n, 3)) for n in sizes)
     v1, v2 = (data.draw(st.integers(0, h.n - 1)) for h in (g1, g2))
     whole, one, two = chromatic_pairs([glue(g1, g2, v1, v2), g1, g2])
     assert XB * whole.even == one.even * two.even

@@ -23,6 +23,7 @@ from signedchrom.poly import (
     matchings_T,
     stirling2,
     unipoly_to_json,
+    weighted_sum,
 )
 
 X, Y = BiPoly.x(), BiPoly.y()
@@ -173,6 +174,40 @@ def test_falling_equals_matching_sum_of_double_fallings():
         for j in range(n // 2 + 1):
             total = total + matchings_T(n, j) * double_falling(n - j)
         assert total == falling_factorial(n)
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(st.integers(0, 5), st.tuples(st.integers(-3, 3), bipolys), max_size=5))
+def test_weighted_sum_is_the_ring_sum(drawn):
+    """weighted_sum is the sum of w * basis(key) by ring operations, zero
+    weights included, and asks the basis only for the keys of nonzero
+    weight."""
+    weights = {key: w for key, (w, _) in drawn.items()}
+    asked = []
+
+    def basis(key):
+        asked.append(key)
+        return drawn[key][1]
+
+    expected = BiPoly.zero()
+    for w, p in drawn.values():
+        expected = expected + w * p
+    assert weighted_sum(weights, basis) == expected
+    assert sorted(asked) == sorted(key for key, w in weights.items() if w)
+
+
+def test_weighted_sum_that_cancels_is_zero():
+    """Terms that cancel leave no zero-valued term behind, and a zero
+    weight's basis is never built."""
+    bases = {"a": X - Y, "b": 2 * X - 2 * Y + X * Y, "c": X * Y}
+
+    def basis(key):
+        if key == "z":
+            raise AssertionError("the basis of a zero weight was built")
+        return bases[key]
+
+    total = weighted_sum({"a": 2, "b": -1, "c": 1, "z": 0}, basis)
+    assert total == BiPoly.zero() and total.is_zero()
 
 
 def test_json_round_trip():

@@ -125,13 +125,17 @@ def _nonzero_sums(items) -> dict:
 
 
 def as_table(n: int, univariate: bool, tally) -> dict[tuple[int, int, int], int]:
-    """A `_subset_tally` result, (isolated vertices, balanced slots,
-    unbalanced slots), as its (p, b, u) table."""
-    iso, *slots = tally
+    """A `_subset_tally` result, (isolated vertices, balanced slots, slots
+    of all subsets), as its (p, b, u) table: the unbalanced slots (u = 1)
+    are the differences."""
+    iso, balanced, every = tally
+    unbalanced = _nonzero_sums(itertools.chain(
+        every.items(), ((k, -v) for k, v in balanced.items())
+    ))
     stride = 1 if univariate else n + 1
     return {
         (iso + k % stride, iso + k % stride + k // stride, u): v
-        for u, counts in enumerate(slots) for k, v in counts.items()
+        for u, counts in enumerate((balanced, unbalanced)) for k, v in counts.items()
     }
 
 
