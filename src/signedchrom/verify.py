@@ -48,6 +48,7 @@ MAX_BIVARIATE_N = 7
 # (OEIS A000088), indexed by n up to MAX_BIVARIATE_N.
 UNLABELLED_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 _EXACT_THRESHOLD_LIMIT = 3  # longer codes are decided by lemma L on their prefixes
+_GRID_VALUES = 3**9  # most values a grid point packs past the split: 118 KB at 48-bit slots
 
 
 def _result(target: str, scale: int | None, details: dict, status: str | None = None) -> dict:
@@ -157,12 +158,13 @@ def verify_conj_cochromatic_complete(n_max: int) -> dict:
 # length exact_to..n_max - 1, which carries distinctness up to n_max.  Any
 # exact_to gives the same verdict; 3 keeps the 3 + 9 + 27 exact steps that the
 # benchmark's threshold checks count.  A zero would leave L open for its code,
-# so it is refused; no code of length <= 11 has one.  The stretch run
-# (n_max = 12) checks lengths 3 to 11 in about 0.012 s, in a CLI process of
-# about 0.09 s and 21 MB on a 2-core machine; the tests check L on the
-# polynomials themselves to length 7.  MAX_THRESHOLD_N stays 12, the scale the
-# threshold12 benchmark workload runs; with the cap raised, the verifier takes
-# 0.04 s at n = 13 and 0.15 s at n = 14, in a process of 34 MB and 77 MB.
+# so it is refused; no code of length <= 13 has one.  The stretch run
+# (n_max = 12) checks lengths 3 to 11 in about 0.009 s, in a CLI process of
+# about 0.09 s and 15.5 MB on a 2-core machine, what importing the CLI takes
+# alone; the tests check L on the polynomials themselves to length 7.
+# MAX_THRESHOLD_N stays 12, the scale the threshold12 benchmark workload runs;
+# with the cap raised, the verifier takes 0.03 s at n = 13 and 0.09 s at
+# n = 14, in a process of 15.6 MB and 16.0 MB.
 #
 # A step of the even recursion reads its parent at (x, y), (x - 1, y - 1) and
 # (x - 1, y + 1).  From (-1, 1) the steps read only the points (-u - v, u - v)
@@ -182,7 +184,7 @@ def verify_conj_cochromatic_complete(n_max: int) -> dict:
 # B(last) = (last + 1) 3^last last! in size: below 2^47 at last = 11, where the
 # largest value met has 35 bits.
 #
-# The grid runs level by level.  A value list is one Python int: slot i, bits
+# A value list is one Python int: slot i, bits
 # [W i, W (i + 1)) with W = _slot_bits(last), holds the value for code index i
 # as a balanced digit, so the int is the sum of value_i 2^(W i).  Sums, small
 # multiples and shifts of such ints act on every slot at once and stay exact,
@@ -196,6 +198,18 @@ def verify_conj_cochromatic_complete(n_max: int) -> dict:
 # kept in the same order.  No code is stored.  The zero test runs part by
 # part, so the last length builds no list longer than its parents' and joins
 # no parts.
+#
+# The grid runs level by level only to the split length b, the least b with
+# 3^(last - b) <= _GRID_VALUES, so b = max(0, last - 9).  Then it runs once
+# per code c of length b, seeded with c's values at the points it still
+# needs, to the last length; slot j of c's run at length d holds the code
+# c + 3^b j.  So no grid point packs more than 3^9 values past the split at
+# any n (118 KB at 48-bit slots, nor before it while n <= 19), and the traced
+# peak of the whole check is about 0.6 MB at n_max = 12 and 1.0 MB at 14,
+# against 5 MB and 61 MB for one grid.  Up to n_max = 10, b is 0 and the one
+# run is the whole grid.  Each run finds its own first zero; the refusal
+# names the shortest code with a zero and, of those, the lowest index, the
+# code one grid would find first.
 
 
 def _slot_bits(last: int) -> int:
@@ -203,6 +217,15 @@ def _slot_bits(last: int) -> int:
     above the bit length of B(last), which bounds every value."""
     bound = (last + 1) * 3**last * math.factorial(last)
     return bound.bit_length() // 8 * 8 + 8
+
+
+def _split_length(last: int) -> int:
+    """The length at which the grid up to length `last` splits into one run
+    per code: the least b with 3^(last - b) <= _GRID_VALUES."""
+    split = 0
+    while 3 ** (last - split) > _GRID_VALUES:
+        split += 1
+    return split
 
 
 def _threshold_code(index: int, length: int) -> tuple[int, ...]:
@@ -214,30 +237,71 @@ def _threshold_code(index: int, length: int) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _threshold_grid(last: int, width: int):
-    """Yield (d, rows) for d = 0..last: rows[u - 1][v] holds the packed values
-    in `width`-bit slots of every code of length d at (-u - v, u - v), for
-    u >= 1 and u + v <= last + 1 - d, as parts of equal size (one at d = 0,
-    else three: part a holds the codes a * 3^(d-1) .. (a + 1) * 3^(d-1) - 1
-    in index order).  rows[0][0] is the point (-1, 1)."""
-    rows = [[[-u - v] for v in range(last + 2 - u)] for u in range(1, last + 2)]
-    for d in range(last + 1):
-        if d:
-            bits = 3 ** (d - 1) // len(rows[0][0]) * width
-            # joined before the step, so the parts are freed before it builds
-            rows = [[sum(p << a * bits for a, p in enumerate(parts)) for parts in row]
-                    for row in rows]
-            child = []
-            for u, (row, below) in enumerate(zip(rows, rows[1:]), 1):
-                points = []
-                for v, right in enumerate(below):
-                    x, y = -u - v, u - v
-                    here, wr = row[v], -2 * u * right
-                    # entries -1, 0, 1 of the recursion, in index order
-                    points.append([y * here + wr, x * here, y * row[v + 1] + wr])
-                child.append(points)
-            rows = child
-        yield d, rows
+def _grid_seed(last: int) -> list:
+    """The grid at length 0 for the lengths up to `last`: rows[u - 1][v] is
+    [-u - v], the value of the empty code's x at (-u - v, u - v), for u >= 1
+    and u + v <= last + 1."""
+    return [[[-u - v] for v in range(last + 2 - u)] for u in range(1, last + 2)]
+
+
+def _threshold_grid(rows: list, width: int):
+    """Step the grid `rows` of one code to the last length, yielding (k,
+    rows) after k = 0, 1, ... steps, until one point is left.  rows[u - 1][v]
+    holds the packed values in `width`-bit slots at (-u - v, u - v), u >= 1,
+    of the 3^k codes that extend the seed's code by k entries, as parts of
+    equal size (the seed's one value, then three: part a holds the
+    extensions a * 3^(k-1) .. (a + 1) * 3^(k-1) - 1 in index order).
+    rows[0][0] is the point (-1, 1)."""
+    k = 0
+    while True:
+        yield k, rows
+        if len(rows) == 1:
+            return
+        bits = 3**k // len(rows[0][0]) * width
+        # joined before the step, so the parts are freed before it builds
+        rows = [[sum(p << a * bits for a, p in enumerate(parts)) for parts in row]
+                for row in rows]
+        child = []
+        for u, (row, below) in enumerate(zip(rows, rows[1:]), 1):
+            points = []
+            for v, right in enumerate(below):
+                x, y = -u - v, u - v
+                here, wr = row[v], -2 * u * right
+                # entries -1, 0, 1 of the recursion, in index order
+                points.append([y * here + wr, x * here, y * row[v + 1] + wr])
+            child.append(points)
+        rows = child
+        k += 1
+
+
+def _unpack(parts: list, count: int, width: int) -> list[int]:
+    """The `count` values in a point's packed parts, in index order: each
+    balanced `width`-bit slot read back once every slot gains 2^(width - 1)."""
+    size, nbytes, half = count // len(parts), width // 8, 1 << (width - 1)
+    top = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    values = []
+    for part in parts:
+        raw = (part + top).to_bytes(size * nbytes, "little")
+        values += [int.from_bytes(raw[i:i + nbytes], "little") - half
+                   for i in range(0, len(raw), nbytes)]
+    return values
+
+
+def _first_zero(parts: list, count: int, width: int, masks: dict) -> int | None:
+    """The index of the first 0 among the `count` values in `parts`, or None.
+    `masks` keeps the test's masks by part size, for the next call."""
+    size = count // len(parts)
+    if size not in masks:
+        ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * size, "little")
+        top = ones << (width - 1)  # 2^(W - 1) in each slot
+        masks[size] = top, top - ones
+    top, low = masks[size]
+    for a, part in enumerate(parts):
+        digits = (part + top) ^ top  # each slot in W-bit two's complement, 0 only for 0
+        zero = top & ~(((digits & low) + low) | digits)  # 2^(W - 1) in the zero slots
+        if zero:
+            return a * size + ((zero & -zero).bit_length() - 1) // width
+    return None
 
 
 def _threshold_clash(length: int, indices, evens) -> dict | None:
@@ -251,24 +315,41 @@ def _threshold_clash(length: int, indices, evens) -> dict | None:
     return {"codes": codes, "even": bipoly_to_json(evens[first[0]])}
 
 
-def _check_lemma_l(length: int, parts: list, width: int) -> None:
-    """Refuse unless every code of `length` has a nonzero value at (-1, 1) in
-    `parts`, packed in `width`-bit slots as _threshold_grid yields them.  A
-    nonzero value proves L for its code by fact (e); a zero leaves L open."""
-    size = 3**length // len(parts)
-    ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * size, "little")
-    top = ones << (width - 1)  # 2^(W - 1) in each slot
-    low = top - ones
-    for a, part in enumerate(parts):
-        digits = (part + top) ^ top  # each slot in W-bit two's complement, 0 only for 0
-        zero = top & ~(((digits & low) + low) | digits)  # 2^(W - 1) in the zero slots
-        if zero:
-            index = a * size + ((zero & -zero).bit_length() - 1) // width
-            code = list(_threshold_code(index, length))
-            raise SignedChromError(
-                f"lemma L is undecided for threshold code {code}: P(-1, 1) = 0,"
-                f" so the longer codes cannot be decoded"
-            )
+def _undecided(length: int, index: int) -> SignedChromError:
+    code = list(_threshold_code(index, length))
+    return SignedChromError(
+        f"lemma L is undecided for threshold code {code}: P(-1, 1) = 0,"
+        f" so the longer codes cannot be decoded"
+    )
+
+
+def _check_lemma_l(first: int, last: int) -> None:
+    """Refuse unless every code of length first..last has a nonzero value at
+    (-1, 1).  A nonzero value proves L for its code by fact (e); a zero
+    leaves L open, and the refusal names the shortest such code of lowest
+    index.  The grid runs whole to the split length b, then once per code c
+    of length b: slot j of c's run at length d holds the code c + 3^b j."""
+    width, split, masks = _slot_bits(last), _split_length(last), {}
+    for d, rows in _threshold_grid(_grid_seed(last), width):
+        index = _first_zero(rows[0][0], 3**d, width, masks) if d >= first else None
+        if index is not None:
+            raise _undecided(d, index)
+        if d == split:
+            break
+    seeds = [[_unpack(parts, 3**split, width) for parts in row] for row in rows]
+    del rows
+    zeros = []  # (length, index) of the first zero of each run that has one
+    for prefix in range(3**split):
+        seed = [[[values[prefix]] for values in row] for row in seeds]
+        for k, rows in _threshold_grid(seed, width):
+            d = split + k
+            index = _first_zero(rows[0][0], 3**k, width, masks) if k and d >= first else None
+            del rows  # so the next length's step can free them
+            if index is not None:
+                zeros.append((d, prefix + 3**split * index))
+                break
+    if zeros:
+        raise _undecided(*min(zeros))
 
 
 def _exact_threshold_scan(exact_to: int, checked: dict) -> dict | None:
@@ -303,11 +384,7 @@ def verify_conj_threshold(n_max: int) -> dict:
     if n_max > exact_to:
         method["fingerprint_from"] = exact_to + 1  # the first length the grid decides
         if bad is None:
-            width = _slot_bits(n_max - 1)
-            for d, rows in _threshold_grid(n_max - 1, width):
-                if d >= exact_to:
-                    _check_lemma_l(d, rows[0][0], width)
-                del rows  # so the next length's step can free them
+            _check_lemma_l(exact_to, n_max - 1)
             checked.update((str(d), 3**d) for d in range(exact_to + 1, n_max + 1))
     details: dict = {"codes_checked": checked, "method": method}
     if bad is not None:
@@ -422,5 +499,5 @@ def reproduce_tables() -> dict:
     for entry, count in zip(checks, class_counts):  # the tables are the first rows
         entry["classes"] = count
 
-    status ="pass" if all(c["status"] == "pass" for c in checks) else "counterexample"
+    status = "pass" if all(c["status"] == "pass" for c in checks) else "counterexample"
     return _result("reproduce-tables", None, {"checks": checks}, status)

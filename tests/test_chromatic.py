@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 import random
 import re
 
@@ -766,6 +767,30 @@ def test_cut_vertex_product_past_brute_force():
         whole, one, two = pairs[3 * k:3 * k + 3]
         assert XB * whole.even == one.even * two.even, triple
         assert not whole.even.is_zero()
+
+
+def test_disjoint_union_product_on_the_bivariate_basis():
+    """Both bivariate pairs of a disjoint union are the products of the
+    parts' pairs: a spanning subgraph is one of each part, and its term
+    x^p (x - y)^(b - p) delta^(c - b) is the product of theirs.  On seeded
+    unions of 2 to 14 parts of 2 to 4 vertices, each with a negative edge,
+    relabelled at random: a subset of one negative edge per part has
+    w = b - p equal to the number of parts, up to 14 on the subset basis,
+    where each part alone reaches at most 2."""
+    rng = random.Random(43)
+    for k in list(range(2, 15)) * 2:
+        parts, edges, n = [], [], 0
+        for _ in range(k):
+            size = rng.randrange(2, 5)
+            g = random_signed_graph(rng, size, rng.randrange(1, size * (size - 1) // 2 + 1))
+            (u, v, _), *rest = g.edges
+            parts.append(SignedGraph(size, ((u, v, -1), *rest)))
+            edges += [(a + n, b + n, s) for a, b, s in parts[-1].edges]
+            n += size
+        whole = _subset_bivariate_pair(relabel(SignedGraph(n, tuple(edges)), rng.sample(range(n), n)))
+        pairs = [bivariate_pair(h) for h in parts]
+        assert whole.even == functools.reduce(operator.mul, [p.even for p in pairs]), parts
+        assert whole.odd == functools.reduce(operator.mul, [p.odd for p in pairs]), parts
 
 
 @st.composite

@@ -497,38 +497,48 @@ def test_fingerprint_collisions_are_rechecked_exactly(monkeypatch):
     _assert_merged_clash(details["counterexample"], merged)
 
 
-def _slots(parts, count, width):
-    """The `count` values in a point's packed parts, in index order: each
-    balanced `width`-bit slot read back by adding 2^(width - 1) to it."""
-    size, nbytes, half = count // len(parts), width // 8, 1 << (width - 1)
-    top = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    values = []
-    for part in parts:
-        raw = (part + top).to_bytes(size * nbytes, "little")
-        values += [int.from_bytes(raw[i:i + nbytes], "little") - half
-                   for i in range(0, len(raw), nbytes)]
-    return values
-
-
-def _planted_zero(monkeypatch, length, *indices):
-    """Make the grid yield 0 at (-1, 1) for the codes at `indices` of `length`:
-    subtracting a slot's value from its packed part clears that slot alone."""
+def _grid_runs(monkeypatch, visit):
+    """Wrap the verifier's grid so that `visit(length, indices, parts,
+    width)` sees the point (-1, 1) of each length in each run, with
+    indices[j] the code index of slot j.  Run 0 is the whole grid up to the
+    split length b; run 1 + c steps the code c of length b, and its slot j
+    after k >= 1 steps holds the code c + 3^b j of length b + k."""
     from signedchrom import verify
 
-    grid = verify._threshold_grid
+    grid, check, runs = verify._threshold_grid, verify._check_lemma_l, []
 
-    def planted(last, width):
-        for d, rows in grid(last, width):
-            if d == length:
-                parts = rows[0][0]
-                values = _slots(parts, 3**length, width)
-                size = 3**length // len(parts)
-                for index in indices:
-                    a, i = divmod(index, size)
-                    parts[a] -= values[index] << (i * width)
-            yield d, rows
+    def checked(first, last):
+        runs[:] = [verify._split_length(last)]
+        return check(first, last)
 
-    monkeypatch.setattr(verify, "_threshold_grid", planted)
+    def wrapped(rows, width):
+        split, run = runs[0], len(runs) - 1
+        runs.append(run)
+        for k, rows in grid(rows, width):
+            if not run:
+                visit(k, range(3**k), rows[0][0], width)
+            elif k:
+                visit(split + k, range(run - 1, 3 ** (split + k), 3**split), rows[0][0], width)
+            yield k, rows
+
+    monkeypatch.setattr(verify, "_check_lemma_l", checked)
+    monkeypatch.setattr(verify, "_threshold_grid", wrapped)
+
+
+def _planted_zero(monkeypatch, *zeros):
+    """Make the grid yield 0 at (-1, 1) for the codes at the (length, index)
+    pairs `zeros`, in whichever run holds them: subtracting a slot's value
+    from its packed part clears that slot alone."""
+    from signedchrom import verify
+
+    def plant(length, codes, parts, width):
+        values = verify._unpack(parts, len(codes), width)
+        size = len(codes) // len(parts)
+        for j in (codes.index(index) for d, index in zeros if d == length and index in codes):
+            a, i = divmod(j, size)
+            parts[a] -= values[j] << (i * width)
+
+    _grid_runs(monkeypatch, plant)
 
 
 def test_a_failure_of_lemma_l_is_refused(monkeypatch, capsys):
@@ -538,7 +548,7 @@ def test_a_failure_of_lemma_l_is_refused(monkeypatch, capsys):
     from signedchrom.cli import main
     from signedchrom.errors import SignedChromError
 
-    _planted_zero(monkeypatch, 3, 5)  # the code (1, 0, -1)
+    _planted_zero(monkeypatch, (3, 5))  # the code (1, 0, -1)
     with pytest.raises(SignedChromError, match=r"lemma L is undecided for threshold code \[1, 0, -1\]"):
         verify_conj_threshold(4)
     assert verify_conj_threshold(3)["status"] == "pass"  # L is checked below n_max only
@@ -550,30 +560,78 @@ def test_a_failure_of_lemma_l_is_refused(monkeypatch, capsys):
 
 def test_a_planted_zero_is_found_in_every_slot(monkeypatch):
     """The zero test finds a planted zero at the first, a middle and the last
-    slot of each part, and names its code; of two zeros, the first."""
+    slot of each part, at every split of the grid, and names its code.  Of
+    several zeros it names the one of the shortest length and, within it,
+    of the lowest index, as the whole grid does, whether that zero falls at
+    or below the split length or in any run past it."""
     from signedchrom import verify
     from signedchrom.errors import SignedChromError
 
-    for indices in [(0,), (1,), (26,), (27,), (40,), (53,), (54,), (80,), (3, 7), (30, 60)]:
-        _planted_zero(monkeypatch, 4, *indices)
-        code = list(verify._threshold_code(indices[0], 4))
-        with pytest.raises(SignedChromError, match=f"code {re.escape(str(code))}:"):
-            verify_conj_threshold(5)
-        monkeypatch.undo()
+    cases = [
+        *[(5, [(4, index)]) for index in (0, 1, 26, 27, 40, 53, 54, 80)],
+        (5, [(4, 7), (4, 3)]),
+        (5, [(4, 30), (4, 60)]),
+        (6, [(5, 0), (4, 80)]),
+        (6, [(5, 1), (3, 26)]),
+        # split at length 2: code 28 lies in the run of code 1, the lower 22
+        # in the later run of code 4
+        (7, [(5, 28), (5, 22)]),
+    ]
+    for n_max, zeros in cases:
+        code = list(verify._threshold_code(*reversed(min(zeros))))
+        for split in range(n_max):
+            monkeypatch.setattr(verify, "_GRID_VALUES", 3 ** (n_max - 1 - split))
+            assert verify._split_length(n_max - 1) == split
+            _planted_zero(monkeypatch, *zeros)
+            with pytest.raises(SignedChromError, match=f"code {re.escape(str(code))}:"):
+                verify_conj_threshold(n_max)
+            monkeypatch.undo()
+
+
+def test_every_split_gives_the_whole_grid_values(monkeypatch):
+    """For every n_max <= 9, split at every length b = 0..n_max - 1: the
+    payload is the unsplit one, and each code of each length gets the value
+    at (-1, 1) that the whole grid gives it (the split at 0), in exactly one
+    run."""
+    from signedchrom import verify
+
+    for n_max in range(1, 10):
+        want, last = verify_conj_threshold(n_max), n_max - 1
+        width = verify._slot_bits(last)
+        whole = {
+            (d, index): value
+            for d, rows in verify._threshold_grid(verify._grid_seed(last), width)
+            for index, value in enumerate(verify._unpack(rows[0][0], 3**d, width))
+        }
+        for split in range(n_max):
+            got = {}
+
+            def record(d, codes, parts, width):
+                for index, value in zip(codes, verify._unpack(parts, len(codes), width)):
+                    assert (d, index) not in got
+                    got[d, index] = value
+
+            monkeypatch.setattr(verify, "_GRID_VALUES", 3 ** (last - split))
+            assert verify_conj_threshold(n_max) == want
+            _grid_runs(monkeypatch, record)
+            monkeypatch.setattr(verify, "_EXACT_THRESHOLD_LIMIT", 0)  # the grid runs at every n_max
+            assert verify_conj_threshold(n_max)["status"] == "pass"
+            assert got == whole, (n_max, split)
+            monkeypatch.undo()
 
 
 def test_grid_slots_match_exact_evaluation():
     """Every code of length <= 6 has its even polynomial's value at (-1, 1) in
     its slot and E(0, 0) = 0 (fact (e)); index i spells its code in base 3,
     least significant first."""
-    from signedchrom.verify import _slot_bits, _threshold_code, _threshold_grid
+    from signedchrom.verify import _grid_seed, _slot_bits, _threshold_code, _threshold_grid, _unpack
 
     count, width = 0, _slot_bits(6)
-    for length, rows in _threshold_grid(6, width):
+    for length, rows in _threshold_grid(_grid_seed(6), width):
         codes = [tuple(reversed(p)) for p in itertools.product((-1, 0, 1), repeat=length)]
         assert [_threshold_code(i, length) for i in range(len(codes))] == codes
         assert len(rows[0][0]) == (3 if length else 1)
-        for index, (value, code) in enumerate(zip(_slots(rows[0][0], len(codes), width), codes)):
+        for index, (value, code) in enumerate(zip(_unpack(rows[0][0], len(codes), width), codes)):
             even = _threshold_even(index, length)
             assert value == evaluate(even, -1, 1), code
             assert evaluate(even, 0, 0) == 0, code
@@ -588,7 +646,7 @@ def test_every_grid_value_fits_its_slot():
     B's bit length: 48 bits, where the largest value has 35."""
     import math
 
-    from signedchrom.verify import MAX_THRESHOLD_N, _slot_bits, _threshold_grid
+    from signedchrom.verify import MAX_THRESHOLD_N, _grid_seed, _slot_bits, _threshold_grid, _unpack
 
     last = MAX_THRESHOLD_N - 1
     bound = (last + 1) * 3**last * math.factorial(last)
@@ -596,10 +654,10 @@ def test_every_grid_value_fits_its_slot():
     assert width % 8 == 0 and width - 8 <= bound.bit_length() < width
     assert width == 48
     largest = 0
-    for d, rows in _threshold_grid(last, 128):
+    for d, rows in _threshold_grid(_grid_seed(last), 128):
         for row in rows:
             for parts in row:
-                largest = max(largest, *map(abs, _slots(parts, 3**d, 128)))
+                largest = max(largest, *map(abs, _unpack(parts, 3**d, 128)))
     assert largest <= bound and largest < 1 << (width - 1)
     assert largest.bit_length() == 35
 
@@ -615,31 +673,37 @@ def test_packed_fingerprints_match_the_list_scan():
         want = [(d, cols[1][0]) for d, cols in _list_scan(n_max, mod, 0, 0) if d < n_max]
         width = verify._slot_bits(n_max - 1)
         got = [
-            (d, [v % mod for v in _slots(rows[0][0], 3**d, width)])
-            for d, rows in verify._threshold_grid(n_max - 1, width)
+            (d, [v % mod for v in verify._unpack(rows[0][0], 3**d, width)])
+            for d, rows in verify._threshold_grid(verify._grid_seed(n_max - 1), width)
         ]
         assert got == want, n_max
 
 
-def test_conjecture_threshold_stretch():
+def test_conjecture_threshold_stretch(monkeypatch):
     """The full stretch scale, which only the benchmark ran before, within its
-    memory: the traced peak is about 5 MB with exact values in 48-bit slots
-    (8.5 MB with residues mod 2^31 - 1 in 64-bit slots, and the distinctness
-    scan's was 59 MB)."""
+    memory, and two lengths past it with the cap raised: lemma L on every
+    code up to length 13, evidence for the conjecture at n = 14, not a
+    verdict.  The traced peak is about 0.6 MB at n = 12 and 1.0 MB at
+    n = 14 with the grid split into runs of at most 3^9 codes (5 MB and
+    61 MB unsplit)."""
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        report = verify_conj_threshold(12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report["status"] == "pass"
-    assert report["details"] == {
-        "codes_checked": {str(d): 3**d for d in range(13)},
-        "method": {"exact_to": 3, "fingerprint_from": 4},
-    }
-    assert peak < 12 << 20, peak
+    from signedchrom import verify
+
+    for n_max, budget in [(12, 1 << 20), (14, 3 << 19)]:
+        monkeypatch.setattr(verify, "MAX_THRESHOLD_N", n_max)
+        tracemalloc.start()
+        try:
+            report = verify_conj_threshold(n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["status"] == "pass"
+        assert report["details"] == {
+            "codes_checked": {str(d): 3**d for d in range(n_max + 1)},
+            "method": {"exact_to": 3, "fingerprint_from": 4},
+        }
+        assert peak < budget, (n_max, peak)
 
 
 def test_conjecture_bivariate_small():
